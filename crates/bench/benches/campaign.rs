@@ -4,7 +4,8 @@
 //! fig3+fig7 grid under `DVS_QUICK=1` — through the campaign runner at 1, 2,
 //! and 4 workers, asserts the three reports serialize to byte-identical
 //! results, and writes `BENCH_campaign.json` with per-worker-count
-//! wall-clock and speedup. The ≥ 1.6× 4-worker speedup target is *recorded*,
+//! wall-clock and speedup. In quick mode the digest must also equal the
+//! committed contract value. The ≥ 1.6× 4-worker speedup target is *recorded*,
 //! not asserted, when `host_parallelism < 4` (a single-core host cannot
 //! show it).
 
@@ -15,6 +16,10 @@ use dvs_kernels::{KernelId, LockKind, LockedStruct};
 use dvs_stats::report::{host_parallelism, BenchArtifact, JsonObject, ParamTable};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The committed results digest of the quick grid — part of the
+/// behavioural contract: a change that moves it changed simulated results.
+const QUICK_DIGEST: &str = "4d5df26dca1b09bc";
 
 fn grid() -> Vec<ExperimentSpec> {
     let tatas: Vec<KernelId> = LockedStruct::ALL
@@ -61,6 +66,12 @@ fn main() {
         digests.iter().all(|d| d == &digests[0]),
         "campaign results must be byte-identical across worker counts: {digests:?}"
     );
+    if quick_mode() {
+        assert_eq!(
+            digests[0], QUICK_DIGEST,
+            "quick-grid results digest drifted from the committed contract"
+        );
+    }
 
     let host = host_parallelism();
     let mut summary = ParamTable::new("Campaign scaling");

@@ -7,7 +7,8 @@
 //! Writes `BENCH_gcs.json` (machine-readable) and prints a summary table.
 //! The whole matrix runs as one campaign twice, at one worker and at the
 //! environment's worker count, and asserts the results digest is
-//! byte-identical — the comparison is scheduling-independent.
+//! byte-identical — the comparison is scheduling-independent — and equal to
+//! the committed contract value.
 
 use dvs_campaign::{workers_from_env, Campaign, CampaignReport, ExperimentSpec, TelemetryPolicy};
 use dvs_core::config::Protocol;
@@ -16,6 +17,10 @@ use dvs_stats::report::{BenchArtifact, JsonObject, ParamTable};
 use dvs_stats::TrafficClass;
 
 const THREADS: usize = 4;
+
+/// The committed results digest of the comparison grid — part of the
+/// behavioural contract: a change that moves it changed simulated results.
+const DIGEST: &str = "93aa24a924a743e6";
 
 /// The comparison matrix: protocol-major, kernel-minor, with the ring
 /// telemetry policy so each record carries its metrics tree (where the GCS
@@ -89,6 +94,11 @@ fn main() {
         report.results_digest(),
         single.results_digest(),
         "gcs comparison digest must be worker-count independent"
+    );
+    assert_eq!(
+        report.results_digest(),
+        DIGEST,
+        "gcs comparison digest drifted from the committed contract"
     );
 
     let (protocols, per_kernel) = protocol_json(&report);

@@ -38,8 +38,8 @@ pub use runner::{
     RunRecord, FNV_OFFSET,
 };
 pub use spec::{
-    mutation_token, parse_mutation_token, parse_protocol, ConfigOverrides, ExperimentSpec,
-    TelemetryPolicy, WorkloadSpec,
+    mutation_token, parse_mutation_token, ConfigOverrides, ExperimentSpec, TelemetryPolicy,
+    WorkloadSpec,
 };
 
 use dvs_core::config::SystemConfig;

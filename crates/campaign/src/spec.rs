@@ -399,7 +399,7 @@ impl ExperimentSpec {
         };
 
         let proto = get("proto").ok_or("missing proto")?;
-        let protocol = parse_protocol(proto)?;
+        let protocol = Protocol::from_label(proto)?;
         let overrides = ConfigOverrides {
             data_inv: match get("di") {
                 None => None,
@@ -438,18 +438,6 @@ pub fn trace_run_error(e: TraceError) -> RunError {
         TraceError::Check(m) => RunError::Check(m),
         TraceError::Validate(m) => RunError::Check(format!("replay validation: {m}")),
     }
-}
-
-/// Parses a protocol by its bar label (`"M"`, `"DS0"`, `"DS"`, `"GCS"`).
-///
-/// # Errors
-///
-/// Lists the known labels when `label` is not one of them.
-pub fn parse_protocol(label: &str) -> Result<Protocol, String> {
-    Protocol::EXTENDED
-        .into_iter()
-        .find(|p| p.label() == label)
-        .ok_or_else(|| format!("unknown protocol {label:?} (want M, DS0, DS, or GCS)"))
 }
 
 /// The serialized form of a [`ProtocolMutation`] — the same tokens the
@@ -579,7 +567,7 @@ mod tests {
 
         // The mesh override lands in the materialized system config.
         assert_eq!(spec.config().mesh, Some(MeshShape { rows: 2, cols: 8 }));
-        assert_eq!(parse_protocol("GCS"), Ok(Protocol::Gcs));
+        assert_eq!(Protocol::from_label("GCS"), Ok(Protocol::Gcs));
     }
 
     #[test]

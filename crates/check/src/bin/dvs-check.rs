@@ -88,10 +88,7 @@ fn model(args: &Args) -> Result<(Litmus, Protocol, Option<ProtocolMutation>), St
     let name = args.get("litmus").ok_or("--litmus is required")?;
     let lit = Litmus::by_name(name).ok_or_else(|| format!("unknown litmus test {name:?}"))?;
     let ptok = args.get("proto").ok_or("--proto is required")?;
-    let proto = Protocol::EXTENDED
-        .into_iter()
-        .find(|p| p.label() == ptok)
-        .ok_or_else(|| format!("unknown protocol {ptok:?} (want M, DS0, DS, or GCS)"))?;
+    let proto = Protocol::from_label(ptok)?;
     let mutation = match args.get("mutation") {
         None => None,
         Some(tok) => Some(

@@ -1,0 +1,311 @@
+//! The protocol backend: one family's private L1s and shared L2 banks.
+//!
+//! [`System`](crate::system::System) drives cores, the network and the
+//! scheduler; everything protocol-specific sits behind this two-variant
+//! enum. Each variant holds one family's controllers together, so a MESI L1
+//! paired with a DeNovo bank cannot be represented. DeNovoSync0,
+//! DeNovoSync and GCS share the DeNovo variant: they differ only in the
+//! backoff unit and the sync-path policy their controllers are built with.
+//! The family modules ([`crate::mesi::family`], [`crate::denovo::family`])
+//! own the whole-machine checks.
+
+use crate::config::{Protocol, SystemConfig};
+use crate::denovo::{self, DnvL1, DnvRegistry};
+use crate::mesi::{self, MesiDir, MesiL1};
+use crate::msg::{CoreId, Endpoint, Msg};
+use crate::proto::{Action, IssueResult};
+use crate::system::StallReport;
+use dvs_mem::layout::MemoryLayout;
+use dvs_mem::{LineAddr, MainMemory, Region, WordAddr};
+use dvs_noc::Mesh;
+use dvs_stats::CacheStats;
+use dvs_telemetry::{MetricsRegistry, Telemetry};
+use dvs_vm::MemRequest;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
+
+/// Every L1 and L2 bank of the machine, by protocol family.
+#[derive(Debug, Clone)]
+pub(crate) enum Backend {
+    /// Directory MESI.
+    Mesi {
+        l1s: Vec<MesiL1>,
+        dirs: Vec<MesiDir>,
+    },
+    /// DeNovoSync0, DeNovoSync, and GCS (DeNovo plus the sync path).
+    DeNovo {
+        l1s: Vec<DnvL1>,
+        regs: Vec<DnvRegistry>,
+    },
+}
+
+impl Backend {
+    /// Builds one L1 and one L2 bank per core for `cfg.protocol`. Dense
+    /// per-line bank tables are sized from the layout span; out-of-layout
+    /// lines (thread pools) spill to a sparse tier.
+    pub(crate) fn new(cfg: &SystemConfig, layout: &Arc<MemoryLayout>, mesh: &Mesh) -> Self {
+        let n = cfg.cores;
+        let mem = |b: usize| Endpoint::Mem(mesh.nearest_corner(b));
+        match cfg.protocol {
+            Protocol::Mesi => Backend::Mesi {
+                l1s: (0..n)
+                    .map(|i| {
+                        let mut l1 = MesiL1::new(i, cfg.l1, n);
+                        l1.set_mutation(cfg.mutation);
+                        l1
+                    })
+                    .collect(),
+                dirs: (0..n)
+                    .map(|b| {
+                        let mut d = MesiDir::new(b, mem(b));
+                        d.configure_span(layout, n);
+                        d
+                    })
+                    .collect(),
+            },
+            Protocol::DeNovoSync0 | Protocol::DeNovoSync | Protocol::Gcs => {
+                let backoff = cfg.protocol == Protocol::DeNovoSync;
+                let sync_path = cfg.protocol == Protocol::Gcs;
+                Backend::DeNovo {
+                    l1s: (0..n)
+                        .map(|i| {
+                            let l1 =
+                                DnvL1::new(i, cfg.l1, n, cfg.backoff, backoff, Arc::clone(layout));
+                            if sync_path {
+                                l1.with_sync_path()
+                            } else {
+                                l1
+                            }
+                        })
+                        .collect(),
+                    regs: (0..n)
+                        .map(|b| {
+                            let mut r = DnvRegistry::new(b, mem(b));
+                            if sync_path {
+                                r = r.with_sync_path();
+                            }
+                            r.configure_span(layout, n);
+                            r.set_mutation(cfg.mutation);
+                            r
+                        })
+                        .collect(),
+                }
+            }
+        }
+    }
+
+    /// Clones the telemetry handle into every L1 (and its MSHR) and bank.
+    pub(crate) fn set_telemetry(&mut self, tel: &Telemetry) {
+        match self {
+            Backend::Mesi { l1s, dirs } => {
+                l1s.iter_mut().for_each(|l| l.set_telemetry(tel.clone()));
+                dirs.iter_mut().for_each(|d| d.set_telemetry(tel.clone()));
+            }
+            Backend::DeNovo { l1s, regs } => {
+                l1s.iter_mut().for_each(|l| l.set_telemetry(tel.clone()));
+                regs.iter_mut().for_each(|r| r.set_telemetry(tel.clone()));
+            }
+        }
+    }
+
+    /// Presents core `i`'s memory request to its L1.
+    pub(crate) fn core_request(
+        &mut self,
+        i: CoreId,
+        req: &MemRequest,
+        after_backoff: bool,
+        actions: &mut Vec<Action>,
+    ) -> IssueResult {
+        match self {
+            Backend::Mesi { l1s, .. } => l1s[i].core_request(req, actions),
+            Backend::DeNovo { l1s, .. } => l1s[i].core_request(req, after_backoff, actions),
+        }
+    }
+
+    /// Delivers a message to an L1 or L2 bank. Returns false (touching
+    /// nothing) if the endpoint's controller does not speak the message's
+    /// protocol.
+    pub(crate) fn deliver(&mut self, ep: Endpoint, msg: Msg, actions: &mut Vec<Action>) -> bool {
+        match (self, ep, msg) {
+            (Backend::Mesi { l1s, .. }, Endpoint::L1(i), Msg::Mesi(m)) => l1s[i].on_msg(m, actions),
+            (Backend::Mesi { dirs, .. }, Endpoint::Bank(b), Msg::Mesi(m)) => {
+                dirs[b].on_msg(m, actions)
+            }
+            (Backend::Mesi { dirs, .. }, Endpoint::Bank(b), Msg::MemData { line, data, .. }) => {
+                dirs[b].on_mem_data(line, data, actions)
+            }
+            (Backend::DeNovo { l1s, .. }, Endpoint::L1(i), Msg::Dnv(m)) => {
+                l1s[i].on_msg(m, actions)
+            }
+            (Backend::DeNovo { l1s, .. }, Endpoint::L1(i), Msg::Gcs(m)) => {
+                l1s[i].on_gcs(m, actions)
+            }
+            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::Dnv(m)) => {
+                regs[b].on_msg(m, actions)
+            }
+            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::Gcs(m)) => {
+                regs[b].on_gcs(m, actions)
+            }
+            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::MemData { line, data, .. }) => {
+                regs[b].on_mem_data(line, data, actions)
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Sets core `i`'s local spin watch on `word` if its L1 holds a copy a
+    /// failed spin can sleep on (MESI: readable; DeNovo: registered),
+    /// returning whether it did.
+    pub(crate) fn watch_local_copy(&mut self, i: CoreId, word: WordAddr) -> bool {
+        match self {
+            Backend::Mesi { l1s, .. } if l1s[i].word_readable(word) => l1s[i].set_watch(word),
+            Backend::DeNovo { l1s, .. } if l1s[i].word_registered(word) => l1s[i].set_watch(word),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Clears core `i`'s local spin watch.
+    pub(crate) fn clear_watch(&mut self, i: CoreId) {
+        match self {
+            Backend::Mesi { l1s, .. } => l1s[i].clear_watch(),
+            Backend::DeNovo { l1s, .. } => l1s[i].clear_watch(),
+        }
+    }
+
+    /// Arms core `i`'s remote watch on `word` if its sync-path policy
+    /// predicts the word is classified — the failed spin then parks in the
+    /// home bank's waiter set. Returns whether it did.
+    pub(crate) fn start_remote_watch(
+        &mut self,
+        i: CoreId,
+        word: WordAddr,
+        seen: u64,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        match self {
+            Backend::DeNovo { l1s, .. } if l1s[i].predicts_sync(word) => {
+                l1s[i].start_remote_watch(word, seen, actions);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Acquire-side self-invalidation of `region` at core `i` (a no-op
+    /// under MESI, whose writers invalidate).
+    pub(crate) fn self_invalidate(&mut self, i: CoreId, region: Region) {
+        if let Backend::DeNovo { l1s, .. } = self {
+            l1s[i].self_invalidate(region);
+        }
+    }
+
+    /// Signature-mode self-invalidation of exactly `words` at core `i`.
+    pub(crate) fn self_invalidate_words(&mut self, i: CoreId, words: &[WordAddr]) {
+        if let Backend::DeNovo { l1s, .. } = self {
+            l1s[i].self_invalidate_words(words);
+        }
+    }
+
+    /// Each core's L1 access statistics and MSHR high-water mark.
+    fn l1_stats(&self) -> Vec<(CacheStats, usize)> {
+        match self {
+            Backend::Mesi { l1s, .. } => l1s
+                .iter()
+                .map(|l| (l.stats(), l.mshr_high_water()))
+                .collect(),
+            Backend::DeNovo { l1s, .. } => l1s
+                .iter()
+                .map(|l| (l.stats(), l.mshr_high_water()))
+                .collect(),
+        }
+    }
+
+    /// Cache-access statistics summed over every L1.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::new();
+        for (stats, _) in self.l1_stats() {
+            total += stats;
+        }
+        total
+    }
+
+    /// Per-core L1 hit/miss counters and MSHR high-water marks, plus the
+    /// sync-path banks' notify and recall counts.
+    pub(crate) fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        for (i, (stats, high_water)) in self.l1_stats().into_iter().enumerate() {
+            let node = format!("core{i}");
+            reg.add(&node, "l1", "hits", stats.hits());
+            reg.add(&node, "l1", "misses", stats.misses());
+            reg.add(&node, "mshr", "high_water", high_water as u64);
+        }
+        if let Backend::DeNovo { regs, .. } = self {
+            for (b, r) in regs.iter().enumerate().filter(|(_, r)| r.has_sync_path()) {
+                let node = format!("bank{b}");
+                reg.add(&node, "gcs", "notifies", r.notifies());
+                reg.add(&node, "gcs", "recalls", r.recalls());
+            }
+        }
+    }
+
+    /// Feeds every L1, then every bank, into a canonical state hash.
+    pub(crate) fn hash_into<H: std::hash::Hasher>(&self, h: &mut H) {
+        use std::hash::Hash;
+        match self {
+            Backend::Mesi { l1s, dirs } => {
+                l1s.iter().for_each(|l| l.hash(h));
+                dirs.iter().for_each(|d| d.hash(h));
+            }
+            Backend::DeNovo { l1s, regs } => {
+                l1s.iter().for_each(|l| l.hash(h));
+                regs.iter().for_each(|r| r.hash(h));
+            }
+        }
+    }
+
+    /// The quiescent-state coherence invariants.
+    pub(crate) fn verify(&self) -> Result<(), String> {
+        match self {
+            Backend::Mesi { l1s, dirs } => mesi::family::verify(l1s, dirs),
+            Backend::DeNovo { l1s, regs } => denovo::family::verify(l1s, regs),
+        }
+    }
+
+    /// The delivery-boundary invariants for one line.
+    pub(crate) fn check_line(&self, line: LineAddr) -> Result<(), String> {
+        match self {
+            Backend::Mesi { l1s, dirs } => mesi::family::check_line(l1s, dirs, line),
+            Backend::DeNovo { l1s, regs } => denovo::family::check_line(l1s, regs, line),
+        }
+    }
+
+    /// The full delivery-boundary scan: every tracked line, then MSHR
+    /// conservation against the lines with in-flight messages.
+    pub(crate) fn verify_invariants(&self, live_lines: &HashSet<LineAddr>) -> Result<(), String> {
+        match self {
+            Backend::Mesi { l1s, dirs } => mesi::family::verify_invariants(l1s, dirs, live_lines),
+            Backend::DeNovo { l1s, regs } => {
+                denovo::family::verify_invariants(l1s, regs, live_lines)
+            }
+        }
+    }
+
+    /// Adds pending transactions and stuck lines' L2 state to a report.
+    pub(crate) fn describe_stall(&self, addrs: &mut BTreeSet<LineAddr>, report: &mut StallReport) {
+        match self {
+            Backend::Mesi { l1s, dirs } => mesi::family::describe_stall(l1s, dirs, addrs, report),
+            Backend::DeNovo { l1s, regs } => {
+                denovo::family::describe_stall(l1s, regs, addrs, report)
+            }
+        }
+    }
+
+    /// The architecturally-current value of a word.
+    pub(crate) fn read_word(&self, memory: &MainMemory, word: WordAddr) -> u64 {
+        match self {
+            Backend::Mesi { l1s, dirs } => mesi::family::read_word(l1s, dirs, memory, word),
+            Backend::DeNovo { l1s, regs } => denovo::family::read_word(l1s, regs, memory, word),
+        }
+    }
+}

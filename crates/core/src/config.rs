@@ -81,8 +81,22 @@ impl Protocol {
         }
     }
 
-    /// Whether this is one of the DeNovo variants (GCS is its own family:
-    /// its data path is DeNovo-like but its sync path is not).
+    /// Parses a bar label (`"M"`, `"DS0"`, `"DS"`, `"GCS"`) — the inverse of
+    /// [`Protocol::label`], and the one protocol parser every front end
+    /// (CLI flags, campaign spec tokens, job files) shares.
+    ///
+    /// # Errors
+    ///
+    /// Lists the known labels when `label` is not one of them.
+    pub fn from_label(label: &str) -> Result<Protocol, String> {
+        Protocol::EXTENDED
+            .into_iter()
+            .find(|p| p.label() == label)
+            .ok_or_else(|| format!("unknown protocol {label:?} (want M, DS0, DS, or GCS)"))
+    }
+
+    /// Whether this is one of the paper's DeNovo variants (GCS shares their
+    /// controllers but adds its own sync path, so it is not counted here).
     pub fn is_denovo(self) -> bool {
         matches!(self, Protocol::DeNovoSync0 | Protocol::DeNovoSync)
     }

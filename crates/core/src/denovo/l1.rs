@@ -18,11 +18,27 @@
 //!   `WbAck` / `WbNack`): the registry may have already re-pointed the word
 //!   at a new registrant, in which case the in-flight transfer must still be
 //!   served from the held value.
+//!
+//! GCS is this controller with backoff disabled (the DS0 path) plus the
+//! optional **sync-path policy** ([`DnvL1::with_sync_path`]):
+//!
+//! * when the home bank classifies a word as a synchronization variable it
+//!   answers registrations with `Classified`; the L1 converts the pending
+//!   access into a [`GcsMsg::SyncOp`] executed *at the bank* and records
+//!   the word in its bounded [`SyncPredictor`];
+//! * predicted-sync accesses skip the optimistic registration and go
+//!   straight down the sync path;
+//! * a failed spin on a classified word arms a level-triggered remote
+//!   watch ([`GcsMsg::SyncWatch`]); the bank's targeted [`GcsMsg::SyncNotify`]
+//!   lands in a one-entry notify buffer that the re-issued spin load hits;
+//! * `Recall` surrenders a just-classified word's registered copy back to
+//!   the bank (the value rides on [`GcsMsg::RecallAck`]).
 
 use crate::config::BackoffConfig;
 use crate::denovo::backoff::BackoffUnit;
-use crate::msg::{CoreId, DnvMsg, Endpoint, Msg, XferClass};
-use crate::proto::{Action, IssueResult};
+use crate::denovo::predictor::SyncPredictor;
+use crate::msg::{CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
+use crate::proto::{count_access, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{
@@ -104,6 +120,32 @@ enum PendKind {
     /// means the registry refused (ownership moved) and we are waiting for
     /// the in-flight transfer.
     Wb { value: u64, nacked: bool },
+    /// Sync path: `op` is executing at the home bank. `data_store` marks a
+    /// converted non-blocking data store, which retires via `StoresDone`
+    /// instead of completing a blocked core.
+    SyncWait { op: GcsOpKind, data_store: bool },
+}
+
+impl PendKind {
+    /// The registration class this pending access requests.
+    fn reg_class(self) -> XferClass {
+        match self {
+            PendKind::SyncRead => XferClass::SyncRead,
+            PendKind::Write => XferClass::Write,
+            _ => XferClass::SyncWrite,
+        }
+    }
+
+    /// The operation the bank executes for a pending synchronization
+    /// access converted to the sync path.
+    fn sync_op(self) -> Option<GcsOpKind> {
+        match self {
+            PendKind::SyncRead => Some(GcsOpKind::Load),
+            PendKind::SyncWrite { value } => Some(GcsOpKind::Store { value }),
+            PendKind::Rmw { op } => Some(GcsOpKind::Rmw(op)),
+            _ => None,
+        }
+    }
 }
 
 /// One outstanding word-granularity transaction.
@@ -116,6 +158,11 @@ struct Pend {
     /// (at most one: the registry serializes, and each registrant has
     /// exactly one successor).
     parked_xfer: Option<(CoreId, XferClass)>,
+    /// Sync path: a `Recall` that arrived while our own registration was
+    /// still in flight; served right after the operation completes.
+    /// Mutually exclusive with `parked_xfer` (the bank stops re-pointing a
+    /// word the moment it classifies it).
+    parked_recall: bool,
 }
 
 impl Pend {
@@ -124,8 +171,25 @@ impl Pend {
             kind,
             parked_reads: Vec::new(),
             parked_xfer: None,
+            parked_recall: false,
         }
     }
+
+    fn has_parked_successor(&self) -> bool {
+        self.parked_xfer.is_some() || self.parked_recall
+    }
+}
+
+/// The GCS sync-path state of one L1: what GCS has and DeNovo lacks.
+#[derive(Debug, Clone, Hash)]
+struct SyncPath {
+    /// Words learned to be sync-classified at their home bank.
+    predictor: SyncPredictor,
+    /// Remote spin watch: `(word, seen)` sent to the bank as `SyncWatch`.
+    remote_watch: Option<(WordAddr, u64)>,
+    /// The last targeted notification `(word, value)`; consumed by the
+    /// re-issued spin load.
+    notify_buf: Option<(WordAddr, u64)>,
 }
 
 /// The DeNovo L1 controller for one core.
@@ -137,6 +201,8 @@ pub struct DnvL1 {
     mshr: Mshr<WordAddr, Pend>,
     backoff: BackoffUnit,
     watch: Option<WordAddr>,
+    /// The GCS sync-path policy (`None` for DeNovoSync0 / DeNovoSync).
+    sync: Option<SyncPath>,
     layout: Arc<MemoryLayout>,
     stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
@@ -165,10 +231,22 @@ impl DnvL1 {
             mshr: Mshr::unbounded(),
             backoff: BackoffUnit::new(backoff_cfg, backoff_enabled),
             watch: None,
+            sync: None,
             layout,
             stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
+    }
+
+    /// Enables the GCS sync-path policy: sync-classification handling, the
+    /// predictor, remote watches and the notify buffer.
+    pub fn with_sync_path(mut self) -> Self {
+        self.sync = Some(SyncPath {
+            predictor: SyncPredictor::new(SyncPredictor::DEFAULT_SLOTS),
+            remote_watch: None,
+            notify_buf: None,
+        });
+        self
     }
 
     /// Attaches a telemetry handle (word-state transitions, registrations,
@@ -217,6 +295,51 @@ impl DnvL1 {
     /// Clears the spin watch.
     pub fn clear_watch(&mut self) {
         self.watch = None;
+    }
+
+    /// Whether the sync-path policy predicts `word` is sync-classified at
+    /// its bank (always false without the policy).
+    pub fn predicts_sync(&self, word: WordAddr) -> bool {
+        self.sync
+            .as_ref()
+            .is_some_and(|s| s.predictor.contains(word))
+    }
+
+    /// Records `word` as sync-classified (idempotent) and emits the
+    /// data→sync classification transition the first time.
+    fn learn(&mut self, word: WordAddr, cause: &'static str) {
+        let Some(sync) = self.sync.as_mut() else {
+            return;
+        };
+        let known = sync.predictor.contains(word);
+        sync.predictor.insert(word);
+        if !known {
+            self.emit_transition(word, "data", "sync", cause);
+        }
+    }
+
+    /// Arms a level-triggered remote watch for a classified word and sends
+    /// the `SyncWatch` to the home bank. `seen` is the value the failed
+    /// spin observed — the bank notifies immediately if it already differs.
+    /// A no-op without the sync-path policy.
+    pub fn start_remote_watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) {
+        let Some(sync) = self.sync.as_mut() else {
+            return;
+        };
+        sync.remote_watch = Some((word, seen));
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Gcs(GcsMsg::SyncWatch {
+                word,
+                req: self.id,
+                seen,
+            }),
+        });
+    }
+
+    /// The word this L1 is remote-watching, if any (invariant checking).
+    pub fn remote_watch_word(&self) -> Option<WordAddr> {
+        self.sync.as_ref()?.remote_watch.map(|(w, _)| w)
     }
 
     /// Whether a synchronization read of `word` would hit right now (the
@@ -279,6 +402,11 @@ impl DnvL1 {
             .is_some_and(|p| p.parked_xfer.is_some())
     }
 
+    /// Whether a bank recall is parked on `word`'s MSHR entry.
+    pub fn has_parked_recall(&self, word: WordAddr) -> bool {
+        self.mshr.get(&word).is_some_and(|p| p.parked_recall)
+    }
+
     /// One `(word, description)` pair per outstanding MSHR entry (stall
     /// diagnostics and conservation checking).
     pub fn pending_summaries(&self) -> Vec<(WordAddr, String)> {
@@ -291,6 +419,9 @@ impl DnvL1 {
                 }
                 if let Some((c, class)) = p.parked_xfer {
                     desc.push_str(&format!(", parked xfer to core {c} ({class:?})"));
+                }
+                if p.parked_recall {
+                    desc.push_str(", parked recall");
                 }
                 (*w, desc)
             })
@@ -336,6 +467,52 @@ impl DnvL1 {
             .map(|l| &mut l.words[word.index_in_line()])
     }
 
+    /// Allocates the MSHR entry for a sync-path operation and sends it.
+    fn start_sync_op(
+        &mut self,
+        word: WordAddr,
+        op: GcsOpKind,
+        data_store: bool,
+        actions: &mut Vec<Action>,
+    ) {
+        let pend = Pend::new(PendKind::SyncWait { op, data_store });
+        self.mshr.try_insert(word, pend).expect("fresh mshr");
+        self.send_sync_op(word, op, actions);
+    }
+
+    fn send_sync_op(&self, word: WordAddr, op: GcsOpKind, actions: &mut Vec<Action>) {
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Gcs(GcsMsg::SyncOp {
+                word,
+                req: self.id,
+                op,
+            }),
+        });
+    }
+
+    /// Allocates the MSHR entry for a registering miss and sends its
+    /// request: a `SyncOp` down the sync path when a synchronization access
+    /// targets a word predicted classified, otherwise a registration.
+    fn issue_registration(&mut self, word: WordAddr, kind: PendKind, actions: &mut Vec<Action>) {
+        match kind.sync_op().filter(|_| self.predicts_sync(word)) {
+            Some(op) => self.start_sync_op(word, op, false, actions),
+            None => {
+                self.mshr
+                    .try_insert(word, Pend::new(kind))
+                    .expect("fresh mshr");
+                actions.push(Action::Send {
+                    to: self.home(word),
+                    msg: Msg::Dnv(DnvMsg::RegReq {
+                        word,
+                        req: self.id,
+                        class: kind.reg_class(),
+                    }),
+                });
+            }
+        }
+    }
+
     /// Presents a core memory request. `after_backoff` marks the re-issue of
     /// a synchronization read whose hardware backoff has expired (it must
     /// not be delayed again).
@@ -350,7 +527,9 @@ impl DnvL1 {
             AccessKind::DataLoad => {
                 if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
                     match kind {
-                        PendKind::Wb { .. } => return IssueResult::Blocked,
+                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
+                            return IssueResult::Blocked
+                        }
                         PendKind::Write => { /* word is Registered locally: falls through to hit */
                         }
                         other => unreachable!("data load with own {other:?} pending"),
@@ -378,7 +557,9 @@ impl DnvL1 {
             AccessKind::DataStore { value } => {
                 if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
                     match kind {
-                        PendKind::Wb { .. } => return IssueResult::Blocked,
+                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
+                            return IssueResult::Blocked
+                        }
                         PendKind::Write => {
                             // Previous store's registration still in flight;
                             // the word is Registered locally — just update.
@@ -394,6 +575,13 @@ impl DnvL1 {
                     self.note_hit(req.kind);
                     return IssueResult::StoreAccepted { completed: true };
                 }
+                if self.predicts_sync(word) {
+                    // Classified words cannot be registered here: execute
+                    // the store at the bank.
+                    self.note_miss(req.kind);
+                    self.start_sync_op(word, GcsOpKind::Store { value }, true, actions);
+                    return IssueResult::StoreAccepted { completed: false };
+                }
                 // Immediate transition to Registered + registration request
                 // (no transient state — the paper's write path).
                 if !self.ensure_line(word.line(), actions) {
@@ -405,108 +593,67 @@ impl DnvL1 {
                 w.state = WState::Registered;
                 w.value = value;
                 self.emit_transition(word, from, "R", "store");
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::Write))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::Write,
-                    }),
-                });
+                self.issue_registration(word, PendKind::Write, actions);
                 IssueResult::StoreAccepted { completed: false }
             }
-            AccessKind::SyncLoad => {
+            // Synchronization accesses complete locally on a Registered
+            // word; otherwise they register (or, predicted classified,
+            // execute at the bank).
+            kind => {
+                let pend = match kind {
+                    AccessKind::SyncStore { value } => PendKind::SyncWrite { value },
+                    AccessKind::SyncRmw(op) => PendKind::Rmw { op },
+                    _ => PendKind::SyncRead,
+                };
+                // A targeted notification answers the re-issued spin load
+                // without touching the network.
+                let notified = self
+                    .sync
+                    .as_mut()
+                    .filter(|_| pend == PendKind::SyncRead)
+                    .and_then(|s| s.notify_buf.take_if(|&mut (w, _)| w == word));
+                if let Some((_, v)) = notified {
+                    self.note_hit(kind);
+                    return IssueResult::Hit { value: Some(v) };
+                }
                 if self.mshr.contains(&word) {
                     return IssueResult::Blocked; // writeback handshake in flight
                 }
-                match self.word_state(word) {
-                    WState::Registered => {
-                        let value = self.word_mut(word).expect("resident").value;
-                        self.backoff.on_sync_hit();
-                        self.note_hit(req.kind);
-                        IssueResult::Hit { value: Some(value) }
-                    }
-                    state => {
-                        // DeNovoSync: a read to Valid state triggers backoff.
-                        if state == WState::Valid && !after_backoff {
-                            let delay = self.backoff.current();
-                            if delay > 0 {
-                                return IssueResult::Backoff { cycles: delay };
-                            }
-                        }
-                        self.note_miss(req.kind);
-                        self.mshr
-                            .try_insert(word, Pend::new(PendKind::SyncRead))
-                            .expect("fresh mshr");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::RegReq {
-                                word,
-                                req: self.id,
-                                class: XferClass::SyncRead,
-                            }),
-                        });
-                        IssueResult::Miss
-                    }
-                }
-            }
-            AccessKind::SyncStore { value } => {
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked;
-                }
-                if self.word_state(word) == WState::Registered {
-                    self.word_mut(word).expect("resident").value = value;
-                    self.backoff.on_release();
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: None };
-                }
-                self.note_miss(req.kind);
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::SyncWrite { value }))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::SyncWrite,
-                    }),
-                });
-                IssueResult::Miss
-            }
-            AccessKind::SyncRmw(op) => {
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked;
-                }
-                if self.word_state(word) == WState::Registered {
+                let state = self.word_state(word);
+                if state == WState::Registered {
                     let w = self.word_mut(word).expect("resident");
                     let old = w.value;
-                    w.value = op.apply(old);
-                    self.backoff.on_sync_hit();
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: Some(old) };
+                    let (new, result) = match pend {
+                        PendKind::SyncWrite { value } => (value, None),
+                        PendKind::Rmw { op } => (op.apply(old), Some(old)),
+                        _ => (old, Some(old)),
+                    };
+                    w.value = new;
+                    if result.is_some() {
+                        self.backoff.on_sync_hit();
+                    } else {
+                        self.backoff.on_release();
+                    }
+                    self.note_hit(kind);
+                    return IssueResult::Hit { value: result };
                 }
-                self.note_miss(req.kind);
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::Rmw { op }))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::SyncWrite,
-                    }),
-                });
+                // DeNovoSync: a sync read to Valid state triggers backoff.
+                let delay = self.backoff.current();
+                if pend == PendKind::SyncRead
+                    && state == WState::Valid
+                    && !after_backoff
+                    && delay > 0
+                {
+                    return IssueResult::Backoff { cycles: delay };
+                }
+                self.note_miss(kind);
+                self.issue_registration(word, pend, actions);
                 IssueResult::Miss
             }
         }
     }
 
-    /// Handles an incoming protocol message.
+    /// Handles an incoming data-path (DeNovo) message.
     pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
         match msg {
             DnvMsg::ReadReq { word, req } => {
@@ -555,6 +702,14 @@ impl DnvL1 {
                 class,
             } => {
                 if let Some(pend) = self.mshr.get_mut(&word) {
+                    if matches!(pend.kind, PendKind::SyncWait { .. }) {
+                        // The bank never re-points a classified word.
+                        actions.push(Action::violation(format!(
+                            "L1 {}: transfer for classified word {word}",
+                            self.id
+                        )));
+                        return;
+                    }
                     if let PendKind::Wb {
                         value,
                         nacked: true,
@@ -562,16 +717,10 @@ impl DnvL1 {
                     {
                         // The registry refused our writeback because this
                         // transfer was already on its way: serve and drop.
-                        let reads = std::mem::take(&mut pend.parked_reads);
-                        self.mshr.remove(&word);
-                        self.serve_reads(word, value, &reads, actions);
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(new_owner),
-                            msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                        });
+                        self.finish_refused_writeback(word, value, new_owner, class, actions);
                         return;
                     }
-                    if pend.parked_xfer.is_some() {
+                    if pend.has_parked_successor() {
                         actions.push(Action::violation(format!(
                             "L1: second transfer parked on one registration for {word}"
                         )));
@@ -580,17 +729,13 @@ impl DnvL1 {
                     pend.parked_xfer = Some((new_owner, class));
                     return;
                 }
-                let Some(value) = self.downgrade(word, class, actions) else {
-                    actions.push(Action::violation(format!(
+                match self.downgrade(word, Some(class), actions) {
+                    Some(value) => Self::send_reg_ack(word, value, new_owner, class, actions),
+                    None => actions.push(Action::violation(format!(
                         "L1 {}: transfer for unregistered word {word}",
                         self.id
-                    )));
-                    return;
-                };
-                actions.push(Action::Send {
-                    to: Endpoint::L1(new_owner),
-                    msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                });
+                    ))),
+                }
             }
             DnvMsg::ReadResp { word, value, fill } => {
                 let Some(pend) = self.mshr.remove(&word) else {
@@ -667,14 +812,8 @@ impl DnvL1 {
                     )));
                     return;
                 };
-                if let Some((new_owner, class)) = pend.parked_xfer.take() {
-                    let reads = std::mem::take(&mut pend.parked_reads);
-                    self.mshr.remove(&word);
-                    self.serve_reads(word, value, &reads, actions);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(new_owner),
-                        msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                    });
+                if let Some((new_owner, class)) = pend.parked_xfer {
+                    self.finish_refused_writeback(word, value, new_owner, class, actions);
                 } else {
                     pend.kind = PendKind::Wb {
                         value,
@@ -689,6 +828,163 @@ impl DnvL1 {
         }
     }
 
+    /// Handles an incoming sync-path (GCS) message. Without the sync-path
+    /// policy every such message is a protocol violation.
+    pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
+        match msg {
+            GcsMsg::Classified { word } if self.sync.is_some() => self.on_classified(word, actions),
+            GcsMsg::SyncResp { word, value } if self.sync.is_some() => {
+                self.on_sync_resp(word, value, actions)
+            }
+            GcsMsg::SyncNotify { word, value } if self.sync.is_some() => {
+                self.learn(word, "SyncNotify");
+                let sync = self.sync.as_mut().expect("guarded above");
+                if sync.remote_watch.map(|(w, _)| w) == Some(word) {
+                    sync.remote_watch = None;
+                    sync.notify_buf = Some((word, value));
+                    actions.push(Action::SpinWake);
+                } else {
+                    actions.push(Action::violation(format!(
+                        "L1 {}: SyncNotify for {word} without a remote watch",
+                        self.id
+                    )));
+                }
+            }
+            GcsMsg::Recall { word } if self.sync.is_some() => self.on_recall(word, actions),
+            other => actions.push(Action::violation(format!(
+                "L1 {} cannot handle {other:?}",
+                self.id
+            ))),
+        }
+    }
+
+    /// The bank rejected our optimistic registration: the word is
+    /// sync-classified. Convert the pending access to the sync path.
+    fn on_classified(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
+        self.learn(word, "Classified");
+        let Some(pend) = self.mshr.get(&word) else {
+            actions.push(Action::violation(format!(
+                "L1 {}: Classified without pending registration for {word}",
+                self.id
+            )));
+            return;
+        };
+        if pend.has_parked_successor() {
+            actions.push(Action::violation(format!(
+                "L1 {}: Classified for {word} with a parked transfer or recall",
+                self.id
+            )));
+            return;
+        }
+        let (op, data_store) = match (pend.kind, pend.kind.sync_op()) {
+            (_, Some(op)) => (op, false),
+            (PendKind::Write, None) => {
+                // The optimistic store set the word Registered locally; the
+                // bank owns classified words, so undo and re-execute there.
+                let value = self
+                    .word_mut(word)
+                    .filter(|w| w.state == WState::Registered)
+                    .map(|w| {
+                        w.state = WState::Invalid;
+                        w.value
+                    })
+                    .expect("write-registered word resident");
+                self.emit_transition(word, "R", "I", "Classified");
+                (GcsOpKind::Store { value }, true)
+            }
+            (other, None) => {
+                actions.push(Action::violation(format!(
+                    "L1 {}: Classified for {word} with {other:?} pending",
+                    self.id
+                )));
+                return;
+            }
+        };
+        let pend = self.mshr.get_mut(&word).expect("checked above");
+        pend.kind = PendKind::SyncWait { op, data_store };
+        self.send_sync_op(word, op, actions);
+    }
+
+    /// The bank executed our `SyncOp`.
+    fn on_sync_resp(&mut self, word: WordAddr, value: u64, actions: &mut Vec<Action>) {
+        let Some(pend) = self.mshr.remove(&word) else {
+            actions.push(Action::violation(format!(
+                "L1 {}: SyncResp without pending sync op for {word}",
+                self.id
+            )));
+            return;
+        };
+        let PendKind::SyncWait { op, data_store } = pend.kind else {
+            actions.push(Action::violation(format!(
+                "L1 {}: SyncResp for {word} with {:?} pending",
+                self.id, pend.kind
+            )));
+            return;
+        };
+        // (Nothing parks on a sync-path entry: transfers and recalls for it
+        // are violations, and conversion requires an empty successor slot.)
+        // `value` is the loaded value, the RMW's old value (the new one is
+        // recomputed locally for parked readers), or the stored value.
+        let (stored, done) = match op {
+            GcsOpKind::Load => (value, Action::CoreDone { value: Some(value) }),
+            GcsOpKind::Store { value: v } if data_store => (v, Action::StoresDone { count: 1 }),
+            GcsOpKind::Store { value: v } => (v, Action::CoreDone { value: None }),
+            GcsOpKind::Rmw(rmw) => (rmw.apply(value), Action::CoreDone { value: Some(value) }),
+        };
+        actions.push(done);
+        // Keep any stale Valid copy program-order consistent with our own
+        // completed operation.
+        if let Some(w) = self.word_mut(word) {
+            if w.state == WState::Valid {
+                w.value = stored;
+            }
+        }
+        self.serve_reads(word, stored, &pend.parked_reads, actions);
+    }
+
+    /// The bank reclaims a newly classified word we are registered for.
+    fn on_recall(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
+        self.learn(word, "Recall");
+        if let Some(pend) = self.mshr.get_mut(&word) {
+            match pend.kind {
+                // Our writeback is already in flight; the bank accepts it
+                // as the recall return.
+                PendKind::Wb { .. } => {}
+                PendKind::SyncRead
+                | PendKind::SyncWrite { .. }
+                | PendKind::Rmw { .. }
+                | PendKind::Write => {
+                    if pend.has_parked_successor() {
+                        actions.push(Action::violation(format!(
+                            "L1 {}: second recall/transfer parked for {word}",
+                            self.id
+                        )));
+                        return;
+                    }
+                    pend.parked_recall = true;
+                }
+                PendKind::Read | PendKind::SyncWait { .. } => {
+                    actions.push(Action::violation(format!(
+                        "L1 {}: Recall for {word} with {:?} pending",
+                        self.id, pend.kind
+                    )));
+                }
+            }
+            return;
+        }
+        // `None` when ownership had already moved on (our writeback raced
+        // ahead): answer empty; the bank ignores stale acks.
+        let value = self.downgrade(word, None, actions);
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Gcs(GcsMsg::RecallAck {
+                word,
+                from: self.id,
+                value,
+            }),
+        });
+    }
+
     /// Our own registration was acknowledged: perform the operation, then
     /// serve anything that parked behind us in the distributed queue.
     fn on_reg_ack(&mut self, word: WordAddr, ack_value: u64, actions: &mut Vec<Action>) {
@@ -700,116 +996,150 @@ impl DnvL1 {
             return;
         };
         let cached = self.ensure_line(word.line(), actions);
-        let mut owned_value = ack_value;
-        match pend.kind {
-            PendKind::Write => {
-                // The word was already Registered locally with our value;
-                // the ack just retires the store.
-                owned_value = self
-                    .word_mut(word)
+        // The value this core now owns, and how the access completes.
+        let (owned_value, done) = match pend.kind {
+            // The word was already Registered locally with our value; the
+            // ack just retires the store.
+            PendKind::Write => (
+                self.word_mut(word)
                     .map(|w| w.value)
-                    .expect("write-registered word resident");
-                actions.push(Action::StoresDone { count: 1 });
-            }
-            PendKind::SyncRead => {
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = ack_value;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                actions.push(Action::CoreDone {
+                    .expect("write-registered word resident"),
+                Action::StoresDone { count: 1 },
+            ),
+            PendKind::SyncRead => (
+                ack_value,
+                Action::CoreDone {
                     value: Some(ack_value),
-                });
-            }
+                },
+            ),
             PendKind::SyncWrite { value } => {
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = value;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                owned_value = value;
                 self.backoff.on_release();
-                actions.push(Action::CoreDone { value: None });
+                (value, Action::CoreDone { value: None })
             }
-            PendKind::Rmw { op } => {
-                let new = op.apply(ack_value);
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = new;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                owned_value = new;
-                actions.push(Action::CoreDone {
+            PendKind::Rmw { op } => (
+                op.apply(ack_value),
+                Action::CoreDone {
                     value: Some(ack_value),
-                });
-            }
-            PendKind::Read | PendKind::Wb { .. } => {
+                },
+            ),
+            PendKind::Read | PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
                 actions.push(Action::violation(format!(
                     "L1 {}: RegAck for {word} with {:?} pending",
                     self.id, pend.kind
                 )));
                 return;
             }
+        };
+        if cached && pend.kind != PendKind::Write {
+            let w = self.word_mut(word).expect("line ensured");
+            let from = w.state.label();
+            *w = DnvWord {
+                state: WState::Registered,
+                value: owned_value,
+            };
+            self.emit_transition(word, from, "R", "RegAck");
         }
+        actions.push(done);
         // Serve parked forwarded reads with the post-operation value (they
         // were serialized after our registration).
         self.serve_reads(word, owned_value, &pend.parked_reads, actions);
-        // Then the parked transfer, if any: ownership moves on.
-        if let Some((new_owner, class)) = pend.parked_xfer {
-            let value = if cached {
-                // The ack just (re-)registered the word here, so the
-                // downgrade cannot miss.
-                self.downgrade(word, class, actions)
-                    .expect("word registered by this ack")
-            } else {
-                owned_value
-            };
-            actions.push(Action::Send {
-                to: Endpoint::L1(new_owner),
-                msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-            });
-        } else if !cached {
-            // We are the registrant but could not cache the word: hand the
-            // value straight back to the registry.
-            self.mshr
-                .try_insert(
-                    word,
-                    Pend::new(PendKind::Wb {
-                        value: owned_value,
-                        nacked: false,
+        if !pend.has_parked_successor() {
+            if !cached {
+                // We are the registrant but could not cache the word: hand
+                // the value straight back to the registry.
+                self.start_writeback(word, owned_value, actions);
+            }
+            return;
+        }
+        // Then the parked successor: ownership moves on to the next
+        // registrant, or — the word was classified while our registration
+        // was in flight — surrenders to the bank.
+        let xfer = pend.parked_xfer.filter(|_| !pend.parked_recall);
+        let value = if cached {
+            // The ack just (re-)registered the word here, so the downgrade
+            // cannot miss.
+            self.downgrade(word, xfer.map(|(_, class)| class), actions)
+                .expect("word registered by this ack")
+        } else {
+            owned_value
+        };
+        match xfer {
+            Some((new_owner, class)) => Self::send_reg_ack(word, value, new_owner, class, actions),
+            None => {
+                self.learn(word, "Recall");
+                actions.push(Action::Send {
+                    to: self.home(word),
+                    msg: Msg::Gcs(GcsMsg::RecallAck {
+                        word,
+                        from: self.id,
+                        value: Some(value),
                     }),
-                )
-                .expect("fresh mshr");
-            actions.push(Action::Send {
-                to: self.home(word),
-                msg: Msg::Dnv(DnvMsg::WbReq {
-                    word,
-                    value: owned_value,
-                    from: self.id,
-                }),
-            });
+                });
+            }
         }
     }
 
-    /// Downgrades a Registered word for an outgoing transfer, returning its
-    /// value (`None` if the word is not actually Registered here — a
-    /// protocol violation the caller reports). Synchronization reads under
-    /// DeNovoSync leave a Valid copy (the backoff trigger) and bump the
-    /// counter; everything else invalidates.
+    /// Hands a registered word's value to the next registrant.
+    fn send_reg_ack(
+        word: WordAddr,
+        value: u64,
+        new_owner: CoreId,
+        class: XferClass,
+        actions: &mut Vec<Action>,
+    ) {
+        actions.push(Action::Send {
+            to: Endpoint::L1(new_owner),
+            msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
+        });
+    }
+
+    /// Starts the writeback handshake for a registered word this L1 is
+    /// giving up, holding its value until the registry answers.
+    fn start_writeback(&mut self, word: WordAddr, value: u64, actions: &mut Vec<Action>) {
+        let pend = Pend::new(PendKind::Wb {
+            value,
+            nacked: false,
+        });
+        self.mshr.try_insert(word, pend).expect("word unpinned");
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Dnv(DnvMsg::WbReq {
+                word,
+                value,
+                from: self.id,
+            }),
+        });
+    }
+
+    /// A refused writeback met its in-flight transfer: serve the parked
+    /// reads and the new registrant from the held value, then drop the word.
+    fn finish_refused_writeback(
+        &mut self,
+        word: WordAddr,
+        value: u64,
+        new_owner: CoreId,
+        class: XferClass,
+        actions: &mut Vec<Action>,
+    ) {
+        let pend = self.mshr.remove(&word).expect("writeback pending");
+        self.serve_reads(word, value, &pend.parked_reads, actions);
+        Self::send_reg_ack(word, value, new_owner, class, actions);
+    }
+
+    /// Downgrades a Registered word for an outgoing transfer (`class`) or a
+    /// bank recall (`None`), returning its value (`None` if the word is not
+    /// actually Registered here). Synchronization reads under DeNovoSync
+    /// leave a Valid copy (the backoff trigger) and bump the counter;
+    /// everything else invalidates.
     fn downgrade(
         &mut self,
         word: WordAddr,
-        class: XferClass,
+        class: Option<XferClass>,
         actions: &mut Vec<Action>,
     ) -> Option<u64> {
-        let keep_valid = class == XferClass::SyncRead && self.backoff.is_enabled();
-        if class == XferClass::SyncRead {
+        let sync_read = class == Some(XferClass::SyncRead);
+        let keep_valid = sync_read && self.backoff.is_enabled();
+        if sync_read {
             self.backoff.on_remote_sync_read();
         }
         let w = self
@@ -821,7 +1151,8 @@ impl DnvL1 {
         } else {
             WState::Invalid
         };
-        self.emit_transition(word, "R", if keep_valid { "V" } else { "I" }, "Xfer");
+        let cause = if class.is_some() { "Xfer" } else { "Recall" };
+        self.emit_transition(word, "R", if keep_valid { "V" } else { "I" }, cause);
         if self.watch == Some(word) {
             actions.push(Action::SpinWake);
         }
@@ -897,27 +1228,9 @@ impl DnvL1 {
         match outcome {
             InsertOutcome::Inserted => true,
             InsertOutcome::Evicted(victim, old) => {
-                for i in 0..WORDS_PER_LINE {
-                    if old.words[i].state == WState::Registered {
-                        let word = victim.word(i);
-                        let value = old.words[i].value;
-                        self.mshr
-                            .try_insert(
-                                word,
-                                Pend::new(PendKind::Wb {
-                                    value,
-                                    nacked: false,
-                                }),
-                            )
-                            .expect("victim words unpinned");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::WbReq {
-                                word,
-                                value,
-                                from: self.id,
-                            }),
-                        });
+                for (i, w) in old.words.iter().enumerate() {
+                    if w.state == WState::Registered {
+                        self.start_writeback(victim.word(i), w.value, actions);
                     }
                 }
                 true
@@ -927,25 +1240,11 @@ impl DnvL1 {
     }
 
     fn note_hit(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_hits += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_hits += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_hits += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_hits += 1
-            }
-        }
+        count_access(&mut self.stats, kind, true);
     }
 
     fn note_miss(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_misses += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_misses += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_misses += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_misses += 1
-            }
-        }
+        count_access(&mut self.stats, kind, false);
     }
 }
 
@@ -960,6 +1259,7 @@ impl std::hash::Hash for DnvL1 {
         self.mshr.hash(state);
         self.backoff.hash(state);
         self.watch.hash(state);
+        self.sync.hash(state);
     }
 }
 
@@ -997,6 +1297,10 @@ mod tests {
 
     fn word(addr: u64) -> WordAddr {
         Addr::new(addr).word()
+    }
+
+    fn gcs_l1() -> DnvL1 {
+        l1(false).with_sync_path()
     }
 
     #[test]
@@ -1443,5 +1747,280 @@ mod tests {
             &mut acts,
         );
         assert!(acts.contains(&Action::SpinWake));
+    }
+
+    // --- sync-path policy (GCS) ----------------------------------------
+
+    #[test]
+    fn unclassified_sync_access_registers_optimistically() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        assert_eq!(
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
+            IssueResult::Miss
+        );
+        assert!(matches!(
+            acts[0],
+            Action::Send {
+                msg: Msg::Dnv(DnvMsg::RegReq {
+                    class: XferClass::SyncRead,
+                    ..
+                }),
+                ..
+            }
+        ));
+        acts.clear();
+        l1.on_msg(
+            DnvMsg::RegAck {
+                word: word(0x100),
+                value: 7,
+                class: XferClass::SyncRead,
+            },
+            &mut acts,
+        );
+        assert!(acts.contains(&Action::CoreDone { value: Some(7) }));
+        assert!(l1.word_registered(word(0x100)));
+    }
+
+    #[test]
+    fn classified_rejection_converts_to_sync_op() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        l1.core_request(
+            &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
+            false,
+            &mut acts,
+        );
+        acts.clear();
+        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
+        assert!(l1.predicts_sync(word(0x100)));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::SyncOp {
+                    op: GcsOpKind::Rmw(RmwOp::Fai { delta: 1 }),
+                    ..
+                }),
+                ..
+            }
+        )));
+        acts.clear();
+        // The bank executed the RMW on old value 10: core sees 10.
+        l1.on_gcs(
+            GcsMsg::SyncResp {
+                word: word(0x100),
+                value: 10,
+            },
+            &mut acts,
+        );
+        assert!(acts.contains(&Action::CoreDone { value: Some(10) }));
+        assert_eq!(l1.outstanding_txns(), 0);
+    }
+
+    #[test]
+    fn predicted_sync_access_skips_registration() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
+        acts.clear();
+        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
+        l1.on_gcs(
+            GcsMsg::SyncResp {
+                word: word(0x100),
+                value: 1,
+            },
+            &mut acts,
+        );
+        acts.clear();
+        // Second access goes straight down the dedicated path.
+        assert_eq!(
+            l1.core_request(
+                &req(0x100, AccessKind::SyncStore { value: 9 }),
+                false,
+                &mut acts
+            ),
+            IssueResult::Miss
+        );
+        assert!(matches!(
+            acts[0],
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::SyncOp {
+                    op: GcsOpKind::Store { value: 9 },
+                    ..
+                }),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn converted_data_store_invalidates_local_copy_and_retires() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        assert_eq!(
+            l1.core_request(
+                &req(0x100, AccessKind::DataStore { value: 5 }),
+                false,
+                &mut acts
+            ),
+            IssueResult::StoreAccepted { completed: false }
+        );
+        assert_eq!(l1.word_state(word(0x100)), WState::Registered);
+        acts.clear();
+        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
+        assert_eq!(l1.word_state(word(0x100)), WState::Invalid);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::SyncOp {
+                    op: GcsOpKind::Store { value: 5 },
+                    ..
+                }),
+                ..
+            }
+        )));
+        acts.clear();
+        l1.on_gcs(
+            GcsMsg::SyncResp {
+                word: word(0x100),
+                value: 5,
+            },
+            &mut acts,
+        );
+        assert!(acts.contains(&Action::StoresDone { count: 1 }));
+    }
+
+    #[test]
+    fn recall_of_settled_word_returns_value_and_wakes_spinner() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
+        l1.on_msg(
+            DnvMsg::RegAck {
+                word: word(0x100),
+                value: 3,
+                class: XferClass::SyncRead,
+            },
+            &mut acts,
+        );
+        l1.set_watch(word(0x100));
+        acts.clear();
+        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        assert!(acts.contains(&Action::SpinWake));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::RecallAck { value: Some(3), .. }),
+                ..
+            }
+        )));
+        assert_eq!(l1.word_state(word(0x100)), WState::Invalid);
+        assert!(l1.predicts_sync(word(0x100)));
+    }
+
+    #[test]
+    fn recall_parks_on_inflight_registration_and_serves_after_ack() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        l1.core_request(
+            &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
+            false,
+            &mut acts,
+        );
+        acts.clear();
+        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        assert!(acts.is_empty(), "recall must park: {acts:?}");
+        assert!(l1.has_parked_recall(word(0x100)));
+        l1.on_msg(
+            DnvMsg::RegAck {
+                word: word(0x100),
+                value: 10,
+                class: XferClass::SyncWrite,
+            },
+            &mut acts,
+        );
+        assert!(acts.contains(&Action::CoreDone { value: Some(10) }));
+        // The post-RMW value 11 is surrendered to the bank.
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::RecallAck {
+                    value: Some(11),
+                    ..
+                }),
+                ..
+            }
+        )));
+        assert_eq!(l1.word_state(word(0x100)), WState::Invalid);
+        assert_eq!(l1.outstanding_txns(), 0);
+    }
+
+    #[test]
+    fn notify_buffer_serves_the_reissued_spin_load() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        l1.start_remote_watch(word(0x100), 0, &mut acts);
+        assert!(matches!(
+            acts[0],
+            Action::Send {
+                msg: Msg::Gcs(GcsMsg::SyncWatch { seen: 0, .. }),
+                ..
+            }
+        ));
+        acts.clear();
+        l1.on_gcs(
+            GcsMsg::SyncNotify {
+                word: word(0x100),
+                value: 42,
+            },
+            &mut acts,
+        );
+        assert!(acts.contains(&Action::SpinWake));
+        assert!(l1.remote_watch_word().is_none());
+        acts.clear();
+        assert_eq!(
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
+            IssueResult::Hit { value: Some(42) }
+        );
+        assert!(acts.is_empty(), "notify hit must not touch the network");
+        // Consumed: the next spin load goes remote again.
+        assert_eq!(
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
+            IssueResult::Miss
+        );
+    }
+
+    #[test]
+    fn recall_with_writeback_in_flight_defers_to_the_writeback() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
+            l1.core_request(
+                &req(a, AccessKind::DataStore { value: v }),
+                false,
+                &mut acts,
+            );
+            l1.on_msg(
+                DnvMsg::RegAck {
+                    word: word(a),
+                    value: 0,
+                    class: XferClass::Write,
+                },
+                &mut acts,
+            );
+        }
+        acts.clear();
+        l1.core_request(
+            &req(0x600, AccessKind::DataStore { value: 3 }),
+            false,
+            &mut acts,
+        );
+        acts.clear();
+        // The recall crosses our in-flight WbReq: the bank will accept the
+        // writeback as the recall return, so the L1 stays silent.
+        l1.on_gcs(GcsMsg::Recall { word: word(0x200) }, &mut acts);
+        assert!(acts.is_empty(), "{acts:?}");
+        l1.on_msg(DnvMsg::WbAck { word: word(0x200) }, &mut acts);
+        assert_eq!(l1.peek_registered(word(0x200)), None);
     }
 }

@@ -1,4 +1,4 @@
-//! The DeNovo protocol family: DeNovoSync0 and DeNovoSync.
+//! The DeNovo protocol family: DeNovoSync0, DeNovoSync, and GCS.
 //!
 //! DeNovo keeps coherence state at *word* granularity with exactly three
 //! stable states — Invalid, Valid, Registered — and no writer-initiated
@@ -19,13 +19,28 @@
 //!   synchronization read misses to Valid-state words, adaptively backing
 //!   off under contention. The Valid state doubles as the "recently lost my
 //!   registration to a remote sync reader" marker.
+//! * **GCS** (generalized coherence, after the GCS/Soul design): the
+//!   DeNovoSync0 data path plus a *sync-path policy*. Words the home bank
+//!   observes being fought over with synchronization accesses (RMW
+//!   targets, spin flags) are classified as sync variables — permanently —
+//!   and move onto a dedicated bank-mediated path: sync operations execute
+//!   atomically at the bank, spinners park in a per-word waiter set and
+//!   are woken by a targeted notification carrying the new value. Each L1
+//!   learns classifications in a bounded [`predictor`]; a capacity miss
+//!   costs one optimistic registration round trip, never correctness.
 //!
-//! [`registry`] implements the L2-side word registry.
+//! [`l1`] is the private-cache controller and [`registry`] the L2-side word
+//! registry; both take the sync-path policy as an optional extension
+//! (`with_sync_path`). `family` holds the whole-machine invariant checks
+//! over all of a system's DeNovo controllers.
 
 pub mod backoff;
+pub(crate) mod family;
 pub mod l1;
+pub mod predictor;
 pub mod registry;
 
 pub use backoff::BackoffUnit;
 pub use l1::DnvL1;
+pub use predictor::SyncPredictor;
 pub use registry::DnvRegistry;

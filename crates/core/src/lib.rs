@@ -10,17 +10,20 @@
 //!   **DeNovoSync0** registers every synchronization read (single-reader
 //!   serialization through a non-blocking registry with a distributed MSHR
 //!   queue), and **DeNovoSync** adds the adaptive hardware backoff
-//!   ([`denovo::backoff`]).
-//! * [`gcs`] — generalized coherence: the DeNovo data path plus dynamic
-//!   sync-variable classification with a dedicated directory-mediated
-//!   update/notify path for classified words.
+//!   ([`denovo::backoff`]). **GCS** (generalized coherence) is the same
+//!   controllers with a sync-path policy: dynamic sync-variable
+//!   classification and a dedicated bank-mediated update/notify path for
+//!   classified words.
 //! * [`config`] — Table 1's system configurations (16 and 64 cores).
 //! * [`msg`] — the protocol message vocabulary, with per-message wire sizes
-//!   and traffic classes.
+//!   and traffic classes; [`coreset`] — the core sets banks track (MESI
+//!   sharers, sync-path waiters).
 //! * [`system`] — the full simulated machine: VM threads on in-order cores,
 //!   private L1s, a banked shared L2 (registry/directory), memory
 //!   controllers, and the 2D-mesh interconnect, driven by a deterministic
-//!   event loop. Attach a [`dvs_telemetry::Telemetry`] sink via
+//!   event loop. The protocol-specific half lives behind one backend enum
+//!   (MESI or DeNovo family), so the machine itself holds no protocol
+//!   logic. Attach a [`dvs_telemetry::Telemetry`] sink via
 //!   [`System::set_telemetry`](system::System::set_telemetry) to observe
 //!   per-access outcomes, protocol transitions, and stalls.
 //!
@@ -54,10 +57,11 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
+mod backend;
 pub mod chaos;
 pub mod config;
+pub mod coreset;
 pub mod denovo;
-pub mod gcs;
 pub mod mesi;
 pub mod msg;
 pub mod oracle;

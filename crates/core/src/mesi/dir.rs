@@ -12,6 +12,7 @@
 //! below the 4–8 MB capacity of Table 1, so directory/L2 conflict evictions
 //! and their recalls would only add noise.
 
+use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, Endpoint, LineData, MesiMsg, Msg};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, LINE_BYTES};
@@ -24,8 +25,8 @@ use std::collections::VecDeque;
 enum DirState {
     /// No L1 holds the line.
     Uncached,
-    /// Read-shared by the cores in the bitmask.
-    Shared(u64),
+    /// Read-shared by the cores in the set.
+    Shared(CoreSet),
     /// Exclusively owned (E or M at the L1).
     Owned(CoreId),
 }
@@ -130,14 +131,6 @@ impl MesiDir {
         });
     }
 
-    /// Number of lines with at least one sharer or an owner (diagnostics).
-    pub fn tracked_lines(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|(_, l)| l.state != DirState::Uncached)
-            .count()
-    }
-
     /// The line's current data as known to the L2 (stale while owned).
     pub fn peek_line(&self, line: LineAddr) -> Option<&LineData> {
         self.lines
@@ -148,13 +141,13 @@ impl MesiDir {
 
     /// Iterates every tracked line's sharer mask (empty for uncached/owned)
     /// and owner (for invariant checking).
-    pub fn entries(&self) -> impl Iterator<Item = (LineAddr, u64, Option<CoreId>)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (LineAddr, CoreSet, Option<CoreId>)> + '_ {
         self.lines.iter().map(|(raw, e)| {
             let line = LineAddr::new(raw);
             match e.state {
-                DirState::Uncached => (line, 0, None),
+                DirState::Uncached => (line, CoreSet::default(), None),
                 DirState::Shared(mask) => (line, mask, None),
-                DirState::Owned(o) => (line, 0, Some(o)),
+                DirState::Owned(o) => (line, CoreSet::default(), Some(o)),
             }
         })
     }
@@ -203,38 +196,32 @@ impl MesiDir {
     pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
         match msg {
             MesiMsg::GetS { .. } | MesiMsg::GetM { .. } => self.request(msg, actions),
-            MesiMsg::PutS { line, req } => {
+            MesiMsg::PutS { line, req }
+            | MesiMsg::PutM { line, req, .. }
+            | MesiMsg::PutE { line, req } => {
                 let entry = self.lines.or_insert_with(line.raw(), DirLine::new);
-                if let DirState::Shared(ref mut mask) = entry.state {
-                    *mask &= !(1 << req);
-                    if *mask == 0 {
+                match (msg, entry.state) {
+                    (MesiMsg::PutS { .. }, DirState::Shared(mut sharers)) => {
+                        sharers.remove(req);
+                        entry.state = if sharers.is_empty() {
+                            DirState::Uncached
+                        } else {
+                            DirState::Shared(sharers)
+                        };
+                    }
+                    (MesiMsg::PutM { data, .. }, DirState::Owned(o)) if o == req => {
+                        entry.data = data;
+                        entry.has_data = true;
                         entry.state = DirState::Uncached;
                     }
-                }
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::PutAck { line }),
-                });
-            }
-            MesiMsg::PutM { line, req, data } => {
-                let entry = self.lines.or_insert_with(line.raw(), DirLine::new);
-                if entry.state == DirState::Owned(req) {
-                    entry.data = data;
-                    entry.has_data = true;
-                    entry.state = DirState::Uncached;
-                }
-                // Otherwise the PutM is stale (ownership already moved via a
-                // forward served from the evictor's MSHR): ack only.
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::PutAck { line }),
-                });
-            }
-            MesiMsg::PutE { line, req } => {
-                let entry = self.lines.or_insert_with(line.raw(), DirLine::new);
-                if entry.state == DirState::Owned(req) {
                     // E is clean by construction: the L2 data is current.
-                    entry.state = DirState::Uncached;
+                    (MesiMsg::PutE { .. }, DirState::Owned(o)) if o == req => {
+                        entry.state = DirState::Uncached;
+                    }
+                    // Otherwise the Put is stale (ownership already moved
+                    // via a forward served from the evictor's MSHR): ack
+                    // only.
+                    _ => {}
                 }
                 actions.push(Action::Send {
                     to: Endpoint::L1(req),
@@ -363,130 +350,84 @@ impl MesiDir {
             });
             return;
         }
-        match msg {
-            MesiMsg::GetS { req, .. } => match entry.state {
-                DirState::Uncached => {
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Mesi(MesiMsg::Data {
-                            line,
-                            data: entry.data,
-                            acks: 0,
-                            exclusive: true,
-                            class: TrafficClass::Load,
-                        }),
-                    });
-                    entry.state = DirState::Owned(req);
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: false,
-                    });
+        // Every request is answered with data (or forwarded to the owner),
+        // moves the line to its next state, and blocks the line until the
+        // requestor's `Unblock` — and, when an owner is downgraded to a
+        // sharer, until its data copy arrives.
+        let data = entry.data;
+        let grant = |acks, exclusive, class| {
+            Msg::Mesi(MesiMsg::Data {
+                line,
+                data,
+                acks,
+                exclusive,
+                class,
+            })
+        };
+        let (MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. }) = msg else {
+            unreachable!("request() only takes GetS/GetM: {msg:?}")
+        };
+        let mut invalidate = CoreSet::default();
+        let (to, reply, state, need_owner_wb) = match (msg, entry.state) {
+            (_, DirState::Owned(owner)) if owner == req => {
+                actions.push(Action::violation(format!(
+                    "bank {}: owner core {req} re-requesting {cause} for {line}",
+                    self.bank
+                )));
+                return;
+            }
+            (MesiMsg::GetS { .. }, DirState::Uncached) => (
+                req,
+                grant(0, true, TrafficClass::Load),
+                DirState::Owned(req),
+                false,
+            ),
+            (MesiMsg::GetS { .. }, DirState::Shared(mut sharers)) => {
+                sharers.insert(req);
+                let reply = grant(0, false, TrafficClass::Load);
+                (req, reply, DirState::Shared(sharers), false)
+            }
+            (MesiMsg::GetS { .. }, DirState::Owned(owner)) => {
+                let mut sharers = CoreSet::of(owner);
+                sharers.insert(req);
+                let fwd = Msg::Mesi(MesiMsg::FwdGetS { line, req });
+                (owner, fwd, DirState::Shared(sharers), true)
+            }
+            (_, DirState::Uncached) => (
+                req,
+                grant(0, false, TrafficClass::Store),
+                DirState::Owned(req),
+                false,
+            ),
+            (_, DirState::Shared(sharers)) => {
+                invalidate = sharers.difference(&CoreSet::of(req));
+                let acks = invalidate.len() as u32;
+                if acks > 0 {
+                    inv_fanout = Some((req, acks));
                 }
-                DirState::Shared(mask) => {
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Mesi(MesiMsg::Data {
-                            line,
-                            data: entry.data,
-                            acks: 0,
-                            exclusive: false,
-                            class: TrafficClass::Load,
-                        }),
-                    });
-                    entry.state = DirState::Shared(mask | (1 << req));
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: false,
-                    });
-                }
-                DirState::Owned(owner) => {
-                    if owner == req {
-                        actions.push(Action::violation(format!(
-                            "bank {}: owner core {req} re-requesting GetS for {line}",
-                            self.bank
-                        )));
-                        return;
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(owner),
-                        msg: Msg::Mesi(MesiMsg::FwdGetS { line, req }),
-                    });
-                    entry.state = DirState::Shared((1 << owner) | (1 << req));
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: true,
-                    });
-                }
-            },
-            MesiMsg::GetM { req, .. } => match entry.state {
-                DirState::Uncached => {
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Mesi(MesiMsg::Data {
-                            line,
-                            data: entry.data,
-                            acks: 0,
-                            exclusive: false,
-                            class: TrafficClass::Store,
-                        }),
-                    });
-                    entry.state = DirState::Owned(req);
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: false,
-                    });
-                }
-                DirState::Shared(mask) => {
-                    let others = mask & !(1 << req);
-                    let acks = others.count_ones();
-                    if acks > 0 {
-                        inv_fanout = Some((req, acks));
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Mesi(MesiMsg::Data {
-                            line,
-                            data: entry.data,
-                            acks,
-                            exclusive: false,
-                            class: TrafficClass::Store,
-                        }),
-                    });
-                    for core in 0..64 {
-                        if others & (1 << core) != 0 {
-                            actions.push(Action::Send {
-                                to: Endpoint::L1(core),
-                                msg: Msg::Mesi(MesiMsg::Inv { line, req }),
-                            });
-                        }
-                    }
-                    entry.state = DirState::Owned(req);
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: false,
-                    });
-                }
-                DirState::Owned(owner) => {
-                    if owner == req {
-                        actions.push(Action::violation(format!(
-                            "bank {}: owner core {req} re-requesting GetM for {line}",
-                            self.bank
-                        )));
-                        return;
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(owner),
-                        msg: Msg::Mesi(MesiMsg::FwdGetM { line, req }),
-                    });
-                    entry.state = DirState::Owned(req);
-                    entry.busy = Some(Busy::Txn {
-                        need_unblock: true,
-                        need_owner_wb: false,
-                    });
-                }
-            },
-            other => unreachable!("request() only takes GetS/GetM: {other:?}"),
+                let reply = grant(acks, false, TrafficClass::Store);
+                (req, reply, DirState::Owned(req), false)
+            }
+            (_, DirState::Owned(owner)) => {
+                let fwd = Msg::Mesi(MesiMsg::FwdGetM { line, req });
+                (owner, fwd, DirState::Owned(req), false)
+            }
+        };
+        actions.push(Action::Send {
+            to: Endpoint::L1(to),
+            msg: reply,
+        });
+        for core in invalidate.iter() {
+            actions.push(Action::Send {
+                to: Endpoint::L1(core),
+                msg: Msg::Mesi(MesiMsg::Inv { line, req }),
+            });
         }
+        entry.state = state;
+        entry.busy = Some(Busy::Txn {
+            need_unblock: true,
+            need_owner_wb,
+        });
         let after = self.lines.get(line.raw()).expect("entry exists").state;
         if after != before {
             self.emit_transition(line, before.label(), after.label(), cause);

@@ -13,7 +13,7 @@
 
 use crate::config::ProtocolMutation;
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::{Action, IssueResult};
+use crate::proto::{count_access, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
 use dvs_stats::{CacheStats, TrafficClass};
@@ -250,13 +250,6 @@ impl MesiL1 {
             .collect()
     }
 
-    /// Whether this L1 currently owns the line (E or M).
-    pub fn owns_line(&self, line: LineAddr) -> Option<&MesiLine> {
-        self.cache
-            .get(line)
-            .filter(|l| matches!(l.state, Stable::E | Stable::M))
-    }
-
     fn wake_if_watched(&self, line: LineAddr, actions: &mut Vec<Action>) {
         if let Some(w) = self.watch {
             if w.line() == line {
@@ -314,11 +307,7 @@ impl MesiL1 {
                 self.note_miss(req.kind);
                 let mut txn = Txn::new(Goal::Fetch);
                 txn.blocking = Some(BlockingOp::Load { w });
-                self.mshr.try_insert(line, txn).expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: home,
-                    msg: Msg::Mesi(MesiMsg::GetS { line, req: self.id }),
-                });
+                self.open_txn(line, txn, home, actions);
                 IssueResult::Miss
             }
             AccessKind::DataStore { value } => {
@@ -344,11 +333,7 @@ impl MesiL1 {
                             }
                             let mut txn = Txn::new(Goal::Own);
                             txn.pending_stores.push((w, value));
-                            self.mshr.try_insert(line, txn).expect("fresh mshr");
-                            actions.push(Action::Send {
-                                to: home,
-                                msg: Msg::Mesi(MesiMsg::GetM { line, req: self.id }),
-                            });
+                            self.open_txn(line, txn, home, actions);
                             return IssueResult::StoreAccepted { completed: false };
                         }
                     }
@@ -371,11 +356,7 @@ impl MesiL1 {
                 self.note_miss(req.kind);
                 let mut txn = Txn::new(Goal::Own);
                 txn.pending_stores.push((w, value));
-                self.mshr.try_insert(line, txn).expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: home,
-                    msg: Msg::Mesi(MesiMsg::GetM { line, req: self.id }),
-                });
+                self.open_txn(line, txn, home, actions);
                 IssueResult::StoreAccepted { completed: false }
             }
             AccessKind::SyncStore { value } => self.ownership_op(
@@ -390,6 +371,22 @@ impl MesiL1 {
                 self.ownership_op(line, w, home, BlockingOp::Rmw { w, op }, req.kind, actions)
             }
         }
+    }
+
+    /// Opens a transaction on `line` and sends its request to the home bank:
+    /// GetS to fetch the line, GetM to own it.
+    fn open_txn(&mut self, line: LineAddr, txn: Txn, home: Endpoint, actions: &mut Vec<Action>) {
+        let req = self.id;
+        let msg = if txn.goal == Goal::Fetch {
+            MesiMsg::GetS { line, req }
+        } else {
+            MesiMsg::GetM { line, req }
+        };
+        self.mshr.try_insert(line, txn).expect("fresh mshr");
+        actions.push(Action::Send {
+            to: home,
+            msg: Msg::Mesi(msg),
+        });
     }
 
     /// Common path for blocking operations that need M: sync stores & RMWs.
@@ -430,11 +427,7 @@ impl MesiL1 {
                     }
                     let mut txn = Txn::new(Goal::Own);
                     txn.blocking = Some(op);
-                    self.mshr.try_insert(line, txn).expect("fresh mshr");
-                    actions.push(Action::Send {
-                        to: home,
-                        msg: Msg::Mesi(MesiMsg::GetM { line, req: self.id }),
-                    });
+                    self.open_txn(line, txn, home, actions);
                     return IssueResult::Miss;
                 }
             }
@@ -453,11 +446,7 @@ impl MesiL1 {
         self.note_miss(kind);
         let mut txn = Txn::new(Goal::Own);
         txn.blocking = Some(op);
-        self.mshr.try_insert(line, txn).expect("fresh mshr");
-        actions.push(Action::Send {
-            to: home,
-            msg: Msg::Mesi(MesiMsg::GetM { line, req: self.id }),
-        });
+        self.open_txn(line, txn, home, actions);
         IssueResult::Miss
     }
 
@@ -679,53 +668,34 @@ impl MesiL1 {
             Goal::Fetch => {
                 let deliver_only = txn.deliver_only;
                 let blocking = txn.blocking;
-                if deliver_only {
-                    // IS_D_I: use the value once, end Invalid.
-                    self.mshr.remove(&line);
-                    match blocking {
-                        Some(BlockingOp::Load { w }) => {
-                            actions.push(Action::CoreDone {
-                                value: Some(data[w]),
-                            });
-                        }
-                        other => panic!("fetch transaction with {other:?}"),
-                    }
-                    actions.push(Action::Send {
-                        to: home,
-                        msg: Msg::Mesi(MesiMsg::Unblock {
-                            line,
-                            from: self.id,
-                            class,
-                        }),
-                    });
-                    return;
-                }
-                // Install S (or E when granted exclusively).
-                let state = if exclusive { Stable::E } else { Stable::S };
-                self.emit_transition(line, "I", state.label(), "Data");
-                if !self.try_install(line, MesiLine { state, data }, actions) {
-                    // Structural hazard: retry the install shortly.
-                    actions.push(Action::Local {
-                        delay: 8,
-                        msg: Msg::Mesi(MesiMsg::Data {
-                            line,
-                            data,
-                            acks: 0,
-                            exclusive,
-                            class,
-                        }),
-                    });
-                    return;
-                }
-                let txn = self.mshr.remove(&line).expect("fetch transaction");
-                match txn.blocking {
-                    Some(BlockingOp::Load { w }) => {
-                        actions.push(Action::CoreDone {
-                            value: Some(data[w]),
+                // Install S (or E when granted exclusively) — unless an Inv
+                // overtook the data (IS_D_I): then use the value once and
+                // end Invalid.
+                if !deliver_only {
+                    let state = if exclusive { Stable::E } else { Stable::S };
+                    self.emit_transition(line, "I", state.label(), "Data");
+                    if !self.try_install(line, MesiLine { state, data }, actions) {
+                        // Structural hazard: retry the install shortly.
+                        actions.push(Action::Local {
+                            delay: 8,
+                            msg: Msg::Mesi(MesiMsg::Data {
+                                line,
+                                data,
+                                acks: 0,
+                                exclusive,
+                                class,
+                            }),
                         });
+                        return;
                     }
-                    other => panic!("fetch transaction with {other:?}"),
                 }
+                self.mshr.remove(&line);
+                let Some(BlockingOp::Load { w }) = blocking else {
+                    panic!("fetch transaction with {blocking:?}")
+                };
+                actions.push(Action::CoreDone {
+                    value: Some(data[w]),
+                });
                 actions.push(Action::Send {
                     to: home,
                     msg: Msg::Mesi(MesiMsg::Unblock {
@@ -894,25 +864,11 @@ impl MesiL1 {
     }
 
     fn note_hit(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_hits += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_hits += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_hits += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_hits += 1
-            }
-        }
+        count_access(&mut self.stats, kind, true);
     }
 
     fn note_miss(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_misses += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_misses += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_misses += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_misses += 1
-            }
-        }
+        count_access(&mut self.stats, kind, false);
     }
 }
 

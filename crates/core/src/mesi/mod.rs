@@ -13,11 +13,14 @@
 //!   in-flight transaction queues later requests until the requestor's
 //!   `Unblock`), exactly the behaviour the paper contrasts with DeNovo's
 //!   non-blocking registry.
+//! * `family` — the whole-machine invariant checks over all of a
+//!   system's MESI controllers.
 //!
 //! The invalidation/acknowledgment traffic and the directory's sharer-list
 //! storage are precisely the overheads DeNovoSync eliminates.
 
 pub mod dir;
+pub(crate) mod family;
 pub mod l1;
 
 pub use dir::MesiDir;

@@ -545,6 +545,18 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// The cache line this message concerns.
+    pub fn line(&self) -> LineAddr {
+        match self {
+            Msg::Mesi(m) => m.line(),
+            Msg::Dnv(m) => m.word().line(),
+            Msg::Gcs(m) => m.word().line(),
+            Msg::MemRead { line, .. } | Msg::MemData { line, .. } | Msg::MemWrite { line, .. } => {
+                *line
+            }
+        }
+    }
+
     /// Total wire size in bytes.
     pub fn wire_bytes(&self) -> u64 {
         match self {

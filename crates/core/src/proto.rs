@@ -1,14 +1,20 @@
 //! The controller ↔ system interface.
 //!
-//! Protocol controllers (MESI L1/directory, DeNovo L1/registry) are written
-//! as message-in / actions-out state machines: they never touch the network
-//! or the scheduler directly. Each entry point returns a list of [`Action`]s
+//! Protocol controllers (MESI L1/directory, DeNovo L1/registry — GCS being
+//! the DeNovo pair with the sync-path policy enabled) are written as
+//! message-in / actions-out state machines: they never touch the network or
+//! the scheduler directly. Each entry point returns a list of [`Action`]s
 //! the surrounding [`System`](crate::system::System) applies — this keeps the
 //! controllers independently unit-testable, exactly the property the paper
 //! exploits when it argues DeNovo's three-state protocol is easy to verify.
+//! The system reaches the controllers only through one backend enum with a
+//! MESI and a DeNovo variant, which dispatches core requests, deliveries,
+//! spin watches, invariant checks, fingerprint hashing and metrics.
 
 use crate::msg::{Endpoint, Msg};
 use dvs_engine::Cycle;
+use dvs_mem::AccessKind;
+use dvs_stats::CacheStats;
 
 /// A side effect requested by a protocol controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +97,20 @@ pub enum IssueResult {
     /// A structural hazard (way full of pinned lines, writeback in
     /// progress); retry the access after a short delay.
     Blocked,
+}
+
+/// Counts one L1 access in the paper's hit/miss breakdown (shared by every
+/// L1 controller).
+pub(crate) fn count_access(stats: &mut CacheStats, kind: AccessKind, hit: bool) {
+    let (hits, misses) = match kind {
+        AccessKind::DataLoad => (&mut stats.data_read_hits, &mut stats.data_read_misses),
+        AccessKind::DataStore { .. } => (&mut stats.data_write_hits, &mut stats.data_write_misses),
+        AccessKind::SyncLoad => (&mut stats.sync_read_hits, &mut stats.sync_read_misses),
+        AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
+            (&mut stats.sync_write_hits, &mut stats.sync_write_misses)
+        }
+    };
+    *if hit { hits } else { misses } += 1;
 }
 
 #[cfg(test)]

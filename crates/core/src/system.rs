@@ -5,6 +5,13 @@
 //! corner memory controllers, and the 2D-mesh network, and drives everything
 //! from a deterministic event loop.
 //!
+//! The system holds no protocol-specific logic: the L1s and banks live in
+//! one backend enum (the MESI family, or the DeNovo family — DeNovoSync0,
+//! DeNovoSync, and GCS, which is DeNovo plus a sync-path policy), and each
+//! family's module owns its invariant checks, stall forensics and
+//! architectural reads. The system routes core requests and message
+//! deliveries to the backend and applies the [`Action`]s that come back.
+//!
 //! # Core execution model
 //!
 //! The paper's core: in-order, 1 CPI, blocking loads, non-blocking stores.
@@ -24,11 +31,9 @@
 //! software backoff); hardware-backoff stalls → hw backoff; and everything
 //! executed in the `BarrierWait` phase → barrier stall.
 
+use crate::backend::Backend;
 use crate::chaos::FaultInjector;
-use crate::config::{DataInvalidation, Protocol, SystemConfig};
-use crate::denovo::{DnvL1, DnvRegistry};
-use crate::gcs::{GcsBank, GcsL1};
-use crate::mesi::{MesiDir, MesiL1};
+use crate::config::{DataInvalidation, SystemConfig};
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::oracle::{ChannelKey, OracleState};
 use crate::proto::{Action, IssueResult};
@@ -162,20 +167,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone)]
-pub(crate) enum L1 {
-    Mesi(MesiL1),
-    Dnv(DnvL1),
-    Gcs(GcsL1),
-}
-
-#[derive(Debug, Clone)]
-pub(crate) enum Bank {
-    Mesi(MesiDir),
-    Dnv(DnvRegistry),
-    Gcs(GcsBank),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Execute instructions on a core.
@@ -261,8 +252,8 @@ pub struct System {
     /// sync-ordering board (see [`crate::replay`]).
     fronts: Fronts,
     cores: Vec<CoreState>,
-    l1s: Vec<L1>,
-    banks: Vec<Bank>,
+    /// Every L1 and L2 bank, by protocol family.
+    backend: Backend,
     memory: MainMemory,
     traffic: TrafficStats,
     /// Signature mode: the global publication log. Every release (sync
@@ -397,66 +388,7 @@ impl System {
             None => Mesh::square(cfg.cores),
         };
         let n = cfg.cores;
-        let mut l1s: Vec<L1> = (0..n)
-            .map(|i| match cfg.protocol {
-                Protocol::Mesi => L1::Mesi(MesiL1::new(i, cfg.l1, n)),
-                Protocol::DeNovoSync0 => L1::Dnv(DnvL1::new(
-                    i,
-                    cfg.l1,
-                    n,
-                    cfg.backoff,
-                    false,
-                    Arc::clone(&layout),
-                )),
-                Protocol::DeNovoSync => L1::Dnv(DnvL1::new(
-                    i,
-                    cfg.l1,
-                    n,
-                    cfg.backoff,
-                    true,
-                    Arc::clone(&layout),
-                )),
-                Protocol::Gcs => L1::Gcs(GcsL1::new(i, cfg.l1, n, Arc::clone(&layout))),
-            })
-            .collect();
-        let mut banks: Vec<Bank> = (0..n)
-            .map(|b| {
-                let mem = Endpoint::Mem(mesh.nearest_corner(b));
-                // Dense per-line state tables sized from the layout span;
-                // out-of-layout lines (thread pools) spill to a sparse tier.
-                match cfg.protocol {
-                    Protocol::Mesi => Bank::Mesi({
-                        let mut d = MesiDir::new(b, mem);
-                        d.configure_span(&layout, n);
-                        d
-                    }),
-                    Protocol::Gcs => Bank::Gcs({
-                        let mut g = GcsBank::new(b, mem);
-                        g.configure_span(&layout, n);
-                        g
-                    }),
-                    _ => Bank::Dnv({
-                        let mut r = DnvRegistry::new(b, mem);
-                        r.configure_span(&layout, n);
-                        r
-                    }),
-                }
-            })
-            .collect();
-        if let Some(m) = cfg.mutation {
-            for l1 in &mut l1s {
-                if let L1::Mesi(l) = l1 {
-                    l.set_mutation(Some(m));
-                }
-            }
-            for bank in &mut banks {
-                match bank {
-                    Bank::Dnv(r) => r.set_mutation(Some(m)),
-                    Bank::Gcs(g) => g.set_mutation(Some(m)),
-                    Bank::Mesi(_) => {}
-                }
-            }
-        }
+        let backend = Backend::new(&cfg, &layout, &mesh);
         let mut net = Network::new(mesh, cfg.noc);
         if let Some(h) = cfg.hetero_links {
             net.enable_hetero_links(h.seed, h.max_extra);
@@ -484,8 +416,7 @@ impl System {
                     sig_cursor: 0,
                 })
                 .collect(),
-            l1s,
-            banks,
+            backend,
             memory,
             traffic: TrafficStats::new(),
             sig_log: Vec::new(),
@@ -565,20 +496,7 @@ impl System {
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.net.set_telemetry(tel.clone());
         self.stalls.set_telemetry(tel.clone());
-        for l1 in &mut self.l1s {
-            match l1 {
-                L1::Mesi(l) => l.set_telemetry(tel.clone()),
-                L1::Dnv(l) => l.set_telemetry(tel.clone()),
-                L1::Gcs(l) => l.set_telemetry(tel.clone()),
-            }
-        }
-        for bank in &mut self.banks {
-            match bank {
-                Bank::Mesi(d) => d.set_telemetry(tel.clone()),
-                Bank::Dnv(r) => r.set_telemetry(tel.clone()),
-                Bank::Gcs(g) => g.set_telemetry(tel.clone()),
-            }
-        }
+        self.backend.set_telemetry(&tel);
         self.tel = tel;
     }
 
@@ -596,24 +514,7 @@ impl System {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         self.stalls.export(&mut reg);
-        for (i, l1) in self.l1s.iter().enumerate() {
-            let node = format!("core{i}");
-            let (stats, high_water) = match l1 {
-                L1::Mesi(l) => (l.stats(), l.mshr_high_water()),
-                L1::Dnv(l) => (l.stats(), l.mshr_high_water()),
-                L1::Gcs(l) => (l.stats(), l.mshr_high_water()),
-            };
-            reg.add(&node, "l1", "hits", stats.hits());
-            reg.add(&node, "l1", "misses", stats.misses());
-            reg.add(&node, "mshr", "high_water", high_water as u64);
-        }
-        for (b, bank) in self.banks.iter().enumerate() {
-            if let Bank::Gcs(g) = bank {
-                let node = format!("bank{b}");
-                reg.add(&node, "gcs", "notifies", g.notifies());
-                reg.add(&node, "gcs", "recalls", g.recalls());
-            }
-        }
+        self.backend.export_metrics(&mut reg);
         reg.add("sys", "sched", "deliveries", self.deliveries);
         reg.add("sys", "sched", "finish_cycle", self.finish_time);
         for class in TrafficClass::ALL {
@@ -654,18 +555,8 @@ impl System {
             (true, true) => self.run_loop::<true, true>(),
         };
         result?;
-        let stuck: Vec<CoreId> = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !matches!(c.status, Status::Halted))
-            .map(|(i, _)| i)
-            .collect();
-        if !stuck.is_empty() {
-            return Err(SimError::Deadlock {
-                stuck,
-                report: self.stall_report(),
-            });
+        if !self.all_halted() {
+            return Err(self.deadlock_error());
         }
         self.stalls.finish(self.finish_time);
         self.tel.flush();
@@ -719,7 +610,7 @@ impl System {
             cycle: now,
             node,
             component,
-            addr: Self::msg_line(msg).telemetry_key(),
+            addr: msg.line().telemetry_key(),
             kind: EventKind::Delivery {
                 msg: msg.kind_name(),
                 ordinal: self.deliveries,
@@ -730,19 +621,11 @@ impl System {
     }
 
     fn collect_stats(&self) -> RunStats {
-        let mut cache = dvs_stats::CacheStats::new();
-        for l1 in &self.l1s {
-            cache += match l1 {
-                L1::Mesi(l) => l.stats(),
-                L1::Dnv(l) => l.stats(),
-                L1::Gcs(l) => l.stats(),
-            };
-        }
         RunStats {
             cycles: self.finish_time,
             per_core: self.cores.iter().map(|c| c.breakdown).collect(),
             traffic: self.traffic,
-            cache,
+            cache: self.backend.cache_stats(),
             events: self.sched.scheduled_events(),
         }
     }
@@ -754,241 +637,37 @@ impl System {
     /// * **DeNovo single-registrant rule**: every word the registry marks
     ///   `Registered(c)` is actually held (Registered, or mid-writeback) by
     ///   core `c`, and — the converse — every L1-registered word is the one
-    ///   the registry points at, so no word ever has two registrants.
+    ///   the registry points at, so no word ever has two registrants. Under
+    ///   GCS a sync-classified word is Valid at its home bank with no silent
+    ///   sharer, and the sync path is idle (no recall, waiter bit, or remote
+    ///   watch left).
     /// * **MESI owner/sharer agreement**: every directory-owned line is in
     ///   E/M at exactly its owner; every resident S line is covered by the
-    ///   directory's sharer mask; no L1 transactions or directory busy
+    ///   directory's sharer set; no L1 transactions or directory busy
     ///   states remain.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated invariant.
     pub fn verify_coherence(&self) -> Result<(), String> {
-        match self.cfg.protocol {
-            Protocol::Mesi => self.verify_mesi(),
-            Protocol::Gcs => self.verify_gcs(),
-            _ => self.verify_denovo(),
-        }
-    }
-
-    fn verify_denovo(&self) -> Result<(), String> {
-        // Gather every L1's registered words.
-        let mut holders: std::collections::HashMap<WordAddr, CoreId> =
-            std::collections::HashMap::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Dnv(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.outstanding_txns() != 0 {
-                return Err(format!(
-                    "core {c}: {} MSHR entries at quiescence",
-                    l1.outstanding_txns()
-                ));
-            }
-            for w in l1.registered_words() {
-                if let Some(prev) = holders.insert(w, c) {
-                    return Err(format!(
-                        "word {w} registered at both core {prev} and core {c}"
-                    ));
-                }
-            }
-        }
-        // Registry pointers must agree with the holders, in both directions.
-        let mut pointed = 0usize;
-        for bank in &self.banks {
-            let Bank::Dnv(reg) = bank else {
-                unreachable!("protocol mismatch")
-            };
-            if reg.any_fetching() {
-                return Err("registry line still fetching at quiescence".into());
-            }
-            for (w, c) in reg.registrations() {
-                pointed += 1;
-                match holders.get(&w) {
-                    Some(&h) if h == c => {}
-                    Some(&h) => {
-                        return Err(format!(
-                            "registry points {w} at core {c}, but core {h} holds it"
-                        ))
-                    }
-                    None => return Err(format!("registry points {w} at core {c}, which lacks it")),
-                }
-            }
-        }
-        if pointed != holders.len() {
-            return Err(format!(
-                "{} words registered in L1s but only {pointed} registry pointers",
-                holders.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// GCS quiescent invariants: the DeNovo data-path rules for unclassified
-    /// words, plus the sync-path rules — a classified word is Valid at its
-    /// home bank with **no silent sharer** (no L1 holds it Registered), and
-    /// the whole sync tier is idle: no recall in flight, no parked
-    /// requests, no waiter bits, no armed remote watches.
-    fn verify_gcs(&self) -> Result<(), String> {
-        let mut holders: std::collections::HashMap<WordAddr, CoreId> =
-            std::collections::HashMap::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Gcs(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.outstanding_txns() != 0 {
-                return Err(format!(
-                    "core {c}: {} MSHR entries at quiescence",
-                    l1.outstanding_txns()
-                ));
-            }
-            if let Some(w) = l1.remote_watch_word() {
-                return Err(format!("core {c}: remote watch on {w} at quiescence"));
-            }
-            for w in l1.registered_words() {
-                if let Some(prev) = holders.insert(w, c) {
-                    return Err(format!(
-                        "word {w} registered at both core {prev} and core {c}"
-                    ));
-                }
-            }
-        }
-        let mut pointed = 0usize;
-        for (b, bank) in self.banks.iter().enumerate() {
-            let Bank::Gcs(bank) = bank else {
-                unreachable!("protocol mismatch")
-            };
-            if bank.any_fetching() {
-                return Err(format!("bank {b}: line still fetching at quiescence"));
-            }
-            if bank.sync_busy() {
-                return Err(format!(
-                    "bank {b}: sync entry mid-recall or holding parked requests at quiescence"
-                ));
-            }
-            if bank.waiter_count() != 0 {
-                return Err(format!(
-                    "bank {b}: {} waiter bits set at quiescence",
-                    bank.waiter_count()
-                ));
-            }
-            for w in bank.classified_words() {
-                if let Some(&c) = holders.get(&w) {
-                    return Err(format!(
-                        "classified word {w} has a silent sharer: core {c} holds it Registered"
-                    ));
-                }
-                match bank.word(w) {
-                    Some(crate::denovo::registry::RegWord::Valid(_)) => {}
-                    other => {
-                        return Err(format!(
-                            "classified word {w} is {other:?} at bank {b}, not Valid"
-                        ))
-                    }
-                }
-            }
-            for (w, c) in bank.registrations() {
-                pointed += 1;
-                match holders.get(&w) {
-                    Some(&h) if h == c => {}
-                    Some(&h) => {
-                        return Err(format!(
-                            "registry points {w} at core {c}, but core {h} holds it"
-                        ))
-                    }
-                    None => return Err(format!("registry points {w} at core {c}, which lacks it")),
-                }
-            }
-        }
-        if pointed != holders.len() {
-            return Err(format!(
-                "{} words registered in L1s but only {pointed} registry pointers",
-                holders.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn verify_mesi(&self) -> Result<(), String> {
-        use crate::mesi::l1::Stable;
-        let mut owners: std::collections::HashMap<dvs_mem::LineAddr, CoreId> =
-            std::collections::HashMap::new();
-        let mut sharers: std::collections::HashMap<dvs_mem::LineAddr, u64> =
-            std::collections::HashMap::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Mesi(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.outstanding_txns() != 0 {
-                return Err(format!(
-                    "core {c}: {} MSHR entries at quiescence",
-                    l1.outstanding_txns()
-                ));
-            }
-            for (line, state) in l1.resident_lines() {
-                match state {
-                    Stable::E | Stable::M => {
-                        if let Some(prev) = owners.insert(line, c) {
-                            return Err(format!("line {line} owned by both {prev} and {c}"));
-                        }
-                    }
-                    Stable::S => *sharers.entry(line).or_default() |= 1 << c,
-                }
-            }
-        }
-        for bank in &self.banks {
-            let Bank::Mesi(dir) = bank else {
-                unreachable!("protocol mismatch")
-            };
-            if dir.any_busy() {
-                return Err("directory line busy at quiescence".into());
-            }
-            for (line, mask, owner) in dir.entries() {
-                if let Some(o) = owner {
-                    if owners.get(&line) != Some(&o) {
-                        return Err(format!("directory says {line} owned by {o}, L1s disagree"));
-                    }
-                }
-                let actual = sharers.get(&line).copied().unwrap_or(0);
-                if actual & !mask != 0 {
-                    return Err(format!(
-                        "line {line}: cores {:#x} hold S copies outside the sharer mask {mask:#x}",
-                        actual & !mask
-                    ));
-                }
-                if owner.is_none() && owners.contains_key(&line) {
-                    return Err(format!(
-                        "line {line} owned by core {} but directory has no owner",
-                        owners[&line]
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.backend.verify()
     }
 
     // --- runtime invariant checking ---------------------------------------
-
-    /// The cache line a message concerns, for targeted invariant checks.
-    fn msg_line(msg: &Msg) -> dvs_mem::LineAddr {
-        match msg {
-            Msg::Mesi(m) => m.line(),
-            Msg::Dnv(m) => m.word().line(),
-            Msg::Gcs(m) => m.word().line(),
-            Msg::MemRead { line, .. } | Msg::MemData { line, .. } | Msg::MemWrite { line, .. } => {
-                *line
-            }
-        }
-    }
 
     /// Runs the delivery-boundary invariant checks after one message: a
     /// targeted check of the delivered message's line, plus a periodic full
     /// scan (settled-state invariants over every tracked address and
     /// MSHR/in-flight conservation). Any failure is converted to
     /// [`SimError::ProtocolViolation`] via `self.error`.
+    ///
+    /// Unlike [`System::verify_coherence`] (which requires quiescence),
+    /// these invariants hold at *every* message-delivery boundary. The key
+    /// notion is a **settled** copy: state the L1 holds with no outstanding
+    /// MSHR entry for the address — transient states are exempted, settled
+    /// state must already obey the protocol's stable-state rules.
     fn check_delivery_invariants(&mut self, msg: &Msg) {
-        let line = Self::msg_line(msg);
-        if let Err(detail) = self.check_line_invariants(line) {
+        if let Err(detail) = self.backend.check_line(msg.line()) {
             self.violation(detail);
             return;
         }
@@ -999,243 +678,13 @@ impl System {
         }
     }
 
-    /// Checks the transient-tolerant coherence invariants for one line.
-    ///
-    /// Unlike [`System::verify_coherence`] (which requires quiescence),
-    /// these hold at *every* message-delivery boundary. The key notion is a
-    /// **settled** copy: state the L1 holds with no outstanding MSHR entry
-    /// for the address — transient states are exempted, settled state must
-    /// already obey the protocol's stable-state rules.
-    fn check_line_invariants(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
-        match self.cfg.protocol {
-            Protocol::Mesi => self.check_mesi_line(line),
-            Protocol::Gcs => {
-                for word in line.words() {
-                    self.check_gcs_word(word)?;
-                }
-                Ok(())
-            }
-            _ => {
-                for word in line.words() {
-                    self.check_denovo_word(word)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// DeNovo, per word: (1) at most one settled registrant anywhere;
-    /// (2) a registry pointer `Registered(c)` means core `c` either holds
-    /// the word registered or has an MSHR transaction on it (the pointer is
-    /// re-pointed eagerly, so the target may still be mid-registration);
-    /// (3) a registry `Valid` word has no settled registrant at all.
-    fn check_denovo_word(&self, word: WordAddr) -> Result<(), String> {
-        use crate::denovo::registry::RegWord;
-        let mut settled: Option<CoreId> = None;
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Dnv(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.word_registered(word) {
-                if let Some(prev) = settled {
-                    return Err(format!(
-                        "word {word}: settled registrants at both core {prev} and core {c}"
-                    ));
-                }
-                settled = Some(c);
-            }
-        }
-        let bank = self.home_bank(word.line());
-        let Bank::Dnv(reg) = &self.banks[bank] else {
-            unreachable!("protocol mismatch")
-        };
-        match reg.word(word) {
-            Some(RegWord::Registered(c)) => {
-                let L1::Dnv(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
-                if !l1.word_registered(word) && !l1.has_pending(word) {
-                    return Err(format!(
-                        "bank {bank}: registry points {word} at core {c}, which neither holds \
-                         it nor has a transaction on it"
-                    ));
-                }
-            }
-            Some(RegWord::Valid(_)) => {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: registry holds {word} Valid while core {c} has it \
-                         settled-Registered"
-                    ));
-                }
-            }
-            None => {}
-        }
-        Ok(())
-    }
-
-    /// GCS, per word. Unclassified words obey the DeNovo rules (at most one
-    /// settled registrant; pointer targets hold or are mid-transaction; a
-    /// `Valid` registry word has no settled registrant). Classified words
-    /// obey the sync-path rules: once the recall handshake settles, the word
-    /// is **Valid at its home bank with no silent sharer** (no settled
-    /// L1 registrant anywhere), and every set waiter bit targets a core
-    /// whose L1 has a remote watch armed on exactly that word — so a
-    /// notify's fan-out always matches the true waiter set.
-    fn check_gcs_word(&self, word: WordAddr) -> Result<(), String> {
-        use crate::denovo::registry::RegWord;
-        let mut settled: Option<CoreId> = None;
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Gcs(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.word_registered(word) {
-                if let Some(prev) = settled {
-                    return Err(format!(
-                        "word {word}: settled registrants at both core {prev} and core {c}"
-                    ));
-                }
-                settled = Some(c);
-            }
-        }
-        let bank = self.home_bank(word.line());
-        let Bank::Gcs(gcs) = &self.banks[bank] else {
-            unreachable!("protocol mismatch")
-        };
-        if gcs.classified(word) {
-            if gcs.recalling(word) {
-                // Mid-recall: the previous registrant may legitimately still
-                // hold the word; only the waiter-set direction is checkable.
-            } else {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: classified word {word} has a silent sharer at core {c}"
-                    ));
-                }
-                match gcs.word(word) {
-                    Some(RegWord::Valid(_)) => {}
-                    other => {
-                        return Err(format!(
-                            "bank {bank}: classified word {word} is {other:?}, not Valid"
-                        ))
-                    }
-                }
-            }
-            for c in gcs.waiters_of(word) {
-                let L1::Gcs(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
-                if l1.remote_watch_word() != Some(word) {
-                    return Err(format!(
-                        "bank {bank}: waiter bit for core {c} on {word}, but that core is \
-                         remote-watching {:?}",
-                        l1.remote_watch_word()
-                    ));
-                }
-            }
-            return Ok(());
-        }
-        match gcs.word(word) {
-            Some(RegWord::Registered(c)) => {
-                let L1::Gcs(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
-                if !l1.word_registered(word) && !l1.has_pending(word) {
-                    return Err(format!(
-                        "bank {bank}: registry points {word} at core {c}, which neither holds \
-                         it nor has a transaction on it"
-                    ));
-                }
-            }
-            Some(RegWord::Valid(_)) => {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: registry holds {word} Valid while core {c} has it \
-                         settled-Registered"
-                    ));
-                }
-            }
-            None => {}
-        }
-        Ok(())
-    }
-
-    /// MESI, per line: (1) at most one settled owner (E/M with no MSHR
-    /// transaction); (2) a settled owner is known to the directory — the
-    /// entry is busy/queued (ownership mid-transfer) or points at that
-    /// owner; (3) an idle directory entry's owner pointer targets a core
-    /// that is a settled owner or mid-transaction (eviction in flight);
-    /// (4) an idle owned line has no settled S copy at another core
-    /// (single-writer/multiple-reader).
-    fn check_mesi_line(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
-        use crate::mesi::l1::Stable;
-        let mut settled_owner: Option<CoreId> = None;
-        let mut settled_sharers: Vec<CoreId> = Vec::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Mesi(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.has_txn(line) {
-                continue; // transient: exempt
-            }
-            match l1.line_state(line) {
-                Some(Stable::E) | Some(Stable::M) => {
-                    if let Some(prev) = settled_owner {
-                        return Err(format!(
-                            "line {line}: settled owners at both core {prev} and core {c}"
-                        ));
-                    }
-                    settled_owner = Some(c);
-                }
-                Some(Stable::S) => settled_sharers.push(c),
-                None => {}
-            }
-        }
-        let bank = self.home_bank(line);
-        let Bank::Mesi(dir) = &self.banks[bank] else {
-            unreachable!("protocol mismatch")
-        };
-        let busy = dir.busy_or_queued(line);
-        if let Some(owner) = settled_owner {
-            if !busy && dir.owner(line) != Some(owner) {
-                return Err(format!(
-                    "line {line}: core {owner} is settled owner but idle directory bank \
-                     {bank} says owner {:?}",
-                    dir.owner(line)
-                ));
-            }
-            if !busy && !settled_sharers.is_empty() {
-                return Err(format!(
-                    "line {line}: settled owner {owner} coexists with settled S copies at \
-                     cores {settled_sharers:?}"
-                ));
-            }
-        }
-        if !busy {
-            if let Some(o) = dir.owner(line) {
-                let L1::Mesi(l1) = &self.l1s[o] else {
-                    unreachable!("protocol mismatch")
-                };
-                let owns = matches!(l1.line_state(line), Some(Stable::E) | Some(Stable::M));
-                if !owns && !l1.has_txn(line) {
-                    return Err(format!(
-                        "line {line}: idle directory bank {bank} says core {o} owns it, but \
-                         core {o} neither holds E/M nor has a transaction"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Full scan of the delivery-boundary invariants: every address any L1
     /// or bank tracks passes its per-line check, and — **conservation** —
     /// every outstanding L1 MSHR entry has something that can resolve it:
     /// an in-flight message for its line, a busy/fetching/queued home-bank
-    /// entry, or (DeNovo) a transfer parked in the distributed registration
-    /// queue. An MSHR entry with none of those can never complete; that is
-    /// a lost-message or lost-wakeup bug caught long before the cycle
-    /// limit.
+    /// entry, or (DeNovo) a transfer or recall parked on its word. An MSHR
+    /// entry with none of those can never complete; that is a lost-message
+    /// or lost-wakeup bug caught long before the cycle limit.
     ///
     /// Runs periodically during chaos runs; also public so tests can point
     /// it at a deliberately corrupted machine.
@@ -1244,127 +693,20 @@ impl System {
     ///
     /// Returns a description of the first violated invariant.
     pub fn verify_invariants(&self) -> Result<(), String> {
-        // Per-line settled-state checks over every tracked address.
-        let mut lines: std::collections::BTreeSet<dvs_mem::LineAddr> =
-            std::collections::BTreeSet::new();
-        for l1 in &self.l1s {
-            match l1 {
-                L1::Mesi(l1) => {
-                    lines.extend(l1.resident_lines().map(|(l, _)| l));
-                    lines.extend(l1.pending_summaries().iter().map(|(l, _)| *l));
-                }
-                L1::Dnv(l1) => {
-                    lines.extend(l1.registered_words().map(|w| w.line()));
-                    lines.extend(l1.pending_summaries().iter().map(|(w, _)| w.line()));
-                }
-                L1::Gcs(l1) => {
-                    lines.extend(l1.registered_words().map(|w| w.line()));
-                    lines.extend(l1.pending_summaries().iter().map(|(w, _)| w.line()));
-                }
-            }
-        }
-        for bank in &self.banks {
-            match bank {
-                Bank::Mesi(dir) => lines.extend(dir.entries().map(|(l, _, _)| l)),
-                Bank::Dnv(reg) => lines.extend(reg.registrations().map(|(w, _)| w.line())),
-                Bank::Gcs(g) => {
-                    lines.extend(g.registrations().map(|(w, _)| w.line()));
-                    lines.extend(g.classified_words().map(|w| w.line()));
-                }
-            }
-        }
-        for &line in &lines {
-            self.check_line_invariants(line)?;
-        }
-        self.verify_conservation()
-    }
-
-    /// The conservation half of [`System::verify_invariants`]. In-flight
-    /// messages are enumerated from the slot pool's liveness flags, which
-    /// the stash/release pair maintains in every mode.
-    fn verify_conservation(&self) -> Result<(), String> {
-        // In oracle mode the undelivered messages live in the checker's
-        // channel queues, not in scheduled events.
+        // In-flight messages come from the slot pool's liveness flags, which
+        // the stash/release pair maintains in every mode; in oracle mode
+        // they live in the checker's channel queues instead.
         let live_lines: std::collections::HashSet<dvs_mem::LineAddr> = match &self.oracle {
-            Some(o) => o.channels.values().flatten().map(Self::msg_line).collect(),
+            Some(o) => o.channels.values().flatten().map(Msg::line).collect(),
             None => self
                 .msg_pool
                 .iter()
                 .zip(&self.slot_live)
                 .filter(|(_, &live)| live)
-                .map(|(msg, _)| Self::msg_line(msg))
+                .map(|(msg, _)| msg.line())
                 .collect(),
         };
-        for (c, l1) in self.l1s.iter().enumerate() {
-            match l1 {
-                L1::Mesi(l1) => {
-                    for (line, state) in l1.pending_summaries() {
-                        let Bank::Mesi(dir) = &self.banks[self.home_bank(line)] else {
-                            unreachable!("protocol mismatch")
-                        };
-                        if !live_lines.contains(&line) && !dir.busy_or_queued(line) {
-                            return Err(format!(
-                                "conservation: core {c} transaction on {line} ({state}) has \
-                                 no in-flight message and an idle directory entry"
-                            ));
-                        }
-                    }
-                }
-                L1::Dnv(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        let line = word.line();
-                        let Bank::Dnv(reg) = &self.banks[self.home_bank(line)] else {
-                            unreachable!("protocol mismatch")
-                        };
-                        // A parked transfer anywhere on this word keeps the
-                        // distributed registration queue moving.
-                        let parked = self.l1s.iter().any(|o| {
-                            let L1::Dnv(o) = o else {
-                                unreachable!("protocol mismatch")
-                            };
-                            o.has_parked_xfer(word)
-                        });
-                        if !live_lines.contains(&line) && !reg.line_busy(line) && !parked {
-                            return Err(format!(
-                                "conservation: core {c} transaction on {word} ({state}) has \
-                                 no in-flight message, idle registry line, and no parked \
-                                 transfer"
-                            ));
-                        }
-                    }
-                }
-                L1::Gcs(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        let line = word.line();
-                        let Bank::Gcs(bank) = &self.banks[self.home_bank(line)] else {
-                            unreachable!("protocol mismatch")
-                        };
-                        // A parked transfer or parked recall on this word
-                        // keeps the handshake moving once the local
-                        // transaction completes.
-                        let parked = self.l1s.iter().any(|o| {
-                            let L1::Gcs(o) = o else {
-                                unreachable!("protocol mismatch")
-                            };
-                            o.has_parked_xfer(word) || o.has_parked_recall(word)
-                        });
-                        if !live_lines.contains(&line) && !bank.line_busy(line) && !parked {
-                            return Err(format!(
-                                "conservation: core {c} transaction on {word} ({state}) has \
-                                 no in-flight message, an idle bank line, and no parked \
-                                 transfer or recall"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The home L2 bank of a line.
-    fn home_bank(&self, line: dvs_mem::LineAddr) -> usize {
-        (line.raw() % self.banks.len() as u64) as usize
+        self.backend.verify_invariants(&live_lines)
     }
 
     // --- stall forensics ---------------------------------------------------
@@ -1417,50 +759,7 @@ impl System {
             };
             report.cores.push(line);
         }
-        for (c, l1) in self.l1s.iter().enumerate() {
-            match l1 {
-                L1::Mesi(l1) => {
-                    for (line, state) in l1.pending_summaries() {
-                        addrs.insert(line);
-                        report.l1_pending.push(format!("core {c}: {line} {state}"));
-                    }
-                }
-                L1::Dnv(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        addrs.insert(word.line());
-                        report.l1_pending.push(format!("core {c}: {word} {state}"));
-                    }
-                }
-                L1::Gcs(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        addrs.insert(word.line());
-                        report.l1_pending.push(format!("core {c}: {word} {state}"));
-                    }
-                    if let Some(word) = l1.remote_watch_word() {
-                        addrs.insert(word.line());
-                    }
-                }
-            }
-        }
-        for &line in &addrs {
-            match &self.banks[self.home_bank(line)] {
-                Bank::Mesi(dir) => report.l2_state.push(dir.describe_line(line)),
-                Bank::Dnv(reg) => {
-                    for word in line.words() {
-                        if let Some(desc) = reg.describe_word(word) {
-                            report.l2_state.push(desc);
-                        }
-                    }
-                }
-                Bank::Gcs(g) => {
-                    for word in line.words() {
-                        if let Some(desc) = g.describe_word(word) {
-                            report.l2_state.push(desc);
-                        }
-                    }
-                }
-            }
-        }
+        self.backend.describe_stall(&mut addrs, &mut report);
         let mut deliveries: Vec<Event> = self
             .forensics
             .snapshot()
@@ -1490,88 +789,25 @@ impl System {
     /// Reads the architecturally-current value of a word after a run,
     /// resolving through registry/directory state and L1 copies.
     pub fn read_word(&self, addr: Addr) -> u64 {
-        let word = addr.word();
-        let bank = (word.line().raw() % self.banks.len() as u64) as usize;
-        match &self.banks[bank] {
-            Bank::Dnv(reg) => match reg.word(word) {
-                Some(crate::denovo::registry::RegWord::Valid(v)) => v,
-                Some(crate::denovo::registry::RegWord::Registered(c)) => {
-                    let L1::Dnv(l1) = &self.l1s[c] else {
-                        unreachable!("protocol mismatch")
-                    };
-                    l1.peek_registered(word)
-                        .expect("registry points at a core that holds the word")
-                }
-                None => self.memory.read_word(word),
-            },
-            Bank::Gcs(g) => match g.word(word) {
-                Some(crate::denovo::registry::RegWord::Valid(v)) => v,
-                Some(crate::denovo::registry::RegWord::Registered(c)) => {
-                    let L1::Gcs(l1) = &self.l1s[c] else {
-                        unreachable!("protocol mismatch")
-                    };
-                    l1.peek_registered(word)
-                        .expect("registry points at a core that holds the word")
-                }
-                None => self.memory.read_word(word),
-            },
-            Bank::Mesi(dir) => {
-                if let Some(owner) = dir.owner(word.line()) {
-                    let L1::Mesi(l1) = &self.l1s[owner] else {
-                        unreachable!("protocol mismatch")
-                    };
-                    if let Some(v) = l1.peek_word(word) {
-                        return v;
-                    }
-                }
-                if let Some(data) = dir.peek_line(word.line()) {
-                    data[word.index_in_line()]
-                } else {
-                    self.memory.read_word(word)
-                }
-            }
-        }
+        self.backend.read_word(&self.memory, addr.word())
     }
 
     // --- event handlers ----------------------------------------------------
 
     fn deliver(&mut self, ep: Endpoint, msg: Msg) {
         match ep {
-            Endpoint::L1(i) => {
+            Endpoint::L1(_) | Endpoint::Bank(_) => {
                 let mut actions = self.take_actions();
-                match (&mut self.l1s[i], msg) {
-                    (L1::Mesi(l1), Msg::Mesi(m)) => l1.on_msg(m, &mut actions),
-                    (L1::Dnv(l1), Msg::Dnv(m)) => l1.on_msg(m, &mut actions),
-                    (L1::Gcs(l1), Msg::Dnv(m)) => l1.on_msg(m, &mut actions),
-                    (L1::Gcs(l1), Msg::Gcs(m)) => l1.on_gcs(m, &mut actions),
-                    (_, other) => {
-                        self.violation(format!("L1 {i} got a foreign message {other:?}"));
-                        return;
-                    }
+                if !self.backend.deliver(ep, msg, &mut actions) {
+                    self.action_scratch.push(actions);
+                    self.violation(format!("{ep:?} got a foreign message {msg:?}"));
+                    return;
                 }
-                self.apply_actions(ep, self.cfg.latency.remote_l1, actions);
-            }
-            Endpoint::Bank(b) => {
-                let mut actions = self.take_actions();
-                match (&mut self.banks[b], msg) {
-                    (Bank::Mesi(d), Msg::Mesi(m)) => d.on_msg(m, &mut actions),
-                    (Bank::Dnv(r), Msg::Dnv(m)) => r.on_msg(m, &mut actions),
-                    (Bank::Mesi(d), Msg::MemData { line, data, .. }) => {
-                        d.on_mem_data(line, data, &mut actions)
-                    }
-                    (Bank::Dnv(r), Msg::MemData { line, data, .. }) => {
-                        r.on_mem_data(line, data, &mut actions)
-                    }
-                    (Bank::Gcs(g), Msg::MemData { line, data, .. }) => {
-                        g.on_mem_data(line, data, &mut actions)
-                    }
-                    (Bank::Gcs(g), m @ (Msg::Dnv(_) | Msg::Gcs(_))) => g.on_msg(m, &mut actions),
-                    (_, other) => {
-                        self.violation(format!("bank {b} got a foreign message {other:?}"));
-                        return;
-                    }
-                }
-                self.apply_actions(ep, self.cfg.latency.l2_access, actions);
+                let latency = match ep {
+                    Endpoint::L1(_) => self.cfg.latency.remote_l1,
+                    _ => self.cfg.latency.l2_access,
+                };
+                self.apply_actions(ep, latency, actions);
             }
             Endpoint::Mem(node) => match msg {
                 Msg::MemRead { line, bank, class } => {
@@ -1841,23 +1077,15 @@ impl System {
                         r.self_inv(i, region);
                     }
                     local += 1;
-                    // MESI: self-invalidation instructions are no-ops.
-                    match &mut self.l1s[i] {
-                        L1::Dnv(l1) => match self.cfg.data_inv {
-                            DataInvalidation::StaticRegions => l1.self_invalidate(region),
-                            DataInvalidation::Signatures => {
-                                // Invalidate every word published since this
-                                // core's previous acquire-side invalidation.
-                                let cursor = self.cores[i].sig_cursor;
-                                l1.self_invalidate_words(&self.sig_log[cursor..]);
-                                self.cores[i].sig_cursor = self.sig_log.len();
-                            }
-                        },
-                        // GCS data follows the DeNovo acquire discipline;
-                        // the signature log is a DeNovo-only mechanism, so
-                        // GCS always invalidates by static region.
-                        L1::Gcs(l1) => l1.self_invalidate(region),
-                        L1::Mesi(_) => {}
+                    if self.signatures() {
+                        // Invalidate every word published since this core's
+                        // previous acquire-side invalidation.
+                        let cursor = self.cores[i].sig_cursor;
+                        self.backend
+                            .self_invalidate_words(i, &self.sig_log[cursor..]);
+                        self.cores[i].sig_cursor = self.sig_log.len();
+                    } else {
+                        self.backend.self_invalidate(i, region);
                     }
                 }
                 Effect::Mark(m) => {
@@ -1917,12 +1145,18 @@ impl System {
         }
     }
 
+    /// Whether data self-invalidation uses the signature log. Only the
+    /// DeNovo variants use it (GCS and MESI never do).
+    fn signatures(&self) -> bool {
+        self.cfg.data_inv == DataInvalidation::Signatures && self.cfg.protocol.is_denovo()
+    }
+
     /// Signature-mode bookkeeping at synchronization-access completion:
     /// releases (sync stores and RMWs — an RMW is both acquire and release)
     /// publish the core's accumulated writes to the global log, making them
     /// visible to every later acquire-side invalidation.
     fn note_sync_completion(&mut self, i: CoreId, req: &MemRequest) {
-        if self.cfg.data_inv != DataInvalidation::Signatures || !self.cfg.protocol.is_denovo() {
+        if !self.signatures() {
             return;
         }
         match req.kind {
@@ -1975,15 +1209,12 @@ impl System {
     /// blocked.
     fn issue_mem(&mut self, i: CoreId, req: MemRequest, after_backoff: bool) -> bool {
         let mut actions = self.take_actions();
-        let res = match &mut self.l1s[i] {
-            L1::Mesi(l1) => l1.core_request(&req, &mut actions),
-            L1::Dnv(l1) => l1.core_request(&req, after_backoff, &mut actions),
-            L1::Gcs(l1) => l1.core_request(&req, &mut actions),
-        };
+        let res = self
+            .backend
+            .core_request(i, &req, after_backoff, &mut actions);
         self.apply_actions(Endpoint::L1(i), 0, actions);
         self.record_access(i, &req, &res);
-        if self.cfg.data_inv == DataInvalidation::Signatures
-            && self.cfg.protocol.is_denovo()
+        if self.signatures()
             && matches!(req.kind, dvs_mem::AccessKind::DataStore { .. })
             && !matches!(res, IssueResult::Blocked)
         {
@@ -2079,41 +1310,20 @@ impl System {
         });
     }
 
-    /// Whether a failed spin can sleep on its locally-held copy.
-    fn spin_copy_usable(&self, i: CoreId, word: WordAddr) -> bool {
-        match &self.l1s[i] {
-            L1::Mesi(l1) => l1.word_readable(word),
-            L1::Dnv(l1) => l1.word_registered(word),
-            L1::Gcs(l1) => l1.word_registered(word),
-        }
-    }
-
     /// Parks a failed spin. `seen` is the value the spin just observed —
     /// GCS forwards it to the home bank so a level-triggered remote watch
     /// can fire immediately if the variable already moved on.
     fn start_watch(&mut self, i: CoreId, req: MemRequest, seen: u64) {
         let word = req.addr.word();
-        if self.spin_copy_usable(i, word) {
-            match &mut self.l1s[i] {
-                L1::Mesi(l1) => l1.set_watch(word),
-                L1::Dnv(l1) => l1.set_watch(word),
-                L1::Gcs(l1) => l1.set_watch(word),
-            }
-            let now = self.sched.now();
-            self.stalls.begin(i, StallClass::Spin, now);
-            self.cores[i].status = Status::Watching { req, since: now };
-            return;
-        }
-        // GCS: a spin on a classified word parks in the home bank's waiter
-        // set instead of polling — the directory wakes this core with a
-        // targeted SyncNotify carrying the new value.
-        if matches!(&self.l1s[i], L1::Gcs(l1) if l1.predicts_sync(word)) {
-            let mut actions = self.take_actions();
-            let L1::Gcs(l1) = &mut self.l1s[i] else {
-                unreachable!("matched above")
-            };
-            l1.start_remote_watch(word, seen, &mut actions);
-            self.apply_actions(Endpoint::L1(i), 0, actions);
+        // A usable local copy is watched in place. GCS: a spin on a
+        // classified word instead parks in the home bank's waiter set — the
+        // bank wakes this core with a targeted SyncNotify carrying the new
+        // value.
+        let mut actions = self.take_actions();
+        let watching = self.backend.watch_local_copy(i, word)
+            || self.backend.start_remote_watch(i, word, seen, &mut actions);
+        self.apply_actions(Endpoint::L1(i), 0, actions);
+        if watching {
             let now = self.sched.now();
             self.stalls.begin(i, StallClass::Spin, now);
             self.cores[i].status = Status::Watching { req, since: now };
@@ -2176,11 +1386,7 @@ impl System {
     }
 
     fn spin_wake(&mut self, i: CoreId) {
-        match &mut self.l1s[i] {
-            L1::Mesi(l1) => l1.clear_watch(),
-            L1::Dnv(l1) => l1.clear_watch(),
-            L1::Gcs(l1) => l1.clear_watch(),
-        }
+        self.backend.clear_watch(i);
         let status = std::mem::replace(&mut self.cores[i].status, Status::Ready);
         let Status::Watching { req, since } = status else {
             // A wake can race a transition we already made; ignore.
@@ -2351,12 +1557,8 @@ impl System {
     /// checker when the channels drain with threads still running (it
     /// drives deliveries itself instead of calling [`System::run`]).
     pub fn deadlock_error(&self) -> SimError {
-        let stuck: Vec<CoreId> = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !matches!(c.status, Status::Halted))
-            .map(|(i, _)| i)
+        let stuck = (0..self.cores.len())
+            .filter(|&i| !matches!(self.cores[i].status, Status::Halted))
             .collect();
         SimError::Deadlock {
             stuck,
@@ -2417,20 +1619,7 @@ impl System {
             c.cs_writes.hash(&mut h);
             c.sig_cursor.hash(&mut h);
         }
-        for l1 in &self.l1s {
-            match l1 {
-                L1::Mesi(l) => l.hash(&mut h),
-                L1::Dnv(l) => l.hash(&mut h),
-                L1::Gcs(l) => l.hash(&mut h),
-            }
-        }
-        for bank in &self.banks {
-            match bank {
-                Bank::Mesi(d) => d.hash(&mut h),
-                Bank::Dnv(r) => r.hash(&mut h),
-                Bank::Gcs(g) => g.hash(&mut h),
-            }
-        }
+        self.backend.hash_into(&mut h);
         self.memory.hash(&mut h);
         self.sig_log.hash(&mut h);
         if let Some(o) = &self.oracle {
@@ -2450,10 +1639,19 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::Protocol;
+    use crate::denovo::DnvRegistry;
     use dvs_mem::LayoutBuilder;
     use dvs_stats::TrafficClass;
     use dvs_vm::isa::{Cond, Reg};
     use dvs_vm::Asm;
+
+    /// The registry banks of a DeNovo-family (DS0 / DS / GCS) system.
+    fn regs(sys: &mut System) -> &mut [DnvRegistry] {
+        match &mut sys.backend {
+            Backend::DeNovo { regs, .. } => regs,
+            Backend::Mesi { .. } => panic!("not a DeNovo-family system"),
+        }
+    }
 
     fn counter_layout() -> (MemoryLayout, Addr) {
         let mut b = LayoutBuilder::new();
@@ -2731,10 +1929,8 @@ mod tests {
         // Corrupt: force a bogus registration through the public message
         // interface of a bank that saw the counter's line.
         let word = counter.word();
-        let bank = (word.line().raw() % sys.banks.len() as u64) as usize;
-        let Bank::Dnv(reg) = &mut sys.banks[bank] else {
-            unreachable!()
-        };
+        let bank = (word.line().raw() % 4) as usize;
+        let reg = &mut regs(&mut sys)[bank];
         let mut scratch = Vec::new();
         // Whoever is registered, re-register to a different core without
         // telling any L1.
@@ -2784,10 +1980,8 @@ mod tests {
         sys.run().unwrap();
         sys.verify_invariants().expect("clean after a clean run");
         let word = counter.word();
-        let bank = (word.line().raw() % sys.banks.len() as u64) as usize;
-        let Bank::Dnv(reg) = &mut sys.banks[bank] else {
-            unreachable!()
-        };
+        let bank = (word.line().raw() % 4) as usize;
+        let reg = &mut regs(&mut sys)[bank];
         let current = match reg.word(word) {
             Some(crate::denovo::registry::RegWord::Registered(c)) => c,
             _ => 3,
@@ -2864,9 +2058,7 @@ mod tests {
         // Contended sync RMWs must have classified the counter and moved it
         // onto the bank-side update path.
         let word = counter.word();
-        let Bank::Gcs(bank) = &sys.banks[(word.line().raw() % 4) as usize] else {
-            unreachable!()
-        };
+        let bank = &regs(&mut sys)[(word.line().raw() % 4) as usize];
         assert!(bank.classified(word), "contended RMW target classifies");
         assert!(bank.recalls() >= 1, "classification recalls the registrant");
         assert_eq!(
@@ -2918,14 +2110,7 @@ mod tests {
         for c in 1..4 {
             assert_eq!(sys.thread(c).reg(Reg(6)), 777, "core {c}");
         }
-        let notifies: u64 = sys
-            .banks
-            .iter()
-            .map(|b| match b {
-                Bank::Gcs(g) => g.notifies(),
-                _ => unreachable!(),
-            })
-            .sum();
+        let notifies: u64 = regs(&mut sys).iter().map(|b| b.notifies()).sum();
         assert!(
             notifies >= 1,
             "spinning consumers must be woken by targeted notification"
@@ -2994,6 +2179,35 @@ mod tests {
     }
 
     #[test]
+    fn mesi_sharers_beyond_64_cores_are_invalidated() {
+        // Cores 64..128 read-share the counter's line, then core 0 writes
+        // it: every sharer must be invalidated, including those whose ids
+        // do not fit a 64-bit sharer mask.
+        use crate::config::MeshShape;
+        let (layout, counter) = counter_layout();
+        let make = |i: usize| {
+            let mut a = Asm::new("share");
+            a.movi(Reg(1), counter.raw());
+            if i == 0 {
+                a.delay(3000, TimeComponent::NonSynch)
+                    .movi(Reg(2), 7)
+                    .store(Reg(2), Reg(1), 0)
+                    .fence();
+            } else if i >= 64 {
+                a.load(Reg(3), Reg(1), 0);
+            }
+            a.halt();
+            a.build()
+        };
+        let mut cfg = SystemConfig::meshed(MeshShape::new(16, 8).unwrap(), Protocol::Mesi);
+        cfg.check_invariants = true;
+        let mut sys = System::new(cfg, layout, (0..128).map(make).collect::<Vec<_>>());
+        sys.run().unwrap();
+        sys.verify_coherence().unwrap();
+        assert_eq!(sys.read_word(counter), 7);
+    }
+
+    #[test]
     fn runtime_checker_catches_corrupted_gcs_waiter_set() {
         // Set a waiter bit for a core that is not remote-watching: the
         // notify-fanout-matches-waiter-set invariant must flag it.
@@ -3017,16 +2231,14 @@ mod tests {
         sys.verify_invariants().expect("clean after a clean run");
         let word = flag.word();
         let seen = sys.read_word(flag);
-        let bank = (word.line().raw() % sys.banks.len() as u64) as usize;
-        let Bank::Gcs(g) = &mut sys.banks[bank] else {
-            unreachable!()
-        };
+        let bank = (word.line().raw() % 4) as usize;
+        let g = &mut regs(&mut sys)[bank];
         assert!(g.classified(word), "contended RMW target classifies");
         // Corrupt through the public interface: park a watch for core 2
         // with a stale `seen`, without core 2's L1 arming a remote watch.
         let mut scratch = Vec::new();
-        g.on_msg(
-            Msg::Gcs(crate::msg::GcsMsg::SyncWatch { word, req: 2, seen }),
+        g.on_gcs(
+            crate::msg::GcsMsg::SyncWatch { word, req: 2, seen },
             &mut scratch,
         );
         let err = sys

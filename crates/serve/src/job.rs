@@ -324,7 +324,7 @@ impl CellSpec {
             for part in rest.split(';') {
                 match part.split_once('=') {
                     Some(("name", v)) => name = Some(v.to_owned()),
-                    Some(("proto", v)) => protocol = Some(dvs_campaign::parse_protocol(v)?),
+                    Some(("proto", v)) => protocol = Some(Protocol::from_label(v)?),
                     _ => return Err(format!("bad litmus field {part:?}")),
                 }
             }
@@ -339,7 +339,7 @@ impl CellSpec {
             for part in rest.split(';') {
                 match part.split_once('=') {
                     Some(("name", v)) => name = Some(v.to_owned()),
-                    Some(("proto", v)) => protocol = Some(dvs_campaign::parse_protocol(v)?),
+                    Some(("proto", v)) => protocol = Some(Protocol::from_label(v)?),
                     Some(("mode", v)) => mode = Some(DeepCheckMode::from_token(v)?),
                     Some(("depth", v)) => {
                         depth = Some(v.parse().map_err(|_| format!("bad depth {v:?}"))?);

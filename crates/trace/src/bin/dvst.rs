@@ -10,7 +10,7 @@
 //! dvst show <file.dvst>                        summarize a trace
 //! ```
 //!
-//! `--proto` takes `M`, `DS0`, or `DS` (default `DS`). Kernel tokens are
+//! `--proto` takes `M`, `DS0`, `DS`, or `GCS` (default `DS`). Kernel tokens are
 //! the `dvs-kernels` ones (`tatas:counter`, `nb:fai_counter`, `barrier:tree`,
 //! …), plus `composite:<items>:<work>` for the three-phase composite app.
 //!
@@ -47,15 +47,6 @@ struct Opts {
     seed: u64,
 }
 
-fn parse_proto(tok: &str) -> Result<Protocol, String> {
-    match tok {
-        "M" | "MESI" | "mesi" => Ok(Protocol::Mesi),
-        "DS0" | "ds0" => Ok(Protocol::DeNovoSync0),
-        "DS" | "ds" => Ok(Protocol::DeNovoSync),
-        other => Err(format!("unknown protocol {other:?} (want M, DS0, or DS)")),
-    }
-}
-
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         positional: Vec::new(),
@@ -84,7 +75,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .parse()
                     .map_err(|_| "--iters needs a number")?;
             }
-            "--proto" => o.proto = parse_proto(it.next().ok_or("--proto needs a value")?)?,
+            "--proto" => o.proto = Protocol::from_label(it.next().ok_or("--proto needs a value")?)?,
             "--seed" => {
                 o.seed = it
                     .next()

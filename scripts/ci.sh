@@ -113,6 +113,8 @@ stage_check_scale() {
 
 stage_campaign() {
   echo "== campaign smoke (reduced fig3+fig7 grid at 1/2/4 workers, digest must match) =="
+  # The bench asserts the results digest is identical at every worker count
+  # and equals the committed contract value (4d5df26dca1b09bc).
   DVS_QUICK=1 DVS_WORKERS=4 cargo bench --offline -p dvs-bench --bench campaign
 }
 
@@ -125,8 +127,8 @@ stage_gcs() {
   # gcs-drop-notify must be caught and re-shrunk to their committed floors.
   cargo test -q --offline -p dvs-fuzz --test corpus -- controls
   # The 24-kernel x 4-protocol comparison grid; the bench itself asserts
-  # the results digest matches a single-worker run before writing
-  # BENCH_gcs.json.
+  # the results digest matches a single-worker run and the committed
+  # contract value (93aa24a924a743e6) before writing BENCH_gcs.json.
   DVS_WORKERS=2 cargo bench --offline -p dvs-bench --bench gcs_compare
 }
 
@@ -200,19 +202,22 @@ stage_trace() {
   # Committed .dvst corpus: parse, replay on MESI/DS0/DS timed + the oracle,
   # validate every pinned final; plus format/compose/mix round-trip tests.
   cargo test -q --offline -p dvs-trace --test trace
-  # Record a kernel with the dvst CLI, replay it on all three protocols, and
-  # demand the pinned fingerprint is reproduced identically everywhere.
+  # Record a kernel with the dvst CLI, replay it on all four protocols, both
+  # faithful and compressed, and demand the pinned fingerprint is reproduced
+  # identically everywhere.
   cargo build --release --offline -p dvs-trace --bin dvst
   DVST=./target/release/dvst
   TDIR=$(mktemp -d)
   CLEANUP="$CLEANUP $TDIR"
   "$DVST" record tatas:counter --threads 4 --iters 4 -o "$TDIR/t.dvst"
   fp=""
-  for proto in M DS0 DS; do
-    out=$("$DVST" replay "$TDIR/t.dvst" --proto "$proto"); echo "$out"
-    this=${out##*fingerprint }
-    [ -z "$fp" ] && fp=$this
-    [ "$this" = "$fp" ] || { echo "fingerprint differs on $proto"; exit 1; }
+  for proto in M DS0 DS GCS; do
+    for mode in "" --compressed; do
+      out=$("$DVST" replay "$TDIR/t.dvst" --proto "$proto" ${mode:+"$mode"}); echo "$out"
+      this=${out##*fingerprint }
+      [ -z "$fp" ] && fp=$this
+      [ "$this" = "$fp" ] || { echo "fingerprint differs on $proto $mode"; exit 1; }
+    done
   done
   "$DVST" replay "$TDIR/t.dvst" --oracle --seed 9
   # Replay-vs-VM throughput artifact; quick mode gates the speedup at >= 2x.
