@@ -20,11 +20,11 @@ use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-const MUTATIONS: [(&str, ProtocolMutation); 4] = [
-    ("dnv-skip-repoint", ProtocolMutation::DnvSkipRepoint),
-    ("dnv-drop-xfer", ProtocolMutation::DnvDropXfer),
-    ("mesi-skip-invalidate", ProtocolMutation::MesiSkipInvalidate),
-    ("mesi-drop-ack", ProtocolMutation::MesiDropAck),
+const MUTATIONS: [ProtocolMutation; 4] = [
+    ProtocolMutation::DnvSkipRepoint,
+    ProtocolMutation::DnvDropXfer,
+    ProtocolMutation::MesiSkipInvalidate,
+    ProtocolMutation::MesiDropAck,
 ];
 
 fn main() {
@@ -83,7 +83,8 @@ fn main() {
 
     // 2 + 3. Catch rates and shrink ratios per mutation.
     let mut mutation_rows = Vec::new();
-    for (tok, mutation) in MUTATIONS {
+    for mutation in MUTATIONS {
+        let tok = mutation.token();
         let harness = HarnessConfig {
             mutation: Some(mutation),
             ..Default::default()

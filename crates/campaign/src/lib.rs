@@ -37,10 +37,7 @@ pub use runner::{
     fnv1a, fnv1a_str, parallel_indexed, run_recorded, Campaign, CampaignError, CampaignReport,
     RunRecord, FNV_OFFSET,
 };
-pub use spec::{
-    mutation_token, parse_mutation_token, ConfigOverrides, ExperimentSpec, TelemetryPolicy,
-    WorkloadSpec,
-};
+pub use spec::{ConfigOverrides, ExperimentSpec, TelemetryPolicy, WorkloadSpec};
 
 use dvs_core::config::SystemConfig;
 use dvs_core::system::SimError;

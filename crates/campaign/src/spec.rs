@@ -295,7 +295,7 @@ impl ExperimentSpec {
             out.push_str(&format!(";seed={seed}"));
         }
         if let Some(m) = o.mutation {
-            out.push_str(&format!(";mut={}", mutation_token(m)));
+            out.push_str(&format!(";mut={}", m.token()));
         }
         if let Some(mc) = o.max_cycles {
             out.push_str(&format!(";maxc={mc}"));
@@ -411,7 +411,7 @@ impl ExperimentSpec {
             backoff_increment: parse_u64("bi")?,
             check_invariants: parse_bool("inv")?,
             fault_seed: parse_u64("seed")?,
-            mutation: get("mut").map(parse_mutation_token).transpose()?,
+            mutation: get("mut").map(ProtocolMutation::from_token).transpose()?,
             max_cycles: parse_u64("maxc")?,
             mesh: get("mesh").map(MeshShape::from_token).transpose()?,
             telemetry: match get("tel") {
@@ -437,40 +437,6 @@ pub fn trace_run_error(e: TraceError) -> RunError {
         TraceError::Sim(e) => RunError::Sim(e),
         TraceError::Check(m) => RunError::Check(m),
         TraceError::Validate(m) => RunError::Check(format!("replay validation: {m}")),
-    }
-}
-
-/// The serialized form of a [`ProtocolMutation`] — the same tokens the
-/// `dvsf` CLI accepts, so spec tokens and fuzz commands agree.
-pub fn mutation_token(m: ProtocolMutation) -> &'static str {
-    match m {
-        ProtocolMutation::DnvSkipRepoint => "dnv-skip-repoint",
-        ProtocolMutation::DnvDropXfer => "dnv-drop-xfer",
-        ProtocolMutation::MesiSkipInvalidate => "mesi-skip-invalidate",
-        ProtocolMutation::MesiDropAck => "mesi-drop-ack",
-        ProtocolMutation::GcsDropNotify => "gcs-drop-notify",
-        ProtocolMutation::GcsSkipUpdate => "gcs-skip-update",
-    }
-}
-
-/// Parses a token produced by [`mutation_token`].
-///
-/// # Errors
-///
-/// Lists the known tokens when `tok` is not one of them.
-pub fn parse_mutation_token(tok: &str) -> Result<ProtocolMutation, String> {
-    match tok {
-        "dnv-skip-repoint" => Ok(ProtocolMutation::DnvSkipRepoint),
-        "dnv-drop-xfer" => Ok(ProtocolMutation::DnvDropXfer),
-        "mesi-skip-invalidate" => Ok(ProtocolMutation::MesiSkipInvalidate),
-        "mesi-drop-ack" => Ok(ProtocolMutation::MesiDropAck),
-        "gcs-drop-notify" => Ok(ProtocolMutation::GcsDropNotify),
-        "gcs-skip-update" => Ok(ProtocolMutation::GcsSkipUpdate),
-        _ => Err(format!(
-            "unknown mutation {tok:?} (want dnv-skip-repoint, dnv-drop-xfer, \
-             mesi-skip-invalidate, mesi-drop-ack, gcs-drop-notify, or \
-             gcs-skip-update)"
-        )),
     }
 }
 

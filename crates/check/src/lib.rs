@@ -23,6 +23,8 @@
 //! parallel by a configurable number of worker threads, and any violation
 //! is reported as a deterministic, shortest delivery schedule that the full
 //! simulator can replay via [`dvs_core::oracle::SchedulePlan`].
+//! `dvs check explore|deepen|swarm` (the root package's `dvs` binary) runs
+//! the checker from the command line.
 //!
 //! # Example
 //!

@@ -1,10 +1,11 @@
-//! Checkpoint/resume drills for the iterative-deepening driver: an
-//! interrupted run — whether the interruption is a fired round budget or a
-//! `kill -9` between rounds — resumes from its checkpoint file and reports
-//! the *same* verdict and the same cumulative exact-mode `unique_states`
-//! as an uninterrupted run. A checkpoint that cannot be trusted (bit flip,
-//! truncation, wrong model) is rejected with a hard error before anything
-//! is explored — never silently skipped.
+//! Checkpoint/resume drills for the iterative-deepening driver: a run
+//! interrupted by a fired round budget resumes from its checkpoint file and
+//! reports the *same* verdict and the same cumulative exact-mode
+//! `unique_states` as an uninterrupted run. A checkpoint that cannot be
+//! trusted (bit flip, truncation, wrong model) is rejected with a hard
+//! error before anything is explored — never silently skipped. The
+//! `kill -9` variant drives the `dvs` binary, so it lives in the root
+//! package's `tests/check_sigkill.rs`.
 
 use dvs_check::checkpoint::CheckpointError;
 use dvs_check::{
@@ -14,8 +15,6 @@ use dvs_core::config::Protocol;
 use dvs_core::system::System;
 use dvs_vm::litmus;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::time::{Duration, Instant};
 
 /// A per-test scratch path in the system temp dir, removed on drop.
 struct TmpPath(PathBuf);
@@ -100,84 +99,6 @@ fn budget_truncated_run_resumes_to_the_uninterrupted_result() {
     assert!(
         resumed.rounds < uninterrupted.rounds,
         "resume re-ran rounds the checkpoint had already completed"
-    );
-    assert!(
-        !ckpt.path().exists(),
-        "completed run must remove its checkpoint"
-    );
-}
-
-fn token<'o>(line: &'o str, key: &str) -> &'o str {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key).and_then(|t| t.strip_prefix('=')))
-        .unwrap_or_else(|| panic!("no {key}= token in {line:?}"))
-}
-
-fn run_bin(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_dvs-check"))
-        .args(args)
-        .output()
-        .expect("dvs-check runs");
-    assert!(
-        out.status.success(),
-        "dvs-check {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 output")
-}
-
-/// SIGKILL variant: the dvs-check binary is killed with signal 9 mid-
-/// deepening (round delays widen the window), then relaunched on the same
-/// checkpoint file. The resumed process reports `resumed=true` and the
-/// same verdict and unique-state count as an uninterrupted invocation.
-#[test]
-fn sigkill_mid_run_resumes_to_the_uninterrupted_result() {
-    let model = ["--litmus", "tatas", "--proto", "M"];
-    let bounds = ["--start", "6", "--step", "2", "--max-depth", "40"];
-    let uninterrupted = run_bin(&[&["deepen"][..], &model[..], &bounds[..]].concat());
-    assert_eq!(token(&uninterrupted, "verdict"), "verified");
-
-    let ckpt = TmpPath::new("sigkill");
-    let ckpt_str = ckpt.path().to_str().expect("utf8 temp path").to_string();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvs-check"))
-        .args([&["deepen"][..], &model[..], &bounds[..]].concat())
-        .args(["--checkpoint", &ckpt_str, "--round-delay-ms", "500"])
-        .spawn()
-        .expect("dvs-check spawns");
-    // Wait for the first checkpoint to land, then kill -9 — mid-run, with
-    // no chance for cleanup.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !ckpt.path().exists() {
-        assert!(
-            Instant::now() < deadline,
-            "no checkpoint file appeared within 60s"
-        );
-        assert!(
-            child.try_wait().expect("child wait").is_none(),
-            "dvs-check finished before it could be killed; widen the delay"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child.kill().expect("kill -9");
-    let status = child.wait().expect("child reaped");
-    assert!(!status.success(), "killed process cannot exit cleanly");
-    assert!(ckpt.path().exists(), "kill must not remove the checkpoint");
-
-    let resumed = run_bin(
-        &[
-            &["deepen"][..],
-            &model[..],
-            &bounds[..],
-            &["--checkpoint", &ckpt_str][..],
-        ]
-        .concat(),
-    );
-    assert_eq!(token(&resumed, "resumed"), "true");
-    assert_eq!(token(&resumed, "verdict"), "verified");
-    assert_eq!(
-        token(&resumed, "unique"),
-        token(&uninterrupted, "unique"),
-        "resumed unique-state count diverged\n  uninterrupted: {uninterrupted}  resumed: {resumed}"
     );
     assert!(
         !ckpt.path().exists(),

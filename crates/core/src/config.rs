@@ -53,6 +53,46 @@ pub enum ProtocolMutation {
     GcsSkipUpdate,
 }
 
+impl ProtocolMutation {
+    /// Every seeded mutation, in token-table order.
+    pub const ALL: [ProtocolMutation; 6] = [
+        ProtocolMutation::DnvSkipRepoint,
+        ProtocolMutation::DnvDropXfer,
+        ProtocolMutation::MesiSkipInvalidate,
+        ProtocolMutation::MesiDropAck,
+        ProtocolMutation::GcsDropNotify,
+        ProtocolMutation::GcsSkipUpdate,
+    ];
+
+    /// The mutation's token (`"dnv-skip-repoint"`, ...) — the one spelling
+    /// shared by CLI flags, campaign spec tokens and serve cell tokens.
+    pub fn token(self) -> &'static str {
+        match self {
+            ProtocolMutation::DnvSkipRepoint => "dnv-skip-repoint",
+            ProtocolMutation::DnvDropXfer => "dnv-drop-xfer",
+            ProtocolMutation::MesiSkipInvalidate => "mesi-skip-invalidate",
+            ProtocolMutation::MesiDropAck => "mesi-drop-ack",
+            ProtocolMutation::GcsDropNotify => "gcs-drop-notify",
+            ProtocolMutation::GcsSkipUpdate => "gcs-skip-update",
+        }
+    }
+
+    /// Parses a token — the inverse of [`ProtocolMutation::token`].
+    ///
+    /// # Errors
+    ///
+    /// Lists the known tokens when `tok` is not one of them.
+    pub fn from_token(tok: &str) -> Result<ProtocolMutation, String> {
+        ProtocolMutation::ALL
+            .into_iter()
+            .find(|m| m.token() == tok)
+            .ok_or_else(|| {
+                let known = ProtocolMutation::ALL.map(ProtocolMutation::token);
+                format!("unknown mutation {tok:?} (want {})", known.join(", "))
+            })
+    }
+}
+
 /// Which coherence protocol the system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
@@ -499,6 +539,15 @@ mod tests {
         assert!(!Protocol::Gcs.is_denovo());
         assert!(Protocol::DeNovoSync0.is_denovo());
         assert!(!Protocol::Mesi.is_denovo());
+    }
+
+    #[test]
+    fn mutation_tokens_round_trip() {
+        for m in ProtocolMutation::ALL {
+            assert_eq!(ProtocolMutation::from_token(m.token()), Ok(m));
+        }
+        let err = ProtocolMutation::from_token("nope").unwrap_err();
+        assert!(err.contains("gcs-skip-update"), "{err}");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! reproducer, serialized as a replayable `.dvsf` text file; the committed
 //! corpus under `corpus/` is replayed by `tests/corpus.rs`. [`batch`] runs
 //! seed ranges on the `dvs-campaign` thread pool with a worker-count
-//! independent result digest. The `dvsf` binary wires it all together
-//! (`gen` / `run` / `shrink` / `hunt`).
+//! independent result digest. `dvs fuzz` (the root package's `dvs` binary)
+//! wires it all together (`gen` / `run` / `shrink` / `hunt`).
 
 pub mod batch;
 pub mod case;
@@ -27,14 +27,3 @@ pub use case::{FuzzCase, Lowered, Op, RfProbe, Shape, WitnessCheck, WitnessKind,
 pub use diff::{run_case, CaseVerdict, Divergence, HarnessConfig};
 pub use gen::{generate, GenConfig};
 pub use shrink::{shrink, ShrinkOutcome};
-
-/// Parses a mutation token as used by the `dvsf` CLI and `scripts/ci.sh`.
-/// Delegates to `dvs-campaign`'s parser so spec tokens, `dvsf`, and
-/// `dvs-serve` all accept the same vocabulary.
-///
-/// # Errors
-///
-/// Lists the known tokens when `tok` is not one of them.
-pub fn parse_mutation(tok: &str) -> Result<dvs_core::config::ProtocolMutation, String> {
-    dvs_campaign::parse_mutation_token(tok)
-}

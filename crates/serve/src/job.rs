@@ -11,9 +11,7 @@
 //! recomputed cell is byte-identical to its cached copy and job digests
 //! survive any mix of cache hits and recomputes.
 
-use dvs_campaign::{
-    mutation_token, parse_mutation_token, run_recorded, CampaignError, ExperimentSpec,
-};
+use dvs_campaign::{run_recorded, CampaignError, ExperimentSpec};
 use dvs_check::{check_litmus, swarm_litmus, CheckConfig, SwarmConfig, Verdict, VisitedMode};
 use dvs_core::config::{Protocol, ProtocolMutation, SystemConfig};
 use dvs_core::system::SimError;
@@ -284,7 +282,7 @@ impl CellSpec {
                     mode.token()
                 );
                 if let Some(m) = mutation {
-                    t.push_str(&format!(";mut={}", mutation_token(*m)));
+                    t.push_str(&format!(";mut={}", m.token()));
                 }
                 t
             }
@@ -347,7 +345,7 @@ impl CellSpec {
                     Some(("states", v)) => {
                         states = Some(v.parse().map_err(|_| format!("bad states {v:?}"))?);
                     }
-                    Some(("mut", v)) => mutation = Some(parse_mutation_token(v)?),
+                    Some(("mut", v)) => mutation = Some(ProtocolMutation::from_token(v)?),
                     _ => return Err(format!("bad check field {part:?}")),
                 }
             }
@@ -489,7 +487,7 @@ impl CellSpec {
                     .str("protocol", protocol.label())
                     .str("mode", &mode.token());
                 if let Some(m) = mutation {
-                    obj.str("mutation", mutation_token(*m));
+                    obj.str("mutation", m.token());
                 }
                 match &report.verdict {
                     Verdict::Verified => {

@@ -29,8 +29,8 @@
 //!   keeps serving compute. Hit/miss/quarantine/shed/retry counters are
 //!   exported as a `dvs-telemetry` [`MetricsRegistry`](dvs_telemetry::MetricsRegistry).
 //!
-//! The `dvs-serve` binary wires it together: `submit` / `resume` / `status`
-//! / `verify-store` / `gc`.
+//! `dvs serve` (the root package's `dvs` binary) wires it together:
+//! `submit` / `resume` / `status` / `verify-store` / `gc`.
 
 pub mod job;
 pub mod journal;

@@ -17,7 +17,8 @@
 //! * [`mix`] — the seeded workload-mix generator: deterministic
 //!   server-like churn addressable by `(seed, phases, threads)`.
 //!
-//! The `dvst` binary exposes record/replay/compose/mix/show as a CLI.
+//! `dvs trace record|replay|compose|mix|show` (the root package's `dvs`
+//! binary) exposes all of it on the command line.
 
 pub mod compose;
 pub mod composite;

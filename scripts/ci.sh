@@ -43,7 +43,7 @@ stage_tier1() {
   echo "== tier-1: release build + full test suite =="
   cargo build --release --offline
   cargo build --release --offline --examples
-  cargo test -q --offline
+  cargo test -q --offline --workspace
 }
 
 stage_chaos() {
@@ -58,22 +58,22 @@ stage_check() {
 
 stage_check_scale() {
   echo "== check-scale smoke (deep-exploration floors: throughput, spill RSS, swarm, resume) =="
-  cargo build --release --offline -p dvs-check --bin dvs-check
-  CHECK=./target/release/dvs-check
-  # Pull one key=value token out of a dvs-check report line.
+  cargo build --release --offline --bin dvs
+  CHECK=(./target/release/dvs check)
+  # Pull one key=value token out of a `dvs check` report line.
   ck_tok() { echo "$1" | tr ' ' '\n' | sed -n "s/^$2=//p" | tail -1; }
 
   # Throughput floor: a 100k-expansion exact exploration of tatas8 must
   # sustain >= 2000 unique states/s (a single release core does ~6k; the
   # floor only catches order-of-magnitude regressions on slow CI hosts).
-  out=$("$CHECK" explore --litmus tatas8 --proto M --max-states 100000); echo "$out"
+  out=$("${CHECK[@]}" explore --litmus tatas8 --proto M --max-states 100000); echo "$out"
   rate=$(ck_tok "$out" states_per_s)
   [ "$rate" -ge 2000 ] || { echo "states/s floor missed: $rate < 2000"; exit 1; }
 
   # Spill-tier RSS ceiling: a 4 MB visited budget on a ~5.6 MB working set
   # must actually page shards out, and the process high-water mark must
   # stay under 64 MB (the un-spilled run of the same space needs none).
-  out=$("$CHECK" explore --litmus tatas8 --proto M --max-states 300000 --spill-budget 4000000); echo "$out"
+  out=$("${CHECK[@]}" explore --litmus tatas8 --proto M --max-states 300000 --spill-budget 4000000); echo "$out"
   spilled=$(ck_tok "$out" spilled_entries)
   rss=$(ck_tok "$out" peak_rss)
   [ "$spilled" -gt 0 ] || { echo "spill budget never fired"; exit 1; }
@@ -81,7 +81,7 @@ stage_check_scale() {
 
   # Swarm mutation-catch: randomized probes sharing one bitstate filter
   # must find the seeded MESI mutation (exit 3 = violation found).
-  out=$("$CHECK" swarm --litmus tatas --proto M --mutation mesi-skip-invalidate \
+  out=$("${CHECK[@]}" swarm --litmus tatas --proto M --mutation mesi-skip-invalidate \
         --probes 64 --probe-depth 2000 --probe-states 20000 --seed 1) && rc=0 || rc=$?
   echo "$out"
   [ "$rc" -eq 3 ] || { echo "swarm did not catch the mutation (exit $rc)"; exit 1; }
@@ -91,11 +91,11 @@ stage_check_scale() {
   # checkpoint lands, resume it, and demand the same verdict and cumulative
   # unique-state count as an uninterrupted invocation.
   DEEPEN="deepen --litmus tatas --proto M --start 6 --step 2 --max-depth 40"
-  ref=$("$CHECK" $DEEPEN); echo "$ref"
+  ref=$("${CHECK[@]}" $DEEPEN); echo "$ref"
   CDIR=$(mktemp -d)
   CLEANUP="$CLEANUP $CDIR"
   CKPT="$CDIR/deepen.ckpt"
-  "$CHECK" $DEEPEN --checkpoint "$CKPT" --round-delay-ms 500 &
+  "${CHECK[@]}" $DEEPEN --checkpoint "$CKPT" --round-delay-ms 500 &
   victim=$!
   for _ in $(seq 1 400); do
     [ -f "$CKPT" ] && break
@@ -104,7 +104,7 @@ stage_check_scale() {
   done
   kill -9 "$victim"; wait "$victim" 2>/dev/null || true
   [ -f "$CKPT" ] || { echo "no checkpoint survived the kill"; exit 1; }
-  resumed=$("$CHECK" $DEEPEN --checkpoint "$CKPT"); echo "$resumed"
+  resumed=$("${CHECK[@]}" $DEEPEN --checkpoint "$CKPT"); echo "$resumed"
   [ "$(ck_tok "$resumed" resumed)" = "true" ] || { echo "run ignored the checkpoint"; exit 1; }
   [ "$(ck_tok "$resumed" verdict)" = "$(ck_tok "$ref" verdict)" ] || { echo "resumed verdict differs"; exit 1; }
   [ "$(ck_tok "$resumed" unique)" = "$(ck_tok "$ref" unique)" ] || { echo "resumed unique-state count differs"; exit 1; }
@@ -157,7 +157,8 @@ stage_fuzz() {
   cargo test -q --offline -p dvs-fuzz --test corpus
   # A fixed-seed stock-protocol hunt: any divergence, sick case, or panic
   # exits nonzero, and the result digest must not depend on the worker count.
-  hunt() { cargo run --release --offline -p dvs-fuzz --bin dvsf -- hunt 0 60 --workers "$1"; }
+  cargo build --release --offline --bin dvs
+  hunt() { ./target/release/dvs fuzz hunt 0 60 --workers "$1"; }
   d2=$(hunt 2); echo "$d2"
   d1=$(hunt 1); echo "$d1"
   [ "${d1##*digest=}" = "${d2##*digest=}" ] || { echo "fuzz digest differs across worker counts"; exit 1; }
@@ -170,13 +171,13 @@ stage_serve() {
   # Crash drill against the real binary: SIGKILL a slowed run mid-job, resume,
   # and demand the digest match an uninterrupted run; then re-run warm and
   # demand >= 90% cache hits.
-  cargo build --release --offline -p dvs-serve --bin dvs-serve
-  SERVE=./target/release/dvs-serve
+  cargo build --release --offline --bin dvs
+  SERVE=(./target/release/dvs serve)
   SDIR=$(mktemp -d)
   CLEANUP="$CLEANUP $SDIR"
-  ref=$("$SERVE" submit --dir "$SDIR/ref" --grid smoke --workers 2); echo "$ref"
+  ref=$("${SERVE[@]}" submit --dir "$SDIR/ref" --grid smoke --workers 2); echo "$ref"
   want=${ref##*digest=}
-  "$SERVE" submit --dir "$SDIR/victim" --grid smoke --workers 2 --cell-delay-ms 200 &
+  "${SERVE[@]}" submit --dir "$SDIR/victim" --grid smoke --workers 2 --cell-delay-ms 200 &
   victim=$!
   # Kill as soon as the journal shows the first completed cell.
   for _ in $(seq 1 400); do
@@ -185,16 +186,16 @@ stage_serve() {
     sleep 0.025
   done
   kill -9 "$victim"; wait "$victim" 2>/dev/null || true
-  resumed=$("$SERVE" resume --dir "$SDIR/victim" --workers 2); echo "$resumed"
+  resumed=$("${SERVE[@]}" resume --dir "$SDIR/victim" --workers 2); echo "$resumed"
   [ "${resumed##*digest=}" = "$want" ] || { echo "resumed digest differs from uninterrupted run"; exit 1; }
-  warm=$("$SERVE" submit --dir "$SDIR/ref" --grid smoke --workers 2); echo "$warm"
+  warm=$("${SERVE[@]}" submit --dir "$SDIR/ref" --grid smoke --workers 2); echo "$warm"
   [ "${warm##*digest=}" = "$want" ] || { echo "warm digest differs"; exit 1; }
   hits=$(echo "$warm" | sed -n 's/.*hits=\([0-9]*\).*/\1/p' | tail -1)
   cells=$(echo "$warm" | sed -n 's/.*cells=\([0-9]*\).*/\1/p' | tail -1)
   [ $((hits * 10)) -ge $((cells * 9)) ] || { echo "warm hit rate below 90% ($hits/$cells)"; exit 1; }
-  "$SERVE" verify-store --dir "$SDIR/ref"
+  "${SERVE[@]}" verify-store --dir "$SDIR/ref"
   # The journal tail sees the whole story and exits once every job seals.
-  "$SERVE" status --dir "$SDIR/ref" --follow --poll-ms 10 | tail -3
+  "${SERVE[@]}" status --dir "$SDIR/ref" --follow --poll-ms 10 | tail -3
 }
 
 stage_trace() {
@@ -202,24 +203,24 @@ stage_trace() {
   # Committed .dvst corpus: parse, replay on MESI/DS0/DS timed + the oracle,
   # validate every pinned final; plus format/compose/mix round-trip tests.
   cargo test -q --offline -p dvs-trace --test trace
-  # Record a kernel with the dvst CLI, replay it on all four protocols, both
+  # Record a kernel with `dvs trace`, replay it on all four protocols, both
   # faithful and compressed, and demand the pinned fingerprint is reproduced
   # identically everywhere.
-  cargo build --release --offline -p dvs-trace --bin dvst
-  DVST=./target/release/dvst
+  cargo build --release --offline --bin dvs
+  DVST=(./target/release/dvs trace)
   TDIR=$(mktemp -d)
   CLEANUP="$CLEANUP $TDIR"
-  "$DVST" record tatas:counter --threads 4 --iters 4 -o "$TDIR/t.dvst"
+  "${DVST[@]}" record tatas:counter --threads 4 --iters 4 -o "$TDIR/t.dvst"
   fp=""
   for proto in M DS0 DS GCS; do
     for mode in "" --compressed; do
-      out=$("$DVST" replay "$TDIR/t.dvst" --proto "$proto" ${mode:+"$mode"}); echo "$out"
+      out=$("${DVST[@]}" replay "$TDIR/t.dvst" --proto "$proto" ${mode:+"$mode"}); echo "$out"
       this=${out##*fingerprint }
       [ -z "$fp" ] && fp=$this
       [ "$this" = "$fp" ] || { echo "fingerprint differs on $proto $mode"; exit 1; }
     done
   done
-  "$DVST" replay "$TDIR/t.dvst" --oracle --seed 9
+  "${DVST[@]}" replay "$TDIR/t.dvst" --oracle --seed 9
   # Replay-vs-VM throughput artifact; quick mode gates the speedup at >= 2x.
   DVS_QUICK=1 cargo bench --offline -p dvs-bench --bench trace_matrix
 }

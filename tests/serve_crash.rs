@@ -15,10 +15,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn serve(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_dvs-serve"))
+    Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .arg("serve")
         .args(args)
         .output()
-        .expect("spawn dvs-serve")
+        .expect("spawn dvs serve")
 }
 
 /// Pulls `digest=<16 hex>` off a `job=...` summary line.
@@ -75,7 +76,8 @@ fn sigkill_mid_job_resumes_to_the_uninterrupted_digest() {
     // Victim: same grid, slowed down so the kill lands mid-job, then
     // SIGKILLed while cells are still pending.
     let dir = tmp_dir("victim");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvs-serve"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .arg("serve")
         .args([
             "submit",
             "--dir",

@@ -16,10 +16,11 @@ fn dir_arg(dir: &Path) -> String {
 }
 
 fn serve(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_dvs-serve"))
+    Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .arg("serve")
         .args(args)
         .output()
-        .expect("spawn dvs-serve")
+        .expect("spawn dvs serve")
 }
 
 /// The follower and the runner race from opposite ends: the follower starts
@@ -29,7 +30,8 @@ fn serve(args: &[&str]) -> Output {
 #[test]
 fn follow_streams_a_live_job_and_exits_when_it_seals() {
     let dir = tmp_dir("live");
-    let follower = Command::new(env!("CARGO_BIN_EXE_dvs-serve"))
+    let follower = Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .arg("serve")
         .args([
             "status",
             "--dir",
