@@ -12,7 +12,7 @@
 pub mod figures;
 pub mod trace;
 
-pub use dvs_campaign::{run_kernel, run_workload, RunError};
+pub use dvs_campaign::{run_kernel, run_workload};
 
 use dvs_apps::AppSpec;
 use dvs_campaign::grids::{app_grid, kernel_grid};

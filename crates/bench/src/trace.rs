@@ -1,14 +1,14 @@
 //! Figure 2: single-run trace replay of the Michael–Scott enqueue.
 //!
 //! This is not an evaluation grid — it replays one short run per protocol
-//! and prints the per-access outcomes — so it drives the simulator directly
-//! instead of going through the campaign runner. The per-access stream comes
-//! from the telemetry recorder: the core's [`EventKind::Access`] and
-//! [`EventKind::Backoff`] events carry exactly the fields this walkthrough
-//! needs.
+//! and prints the per-access outcomes — so it runs one workload at a time
+//! through [`run_workload_with`] instead of a campaign. The per-access
+//! stream comes from the telemetry recorder: the core's
+//! [`EventKind::Access`] and [`EventKind::Backoff`] events carry exactly the
+//! fields this walkthrough needs.
 
+use dvs_campaign::run_workload_with;
 use dvs_core::config::{Protocol, SystemConfig};
-use dvs_core::System;
 use dvs_kernels::{KernelId, KernelParams, NonBlocking};
 use dvs_telemetry::{Component, EventKind, Telemetry};
 
@@ -28,20 +28,8 @@ pub fn fig2_trace() {
     let tail = w.layout.segment("tail").expect("tail").base;
     for proto in Protocol::ALL {
         println!("== Figure 2 ({proto}): M-S queue, accesses to head/tail/links ==");
-        let mut sys = System::new(
-            SystemConfig::small(4, proto),
-            w.layout.clone(),
-            w.programs.clone(),
-        );
-        for &(a, v) in &w.init {
-            sys.preload(a, v);
-        }
-        for (i, &(b, n)) in w.pools.iter().enumerate() {
-            sys.set_thread_pool(i, b, n);
-        }
         let tel = Telemetry::recorder();
-        sys.set_telemetry(tel.clone());
-        sys.run().expect("figure-2 run");
+        run_workload_with(SystemConfig::small(4, proto), &w, tel.clone()).expect("figure-2 run");
         let events = tel.take_events().expect("recorder drains");
         let mut shown = 0;
         for e in &events {

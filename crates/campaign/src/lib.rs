@@ -26,7 +26,8 @@
 //! The experiment entry points [`run_workload`] and [`run_kernel`] live here
 //! (moved from `dvs-bench`, which re-exports them): a workload's layout and
 //! programs are `Arc`-shared, so materializing a [`System`] on any worker
-//! costs reference-count bumps, not deep clones.
+//! costs reference-count bumps, not deep clones. They fail with
+//! `dvs-core`'s [`RunError`], which [`CampaignError`] absorbs via `From`.
 
 pub mod grids;
 pub mod runner;
@@ -34,37 +35,15 @@ pub mod spec;
 
 pub use grids::{figure_core_counts, kernel_grid, quick_mode, workers_from_env};
 pub use runner::{
-    fnv1a, fnv1a_str, parallel_indexed, run_recorded, Campaign, CampaignError, CampaignReport,
-    RunRecord, FNV_OFFSET,
+    fnv1a, fnv1a_str, run_recorded, Campaign, CampaignError, CampaignReport, RunRecord, FNV_OFFSET,
 };
 pub use spec::{ConfigOverrides, ExperimentSpec, TelemetryPolicy, WorkloadSpec};
 
 use dvs_core::config::SystemConfig;
-use dvs_core::system::SimError;
-use dvs_core::System;
+use dvs_core::{RunError, System};
 use dvs_kernels::{KernelId, KernelParams, Workload};
 use dvs_stats::RunStats;
 use dvs_telemetry::{MetricsRegistry, Telemetry};
-
-/// A failed experiment run.
-#[derive(Debug)]
-pub enum RunError {
-    /// The simulator reported an error (deadlock, assertion, cycle limit).
-    Sim(SimError),
-    /// The workload's semantic post-condition failed.
-    Check(String),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Sim(e) => write!(f, "simulation failed: {e}"),
-            RunError::Check(e) => write!(f, "semantic check failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
 
 /// Instantiates `workload` on a system, runs it to completion, verifies its
 /// semantic post-condition, and returns the run statistics.
@@ -104,7 +83,7 @@ pub fn run_workload_with(
         sys.set_thread_pool(i, base, bytes);
     }
     sys.set_telemetry(tel);
-    let stats = sys.run().map_err(RunError::Sim)?;
+    let stats = sys.run()?;
     sys.verify_coherence().map_err(RunError::Check)?;
     let read = |a| sys.read_word(a);
     (workload.check)(&read).map_err(RunError::Check)?;

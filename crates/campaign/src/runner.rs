@@ -1,20 +1,19 @@
 //! The parallel campaign runner.
 //!
-//! Work distribution follows `dvs-check`'s explorer: a shared atomic cursor
-//! over the spec list, self-scheduling worker threads, results written into
-//! per-spec slots. Workers never exchange results, so the report is
-//! independent of scheduling; a worker that hits a panic records it in its
-//! slot and moves on to the next spec.
+//! Work distribution is [`dvs_engine::parallel_indexed`]: a shared atomic
+//! cursor over the spec list, self-scheduling worker threads, results
+//! written into per-spec slots. Workers never exchange results, so the
+//! report is independent of scheduling; a worker that hits a panic records
+//! it in its slot and moves on to the next spec.
 
 use crate::spec::ExperimentSpec;
-use crate::RunError;
-use dvs_core::system::SimError;
+use dvs_core::system::{RunError, SimError};
+use dvs_engine::parallel_indexed;
 use dvs_stats::report::JsonObject;
 use dvs_stats::{RunStats, TimeComponent, TrafficClass};
 use dvs_telemetry::MetricsRegistry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Why one campaign run failed. Failures are per-run records, never
@@ -44,6 +43,15 @@ impl std::fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
+
+impl From<RunError> for CampaignError {
+    fn from(e: RunError) -> Self {
+        match e {
+            RunError::Sim(e) => CampaignError::Sim(e),
+            RunError::Check(m) => CampaignError::Check(m),
+        }
+    }
+}
 
 /// The outcome of one spec: its identity, result, and how long the run took
 /// on the host. `wall_nanos` and `metrics` are observability only — neither
@@ -175,49 +183,6 @@ pub fn run_recorded(spec: &ExperimentSpec, index: usize) -> RunRecord {
     }
 }
 
-/// Runs `job(0..n)` on `workers` self-scheduling threads (clamped to at
-/// least 1 and at most `n`) and returns the results in index order.
-///
-/// This is the campaign's work-distribution core, factored out so other
-/// batch engines (the differential fuzzer's `dvs-fuzz` batches) inherit its
-/// determinism property: workers claim indices from a shared atomic cursor
-/// and write each result into that index's slot, so the returned vector is
-/// independent of worker count and OS scheduling. The job itself must not
-/// unwind — callers wanting fault isolation wrap their job body in
-/// `catch_unwind` and return the panic as a value (as [`Campaign::run`]
-/// does).
-pub fn parallel_indexed<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1).min(n.max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
-                    break;
-                }
-                let result = job(index);
-                *slots[index].lock().expect("slot lock") = Some(result);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
-}
-
 /// Runs one spec with panic isolation. The metrics tree comes back next to
 /// the outcome (kept only when the spec's telemetry policy attached a sink)
 /// so it can never contaminate the digest-bearing result.
@@ -229,22 +194,13 @@ fn run_isolated(
             let trace =
                 dvs_trace::build_mix(mix).map_err(|e| CampaignError::Build(e.to_string()))?;
             let stats =
-                dvs_trace::replay_timed(&trace, spec.config(), dvs_trace::ReplayMode::Faithful)
-                    .map_err(|e| match crate::spec::trace_run_error(e) {
-                        RunError::Sim(e) => CampaignError::Sim(e),
-                        RunError::Check(msg) => CampaignError::Check(msg),
-                    })?;
+                dvs_trace::replay_timed(&trace, spec.config(), dvs_trace::ReplayMode::Faithful)?;
             return Ok((stats, None));
         }
         let workload = spec.build().map_err(CampaignError::Build)?;
         let policy = spec.overrides.telemetry;
         let (stats, metrics) =
-            crate::run_workload_with(spec.config(), &workload, policy.telemetry()).map_err(
-                |e| match e {
-                    RunError::Sim(e) => CampaignError::Sim(e),
-                    RunError::Check(msg) => CampaignError::Check(msg),
-                },
-            )?;
+            crate::run_workload_with(spec.config(), &workload, policy.telemetry())?;
         Ok((stats, policy.enabled().then_some(metrics)))
     }));
     match attempt {

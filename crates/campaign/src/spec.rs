@@ -4,13 +4,11 @@
 //! and plain-old-data parameters — so a campaign is a serializable value
 //! that any worker thread can materialize independently.
 
-use crate::{run_workload, RunError};
 use dvs_core::chaos::FaultPlan;
 use dvs_core::config::{DataInvalidation, MeshShape, Protocol, ProtocolMutation, SystemConfig};
 use dvs_kernels::{KernelId, KernelParams, Workload};
-use dvs_stats::RunStats;
 use dvs_telemetry::{JsonlSink, Telemetry};
-use dvs_trace::{build_mix, replay_timed, MixSpec, ReplayMode, TraceError};
+use dvs_trace::MixSpec;
 
 /// Which workload a spec runs, addressed by serializable id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,25 +226,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// Builds and runs this spec to completion on the current thread.
-    /// Kernel and app specs run VM-driven; trace specs materialize the mix
-    /// (deterministic record + compose) and replay it faithfully, so the
-    /// reported cycles are comparable across protocols.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Check`] for an unresolvable workload id or a replay
-    /// validation failure, otherwise whatever [`run_workload`] reports.
-    pub fn run(&self) -> Result<RunStats, RunError> {
-        if let WorkloadSpec::Trace { mix } = self.workload {
-            let trace = build_mix(mix).map_err(trace_run_error)?;
-            return replay_timed(&trace, self.config(), ReplayMode::Faithful)
-                .map_err(trace_run_error);
-        }
-        let workload = self.build().map_err(RunError::Check)?;
-        run_workload(self.config(), &workload)
-    }
-
     /// A canonical, serializable identity for this spec: `;`-separated
     /// `key=value` fields in a fixed order, with override fields appended
     /// only when they differ from the default. Two specs are equal iff their
@@ -426,17 +405,6 @@ impl ExperimentSpec {
             protocol,
             overrides,
         })
-    }
-}
-
-/// Folds a [`TraceError`] into the campaign's run-error taxonomy: simulator
-/// failures stay simulator failures, everything else (workload checks,
-/// replay validation, bad mix specs) is a check failure.
-pub fn trace_run_error(e: TraceError) -> RunError {
-    match e {
-        TraceError::Sim(e) => RunError::Sim(e),
-        TraceError::Check(m) => RunError::Check(m),
-        TraceError::Validate(m) => RunError::Check(format!("replay validation: {m}")),
     }
 }
 

@@ -10,6 +10,11 @@
 //! driven protocol controllers are the *production* implementations,
 //! unchanged — the checker exercises the same code the simulator runs.
 //!
+//! The litmus machine is [`litmus_config`] — the one place that decides
+//! core count, mesh and checking for a litmus test, shared with the timed
+//! litmus suite and the job service's litmus cells — entered into oracle
+//! mode by [`System::start_oracle`] ([`litmus_root`]).
+//!
 //! Checked properties, at every explored state:
 //!
 //! * the runtime coherence invariants (single-writer, registry/owner
@@ -68,37 +73,23 @@ use dvs_core::oracle::SchedulePlan;
 use dvs_core::system::System;
 use dvs_vm::litmus::Litmus;
 
-/// The system configuration the checker drives: the standard small test
-/// config with runtime invariant checking forced on, plus an optional
-/// seeded protocol mutation for negative testing.
-pub fn checker_config(
-    cores: usize,
+/// The one machine every engine runs a litmus test on — the checker's
+/// oracle root, the serve litmus cells and the timed litmus suite: at least
+/// 4 cores (spare cores run [`System::new`]'s idle program), the standard
+/// small test config with runtime invariant checking forced on, and an
+/// optional seeded protocol mutation for negative testing. Square core
+/// counts keep the default square mesh (preserving historical
+/// fingerprints); non-square counts (the `tatas_n` scaling shapes: 8
+/// threads → 2×4) get an explicit near-square [`MeshShape`].
+pub fn litmus_config(
+    lit: &Litmus,
     protocol: Protocol,
     mutation: Option<ProtocolMutation>,
 ) -> SystemConfig {
+    let cores = lit.nthreads().max(4);
     let mut cfg = SystemConfig::small(cores, protocol);
     cfg.check_invariants = true;
     cfg.mutation = mutation;
-    cfg
-}
-
-/// Builds the oracle-mode root state for a litmus test.
-///
-/// The litmus threads run on a machine of at least 4 cores, with any spare
-/// cores given a trivial program that halts immediately — they quiesce
-/// during the initial drain and add no interleavings. Square core counts
-/// keep the default square mesh (preserving historical fingerprints);
-/// non-square counts (the `tatas_n` scaling shapes: 8 threads → 2×4) get
-/// an explicit near-square [`MeshShape`].
-pub fn litmus_root(lit: &Litmus, protocol: Protocol, mutation: Option<ProtocolMutation>) -> System {
-    let cores = lit.nthreads().max(4);
-    let mut programs = lit.programs.clone();
-    while programs.len() < cores {
-        let mut a = dvs_vm::Asm::new("idle");
-        a.halt();
-        programs.push(a.build());
-    }
-    let mut cfg = checker_config(cores, protocol, mutation);
     let side = (cores as f64).sqrt() as usize;
     if side * side != cores {
         let rows = (1..=side)
@@ -109,7 +100,16 @@ pub fn litmus_root(lit: &Litmus, protocol: Protocol, mutation: Option<ProtocolMu
             .expect("near-square factorization is a valid mesh");
         cfg.mesh = Some(shape);
     }
-    System::new_oracle(cfg, lit.layout.clone(), programs)
+    cfg
+}
+
+/// Builds the oracle-mode root state for a litmus test on its
+/// [`litmus_config`] machine.
+pub fn litmus_root(lit: &Litmus, protocol: Protocol, mutation: Option<ProtocolMutation>) -> System {
+    let cfg = litmus_config(lit, protocol, mutation);
+    let mut sys = System::new(cfg, lit.layout.clone(), lit.programs.clone());
+    sys.start_oracle();
+    sys
 }
 
 /// Model-checks one litmus test under one protocol: explores all delivery

@@ -24,11 +24,10 @@ use crate::visited::BitstateFilter;
 use dvs_core::config::{Protocol, ProtocolMutation};
 use dvs_core::oracle::{ChannelKey, StepOracle};
 use dvs_core::system::System;
+use dvs_engine::{parallel_indexed, DetRng};
 use dvs_vm::litmus::Litmus;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-use dvs_engine::DetRng;
 
 /// Swarm shape: how many probes, how big each one is, and how big the
 /// shared filter is.
@@ -36,7 +35,8 @@ use dvs_engine::DetRng;
 pub struct SwarmConfig {
     /// Probes to launch. More probes = more coverage, linearly in time.
     pub probes: u64,
-    /// Worker threads pulling probes off the shared counter.
+    /// Worker threads running probes (probe `i` is job `i` of the shared
+    /// [`parallel_indexed`] pool).
     pub workers: usize,
     /// Per-probe depth budget (deliveries along one walk).
     pub probe_depth: usize,
@@ -71,7 +71,6 @@ struct SwarmShared<'m, S: StepOracle> {
     final_ok: &'m FinalCheck<'m, S>,
     root: &'m S,
     filter: BitstateFilter,
-    next_probe: AtomicU64,
     stop: AtomicBool,
     depth_truncated: AtomicBool,
     state_truncated: AtomicBool,
@@ -161,18 +160,6 @@ impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
             stack.push(Frame { sys: child, order });
         }
     }
-
-    fn worker(&self, master: &DetRng) -> CheckStats {
-        let mut stats = CheckStats::default();
-        loop {
-            let idx = self.next_probe.fetch_add(1, Ordering::Relaxed);
-            if idx >= self.cfg.probes || self.stop.load(Ordering::Relaxed) {
-                return stats;
-            }
-            let mut rng = master.split(idx);
-            self.probe(&mut rng, &mut stats);
-        }
-    }
 }
 
 /// Runs a swarm over `root` and reports. `Violated` verdicts carry the
@@ -190,24 +177,25 @@ where
         final_ok,
         root,
         filter: BitstateFilter::new(cfg.filter_bits),
-        next_probe: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         depth_truncated: AtomicBool::new(false),
         state_truncated: AtomicBool::new(false),
         found: Mutex::new(None),
     };
     let master = DetRng::new(cfg.seed);
-    let mut stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|_| scope.spawn(|| shared.worker(&master)))
-            .collect();
-        let mut total = CheckStats::default();
-        for h in handles {
-            total.absorb(&h.join().expect("swarm worker panicked"));
+    // Probes launched after a violation stops the swarm return empty stats.
+    let per_probe = parallel_indexed(cfg.probes as usize, cfg.workers, |i| {
+        let mut stats = CheckStats::default();
+        if !shared.stop.load(Ordering::Relaxed) {
+            shared.probe(&mut master.split(i as u64), &mut stats);
         }
-        total
+        stats
     });
-    // absorb() summed per-worker zeros for these; take the authoritative
+    let mut stats = CheckStats::default();
+    for s in &per_probe {
+        stats.absorb(s);
+    }
+    // absorb() summed per-probe zeros for these; take the authoritative
     // values from the shared structures.
     stats.unique_states = shared.filter.unique_inserts();
     stats.depth_truncated = shared.depth_truncated.load(Ordering::Relaxed);

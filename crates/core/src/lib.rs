@@ -25,7 +25,13 @@
 //!   (MESI or DeNovo family), so the machine itself holds no protocol
 //!   logic. Attach a [`dvs_telemetry::Telemetry`] sink via
 //!   [`System::set_telemetry`](system::System::set_telemetry) to observe
-//!   per-access outcomes, protocol transitions, and stalls.
+//!   per-access outcomes, protocol transitions, and stalls. Every engine
+//!   builds the machine one way — `System::new` (which idles cores beyond
+//!   the programs given) or `System::new_replay`, then optional preloads —
+//!   and either runs it timed (`System::run`) or calls
+//!   [`System::start_oracle`](system::System::start_oracle) and steps it
+//!   by hand or with the seeded `System::oracle_walk`. A failed run is a
+//!   [`RunError`]: the simulator failed, or a check of its result did.
 //!
 //! # Examples
 //!
@@ -71,4 +77,4 @@ pub mod system;
 
 pub use config::{Protocol, ProtocolMutation, SystemConfig};
 pub use replay::{compress_ops, Recording, TraceOp, TraceRecorder};
-pub use system::System;
+pub use system::{RunError, System};

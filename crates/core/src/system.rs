@@ -167,6 +167,36 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A failed run: the simulator failed, or a check of what it produced did.
+/// Every run path — campaign cells, trace recording and replay, the oracle
+/// random walk — reports through it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The simulator reported an error.
+    Sim(SimError),
+    /// A post-run check failed: coherence, the workload's post-condition,
+    /// a replay diverging from its recording, or an oracle walk that did
+    /// not quiesce cleanly.
+    Check(String),
+}
+
+impl From<SimError> for RunError {
+    fn from(e: SimError) -> Self {
+        RunError::Sim(e)
+    }
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Sim(e) => write!(f, "simulation failed: {e}"),
+            RunError::Check(m) => write!(f, "check failed: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Execute instructions on a core.
@@ -306,7 +336,10 @@ const _: () = {
 };
 
 impl System {
-    /// Builds a system running one program per core.
+    /// Builds a system running one program per core; cores beyond the
+    /// programs given run an idle program that halts at once (a litmus
+    /// test's two threads on a four-tile mesh, say). Idle cores quiesce at
+    /// their first step and add no interleavings.
     ///
     /// Layout and programs are reference-counted so a workload built once
     /// can be materialized into many systems (e.g. by a parallel experiment
@@ -315,21 +348,26 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs differs from the configured core
-    /// count or the core count is not a perfect square (mesh).
+    /// Panics if there are more programs than configured cores, or the
+    /// core count does not fit the mesh.
     pub fn new(
         cfg: SystemConfig,
         layout: impl Into<Arc<MemoryLayout>>,
         programs: impl IntoIterator<Item = impl Into<Arc<Program>>>,
     ) -> Self {
-        let programs: Vec<Arc<Program>> = programs.into_iter().map(Into::into).collect();
-        assert_eq!(
-            programs.len(),
-            cfg.cores,
-            "need exactly one program per core"
-        );
-        let root = DetRng::new(cfg.seed);
+        let mut programs: Vec<Arc<Program>> = programs.into_iter().map(Into::into).collect();
         let n = cfg.cores;
+        assert!(
+            programs.len() <= n,
+            "{} programs for {n} cores",
+            programs.len()
+        );
+        if programs.len() < n {
+            let mut idle = dvs_vm::Asm::new("idle");
+            idle.halt();
+            programs.resize(n, Arc::new(idle.build()));
+        }
+        let root = DetRng::new(cfg.seed);
         let threads: Vec<Thread> = programs
             .into_iter()
             .enumerate()
@@ -1411,12 +1449,15 @@ impl System {
 
     // --- oracle (model-checking) mode ---------------------------------------
 
-    /// Builds a system in **oracle mode** for the model checker: protocol
-    /// messages enqueue into per-channel FIFO queues instead of timed
-    /// deliveries, and the caller picks which channel's head message to
-    /// deliver next via [`System::oracle_deliver`]. Cores are run eagerly to
-    /// quiescence between deliveries (local core steps of different cores
-    /// commute, so their interleaving is never a branch point).
+    /// Switches a freshly built system (from [`System::new`] or
+    /// [`System::new_replay`], after any preloading) into **oracle mode**
+    /// for the model checker and the oracle walks: protocol messages
+    /// enqueue into per-channel FIFO queues instead of timed deliveries,
+    /// and the caller picks which channel's head message to deliver next
+    /// via [`System::oracle_deliver`]. Runs the initial core steps to
+    /// quiescence; from then on every delivery drains again (local core
+    /// steps of different cores commute, so their interleaving is never a
+    /// branch point).
     ///
     /// # Panics
     ///
@@ -1424,52 +1465,13 @@ impl System {
     /// [`DataInvalidation::StaticRegions`]: the signature log is global
     /// state shared by all cores, which breaks the delivery-commutativity
     /// argument the checker's partial-order reduction relies on.
-    pub fn new_oracle(
-        cfg: SystemConfig,
-        layout: impl Into<Arc<MemoryLayout>>,
-        programs: impl IntoIterator<Item = impl Into<Arc<Program>>>,
-    ) -> Self {
+    pub fn start_oracle(&mut self) {
         assert_eq!(
-            cfg.data_inv,
+            self.cfg.data_inv,
             DataInvalidation::StaticRegions,
             "oracle mode requires static-region self-invalidation"
         );
-        let mut sys = Self::new(cfg, layout, programs);
-        sys.oracle = Some(OracleState::default());
-        sys.oracle_drain();
-        sys
-    }
-
-    /// Builds a trace-replay system in **oracle mode**: recorded op
-    /// streams drive the untimed protocol stack, the caller picking
-    /// deliveries as in [`System::new_oracle`]. Unlike the VM oracle
-    /// constructor this does *not* drain eagerly — preload the memory
-    /// image first, then call [`System::oracle_start`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cfg.data_inv` is
-    /// [`DataInvalidation::StaticRegions`] (same restriction as
-    /// [`System::new_oracle`]) or if the stream count differs from the
-    /// core count.
-    pub fn new_oracle_replay(
-        cfg: SystemConfig,
-        layout: impl Into<Arc<MemoryLayout>>,
-        streams: Vec<Arc<Vec<TraceOp>>>,
-    ) -> Self {
-        assert_eq!(
-            cfg.data_inv,
-            DataInvalidation::StaticRegions,
-            "oracle mode requires static-region self-invalidation"
-        );
-        let mut sys = Self::new_replay(cfg, layout, streams);
-        sys.oracle = Some(OracleState::default());
-        sys
-    }
-
-    /// Oracle mode: runs the initial core steps to quiescence. A no-op
-    /// after the first delivery (every [`System::oracle_deliver`] drains).
-    pub fn oracle_start(&mut self) {
+        self.oracle = Some(OracleState::default());
         self.oracle_drain();
     }
 
@@ -1539,6 +1541,44 @@ impl System {
         }
         self.oracle_drain();
         true
+    }
+
+    /// Oracle mode: a seeded random walk to quiescence. Each step delivers
+    /// the head of `channels[rng.below(len)]` — the canonical channel order
+    /// makes the walk a function of `seed` alone — sampling delivery orders
+    /// no timed schedule would produce. Returns the number of deliveries.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Sim`] when the machine records an error;
+    /// [`RunError::Check`] when the walk needs more than `budget`
+    /// deliveries, or the channels drain with a core still running.
+    pub fn oracle_walk(&mut self, seed: u64, budget: u64) -> Result<u64, RunError> {
+        let mut rng = DetRng::new(seed);
+        let mut delivered = 0;
+        loop {
+            if let Some(e) = &self.error {
+                return Err(RunError::Sim(e.clone()));
+            }
+            let channels = self.oracle_channels();
+            if channels.is_empty() {
+                break;
+            }
+            if delivered == budget {
+                return Err(RunError::Check(format!(
+                    "oracle walk exceeded {budget} deliveries without quiescing"
+                )));
+            }
+            self.oracle_deliver(channels[rng.below(channels.len())]);
+            delivered += 1;
+        }
+        if !self.all_halted() {
+            return Err(RunError::Check(format!(
+                "channels drained with threads running: {}",
+                self.deadlock_error()
+            )));
+        }
+        Ok(delivered)
     }
 
     /// Whether every thread has halted.
@@ -2296,6 +2336,52 @@ mod tests {
     }
 
     #[test]
+    fn spare_cores_are_padded_with_the_idle_program() {
+        let (_, counter) = counter_layout();
+        let fai = || {
+            let mut a = Asm::new("fai");
+            a.movi(Reg(1), counter.raw()).movi(Reg(2), 1);
+            a.fai(Reg(3), Reg(1), 0, Reg(2)).halt();
+            a.build()
+        };
+        let idle = || {
+            let mut a = Asm::new("idle");
+            a.halt();
+            a.build()
+        };
+        for proto in Protocol::EXTENDED {
+            let run = |programs: Vec<Program>| {
+                let (layout, _) = counter_layout();
+                let mut sys = System::new(SystemConfig::small(4, proto), layout, programs);
+                let stats = sys.run().unwrap();
+                (sys.fingerprint(), stats)
+            };
+            let padded = run(vec![fai(), fai()]);
+            let explicit = run(vec![fai(), fai(), idle(), idle()]);
+            assert_eq!(padded, explicit, "{proto:?}");
+        }
+        let too_many = std::panic::catch_unwind(|| {
+            let (layout, _) = counter_layout();
+            System::new(
+                SystemConfig::small(4, Protocol::Mesi),
+                layout,
+                (0..5).map(|_| fai()).collect::<Vec<_>>(),
+            )
+        });
+        assert!(too_many.is_err(), "5 programs on 4 cores must panic");
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle mode requires static-region self-invalidation")]
+    fn start_oracle_rejects_signature_invalidation() {
+        let (layout, _) = counter_layout();
+        let mut cfg = SystemConfig::small(4, Protocol::DeNovoSync);
+        cfg.data_inv = DataInvalidation::Signatures;
+        let mut sys = System::new(cfg, layout, Vec::<Program>::new());
+        sys.start_oracle();
+    }
+
+    #[test]
     fn oracle_random_walk_is_reproducible_from_the_seed_alone() {
         // Satellite property: for every protocol, a seeded random walk over
         // `oracle_channels` — deliveries picked purely by the seed — visits
@@ -2313,11 +2399,12 @@ mod tests {
         for proto in Protocol::EXTENDED {
             let walk = |seed: u64| {
                 let (layout, _) = counter_layout();
-                let mut sys = System::new_oracle(
+                let mut sys = System::new(
                     SystemConfig::small(4, proto),
                     layout,
                     (0..4).map(|_| make()).collect::<Vec<_>>(),
                 );
+                sys.start_oracle();
                 let mut rng = dvs_engine::DetRng::new(seed);
                 let mut trail = vec![sys.fingerprint()];
                 for _ in 0..10_000 {

@@ -1,7 +1,7 @@
 //! Discrete-event simulation kernel for the DeNovoSync reproduction.
 //!
 //! This crate is the lowest layer of the simulator stack. It knows nothing
-//! about caches, protocols, or networks; it provides exactly three things:
+//! about caches, protocols, or networks; it provides exactly four things:
 //!
 //! * [`Cycle`] — the simulated time base (one cycle of the 2 GHz clock in the
 //!   paper's Table 1),
@@ -10,7 +10,11 @@
 //!   pure function of its inputs and seed,
 //! * [`DetRng`] — a small, dependency-free, splittable pseudo-random number
 //!   generator used for workload randomization (dummy-compute lengths,
-//!   software backoff, application models).
+//!   software backoff, application models),
+//! * [`parallel_indexed`] — the deterministic worker pool every batch
+//!   engine above the simulator (campaigns, fuzz batches, the job service,
+//!   swarm verification) runs on: results come back in index order at any
+//!   worker count.
 //!
 //! # Examples
 //!
@@ -25,9 +29,10 @@
 //! assert_eq!(sched.now(), 5);
 //! ```
 
-pub mod reference;
+pub mod pool;
 pub mod rng;
 
+pub use pool::parallel_indexed;
 pub use rng::DetRng;
 
 use std::cmp::Reverse;
@@ -58,7 +63,8 @@ const RING: usize = 256;
 /// per-event reordering. Far-future events go into a conventional
 /// `(cycle, seq)` binary heap and are popped from there directly. The pop
 /// order is identical to a single global `(cycle, seq)` priority queue
-/// (property-tested against [`reference::HeapScheduler`]): within a cycle,
+/// (property-tested against the retired binary-heap scheduler in
+/// `tests/differential.rs`): within a cycle,
 /// overflow events always precede ring events because an event can only
 /// have entered the overflow tier at a strictly earlier scheduling time —
 /// `now` is monotone, so its sequence number is strictly smaller.
@@ -224,17 +230,6 @@ impl<E> Scheduler<E> {
             }
         }
         horizon
-    }
-
-    /// The cycle of the next pending event — the lookahead hook for
-    /// mesh-partitioned parallel stepping (the parti-gem5 playbook): a
-    /// partition may safely advance to
-    /// `min(next_event_cycle(), neighbour horizons + link latency)` without
-    /// coordinating. Today it is synonymous with [`Scheduler::peek_cycle`];
-    /// it exists as a named seam so partitioned drivers don't couple to the
-    /// peek API.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.peek_cycle()
     }
 
     /// Number of pending events.

@@ -1,5 +1,5 @@
 //! Differential property test: the calendar-queue [`Scheduler`] against the
-//! retired binary-heap implementation ([`reference::HeapScheduler`]).
+//! retired binary-heap implementation ([`heap_scheduler::HeapScheduler`]).
 //!
 //! The determinism contract the whole simulator rests on is that the pop
 //! sequence is a pure function of the schedule sequence: events come out in
@@ -9,8 +9,10 @@
 //! through identical randomized schedule/pop interleavings and assert the
 //! `(cycle, event)` streams never diverge.
 
-use dvs_engine::reference::HeapScheduler;
+mod heap_scheduler;
+
 use dvs_engine::{Cycle, DetRng, Scheduler};
+use heap_scheduler::HeapScheduler;
 
 /// Drives both schedulers through one seeded random interleaving of
 /// schedules and pops, checking every pop and counter along the way.

@@ -1,4 +1,4 @@
-//! Parallel fuzz batches on the `dvs-campaign` thread pool.
+//! Parallel fuzz batches on the shared `dvs-engine` worker pool.
 //!
 //! A batch generates `count` cases from consecutive seeds, runs the
 //! differential harness on each, and folds every per-case summary line
@@ -16,7 +16,8 @@
 use crate::case::FuzzCase;
 use crate::diff::{run_case, CaseVerdict, HarnessConfig};
 use crate::gen::{generate, GenConfig};
-use dvs_campaign::{fnv1a_str, parallel_indexed, FNV_OFFSET};
+use dvs_campaign::{fnv1a_str, FNV_OFFSET};
+use dvs_engine::parallel_indexed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A fuzz batch: which seeds, which generator pool, which harness, how

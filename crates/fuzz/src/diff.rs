@@ -13,9 +13,10 @@
 //!    DeNovoSync, and GCS with the PR-1 runtime invariant checkers armed;
 //!    the simulator's own error taxonomy (deadlock, cycle-limit, protocol
 //!    violation, kernel assert) all count as divergences.
-//! 3. **Untimed oracle systems** — `System::new_oracle` driven by a
-//!    seeded random walk over the enabled message channels, sampling
-//!    delivery interleavings no timed schedule would produce.
+//! 3. **Untimed oracle systems** — the same machine after
+//!    `System::start_oracle`, driven by `System::oracle_walk`'s seeded
+//!    random walk over the enabled message channels, sampling delivery
+//!    interleavings no timed schedule would produce.
 //!
 //! After every system run: quiescent coherence verification, stable-word
 //! comparison against the reference, witness-multiset predicates, and the
@@ -24,11 +25,9 @@
 use crate::case::{FuzzCase, Lowered, WitnessKind};
 use dvs_campaign::{fnv1a, fnv1a_str, FNV_OFFSET};
 use dvs_core::config::{Protocol, ProtocolMutation, SystemConfig};
-use dvs_core::system::System;
-use dvs_engine::DetRng;
+use dvs_core::system::{RunError, System};
 use dvs_mem::Addr;
 use dvs_vm::reference::RefMachine;
-use dvs_vm::Asm;
 use std::sync::Arc;
 
 /// Differential-harness knobs. Defaults are sized for fuzz batches: small
@@ -139,16 +138,6 @@ pub fn run_case(case: &FuzzCase, h: &HarnessConfig) -> CaseVerdict {
     }
 
     // Stages 2–9: each protocol, timed then untimed.
-    let idle: Arc<dvs_vm::isa::Program> = {
-        let mut a = Asm::new("idle");
-        a.halt();
-        Arc::new(a.build())
-    };
-    let mut padded = low.programs.clone();
-    while padded.len() < CORES {
-        padded.push(Arc::clone(&idle));
-    }
-
     for proto in Protocol::EXTENDED {
         for timed in [true, false] {
             let stage = format!(
@@ -156,7 +145,7 @@ pub fn run_case(case: &FuzzCase, h: &HarnessConfig) -> CaseVerdict {
                 if timed { "timed" } else { "oracle" },
                 proto.label()
             );
-            if let Some(divergence) = run_one(h, &low, &ref_vals, &padded, proto, timed, stage) {
+            if let Some(divergence) = run_one(h, &low, &ref_vals, proto, timed, stage) {
                 return CaseVerdict::Diverged {
                     instrs: low.instr_count,
                     divergence,
@@ -175,7 +164,6 @@ fn run_one(
     h: &HarnessConfig,
     low: &Lowered,
     ref_vals: &[u64],
-    padded: &[Arc<dvs_vm::isa::Program>],
     proto: Protocol,
     timed: bool,
     stage: String,
@@ -191,48 +179,19 @@ fn run_one(
         })
     };
 
-    let sys = if timed {
-        let mut sys = System::new(cfg, Arc::clone(&low.layout), padded.to_vec());
-        if let Err(e) = sys.run() {
-            return diverge(format!("simulator error: {e}"));
-        }
-        sys
+    let mut sys = System::new(cfg, Arc::clone(&low.layout), low.programs.clone());
+    let run = if timed {
+        sys.run().map(drop).map_err(RunError::Sim)
     } else {
-        let mut sys = System::new_oracle(cfg, Arc::clone(&low.layout), padded.to_vec());
-        // Seeded random walk over the enabled channels: a delivery order no
-        // timed schedule would produce, re-seeded per protocol.
-        let mut rng = DetRng::new(h.walk_seed ^ fnv1a_str(FNV_OFFSET, proto.label()));
-        let mut delivered = 0u64;
-        loop {
-            if let Some(e) = sys.error() {
-                return diverge(format!("simulator error: {e}"));
-            }
-            let channels = sys.oracle_channels();
-            if channels.is_empty() {
-                break;
-            }
-            let pick = channels[rng.below(channels.len())];
-            sys.oracle_deliver(pick);
-            delivered += 1;
-            if delivered > h.oracle_deliveries {
-                return diverge(format!(
-                    "oracle walk exceeded {} deliveries without quiescing",
-                    h.oracle_deliveries
-                ));
-            }
-        }
-        if let Some(e) = sys.error() {
-            return diverge(format!("simulator error: {e}"));
-        }
-        if !sys.all_halted() {
-            return diverge(format!(
-                "channels drained with threads running: {}",
-                sys.deadlock_error()
-            ));
-        }
-        sys
+        sys.start_oracle();
+        let seed = h.walk_seed ^ fnv1a_str(FNV_OFFSET, proto.label());
+        sys.oracle_walk(seed, h.oracle_deliveries).map(drop)
     };
-
+    match run {
+        Err(RunError::Sim(e)) => return diverge(format!("simulator error: {e}")),
+        Err(RunError::Check(m)) => return diverge(m),
+        Ok(()) => {}
+    }
     if let Err(e) = sys.verify_coherence() {
         return diverge(format!("coherence: {e}"));
     }

@@ -3,7 +3,7 @@
 //! Generates small concurrent programs over the `dvs-vm` assembler DSL and
 //! runs each one seven ways: the sequential SC reference machine, and
 //! MESI / DeNovoSync0 / DeNovoSync each in timed (`System::new`) and
-//! untimed oracle (`System::new_oracle`) modes. Final memory is
+//! untimed oracle (`System::start_oracle`) modes. Final memory is
 //! cross-checked word by word, schedule-dependent observations are judged
 //! by interleaving-independent witness predicates, and witnessed probe
 //! loads feed relational CoRR/IRIW checks — see [`case`] for why that

@@ -12,15 +12,16 @@
 //! survive any mix of cache hits and recomputes.
 
 use dvs_campaign::{run_recorded, CampaignError, ExperimentSpec};
-use dvs_check::{check_litmus, swarm_litmus, CheckConfig, SwarmConfig, Verdict, VisitedMode};
-use dvs_core::config::{Protocol, ProtocolMutation, SystemConfig};
+use dvs_check::{
+    check_litmus, litmus_config, swarm_litmus, CheckConfig, SwarmConfig, Verdict, VisitedMode,
+};
+use dvs_core::config::{Protocol, ProtocolMutation};
 use dvs_core::system::SimError;
 use dvs_core::System;
 use dvs_fuzz::{generate, run_case, CaseVerdict, GenConfig, HarnessConfig};
 use dvs_stats::report::JsonObject;
 use dvs_stats::{RunStats, TrafficClass};
 use dvs_vm::litmus::Litmus;
-use dvs_vm::Asm;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -411,15 +412,8 @@ impl CellSpec {
                     class: FailureClass::Deterministic,
                     detail: format!("unknown litmus {name:?}"),
                 })?;
-                let mut cfg = SystemConfig::small(4, *protocol);
-                cfg.check_invariants = true;
-                let mut programs = lit.programs.clone();
-                while programs.len() < cfg.cores {
-                    let mut a = Asm::new("idle");
-                    a.halt();
-                    programs.push(a.build());
-                }
-                let mut sys = System::new(cfg, lit.layout.clone(), programs);
+                let cfg = litmus_config(&lit, *protocol, None);
+                let mut sys = System::new(cfg, lit.layout.clone(), lit.programs.clone());
                 let stats = sys.run().map_err(|e| classify_sim(&e))?;
                 lit.check(|a| sys.read_word(a))
                     .map_err(|vals| CellFailure {

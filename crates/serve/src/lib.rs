@@ -9,7 +9,7 @@
 //!   sweep, or deep model-checking sweep) expands into an ordered list of
 //!   [`CellSpec`]s — one simulation each, addressed by a canonical text
 //!   token. Cells execute on a bounded
-//!   worker pool ([`dvs_campaign::parallel_indexed`]) with per-job
+//!   worker pool ([`dvs_engine::parallel_indexed`]) with per-job
 //!   admission control and deadlines.
 //! * **Content-addressed caching.** Every completed cell's result payload
 //!   is stored in a [`Store`] keyed by the FNV-1a digest of

@@ -28,7 +28,8 @@ use crate::job::{CellSpec, FailureClass, JobSpec};
 use crate::journal::{CellOutcome, Journal, JournalEvent, RecoveredJob};
 use crate::retry::RetryPolicy;
 use crate::store::{self, GcReport, Lookup, PutOutcome, Store, VerifyReport};
-use dvs_campaign::{fnv1a, fnv1a_str, parallel_indexed, FNV_OFFSET};
+use dvs_campaign::{fnv1a, fnv1a_str, FNV_OFFSET};
+use dvs_engine::parallel_indexed;
 use dvs_telemetry::MetricsRegistry;
 use std::fmt;
 use std::fs;

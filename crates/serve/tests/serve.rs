@@ -58,6 +58,23 @@ fn entry_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// Litmus cells run on the checker's machine for the test, so an 8-thread
+/// litmus gets 8 cores rather than a hard-coded 4.
+#[test]
+fn eight_thread_litmus_cells_compute_on_every_protocol() {
+    let dir = tmp_dir("tatas8");
+    let mut serve = Serve::open(config(&dir)).expect("open");
+    let job = JobSpec::Litmus {
+        names: vec!["tatas8".to_owned()],
+        protocols: Protocol::ALL.to_vec(),
+    };
+    let id = serve.submit(&job).expect("submit");
+    let report = serve.run_job(id).expect("run");
+    assert_eq!(report.computed, 3);
+    assert_eq!(report.failed, 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn warm_rerun_serves_everything_from_cache_with_identical_digest() {
     let dir = tmp_dir("warm");

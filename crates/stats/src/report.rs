@@ -166,11 +166,6 @@ impl StackedTable {
             Some((log_sum / n as f64).exp())
         }
     }
-
-    /// Names of the groups, in insertion order.
-    pub fn group_names(&self) -> Vec<&str> {
-        self.groups.iter().map(|g| g.name.as_str()).collect()
-    }
 }
 
 /// A minimal JSON object builder for machine-readable benchmark artifacts

@@ -286,13 +286,6 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Event {
-    /// Renders the event as one JSON line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        sink::jsonl_line(self)
-    }
-}
-
 /// Anything that can serve as an event's subject address.
 ///
 /// Implemented here for plain integers; `dvs-mem` implements it for its

@@ -17,6 +17,10 @@
 //! * [`mix`] — the seeded workload-mix generator: deterministic
 //!   server-like churn addressable by `(seed, phases, threads)`.
 //!
+//! Every failure is a [`dvs_core::RunError`]: `Sim` when the simulator
+//! fails, `Check` when a workload check, coherence, the oracle walk, or
+//! replay validation against the recording does.
+//!
 //! `dvs trace record|replay|compose|mix|show` (the root package's `dvs`
 //! binary) exposes all of it on the command line.
 
@@ -31,5 +35,5 @@ pub use compose::compose;
 pub use composite::composite;
 pub use format::{Trace, DVST_VERSION};
 pub use mix::{build_mix, MixSpec};
-pub use record::{record, TraceError};
+pub use record::record;
 pub use replay::{replay_oracle, replay_timed, ReplayMode, COMPRESS_CAP, ORACLE_DELIVERY_BUDGET};

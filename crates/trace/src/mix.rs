@@ -11,8 +11,8 @@
 use crate::compose::compose;
 use crate::composite::composite;
 use crate::format::Trace;
-use crate::record::{record, TraceError};
-use dvs_core::{Protocol, SystemConfig};
+use crate::record::record;
+use dvs_core::{Protocol, RunError, SystemConfig};
 use dvs_engine::DetRng;
 use dvs_kernels::{
     build, BarrierKind, KernelId, KernelParams, LockKind, LockedStruct, NonBlocking,
@@ -72,18 +72,18 @@ fn menu_phase(pick: usize, rng: &mut DetRng, threads: usize) -> (String, dvs_ker
 ///
 /// # Errors
 ///
-/// [`TraceError`] if a phase recording fails its run or checks, or
-/// [`TraceError::Validate`] for an invalid spec.
-pub fn build_mix(spec: MixSpec) -> Result<Trace, TraceError> {
+/// [`RunError`] if a phase recording fails its run or checks, or
+/// [`RunError::Check`] for an invalid spec.
+pub fn build_mix(spec: MixSpec) -> Result<Trace, RunError> {
     let side = (spec.threads as f64).sqrt() as usize;
     if spec.threads < 4 || side * side != spec.threads {
-        return Err(TraceError::Validate(format!(
+        return Err(RunError::Check(format!(
             "mix threads must be a perfect square >= 4, got {}",
             spec.threads
         )));
     }
     if spec.phases == 0 {
-        return Err(TraceError::Validate("mix needs at least one phase".into()));
+        return Err(RunError::Check("mix needs at least one phase".into()));
     }
     let mut rng = DetRng::new(spec.seed);
     let cfg = SystemConfig::small(spec.threads, Protocol::DeNovoSync);
@@ -94,5 +94,5 @@ pub fn build_mix(spec: MixSpec) -> Result<Trace, TraceError> {
         traces.push(trace);
     }
     let refs: Vec<&Trace> = traces.iter().collect();
-    compose(&spec.name(), &refs).map_err(TraceError::Validate)
+    compose(&spec.name(), &refs).map_err(RunError::Check)
 }

@@ -2,35 +2,10 @@
 //! and seal the result as a [`Trace`].
 
 use crate::format::Trace;
-use dvs_core::system::SimError;
-use dvs_core::{System, SystemConfig};
+use dvs_core::{RunError, System, SystemConfig};
 use dvs_kernels::Workload;
 use dvs_stats::RunStats;
-use std::fmt;
 use std::sync::Arc;
-
-/// A recording or replay failure.
-#[derive(Debug, Clone)]
-pub enum TraceError {
-    /// The simulation itself failed.
-    Sim(SimError),
-    /// The workload's own correctness check rejected the recorded run.
-    Check(String),
-    /// Replayed state diverged from the recording.
-    Validate(String),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Sim(e) => write!(f, "simulation: {e}"),
-            TraceError::Check(m) => write!(f, "workload check: {m}"),
-            TraceError::Validate(m) => write!(f, "validation: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Records `workload` under `cfg` and seals the trace. The recorded run's
 /// own stats ride along so callers can price the recording overhead.
@@ -40,13 +15,13 @@ impl std::error::Error for TraceError {}
 ///
 /// # Errors
 ///
-/// [`TraceError::Sim`] if the run fails, [`TraceError::Check`] if the
+/// [`RunError::Sim`] if the run fails, [`RunError::Check`] if the
 /// workload's invariants or coherence checks reject it.
 pub fn record(
     name: &str,
     workload: &Workload,
     cfg: SystemConfig,
-) -> Result<(Trace, RunStats), TraceError> {
+) -> Result<(Trace, RunStats), RunError> {
     let mut sys = System::new(cfg, Arc::clone(&workload.layout), workload.programs.clone());
     for &(addr, value) in &workload.init {
         sys.preload(addr, value);
@@ -55,10 +30,10 @@ pub fn record(
         sys.set_thread_pool(i, base, bytes);
     }
     sys.start_recording();
-    let stats = sys.run().map_err(TraceError::Sim)?;
-    sys.verify_coherence().map_err(TraceError::Check)?;
+    let stats = sys.run()?;
+    sys.verify_coherence().map_err(RunError::Check)?;
     let read = |a| sys.read_word(a);
-    (workload.check)(&read).map_err(TraceError::Check)?;
+    (workload.check)(&read).map_err(RunError::Check)?;
     let rec = sys
         .take_recording(&workload.init)
         .expect("recording was started");

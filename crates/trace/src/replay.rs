@@ -2,11 +2,9 @@
 //! and validate the replayed stable state against the recording.
 
 use crate::format::Trace;
-use crate::record::TraceError;
 use dvs_core::config::DataInvalidation;
 use dvs_core::replay::{compress_ops, TraceOp};
-use dvs_core::{System, SystemConfig};
-use dvs_engine::DetRng;
+use dvs_core::{RunError, System, SystemConfig};
 use dvs_stats::RunStats;
 use std::sync::Arc;
 
@@ -38,23 +36,32 @@ fn streams(trace: &Trace, mode: ReplayMode) -> Vec<Arc<Vec<TraceOp>>> {
     }
 }
 
-fn check_cores(trace: &Trace, cfg: &SystemConfig) -> Result<(), TraceError> {
+/// Builds the replay machine: one stream per core, the recorded memory
+/// image preloaded.
+fn replay_system(trace: &Trace, cfg: SystemConfig, mode: ReplayMode) -> Result<System, RunError> {
     if trace.cores() != cfg.cores {
-        return Err(TraceError::Validate(format!(
-            "trace drives {} cores but the config has {}",
+        return Err(RunError::Check(format!(
+            "replay validation: trace drives {} cores but the config has {}",
             trace.cores(),
             cfg.cores
         )));
     }
-    Ok(())
+    let mut sys = System::new_replay(cfg, Arc::clone(&trace.layout), streams(trace, mode));
+    for &(addr, value) in &trace.init {
+        sys.preload(addr, value);
+    }
+    Ok(sys)
 }
 
-fn validate_finals(sys: &System, trace: &Trace) -> Result<(), TraceError> {
+/// Checks coherence and the full final image against the recording.
+fn validate(sys: &System, trace: &Trace) -> Result<(), RunError> {
+    sys.verify_coherence().map_err(RunError::Check)?;
     for &(w, want) in &trace.finals {
         let got = sys.read_word(w.base());
         if got != want {
-            return Err(TraceError::Validate(format!(
-                "final state diverged at {:#x}: replay has {got:#x}, recording pinned {want:#x}",
+            return Err(RunError::Check(format!(
+                "replay validation: final state diverged at {:#x}: replay has {got:#x}, \
+                 recording pinned {want:#x}",
                 w.base().raw()
             )));
         }
@@ -67,83 +74,42 @@ fn validate_finals(sys: &System, trace: &Trace) -> Result<(), TraceError> {
 ///
 /// # Errors
 ///
-/// [`TraceError::Sim`] on simulator failures (including in-flight value
-/// divergence, surfaced as protocol violations),
-/// [`TraceError::Validate`] on final-state divergence or a core-count
-/// mismatch.
+/// [`RunError::Sim`] on simulator failures (including in-flight value
+/// divergence, surfaced as protocol violations), [`RunError::Check`] on
+/// incoherence, final-state divergence or a core-count mismatch.
 pub fn replay_timed(
     trace: &Trace,
     cfg: SystemConfig,
     mode: ReplayMode,
-) -> Result<RunStats, TraceError> {
-    check_cores(trace, &cfg)?;
-    let mut sys = System::new_replay(cfg, Arc::clone(&trace.layout), streams(trace, mode));
-    for &(addr, value) in &trace.init {
-        sys.preload(addr, value);
-    }
-    let stats = sys.run().map_err(TraceError::Sim)?;
-    sys.verify_coherence().map_err(TraceError::Check)?;
-    validate_finals(&sys, trace)?;
+) -> Result<RunStats, RunError> {
+    let mut sys = replay_system(trace, cfg, mode)?;
+    let stats = sys.run()?;
+    validate(&sys, trace)?;
     Ok(stats)
 }
 
-/// Replays `trace` through the untimed oracle stack: a seeded random walk
-/// over the enabled channels picks delivery orders no timed schedule
-/// would produce. Returns the number of deliveries consumed.
+/// Replays `trace` through the untimed oracle stack:
+/// [`System::oracle_walk`]'s seeded random walk over the enabled channels
+/// picks delivery orders no timed schedule would produce. Returns the
+/// number of deliveries consumed.
 ///
 /// `cfg.data_inv` is forced to static regions (the oracle-mode
 /// requirement).
 ///
 /// # Errors
 ///
-/// As [`replay_timed`], plus [`TraceError::Validate`] when the walk
-/// exceeds `budget` deliveries or quiesces without halting every core.
+/// As [`replay_timed`], plus [`RunError::Check`] when the walk exceeds
+/// `budget` deliveries or quiesces without halting every core.
 pub fn replay_oracle(
     trace: &Trace,
     mut cfg: SystemConfig,
     walk_seed: u64,
     budget: u64,
-) -> Result<u64, TraceError> {
+) -> Result<u64, RunError> {
     cfg.data_inv = DataInvalidation::StaticRegions;
-    check_cores(trace, &cfg)?;
-    let mut sys = System::new_oracle_replay(
-        cfg,
-        Arc::clone(&trace.layout),
-        streams(trace, ReplayMode::Compressed),
-    );
-    for &(addr, value) in &trace.init {
-        sys.preload(addr, value);
-    }
-    sys.oracle_start();
-    let mut rng = DetRng::new(walk_seed);
-    let mut delivered = 0u64;
-    loop {
-        if let Some(e) = sys.error() {
-            return Err(TraceError::Sim(e.clone()));
-        }
-        let channels = sys.oracle_channels();
-        if channels.is_empty() {
-            break;
-        }
-        let pick = channels[rng.below(channels.len())];
-        sys.oracle_deliver(pick);
-        delivered += 1;
-        if delivered > budget {
-            return Err(TraceError::Validate(format!(
-                "oracle walk exceeded {budget} deliveries without quiescing"
-            )));
-        }
-    }
-    if let Some(e) = sys.error() {
-        return Err(TraceError::Sim(e.clone()));
-    }
-    if !sys.all_halted() {
-        return Err(TraceError::Validate(format!(
-            "oracle channels drained with cores running: {}",
-            sys.deadlock_error()
-        )));
-    }
-    sys.verify_coherence().map_err(TraceError::Check)?;
-    validate_finals(&sys, trace)?;
+    let mut sys = replay_system(trace, cfg, ReplayMode::Compressed)?;
+    sys.start_oracle();
+    let delivered = sys.oracle_walk(walk_seed, budget)?;
+    validate(&sys, trace)?;
     Ok(delivered)
 }

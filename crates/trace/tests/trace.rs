@@ -3,11 +3,11 @@
 //! mix determinism, and replay of the committed corpus.
 
 use dvs_core::replay::TraceOp;
-use dvs_core::{Protocol, SystemConfig};
+use dvs_core::{Protocol, RunError, SystemConfig};
 use dvs_kernels::{build, BarrierKind, KernelId, KernelParams, LockKind, LockedStruct};
 use dvs_trace::{
     build_mix, compose, composite, record, replay_oracle, replay_timed, MixSpec, ReplayMode, Trace,
-    TraceError, ORACLE_DELIVERY_BUDGET,
+    ORACLE_DELIVERY_BUDGET,
 };
 use std::sync::Arc;
 
@@ -144,9 +144,9 @@ fn tampered_final_is_caught_after_the_run() {
     let last = tampered.finals.len() - 1;
     tampered.finals[last].1 ^= 0xff;
     match replay_timed(&tampered, cfg(Protocol::DeNovoSync), ReplayMode::Faithful) {
-        Err(TraceError::Validate(m)) => assert!(m.contains("diverged"), "{m}"),
+        Err(RunError::Check(m)) => assert!(m.contains("diverged"), "{m}"),
         // The tampered word may also be an in-flight-validated sync word.
-        Err(other) => panic!("expected Validate, got {other}"),
+        Err(other) => panic!("expected Check, got {other}"),
         Ok(_) => panic!("tampered finals must not validate"),
     }
 }
@@ -155,10 +155,13 @@ fn tampered_final_is_caught_after_the_run() {
 fn core_count_mismatch_is_rejected() {
     let trace = record_kernel(KernelId::Locked(LockedStruct::Counter, LockKind::Tatas));
     let bad = SystemConfig::small(16, Protocol::DeNovoSync);
-    assert!(matches!(
-        replay_timed(&trace, bad, ReplayMode::Faithful),
-        Err(TraceError::Validate(_))
-    ));
+    match replay_timed(&trace, bad, ReplayMode::Faithful) {
+        Err(RunError::Check(m)) => assert!(
+            m.contains("trace drives 4 cores but the config has 16"),
+            "{m}"
+        ),
+        other => panic!("expected a core-count Check, got {other:?}"),
+    }
 }
 
 #[test]

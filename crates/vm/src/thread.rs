@@ -137,11 +137,6 @@ impl Thread {
         self.regs[r.index()]
     }
 
-    /// Writes a register (for test setup).
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
-        self.regs[r.index()] = value;
-    }
-
     /// The current attribution phase.
     pub fn phase(&self) -> ExecPhase {
         self.phase

@@ -43,6 +43,9 @@ stage_tier1() {
   echo "== tier-1: release build + full test suite =="
   cargo build --release --offline
   cargo build --release --offline --examples
+  # The benchmark package is outside the workspace; building it against its
+  # own lockfile catches API or dependency drift before the benchmark does.
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
   cargo test -q --offline --workspace
 }
 

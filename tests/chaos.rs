@@ -12,8 +12,8 @@
 
 use denovosync_suite::core::chaos::FaultPlan;
 use denovosync_suite::core::config::{Protocol, SystemConfig};
-use denovosync_suite::core::system::SimError;
-use dvs_bench::{run_kernel, RunError};
+use denovosync_suite::core::system::{RunError, SimError};
+use dvs_bench::run_kernel;
 use dvs_kernels::{BarrierKind, KernelId, KernelParams, LockKind, LockedStruct, NonBlocking};
 
 /// Fixed fault seeds; `scripts/ci.sh` runs exactly this matrix.

@@ -8,23 +8,18 @@
 //! for the full machine, and catches SC regressions in ordinary timed runs.
 
 use denovosync_suite::core::chaos::FaultPlan;
-use denovosync_suite::core::config::{Protocol, SystemConfig};
+use denovosync_suite::core::config::Protocol;
 use denovosync_suite::core::system::System;
 use denovosync_suite::vm::litmus::Litmus;
-use denovosync_suite::vm::Asm;
+use dvs_check::litmus_config;
 
-/// Runs a litmus test on the timed simulator and applies its verdict. The
-/// mesh needs a square tile count, so the two litmus threads are padded to
-/// four cores with idle programs.
-fn run_timed(lit: &Litmus, mut cfg: SystemConfig) {
-    cfg.check_invariants = true;
-    let mut programs = lit.programs.clone();
-    while programs.len() < cfg.cores {
-        let mut a = Asm::new("idle");
-        a.halt();
-        programs.push(a.build());
-    }
-    let mut sys = System::new(cfg, lit.layout.clone(), programs);
+/// Runs a litmus test on the timed simulator, on the model checker's
+/// machine for it, and applies its verdict. `chaos` optionally perturbs
+/// the delivery schedule.
+fn run_timed(lit: &Litmus, proto: Protocol, chaos: Option<FaultPlan>) {
+    let mut cfg = litmus_config(lit, proto, None);
+    cfg.fault_plan = chaos;
+    let mut sys = System::new(cfg, lit.layout.clone(), lit.programs.clone());
     sys.run()
         .unwrap_or_else(|e| panic!("{} ({:?}): {e}", lit.name, cfg.protocol));
     lit.check(|a| sys.read_word(a)).unwrap_or_else(|vals| {
@@ -48,7 +43,7 @@ fn full_suite() -> Vec<Litmus> {
 fn all_litmus_sc_on_all_protocols() {
     for lit in full_suite() {
         for proto in Protocol::EXTENDED {
-            run_timed(&lit, SystemConfig::small(4, proto));
+            run_timed(&lit, proto, None);
         }
     }
 }
@@ -58,9 +53,7 @@ fn all_litmus_sc_under_chaos() {
     for lit in full_suite() {
         for proto in Protocol::EXTENDED {
             for seed in [1, 0xC0FFEE, 0xDE40_5EED] {
-                let mut cfg = SystemConfig::small(4, proto);
-                cfg.fault_plan = Some(FaultPlan::from_seed(seed));
-                run_timed(&lit, cfg);
+                run_timed(&lit, proto, Some(FaultPlan::from_seed(seed)));
             }
         }
     }

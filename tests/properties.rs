@@ -354,14 +354,8 @@ fn racy_sync_totals_are_exact_on_every_protocol() {
             let n = match case.threads {
                 2 | 3 => 4,
                 n => n,
-            }; // square mesh
-            let mut padded = programs;
-            while padded.len() < n {
-                let mut a = Asm::new("idle");
-                a.halt();
-                padded.push(a.build());
-            }
-            let mut sys = System::new(SystemConfig::small(n, proto), layout, padded);
+            }; // square mesh; System::new idles the spare cores
+            let mut sys = System::new(SystemConfig::small(n, proto), layout, programs);
             sys.run()
                 .unwrap_or_else(|e| panic!("case {case_i} {proto:?}: {e}"));
             for (i, &want) in expected.iter().enumerate() {
@@ -487,16 +481,7 @@ fn tid_values_flow_through_registers() {
 /// record the pick plus the post-delivery state fingerprint.
 fn oracle_walk(proto: Protocol, seed: u64) -> (Vec<(String, u64)>, bool) {
     let lit = denovosync_suite::vm::litmus::tatas();
-    let cores = lit.nthreads().max(4);
-    let mut programs = lit.programs.clone();
-    while programs.len() < cores {
-        let mut a = Asm::new("idle");
-        a.halt();
-        programs.push(a.build());
-    }
-    let mut cfg = SystemConfig::small(cores, proto);
-    cfg.check_invariants = true;
-    let mut sys = System::new_oracle(cfg, lit.layout.clone(), programs);
+    let mut sys = dvs_check::litmus_root(&lit, proto, None);
     let mut rng = DetRng::new(seed);
     let mut trace = Vec::new();
     for step in 0.. {
