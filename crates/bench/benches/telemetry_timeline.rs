@@ -1,4 +1,5 @@
-//! Telemetry timeline artifact: one annotated tatas-lock run per protocol.
+//! Telemetry timeline artifact: one annotated tatas-lock run on each of the
+//! four backends (M, DS0, DS, GCS).
 //!
 //! For each protocol this bench runs the tatas counter kernel twice — once
 //! with telemetry off, once with a recorder sink — and asserts the two runs
@@ -36,7 +37,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut metrics_tree = JsonObject::new();
 
-    for proto in Protocol::ALL {
+    for proto in Protocol::EXTENDED {
         let cfg = SystemConfig::small(THREADS, proto);
 
         // Baseline: telemetry fully off (the compile-time-erased no-op path).

@@ -34,9 +34,7 @@ pub mod runner;
 pub mod spec;
 
 pub use grids::{figure_core_counts, kernel_grid, quick_mode, workers_from_env};
-pub use runner::{
-    fnv1a, fnv1a_str, run_recorded, Campaign, CampaignError, CampaignReport, RunRecord, FNV_OFFSET,
-};
+pub use runner::{run_recorded, Campaign, CampaignError, CampaignReport, RunRecord};
 pub use spec::{ConfigOverrides, ExperimentSpec, TelemetryPolicy, WorkloadSpec};
 
 use dvs_core::config::SystemConfig;

@@ -8,7 +8,7 @@
 
 use crate::spec::ExperimentSpec;
 use dvs_core::system::{RunError, SimError};
-use dvs_engine::parallel_indexed;
+use dvs_engine::{fnv1a, parallel_indexed, FNV_OFFSET};
 use dvs_stats::report::JsonObject;
 use dvs_stats::{RunStats, TimeComponent, TrafficClass};
 use dvs_telemetry::MetricsRegistry;
@@ -287,21 +287,6 @@ impl CampaignReport {
     pub fn max_run_wall_nanos(&self) -> u64 {
         self.records.iter().map(|r| r.wall_nanos).max().unwrap_or(0)
     }
-}
-
-/// The FNV-1a 64-bit offset basis — the starting value for [`fnv1a`].
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step: folds `byte` into `hash`. Shared by every
-/// determinism digest in the workspace (campaign reports, fuzz batches) so
-/// their fingerprints stay comparable across tools.
-pub fn fnv1a(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// Folds every byte of `s` into `hash` with [`fnv1a`].
-pub fn fnv1a_str(hash: u64, s: &str) -> u64 {
-    s.bytes().fold(hash, fnv1a)
 }
 
 fn record_json(record: &RunRecord) -> JsonObject {

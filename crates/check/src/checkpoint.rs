@@ -48,6 +48,7 @@ use crate::explore::{
 };
 use dvs_core::msg::Endpoint;
 use dvs_core::oracle::{ChannelKey, StepOracle};
+use dvs_engine::{fnv1a, FNV_OFFSET};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -57,13 +58,8 @@ use std::time::Duration;
 const MAGIC: &[u8; 8] = b"DVSCKPT1";
 const PICK_SIZE: usize = 8;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+fn checksum(bytes: &[u8]) -> u64 {
+    bytes.iter().copied().fold(FNV_OFFSET, fnv1a)
 }
 
 /// Why a checkpoint could not be used. All variants are terminal: the
@@ -185,7 +181,7 @@ impl Checkpoint {
                 encode_pick(&mut buf, pick);
             }
         }
-        let sum = fnv1a(&buf);
+        let sum = checksum(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
     }
@@ -221,7 +217,7 @@ impl Checkpoint {
         }
         let (body, sum_bytes) = buf.split_at(buf.len() - 8);
         let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if fnv1a(body) != stored {
+        if checksum(body) != stored {
             return Err(corrupt("checksum mismatch"));
         }
         if &body[..8] != MAGIC {

@@ -45,7 +45,7 @@ use dvs_mem::{
     AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, Region, RmwOp, WordAddr, WORDS_PER_LINE,
 };
 use dvs_stats::CacheStats;
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
 use std::sync::Arc;
 
@@ -268,13 +268,9 @@ impl DnvL1 {
         to: &'static str,
         cause: &'static str,
     ) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.id as u32,
-            component: Component::L1,
-            addr: word.telemetry_key(),
-            kind: EventKind::Transition { from, to, cause },
-        });
+        let kind = EventKind::Transition { from, to, cause };
+        self.tel
+            .emit_now(self.id as u32, Component::L1, word.telemetry_key(), kind);
     }
 
     /// Cache-access statistics so far.

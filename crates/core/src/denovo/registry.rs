@@ -31,7 +31,7 @@ use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, LineData, 
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
 use dvs_stats::TrafficClass;
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One word's registry state.
@@ -152,16 +152,12 @@ impl DnvRegistry {
     /// moved to `owner` (from `prev`, or `u32::MAX` when the registry itself
     /// held the value).
     fn emit_registration(&self, word: WordAddr, owner: CoreId, prev: Option<CoreId>) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.bank as u32,
-            component: Component::Dir,
-            addr: word.telemetry_key(),
-            kind: EventKind::Registration {
-                owner: owner as u32,
-                prev: prev.map_or(u32::MAX, |p| p as u32),
-            },
-        });
+        let kind = EventKind::Registration {
+            owner: owner as u32,
+            prev: prev.map_or(u32::MAX, |p| p as u32),
+        };
+        self.tel
+            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
     }
 
     /// Arms a seeded protocol bug (negative testing; see
@@ -576,17 +572,13 @@ impl DnvRegistry {
             .as_mut()
             .expect("sync path enabled")
             .insert(word, SyncEntry::new(recalling));
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.bank as u32,
-            component: Component::Dir,
-            addr: word.telemetry_key(),
-            kind: EventKind::Transition {
-                from: "data",
-                to: "sync",
-                cause: "classify",
-            },
-        });
+        let kind = EventKind::Transition {
+            from: "data",
+            to: "sync",
+            cause: "classify",
+        };
+        self.tel
+            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
     }
 
     /// Classifies `word` and starts recalling it from its current
@@ -752,16 +744,12 @@ impl DnvRegistry {
                 });
             }
         }
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.bank as u32,
-            component: Component::Dir,
-            addr: word.telemetry_key(),
-            kind: EventKind::Notify {
-                writer: writer as u32,
-                waiters: waiters.len() as u32,
-            },
-        });
+        let kind = EventKind::Notify {
+            writer: writer as u32,
+            waiters: waiters.len() as u32,
+        };
+        self.tel
+            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
     }
 }
 

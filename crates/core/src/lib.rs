@@ -70,6 +70,7 @@ pub mod coreset;
 pub mod denovo;
 pub mod mesi;
 pub mod msg;
+mod observe;
 pub mod oracle;
 pub mod proto;
 pub mod replay;

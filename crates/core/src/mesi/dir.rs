@@ -17,7 +17,7 @@ use crate::msg::{BankId, CoreId, Endpoint, LineData, MesiMsg, Msg};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, LINE_BYTES};
 use dvs_stats::TrafficClass;
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::collections::VecDeque;
 
 /// Directory state for one line.
@@ -113,22 +113,6 @@ impl MesiDir {
     /// invalidation fan-outs).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    fn emit_transition(
-        &self,
-        line: LineAddr,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.bank as u32,
-            component: Component::Dir,
-            addr: line.telemetry_key(),
-            kind: EventKind::Transition { from, to, cause },
-        });
     }
 
     /// The line's current data as known to the L2 (stale while owned).
@@ -430,19 +414,21 @@ impl MesiDir {
         });
         let after = self.lines.get(line.raw()).expect("entry exists").state;
         if after != before {
-            self.emit_transition(line, before.label(), after.label(), cause);
+            let kind = EventKind::Transition {
+                from: before.label(),
+                to: after.label(),
+                cause,
+            };
+            self.tel
+                .emit_now(self.bank as u32, Component::Dir, line.telemetry_key(), kind);
         }
         if let Some((req, sharers)) = inv_fanout {
-            self.tel.emit(|| Event {
-                cycle: self.tel.now(),
-                node: self.bank as u32,
-                component: Component::Dir,
-                addr: line.telemetry_key(),
-                kind: EventKind::Invalidation {
-                    requester: req as u32,
-                    sharers,
-                },
-            });
+            let kind = EventKind::Invalidation {
+                requester: req as u32,
+                sharers,
+            };
+            self.tel
+                .emit_now(self.bank as u32, Component::Dir, line.telemetry_key(), kind);
         }
     }
 }

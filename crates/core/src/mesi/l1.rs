@@ -17,7 +17,7 @@ use crate::proto::{count_access, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
 use dvs_stats::{CacheStats, TrafficClass};
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
 
 /// A resident line's stable state.
@@ -170,13 +170,9 @@ impl MesiL1 {
         to: &'static str,
         cause: &'static str,
     ) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.id as u32,
-            component: Component::L1,
-            addr: line.telemetry_key(),
-            kind: EventKind::Transition { from, to, cause },
-        });
+        let kind = EventKind::Transition { from, to, cause };
+        self.tel
+            .emit_now(self.id as u32, Component::L1, line.telemetry_key(), kind);
     }
 
     /// Cache-access statistics so far.
@@ -494,16 +490,16 @@ impl MesiL1 {
                         self.cache.remove(line);
                         invalidated = true;
                         self.emit_transition(line, "S", "I", "Inv");
-                        self.tel.emit(|| Event {
-                            cycle: self.tel.now(),
-                            node: self.id as u32,
-                            component: Component::L1,
-                            addr: line.telemetry_key(),
-                            kind: EventKind::Invalidation {
-                                requester: req as u32,
-                                sharers: 1,
-                            },
-                        });
+                        let kind = EventKind::Invalidation {
+                            requester: req as u32,
+                            sharers: 1,
+                        };
+                        self.tel.emit_now(
+                            self.id as u32,
+                            Component::L1,
+                            line.telemetry_key(),
+                            kind,
+                        );
                     }
                     // E/M: the Inv is from a stale epoch (we have since
                     // re-acquired the line); ack without invalidating.

@@ -1,0 +1,295 @@
+//! The one seam through which a [`System`](crate::System) is observed.
+//!
+//! Every observation the machine makes — the telemetry stream, the
+//! always-on forensic message ring, per-core stall accounting and the
+//! optional trace recorder — goes through [`Observer`]'s handful of hooks:
+//! [`effect`](Observer::effect) per core effect, [`issue`](Observer::issue)
+//! and [`complete`](Observer::complete) per memory access,
+//! [`deliver`](Observer::deliver) per message, and
+//! [`stall_begin`](Observer::stall_begin)/[`stall_end`](Observer::stall_end)
+//! per stall interval. The observer never feeds back into simulated
+//! behaviour; results the run digests (`RunStats`, traffic, time
+//! attribution) stay in the system.
+//!
+//! It is one concrete struct, not a trait: every channel is present in
+//! every run, switched at runtime with one branch (the telemetry handle's
+//! `Option`, the recorder's `Option`).
+
+use crate::msg::{CoreId, Endpoint, Msg};
+use crate::proto::IssueResult;
+use crate::replay::{Recording, TraceRecorder};
+use dvs_engine::Cycle;
+use dvs_mem::Addr;
+use dvs_telemetry::{
+    Component, Event, EventKind, MetricsRegistry, RingSink, StallClass, Telemetry, TelemetryKey,
+};
+use dvs_vm::{Effect, MemRequest, StallTracker};
+
+/// How many delivery events the forensic ring remembers per destination
+/// node.
+const FORENSICS_PER_NODE: usize = 16;
+
+/// Telemetry, forensic ring, stall accounting and trace recording for one
+/// system.
+#[derive(Debug, Clone)]
+pub(crate) struct Observer {
+    /// The telemetry handle; the off handle makes every emit a no-op.
+    tel: Telemetry,
+    /// Always-on per-node ring of recent deliveries, for stall reports.
+    /// Fed directly (no handle) so it works with telemetry off.
+    ring: RingSink,
+    /// Always-on stall duration accounting, exported into the metrics
+    /// tree after a run.
+    stalls: StallTracker,
+    /// Live trace recording; boxed to keep the machine small when not
+    /// recording.
+    recorder: Option<Box<TraceRecorder>>,
+}
+
+impl Observer {
+    pub(crate) fn new(cores: usize) -> Self {
+        Observer {
+            tel: Telemetry::off(),
+            ring: RingSink::new(FORENSICS_PER_NODE),
+            stalls: StallTracker::new(cores),
+            recorder: None,
+        }
+    }
+
+    pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
+        self.tel = tel;
+    }
+
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.tel
+    }
+
+    pub(crate) fn start_recording(&mut self, cores: usize) {
+        self.recorder = Some(Box::new(TraceRecorder::new(cores)));
+    }
+
+    pub(crate) fn take_recording(&mut self, init: &[(Addr, u64)]) -> Option<Recording> {
+        self.recorder.take().map(|r| r.finish(init))
+    }
+
+    /// Exports the stall counts and duration histograms into `reg`.
+    pub(crate) fn export(&self, reg: &mut MetricsRegistry) {
+        self.stalls.export(reg);
+    }
+
+    /// Flushes a streaming telemetry sink at the end of a run.
+    pub(crate) fn flush(&self) {
+        self.tel.flush();
+    }
+
+    /// Emits a core-level event stamped `cycle`.
+    fn core_event(&self, core: CoreId, cycle: Cycle, addr: u64, kind: EventKind) {
+        self.tel.emit(|| Event {
+            cycle,
+            node: core as u32,
+            component: Component::Core,
+            addr,
+            kind,
+        });
+    }
+
+    /// One effect of a core step, `at` the core-local cycle it happens.
+    #[inline]
+    pub(crate) fn effect(&mut self, core: CoreId, eff: &Effect, at: Cycle) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.effect(core, eff);
+        }
+        if let Effect::Mark(m) = *eff {
+            self.core_event(core, at, 0, EventKind::Mark(m));
+        }
+    }
+
+    /// The L1's answer to a core's memory request: the access outcome, the
+    /// stall a miss opens, a backoff penalty's whole stall, and a recorded
+    /// accepted store.
+    pub(crate) fn issue(&mut self, core: CoreId, req: &MemRequest, res: &IssueResult, at: Cycle) {
+        let addr = req.addr.telemetry_key();
+        let hit = match *res {
+            IssueResult::Hit { .. } | IssueResult::StoreAccepted { completed: true } => Some(true),
+            IssueResult::Miss | IssueResult::StoreAccepted { completed: false } => Some(false),
+            IssueResult::Backoff { .. } | IssueResult::Blocked => None,
+        };
+        if let Some(hit) = hit {
+            let (sync, write) = (req.kind.is_sync(), req.kind.may_write());
+            self.core_event(core, at, addr, EventKind::Access { hit, sync, write });
+        }
+        match *res {
+            IssueResult::Miss => self.stall_begin(core, StallClass::Memory, at),
+            IssueResult::StoreAccepted { .. } => {
+                if let Some(r) = self.recorder.as_deref_mut() {
+                    r.store_accepted(core, req);
+                }
+            }
+            IssueResult::Backoff { cycles } => {
+                let class = StallClass::Backoff;
+                self.stall_begin(core, class, at);
+                self.stall_end(core, class, at, at + cycles);
+                self.core_event(core, at, addr, EventKind::Backoff { cycles });
+            }
+            IssueResult::Hit { .. } | IssueResult::Blocked => {}
+        }
+    }
+
+    /// A blocking access completed with `value` (0 for sync stores).
+    pub(crate) fn complete(&mut self, core: CoreId, req: &MemRequest, value: u64) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.mem_complete(core, req, value);
+        }
+    }
+
+    /// Message number `ordinal` was delivered to `ep` at `at`.
+    pub(crate) fn deliver(&mut self, at: Cycle, ep: Endpoint, msg: &Msg, ordinal: u64) {
+        let (component, node) = match ep {
+            Endpoint::L1(i) => (Component::L1, i as u32),
+            Endpoint::Bank(b) => (Component::Dir, b as u32),
+            Endpoint::Mem(n) => (Component::Sys, n as u32),
+        };
+        let ev = Event {
+            cycle: at,
+            node,
+            component,
+            addr: msg.line().telemetry_key(),
+            kind: EventKind::Delivery {
+                msg: msg.kind_name(),
+                ordinal,
+            },
+        };
+        self.ring.push(&ev);
+        self.tel.emit(|| ev);
+    }
+
+    /// `core` stopped retiring at `at` (a miss, a spin watch, a fence).
+    pub(crate) fn stall_begin(&self, core: CoreId, class: StallClass, at: Cycle) {
+        self.core_event(core, at, 0, EventKind::StallBegin { class });
+    }
+
+    /// `core`'s stall that began at `since` ended at `at`.
+    pub(crate) fn stall_end(&mut self, core: CoreId, class: StallClass, since: Cycle, at: Cycle) {
+        let cycles = at.saturating_sub(since);
+        self.stalls.record(core, class, cycles);
+        self.core_event(core, at, 0, EventKind::StallEnd { class, cycles });
+    }
+
+    /// The forensic ring's deliveries, oldest first, one line each.
+    pub(crate) fn recent_messages(&self) -> Vec<String> {
+        let mut deliveries: Vec<(u64, &'static str, Event)> = self
+            .ring
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Delivery { msg, ordinal } => Some((ordinal, msg, e)),
+                _ => None,
+            })
+            .collect();
+        deliveries.sort_by_key(|&(ordinal, ..)| ordinal);
+        deliveries
+            .into_iter()
+            .map(|(ordinal, msg, e)| {
+                format!(
+                    "cycle {}: to {}[{}]: {} on line {:#x} (delivery #{ordinal})",
+                    e.cycle,
+                    e.component.label(),
+                    e.node,
+                    msg,
+                    e.addr
+                )
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dvs_mem::AccessKind;
+    use dvs_stats::TrafficClass;
+
+    fn recording() -> (Observer, Telemetry) {
+        let mut obs = Observer::new(2);
+        let tel = Telemetry::recorder();
+        obs.set_telemetry(tel.clone());
+        (obs, tel)
+    }
+
+    fn load(addr: u64) -> MemRequest {
+        MemRequest {
+            addr: Addr::new(addr),
+            kind: AccessKind::SyncLoad,
+            dst: None,
+            spin: None,
+        }
+    }
+
+    #[test]
+    fn issue_orders_access_then_stall_and_backoff_as_one_span() {
+        let (mut obs, tel) = recording();
+        obs.issue(0, &load(0x40), &IssueResult::Miss, 10);
+        obs.stall_end(0, StallClass::Memory, 10, 50);
+        obs.issue(1, &load(0x80), &IssueResult::Backoff { cycles: 8 }, 20);
+        obs.issue(1, &load(0x80), &IssueResult::Blocked, 30);
+        let got: Vec<(u64, u32, EventKind)> = tel
+            .take_events()
+            .expect("recorder")
+            .into_iter()
+            .map(|e| (e.cycle, e.node, e.kind))
+            .collect();
+        let memory = StallClass::Memory;
+        let backoff = StallClass::Backoff;
+        let access = EventKind::Access {
+            hit: false,
+            sync: true,
+            write: false,
+        };
+        assert_eq!(
+            got,
+            [
+                (10, 0, access),
+                (10, 0, EventKind::StallBegin { class: memory }),
+                (
+                    50,
+                    0,
+                    EventKind::StallEnd {
+                        class: memory,
+                        cycles: 40
+                    }
+                ),
+                (20, 1, EventKind::StallBegin { class: backoff }),
+                (
+                    28,
+                    1,
+                    EventKind::StallEnd {
+                        class: backoff,
+                        cycles: 8
+                    }
+                ),
+                (20, 1, EventKind::Backoff { cycles: 8 }),
+            ]
+        );
+        assert_eq!(obs.stalls.count(0, memory), 1);
+        assert_eq!(obs.stalls.count(1, backoff), 1);
+    }
+
+    #[test]
+    fn recent_messages_render_in_delivery_order() {
+        let mut obs = Observer::new(2);
+        let read = |line| Msg::MemRead {
+            line: dvs_mem::LineAddr::new(line),
+            bank: 0,
+            class: TrafficClass::Load,
+        };
+        obs.deliver(7, Endpoint::Mem(1), &read(2), 2);
+        obs.deliver(5, Endpoint::Bank(0), &read(1), 1);
+        assert_eq!(
+            obs.recent_messages(),
+            [
+                "cycle 5: to dir[0]: MemRead on line 0x40 (delivery #1)",
+                "cycle 7: to sys[1]: MemRead on line 0x80 (delivery #2)",
+            ]
+        );
+    }
+}

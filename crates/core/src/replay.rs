@@ -1,6 +1,7 @@
 //! Trace record/replay: the core-side fast path behind `dvs-trace`.
 //!
-//! Recording hooks in [`System`](crate::System) capture each core's stream
+//! A [`TraceRecorder`], driven by the system's observer (its `effect`,
+//! `issue` and `complete` hooks), captures each core's stream
 //! of *completed* memory/sync operations — plus per-word ordering
 //! information — while a normal VM-driven run executes. Replay swaps the
 //! per-core [`Thread`](dvs_vm::Thread) front-ends for [`TraceCore`]s that
@@ -287,30 +288,26 @@ impl TraceRecorder {
         }
     }
 
-    pub(crate) fn retired(&mut self, i: usize) {
-        self.pending_exec[i] += 1;
-    }
-
-    pub(crate) fn delayed(&mut self, i: usize, cycles: Cycle) {
-        // A Delay effect consumes `cycles + 1` core cycles (issue + sleep).
-        self.pending_exec[i] += cycles + 1;
-    }
-
-    pub(crate) fn fence(&mut self, i: usize) {
+    /// Appends `op` to core `i`'s stream after its pending local time.
+    fn push(&mut self, i: usize, op: TraceOp) {
         self.flush(i);
-        self.per_core[i].push(TraceOp::Fence);
+        self.per_core[i].push(op);
     }
 
-    pub(crate) fn self_inv(&mut self, i: usize, region: Region) {
-        self.flush(i);
-        self.per_core[i].push(TraceOp::SelfInv(region));
-    }
-
-    pub(crate) fn halt(&mut self, i: usize) {
-        if !self.halted[i] {
-            self.halted[i] = true;
-            self.flush(i);
-            self.per_core[i].push(TraceOp::Halt);
+    /// One effect of a core step. Memory effects are recorded when they
+    /// are accepted or complete, not when they issue.
+    pub(crate) fn effect(&mut self, i: usize, eff: &Effect) {
+        match *eff {
+            Effect::Retired => self.pending_exec[i] += 1,
+            // A Delay effect consumes `cycles + 1` core cycles (issue + sleep).
+            Effect::Delay { cycles, .. } => self.pending_exec[i] += cycles + 1,
+            Effect::Fence => self.push(i, TraceOp::Fence),
+            Effect::SelfInvalidate(region) => self.push(i, TraceOp::SelfInv(region)),
+            Effect::Halted if !self.halted[i] => {
+                self.halted[i] = true;
+                self.push(i, TraceOp::Halt);
+            }
+            Effect::Halted | Effect::Mem(_) | Effect::Mark(_) | Effect::Failed { .. } => {}
         }
     }
 

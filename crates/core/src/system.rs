@@ -35,29 +35,25 @@ use crate::backend::Backend;
 use crate::chaos::FaultInjector;
 use crate::config::{DataInvalidation, SystemConfig};
 use crate::msg::{CoreId, Endpoint, Msg};
+use crate::observe::Observer;
 use crate::oracle::{ChannelKey, OracleState};
 use crate::proto::{Action, IssueResult};
-use crate::replay::{Fronts, Recording, ReplayBoard, TraceCore, TraceOp, TraceRecorder, TraceStep};
+use crate::replay::{Fronts, Recording, ReplayBoard, TraceCore, TraceOp, TraceStep};
 use dvs_engine::{Cycle, DetRng, Scheduler};
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{Addr, MainMemory, WordAddr};
 use dvs_noc::{Mesh, Network, NodeId};
 use dvs_stats::{RunStats, TimeComponent, TrafficClass, TrafficStats};
-use dvs_telemetry::{
-    Component, Event, EventKind, MetricsRegistry, RingSink, StallClass, Telemetry, TelemetryKey,
-};
+use dvs_telemetry::{MetricsRegistry, StallClass, Telemetry};
 use dvs_vm::isa::PhaseChange;
 use dvs_vm::reference::{pool_base, DEFAULT_POOL_BYTES};
-use dvs_vm::{Effect, MemRequest, Program, StallTracker, Thread};
+use dvs_vm::{Effect, MemRequest, Program, Thread};
 use std::sync::Arc;
 
 /// Retry delay for structurally-blocked accesses.
 const RETRY_CYCLES: Cycle = 4;
 /// Safety valve on uninterrupted ALU batches.
 const MAX_BATCH: Cycle = 100_000;
-/// How many delivery events the always-on forensic ring remembers per
-/// destination node.
-const FORENSICS_PER_NODE: usize = 16;
 /// Period (in delivered messages) of the full conservation scan when
 /// invariant checking is enabled; targeted per-address checks run at every
 /// delivery.
@@ -79,7 +75,7 @@ pub struct StallReport {
     /// or pending MSHR entry.
     pub l2_state: Vec<String>,
     /// The last delivered messages (per destination node), in delivery
-    /// order, sourced from the telemetry forensic ring.
+    /// order, sourced from the observer's forensic ring.
     pub recent_messages: Vec<String>,
 }
 
@@ -295,19 +291,14 @@ pub struct System {
     sig_log: Vec<WordAddr>,
     finished: usize,
     finish_time: Cycle,
-    /// Observability only — never read back into simulated behaviour. The
-    /// off handle makes every instrumentation site a no-op.
-    tel: Telemetry,
+    /// Every observation of the run — telemetry, the forensic message
+    /// ring, stall accounting, trace recording. Never read back into
+    /// simulated behaviour.
+    obs: Observer,
     error: Option<SimError>,
     /// Delivery-path fault injection (None unless the config carries a
     /// [`FaultPlan`](crate::chaos::FaultPlan)).
     injector: Option<FaultInjector>,
-    /// Always-on per-node ring of recent delivery events, for stall
-    /// forensics. Fed directly (no handle) so it works with telemetry off.
-    forensics: RingSink,
-    /// Always-on stall interval accounting (memory / spin / backoff /
-    /// fence), exported into the telemetry metrics tree after a run.
-    stalls: StallTracker,
     /// Deliveries processed: the *delivery ordinal* stamped on traces, the
     /// message ring, and protocol-violation reports. Also paces the periodic
     /// full invariant scan.
@@ -317,10 +308,6 @@ pub struct System {
     /// events, and structurally-blocked cores park until the checker
     /// delivers a message. `None` for normal timed simulation.
     oracle: Option<OracleState>,
-    /// Live trace recording (`dvs-trace`), attached via
-    /// [`System::start_recording`]. Boxed to keep the machine small when
-    /// not recording; `None` costs one branch per hook site.
-    recorder: Option<Box<TraceRecorder>>,
 }
 
 // The campaign layer (`dvs-campaign`) materializes and runs full systems on
@@ -460,14 +447,11 @@ impl System {
             sig_log: Vec::new(),
             finished: 0,
             finish_time: 0,
-            tel: Telemetry::off(),
+            obs: Observer::new(n),
             error: None,
             injector: cfg.fault_plan.map(FaultInjector::new),
-            forensics: RingSink::new(FORENSICS_PER_NODE),
-            stalls: StallTracker::new(n),
             deliveries: 0,
             oracle: None,
-            recorder: None,
         };
         for i in 0..n {
             sys.sched.schedule_at(0, Ev::Step(i));
@@ -516,32 +500,31 @@ impl System {
             matches!(self.fronts, Fronts::Vm(_)),
             "recording requires a VM-driven system"
         );
-        self.recorder = Some(Box::new(TraceRecorder::new(self.cfg.cores)));
+        self.obs.start_recording(self.cfg.cores);
     }
 
     /// Detaches and seals the recording started by
     /// [`System::start_recording`]. `init` is the workload's preloaded
     /// image, used to pin final values for words read but never written.
     pub fn take_recording(&mut self, init: &[(Addr, u64)]) -> Option<Recording> {
-        self.recorder.take().map(|r| r.finish(init))
+        self.obs.take_recording(init)
     }
 
     /// Attaches a telemetry sink, cloning the shared handle into every
     /// instrumented component: the network, each L1 (and its MSHR), each L2
-    /// bank, and the stall tracker. The default handle is
+    /// bank, and the system's observer. The default handle is
     /// [`Telemetry::off`], under which every instrumentation site costs one
     /// branch and builds no event.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.net.set_telemetry(tel.clone());
-        self.stalls.set_telemetry(tel.clone());
         self.backend.set_telemetry(&tel);
-        self.tel = tel;
+        self.obs.set_telemetry(tel);
     }
 
     /// The attached telemetry handle (the off handle unless
     /// [`System::set_telemetry`] was called).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
+        self.obs.telemetry()
     }
 
     /// Builds the hierarchical metrics tree for this system: per-core stall
@@ -551,7 +534,7 @@ impl System {
     /// counts, and telemetry sinks.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        self.stalls.export(&mut reg);
+        self.obs.export(&mut reg);
         self.backend.export_metrics(&mut reg);
         reg.add("sys", "sched", "deliveries", self.deliveries);
         reg.add("sys", "sched", "finish_cycle", self.finish_time);
@@ -586,7 +569,7 @@ impl System {
         // telemetry clock publication and invariant checking — so the common
         // configuration (both off) dispatches events with no per-event
         // branching on either.
-        let result = match (self.tel.enabled(), self.cfg.check_invariants) {
+        let result = match (self.telemetry().enabled(), self.cfg.check_invariants) {
             (false, false) => self.run_loop::<false, false>(),
             (false, true) => self.run_loop::<false, true>(),
             (true, false) => self.run_loop::<true, false>(),
@@ -596,8 +579,7 @@ impl System {
         if !self.all_halted() {
             return Err(self.deadlock_error());
         }
-        self.stalls.finish(self.finish_time);
-        self.tel.flush();
+        self.obs.flush();
         Ok(self.collect_stats())
     }
 
@@ -613,7 +595,7 @@ impl System {
                 });
             }
             if TEL {
-                self.tel.set_now(now);
+                self.telemetry().set_now(now);
             }
             match ev {
                 Ev::Step(i) => self.step_core(i),
@@ -621,12 +603,7 @@ impl System {
                 Ev::Deliver(ep, slot) => {
                     let msg = self.msg_pool[slot];
                     self.release_slot(slot);
-                    self.deliveries += 1;
-                    self.note_delivery(now, ep, &msg);
-                    self.deliver(ep, msg);
-                    if INV && self.error.is_none() {
-                        self.check_delivery_invariants(&msg);
-                    }
+                    self.deliver(now, ep, msg, INV);
                 }
             }
             if let Some(err) = self.error.take() {
@@ -634,28 +611,6 @@ impl System {
             }
         }
         Ok(())
-    }
-
-    /// Records one message delivery into the always-on forensic ring and,
-    /// when a sink is attached, the telemetry stream.
-    fn note_delivery(&mut self, now: Cycle, ep: Endpoint, msg: &Msg) {
-        let (component, node) = match ep {
-            Endpoint::L1(i) => (Component::L1, i as u32),
-            Endpoint::Bank(b) => (Component::Dir, b as u32),
-            Endpoint::Mem(n) => (Component::Sys, n as u32),
-        };
-        let ev = Event {
-            cycle: now,
-            node,
-            component,
-            addr: msg.line().telemetry_key(),
-            kind: EventKind::Delivery {
-                msg: msg.kind_name(),
-                ordinal: self.deliveries,
-            },
-        };
-        self.forensics.push(&ev);
-        self.tel.emit(|| ev);
     }
 
     fn collect_stats(&self) -> RunStats {
@@ -798,29 +753,7 @@ impl System {
             report.cores.push(line);
         }
         self.backend.describe_stall(&mut addrs, &mut report);
-        let mut deliveries: Vec<Event> = self
-            .forensics
-            .snapshot()
-            .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::Delivery { .. }))
-            .collect();
-        deliveries.sort_by_key(|e| match e.kind {
-            EventKind::Delivery { ordinal, .. } => ordinal,
-            _ => 0,
-        });
-        for e in deliveries {
-            let EventKind::Delivery { msg, ordinal } = e.kind else {
-                continue;
-            };
-            report.recent_messages.push(format!(
-                "cycle {}: to {}[{}]: {} on line {:#x} (delivery #{ordinal})",
-                e.cycle,
-                e.component.label(),
-                e.node,
-                msg,
-                e.addr
-            ));
-        }
+        report.recent_messages = self.obs.recent_messages();
         report.into()
     }
 
@@ -832,7 +765,20 @@ impl System {
 
     // --- event handlers ----------------------------------------------------
 
-    fn deliver(&mut self, ep: Endpoint, msg: Msg) {
+    /// Delivers one message, timed or oracle-picked: counts it (its count
+    /// is the delivery ordinal), shows it to the observer, hands it to its
+    /// endpoint and, when `check` is set, runs the delivery-boundary
+    /// invariant checks.
+    fn deliver(&mut self, now: Cycle, ep: Endpoint, msg: Msg, check: bool) {
+        self.deliveries += 1;
+        self.obs.deliver(now, ep, &msg, self.deliveries);
+        self.dispatch(ep, msg);
+        if check && self.error.is_none() {
+            self.check_delivery_invariants(&msg);
+        }
+    }
+
+    fn dispatch(&mut self, ep: Endpoint, msg: Msg) {
         match ep {
             Endpoint::L1(_) | Endpoint::Bank(_) => {
                 let mut actions = self.take_actions();
@@ -1045,11 +991,9 @@ impl System {
                     return;
                 }
             };
+            self.obs.effect(i, &eff, self.sched.now() + local);
             match eff {
                 Effect::Retired => {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.retired(i);
-                    }
                     local += 1;
                     if local >= MAX_BATCH {
                         let comp = self.exec_comp(i);
@@ -1076,9 +1020,6 @@ impl System {
                     return;
                 }
                 Effect::Delay { cycles, comp } => {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.delayed(i, cycles);
-                    }
                     let exec = self.exec_comp(i);
                     self.attr(i, exec, local + 1);
                     // Inside an attribution phase the whole delay belongs to
@@ -1097,9 +1038,6 @@ impl System {
                     return;
                 }
                 Effect::Fence => {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.fence(i);
-                    }
                     if self.cores[i].outstanding_stores == 0 {
                         local += 1;
                         continue;
@@ -1111,9 +1049,6 @@ impl System {
                     return;
                 }
                 Effect::SelfInvalidate(region) => {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.self_inv(i, region);
-                    }
                     local += 1;
                     if self.signatures() {
                         // Invalidate every word published since this core's
@@ -1126,20 +1061,9 @@ impl System {
                         self.backend.self_invalidate(i, region);
                     }
                 }
-                Effect::Mark(m) => {
-                    let cycle = self.sched.now() + local;
-                    self.tel.emit(|| Event {
-                        cycle,
-                        node: i as u32,
-                        component: Component::Core,
-                        addr: 0,
-                        kind: EventKind::Mark(m),
-                    });
-                }
+                // A trace marker only shows in telemetry (see `effect`).
+                Effect::Mark(_) => {}
                 Effect::Halted => {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.halt(i);
-                    }
                     let comp = self.exec_comp(i);
                     self.attr(i, comp, local);
                     self.cores[i].status = Status::Halted;
@@ -1173,7 +1097,7 @@ impl System {
                     self.step_core(i);
                 } else {
                     let now = self.sched.now();
-                    self.stalls.begin(i, StallClass::Fence, now);
+                    self.obs.stall_begin(i, StallClass::Fence, now);
                     self.cores[i].status = Status::FenceWait { since: now };
                 }
             }
@@ -1211,9 +1135,7 @@ impl System {
     /// validate it against the recording and advance the sync-ordering
     /// board, waking parked cores when it moves.
     fn complete_front(&mut self, i: CoreId, req: &MemRequest, value: u64) {
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.mem_complete(i, req, value);
-        }
+        self.obs.complete(i, req, value);
         let advanced = match &mut self.fronts {
             Fronts::Vm(ts) => {
                 ts[i].complete_load(req.dst, value);
@@ -1251,7 +1173,7 @@ impl System {
             .backend
             .core_request(i, &req, after_backoff, &mut actions);
         self.apply_actions(Endpoint::L1(i), 0, actions);
-        self.record_access(i, &req, &res);
+        self.obs.issue(i, &req, &res, self.sched.now());
         if self.signatures()
             && matches!(req.kind, dvs_mem::AccessKind::DataStore { .. })
             && !matches!(res, IssueResult::Blocked)
@@ -1276,15 +1198,11 @@ impl System {
                 true
             }
             IssueResult::Miss => {
-                let now = self.sched.now();
-                self.stalls.begin(i, StallClass::Memory, now);
-                self.cores[i].status = Status::BlockedMem { req, issued: now };
+                let issued = self.sched.now();
+                self.cores[i].status = Status::BlockedMem { req, issued };
                 false
             }
             IssueResult::StoreAccepted { completed } => {
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    r.store_accepted(i, &req);
-                }
                 if !completed {
                     self.cores[i].outstanding_stores += 1;
                 }
@@ -1296,15 +1214,6 @@ impl System {
             }
             IssueResult::Backoff { cycles } => {
                 self.attr(i, TimeComponent::HwBackoff, cycles);
-                let now = self.sched.now();
-                self.stalls.span(i, StallClass::Backoff, now, cycles);
-                self.tel.emit(|| Event {
-                    cycle: now,
-                    node: i as u32,
-                    component: Component::Core,
-                    addr: req.addr.telemetry_key(),
-                    kind: EventKind::Backoff { cycles },
-                });
                 self.cores[i].status = Status::Reissue {
                     req,
                     after_backoff: true,
@@ -1329,25 +1238,6 @@ impl System {
         }
     }
 
-    fn record_access(&self, i: CoreId, req: &MemRequest, res: &IssueResult) {
-        let hit = match res {
-            IssueResult::Hit { .. } | IssueResult::StoreAccepted { completed: true } => true,
-            IssueResult::Miss | IssueResult::StoreAccepted { completed: false } => false,
-            IssueResult::Backoff { .. } | IssueResult::Blocked => return,
-        };
-        self.tel.emit(|| Event {
-            cycle: self.sched.now(),
-            node: i as u32,
-            component: Component::Core,
-            addr: req.addr.telemetry_key(),
-            kind: EventKind::Access {
-                hit,
-                sync: req.kind.is_sync(),
-                write: req.kind.may_write(),
-            },
-        });
-    }
-
     /// Parks a failed spin. `seen` is the value the spin just observed —
     /// GCS forwards it to the home bank so a level-triggered remote watch
     /// can fire immediately if the variable already moved on.
@@ -1363,7 +1253,7 @@ impl System {
         self.apply_actions(Endpoint::L1(i), 0, actions);
         if watching {
             let now = self.sched.now();
-            self.stalls.begin(i, StallClass::Spin, now);
+            self.obs.stall_begin(i, StallClass::Spin, now);
             self.cores[i].status = Status::Watching { req, since: now };
             return;
         }
@@ -1387,8 +1277,9 @@ impl System {
             return;
         };
         let comp = self.stall_comp(i);
-        self.stalls.end(i, self.sched.now());
-        self.attr(i, comp, self.sched.now() - issued);
+        let now = self.sched.now();
+        self.obs.stall_end(i, StallClass::Memory, issued, now);
+        self.attr(i, comp, now - issued);
         if let Some(spin) = req.spin {
             let v = value.expect("spin loads return values");
             if !spin.satisfied(v) {
@@ -1415,7 +1306,7 @@ impl System {
             if let Status::FenceWait { since } = self.cores[i].status {
                 let comp = self.stall_comp(i);
                 let now = self.sched.now();
-                self.stalls.end(i, now);
+                self.obs.stall_end(i, StallClass::Fence, since, now);
                 self.attr(i, comp, now - since);
                 self.cores[i].status = Status::Ready;
                 self.sched.schedule_in(1, Ev::Step(i));
@@ -1436,7 +1327,7 @@ impl System {
         // accesses (cache hits)").
         let comp = self.exec_comp(i);
         let now = self.sched.now();
-        self.stalls.end(i, now);
+        self.obs.stall_end(i, StallClass::Spin, since, now);
         self.attr(i, comp, now - since);
         self.attr(i, comp, self.cfg.latency.spin_recheck);
         self.cores[i].status = Status::Reissue {
@@ -1522,15 +1413,9 @@ impl System {
             }
             msg
         };
-        let ep = key.dst();
-        self.deliveries += 1;
         let now = self.sched.now();
-        self.tel.set_now(now);
-        self.note_delivery(now, ep, &msg);
-        self.deliver(ep, msg);
-        if self.cfg.check_invariants && self.error.is_none() {
-            self.check_delivery_invariants(&msg);
-        }
+        self.telemetry().set_now(now);
+        self.deliver(now, key.dst(), msg, self.cfg.check_invariants);
         // A delivery is the only thing that can unblock a parked core:
         // re-issue them all (a still-blocked one just re-parks).
         let parked = std::mem::take(&mut self.oracle.as_mut().expect("oracle mode").parked);

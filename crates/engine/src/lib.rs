@@ -41,6 +41,22 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Simulated time, in core clock cycles.
 pub type Cycle = u64;
 
+/// The FNV-1a 64-bit offset basis — the starting value for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: folds `byte` into `hash`. The one hash behind the
+/// workspace's determinism digests and checksums (campaign reports, fuzz
+/// batches, checkpoints, the serve store and journal), so their values
+/// stay comparable across tools.
+pub fn fnv1a(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds every byte of `s` into `hash` with [`fnv1a`].
+pub fn fnv1a_str(hash: u64, s: &str) -> u64 {
+    s.bytes().fold(hash, fnv1a)
+}
+
 /// Width of the calendar ring: events within this many cycles of `now` live
 /// in O(1) per-cycle buckets; everything further out sits in the overflow
 /// heap. 256 covers every single-hop latency in the simulated machine

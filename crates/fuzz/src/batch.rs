@@ -16,8 +16,8 @@
 use crate::case::FuzzCase;
 use crate::diff::{run_case, CaseVerdict, HarnessConfig};
 use crate::gen::{generate, GenConfig};
-use dvs_campaign::{fnv1a_str, FNV_OFFSET};
 use dvs_engine::parallel_indexed;
+use dvs_engine::{fnv1a_str, FNV_OFFSET};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A fuzz batch: which seeds, which generator pool, which harness, how

@@ -23,9 +23,9 @@
 //! relational CoRR/IRIW checks over witnessed probes.
 
 use crate::case::{FuzzCase, Lowered, WitnessKind};
-use dvs_campaign::{fnv1a, fnv1a_str, FNV_OFFSET};
 use dvs_core::config::{Protocol, ProtocolMutation, SystemConfig};
 use dvs_core::system::{RunError, System};
+use dvs_engine::{fnv1a, fnv1a_str, FNV_OFFSET};
 use dvs_mem::Addr;
 use dvs_vm::reference::RefMachine;
 use std::sync::Arc;

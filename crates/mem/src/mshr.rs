@@ -11,7 +11,7 @@
 //! with no hashing, and the canonical fingerprint hash falls out of plain
 //! in-order iteration.
 
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::hash::Hash;
 
 /// A file of miss-status holding registers keyed by `K`.
@@ -117,15 +117,9 @@ impl<K: Ord + TelemetryKey, V> Mshr<K, V> {
         let addr = key.telemetry_key();
         self.entries.insert(slot, (key, value));
         self.high_water = self.high_water.max(self.entries.len());
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.node,
-            component: Component::Mshr,
-            addr,
-            kind: EventKind::MshrAlloc {
-                occupancy: self.entries.len() as u32,
-            },
-        });
+        let occupancy = self.entries.len() as u32;
+        let kind = EventKind::MshrAlloc { occupancy };
+        self.tel.emit_now(self.node, Component::Mshr, addr, kind);
         Ok(())
     }
 
@@ -133,15 +127,10 @@ impl<K: Ord + TelemetryKey, V> Mshr<K, V> {
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let slot = self.search(key).ok()?;
         let (_, value) = self.entries.remove(slot);
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.node,
-            component: Component::Mshr,
-            addr: key.telemetry_key(),
-            kind: EventKind::MshrFree {
-                occupancy: self.entries.len() as u32,
-            },
-        });
+        let occupancy = self.entries.len() as u32;
+        let kind = EventKind::MshrFree { occupancy };
+        self.tel
+            .emit_now(self.node, Component::Mshr, key.telemetry_key(), kind);
         Some(value)
     }
 

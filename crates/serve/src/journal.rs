@@ -18,7 +18,7 @@
 //! done 1 84d1c8a3b4e5f607 #...
 //! ```
 
-use dvs_campaign::{fnv1a_str, FNV_OFFSET};
+use dvs_engine::{fnv1a_str, FNV_OFFSET};
 use std::fs;
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
@@ -273,7 +273,7 @@ impl Journal {
                     Err(why) => {
                         let last = i + 1 == lines.len();
                         eprintln!(
-                            "dvs-serve: journal line {} {}: {why}",
+                            "dvs serve: journal line {} {}: {why}",
                             i + 1,
                             if last {
                                 "torn by a crash; ignored"

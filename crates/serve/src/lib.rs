@@ -44,7 +44,7 @@ pub use retry::RetryPolicy;
 pub use service::{AdmissionError, JobReport, JobStatus, Serve, ServeConfig, ServeCounters};
 pub use store::{GcReport, Lookup, PutOutcome, Store, VerifyReport};
 
-use dvs_campaign::{fnv1a_str, FNV_OFFSET};
+use dvs_engine::{fnv1a_str, FNV_OFFSET};
 
 /// Bumped whenever simulated results may change shape or value — protocol
 /// semantics, statistics accounting, payload layout. Entries written by a
@@ -58,7 +58,7 @@ pub const STORE_REVISION: u64 = 1;
 pub fn code_fingerprint() -> u64 {
     let mut h = fnv1a_str(FNV_OFFSET, env!("CARGO_PKG_VERSION"));
     for byte in STORE_REVISION.to_le_bytes() {
-        h = dvs_campaign::fnv1a(h, byte);
+        h = dvs_engine::fnv1a(h, byte);
     }
     h
 }

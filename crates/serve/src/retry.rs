@@ -8,7 +8,7 @@
 //! the same cell retries on the same schedule every run, which keeps the
 //! service's behavior reproducible under test.
 
-use dvs_campaign::{fnv1a, FNV_OFFSET};
+use dvs_engine::{fnv1a, FNV_OFFSET};
 use std::time::Duration;
 
 /// The retry budget and backoff shape.

@@ -28,8 +28,8 @@ use crate::job::{CellSpec, FailureClass, JobSpec};
 use crate::journal::{CellOutcome, Journal, JournalEvent, RecoveredJob};
 use crate::retry::RetryPolicy;
 use crate::store::{self, GcReport, Lookup, PutOutcome, Store, VerifyReport};
-use dvs_campaign::{fnv1a, fnv1a_str, FNV_OFFSET};
 use dvs_engine::parallel_indexed;
+use dvs_engine::{fnv1a, fnv1a_str, FNV_OFFSET};
 use dvs_telemetry::MetricsRegistry;
 use std::fmt;
 use std::fs;
@@ -238,7 +238,7 @@ impl Serve {
         ) {
             Ok(store) => store,
             Err(e) => {
-                eprintln!("dvs-serve: store unavailable ({e}); degrading to compute-only");
+                eprintln!("dvs serve: store unavailable ({e}); degrading to compute-only");
                 Store::disabled()
             }
         };
@@ -367,7 +367,7 @@ impl Serve {
                 .expect("journal lock")
                 .append(&JournalEvent::Done { job: id, digest })
             {
-                eprintln!("dvs-serve: job {id} done record lost ({e}); next open will re-seal");
+                eprintln!("dvs serve: job {id} done record lost ({e}); next open will re-seal");
             }
             self.jobs[pos].done = Some(digest);
         }
@@ -409,7 +409,7 @@ impl Serve {
             Lookup::Quarantined(reason) => {
                 self.counters.quarantine.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
-                    "dvs-serve: job {job} cell {index}: entry quarantined ({reason}); recomputing"
+                    "dvs serve: job {job} cell {index}: entry quarantined ({reason}); recomputing"
                 );
             }
             Lookup::Miss => {
@@ -441,7 +441,7 @@ impl Serve {
                         self.store.lock().expect("store lock").put(&token, &payload)
                     {
                         self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("dvs-serve: cache write shed ({reason}) for {token}");
+                        eprintln!("dvs serve: cache write shed ({reason}) for {token}");
                     }
                     break CellOutcome::Ok {
                         payload_fnv: store::payload_fnv(&payload),
@@ -462,7 +462,7 @@ impl Serve {
                                 attempt,
                             },
                         ) {
-                            eprintln!("dvs-serve: retry record lost ({e})");
+                            eprintln!("dvs serve: retry record lost ({e})");
                         }
                         std::thread::sleep(self.config.retry.delay(attempt, key));
                         attempt += 1;
@@ -474,7 +474,7 @@ impl Serve {
                         FailureClass::Transient => "exhausted",
                     };
                     eprintln!(
-                        "dvs-serve: job {job} cell {index} failed ({class}): {}",
+                        "dvs serve: job {job} cell {index} failed ({class}): {}",
                         failure.detail
                     );
                     break CellOutcome::Err {
@@ -507,7 +507,7 @@ impl Serve {
             },
         };
         if let Err(e) = self.journal.lock().expect("journal lock").append(&event) {
-            eprintln!("dvs-serve: journal append failed ({e}); cell {job}/{index} not durable");
+            eprintln!("dvs serve: journal append failed ({e}); cell {job}/{index} not durable");
         }
     }
 

@@ -22,7 +22,7 @@
 //! unavailable directory or an exhausted size budget sheds the write and
 //! the service keeps serving compute.
 
-use dvs_campaign::{fnv1a, fnv1a_str, FNV_OFFSET};
+use dvs_engine::{fnv1a, fnv1a_str, FNV_OFFSET};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

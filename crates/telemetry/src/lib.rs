@@ -384,6 +384,19 @@ impl Telemetry {
         }
     }
 
+    /// Records an event stamped with [`Telemetry::now`] — the form every
+    /// component that does not see the event loop's clock directly uses.
+    #[inline]
+    pub fn emit_now(&self, node: u32, component: Component, addr: u64, kind: EventKind) {
+        self.emit(|| Event {
+            cycle: self.now(),
+            node,
+            component,
+            addr,
+            kind,
+        });
+    }
+
     /// Publishes the current simulated cycle for [`Telemetry::now`]. The
     /// event loop calls this when a handle is enabled; components that
     /// don't see `now` directly stamp their events from it.
@@ -455,6 +468,16 @@ mod tests {
         let events = tel.take_events().expect("recorder");
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].cycle, events[1].cycle), (1, 2));
+    }
+
+    #[test]
+    fn emit_now_stamps_the_published_clock() {
+        let tel = Telemetry::recorder();
+        tel.set_now(42);
+        let e = ev(0, 3);
+        tel.emit_now(e.node, e.component, e.addr, e.kind);
+        assert_eq!(tel.take_events().expect("recorder"), [ev(42, 3)]);
+        Telemetry::off().emit_now(0, Component::Core, 0, e.kind);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! contain spaces.
 
 use dvs_core::replay::TraceOp;
+use dvs_engine::FNV_OFFSET;
 use dvs_mem::{AccessKind, Addr, MemoryLayout, Region, RmwOp, Segment, WordAddr};
 use dvs_vm::isa::Cond;
 use dvs_vm::{MemRequest, SpinCond};
@@ -40,14 +41,21 @@ use std::sync::Arc;
 /// Format version emitted and accepted by this build.
 pub const DVST_VERSION: u32 = 1;
 
-/// FNV-1a offset basis (matches `dvs_campaign::FNV_OFFSET`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// Largest `ex` cycle count a trace may carry. An `Exec` is one core's
+/// local time between two memory ops, so no completed recording exceeds a
+/// run's whole cycle budget — the paper configuration's `max_cycles`,
+/// 2·10⁹. Bounding it keeps replay's `now + cycles` far from overflow.
+pub const MAX_EXEC_CYCLES: u64 = 2_000_000_000;
+
+/// The fingerprint's multiplier. It is not the FNV prime
+/// (`0x100_0000_01b3`, [`dvs_engine::fnv1a`]'s) but one hex digit longer;
+/// every committed fingerprint was computed with it, so it stays.
+const FINGERPRINT_PRIME: u64 = 0x1000_0000_01b3;
 
 fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
     for b in v.to_le_bytes() {
         h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = h.wrapping_mul(FINGERPRINT_PRIME);
     }
     h
 }
@@ -84,8 +92,9 @@ impl Trace {
         self.ops.iter().map(|s| s.len()).sum()
     }
 
-    /// The pinned stable-state fingerprint: FNV-1a over the sorted final
-    /// image. Protocol- and schedule-independent by construction.
+    /// The pinned stable-state fingerprint: an FNV-1a-style hash (see
+    /// [`FINGERPRINT_PRIME`]) over the sorted final image. Protocol- and
+    /// schedule-independent by construction.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for &(w, v) in &self.finals {
@@ -383,11 +392,17 @@ fn parse_op(line: &str) -> Result<TraceOp, String> {
             .map(|s| s.to_owned())
     };
     let op = match key {
-        "ex" => TraceOp::Exec {
-            cycles: next("cycle count")?
+        "ex" => {
+            let cycles: u64 = next("cycle count")?
                 .parse()
-                .map_err(|_| "bad cycle count".to_owned())?,
-        },
+                .map_err(|_| "bad cycle count".to_owned())?;
+            if cycles > MAX_EXEC_CYCLES {
+                return Err(format!(
+                    "`ex {cycles}` exceeds the {MAX_EXEC_CYCLES}-cycle bound"
+                ));
+            }
+            TraceOp::Exec { cycles }
+        }
         "fence" => TraceOp::Fence,
         "inv" => TraceOp::SelfInv(Region(
             next("region")?

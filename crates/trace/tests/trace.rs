@@ -7,7 +7,7 @@ use dvs_core::{Protocol, RunError, SystemConfig};
 use dvs_kernels::{build, BarrierKind, KernelId, KernelParams, LockKind, LockedStruct};
 use dvs_trace::{
     build_mix, compose, composite, record, replay_oracle, replay_timed, MixSpec, ReplayMode, Trace,
-    ORACLE_DELIVERY_BUDGET,
+    MAX_EXEC_CYCLES, ORACLE_DELIVERY_BUDGET,
 };
 use std::sync::Arc;
 
@@ -108,6 +108,36 @@ fn parse_rejects_garbage() {
     assert!(err.contains("line 3"), "error should name the line: {err}");
     let err = Trace::parse("dvst 1\ncores 1\ncore 0 2\nhalt\n").unwrap_err();
     assert!(err.contains("missing"), "truncated stream: {err}");
+}
+
+/// The fingerprint hash is pinned: the committed tatas counter trace
+/// hashes to the value `dvs trace` prints for every recording of it.
+#[test]
+fn corpus_fingerprint_is_pinned() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/tatas-counter.dvst");
+    let text = std::fs::read_to_string(path).expect("read corpus trace");
+    let trace = Trace::parse(&text).expect("corpus trace parses");
+    assert_eq!(trace.fingerprint(), 0x57fc_7dd7_383a_91d2);
+}
+
+/// Shrunk from a corpus mutant that set one `ex` to `u64::MAX`: replay's
+/// `now + cycles` wrapped and the scheduler panicked. The parser now
+/// rejects any `ex` above [`MAX_EXEC_CYCLES`] and names the bound.
+#[test]
+fn parse_bounds_exec_cycles() {
+    let mutant = "dvst 1\ncores 1\ncore 0 1\nex 18446744073709551615\n";
+    let err = Trace::parse(mutant).unwrap_err();
+    assert!(err.contains("line 4"), "error should name the line: {err}");
+    assert!(
+        err.contains(&MAX_EXEC_CYCLES.to_string()),
+        "error should name the bound: {err}"
+    );
+    // The bound itself is accepted and replays.
+    let at_bound = format!("dvst 1\ncores 1\ncore 0 2\nex {MAX_EXEC_CYCLES}\nhalt\n");
+    let trace = Trace::parse(&at_bound).expect("ex at the bound parses");
+    let mut one_core = SystemConfig::small(1, Protocol::DeNovoSync);
+    one_core.max_cycles = 2 * MAX_EXEC_CYCLES;
+    replay_timed(&trace, one_core, ReplayMode::Faithful).expect("replay");
 }
 
 #[test]

@@ -1,47 +1,32 @@
-//! Per-core stall accounting driven by the system's status transitions.
+//! Per-core stall accounting.
 //!
-//! The event loop already knows exactly when a core stops retiring (a miss
-//! goes outstanding, a spin parks in the watch, a backoff penalty starts, a
-//! fence drains) and when it resumes. This tracker turns those transitions
-//! into:
+//! The event loop knows exactly when a core stops retiring (a miss goes
+//! outstanding, a spin parks in the watch, a backoff penalty starts, a
+//! fence drains) and when it resumes; the start cycle lives in the core's
+//! stalled status. The system's observer hands each finished stall's
+//! duration to this tracker, which keeps always-on per-core
+//! [`Log2Histogram`]s of stall durations by [`StallClass`], exported into a
+//! [`MetricsRegistry`] after the run.
 //!
-//! * paired [`EventKind::StallBegin`]/[`EventKind::StallEnd`] telemetry
-//!   events — Perfetto renders them as per-core stall slices, and
-//! * always-on per-core [`Log2Histogram`]s of stall durations by
-//!   [`StallClass`], exported into a [`MetricsRegistry`] after the run.
-//!
-//! The tracker is pure observability: it lives outside every architectural
-//! `Hash`, and the histograms cost two array updates per *stall* (not per
+//! The tracker is pure accounting: it lives outside every architectural
+//! `Hash`, emits nothing, and costs two array updates per *stall* (not per
 //! cycle), which is noise next to the event-loop work that accompanies any
 //! stall.
 
-use dvs_telemetry::{
-    Component, Event, EventKind, Log2Histogram, MetricsRegistry, StallClass, Telemetry,
-};
+use dvs_telemetry::{Log2Histogram, MetricsRegistry, StallClass};
 
-/// One core's open stall, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OpenStall {
-    class: StallClass,
-    since: u64,
-}
-
-/// Tracks stall intervals for every core of a system.
+/// Stall duration histograms and counts for every core of a system.
 #[derive(Debug, Clone)]
 pub struct StallTracker {
-    tel: Telemetry,
-    open: Vec<Option<OpenStall>>,
     /// `[core][StallClass::index()]` duration histograms.
     durations: Vec<[Log2Histogram; 4]>,
     counts: Vec<[u64; 4]>,
 }
 
 impl StallTracker {
-    /// A tracker for `cores` cores with telemetry off.
+    /// An empty tracker for `cores` cores.
     pub fn new(cores: usize) -> Self {
         StallTracker {
-            tel: Telemetry::off(),
-            open: vec![None; cores],
             durations: vec![
                 [
                     Log2Histogram::new(),
@@ -55,75 +40,10 @@ impl StallTracker {
         }
     }
 
-    /// Attaches a telemetry handle for begin/end events.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-    }
-
-    /// Opens a stall of `class` for `core` at `cycle`. If a stall is
-    /// already open it is closed first (status transitions can chain, e.g.
-    /// a spin wake that immediately re-misses).
-    pub fn begin(&mut self, core: usize, class: StallClass, cycle: u64) {
-        if self.open[core].is_some() {
-            self.end(core, cycle);
-        }
-        self.open[core] = Some(OpenStall {
-            class,
-            since: cycle,
-        });
-        self.tel.emit(|| Event {
-            cycle,
-            node: core as u32,
-            component: Component::Core,
-            addr: 0,
-            kind: EventKind::StallBegin { class },
-        });
-    }
-
-    /// Closes `core`'s open stall at `cycle` (no-op when none is open) and
-    /// records its duration.
-    pub fn end(&mut self, core: usize, cycle: u64) {
-        let Some(OpenStall { class, since }) = self.open[core].take() else {
-            return;
-        };
-        let cycles = cycle.saturating_sub(since);
+    /// Records one finished stall of `class` on `core` lasting `cycles`.
+    pub fn record(&mut self, core: usize, class: StallClass, cycles: u64) {
         self.durations[core][class.index()].record(cycles);
         self.counts[core][class.index()] += 1;
-        self.tel.emit(|| Event {
-            cycle,
-            node: core as u32,
-            component: Component::Core,
-            addr: 0,
-            kind: EventKind::StallEnd { class, cycles },
-        });
-    }
-
-    /// Records a stall whose whole extent is known up front (hardware
-    /// backoff penalties are scheduled, not discovered).
-    pub fn span(&mut self, core: usize, class: StallClass, begin: u64, cycles: u64) {
-        self.durations[core][class.index()].record(cycles);
-        self.counts[core][class.index()] += 1;
-        self.tel.emit(|| Event {
-            cycle: begin,
-            node: core as u32,
-            component: Component::Core,
-            addr: 0,
-            kind: EventKind::StallBegin { class },
-        });
-        self.tel.emit(|| Event {
-            cycle: begin + cycles,
-            node: core as u32,
-            component: Component::Core,
-            addr: 0,
-            kind: EventKind::StallEnd { class, cycles },
-        });
-    }
-
-    /// Closes every still-open stall at `cycle` (end of run).
-    pub fn finish(&mut self, cycle: u64) {
-        for core in 0..self.open.len() {
-            self.end(core, cycle);
-        }
     }
 
     /// How many stalls of `class` core `core` has completed.
@@ -163,47 +83,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn begin_end_records_duration_and_events() {
-        let tel = Telemetry::recorder();
+    fn records_counts_and_durations() {
         let mut t = StallTracker::new(2);
-        t.set_telemetry(tel.clone());
-        t.begin(0, StallClass::Memory, 100);
-        t.end(0, 140);
-        t.span(1, StallClass::Backoff, 50, 8);
+        t.record(0, StallClass::Memory, 40);
+        t.record(1, StallClass::Backoff, 8);
+        t.record(1, StallClass::Backoff, 0);
         assert_eq!(t.count(0, StallClass::Memory), 1);
-        assert_eq!(t.count(1, StallClass::Backoff), 1);
-
-        let events = tel.take_events().expect("recorder");
-        assert_eq!(events.len(), 4);
-        assert!(matches!(
-            events[1].kind,
-            EventKind::StallEnd {
-                class: StallClass::Memory,
-                cycles: 40
-            }
-        ));
+        assert_eq!(t.count(0, StallClass::Spin), 0);
+        assert_eq!(t.count(1, StallClass::Backoff), 2);
 
         let mut reg = MetricsRegistry::new();
         t.export(&mut reg);
         assert_eq!(reg.counter("core0", "core", "stall_memory_count"), 1);
+        assert_eq!(reg.counter("core1", "core", "stall_backoff_count"), 2);
         assert_eq!(
             reg.histogram("core1", "core", "stall_backoff_cycles")
                 .expect("histogram")
                 .sum(),
             8
         );
-    }
-
-    #[test]
-    fn reentrant_begin_closes_previous_stall() {
-        let mut t = StallTracker::new(1);
-        t.begin(0, StallClass::Spin, 10);
-        t.begin(0, StallClass::Memory, 30);
-        t.finish(50);
-        assert_eq!(t.count(0, StallClass::Spin), 1);
-        assert_eq!(t.count(0, StallClass::Memory), 1);
-        // finish() on an idle tracker is a no-op.
-        t.finish(60);
-        assert_eq!(t.count(0, StallClass::Memory), 1);
     }
 }

@@ -145,10 +145,14 @@ stage_step() {
 
 stage_telemetry() {
   echo "== telemetry smoke (zero-perturbation + Perfetto export validation) =="
-  # Captures one tatas run per protocol with a recorder sink, asserts the
-  # stats/metrics match the no-telemetry baseline, validates the exported
-  # Chrome trace JSON, and writes TRACE_telemetry_*.json + BENCH_telemetry.json.
+  # Captures one tatas run per backend (M/DS0/DS/GCS) with a recorder sink,
+  # asserts the stats/metrics match the no-telemetry baseline, validates the
+  # exported Chrome trace JSON, and writes TRACE_telemetry_*.json +
+  # BENCH_telemetry.json.
   DVS_QUICK=1 cargo bench --offline -p dvs-bench --bench telemetry_timeline
+  # The committed timelines pin every backend's event stream byte-for-byte:
+  # a regenerated TRACE_telemetry_*.json that differs is an observation change.
+  git diff --exit-code -- 'TRACE_telemetry_*.json'
   # Digest invariance across telemetry policies and worker counts.
   cargo test -q --offline -p dvs-campaign --test telemetry
 }

@@ -131,27 +131,42 @@ fn fault_seeds_actually_perturb_timing() {
     );
 }
 
+/// The stall report a tatas counter under fault seed 1 renders when its
+/// 300-cycle budget runs out, per protocol.
+fn golden_stall_report(proto: Protocol) -> &'static str {
+    match proto {
+        Protocol::Mesi => include_str!("golden/stall_report_m.txt"),
+        Protocol::DeNovoSync0 => include_str!("golden/stall_report_ds0.txt"),
+        Protocol::DeNovoSync => include_str!("golden/stall_report_ds.txt"),
+        Protocol::Gcs => include_str!("golden/stall_report_gcs.txt"),
+    }
+}
+
 /// A run that hits the cycle limit under chaos must surface the stall
-/// forensics: per-core status lines and the recent-message ring.
+/// forensics — per-core status lines, pending transactions, L2 state and
+/// the recent-message ring — and render them byte-for-byte as pinned.
 #[test]
 fn cycle_limit_under_chaos_reports_stall_forensics() {
     let kernel = KernelId::Locked(LockedStruct::Counter, LockKind::Tatas);
     let params = KernelParams::smoke(4);
-    let mut cfg = chaos_cfg(4, Protocol::DeNovoSync, 1);
-    cfg.max_cycles = 300; // far below what the kernel needs
-    let err = run_kernel(kernel, cfg, &params).expect_err("must hit the cycle limit");
-    match err {
-        RunError::Sim(SimError::CycleLimit { limit, report }) => {
-            assert_eq!(limit, 300);
-            assert!(
-                report.cores.iter().any(|l| l.starts_with("core ")),
-                "report must name at least one unfinished core: {report}"
-            );
-            assert!(
-                !report.recent_messages.is_empty(),
-                "report must include the recent-message ring: {report}"
-            );
+    for proto in Protocol::EXTENDED {
+        let mut cfg = chaos_cfg(4, proto, 1);
+        cfg.max_cycles = 300; // far below what the kernel needs
+        let err = run_kernel(kernel, cfg, &params).expect_err("must hit the cycle limit");
+        match err {
+            RunError::Sim(SimError::CycleLimit { limit, report }) => {
+                assert_eq!(limit, 300);
+                assert!(
+                    !report.recent_messages.is_empty(),
+                    "{proto:?}: report must include the recent-message ring: {report}"
+                );
+                assert_eq!(
+                    report.to_string(),
+                    golden_stall_report(proto),
+                    "{proto:?}: stall report drifted from its golden text"
+                );
+            }
+            other => panic!("{proto:?}: expected CycleLimit, got: {other}"),
         }
-        other => panic!("expected CycleLimit, got: {other}"),
     }
 }

@@ -84,3 +84,25 @@ fn serve_rejects_unknown_flags() {
     let err = usage_error(&["serve", "status", "--dir", &dir, "--folow"]);
     assert!(err.contains("unknown flag --folow"), "{err}");
 }
+
+/// A `.dvst` whose `ex` overflows replay's clock is a parse error naming
+/// the bound, not a scheduler panic (exit 101).
+#[test]
+fn trace_replay_rejects_an_overflowing_exec() {
+    let path = std::env::temp_dir().join(format!("dvs-cli-ex-{}.dvst", std::process::id()));
+    std::fs::write(
+        &path,
+        "dvst 1\ncores 1\ncore 0 1\nex 18446744073709551615\n",
+    )
+    .expect("write mutant");
+    let out = Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .args(["trace", "replay", &path.to_string_lossy(), "--proto", "DS"])
+        .output()
+        .expect("spawn dvs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("2000000000-cycle bound"), "{stderr}");
+}
