@@ -47,7 +47,8 @@ use crate::explore::{
     Verdict,
 };
 use dvs_core::msg::Endpoint;
-use dvs_core::oracle::{ChannelKey, StepOracle};
+use dvs_core::oracle::ChannelKey;
+use dvs_core::system::System;
 use dvs_engine::{fnv1a, FNV_OFFSET};
 use std::fmt;
 use std::fs::{self, File};
@@ -353,14 +354,11 @@ pub struct DeepenOutcome {
 ///
 /// Returns `Err` — without exploring anything — if an existing checkpoint
 /// is corrupt or belongs to a different model.
-pub fn deepen<S>(
-    root: &S,
-    final_ok: &FinalCheck<'_, S>,
+pub fn deepen(
+    root: &System,
+    final_ok: &FinalCheck<'_>,
     cfg: &DeepenConfig,
-) -> Result<DeepenOutcome, CheckpointError>
-where
-    S: StepOracle + Send + Sync,
-{
+) -> Result<DeepenOutcome, CheckpointError> {
     assert!(cfg.step > 0, "deepening step must be positive");
     let root_fp = root.fingerprint();
     let mut resumed = false;

@@ -1,16 +1,16 @@
 //! The parallel sleep-set explorer.
 //!
-//! Explores every message-delivery interleaving of a [`StepOracle`] machine
-//! from its initial state, up to configurable depth/state budgets, checking
-//! for recorded protocol errors, deadlocks, and final-state property
-//! violations.
+//! Explores every message-delivery interleaving of an oracle-mode
+//! [`System`] from its initial state, up to configurable depth/state
+//! budgets, checking for recorded protocol errors, deadlocks, incoherent
+//! halted states, and final-state property violations.
 //!
 //! # State space
 //!
 //! A *state* is a quiesced machine: every core-local event has run, so the
-//! only enabled transitions are channel deliveries ([`StepOracle::enabled`]).
+//! only enabled transitions are channel deliveries ([`System::oracle_channels`]).
 //! Two states are identified iff their canonical fingerprints
-//! ([`StepOracle::fingerprint`]) match — a 64-bit hash, so the visited set
+//! ([`System::fingerprint`]) match — a 64-bit hash, so the visited set
 //! is sound up to hash collisions (≈ `n²/2⁶⁴` for `n` states; ~10⁻⁷ even at
 //! the 10⁶-state spaces the deep modes target, and any collision only
 //! *under*-explores, it cannot fabricate a violation).
@@ -62,8 +62,8 @@
 //! ([`CheckConfig::spill_budget_bytes`]).
 
 use crate::visited::{Visited, VisitedMode};
-use dvs_core::oracle::{ChannelKey, StepOracle};
-use dvs_core::system::SimError;
+use dvs_core::oracle::ChannelKey;
+use dvs_core::system::{SimError, System};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -224,9 +224,10 @@ impl CheckStats {
 /// What went wrong in a violating execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Failure {
-    /// The machine recorded an error: a runtime coherence-invariant
-    /// violation, a VM assertion, or a deadlock (empty channels with
-    /// threads still running).
+    /// The machine recorded an error (a runtime coherence-invariant
+    /// violation or a VM assertion), deadlocked (empty channels with
+    /// threads still running), or halted in a state that fails the
+    /// quiescent coherence check.
     Sim(SimError),
     /// All threads halted cleanly but the final memory state violated the
     /// model's property (e.g. a litmus test's SC verdict).
@@ -286,27 +287,28 @@ pub struct CheckReport {
 
 /// The model's terminal-state property: `Err(description)` when a cleanly
 /// halted final state is wrong.
-pub type FinalCheck<'a, S> = dyn Fn(&S) -> Result<(), String> + Sync + 'a;
+pub type FinalCheck<'a> = dyn Fn(&System) -> Result<(), String> + Sync + 'a;
 
 /// Classifies a quiesced state: `Some` if it is a violation (recorded
-/// error, deadlock, or — when no transition remains — a failed final-state
-/// property).
-pub fn failure_of<S: StepOracle>(sys: &S, final_ok: &FinalCheck<'_, S>) -> Option<Failure> {
+/// error, deadlock, or — when no transition remains and every thread has
+/// halted — a failed coherence check or final-state property). A cleanly
+/// halted state must pass [`System::verify_coherence`], the same rule set
+/// the runtime checker applies at every delivery, before the model's own
+/// property is consulted.
+pub fn failure_of(sys: &System, final_ok: &FinalCheck<'_>) -> Option<Failure> {
     if let Some(e) = sys.error() {
         return Some(Failure::Sim(e.clone()));
     }
-    if sys.enabled().is_empty() {
-        if sys.all_halted() {
-            if let Err(msg) = final_ok(sys) {
-                return Some(Failure::FinalState(msg));
-            }
-            None
-        } else {
-            Some(Failure::Sim(sys.deadlock_error()))
-        }
-    } else {
-        None
+    if !sys.oracle_channels().is_empty() {
+        return None;
     }
+    if !sys.all_halted() {
+        return Some(Failure::Sim(sys.deadlock_error()));
+    }
+    if let Err(detail) = sys.verify_coherence() {
+        return Some(Failure::Sim(SimError::ProtocolViolation { detail }));
+    }
+    final_ok(sys).err().map(Failure::FinalState)
 }
 
 /// One link of a persistent path: the pick that produced this node plus the
@@ -344,8 +346,8 @@ fn materialize(link: &Option<Arc<PathLink>>) -> Vec<ChannelKey> {
     out
 }
 
-struct Node<S> {
-    sys: S,
+struct Node {
+    sys: System,
     depth: usize,
     sleep: Vec<ChannelKey>,
     path: Option<Arc<PathLink>>,
@@ -363,8 +365,8 @@ struct Node<S> {
 /// demand by replaying the stack's own picks from the nearest resident
 /// ancestor ([`Shared::ensure_resident`]). Worker memory is then
 /// O(depth/MILESTONE + window) machines instead of O(depth).
-struct Frame<S> {
-    sys: Option<S>,
+struct Frame {
+    sys: Option<System>,
     depth: usize,
     sleep: Vec<ChannelKey>,
     explored: Vec<ChannelKey>,
@@ -402,22 +404,22 @@ impl Seed {
 
 /// A queued unit of work: an unexpanded seed (replayed on pickup) or a
 /// live node.
-enum Work<S> {
+enum Work {
     Seed(Seed),
-    Node(Node<S>),
+    Node(Box<Node>),
 }
 
-struct QState<S> {
-    items: VecDeque<Work<S>>,
+struct QState {
+    items: VecDeque<Work>,
     active: usize,
     stopped: bool,
 }
 
-struct Shared<'m, S: StepOracle> {
+struct Shared<'m> {
     cfg: CheckConfig,
-    root: &'m S,
-    final_ok: &'m FinalCheck<'m, S>,
-    queue: Mutex<QState<S>>,
+    root: &'m System,
+    final_ok: &'m FinalCheck<'m>,
+    queue: Mutex<QState>,
     /// Approximate queue length, readable without the lock — the donation
     /// heuristic's only input, so staleness just means a slightly early or
     /// late donation.
@@ -438,8 +440,8 @@ struct Shared<'m, S: StepOracle> {
     found: Mutex<Option<(Vec<ChannelKey>, Failure)>>,
 }
 
-impl<'m, S: StepOracle + Send> Shared<'m, S> {
-    fn pop(&self, stats: &mut CheckStats) -> Option<Node<S>> {
+impl Shared<'_> {
+    fn pop(&self, stats: &mut CheckStats) -> Option<Node> {
         let work = {
             let mut g = self.queue.lock().unwrap();
             loop {
@@ -458,18 +460,18 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
             }
         };
         Some(match work {
-            Work::Node(n) => n,
+            Work::Node(n) => *n,
             Work::Seed(seed) => self.replay_seed(seed, stats),
         })
     }
 
     /// Rebuilds a seed's state by replaying its prefix from the root —
     /// outside the queue lock, since a deep prefix is real work.
-    fn replay_seed(&self, seed: Seed, stats: &mut CheckStats) -> Node<S> {
+    fn replay_seed(&self, seed: Seed, stats: &mut CheckStats) -> Node {
         let mut sys = self.root.clone();
         let mut path = None;
         for &pick in &seed.prefix {
-            let fired = sys.fire(pick);
+            let fired = sys.oracle_deliver(pick);
             assert!(
                 fired,
                 "seed prefix does not replay (pick {pick} not enabled): \
@@ -486,13 +488,14 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
         }
     }
 
-    fn donate(&self, nodes: Vec<Node<S>>) {
+    fn donate(&self, nodes: Vec<Node>) {
         if nodes.is_empty() {
             return;
         }
         self.queue_len.fetch_add(nodes.len(), Ordering::Relaxed);
         let mut g = self.queue.lock().unwrap();
-        g.items.extend(nodes.into_iter().map(Work::Node));
+        g.items
+            .extend(nodes.into_iter().map(|n| Work::Node(Box::new(n))));
         drop(g);
         self.available.notify_all();
     }
@@ -526,7 +529,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
     /// Enters one node: classify, gate through the visited set, apply the
     /// budgets. Returns the expansion frame to walk, or `None` if the node
     /// is a leaf (violating, pruned, or truncated).
-    fn enter(&self, node: Node<S>, stats: &mut CheckStats) -> Option<Frame<S>> {
+    fn enter(&self, node: Node, stats: &mut CheckStats) -> Option<Frame> {
         if let Some(f) = failure_of(&node.sys, self.final_ok) {
             self.record_violation(materialize(&node.path), f);
             return None;
@@ -550,7 +553,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
         }
         stats.expansions += 1;
         stats.max_depth_seen = stats.max_depth_seen.max(node.depth);
-        let mut pending = node.sys.enabled();
+        let mut pending = node.sys.oracle_channels();
         stats.transitions_enabled += pending.len() as u64;
         if self.cfg.por {
             pending.retain(|t| {
@@ -576,7 +579,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
     /// picks from the nearest resident ancestor (at most [`MILESTONE`]
     /// fires away), refilling every frame along the span so an imminent
     /// backtrack cascade pops already-resident frames at O(1) each.
-    fn ensure_resident(&self, frames: &mut [Frame<S>], i: usize, stats: &mut CheckStats) {
+    fn ensure_resident(&self, frames: &mut [Frame], i: usize, stats: &mut CheckStats) {
         if frames[i].sys.is_some() {
             return;
         }
@@ -593,7 +596,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
                 .as_ref()
                 .expect("non-root frames record their pick")
                 .pick;
-            let fired = sys.fire(pick);
+            let fired = sys.oracle_deliver(pick);
             debug_assert!(fired, "stack pick must replay");
             stats.replay_fires += 1;
             if k < last {
@@ -605,7 +608,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
 
     /// Called after a push: the frame that just left the resident window
     /// drops its machine, unless it is a milestone.
-    fn evict(frames: &mut [Frame<S>]) {
+    fn evict(frames: &mut [Frame]) {
         if frames.len() > RESIDENT_WINDOW {
             let i = frames.len() - 1 - RESIDENT_WINDOW;
             if !i.is_multiple_of(MILESTONE) {
@@ -617,13 +620,13 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
     /// Derives the child of `frame` for pick `t`: clone, fire, compute the
     /// child sleep set, and mark `t` explored (so later siblings sleep on
     /// it — whether the child is walked locally or donated).
-    fn child_of(&self, frame: &mut Frame<S>, t: ChannelKey, stats: &mut CheckStats) -> Node<S> {
+    fn child_of(&self, frame: &mut Frame, t: ChannelKey, stats: &mut CheckStats) -> Node {
         let mut sys = frame
             .sys
             .as_ref()
             .expect("caller ensured residency")
             .clone();
-        let fired = sys.fire(t);
+        let fired = sys.oracle_deliver(t);
         debug_assert!(fired, "enabled transition must fire");
         stats.transitions_fired += 1;
         let child_sleep = if self.cfg.por {
@@ -655,7 +658,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
     /// When the shared queue is starved, peel pending picks off the
     /// *shallowest* frames (the biggest unexplored subtrees) and donate
     /// them as nodes, so idle workers get substantial work.
-    fn share(&self, frames: &mut [Frame<S>], stats: &mut CheckStats) {
+    fn share(&self, frames: &mut [Frame], stats: &mut CheckStats) {
         if self.cfg.workers == 1 || self.queue_len.load(Ordering::Relaxed) >= self.cfg.workers {
             return;
         }
@@ -683,7 +686,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
             // Depth-first over an explicit frame stack: children derived
             // on demand, machine residency windowed (see [`Frame`]) — the
             // worker's memory is O(depth/MILESTONE + window) machines.
-            let mut frames: Vec<Frame<S>> = Vec::new();
+            let mut frames: Vec<Frame> = Vec::new();
             if let Some(f) = self.enter(node, &mut stats) {
                 frames.push(f);
             }
@@ -718,10 +721,7 @@ impl<'m, S: StepOracle + Send> Shared<'m, S> {
 /// by canonical channel order) regardless of worker count or scheduling —
 /// the parallel phase only answers *whether* a violation exists and bounds
 /// the minimizer's search depth.
-pub fn explore<S>(root: &S, final_ok: &FinalCheck<'_, S>, cfg: &CheckConfig) -> CheckReport
-where
-    S: StepOracle + Send + Sync,
-{
+pub fn explore(root: &System, final_ok: &FinalCheck<'_>, cfg: &CheckConfig) -> CheckReport {
     let raw = explore_seeds(root, vec![Seed::root()], final_ok, cfg);
     finish(root, final_ok, raw)
 }
@@ -745,17 +745,14 @@ pub struct RawExploration {
 /// `cfg.max_depth` remains an *absolute* depth bound. No counterexample
 /// minimization happens here (the caller owns the true root); most callers
 /// want [`explore`].
-pub fn explore_seeds<S>(
-    root: &S,
+pub fn explore_seeds(
+    root: &System,
     seeds: Vec<Seed>,
-    final_ok: &FinalCheck<'_, S>,
+    final_ok: &FinalCheck<'_>,
     cfg: &CheckConfig,
-) -> RawExploration
-where
-    S: StepOracle + Send + Sync,
-{
+) -> RawExploration {
     assert!(cfg.workers >= 1, "need at least one worker");
-    let items: VecDeque<Work<S>> = seeds.into_iter().map(Work::Seed).collect();
+    let items: VecDeque<Work> = seeds.into_iter().map(Work::Seed).collect();
     let shared = Shared {
         cfg: *cfg,
         root,
@@ -839,10 +836,7 @@ where
 
 /// Turns a raw exploration into the reported verdict, minimizing any found
 /// violation from the true initial state.
-pub fn finish<S>(root: &S, final_ok: &FinalCheck<'_, S>, raw: RawExploration) -> CheckReport
-where
-    S: StepOracle,
-{
+pub fn finish(root: &System, final_ok: &FinalCheck<'_>, raw: RawExploration) -> CheckReport {
     let mut stats = raw.stats;
     let verdict = match raw.found {
         None => Verdict::Verified,
@@ -870,9 +864,9 @@ where
 /// order, *without* partial-order reduction (reduction preserves the
 /// existence of violations but not their minimal length), deduplicating
 /// states by (fingerprint, depth) within each deepening round.
-pub fn minimize<S: StepOracle>(
-    root: &S,
-    final_ok: &FinalCheck<'_, S>,
+pub fn minimize(
+    root: &System,
+    final_ok: &FinalCheck<'_>,
     max_len: usize,
 ) -> Option<Counterexample> {
     if let Some(f) = failure_of(root, final_ok) {
@@ -892,9 +886,9 @@ pub fn minimize<S: StepOracle>(
     None
 }
 
-fn dfs_to<S: StepOracle>(
-    sys: &S,
-    final_ok: &FinalCheck<'_, S>,
+fn dfs_to(
+    sys: &System,
+    final_ok: &FinalCheck<'_>,
     target: usize,
     path: &mut Vec<ChannelKey>,
     visited: &mut HashMap<u64, usize>,
@@ -907,9 +901,9 @@ fn dfs_to<S: StepOracle>(
             visited.insert(fp, depth);
         }
     }
-    for t in sys.enabled() {
+    for t in sys.oracle_channels() {
         let mut child = sys.clone();
-        if !child.fire(t) {
+        if !child.oracle_deliver(t) {
             continue;
         }
         path.push(t);

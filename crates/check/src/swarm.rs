@@ -22,7 +22,7 @@ use crate::explore::{
 };
 use crate::visited::BitstateFilter;
 use dvs_core::config::{Protocol, ProtocolMutation};
-use dvs_core::oracle::{ChannelKey, StepOracle};
+use dvs_core::oracle::ChannelKey;
 use dvs_core::system::System;
 use dvs_engine::{parallel_indexed, DetRng};
 use dvs_vm::litmus::Litmus;
@@ -66,10 +66,10 @@ impl Default for SwarmConfig {
     }
 }
 
-struct SwarmShared<'m, S: StepOracle> {
+struct SwarmShared<'m> {
     cfg: SwarmConfig,
-    final_ok: &'m FinalCheck<'m, S>,
-    root: &'m S,
+    final_ok: &'m FinalCheck<'m>,
+    root: &'m System,
     filter: BitstateFilter,
     stop: AtomicBool,
     depth_truncated: AtomicBool,
@@ -77,14 +77,14 @@ struct SwarmShared<'m, S: StepOracle> {
     found: Mutex<Option<(Vec<ChannelKey>, crate::explore::Failure)>>,
 }
 
-struct Frame<S> {
-    sys: S,
+struct Frame {
+    sys: System,
     /// Transitions still to try from this state, pre-shuffled; popped from
     /// the back.
     order: Vec<ChannelKey>,
 }
 
-impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
+impl SwarmShared<'_> {
     fn record(&self, path: Vec<ChannelKey>, failure: crate::explore::Failure) {
         let mut best = self.found.lock().unwrap();
         let better = match &*best {
@@ -117,7 +117,7 @@ impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
         let mut path: Vec<ChannelKey> = Vec::new();
         let mut stack = vec![Frame {
             sys: self.root.clone(),
-            order: shuffle(rng, self.root.enabled()),
+            order: shuffle(rng, self.root.oracle_channels()),
         }];
         stats.expansions += 1;
         while let Some(frame) = stack.last_mut() {
@@ -130,7 +130,7 @@ impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
                 continue;
             };
             let mut child = frame.sys.clone();
-            let fired = child.fire(t);
+            let fired = child.oracle_deliver(t);
             debug_assert!(fired, "enabled transition must fire");
             stats.transitions_fired += 1;
             path.push(t);
@@ -154,7 +154,7 @@ impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
                 path.pop();
                 continue;
             }
-            let order = shuffle(rng, child.enabled());
+            let order = shuffle(rng, child.oracle_channels());
             stats.expansions += 1;
             stats.transitions_enabled += order.len() as u64;
             stack.push(Frame { sys: child, order });
@@ -166,10 +166,7 @@ impl<'m, S: StepOracle + Send + Sync> SwarmShared<'m, S> {
 /// usual minimized counterexample; `Verified` means "no probe found a
 /// violation" — consult [`CheckStats::filter_fill_ratio`] and the probe
 /// budget flags to judge how much was covered.
-pub fn swarm<S>(root: &S, final_ok: &FinalCheck<'_, S>, cfg: &SwarmConfig) -> CheckReport
-where
-    S: StepOracle + Send + Sync,
-{
+pub fn swarm(root: &System, final_ok: &FinalCheck<'_>, cfg: &SwarmConfig) -> CheckReport {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.probes >= 1, "need at least one probe");
     let shared = SwarmShared {

@@ -10,6 +10,7 @@ use dvs_check::{
 use dvs_core::config::{Protocol, ProtocolMutation};
 use dvs_core::system::SimError;
 use dvs_vm::litmus::{self, Litmus};
+use dvs_vm::{Asm, Reg};
 
 fn cfg(workers: usize) -> CheckConfig {
     CheckConfig {
@@ -141,6 +142,52 @@ fn counterexamples_replay_deterministically() {
             }
         }
     }
+}
+
+/// A cleanly halted state must pass the quiescent coherence check, not only
+/// the litmus verdict. Two readers share `res1`'s line; a third thread
+/// data-stores to it and halts without a fence. Under `mesi-drop-ack` the
+/// writer's upgrade never collects its invalidation acks, so its MSHR entry
+/// is stranded behind halted cores while every observable stays SC-legal:
+/// only the terminal check sees it. The stock protocol verifies.
+#[test]
+fn halted_state_with_a_stranded_transaction_is_a_violation() {
+    let mut lit = litmus::sb();
+    let (res0, shared) = (lit.observables[0].1, lit.observables[1].1);
+    let (v, p) = (Reg(1), Reg(2));
+    let reader = |publish: bool| {
+        let mut a = Asm::new("reader");
+        a.movi(p, shared.raw()).load(v, p, 0);
+        if publish {
+            // res0 := 1 keeps the SB verdict satisfied on every path.
+            a.movi(v, 1).movi(p, res0.raw()).store(v, p, 0).fence();
+        }
+        a.halt();
+        a.build()
+    };
+    let mut writer = Asm::new("writer");
+    writer
+        .movi(v, 7)
+        .movi(p, shared.raw())
+        .store(v, p, 0)
+        .halt();
+    lit.programs = vec![reader(true), reader(false), writer.build()];
+
+    let clean = check_litmus(&lit, Protocol::Mesi, None, &cfg(2));
+    assert_eq!(clean.verdict, Verdict::Verified, "stock MESI must verify");
+    let mutation = ProtocolMutation::MesiDropAck;
+    let report = check_litmus(&lit, Protocol::Mesi, Some(mutation), &cfg(2));
+    let Verdict::Violated(ce) = &report.verdict else {
+        panic!("stranded transaction not reported ({report:?})");
+    };
+    match &ce.failure {
+        Failure::Sim(SimError::ProtocolViolation { detail }) => {
+            assert!(detail.contains("MSHR entries at quiescence"), "{detail}");
+        }
+        other => panic!("expected a coherence violation, got {other}"),
+    }
+    let replayed = replay_litmus(&lit, Protocol::Mesi, Some(mutation), ce).expect("replays");
+    assert_eq!(replayed, ce.failure);
 }
 
 /// Verdict, minimized counterexample, and the deterministic statistics are

@@ -21,38 +21,32 @@ use std::collections::HashMap;
 /// A deterministic, bounded perturbation of message delivery timing.
 ///
 /// Carried inside [`SystemConfig`](crate::config::SystemConfig); `Copy` so
-/// configs stay plain values.
+/// configs stay plain values. Every plan shares one perturbation envelope
+/// (the associated constants); only the seed varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     /// Seed for the injector's random stream. Different seeds explore
     /// different message interleavings.
     pub seed: u64,
-    /// Upper bound (inclusive) on extra delivery delay added to a perturbed
-    /// message, in cycles. Zero disables delivery-delay injection.
-    pub max_extra_delay: Cycle,
-    /// Probability that any given message is perturbed, as
-    /// `chance_num / chance_denom`.
-    pub chance_num: u64,
-    /// Denominator of the perturbation probability.
-    pub chance_denom: u64,
-    /// Upper bound (inclusive) on per-message jitter added inside the NoC
-    /// link model. Zero disables link jitter.
-    pub link_jitter: Cycle,
 }
 
 impl FaultPlan {
-    /// A plan with the default perturbation envelope: a quarter of messages
-    /// delayed by up to 40 cycles at delivery, up to 6 cycles of link
-    /// jitter. Aggressive enough to reorder most concurrently in-flight
-    /// message pairs between independent endpoints.
+    /// Upper bound (inclusive) on extra delivery delay added to a perturbed
+    /// message, in cycles.
+    pub(crate) const MAX_EXTRA_DELAY: Cycle = 40;
+    /// Probability that any given message is perturbed, as
+    /// `(numerator, denominator)`.
+    pub(crate) const CHANCE: (u64, u64) = (1, 4);
+    /// Upper bound (inclusive) on per-message jitter added inside the NoC
+    /// link model, in cycles.
+    pub(crate) const LINK_JITTER: Cycle = 6;
+
+    /// A plan with the perturbation envelope: a quarter of messages delayed
+    /// by up to 40 cycles at delivery, up to 6 cycles of link jitter.
+    /// Aggressive enough to reorder most concurrently in-flight message
+    /// pairs between independent endpoints.
     pub fn from_seed(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            max_extra_delay: 40,
-            chance_num: 1,
-            chance_denom: 4,
-            link_jitter: 6,
-        }
+        FaultPlan { seed }
     }
 
     /// The seed to feed the NoC's link-jitter stream (decorrelated from the
@@ -96,12 +90,9 @@ impl FaultInjector {
     /// not).
     pub fn perturb(&mut self, src: NodeId, dst: Endpoint, arrive: Cycle) -> Cycle {
         let mut adjusted = arrive;
-        if self.plan.max_extra_delay > 0
-            && self
-                .rng
-                .chance(self.plan.chance_num, self.plan.chance_denom)
-        {
-            let extra = self.rng.range(1, self.plan.max_extra_delay + 1);
+        let (num, denom) = FaultPlan::CHANCE;
+        if self.rng.chance(num, denom) {
+            let extra = self.rng.range(1, FaultPlan::MAX_EXTRA_DELAY + 1);
             adjusted += extra;
             self.perturbed += 1;
             self.extra_cycles += extra;
@@ -162,7 +153,7 @@ mod tests {
             assert!(arrive >= last, "channel order flipped at message {i}");
             assert!(arrive >= i * 4, "perturbation may only delay");
             assert!(
-                arrive <= i * 4 + plan.max_extra_delay + last,
+                arrive <= i * 4 + FaultPlan::MAX_EXTRA_DELAY + last,
                 "delay bounded"
             );
             last = arrive;

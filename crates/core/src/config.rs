@@ -295,18 +295,6 @@ impl MeshShape {
     }
 }
 
-/// Deterministic heterogeneous link latencies: each mesh link gets a fixed
-/// extra per-hop delay in `0..=max_extra`, chosen by `seed`. Models chips
-/// whose links are not all equally fast (longer wires, slower voltage
-/// domains) while keeping runs bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HeteroLinks {
-    /// Seed the per-link delays derive from.
-    pub seed: u64,
-    /// Largest extra per-hop delay a link may carry, in cycles.
-    pub max_extra: Cycle,
-}
-
 /// A complete simulated-system configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
@@ -315,8 +303,6 @@ pub struct SystemConfig {
     /// Mesh shape; `None` means the square mesh for `cores` tiles. When set,
     /// `rows × cols` must equal `cores`.
     pub mesh: Option<MeshShape>,
-    /// Heterogeneous per-link latencies; `None` keeps every link uniform.
-    pub hetero_links: Option<HeteroLinks>,
     /// The coherence protocol.
     pub protocol: Protocol,
     /// Private L1 geometry (Table 1: 32 KB).
@@ -360,7 +346,6 @@ impl SystemConfig {
             cores: 16,
             protocol,
             mesh: None,
-            hetero_links: None,
             l1: CacheGeometry::new(32 * 1024, 4),
             noc: Self::noc_params(),
             latency: LatencyConfig::default(),
@@ -381,7 +366,6 @@ impl SystemConfig {
             cores: 64,
             protocol,
             mesh: None,
-            hetero_links: None,
             l1: CacheGeometry::new(32 * 1024, 4),
             noc: Self::noc_params(),
             latency: LatencyConfig::default(),
@@ -402,7 +386,6 @@ impl SystemConfig {
             cores,
             protocol,
             mesh: None,
-            hetero_links: None,
             l1: CacheGeometry::new(32 * 1024, 4),
             noc: Self::noc_params(),
             latency: LatencyConfig::default(),

@@ -74,6 +74,16 @@ impl CoreSet {
     }
 }
 
+impl FromIterator<CoreId> for CoreSet {
+    fn from_iter<I: IntoIterator<Item = CoreId>>(cores: I) -> Self {
+        let mut s = CoreSet::default();
+        for c in cores {
+            s.insert(c);
+        }
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +107,12 @@ mod tests {
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
         assert!(CoreSet::default().is_empty());
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn collects_from_core_ids() {
+        let s: CoreSet = [200, 3, 3, 64].into_iter().collect();
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64, 200]);
     }
 
     #[test]

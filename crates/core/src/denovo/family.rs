@@ -1,31 +1,26 @@
-//! Whole-machine views over every DeNovo L1 and registry bank: the
-//! quiescent verifier, the per-word delivery-boundary invariants, MSHR
-//! conservation, stall forensics and architectural reads. Under GCS,
-//! sync-classified words are one more branch of each check.
+//! Whole-machine views over every DeNovo L1 and registry bank: the one
+//! per-word coherence rule set (checked at delivery boundaries, by the full
+//! scan and by the quiescent verifier), MSHR conservation, stall forensics
+//! and architectural reads. Under GCS, sync-classified words are one more
+//! branch of the rules.
 
 use super::registry::RegWord;
 use super::{DnvL1, DnvRegistry};
+use crate::coreset::CoreSet;
 use crate::msg::CoreId;
+use crate::proto::home_bank;
 use crate::system::StallReport;
 use dvs_mem::{LineAddr, MainMemory, WordAddr};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
-fn home(regs: &[DnvRegistry], line: LineAddr) -> usize {
-    (line.raw() % regs.len() as u64) as usize
-}
-
-/// Quiescent invariants.
-///
-/// * **Single-registrant rule**: every word the registry marks
-///   `Registered(c)` is actually held Registered by core `c`, and — the
-///   converse — every L1-registered word is the one the registry points at,
-///   so no word ever has two registrants.
-/// * **Classified words** (GCS): Valid at their home bank with **no silent
-///   sharer** (no L1 holds one Registered), and the whole sync tier idle —
-///   no recall in flight, no parked requests, no waiter bits, no armed
-///   remote watches.
+/// The quiescent verifier: nothing is pending — no MSHR entry or armed
+/// remote watch at any L1; no fetching or queued bank line, mid-recall or
+/// parked sync entry, or waiter bit at any bank — and the full
+/// [`verify_invariants`] scan passes. With nothing in flight, its per-word
+/// rules are the **single-registrant rule** in both directions: every
+/// registry pointer names the one core holding the word Registered, and
+/// every L1-registered word is the one its registry points at.
 pub(crate) fn verify(l1s: &[DnvL1], regs: &[DnvRegistry]) -> Result<(), String> {
-    let mut holders: HashMap<WordAddr, CoreId> = HashMap::new();
     for (c, l1) in l1s.iter().enumerate() {
         if l1.outstanding_txns() != 0 {
             return Err(format!(
@@ -36,16 +31,7 @@ pub(crate) fn verify(l1s: &[DnvL1], regs: &[DnvRegistry]) -> Result<(), String> 
         if let Some(w) = l1.remote_watch_word() {
             return Err(format!("core {c}: remote watch on {w} at quiescence"));
         }
-        for w in l1.registered_words() {
-            if let Some(prev) = holders.insert(w, c) {
-                return Err(format!(
-                    "word {w} registered at both core {prev} and core {c}"
-                ));
-            }
-        }
     }
-    // Registry pointers must agree with the holders, in both directions.
-    let mut pointed = 0usize;
     for (b, reg) in regs.iter().enumerate() {
         if reg.any_fetching() {
             return Err(format!("bank {b}: line still fetching at quiescence"));
@@ -61,81 +47,55 @@ pub(crate) fn verify(l1s: &[DnvL1], regs: &[DnvRegistry]) -> Result<(), String> 
                 reg.waiter_count()
             ));
         }
-        for w in reg.classified_words() {
-            if let Some(&c) = holders.get(&w) {
-                return Err(format!(
-                    "classified word {w} has a silent sharer: core {c} holds it Registered"
-                ));
-            }
-            match reg.word(w) {
-                Some(RegWord::Valid(_)) => {}
-                other => {
-                    return Err(format!(
-                        "classified word {w} is {other:?} at bank {b}, not Valid"
-                    ))
-                }
-            }
-        }
-        for (w, c) in reg.registrations() {
-            pointed += 1;
-            match holders.get(&w) {
-                Some(&h) if h == c => {}
-                Some(&h) => {
-                    return Err(format!(
-                        "registry points {w} at core {c}, but core {h} holds it"
-                    ))
-                }
-                None => return Err(format!("registry points {w} at core {c}, which lacks it")),
-            }
-        }
     }
-    if pointed != holders.len() {
-        return Err(format!(
-            "{} words registered in L1s but only {pointed} registry pointers",
-            holders.len()
-        ));
-    }
-    Ok(())
+    verify_invariants(l1s, regs, &HashSet::new())
 }
 
-/// The delivery-boundary invariants for every word of `line`.
+/// The delivery-boundary check of every word of `line`: gathers each word's
+/// settled registrants by asking each L1, then applies [`word_rules`].
 pub(crate) fn check_line(
     l1s: &[DnvL1],
     regs: &[DnvRegistry],
     line: LineAddr,
 ) -> Result<(), String> {
-    line.words()
-        .try_for_each(|word| check_word(l1s, regs, word))
+    line.words().try_for_each(|word| {
+        let settled = (0..l1s.len()).filter(|&c| l1s[c].word_registered(word));
+        word_rules(l1s, regs, word, settled.collect())
+    })
 }
 
-/// Per word: (1) at most one settled registrant anywhere; (2) a registry
-/// pointer `Registered(c)` means core `c` either holds the word registered
-/// or has an MSHR transaction on it (the pointer is re-pointed eagerly, so
-/// the target may still be mid-registration); (3) a registry `Valid` word
-/// has no settled registrant at all. A classified word instead obeys the
-/// sync-path rules: once its recall settles it is **Valid at its home bank
-/// with no silent sharer**, and every set waiter bit targets a core whose
-/// L1 has a remote watch armed on exactly that word — so a notify's fan-out
-/// always matches the true waiter set.
-fn check_word(l1s: &[DnvL1], regs: &[DnvRegistry], word: WordAddr) -> Result<(), String> {
-    let mut settled: Option<CoreId> = None;
-    for (c, l1) in l1s.iter().enumerate() {
-        if l1.word_registered(word) {
-            if let Some(prev) = settled {
-                return Err(format!(
-                    "word {word}: settled registrants at both core {prev} and core {c}"
-                ));
-            }
-            settled = Some(c);
-        }
+/// The DeNovo rules for one word, given its **settled** registrants (cores
+/// holding it Registered with no MSHR transaction on it): (1) at most one
+/// settled registrant; (2) a registry pointer `Registered(c)` means core `c`
+/// either holds the word registered or has an MSHR transaction on it (the
+/// pointer is re-pointed eagerly, so the target may still be
+/// mid-registration); (3) a registry `Valid` word has no settled registrant;
+/// (4) a settled registrant's word is tracked by its home registry. A
+/// classified word instead obeys the sync-path rules: once its recall
+/// settles it is **Valid at its home bank with no silent sharer**, and every
+/// set waiter bit targets a core whose L1 has a remote watch armed on
+/// exactly that word — so a notify's fan-out always matches the true waiter
+/// set.
+fn word_rules(
+    l1s: &[DnvL1],
+    regs: &[DnvRegistry],
+    word: WordAddr,
+    settled: CoreSet,
+) -> Result<(), String> {
+    let mut registrants = settled.iter();
+    let registrant = registrants.next();
+    if let (Some(a), Some(b)) = (registrant, registrants.next()) {
+        return Err(format!(
+            "word {word}: settled registrants at both core {a} and core {b}"
+        ));
     }
-    let bank = home(regs, word.line());
+    let bank = home_bank(word.line(), regs.len());
     let reg = &regs[bank];
     if reg.classified(word) {
         // Mid-recall the previous registrant may legitimately still hold
         // the word; only the waiter-set direction is checkable.
         if !reg.recalling(word) {
-            if let Some(c) = settled {
+            if let Some(c) = registrant {
                 return Err(format!(
                     "bank {bank}: classified word {word} has a silent sharer at core {c}"
                 ));
@@ -160,10 +120,8 @@ fn check_word(l1s: &[DnvL1], regs: &[DnvRegistry], word: WordAddr) -> Result<(),
         }
         return Ok(());
     }
-    match (reg.word(word), settled) {
-        (Some(RegWord::Registered(c)), _)
-            if !l1s[c].word_registered(word) && !l1s[c].has_pending(word) =>
-        {
+    match (reg.word(word), registrant) {
+        (Some(RegWord::Registered(c)), _) if registrant != Some(c) && !l1s[c].has_pending(word) => {
             Err(format!(
                 "bank {bank}: registry points {word} at core {c}, which neither holds \
                  it nor has a transaction on it"
@@ -173,37 +131,45 @@ fn check_word(l1s: &[DnvL1], regs: &[DnvRegistry], word: WordAddr) -> Result<(),
             "bank {bank}: registry holds {word} Valid while core {c} has it \
              settled-Registered"
         )),
+        (None, Some(c)) => Err(format!(
+            "bank {bank}: core {c} has {word} settled-Registered, but the registry \
+             does not track it"
+        )),
         _ => Ok(()),
     }
 }
 
-/// The full delivery-boundary scan: [`check_line`] over every line any L1
-/// or registry bank tracks, then conservation — every outstanding L1
-/// transaction has an in-flight message for its line (`live_lines`), a busy
-/// home-bank line, or a transfer or recall parked on its word somewhere,
-/// which keeps the distributed registration queue (or the recall handshake)
-/// moving once that local transaction completes.
+/// The full delivery-boundary scan: [`word_rules`] over every word that
+/// carries state — a settled registrant, a registry pointer or a
+/// classification — gathered in one pass over the L1s' registered words and
+/// the banks, checked in address order; then conservation: every
+/// outstanding L1 transaction has an in-flight message for its line
+/// (`live_lines`), a busy home-bank line, or a transfer or recall parked on
+/// its word somewhere, which keeps the distributed registration queue (or
+/// the recall handshake) moving once that local transaction completes.
 pub(crate) fn verify_invariants(
     l1s: &[DnvL1],
     regs: &[DnvRegistry],
     live_lines: &HashSet<LineAddr>,
 ) -> Result<(), String> {
-    let mut lines = BTreeSet::new();
-    for l1 in l1s {
-        lines.extend(l1.registered_words().map(|w| w.line()));
-        lines.extend(l1.pending_summaries().iter().map(|(w, _)| w.line()));
+    let mut copies: Vec<(WordAddr, Option<CoreId>)> = Vec::new();
+    for (c, l1) in l1s.iter().enumerate() {
+        let settled = l1.registered_words().filter(|&w| !l1.has_pending(w));
+        copies.extend(settled.map(|w| (w, Some(c))));
     }
     for reg in regs {
-        lines.extend(reg.registrations().map(|(w, _)| w.line()));
-        lines.extend(reg.classified_words().map(|w| w.line()));
+        copies.extend(reg.registrations().map(|(w, _)| (w, None)));
+        copies.extend(reg.classified_words().map(|w| (w, None)));
     }
-    for line in lines {
-        check_line(l1s, regs, line)?;
+    copies.sort_unstable_by_key(|&(word, _)| word);
+    for group in copies.chunk_by(|a, b| a.0 == b.0) {
+        let settled = group.iter().filter_map(|&(_, c)| c).collect();
+        word_rules(l1s, regs, group[0].0, settled)?;
     }
     for (c, l1) in l1s.iter().enumerate() {
         for (word, state) in l1.pending_summaries() {
             let line = word.line();
-            if live_lines.contains(&line) || regs[home(regs, line)].line_busy(line) {
+            if live_lines.contains(&line) || regs[home_bank(line, regs.len())].line_busy(line) {
                 continue;
             }
             let parked = l1s
@@ -239,7 +205,7 @@ pub(crate) fn describe_stall(
         }
     }
     for &line in addrs.iter() {
-        let reg = &regs[home(regs, line)];
+        let reg = &regs[home_bank(line, regs.len())];
         report
             .l2_state
             .extend(line.words().filter_map(|w| reg.describe_word(w)));
@@ -254,7 +220,7 @@ pub(crate) fn read_word(
     memory: &MainMemory,
     word: WordAddr,
 ) -> u64 {
-    match regs[home(regs, word.line())].word(word) {
+    match regs[home_bank(word.line(), regs.len())].word(word) {
         Some(RegWord::Valid(v)) => v,
         Some(RegWord::Registered(c)) => l1s[c]
             .peek_registered(word)
@@ -272,30 +238,42 @@ mod tests {
     use dvs_vm::MemRequest;
     use std::sync::Arc;
 
-    /// A settled two-core GCS machine whose word 0x100 (homed at bank 0) is
-    /// sync-classified and Valid at the bank.
-    fn classified_machine() -> (Vec<DnvL1>, Vec<DnvRegistry>, WordAddr) {
+    /// A cold two-core machine with two banks, with the GCS sync path or
+    /// without it.
+    fn machine(sync_path: bool) -> (Vec<DnvL1>, Vec<DnvRegistry>) {
         let mut b = LayoutBuilder::new();
         let r = b.region("shared");
         b.segment("arena", 1 << 12, r);
         let layout = Arc::new(b.build());
-        let l1s: Vec<DnvL1> = (0..2)
+        let l1s = (0..2)
             .map(|i| {
                 let geometry = CacheGeometry::new(1024, 2);
-                let l1 = DnvL1::new(
-                    i,
-                    geometry,
-                    2,
-                    BackoffConfig::cores16(),
-                    false,
-                    layout.clone(),
-                );
-                l1.with_sync_path()
+                let backoff = BackoffConfig::cores16();
+                let l1 = DnvL1::new(i, geometry, 2, backoff, false, layout.clone());
+                if sync_path {
+                    l1.with_sync_path()
+                } else {
+                    l1
+                }
             })
             .collect();
-        let mut regs: Vec<DnvRegistry> = (0..2)
-            .map(|b| DnvRegistry::new(b, Endpoint::Mem(0)).with_sync_path())
+        let regs = (0..2)
+            .map(|b| {
+                let reg = DnvRegistry::new(b, Endpoint::Mem(0));
+                if sync_path {
+                    reg.with_sync_path()
+                } else {
+                    reg
+                }
+            })
             .collect();
+        (l1s, regs)
+    }
+
+    /// A settled two-core GCS machine whose word 0x100 (homed at bank 0) is
+    /// sync-classified and Valid at the bank.
+    fn classified_machine() -> (Vec<DnvL1>, Vec<DnvRegistry>, WordAddr) {
+        let (l1s, mut regs) = machine(true);
         let word = Addr::new(0x100).word();
         let mut acts = Vec::new();
         // A bank-side sync load classifies the word on demand once the cold
@@ -309,29 +287,45 @@ mod tests {
         (l1s, regs, word)
     }
 
-    #[test]
-    fn classified_word_with_a_silent_registrant_is_flagged() {
-        let (mut l1s, regs, word) = classified_machine();
-        // Core 0 registers the word without the bank knowing.
+    /// `l1` stores to `word` and registers it on an ack its home bank never
+    /// sent.
+    fn register_behind_the_bank(l1: &mut DnvL1, word: WordAddr) {
         let mut acts = Vec::new();
         let store = MemRequest {
-            addr: Addr::new(0x100),
+            addr: word.base(),
             kind: AccessKind::DataStore { value: 5 },
             dst: None,
             spin: None,
         };
-        l1s[0].core_request(&store, false, &mut acts);
+        l1.core_request(&store, false, &mut acts);
         let ack = DnvMsg::RegAck {
             word,
             value: 0,
             class: XferClass::Write,
         };
-        l1s[0].on_msg(ack, &mut acts);
-        assert!(l1s[0].word_registered(word));
+        l1.on_msg(ack, &mut acts);
+        assert!(l1.word_registered(word));
+    }
+
+    #[test]
+    fn classified_word_with_a_silent_registrant_is_flagged() {
+        let (mut l1s, regs, word) = classified_machine();
+        register_behind_the_bank(&mut l1s[0], word);
         let err = check_line(&l1s, &regs, word.line()).unwrap_err();
         assert!(err.contains("silent sharer at core 0"), "{err}");
         let err = verify(&l1s, &regs).unwrap_err();
-        assert!(err.contains("silent sharer: core 0"), "{err}");
+        assert!(err.contains("silent sharer at core 0"), "{err}");
+    }
+
+    #[test]
+    fn registrant_the_registry_does_not_track_is_flagged() {
+        let (mut l1s, regs) = machine(false);
+        let word = Addr::new(0x100).word();
+        register_behind_the_bank(&mut l1s[0], word);
+        let err = check_line(&l1s, &regs, word.line()).unwrap_err();
+        assert!(err.contains("the registry does not track it"), "{err}");
+        let err = verify(&l1s, &regs).unwrap_err();
+        assert!(err.contains("the registry does not track it"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::config::BackoffConfig;
 use crate::denovo::backoff::BackoffUnit;
 use crate::denovo::predictor::SyncPredictor;
 use crate::msg::{CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
-use crate::proto::{count_access, Action, IssueResult};
+use crate::proto::{count_access, home_bank, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{
@@ -207,10 +207,6 @@ pub struct DnvL1 {
     stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
-}
-
-fn bank_for(word: WordAddr, banks: usize) -> usize {
-    (word.line().raw() % banks as u64) as usize
 }
 
 impl DnvL1 {
@@ -454,7 +450,7 @@ impl DnvL1 {
     }
 
     fn home(&self, word: WordAddr) -> Endpoint {
-        Endpoint::Bank(bank_for(word, self.banks))
+        Endpoint::Bank(home_bank(word.line(), self.banks))
     }
 
     fn word_mut(&mut self, word: WordAddr) -> Option<&mut DnvWord> {

@@ -132,7 +132,7 @@ impl DnvRegistry {
     }
 
     /// Sizes the dense line table from the workload layout. This bank homes
-    /// exactly the lines `l` with `l.raw() % banks == bank`, so the table
+    /// exactly the lines `l` with `home_bank(l, banks) == bank`, so the table
     /// covers the layout span at stride `banks` with no unreachable slots;
     /// out-of-layout lines (thread-private pools) spill to the sparse tier.
     /// Call before any traffic arrives.

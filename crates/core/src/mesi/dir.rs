@@ -98,7 +98,7 @@ impl MesiDir {
     }
 
     /// Sizes the dense line table from the workload layout. This bank homes
-    /// exactly the lines `l` with `l.raw() % banks == bank`, so the table
+    /// exactly the lines `l` with `home_bank(l, banks) == bank`, so the table
     /// covers the layout span at stride `banks` with no unreachable slots;
     /// out-of-layout lines (thread-private pools) spill to the sparse tier.
     /// Call before any traffic arrives.
@@ -123,17 +123,12 @@ impl MesiDir {
             .map(|l| &l.data)
     }
 
-    /// Iterates every tracked line's sharer mask (empty for uncached/owned)
-    /// and owner (for invariant checking).
-    pub fn entries(&self) -> impl Iterator<Item = (LineAddr, CoreSet, Option<CoreId>)> + '_ {
-        self.lines.iter().map(|(raw, e)| {
-            let line = LineAddr::new(raw);
-            match e.state {
-                DirState::Uncached => (line, CoreSet::default(), None),
-                DirState::Shared(mask) => (line, mask, None),
-                DirState::Owned(o) => (line, CoreSet::default(), Some(o)),
-            }
-        })
+    /// Iterates every owned line (for invariant checking).
+    pub fn owned_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.lines
+            .iter()
+            .filter(|(_, e)| matches!(e.state, DirState::Owned(_)))
+            .map(|(raw, _)| LineAddr::new(raw))
     }
 
     /// Whether any line is mid-transaction (for quiescence checks).
@@ -148,6 +143,14 @@ impl MesiDir {
         match self.lines.get(line.raw())?.state {
             DirState::Owned(o) => Some(o),
             _ => None,
+        }
+    }
+
+    /// The line's sharer set (empty unless the line is read-shared).
+    pub fn sharers(&self, line: LineAddr) -> CoreSet {
+        match self.lines.get(line.raw()).map(|l| l.state) {
+            Some(DirState::Shared(mask)) => mask,
+            _ => CoreSet::default(),
         }
     }
 

@@ -1,26 +1,41 @@
-//! Whole-machine views over every MESI L1 and directory bank: the quiescent
-//! verifier, the per-line delivery-boundary invariants, MSHR conservation,
-//! stall forensics and architectural reads.
+//! Whole-machine views over every MESI L1 and directory bank: the one
+//! per-line coherence rule set (checked at delivery boundaries, by the full
+//! scan and by the quiescent verifier), MSHR conservation, stall forensics
+//! and architectural reads.
 
 use super::l1::Stable;
 use super::{MesiDir, MesiL1};
 use crate::coreset::CoreSet;
 use crate::msg::CoreId;
+use crate::proto::home_bank;
 use crate::system::StallReport;
 use dvs_mem::{LineAddr, MainMemory, WordAddr};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
-fn home(dirs: &[MesiDir], line: LineAddr) -> usize {
-    (line.raw() % dirs.len() as u64) as usize
+/// One line's **settled** L1 copies: state an L1 holds with no MSHR
+/// transaction on the line. Transient copies are exempt from the rules.
+#[derive(Debug, Clone, Copy, Default)]
+struct Settled {
+    /// Cores holding the line in E or M.
+    owners: CoreSet,
+    /// Cores holding the line in S.
+    sharers: CoreSet,
 }
 
-/// Quiescent owner/sharer agreement: every directory-owned line is in E/M
-/// at exactly its owner; every resident S line is covered by the
-/// directory's sharer set; no L1 transactions or directory busy states
-/// remain.
+impl Settled {
+    fn add(&mut self, core: CoreId, state: Stable) {
+        match state {
+            Stable::E | Stable::M => self.owners.insert(core),
+            Stable::S => self.sharers.insert(core),
+        }
+    }
+}
+
+/// The quiescent verifier: nothing is pending — no L1 transaction, no busy
+/// or queued directory line — and the full [`verify_invariants`] scan
+/// passes. With nothing in flight, its per-line rules pin every owner and
+/// every S copy to the directory exactly.
 pub(crate) fn verify(l1s: &[MesiL1], dirs: &[MesiDir]) -> Result<(), String> {
-    let mut owners: HashMap<LineAddr, CoreId> = HashMap::new();
-    let mut sharers: HashMap<LineAddr, CoreSet> = HashMap::new();
     for (c, l1) in l1s.iter().enumerate() {
         if l1.outstanding_txns() != 0 {
             return Err(format!(
@@ -28,132 +43,119 @@ pub(crate) fn verify(l1s: &[MesiL1], dirs: &[MesiDir]) -> Result<(), String> {
                 l1.outstanding_txns()
             ));
         }
-        for (line, state) in l1.resident_lines() {
-            match state {
-                Stable::E | Stable::M => {
-                    if let Some(prev) = owners.insert(line, c) {
-                        return Err(format!("line {line} owned by both {prev} and {c}"));
-                    }
-                }
-                Stable::S => sharers.entry(line).or_default().insert(c),
-            }
-        }
     }
-    for dir in dirs {
-        if dir.any_busy() {
-            return Err("directory line busy at quiescence".into());
-        }
-        for (line, mask, owner) in dir.entries() {
-            if let Some(o) = owner {
-                if owners.get(&line) != Some(&o) {
-                    return Err(format!("directory says {line} owned by {o}, L1s disagree"));
-                }
-            }
-            let outside = sharers
-                .get(&line)
-                .copied()
-                .unwrap_or_default()
-                .difference(&mask);
-            if !outside.is_empty() {
-                return Err(format!(
-                    "line {line}: cores {:?} hold S copies outside the sharer set {:?}",
-                    outside.iter().collect::<Vec<_>>(),
-                    mask.iter().collect::<Vec<_>>()
-                ));
-            }
-            if owner.is_none() && owners.contains_key(&line) {
-                return Err(format!(
-                    "line {line} owned by core {} but directory has no owner",
-                    owners[&line]
-                ));
-            }
-        }
+    if dirs.iter().any(MesiDir::any_busy) {
+        return Err("directory line busy at quiescence".into());
     }
-    Ok(())
+    verify_invariants(l1s, dirs, &HashSet::new())
 }
 
-/// Per line: (1) at most one settled owner (E/M with no MSHR transaction);
-/// (2) a settled owner is known to the directory — the entry is
-/// busy/queued (ownership mid-transfer) or points at that owner; (3) an
-/// idle directory entry's owner pointer targets a core that is a settled
-/// owner or mid-transaction (eviction in flight); (4) an idle owned line
-/// has no settled S copy at another core (single-writer/multiple-reader).
+/// The delivery-boundary check of one line: gathers its settled copies by
+/// asking each L1, then applies [`line_rules`].
 pub(crate) fn check_line(l1s: &[MesiL1], dirs: &[MesiDir], line: LineAddr) -> Result<(), String> {
-    let mut settled_owner: Option<CoreId> = None;
-    let mut settled_sharers: Vec<CoreId> = Vec::new();
+    let mut settled = Settled::default();
     for (c, l1) in l1s.iter().enumerate() {
-        if l1.has_txn(line) {
-            continue; // transient: exempt
-        }
-        match l1.line_state(line) {
-            Some(Stable::E) | Some(Stable::M) => {
-                if let Some(prev) = settled_owner {
-                    return Err(format!(
-                        "line {line}: settled owners at both core {prev} and core {c}"
-                    ));
-                }
-                settled_owner = Some(c);
-            }
-            Some(Stable::S) => settled_sharers.push(c),
-            None => {}
+        if let Some(state) = l1.line_state(line).filter(|_| !l1.has_txn(line)) {
+            settled.add(c, state);
         }
     }
-    let bank = home(dirs, line);
+    line_rules(l1s, dirs, line, settled)
+}
+
+/// The MESI rules for one line, given its settled copies: (1) at most one
+/// settled owner (E/M). The rest hold while the home directory entry is
+/// idle (not busy, nothing queued — otherwise ownership or sharing is
+/// mid-transfer): (2) a settled owner is the entry's owner; (3) a settled
+/// owner coexists with no settled S copy (single-writer/multiple-reader);
+/// (4) the entry's owner pointer targets a settled owner or a core
+/// mid-transaction (eviction in flight); (5) the entry's sharer set covers
+/// every settled S copy.
+fn line_rules(
+    l1s: &[MesiL1],
+    dirs: &[MesiDir],
+    line: LineAddr,
+    settled: Settled,
+) -> Result<(), String> {
+    let mut owners = settled.owners.iter();
+    let owner = owners.next();
+    if let (Some(a), Some(b)) = (owner, owners.next()) {
+        return Err(format!(
+            "line {line}: settled owners at both core {a} and core {b}"
+        ));
+    }
+    let bank = home_bank(line, dirs.len());
     let dir = &dirs[bank];
-    let busy = dir.busy_or_queued(line);
-    if let Some(owner) = settled_owner {
-        if !busy && dir.owner(line) != Some(owner) {
+    if dir.busy_or_queued(line) {
+        return Ok(());
+    }
+    let dir_owner = dir.owner(line);
+    if let Some(o) = owner {
+        if dir_owner != Some(o) {
             return Err(format!(
-                "line {line}: core {owner} is settled owner but idle directory bank \
-                 {bank} says owner {:?}",
-                dir.owner(line)
+                "line {line}: core {o} is settled owner but idle directory bank \
+                 {bank} says owner {dir_owner:?}"
             ));
         }
-        if !busy && !settled_sharers.is_empty() {
+        if !settled.sharers.is_empty() {
             return Err(format!(
-                "line {line}: settled owner {owner} coexists with settled S copies at \
-                 cores {settled_sharers:?}"
+                "line {line}: settled owner {o} coexists with settled S copies at \
+                 cores {:?}",
+                settled.sharers.iter().collect::<Vec<_>>()
             ));
         }
     }
-    if !busy {
-        if let Some(o) = dir.owner(line) {
-            let l1 = &l1s[o];
-            let owns = matches!(l1.line_state(line), Some(Stable::E) | Some(Stable::M));
-            if !owns && !l1.has_txn(line) {
-                return Err(format!(
-                    "line {line}: idle directory bank {bank} says core {o} owns it, but \
-                     core {o} neither holds E/M nor has a transaction"
-                ));
-            }
+    if let Some(o) = dir_owner {
+        if owner != Some(o) && !l1s[o].has_txn(line) {
+            return Err(format!(
+                "line {line}: idle directory bank {bank} says core {o} owns it, but \
+                 core {o} neither holds E/M nor has a transaction"
+            ));
         }
+    }
+    let mask = dir.sharers(line);
+    let outside = settled.sharers.difference(&mask);
+    if !outside.is_empty() {
+        return Err(format!(
+            "line {line}: cores {:?} hold S copies outside idle directory bank {bank}'s \
+             sharer set {:?}",
+            outside.iter().collect::<Vec<_>>(),
+            mask.iter().collect::<Vec<_>>()
+        ));
     }
     Ok(())
 }
 
-/// The full delivery-boundary scan: [`check_line`] over every line any L1
-/// or directory bank tracks, then conservation — every outstanding L1
-/// transaction has an in-flight message for its line (`live_lines`) or a
-/// busy/queued home directory entry to resolve it.
+/// The full delivery-boundary scan: [`line_rules`] over every line with a
+/// settled copy or a directory owner — gathered in one pass over the L1s'
+/// resident lines, checked in address order — then conservation: every
+/// outstanding L1 transaction has an in-flight message for its line
+/// (`live_lines`) or a busy/queued home directory entry to resolve it.
 pub(crate) fn verify_invariants(
     l1s: &[MesiL1],
     dirs: &[MesiDir],
     live_lines: &HashSet<LineAddr>,
 ) -> Result<(), String> {
-    let mut lines = BTreeSet::new();
-    for l1 in l1s {
-        lines.extend(l1.resident_lines().map(|(l, _)| l));
-        lines.extend(l1.pending_summaries().iter().map(|(l, _)| *l));
+    let mut copies: Vec<(LineAddr, Option<(CoreId, Stable)>)> = Vec::new();
+    for (c, l1) in l1s.iter().enumerate() {
+        let settled = l1.resident_lines().filter(|&(line, _)| !l1.has_txn(line));
+        copies.extend(settled.map(|(line, state)| (line, Some((c, state)))));
     }
     for dir in dirs {
-        lines.extend(dir.entries().map(|(l, _, _)| l));
+        copies.extend(dir.owned_lines().map(|line| (line, None)));
     }
-    for line in lines {
-        check_line(l1s, dirs, line)?;
+    copies.sort_unstable_by_key(|&(line, _)| line);
+    for group in copies.chunk_by(|a, b| a.0 == b.0) {
+        let mut settled = Settled::default();
+        for &(c, state) in group.iter().filter_map(|(_, copy)| copy.as_ref()) {
+            settled.add(c, state);
+        }
+        line_rules(l1s, dirs, group[0].0, settled)?;
     }
     for (c, l1) in l1s.iter().enumerate() {
         for (line, state) in l1.pending_summaries() {
-            if !live_lines.contains(&line) && !dirs[home(dirs, line)].busy_or_queued(line) {
+            if !live_lines.contains(&line)
+                && !dirs[home_bank(line, dirs.len())].busy_or_queued(line)
+            {
                 return Err(format!(
                     "conservation: core {c} transaction on {line} ({state}) has \
                      no in-flight message and an idle directory entry"
@@ -182,7 +184,7 @@ pub(crate) fn describe_stall(
     for &line in addrs.iter() {
         report
             .l2_state
-            .push(dirs[home(dirs, line)].describe_line(line));
+            .push(dirs[home_bank(line, dirs.len())].describe_line(line));
     }
 }
 
@@ -194,7 +196,7 @@ pub(crate) fn read_word(
     memory: &MainMemory,
     word: WordAddr,
 ) -> u64 {
-    let dir = &dirs[home(dirs, word.line())];
+    let dir = &dirs[home_bank(word.line(), dirs.len())];
     if let Some(v) = dir.owner(word.line()).and_then(|o| l1s[o].peek_word(word)) {
         return v;
     }

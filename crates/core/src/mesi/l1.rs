@@ -13,7 +13,7 @@
 
 use crate::config::ProtocolMutation;
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::{count_access, Action, IssueResult};
+use crate::proto::{count_access, home_bank, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
 use dvs_stats::{CacheStats, TrafficClass};
@@ -124,10 +124,6 @@ pub struct MesiL1 {
     stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
-}
-
-fn bank_for(line: LineAddr, banks: usize) -> usize {
-    (line.raw() % banks as u64) as usize
 }
 
 impl MesiL1 {
@@ -259,7 +255,7 @@ impl MesiL1 {
         let word = req.addr.word();
         let line = word.line();
         let w = word.index_in_line();
-        let home = Endpoint::Bank(bank_for(line, self.banks));
+        let home = Endpoint::Bank(home_bank(line, self.banks));
 
         match req.kind {
             AccessKind::DataLoad | AccessKind::SyncLoad => {
@@ -449,7 +445,7 @@ impl MesiL1 {
     /// Handles an incoming protocol message.
     pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
         let line = msg.line();
-        let home = Endpoint::Bank(bank_for(line, self.banks));
+        let home = Endpoint::Bank(home_bank(line, self.banks));
         match msg {
             MesiMsg::Data {
                 data,
@@ -818,7 +814,7 @@ impl MesiL1 {
                     // Same-address replace: upgrade in place, nothing to evict.
                     return true;
                 }
-                let victim_home = Endpoint::Bank(bank_for(victim, self.banks));
+                let victim_home = Endpoint::Bank(home_bank(victim, self.banks));
                 let (msg, keep_data) = match old.state {
                     Stable::S => (
                         MesiMsg::PutS {

@@ -5,8 +5,8 @@
 //! [`ChannelKey`], and an external driver — `dvs-check` — picks which
 //! channel's head message to deliver next. Between deliveries the system
 //! runs all core-local events to quiescence, so the *only* branch points in
-//! the state space are delivery picks. [`StepOracle`] is the trait the
-//! checker programs against; [`System`] is its one real implementation.
+//! the state space are delivery picks: [`System::oracle_channels`] lists
+//! them and [`System::oracle_deliver`] fires one.
 //!
 //! Channels mirror the guarantees of the timed network: point-to-point FIFO
 //! order between a (source node, destination endpoint) pair is preserved
@@ -16,7 +16,7 @@
 //! cannot starve or be starved by network traffic.
 
 use crate::msg::{CoreId, Endpoint, Msg};
-use crate::system::{SimError, System};
+use crate::system::System;
 use dvs_noc::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -116,63 +116,6 @@ pub(crate) struct OracleState {
     /// Cores whose last issue returned `Blocked`; woken by the next
     /// delivery.
     pub(crate) parked: Vec<CoreId>,
-}
-
-/// What the model checker needs from a steppable machine: enabled
-/// transitions, firing one, and terminal-state classification. Implemented
-/// by [`System`] in oracle mode; the indirection keeps `dvs-check` free of
-/// protocol knowledge and lets its tests drive synthetic state spaces.
-pub trait StepOracle: Clone {
-    /// The enabled transitions (non-empty channels) of the current state,
-    /// in canonical order.
-    fn enabled(&self) -> Vec<ChannelKey>;
-
-    /// Fires one transition: delivers the head message of `key` and runs
-    /// the machine back to quiescence. Returns `false` if the channel was
-    /// empty (the pick was invalid).
-    fn fire(&mut self, key: ChannelKey) -> bool;
-
-    /// Canonical hash of the architectural state, for the visited set.
-    /// States with equal fingerprints are treated as identical.
-    fn fingerprint(&self) -> u64;
-
-    /// The recorded safety failure (assertion, protocol violation, MSHR
-    /// overflow…), if any. A state with an error is terminal.
-    fn error(&self) -> Option<&SimError>;
-
-    /// Whether every thread has halted. Together with an empty `enabled()`
-    /// set this is the (good) end of an execution.
-    fn all_halted(&self) -> bool;
-
-    /// Builds the deadlock error for a state where `enabled()` is empty but
-    /// threads are still running.
-    fn deadlock_error(&self) -> SimError;
-}
-
-impl StepOracle for System {
-    fn enabled(&self) -> Vec<ChannelKey> {
-        self.oracle_channels()
-    }
-
-    fn fire(&mut self, key: ChannelKey) -> bool {
-        self.oracle_deliver(key)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        System::fingerprint(self)
-    }
-
-    fn error(&self) -> Option<&SimError> {
-        System::error(self)
-    }
-
-    fn all_halted(&self) -> bool {
-        System::all_halted(self)
-    }
-
-    fn deadlock_error(&self) -> SimError {
-        System::deadlock_error(self)
-    }
 }
 
 /// An explicit delivery schedule: the counterexample form the checker

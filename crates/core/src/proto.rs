@@ -13,7 +13,7 @@
 
 use crate::msg::{Endpoint, Msg};
 use dvs_engine::Cycle;
-use dvs_mem::AccessKind;
+use dvs_mem::{AccessKind, LineAddr};
 use dvs_stats::CacheStats;
 
 /// A side effect requested by a protocol controller.
@@ -97,6 +97,14 @@ pub enum IssueResult {
     /// A structural hazard (way full of pinned lines, writeback in
     /// progress); retry the access after a short delay.
     Blocked,
+}
+
+/// The L2 bank homing `line` among `banks` banks: lines interleave across
+/// banks by line address. Every controller routes requests by this rule,
+/// the whole-machine checks find a line's directory entry by it, and each
+/// bank's dense line table (`configure_span`) is laid out at its stride.
+pub(crate) fn home_bank(line: LineAddr, banks: usize) -> usize {
+    (line.raw() % banks as u64) as usize
 }
 
 /// Counts one L1 access in the paper's hit/miss breakdown (shared by every

@@ -32,7 +32,7 @@
 //! executed in the `BarrierWait` phase → barrier stall.
 
 use crate::backend::Backend;
-use crate::chaos::FaultInjector;
+use crate::chaos::{FaultInjector, FaultPlan};
 use crate::config::{DataInvalidation, SystemConfig};
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::observe::Observer;
@@ -415,11 +415,8 @@ impl System {
         let n = cfg.cores;
         let backend = Backend::new(&cfg, &layout, &mesh);
         let mut net = Network::new(mesh, cfg.noc);
-        if let Some(h) = cfg.hetero_links {
-            net.enable_hetero_links(h.seed, h.max_extra);
-        }
         if let Some(plan) = cfg.fault_plan {
-            net.enable_jitter(plan.link_seed(), plan.link_jitter);
+            net.enable_jitter(plan.link_seed(), FaultPlan::LINK_JITTER);
         }
         let memory = MainMemory::with_layout(&layout);
         let mut sys = System {
@@ -624,20 +621,21 @@ impl System {
     }
 
     /// Verifies the quiescent-state coherence invariants after a completed
-    /// run (no in-flight messages): exactly the properties the protocols
-    /// exist to maintain.
+    /// run (no in-flight messages): nothing is pending — no MSHR entry, no
+    /// busy, queued or fetching bank line and, under GCS, no recall, waiter
+    /// bit or remote watch — and the protocol family's one per-line rule
+    /// set, the same rules [`System::verify_invariants`] checks at delivery
+    /// boundaries, holds for every address. With nothing in flight those
+    /// rules are exactly the properties the protocols exist to maintain:
     ///
     /// * **DeNovo single-registrant rule**: every word the registry marks
-    ///   `Registered(c)` is actually held (Registered, or mid-writeback) by
-    ///   core `c`, and — the converse — every L1-registered word is the one
-    ///   the registry points at, so no word ever has two registrants. Under
-    ///   GCS a sync-classified word is Valid at its home bank with no silent
-    ///   sharer, and the sync path is idle (no recall, waiter bit, or remote
-    ///   watch left).
+    ///   `Registered(c)` is held Registered by core `c`, and — the converse
+    ///   — every L1-registered word is the one its registry points at, so no
+    ///   word ever has two registrants. Under GCS a sync-classified word is
+    ///   Valid at its home bank with no silent sharer.
     /// * **MESI owner/sharer agreement**: every directory-owned line is in
-    ///   E/M at exactly its owner; every resident S line is covered by the
-    ///   directory's sharer set; no L1 transactions or directory busy
-    ///   states remain.
+    ///   E/M at exactly its owner, and every resident S line is covered by
+    ///   the directory's sharer set.
     ///
     /// # Errors
     ///
@@ -1854,7 +1852,7 @@ mod tests {
         // Corrupt: force a bogus registration through the public message
         // interface of a bank that saw the counter's line.
         let word = counter.word();
-        let bank = (word.line().raw() % 4) as usize;
+        let bank = crate::proto::home_bank(word.line(), 4);
         let reg = &mut regs(&mut sys)[bank];
         let mut scratch = Vec::new();
         // Whoever is registered, re-register to a different core without
@@ -1905,7 +1903,7 @@ mod tests {
         sys.run().unwrap();
         sys.verify_invariants().expect("clean after a clean run");
         let word = counter.word();
-        let bank = (word.line().raw() % 4) as usize;
+        let bank = crate::proto::home_bank(word.line(), 4);
         let reg = &mut regs(&mut sys)[bank];
         let current = match reg.word(word) {
             Some(crate::denovo::registry::RegWord::Registered(c)) => c,
@@ -1928,6 +1926,38 @@ mod tests {
             err.contains("registry points"),
             "unexpected violation detail: {err}"
         );
+    }
+
+    #[test]
+    fn runtime_invariant_checker_catches_a_dropped_sharer() {
+        // MESI: every core read-shares the counter's line; the home
+        // directory then drops core 0 from its sharer set (a stale PutS)
+        // while core 0 keeps its settled S copy — one a later writer's
+        // invalidations would never reach.
+        let (layout, counter) = counter_layout();
+        let make = || {
+            let mut a = Asm::new("read");
+            a.movi(Reg(1), counter.raw()).load(Reg(2), Reg(1), 0).halt();
+            a.build()
+        };
+        let mut sys = System::new(
+            SystemConfig::small(4, Protocol::Mesi),
+            layout,
+            (0..4).map(|_| make()).collect::<Vec<_>>(),
+        );
+        sys.run().unwrap();
+        sys.verify_invariants().expect("clean after a clean run");
+        let line = counter.word().line();
+        let Backend::Mesi { dirs, .. } = &mut sys.backend else {
+            panic!("not a MESI system");
+        };
+        let put = crate::msg::MesiMsg::PutS { line, req: 0 };
+        dirs[crate::proto::home_bank(line, 4)].on_msg(put, &mut Vec::new());
+        let err = sys
+            .verify_invariants()
+            .expect_err("checker must flag an S copy outside the sharer set");
+        assert!(err.contains("cores [0] hold S copies outside"), "{err}");
+        assert!(sys.verify_coherence().is_err());
     }
 
     #[test]
@@ -1983,7 +2013,7 @@ mod tests {
         // Contended sync RMWs must have classified the counter and moved it
         // onto the bank-side update path.
         let word = counter.word();
-        let bank = &regs(&mut sys)[(word.line().raw() % 4) as usize];
+        let bank = &regs(&mut sys)[crate::proto::home_bank(word.line(), 4)];
         assert!(bank.classified(word), "contended RMW target classifies");
         assert!(bank.recalls() >= 1, "classification recalls the registrant");
         assert_eq!(
@@ -2156,7 +2186,7 @@ mod tests {
         sys.verify_invariants().expect("clean after a clean run");
         let word = flag.word();
         let seen = sys.read_word(flag);
-        let bank = (word.line().raw() % 4) as usize;
+        let bank = crate::proto::home_bank(word.line(), 4);
         let g = &mut regs(&mut sys)[bank];
         assert!(g.classified(word), "contended RMW target classifies");
         // Corrupt through the public interface: park a watch for core 2
@@ -2174,7 +2204,7 @@ mod tests {
 
     #[test]
     fn gcs_runs_on_non_square_and_large_meshes() {
-        use crate::config::{HeteroLinks, MeshShape};
+        use crate::config::MeshShape;
         let (_, counter) = counter_layout();
         let make = || {
             let mut a = Asm::new("fai");
@@ -2188,10 +2218,6 @@ mod tests {
             let shape = MeshShape::new(rows, cols).unwrap();
             let n = shape.tiles();
             let mut cfg = SystemConfig::meshed(shape, Protocol::Gcs);
-            cfg.hetero_links = Some(HeteroLinks {
-                seed: 0x11EA,
-                max_extra: 5,
-            });
             cfg.check_invariants = true;
             let (layout, _) = counter_layout();
             let mut sys = System::new(cfg, layout, (0..n).map(|_| make()).collect::<Vec<_>>());

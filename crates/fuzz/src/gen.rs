@@ -22,8 +22,6 @@ pub struct GenConfig {
     pub ops: (u8, u8),
     /// Maximum shared-location counts per class.
     pub shape: Shape,
-    /// Inject whole litmus-shaped groups (MP chains, CoRR, IRIW).
-    pub idioms: bool,
 }
 
 impl GenConfig {
@@ -42,7 +40,6 @@ impl GenConfig {
                 rf: 2,
                 priv_slots: 3,
             },
-            idioms: true,
         }
     }
 
@@ -61,7 +58,6 @@ impl GenConfig {
                 rf: 2,
                 priv_slots: 2,
             },
-            idioms: true,
         }
     }
 }
@@ -127,45 +123,43 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
     }
 
     // Idiom injections: whole litmus-shaped groups from the shared pool.
-    if cfg.idioms {
-        // CoRR probe: one writer, one reader probing the same word twice.
-        if shape.rf >= 1 && nthreads >= 2 && rng.chance(1, 2) {
-            let word = rng.below(shape.rf as usize) as u8;
-            let writer = rng.below(nthreads);
-            let reader = (writer + 1 + rng.below(nthreads - 1)) % nthreads;
-            threads[writer].push(Op::RfStore { word });
-            threads[reader].push(Op::RfLoad2 {
-                a: word,
-                b: word,
-                witness: true,
+    // CoRR probe: one writer, one reader probing the same word twice.
+    if shape.rf >= 1 && nthreads >= 2 && rng.chance(1, 2) {
+        let word = rng.below(shape.rf as usize) as u8;
+        let writer = rng.below(nthreads);
+        let reader = (writer + 1 + rng.below(nthreads - 1)) % nthreads;
+        threads[writer].push(Op::RfStore { word });
+        threads[reader].push(Op::RfLoad2 {
+            a: word,
+            b: word,
+            witness: true,
+        });
+    }
+    // IRIW quad: two writers, two readers probing in opposite orders.
+    if shape.rf >= 2 && nthreads >= 4 && rng.chance(1, 2) {
+        let (x, y) = (0u8, 1u8);
+        threads[0].push(Op::RfStore { word: x });
+        threads[1].push(Op::RfStore { word: y });
+        threads[2].push(Op::RfLoad2 {
+            a: x,
+            b: y,
+            witness: true,
+        });
+        threads[3].push(Op::RfLoad2 {
+            a: y,
+            b: x,
+            witness: true,
+        });
+    }
+    // Lock convoy: every thread increments the same guarded counter
+    // (the tatas litmus generalized).
+    if shape.locks >= 1 && rng.chance(1, 2) {
+        let lock = rng.below(shape.locks as usize) as u8;
+        for ops in threads.iter_mut() {
+            ops.push(Op::LockedAdd {
+                lock,
+                witness: rng.chance(1, 2),
             });
-        }
-        // IRIW quad: two writers, two readers probing in opposite orders.
-        if shape.rf >= 2 && nthreads >= 4 && rng.chance(1, 2) {
-            let (x, y) = (0u8, 1u8);
-            threads[0].push(Op::RfStore { word: x });
-            threads[1].push(Op::RfStore { word: y });
-            threads[2].push(Op::RfLoad2 {
-                a: x,
-                b: y,
-                witness: true,
-            });
-            threads[3].push(Op::RfLoad2 {
-                a: y,
-                b: x,
-                witness: true,
-            });
-        }
-        // Lock convoy: every thread increments the same guarded counter
-        // (the tatas litmus generalized).
-        if shape.locks >= 1 && rng.chance(1, 2) {
-            let lock = rng.below(shape.locks as usize) as u8;
-            for ops in threads.iter_mut() {
-                ops.push(Op::LockedAdd {
-                    lock,
-                    witness: rng.chance(1, 2),
-                });
-            }
         }
     }
 

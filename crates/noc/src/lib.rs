@@ -302,9 +302,6 @@ pub struct Network {
     next_free: Vec<Cycle>,
     crossings: u64,
     messages: u64,
-    /// Per-link fixed extra hop delay (heterogeneous links); empty when
-    /// every link is uniform.
-    link_extra: Vec<Cycle>,
     jitter: Option<Jitter>,
     /// Observability only — never feeds back into routing or timing.
     tel: Telemetry,
@@ -334,7 +331,6 @@ impl Network {
             next_free: vec![0; mesh.link_slots()],
             crossings: 0,
             messages: 0,
-            link_extra: Vec::new(),
             jitter: None,
             tel: Telemetry::off(),
         }
@@ -361,30 +357,6 @@ impl Network {
                 tiles: self.mesh.tiles(),
             })
         };
-    }
-
-    /// Gives each directional link a fixed extra per-hop delay in
-    /// `0..=max_extra` cycles, chosen deterministically from `seed` — a
-    /// model of chips whose links are not all equally fast (longer wires,
-    /// slower voltage domains). Because the extra is a *constant per link*
-    /// and XY routes are deterministic, per-pair FIFO delivery and arrival
-    /// monotonicity are preserved: consecutive messages of a pair traverse
-    /// identical links with identical extras and still serialize on each
-    /// one. `max_extra == 0` restores uniform links.
-    pub fn enable_hetero_links(&mut self, seed: u64, max_extra: Cycle) {
-        if max_extra == 0 {
-            self.link_extra = Vec::new();
-            return;
-        }
-        let mut rng = DetRng::new(seed);
-        self.link_extra = (0..self.mesh.link_slots())
-            .map(|_| rng.range(0, max_extra + 1))
-            .collect();
-    }
-
-    /// The extra per-hop delay of one link (0 when links are uniform).
-    fn extra_for(&self, link: LinkId) -> Cycle {
-        self.link_extra.get(link.0).copied().unwrap_or(0)
     }
 
     /// The topology.
@@ -428,12 +400,11 @@ impl Network {
         let mut head = now + self.params.endpoint_cycles;
         let mut hops: u64 = 0;
         for link in self.mesh.route_iter(src, dst) {
-            let extra = self.extra_for(link);
             let slot = &mut self.next_free[link.0];
             let start = head.max(*slot);
             // The link is busy for the whole message's serialization time.
             *slot = start + flits;
-            head = start + self.params.hop_cycles + extra;
+            head = start + self.params.hop_cycles;
             hops += 1;
             if self.tel.enabled() {
                 let busy_until = *slot;
@@ -673,31 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn hetero_links_are_deterministic_and_only_add_delay() {
-        let mesh = Mesh::new(8, 2);
-        let mut flat = Network::new(mesh, NocParams::default());
-        let mut het = Network::new(mesh, NocParams::default());
-        let mut het2 = Network::new(mesh, NocParams::default());
-        het.enable_hetero_links(0xBEEF, 3);
-        het2.enable_hetero_links(0xBEEF, 3);
-        for i in 0..100u64 {
-            let src = (i % 16) as usize;
-            let dst = ((i * 7 + 3) % 16) as usize;
-            let base = flat.send(i * 5, src, dst, 4);
-            let a = het.send(i * 5, src, dst, 4);
-            let b = het2.send(i * 5, src, dst, 4);
-            assert_eq!(a.arrive, b.arrive, "same seed, same schedule");
-            assert!(a.arrive >= base.arrive, "hetero links only add delay");
-            assert_eq!(a.crossings, base.crossings, "traffic is unchanged");
-        }
-    }
-
-    #[test]
-    fn hetero_links_keep_every_pair_monotone_on_large_meshes() {
+    fn every_pair_stays_monotone_on_large_meshes() {
         for (cols, rows) in [(8, 2), (8, 16), (16, 16)] {
             let mesh = Mesh::new(cols, rows);
             let mut net = Network::new(mesh, NocParams::default());
-            net.enable_hetero_links(0x11EA, 9);
             let tiles = mesh.tiles();
             let mut last = vec![0u64; tiles * tiles];
             let mut rng = DetRng::new(7);
