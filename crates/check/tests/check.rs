@@ -190,6 +190,51 @@ fn halted_state_with_a_stranded_transaction_is_a_violation() {
     assert_eq!(replayed, ce.failure);
 }
 
+/// Both MESI mutations need an S copy that an upgrade invalidates, and two
+/// threads give one: T1 loads x; T0 loads x, then stores it. When T1's GetS
+/// is served first, T1 is granted E, T0's GetS downgrades both to S, and
+/// T0's store upgrades from S and invalidates T1. Skipping the
+/// invalidation leaves a stale S copy beside the new owner; dropping the
+/// ack strands T0's upgrade at its fence. Not in `Litmus::all()`.
+#[test]
+fn mesi_mutations_are_caught_on_a_two_thread_upgrade() {
+    let mut lit = litmus::sb();
+    let (res0, x) = (lit.observables[0].1, lit.observables[1].1);
+    let (v, p) = (Reg(1), Reg(2));
+    let mut upgrader = Asm::new("upgrader");
+    upgrader
+        .movi(p, x.raw())
+        .load(v, p, 0)
+        .movi(v, 7)
+        .store(v, p, 0);
+    // res0 := 1 keeps the SB verdict satisfied on every path.
+    upgrader
+        .movi(v, 1)
+        .movi(p, res0.raw())
+        .store(v, p, 0)
+        .fence()
+        .halt();
+    let mut reader = Asm::new("reader");
+    reader.movi(p, x.raw()).load(v, p, 0).halt();
+    lit.programs = vec![upgrader.build(), reader.build()];
+
+    let clean = check_litmus(&lit, Protocol::Mesi, None, &cfg(2));
+    assert_eq!(clean.verdict, Verdict::Verified, "stock MESI must verify");
+    for mutation in [
+        ProtocolMutation::MesiSkipInvalidate,
+        ProtocolMutation::MesiDropAck,
+    ] {
+        let report = check_litmus(&lit, Protocol::Mesi, Some(mutation), &cfg(2));
+        let Verdict::Violated(ce) = &report.verdict else {
+            panic!("{mutation:?} not caught ({report:?})");
+        };
+        assert!(ce.minimized, "{mutation:?}: counterexample not minimized");
+        assert!(!ce.picks.is_empty(), "{mutation:?}: empty counterexample");
+        let replayed = replay_litmus(&lit, Protocol::Mesi, Some(mutation), ce).expect("replays");
+        assert_eq!(replayed, ce.failure, "{mutation:?}: replay differs");
+    }
+}
+
 /// Verdict, minimized counterexample, and the deterministic statistics are
 /// identical for 1, 2, and 4 workers.
 #[test]

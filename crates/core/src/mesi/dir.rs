@@ -1,11 +1,9 @@
-//! The MESI directory, embedded in an L2 bank.
-//!
-//! Each line's directory entry tracks a full sharer bit-vector or an owner —
-//! exactly the storage DeNovo's registry eliminates — and the bank is a
-//! *blocking* directory: a line with an in-flight transaction queues later
-//! requests until the requestor's `Unblock` (and, for owner downgrades, the
-//! owner's data copy) arrives. The paper's §4.1 contrasts this with DeNovo's
-//! non-blocking registry.
+//! The MESI directory, embedded in an L2 bank: a full sharer bit-vector or
+//! an owner per line — exactly the storage DeNovo's registry eliminates —
+//! and *blocking* semantics: a line with an in-flight transaction queues
+//! later requests, which fire their rows once the requestor's `Unblock`
+//! (and, for owner downgrades, the owner's data copy) has arrived. The
+//! paper's §4.1 contrasts this with DeNovo's non-blocking registry.
 //!
 //! The L2 keeps a tag for every line touched during a run (no capacity
 //! evictions; see DESIGN.md §"deviations"): workload footprints are far
@@ -21,9 +19,10 @@ use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::collections::VecDeque;
 
 /// Directory state for one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 enum DirState {
     /// No L1 holds the line.
+    #[default]
     Uncached,
     /// Read-shared by the cores in the set.
     Shared(CoreSet),
@@ -54,7 +53,7 @@ enum Busy {
     MemFetch,
 }
 
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Clone, Default, Hash)]
 struct DirLine {
     data: LineData,
     has_data: bool,
@@ -63,16 +62,128 @@ struct DirLine {
     queue: VecDeque<MesiMsg>,
 }
 
-impl DirLine {
-    fn new() -> Self {
-        DirLine {
-            data: [0; dvs_mem::WORDS_PER_LINE],
-            has_data: false,
-            state: DirState::Uncached,
-            busy: None,
-            queue: VecDeque::new(),
+/// An entry's state: `Uncached | Shared | Owned`, each idle or `Busy`
+/// (mid-transaction), plus `Cold` (never fetched: a request fetches memory
+/// first) and `Fetching`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum State {
+    Cold,
+    Fetching,
+    Uncached,
+    Shared,
+    Owned,
+    UncachedBusy,
+    SharedBusy,
+    OwnedBusy,
+}
+
+impl State {
+    fn of(e: &DirLine) -> State {
+        match (e.busy, e.state) {
+            (Some(Busy::MemFetch), _) => State::Fetching,
+            (None, DirState::Uncached) if !e.has_data => State::Cold,
+            (None, DirState::Uncached) => State::Uncached,
+            (None, DirState::Shared(_)) => State::Shared,
+            (None, DirState::Owned(_)) => State::Owned,
+            (Some(_), DirState::Uncached) => State::UncachedBusy,
+            (Some(_), DirState::Shared(_)) => State::SharedBusy,
+            (Some(_), DirState::Owned(_)) => State::OwnedBusy,
         }
     }
+}
+
+/// What fires a row. `OwnerReq`: a GetS or GetM from the current owner.
+/// `LastPutS` comes from the last sharer; `PutE`/`PutM` from the owner;
+/// `StalePut` from a core whose copy already moved on via a forward served
+/// from its MSHR. `LastUnblock` and `LastOwnerWb` complete the transaction;
+/// `Unblock` and `OwnerWb` leave the other still due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Event {
+    GetS,
+    GetM,
+    OwnerReq,
+    PutS,
+    LastPutS,
+    PutE,
+    PutM,
+    StalePut,
+    Unblock,
+    LastUnblock,
+    OwnerWb,
+    LastOwnerWb,
+    MemData,
+}
+
+/// One step of a row; see `MesiDir::act`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    FetchMem,
+    Queue,
+    GrantE,
+    GrantM,
+    GrantS,
+    GrantInv,
+    FwdS,
+    FwdM,
+    DropSharer,
+    Uncache,
+    Absorb,
+    Unblocked,
+    WbArrived,
+    Retire,
+    PutAck,
+}
+
+transition_table!(State::OwnedBusy, Event::MemData);
+
+#[rustfmt::skip]
+const ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const BUSY: &[State] = &[Fetching, UncachedBusy, SharedBusy, OwnedBusy];
+    const ALL: &[State] =
+        &[Cold, Fetching, Uncached, Shared, Owned, UncachedBusy, SharedBusy, OwnedBusy];
+    const WAITING: &[State] = &[UncachedBusy, SharedBusy];
+    &[
+        // Requests: fetch a cold line, queue while busy, serve when idle.
+        Row { id: 1, from: &[Cold], on: &[GetS, GetM], acts: &[FetchMem], to: Some(Fetching) },
+        Row { id: 2, from: BUSY, on: &[GetS, GetM], acts: &[Queue], to: None },
+        Row { id: 3, from: &[OwnedBusy], on: &[OwnerReq], acts: &[Queue], to: None },
+        Row { id: 4, from: &[Uncached], on: &[GetS], acts: &[GrantE], to: Some(OwnedBusy) },
+        Row { id: 5, from: &[Uncached], on: &[GetM], acts: &[GrantM], to: Some(OwnedBusy) },
+        Row { id: 6, from: &[Shared], on: &[GetS], acts: &[GrantS], to: Some(SharedBusy) },
+        Row { id: 7, from: &[Shared], on: &[GetM], acts: &[GrantInv], to: Some(OwnedBusy) },
+        Row { id: 8, from: &[Owned], on: &[GetS], acts: &[FwdS], to: Some(SharedBusy) },
+        Row { id: 9, from: &[Owned], on: &[GetM], acts: &[FwdM], to: Some(OwnedBusy) },
+        // Evictions, acked whether or not they still count.
+        Row { id: 10, from: &[Shared, SharedBusy], on: &[PutS], acts: &[DropSharer, PutAck], to: None },
+        Row { id: 11, from: &[Shared], on: &[LastPutS], acts: &[Uncache, PutAck], to: Some(Uncached) },
+        Row { id: 12, from: &[SharedBusy], on: &[LastPutS], acts: &[Uncache, PutAck], to: Some(UncachedBusy) },
+        Row { id: 13, from: &[Owned], on: &[PutE], acts: &[Uncache, PutAck], to: Some(Uncached) },
+        Row { id: 14, from: &[OwnedBusy], on: &[PutE], acts: &[Uncache, PutAck], to: Some(UncachedBusy) },
+        Row { id: 15, from: &[Owned], on: &[PutM], acts: &[Absorb, Uncache, PutAck], to: Some(Uncached) },
+        Row { id: 16, from: &[OwnedBusy], on: &[PutM], acts: &[Absorb, Uncache, PutAck], to: Some(UncachedBusy) },
+        Row { id: 17, from: ALL, on: &[StalePut], acts: &[PutAck], to: None },
+        // Completions.
+        Row { id: 18, from: WAITING, on: &[Unblock], acts: &[Unblocked], to: None },
+        Row { id: 19, from: &[UncachedBusy], on: &[LastUnblock], acts: &[Retire], to: Some(Uncached) },
+        Row { id: 20, from: &[SharedBusy], on: &[LastUnblock], acts: &[Retire], to: Some(Shared) },
+        Row { id: 21, from: &[OwnedBusy], on: &[LastUnblock], acts: &[Retire], to: Some(Owned) },
+        Row { id: 22, from: WAITING, on: &[OwnerWb], acts: &[Absorb, WbArrived], to: None },
+        Row { id: 23, from: &[UncachedBusy], on: &[LastOwnerWb], acts: &[Absorb, Retire], to: Some(Uncached) },
+        Row { id: 24, from: &[SharedBusy], on: &[LastOwnerWb], acts: &[Absorb, Retire], to: Some(Shared) },
+        Row { id: 25, from: &[Fetching], on: &[MemData], acts: &[Absorb, Retire], to: Some(Uncached) },
+    ]
+};
+
+static TABLE: Table = index(ROWS, &[]);
+
+/// What fired a row: a message, or memory returning the line's data.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    Msg(MesiMsg),
+    Mem(LineData),
 }
 
 /// One L2 bank with its slice of the directory.
@@ -166,182 +277,159 @@ impl MesiDir {
     /// A one-line human-readable description of the line's directory entry
     /// (stall diagnostics).
     pub fn describe_line(&self, line: LineAddr) -> String {
-        match self.lines.get(line.raw()) {
-            None => format!("bank {}: {line} untracked", self.bank),
-            Some(e) => format!(
-                "bank {}: {line} {:?} busy={:?} queued={} has_data={}",
-                self.bank,
-                e.state,
-                e.busy,
-                e.queue.len(),
-                e.has_data
-            ),
-        }
+        let bank = self.bank;
+        let Some(e) = self.lines.get(line.raw()) else {
+            return format!("bank {bank}: {line} untracked");
+        };
+        let (state, busy, queued, has_data) = (e.state, e.busy, e.queue.len(), e.has_data);
+        format!("bank {bank}: {line} {state:?} busy={busy:?} queued={queued} has_data={has_data}")
     }
 
     /// Handles one incoming message.
     pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
-        match msg {
-            MesiMsg::GetS { .. } | MesiMsg::GetM { .. } => self.request(msg, actions),
-            MesiMsg::PutS { line, req }
-            | MesiMsg::PutM { line, req, .. }
-            | MesiMsg::PutE { line, req } => {
-                let entry = self.lines.or_insert_with(line.raw(), DirLine::new);
-                match (msg, entry.state) {
-                    (MesiMsg::PutS { .. }, DirState::Shared(mut sharers)) => {
-                        sharers.remove(req);
-                        entry.state = if sharers.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(sharers)
-                        };
-                    }
-                    (MesiMsg::PutM { data, .. }, DirState::Owned(o)) if o == req => {
-                        entry.data = data;
-                        entry.has_data = true;
-                        entry.state = DirState::Uncached;
-                    }
-                    // E is clean by construction: the L2 data is current.
-                    (MesiMsg::PutE { .. }, DirState::Owned(o)) if o == req => {
-                        entry.state = DirState::Uncached;
-                    }
-                    // Otherwise the Put is stale (ownership already moved
-                    // via a forward served from the evictor's MSHR): ack
-                    // only.
-                    _ => {}
-                }
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::PutAck { line }),
-                });
-            }
-            MesiMsg::OwnerWb { line, data, .. } => {
-                let Some(entry) = self.lines.get_mut(line.raw()) else {
-                    actions.push(Action::violation(format!(
-                        "bank {}: OwnerWb for unknown line {line}",
-                        self.bank
-                    )));
-                    return;
-                };
-                entry.data = data;
-                entry.has_data = true;
-                if let Some(Busy::Txn {
-                    ref mut need_owner_wb,
-                    ..
-                }) = entry.busy
-                {
-                    *need_owner_wb = false;
-                }
-                self.maybe_unblock(line, actions);
-            }
-            MesiMsg::Unblock { line, .. } => {
-                let Some(entry) = self.lines.get_mut(line.raw()) else {
-                    actions.push(Action::violation(format!(
-                        "bank {}: Unblock for unknown line {line}",
-                        self.bank
-                    )));
-                    return;
-                };
-                if let Some(Busy::Txn {
-                    ref mut need_unblock,
-                    ..
-                }) = entry.busy
-                {
-                    *need_unblock = false;
-                }
-                self.maybe_unblock(line, actions);
-            }
-            other => actions.push(Action::violation(format!(
-                "directory bank {} cannot handle {other:?}",
-                self.bank
-            ))),
-        }
+        self.fire(msg.line(), Input::Msg(msg), actions);
+        self.drain(msg.line(), actions);
     }
 
     /// Memory returned a line this bank was fetching.
     pub fn on_mem_data(&mut self, line: LineAddr, data: LineData, actions: &mut Vec<Action>) {
-        let Some(entry) = self.lines.get_mut(line.raw()) else {
-            actions.push(Action::violation(format!(
-                "bank {}: MemData for unknown line {line}",
-                self.bank
-            )));
-            return;
-        };
-        if entry.busy != Some(Busy::MemFetch) {
-            let busy = entry.busy;
-            actions.push(Action::violation(format!(
-                "bank {}: MemData for {line} while busy={busy:?}",
-                self.bank
-            )));
-            return;
-        }
-        entry.data = data;
-        entry.has_data = true;
-        entry.busy = None;
+        self.fire(line, Input::Mem(data), actions);
         self.drain(line, actions);
     }
 
-    fn maybe_unblock(&mut self, line: LineAddr, actions: &mut Vec<Action>) {
-        let entry = self.lines.get_mut(line.raw()).expect("line exists");
-        if let Some(Busy::Txn {
-            need_unblock: false,
-            need_owner_wb: false,
-        }) = entry.busy
-        {
-            entry.busy = None;
-            self.drain(line, actions);
-        }
-    }
-
+    /// Serves queued requests while the line is idle.
     fn drain(&mut self, line: LineAddr, actions: &mut Vec<Action>) {
-        loop {
-            let entry = self.lines.get_mut(line.raw()).expect("line exists");
+        while let Some(entry) = self.lines.get_mut(line.raw()) {
             if entry.busy.is_some() {
                 return;
             }
             let Some(next) = entry.queue.pop_front() else {
                 return;
             };
-            self.request(next, actions);
+            self.fire(line, Input::Msg(next), actions);
         }
     }
 
-    fn request(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
-        let line = msg.line();
-        let cause = match msg {
-            MesiMsg::GetS { .. } => "GetS",
-            _ => "GetM",
+    /// The state `input` meets on `line` and the event it is there (`None`:
+    /// a message no directory takes). Every input tracks its line.
+    fn classify(&mut self, line: LineAddr, input: Input) -> (State, Option<Event>) {
+        let entry = self.lines.or_insert_with(line.raw(), DirLine::default);
+        let (state, dir) = (State::of(entry), entry.state);
+        let (unblock_due, wb_due) = match entry.busy {
+            Some(Busy::Txn {
+                need_unblock: u,
+                need_owner_wb: w,
+            }) => (u, w),
+            _ => (false, false),
         };
-        let entry = self.lines.or_insert_with(line.raw(), DirLine::new);
-        if entry.busy.is_some() {
-            entry.queue.push_back(msg);
-            return;
+        let owner = |req| dir == DirState::Owned(req);
+        let Input::Msg(msg) = input else {
+            return (state, Some(Event::MemData));
+        };
+        let event = match msg {
+            MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. } if owner(req) => Event::OwnerReq,
+            MesiMsg::GetS { .. } => Event::GetS,
+            MesiMsg::GetM { .. } => Event::GetM,
+            MesiMsg::PutS { req, .. } => match dir {
+                DirState::Shared(s) if s == CoreSet::of(req) => Event::LastPutS,
+                DirState::Shared(s) if s.difference(&CoreSet::of(req)) != s => Event::PutS,
+                _ => Event::StalePut,
+            },
+            MesiMsg::PutE { req, .. } if owner(req) => Event::PutE,
+            MesiMsg::PutM { req, .. } if owner(req) => Event::PutM,
+            MesiMsg::PutE { .. } | MesiMsg::PutM { .. } => Event::StalePut,
+            MesiMsg::Unblock { .. } if wb_due => Event::Unblock,
+            MesiMsg::Unblock { .. } => Event::LastUnblock,
+            MesiMsg::OwnerWb { .. } if unblock_due => Event::OwnerWb,
+            MesiMsg::OwnerWb { .. } => Event::LastOwnerWb,
+            _ => return (state, None),
+        };
+        (state, Some(event))
+    }
+
+    /// Classifies `input` and runs its row. A cell with no row is the one
+    /// unexpected-event path: a violation naming the line, state and event.
+    fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) {
+        let (state, event) = self.classify(line, input);
+        let Some(row) = event.and_then(|e| TABLE[state as usize][e as usize]) else {
+            let what = event.map_or(format!("{input:?}"), |e| format!("{e:?}"));
+            let bank = self.bank;
+            let detail = format!("MESI dir bank {bank}: unexpected {what} for {line} in {state:?}");
+            return actions.push(Action::violation(detail));
+        };
+        for &act in row.acts {
+            self.act(act, line, input, actions);
         }
-        let before = entry.state;
-        let mut inv_fanout = None;
-        if !entry.has_data && entry.state == DirState::Uncached {
-            // Cold line: fetch from memory first.
-            entry.busy = Some(Busy::MemFetch);
-            entry.queue.push_front(msg);
-            let class = match msg {
-                MesiMsg::GetS { .. } => TrafficClass::Load,
-                _ => TrafficClass::Store,
-            };
-            actions.push(Action::Send {
-                to: self.mem,
-                msg: Msg::MemRead {
-                    line,
-                    bank: self.bank,
-                    class,
-                },
-            });
-            return;
+        let now = State::of(self.lines.get(line.raw()).expect("tracked line"));
+        debug_assert_eq!(now, row.to.unwrap_or(state), "dir row {} on {line}", row.id);
+    }
+
+    /// Runs one step of a fired row.
+    fn act(&mut self, act: Act, line: LineAddr, input: Input, actions: &mut Vec<Action>) {
+        let entry = self.lines.get_mut(line.raw()).expect("tracked line");
+        match (act, input) {
+            (Act::FetchMem, Input::Msg(msg)) => {
+                entry.busy = Some(Busy::MemFetch);
+                entry.queue.push_front(msg);
+                let (bank, to, class) = (self.bank, self.mem, msg.class());
+                let msg = Msg::MemRead { line, bank, class };
+                actions.push(Action::Send { to, msg });
+            }
+            (Act::Queue, Input::Msg(msg)) => entry.queue.push_back(msg),
+            (Act::DropSharer, Input::Msg(MesiMsg::PutS { req, .. })) => {
+                if let DirState::Shared(mut sharers) = entry.state {
+                    sharers.remove(req);
+                    entry.state = DirState::Shared(sharers);
+                }
+            }
+            (Act::Uncache, _) => entry.state = DirState::Uncached,
+            (Act::Absorb, _) => {
+                entry.data = match input {
+                    Input::Msg(MesiMsg::PutM { data, .. } | MesiMsg::OwnerWb { data, .. }) => data,
+                    Input::Mem(data) => data,
+                    Input::Msg(msg) => unreachable!("no data in {msg:?}"),
+                };
+                entry.has_data = true;
+            }
+            (Act::Unblocked, _) => {
+                if let Some(Busy::Txn { need_unblock, .. }) = &mut entry.busy {
+                    *need_unblock = false;
+                }
+            }
+            (Act::WbArrived, _) => {
+                if let Some(Busy::Txn { need_owner_wb, .. }) = &mut entry.busy {
+                    *need_owner_wb = false;
+                }
+            }
+            (Act::Retire, _) => entry.busy = None,
+            (Act::PutAck, Input::Msg(msg)) => {
+                let to = match msg {
+                    MesiMsg::PutS { req, .. } | MesiMsg::PutE { req, .. } => Endpoint::L1(req),
+                    MesiMsg::PutM { req, .. } => Endpoint::L1(req),
+                    _ => unreachable!("PutAck for {msg:?}"),
+                };
+                let msg = Msg::Mesi(MesiMsg::PutAck { line });
+                actions.push(Action::Send { to, msg });
+            }
+            (_, Input::Msg(msg)) => self.serve(act, line, msg, actions),
+            (_, Input::Mem(_)) => unreachable!("directory step {act:?} fired by memory data"),
         }
-        // Every request is answered with data (or forwarded to the owner),
-        // moves the line to its next state, and blocks the line until the
-        // requestor's `Unblock` — and, when an owner is downgraded to a
-        // sharer, until its data copy arrives.
-        let data = entry.data;
+    }
+
+    /// The grant and forward steps: answers a request at an idle line with
+    /// data (or forwards it to the owner), moves the entry to its next
+    /// state, and blocks the line until the requestor's `Unblock` — and,
+    /// when an owner is downgraded to a sharer, until its data copy arrives.
+    fn serve(&mut self, act: Act, line: LineAddr, msg: MesiMsg, actions: &mut Vec<Action>) {
+        use DirState::{Owned, Shared};
+        use TrafficClass::{Load, Store};
+        let (cause, req) = match msg {
+            MesiMsg::GetS { req, .. } => ("GetS", req),
+            MesiMsg::GetM { req, .. } => ("GetM", req),
+            _ => unreachable!("{act:?} for {msg:?}"),
+        };
+        let entry = self.lines.get_mut(line.raw()).expect("tracked line");
+        let (before, data) = (entry.state, entry.data);
         let grant = |acks, exclusive, class| {
             Msg::Mesi(MesiMsg::Data {
                 line,
@@ -351,87 +439,50 @@ impl MesiDir {
                 class,
             })
         };
-        let (MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. }) = msg else {
-            unreachable!("request() only takes GetS/GetM: {msg:?}")
-        };
         let mut invalidate = CoreSet::default();
-        let (to, reply, state, need_owner_wb) = match (msg, entry.state) {
-            (_, DirState::Owned(owner)) if owner == req => {
-                actions.push(Action::violation(format!(
-                    "bank {}: owner core {req} re-requesting {cause} for {line}",
-                    self.bank
-                )));
-                return;
-            }
-            (MesiMsg::GetS { .. }, DirState::Uncached) => (
-                req,
-                grant(0, true, TrafficClass::Load),
-                DirState::Owned(req),
-                false,
-            ),
-            (MesiMsg::GetS { .. }, DirState::Shared(mut sharers)) => {
+        let (to, reply, state, need_owner_wb) = match (act, before) {
+            (Act::GrantE, _) => (req, grant(0, true, Load), Owned(req), false),
+            (Act::GrantM, _) => (req, grant(0, false, Store), Owned(req), false),
+            (Act::GrantS, Shared(mut sharers)) => {
                 sharers.insert(req);
-                let reply = grant(0, false, TrafficClass::Load);
-                (req, reply, DirState::Shared(sharers), false)
+                (req, grant(0, false, Load), Shared(sharers), false)
             }
-            (MesiMsg::GetS { .. }, DirState::Owned(owner)) => {
-                let mut sharers = CoreSet::of(owner);
-                sharers.insert(req);
-                let fwd = Msg::Mesi(MesiMsg::FwdGetS { line, req });
-                (owner, fwd, DirState::Shared(sharers), true)
-            }
-            (_, DirState::Uncached) => (
-                req,
-                grant(0, false, TrafficClass::Store),
-                DirState::Owned(req),
-                false,
-            ),
-            (_, DirState::Shared(sharers)) => {
+            (Act::GrantInv, Shared(sharers)) => {
                 invalidate = sharers.difference(&CoreSet::of(req));
                 let acks = invalidate.len() as u32;
-                if acks > 0 {
-                    inv_fanout = Some((req, acks));
-                }
-                let reply = grant(acks, false, TrafficClass::Store);
-                (req, reply, DirState::Owned(req), false)
+                (req, grant(acks, false, Store), Owned(req), false)
             }
-            (_, DirState::Owned(owner)) => {
+            (Act::FwdS, Owned(owner)) => {
+                let fwd = Msg::Mesi(MesiMsg::FwdGetS { line, req });
+                (owner, fwd, Shared([owner, req].into_iter().collect()), true)
+            }
+            (Act::FwdM, Owned(owner)) => {
                 let fwd = Msg::Mesi(MesiMsg::FwdGetM { line, req });
-                (owner, fwd, DirState::Owned(req), false)
+                (owner, fwd, Owned(req), false)
             }
+            _ => unreachable!("{act:?} on {before:?}"),
         };
-        actions.push(Action::Send {
-            to: Endpoint::L1(to),
-            msg: reply,
-        });
+        let (to, msg) = (Endpoint::L1(to), reply);
+        actions.push(Action::Send { to, msg });
         for core in invalidate.iter() {
-            actions.push(Action::Send {
-                to: Endpoint::L1(core),
-                msg: Msg::Mesi(MesiMsg::Inv { line, req }),
-            });
+            let (to, msg) = (Endpoint::L1(core), Msg::Mesi(MesiMsg::Inv { line, req }));
+            actions.push(Action::Send { to, msg });
         }
         entry.state = state;
         entry.busy = Some(Busy::Txn {
             need_unblock: true,
             need_owner_wb,
         });
-        let after = self.lines.get(line.raw()).expect("entry exists").state;
-        if after != before {
-            let kind = EventKind::Transition {
-                from: before.label(),
-                to: after.label(),
-                cause,
-            };
-            self.tel
-                .emit_now(self.bank as u32, Component::Dir, line.telemetry_key(), kind);
+        let (node, key) = (self.bank as u32, line.telemetry_key());
+        if state != before {
+            let (from, to) = (before.label(), state.label());
+            let kind = EventKind::Transition { from, to, cause };
+            self.tel.emit_now(node, Component::Dir, key, kind);
         }
-        if let Some((req, sharers)) = inv_fanout {
-            let kind = EventKind::Invalidation {
-                requester: req as u32,
-                sharers,
-            };
-            self.tel
-                .emit_now(self.bank as u32, Component::Dir, line.telemetry_key(), kind);
+        if !invalidate.is_empty() {
+            let (requester, sharers) = (req as u32, invalidate.len() as u32);
+            let kind = EventKind::Invalidation { requester, sharers };
+            self.tel.emit_now(node, Component::Dir, key, kind);
         }
     }
 }
@@ -748,5 +799,23 @@ mod tests {
                 msg: Msg::Mesi(MesiMsg::FwdGetS { req: 3, .. })
             }
         )));
+    }
+
+    #[test]
+    fn transition_table_is_well_formed() {
+        let mut ids: Vec<u16> = ROWS.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), ROWS.len(), "row ids are unique");
+        let mut cells = std::collections::HashSet::new();
+        for r in ROWS {
+            for (&s, &e) in r.from.iter().flat_map(|s| r.on.iter().map(move |e| (s, e))) {
+                assert!(cells.insert((s, e)), "two rows for ({s:?}, {e:?})");
+            }
+            if let Some(to) = r.to {
+                let known = ROWS.iter().any(|o| o.from.contains(&to));
+                assert!(known, "row {} leads to {to:?}, which has no rows", r.id);
+            }
+        }
     }
 }

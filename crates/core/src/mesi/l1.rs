@@ -1,15 +1,10 @@
-//! The MESI private-cache (L1) controller.
-//!
-//! Stable states live in the cache array (`S`, `E`, `M`; absence is `I`).
-//! Transient states live in MSHR transactions: a `Fetch` transaction is the
-//! primer's `IS_D` (with the `IS_D_I` deliver-once race flag), an `Own`
-//! transaction is `IM_AD`/`IM_A`/`SM_AD`/`SM_A` depending on whether the
-//! line is resident and which of {data, acks} are still outstanding, and an
-//! `Evict` transaction is `MI_A`/`EI_A`/`SI_A`/`II_A`.
-//!
-//! Writes are non-blocking (the paper's modification): data stores merge
-//! into the line's `Own` transaction and the core is notified with
-//! [`Action::StoresDone`] when the transaction completes; fences drain them.
+//! The MESI private-cache (L1) controller. Stable states live in the cache
+//! array (`S`, `E`, `M`; absence is `I`), transient ones in MSHR
+//! transactions. The datapath stays in the actions: merged stores,
+//! store-to-load forwarding, the acks balance, the install retry and an
+//! eviction's retained data. Writes are non-blocking (the paper's
+//! modification): data stores merge into the line's ownership transaction,
+//! [`Action::StoresDone`] reports them, and fences drain them.
 
 use crate::config::ProtocolMutation;
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
@@ -34,16 +29,16 @@ pub enum Stable {
 impl Stable {
     /// Short state label for telemetry transitions.
     pub fn label(self) -> &'static str {
-        match self {
-            Stable::S => "S",
-            Stable::E => "E",
-            Stable::M => "M",
-        }
+        ["S", "E", "M"][self as usize]
+    }
+
+    fn state(self) -> State {
+        [State::S, State::E, State::M][self as usize]
     }
 }
 
 /// A resident cache line.
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct MesiLine {
     /// Coherence state.
     pub state: Stable,
@@ -51,24 +46,49 @@ pub struct MesiLine {
     pub data: LineData,
 }
 
-/// The blocking core operation a transaction will complete.
+/// The blocking core operation a transaction completes on word `w`: a data
+/// or sync load, a sync store of `value`, or an RMW.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BlockingOp {
-    /// A (data or sync) load of word `w`.
     Load { w: usize },
-    /// A synchronization store of `value` to word `w`.
     SyncStore { w: usize, value: u64 },
-    /// An atomic RMW on word `w`.
     Rmw { w: usize, op: RmwOp },
 }
 
+impl BlockingOp {
+    /// The operation a load, sync store or RMW on word `w` blocks on.
+    fn of(w: usize, kind: AccessKind) -> Self {
+        match kind {
+            AccessKind::SyncStore { value } => BlockingOp::SyncStore { w, value },
+            AccessKind::SyncRmw(op) => BlockingOp::Rmw { w, op },
+            // Loads; data stores merge and never block.
+            _ => BlockingOp::Load { w },
+        }
+    }
+
+    /// Performs the operation on `data`, returning the core's result.
+    fn apply(self, data: &mut LineData) -> Option<u64> {
+        match self {
+            BlockingOp::Load { w } => Some(data[w]),
+            BlockingOp::SyncStore { w, value } => {
+                data[w] = value;
+                None
+            }
+            BlockingOp::Rmw { w, op } => {
+                let old = data[w];
+                data[w] = op.apply(old);
+                Some(old)
+            }
+        }
+    }
+}
+
+/// What a transaction is for: a GetS (`IS_D`), a GetM (`IM_*`, `SM_*`) or
+/// a Put (`MI_A`, `SI_A`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Goal {
-    /// GetS in flight (IS_D).
     Fetch,
-    /// GetM in flight (IM_AD / SM_AD / IM_A / SM_A).
     Own,
-    /// Put(S|E|M) in flight (xI_A), holding evicted dirty data if any.
     Evict,
 }
 
@@ -107,9 +127,177 @@ impl Txn {
         }
     }
 
-    fn own_complete(&self) -> bool {
-        self.have_data && self.acks_balance == 0
+    /// Adds a core request: a data store merges into the pending stores,
+    /// anything else becomes the blocking operation.
+    fn stage(&mut self, w: usize, kind: AccessKind) -> IssueResult {
+        if let AccessKind::DataStore { value } = kind {
+            self.pending_stores.push((w, value));
+            return IssueResult::StoreAccepted { completed: false };
+        }
+        assert!(self.blocking.is_none(), "second blocking op on line");
+        self.blocking = Some(BlockingOp::of(w, kind));
+        IssueResult::Miss
     }
+
+    /// The newest merged store to word `w` (store-to-load forwarding).
+    fn forward(&self, w: usize) -> Option<u64> {
+        let newest = self.pending_stores.iter().rev().find(|(i, _)| *i == w);
+        newest.map(|&(_, v)| v)
+    }
+}
+
+/// A line's primer state. `IS_D_I`: an Inv overtook the fetch, so the data
+/// is delivered once and the line ends I. `MI_A` evicts with retained data
+/// (the primer's MI_A and EI_A), `SI_A` without (SI_A, and II_A once a
+/// forward took the data).
+#[allow(non_camel_case_types)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum State {
+    I,
+    S,
+    E,
+    M,
+    IS_D,
+    IS_D_I,
+    IM_AD,
+    IM_A,
+    SM_AD,
+    SM_A,
+    MI_A,
+    SI_A,
+}
+
+/// What fires a row. `Own` is a sync store or RMW. `Data` is a fetch's
+/// shared data or ownership data with acks outstanding; `LastData` and
+/// `LastInvAck` complete an ownership transaction (the primer's "Data,
+/// ack=0" and "Last-Inv-Ack"). `Replacement`: an install chose the line as
+/// its victim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Event {
+    Load,
+    Store,
+    Own,
+    Data,
+    ExclData,
+    LastData,
+    InvAck,
+    LastInvAck,
+    Inv,
+    FwdGetS,
+    FwdGetM,
+    PutAck,
+    Replacement,
+}
+
+/// One step of a row; see `MesiL1::act`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    Hit,
+    Modify,
+    Stage,
+    GetS,
+    GetM,
+    Upgrade,
+    Retry,
+    InstallS,
+    InstallE,
+    Deliver,
+    TakeData,
+    CountAck,
+    Finish,
+    Unblock,
+    Invalidate,
+    DeliverOnce,
+    AckInv,
+    Wake,
+    Downgrade,
+    SendData,
+    OwnerWb,
+    Surrender,
+    Release,
+    Retire,
+    PutS,
+    PutE,
+    PutM,
+}
+
+transition_table!(State::SI_A, Event::Replacement);
+
+/// The stock table.
+#[rustfmt::skip]
+const ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const OWNING: &[State] = &[IM_AD, IM_A, SM_AD, SM_A];
+    const BUSY: &[State] = &[IS_D, IS_D_I, MI_A, SI_A];
+    const M_OPS: &[Event] = &[Store, Own];
+    // An Inv reaching E or M is from a stale epoch (the line was
+    // re-acquired since): ack only.
+    const ACK_ONLY: &[State] = &[I, E, M, IS_D_I, IM_AD, IM_A, MI_A, SI_A];
+    &[
+        Row { id: 1, from: &[I], on: &[Load], acts: &[GetS], to: Some(IS_D) },
+        Row { id: 2, from: &[S, E, M, SM_AD, SM_A], on: &[Load], acts: &[Hit], to: None },
+        Row { id: 3, from: &[IM_AD, IM_A], on: &[Load], acts: &[Stage], to: None },
+        Row { id: 4, from: &[MI_A, SI_A], on: &[Load], acts: &[Retry], to: None },
+        Row { id: 5, from: &[I], on: M_OPS, acts: &[GetM], to: Some(IM_AD) },
+        Row { id: 6, from: &[S], on: M_OPS, acts: &[Upgrade], to: Some(SM_AD) },
+        Row { id: 7, from: &[E, M], on: M_OPS, acts: &[Modify], to: Some(M) },
+        Row { id: 8, from: OWNING, on: M_OPS, acts: &[Stage], to: None },
+        Row { id: 9, from: BUSY, on: M_OPS, acts: &[Retry], to: None },
+        Row { id: 10, from: &[IS_D], on: &[Data], acts: &[InstallS, Deliver, Unblock], to: Some(S) },
+        Row { id: 11, from: &[IS_D], on: &[ExclData], acts: &[InstallE, Deliver, Unblock], to: Some(E) },
+        Row { id: 12, from: &[IS_D_I], on: &[Data, ExclData], acts: &[Deliver, Unblock], to: Some(I) },
+        Row { id: 13, from: &[IM_AD], on: &[Data], acts: &[TakeData], to: Some(IM_A) },
+        Row { id: 14, from: &[SM_AD], on: &[Data], acts: &[TakeData], to: Some(SM_A) },
+        Row { id: 15, from: &[IM_AD, SM_AD], on: &[LastData], acts: &[TakeData, Finish, Unblock], to: Some(M) },
+        Row { id: 16, from: OWNING, on: &[InvAck], acts: &[CountAck], to: None },
+        Row { id: 17, from: &[IM_A, SM_A], on: &[LastInvAck], acts: &[CountAck, Finish, Unblock], to: Some(M) },
+        Row { id: 18, from: &[S], on: &[Inv], acts: &[Invalidate, AckInv, Wake], to: Some(I) },
+        Row { id: 19, from: &[SM_AD], on: &[Inv], acts: &[Invalidate, AckInv, Wake], to: Some(IM_AD) },
+        Row { id: 20, from: &[SM_A], on: &[Inv], acts: &[Invalidate, AckInv, Wake], to: Some(IM_A) },
+        Row { id: 21, from: &[IS_D], on: &[Inv], acts: &[DeliverOnce, AckInv], to: Some(IS_D_I) },
+        Row { id: 22, from: ACK_ONLY, on: &[Inv], acts: &[AckInv], to: None },
+        Row { id: 23, from: &[E, M], on: &[FwdGetS], acts: &[Downgrade, SendData, OwnerWb], to: Some(S) },
+        Row { id: 24, from: &[MI_A], on: &[FwdGetS], acts: &[SendData, OwnerWb], to: None },
+        Row { id: 25, from: &[E, M], on: &[FwdGetM], acts: &[SendData, Surrender, Wake], to: Some(I) },
+        Row { id: 26, from: &[MI_A], on: &[FwdGetM], acts: &[SendData, Release, Wake], to: Some(SI_A) },
+        Row { id: 27, from: &[MI_A, SI_A], on: &[PutAck], acts: &[Retire], to: Some(I) },
+        Row { id: 28, from: &[S], on: &[Replacement], acts: &[PutS], to: Some(SI_A) },
+        Row { id: 29, from: &[E], on: &[Replacement], acts: &[PutE], to: Some(MI_A) },
+        Row { id: 30, from: &[M], on: &[Replacement], acts: &[PutM], to: Some(MI_A) },
+    ]
+};
+
+/// `mesi-skip-invalidate`: an Inv to an S copy is acked, the copy kept.
+#[rustfmt::skip]
+const SKIP_INVALIDATE_ROWS: &[Row] = {
+    use State::*;
+    &[Row { id: 31, from: &[S, SM_AD, SM_A], on: &[Event::Inv], acts: &[Act::AckInv], to: None }]
+};
+
+/// `mesi-drop-ack`: invalidation acks are never counted.
+#[rustfmt::skip]
+const DROP_ACK_ROWS: &[Row] = {
+    use Event::*;
+    use State::*;
+    &[
+        Row { id: 32, from: &[IM_AD, IM_A, SM_AD, SM_A], on: &[InvAck], acts: &[], to: None },
+        Row { id: 33, from: &[IM_A, SM_A], on: &[LastInvAck], acts: &[], to: None },
+    ]
+};
+
+static STOCK: Table = index(ROWS, &[]);
+static SKIP_INVALIDATE: Table = index(ROWS, SKIP_INVALIDATE_ROWS);
+static DROP_ACK: Table = index(ROWS, DROP_ACK_ROWS);
+
+/// What fired a row: a core request on word `w`, a message, or the payload
+/// an install just evicted.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    Core { w: usize, kind: AccessKind },
+    Msg(MesiMsg),
+    Victim(MesiLine),
 }
 
 /// The MESI L1 controller for one core.
@@ -120,7 +308,8 @@ pub struct MesiL1 {
     cache: CacheArray<MesiLine>,
     mshr: Mshr<LineAddr, Txn>,
     watch: Option<WordAddr>,
-    mutation: Option<ProtocolMutation>,
+    /// The transition table: stock, or a seeded mutation's.
+    table: &'static Table,
     stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
@@ -135,16 +324,20 @@ impl MesiL1 {
             cache: CacheArray::new(geometry),
             mshr: Mshr::unbounded(),
             watch: None,
-            mutation: None,
+            table: &STOCK,
             stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
     }
 
     /// Arms a seeded protocol bug (negative testing; see
-    /// [`ProtocolMutation`]).
+    /// [`ProtocolMutation`]) by swapping in its transition table.
     pub fn set_mutation(&mut self, mutation: Option<ProtocolMutation>) {
-        self.mutation = mutation;
+        self.table = match mutation {
+            Some(ProtocolMutation::MesiSkipInvalidate) => &SKIP_INVALIDATE,
+            Some(ProtocolMutation::MesiDropAck) => &DROP_ACK,
+            _ => &STOCK,
+        };
     }
 
     /// Attaches a telemetry handle (state transitions, invalidations, MSHR
@@ -157,18 +350,6 @@ impl MesiL1 {
     /// Peak simultaneous MSHR occupancy observed.
     pub fn mshr_high_water(&self) -> usize {
         self.mshr.high_water()
-    }
-
-    fn emit_transition(
-        &self,
-        line: LineAddr,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        let kind = EventKind::Transition { from, to, cause };
-        self.tel
-            .emit_now(self.id as u32, Component::L1, line.telemetry_key(), kind);
     }
 
     /// Cache-access statistics so far.
@@ -224,502 +405,285 @@ impl MesiL1 {
     /// One `(line, description)` pair per in-flight transaction (stall
     /// diagnostics and conservation checking).
     pub fn pending_summaries(&self) -> Vec<(LineAddr, String)> {
-        self.mshr
-            .iter()
-            .map(|(l, t)| {
-                (
-                    *l,
-                    format!(
-                        "{:?} (have_data={}, acks_balance={}, blocking={}, merged_stores={})",
-                        t.goal,
-                        t.have_data,
-                        t.acks_balance,
-                        t.blocking.is_some(),
-                        t.pending_stores.len()
-                    ),
-                )
-            })
-            .collect()
-    }
-
-    fn wake_if_watched(&self, line: LineAddr, actions: &mut Vec<Action>) {
-        if let Some(w) = self.watch {
-            if w.line() == line {
-                actions.push(Action::SpinWake);
-            }
-        }
+        let describe = |t: &Txn| {
+            let (goal, have, acks) = (t.goal, t.have_data, t.acks_balance);
+            let (blocking, merged) = (t.blocking.is_some(), t.pending_stores.len());
+            format!("{goal:?} (have_data={have}, acks_balance={acks}, blocking={blocking}, merged_stores={merged})")
+        };
+        self.mshr.iter().map(|(l, t)| (*l, describe(t))).collect()
     }
 
     /// Presents a core memory request.
     pub fn core_request(&mut self, req: &MemRequest, actions: &mut Vec<Action>) -> IssueResult {
-        let word = req.addr.word();
-        let line = word.line();
-        let w = word.index_in_line();
-        let home = Endpoint::Bank(home_bank(line, self.banks));
-
-        match req.kind {
-            AccessKind::DataLoad | AccessKind::SyncLoad => {
-                if self.cache.contains(line) {
-                    // Store→load forwarding: a pending merged store to this
-                    // word (upgrade in flight, SM_AD) supersedes the resident
-                    // line's (pre-upgrade) copy.
-                    if let Some(txn) = self.mshr.get(&line) {
-                        if let Some((_, v)) = txn.pending_stores.iter().rev().find(|(i, _)| *i == w)
-                        {
-                            let value = *v;
-                            self.note_hit(req.kind);
-                            return IssueResult::Hit { value: Some(value) };
-                        }
-                    }
-                    let l = self.cache.get_mut(line).expect("line resident");
-                    let value = l.data[w];
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: Some(value) };
-                }
-                if let Some(txn) = self.mshr.get_mut(&line) {
-                    match txn.goal {
-                        Goal::Fetch | Goal::Own => {
-                            // Park behind the transaction; the core blocks.
-                            if let Some((_, v)) =
-                                txn.pending_stores.iter().rev().find(|(i, _)| *i == w)
-                            {
-                                // Store-to-load forwarding from a merged store.
-                                let value = *v;
-                                self.note_hit(req.kind);
-                                return IssueResult::Hit { value: Some(value) };
-                            }
-                            assert!(txn.blocking.is_none(), "second blocking op on line");
-                            txn.blocking = Some(BlockingOp::Load { w });
-                            self.note_miss(req.kind);
-                            return IssueResult::Miss;
-                        }
-                        Goal::Evict => return IssueResult::Blocked,
-                    }
-                }
-                self.note_miss(req.kind);
-                let mut txn = Txn::new(Goal::Fetch);
-                txn.blocking = Some(BlockingOp::Load { w });
-                self.open_txn(line, txn, home, actions);
-                IssueResult::Miss
-            }
-            AccessKind::DataStore { value } => {
-                if let Some(l) = self.cache.get_mut(line) {
-                    match l.state {
-                        Stable::M => {
-                            l.data[w] = value;
-                            self.note_hit(req.kind);
-                            return IssueResult::StoreAccepted { completed: true };
-                        }
-                        Stable::E => {
-                            l.data[w] = value;
-                            l.state = Stable::M;
-                            self.note_hit(req.kind);
-                            return IssueResult::StoreAccepted { completed: true };
-                        }
-                        Stable::S => {
-                            // Upgrade (SM_AD).
-                            self.note_miss(req.kind);
-                            if let Some(txn) = self.mshr.get_mut(&line) {
-                                txn.pending_stores.push((w, value));
-                                return IssueResult::StoreAccepted { completed: false };
-                            }
-                            let mut txn = Txn::new(Goal::Own);
-                            txn.pending_stores.push((w, value));
-                            self.open_txn(line, txn, home, actions);
-                            return IssueResult::StoreAccepted { completed: false };
-                        }
-                    }
-                }
-                if let Some(txn) = self.mshr.get_mut(&line) {
-                    match txn.goal {
-                        Goal::Own => {
-                            txn.pending_stores.push((w, value));
-                            self.note_miss(req.kind);
-                            return IssueResult::StoreAccepted { completed: false };
-                        }
-                        Goal::Fetch => {
-                            // A load is in flight; upgrading mid-fetch would
-                            // need a second transaction on the line. Retry.
-                            return IssueResult::Blocked;
-                        }
-                        Goal::Evict => return IssueResult::Blocked,
-                    }
-                }
-                self.note_miss(req.kind);
-                let mut txn = Txn::new(Goal::Own);
-                txn.pending_stores.push((w, value));
-                self.open_txn(line, txn, home, actions);
-                IssueResult::StoreAccepted { completed: false }
-            }
-            AccessKind::SyncStore { value } => self.ownership_op(
-                line,
-                w,
-                home,
-                BlockingOp::SyncStore { w, value },
-                req.kind,
-                actions,
-            ),
-            AccessKind::SyncRmw(op) => {
-                self.ownership_op(line, w, home, BlockingOp::Rmw { w, op }, req.kind, actions)
-            }
-        }
-    }
-
-    /// Opens a transaction on `line` and sends its request to the home bank:
-    /// GetS to fetch the line, GetM to own it.
-    fn open_txn(&mut self, line: LineAddr, txn: Txn, home: Endpoint, actions: &mut Vec<Action>) {
-        let req = self.id;
-        let msg = if txn.goal == Goal::Fetch {
-            MesiMsg::GetS { line, req }
-        } else {
-            MesiMsg::GetM { line, req }
-        };
-        self.mshr.try_insert(line, txn).expect("fresh mshr");
-        actions.push(Action::Send {
-            to: home,
-            msg: Msg::Mesi(msg),
-        });
-    }
-
-    /// Common path for blocking operations that need M: sync stores & RMWs.
-    fn ownership_op(
-        &mut self,
-        line: LineAddr,
-        w: usize,
-        home: Endpoint,
-        op: BlockingOp,
-        kind: AccessKind,
-        actions: &mut Vec<Action>,
-    ) -> IssueResult {
-        if let Some(l) = self.cache.get_mut(line) {
-            match l.state {
-                Stable::M | Stable::E => {
-                    l.state = Stable::M;
-                    let old = l.data[w];
-                    let value = match op {
-                        BlockingOp::SyncStore { value, .. } => {
-                            l.data[w] = value;
-                            None
-                        }
-                        BlockingOp::Rmw { op, .. } => {
-                            l.data[w] = op.apply(old);
-                            Some(old)
-                        }
-                        BlockingOp::Load { .. } => unreachable!("loads use core_request"),
-                    };
-                    self.note_hit(kind);
-                    return IssueResult::Hit { value };
-                }
-                Stable::S => {
-                    self.note_miss(kind);
-                    if let Some(txn) = self.mshr.get_mut(&line) {
-                        assert!(txn.blocking.is_none(), "second blocking op on line");
-                        txn.blocking = Some(op);
-                        return IssueResult::Miss;
-                    }
-                    let mut txn = Txn::new(Goal::Own);
-                    txn.blocking = Some(op);
-                    self.open_txn(line, txn, home, actions);
-                    return IssueResult::Miss;
-                }
-            }
-        }
-        if let Some(txn) = self.mshr.get_mut(&line) {
-            match txn.goal {
-                Goal::Own => {
-                    assert!(txn.blocking.is_none(), "second blocking op on line");
-                    txn.blocking = Some(op);
-                    self.note_miss(kind);
-                    return IssueResult::Miss;
-                }
-                Goal::Fetch | Goal::Evict => return IssueResult::Blocked,
-            }
-        }
-        self.note_miss(kind);
-        let mut txn = Txn::new(Goal::Own);
-        txn.blocking = Some(op);
-        self.open_txn(line, txn, home, actions);
-        IssueResult::Miss
+        let (line, w) = (req.addr.word().line(), req.addr.word().index_in_line());
+        self.fire(line, Input::Core { w, kind: req.kind }, actions)
     }
 
     /// Handles an incoming protocol message.
     pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
-        let line = msg.line();
-        let home = Endpoint::Bank(home_bank(line, self.banks));
-        match msg {
-            MesiMsg::Data {
-                data,
-                acks,
-                exclusive,
-                class,
-                ..
-            } => self.on_data(line, data, acks, exclusive, class, home, actions),
-            MesiMsg::InvAck { .. } => {
-                let Some(txn) = self.mshr.get_mut(&line) else {
-                    actions.push(Action::violation(format!(
-                        "L1: InvAck without transaction for {line}"
-                    )));
-                    return;
-                };
-                if txn.goal != Goal::Own {
-                    let goal = txn.goal;
-                    actions.push(Action::violation(format!(
-                        "L1: InvAck for {line} during {goal:?} transaction"
-                    )));
-                    return;
-                }
-                if self.mutation != Some(ProtocolMutation::MesiDropAck) {
-                    txn.acks_balance -= 1;
-                }
-                if txn.own_complete() {
-                    self.finish_own(line, home, actions);
-                }
-            }
-            MesiMsg::Inv { req, .. } => {
-                // Always acknowledge; invalidate only states the Inv can
-                // legitimately target (see module docs).
-                let mut invalidated = false;
-                if let Some(l) = self.cache.get(line) {
-                    if l.state == Stable::S
-                        && self.mutation != Some(ProtocolMutation::MesiSkipInvalidate)
-                    {
-                        self.cache.remove(line);
-                        invalidated = true;
-                        self.emit_transition(line, "S", "I", "Inv");
-                        let kind = EventKind::Invalidation {
-                            requester: req as u32,
-                            sharers: 1,
-                        };
-                        self.tel.emit_now(
-                            self.id as u32,
-                            Component::L1,
-                            line.telemetry_key(),
-                            kind,
-                        );
-                    }
-                    // E/M: the Inv is from a stale epoch (we have since
-                    // re-acquired the line); ack without invalidating.
-                }
-                if let Some(txn) = self.mshr.get_mut(&line) {
-                    match txn.goal {
-                        Goal::Fetch => txn.deliver_only = true,
-                        Goal::Own | Goal::Evict => {}
-                    }
-                }
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::InvAck {
-                        line,
-                        from: self.id,
-                    }),
-                });
-                if invalidated {
-                    self.wake_if_watched(line, actions);
-                }
-            }
-            MesiMsg::FwdGetS { req, .. } => {
-                // We are the (former) owner: send data to the requestor and a
-                // copy to the directory; downgrade to S.
-                let data = if let Some(l) = self.cache.get_mut(line) {
-                    if !matches!(l.state, Stable::E | Stable::M) {
-                        let state = l.state;
-                        actions.push(Action::violation(format!(
-                            "L1: FwdGetS for {line} held in {state:?}"
-                        )));
-                        return;
-                    }
-                    let from = l.state.label();
-                    l.state = Stable::S;
-                    let data = l.data;
-                    self.emit_transition(line, from, "S", "FwdGetS");
-                    data
-                } else if let Some(txn) = self.mshr.get_mut(&line) {
-                    // The eviction now acts as a PutS; the directory will
-                    // still PutAck it.
-                    let retained = (txn.goal == Goal::Evict)
-                        .then_some(txn.evict_data)
-                        .flatten();
-                    let Some(data) = retained else {
-                        let goal = txn.goal;
-                        actions.push(Action::violation(format!(
-                            "L1: FwdGetS for {line} with {goal:?} transaction and no retained data"
-                        )));
-                        return;
-                    };
-                    data
-                } else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: FwdGetS for {line} held nowhere",
-                        self.id
-                    )));
-                    return;
-                };
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::Data {
-                        line,
-                        data,
-                        acks: 0,
-                        exclusive: false,
-                        class: TrafficClass::Load,
-                    }),
-                });
-                actions.push(Action::Send {
-                    to: home,
-                    msg: Msg::Mesi(MesiMsg::OwnerWb {
-                        line,
-                        data,
-                        from: self.id,
-                    }),
-                });
-            }
-            MesiMsg::FwdGetM { req, .. } => {
-                let data = if let Some(l) = self.cache.get(line) {
-                    if !matches!(l.state, Stable::E | Stable::M) {
-                        let state = l.state;
-                        actions.push(Action::violation(format!(
-                            "L1: FwdGetM for {line} held in {state:?}"
-                        )));
-                        return;
-                    }
-                    let from = l.state.label();
-                    let d = l.data;
-                    self.cache.remove(line);
-                    self.emit_transition(line, from, "I", "FwdGetM");
-                    d
-                } else if let Some(txn) = self.mshr.get_mut(&line) {
-                    let retained = (txn.goal == Goal::Evict)
-                        .then(|| txn.evict_data.take())
-                        .flatten();
-                    let Some(data) = retained else {
-                        let goal = txn.goal;
-                        actions.push(Action::violation(format!(
-                            "L1: FwdGetM for {line} with {goal:?} transaction and no retained data"
-                        )));
-                        return;
-                    };
-                    data
-                } else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: FwdGetM for {line} held nowhere",
-                        self.id
-                    )));
-                    return;
-                };
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Mesi(MesiMsg::Data {
-                        line,
-                        data,
-                        acks: 0,
-                        exclusive: false,
-                        class: TrafficClass::Store,
-                    }),
-                });
-                self.wake_if_watched(line, actions);
-            }
-            MesiMsg::PutAck { .. } => {
-                let Some(txn) = self.mshr.remove(&line) else {
-                    actions.push(Action::violation(format!(
-                        "L1: PutAck without eviction for {line}"
-                    )));
-                    return;
-                };
-                if txn.goal != Goal::Evict {
-                    actions.push(Action::violation(format!(
-                        "L1: PutAck for {line} during {:?} transaction",
-                        txn.goal
-                    )));
-                }
-            }
-            other => actions.push(Action::violation(format!(
-                "L1 {} cannot handle {other:?}",
-                self.id
-            ))),
+        self.fire(msg.line(), Input::Msg(msg), actions);
+    }
+
+    /// The line's primer state: its stable state (absence is I), refined by
+    /// its MSHR transaction `txn`. The cache array is consulted only where
+    /// the transaction leaves the state open.
+    fn state(&self, line: LineAddr, txn: Option<&Txn>) -> State {
+        let resident = || self.cache.get(line).map(|l| l.state);
+        let Some(t) = txn else {
+            return resident().map_or(State::I, Stable::state);
+        };
+        match (t.goal, t.have_data) {
+            (Goal::Fetch, _) if t.deliver_only => State::IS_D_I,
+            (Goal::Fetch, _) => State::IS_D,
+            (Goal::Evict, _) if t.evict_data.is_some() => State::MI_A,
+            (Goal::Evict, _) => State::SI_A,
+            (Goal::Own, have) => match (resident().is_some(), have) {
+                (false, false) => State::IM_AD,
+                (false, true) => State::IM_A,
+                (true, false) => State::SM_AD,
+                (true, true) => State::SM_A,
+            },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_data(
-        &mut self,
-        line: LineAddr,
-        data: LineData,
-        acks: u32,
-        exclusive: bool,
-        class: TrafficClass,
-        home: Endpoint,
-        actions: &mut Vec<Action>,
-    ) {
-        let Some(txn) = self.mshr.get_mut(&line) else {
-            actions.push(Action::violation(format!(
-                "L1: Data without transaction for {line}"
-            )));
-            return;
+    /// The state `input` meets on `line` and the event it is there (`None`:
+    /// a message no L1 takes).
+    fn classify(&self, line: LineAddr, input: &Input) -> (State, Option<Event>) {
+        if let Input::Victim(old) = *input {
+            return (old.state.state(), Some(Event::Replacement));
+        }
+        let txn = self.mshr.get(&line);
+        let state = self.state(line, txn);
+        let own = txn.filter(|t| t.goal == Goal::Own);
+        let event = match *input {
+            Input::Core { kind, .. } if !kind.may_write() => Event::Load,
+            Input::Core { kind, .. } if kind.is_sync() => Event::Own,
+            Input::Core { .. } => Event::Store,
+            Input::Msg(MesiMsg::Data {
+                acks, exclusive, ..
+            }) => match own {
+                _ if exclusive => Event::ExclData,
+                Some(t) if t.acks_balance + i64::from(acks) == 0 => Event::LastData,
+                _ => Event::Data,
+            },
+            Input::Msg(MesiMsg::InvAck { .. }) => match own {
+                Some(t) if t.have_data && t.acks_balance == 1 => Event::LastInvAck,
+                _ => Event::InvAck,
+            },
+            Input::Msg(MesiMsg::Inv { .. }) => Event::Inv,
+            Input::Msg(MesiMsg::FwdGetS { .. }) => Event::FwdGetS,
+            Input::Msg(MesiMsg::FwdGetM { .. }) => Event::FwdGetM,
+            Input::Msg(MesiMsg::PutAck { .. }) => Event::PutAck,
+            Input::Msg(_) | Input::Victim(_) => return (state, None),
         };
-        match txn.goal {
-            Goal::Fetch => {
-                let deliver_only = txn.deliver_only;
-                let blocking = txn.blocking;
-                // Install S (or E when granted exclusively) — unless an Inv
-                // overtook the data (IS_D_I): then use the value once and
-                // end Invalid.
-                if !deliver_only {
-                    let state = if exclusive { Stable::E } else { Stable::S };
-                    self.emit_transition(line, "I", state.label(), "Data");
-                    if !self.try_install(line, MesiLine { state, data }, actions) {
-                        // Structural hazard: retry the install shortly.
-                        actions.push(Action::Local {
-                            delay: 8,
-                            msg: Msg::Mesi(MesiMsg::Data {
-                                line,
-                                data,
-                                acks: 0,
-                                exclusive,
-                                class,
-                            }),
-                        });
-                        return;
-                    }
-                }
-                self.mshr.remove(&line);
-                let Some(BlockingOp::Load { w }) = blocking else {
-                    panic!("fetch transaction with {blocking:?}")
-                };
-                actions.push(Action::CoreDone {
-                    value: Some(data[w]),
-                });
-                actions.push(Action::Send {
-                    to: home,
-                    msg: Msg::Mesi(MesiMsg::Unblock {
-                        line,
-                        from: self.id,
-                        class,
-                    }),
-                });
+        (state, Some(event))
+    }
+
+    /// Classifies `input` and runs its row. A cell with no row is the one
+    /// unexpected-event path: a violation naming the line, state and event.
+    /// Returns a core request's outcome.
+    fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) -> IssueResult {
+        let (state, event) = self.classify(line, &input);
+        let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
+            let what = event.map_or(format!("{input:?}"), |e| format!("{e:?}"));
+            let id = self.id;
+            let detail = format!("MESI L1 {id}: unexpected {what} for {line} in {state:?}");
+            actions.push(Action::violation(detail));
+            return IssueResult::Blocked;
+        };
+        let mut result = IssueResult::Blocked;
+        for &act in row.acts {
+            if !self.act(act, line, &input, &mut result, actions) {
+                // An install retry is scheduled; the transaction stays open.
+                return result;
             }
-            Goal::Own => {
-                if txn.have_data {
-                    actions.push(Action::violation(format!(
-                        "L1: duplicate Data for Own transaction on {line}"
-                    )));
-                    return;
+        }
+        let to = row.to.unwrap_or(state);
+        debug_assert_eq!(
+            self.state(line, self.mshr.get(&line)),
+            to,
+            "L1 row {}",
+            row.id
+        );
+        result
+    }
+
+    /// Runs one step of a fired row. Returns false when an install found no
+    /// victim: its retry is scheduled and the row stops.
+    fn act(
+        &mut self,
+        act: Act,
+        line: LineAddr,
+        input: &Input,
+        result: &mut IssueResult,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        // This L1 as a request's `req` and a reply's `from`, and its bank.
+        let (req, from, banks) = (self.id, self.id, self.banks);
+        let home = || Endpoint::Bank(home_bank(line, banks));
+        let mut send = |to, msg| {
+            let msg = Msg::Mesi(msg);
+            actions.push(Action::Send { to, msg });
+        };
+        match (act, input) {
+            // Core requests.
+            (Act::Hit, &Input::Core { w, kind }) => {
+                let forwarded = self.mshr.get(&line).and_then(|t| t.forward(w));
+                let value = forwarded
+                    .unwrap_or_else(|| self.cache.get_mut(line).expect("resident").data[w]);
+                self.note(kind, true);
+                *result = IssueResult::Hit { value: Some(value) };
+            }
+            (Act::Modify, &Input::Core { w, kind }) => {
+                let l = self.cache.get_mut(line).expect("owned line");
+                l.state = Stable::M;
+                *result = match kind {
+                    AccessKind::DataStore { value } => {
+                        l.data[w] = value;
+                        IssueResult::StoreAccepted { completed: true }
+                    }
+                    _ => {
+                        let value = BlockingOp::of(w, kind).apply(&mut l.data);
+                        IssueResult::Hit { value }
+                    }
+                };
+                self.note(kind, true);
+            }
+            (Act::Stage, &Input::Core { w, kind }) => {
+                let txn = self.mshr.get_mut(&line).expect("open transaction");
+                if let Some(value) = txn.forward(w).filter(|_| !kind.may_write()) {
+                    self.note(kind, true);
+                    *result = IssueResult::Hit { value: Some(value) };
+                    return true;
                 }
+                *result = txn.stage(w, kind);
+                self.cache.touch(line);
+                self.note(kind, false);
+            }
+            (Act::GetS | Act::GetM | Act::Upgrade, &Input::Core { w, kind }) => {
+                let (goal, msg) = match act {
+                    Act::GetS => (Goal::Fetch, MesiMsg::GetS { line, req }),
+                    _ => (Goal::Own, MesiMsg::GetM { line, req }),
+                };
+                let mut txn = Txn::new(goal);
+                *result = txn.stage(w, kind);
+                if act == Act::Upgrade {
+                    self.cache.touch(line);
+                }
+                self.note(kind, false);
+                self.mshr.try_insert(line, txn).expect("fresh mshr");
+                send(home(), msg);
+            }
+            (Act::Retry, &Input::Core { .. }) => *result = IssueResult::Blocked,
+            // Responses.
+            (Act::InstallS | Act::InstallE, &Input::Msg(msg @ MesiMsg::Data { data, .. })) => {
+                let state = if act == Act::InstallE {
+                    Stable::E
+                } else {
+                    Stable::S
+                };
+                self.emit(line, "I", state.label(), "Data");
+                return self.try_install(line, MesiLine { state, data }, msg, actions);
+            }
+            (Act::Deliver, &Input::Msg(MesiMsg::Data { mut data, .. })) => {
+                let load = self.mshr.remove(&line).and_then(|t| t.blocking);
+                let value = load.expect("a fetch carries its load").apply(&mut data);
+                actions.push(Action::CoreDone { value });
+            }
+            (Act::TakeData, &Input::Msg(MesiMsg::Data { data, acks, .. })) => {
+                let txn = self.mshr.get_mut(&line).expect("own transaction");
                 txn.have_data = true;
                 txn.data = Some(data);
                 txn.acks_balance += i64::from(acks);
-                if txn.own_complete() {
-                    self.finish_own(line, home, actions);
+            }
+            (Act::CountAck, _) => self.mshr.get_mut(&line).expect("own txn").acks_balance -= 1,
+            (Act::Finish, _) => return self.finish_own(line, actions),
+            (Act::Unblock, _) => {
+                let class = match input {
+                    &Input::Msg(MesiMsg::Data { class, .. }) => class,
+                    _ => TrafficClass::Store,
+                };
+                send(home(), MesiMsg::Unblock { line, from, class });
+            }
+            // Invalidations and forwarded requests.
+            (Act::Invalidate, &Input::Msg(MesiMsg::Inv { req, .. })) => {
+                self.cache.remove(line);
+                self.emit(line, "S", "I", "Inv");
+                let (requester, sharers) = (req as u32, 1);
+                let kind = EventKind::Invalidation { requester, sharers };
+                let key = line.telemetry_key();
+                self.tel.emit_now(from as u32, Component::L1, key, kind);
+            }
+            (Act::DeliverOnce, _) => self.mshr.get_mut(&line).expect("fetch").deliver_only = true,
+            (Act::AckInv, &Input::Msg(MesiMsg::Inv { req, .. })) => {
+                send(Endpoint::L1(req), MesiMsg::InvAck { line, from });
+            }
+            (Act::Wake, _) => {
+                if self.watch.is_some_and(|w| w.line() == line) {
+                    actions.push(Action::SpinWake);
                 }
             }
-            Goal::Evict => actions.push(Action::violation(format!(
-                "L1: Data for {line} during eviction"
-            ))),
+            (Act::Downgrade, _) => {
+                let l = self.cache.get_mut(line).expect("owned line");
+                let was = l.state.label();
+                l.state = Stable::S;
+                self.emit(line, was, "S", "FwdGetS");
+            }
+            (Act::SendData, &Input::Msg(msg)) => {
+                let (MesiMsg::FwdGetS { req, .. } | MesiMsg::FwdGetM { req, .. }) = msg else {
+                    unreachable!("data for {msg:?}")
+                };
+                // A forwarded GetS is answered as a load, a GetM as a store.
+                let (data, class) = (self.held(line), msg.class());
+                let reply = MesiMsg::Data {
+                    line,
+                    data,
+                    acks: 0,
+                    exclusive: false,
+                    class,
+                };
+                send(Endpoint::L1(req), reply);
+            }
+            (Act::OwnerWb, _) => {
+                let data = self.held(line);
+                send(home(), MesiMsg::OwnerWb { line, data, from });
+            }
+            (Act::Surrender, _) => {
+                let l = self.cache.remove(line).expect("owned line");
+                self.emit(line, l.state.label(), "I", "FwdGetM");
+            }
+            (Act::Release, _) => self.mshr.get_mut(&line).expect("eviction").evict_data = None,
+            (Act::Retire, _) => drop(self.mshr.remove(&line)),
+            // A victim's replacement.
+            (Act::PutS | Act::PutE | Act::PutM, &Input::Victim(old)) => {
+                let data = old.data;
+                let msg = match act {
+                    Act::PutS => MesiMsg::PutS { line, req },
+                    Act::PutE => MesiMsg::PutE { line, req },
+                    _ => MesiMsg::PutM { line, req, data },
+                };
+                self.emit(line, old.state.label(), "I", "evict");
+                let mut txn = Txn::new(Goal::Evict);
+                txn.evict_data = (act != Act::PutS).then_some(data);
+                self.mshr.try_insert(line, txn).expect("victim had no mshr");
+                send(home(), msg);
+            }
+            _ => unreachable!("L1 step {act:?} fired by {input:?}"),
         }
+        true
     }
 
-    /// Completes an Own transaction: install M, apply merged stores, run the
-    /// blocking op, unblock the directory.
-    fn finish_own(&mut self, line: LineAddr, home: Endpoint, actions: &mut Vec<Action>) {
+    /// The data an owner holds for `line`: the resident copy, else the
+    /// eviction's retained data.
+    fn held(&self, line: LineAddr) -> LineData {
+        let retained = self.mshr.get(&line).and_then(|t| t.evict_data);
+        let resident = self.cache.get(line).map(|l| l.data);
+        resident.or(retained).expect("held data")
+    }
+
+    /// Completes an Own transaction: installs M, applies the merged stores
+    /// and runs the blocking op. Returns false if the install must retry.
+    fn finish_own(&mut self, line: LineAddr, actions: &mut Vec<Action>) -> bool {
         let txn = self.mshr.get_mut(&line).expect("own transaction");
         let mut data = txn.data.expect("own transaction completed without data");
         // If the line was resident (upgrade from S that raced no Inv), the
@@ -729,77 +693,46 @@ impl MesiL1 {
         for (w, v) in &pending {
             data[*w] = *v;
         }
-        let mut core_done: Option<Option<u64>> = None;
-        match blocking {
-            None => {}
-            Some(BlockingOp::SyncStore { w, value }) => {
-                data[w] = value;
-                core_done = Some(None);
-            }
-            Some(BlockingOp::Rmw { w, op }) => {
-                let old = data[w];
-                data[w] = op.apply(old);
-                core_done = Some(Some(old));
-            }
-            Some(BlockingOp::Load { w }) => {
-                core_done = Some(Some(data[w]));
-            }
-        }
-        let from = self.cache.get(line).map_or("I", |l| l.state.label());
-        self.emit_transition(line, from, "M", "Data");
-        if !self.try_install(
+        let core_done = blocking.map(|op| op.apply(&mut data));
+        let was = self.cache.get(line).map_or("I", |l| l.state.label());
+        self.emit(line, was, "M", "Data");
+        let retry = MesiMsg::Data {
             line,
-            MesiLine {
-                state: Stable::M,
-                data,
-            },
-            actions,
-        ) {
-            // Could not make room: put the work back and retry shortly.
+            data,
+            acks: 0,
+            exclusive: false,
+            class: TrafficClass::Store,
+        };
+        let state = Stable::M;
+        if !self.try_install(line, MesiLine { state, data }, retry, actions) {
+            // Could not make room: put the work back; the retried data is
+            // counted again on arrival.
             let txn = self.mshr.get_mut(&line).expect("own transaction");
             txn.pending_stores = pending;
             txn.blocking = blocking;
             txn.data = Some(data);
-            actions.push(Action::Local {
-                delay: 8,
-                msg: Msg::Mesi(MesiMsg::Data {
-                    line,
-                    data,
-                    acks: 0,
-                    exclusive: false,
-                    class: TrafficClass::Store,
-                }),
-            });
-            // Undo the duplicate-data bookkeeping the retry will redo.
-            let txn = self.mshr.get_mut(&line).expect("own transaction");
             txn.have_data = false;
-            return;
+            return false;
         }
         self.mshr.remove(&line);
-        if !pending.is_empty() {
-            actions.push(Action::StoresDone {
-                count: pending.len(),
-            });
+        let count = pending.len();
+        if count > 0 {
+            actions.push(Action::StoresDone { count });
         }
         if let Some(value) = core_done {
             actions.push(Action::CoreDone { value });
         }
-        actions.push(Action::Send {
-            to: home,
-            msg: Msg::Mesi(MesiMsg::Unblock {
-                line,
-                from: self.id,
-                class: TrafficClass::Store,
-            }),
-        });
+        true
     }
 
-    /// Installs a line, evicting a victim if needed. Returns false if no
-    /// victim was evictable (caller retries).
+    /// Installs a line; a victim's eviction fires its `Replacement` row. If
+    /// no victim is evictable, `retry` comes back as a local message after
+    /// 8 cycles and this returns false.
     fn try_install(
         &mut self,
         line: LineAddr,
         payload: MesiLine,
+        retry: MesiMsg,
         actions: &mut Vec<Action>,
     ) -> bool {
         let watch_line = self.watch.map(WordAddr::line);
@@ -808,65 +741,35 @@ impl MesiL1 {
             !mshr.contains(&addr) && Some(addr) != watch_line
         });
         match outcome {
+            // A same-address replace upgrades in place: nothing to evict.
             InsertOutcome::Inserted => true,
+            InsertOutcome::Evicted(victim, _) if victim == line => true,
             InsertOutcome::Evicted(victim, old) => {
-                if victim == line {
-                    // Same-address replace: upgrade in place, nothing to evict.
-                    return true;
-                }
-                let victim_home = Endpoint::Bank(home_bank(victim, self.banks));
-                let (msg, keep_data) = match old.state {
-                    Stable::S => (
-                        MesiMsg::PutS {
-                            line: victim,
-                            req: self.id,
-                        },
-                        None,
-                    ),
-                    Stable::E => (
-                        MesiMsg::PutE {
-                            line: victim,
-                            req: self.id,
-                        },
-                        Some(old.data),
-                    ),
-                    Stable::M => (
-                        MesiMsg::PutM {
-                            line: victim,
-                            req: self.id,
-                            data: old.data,
-                        },
-                        Some(old.data),
-                    ),
-                };
-                self.emit_transition(victim, old.state.label(), "I", "evict");
-                let mut txn = Txn::new(Goal::Evict);
-                txn.evict_data = keep_data;
-                self.mshr
-                    .try_insert(victim, txn)
-                    .expect("victim had no mshr");
-                actions.push(Action::Send {
-                    to: victim_home,
-                    msg: Msg::Mesi(msg),
-                });
+                self.fire(victim, Input::Victim(old), actions);
                 true
             }
-            InsertOutcome::NoVictim(_) => false,
+            InsertOutcome::NoVictim(_) => {
+                let msg = Msg::Mesi(retry);
+                actions.push(Action::Local { delay: 8, msg });
+                false
+            }
         }
     }
 
-    fn note_hit(&mut self, kind: AccessKind) {
-        count_access(&mut self.stats, kind, true);
+    fn emit(&self, line: LineAddr, from: &'static str, to: &'static str, cause: &'static str) {
+        let kind = EventKind::Transition { from, to, cause };
+        let key = line.telemetry_key();
+        self.tel.emit_now(self.id as u32, Component::L1, key, kind);
     }
 
-    fn note_miss(&mut self, kind: AccessKind) {
-        count_access(&mut self.stats, kind, false);
+    fn note(&mut self, kind: AccessKind, hit: bool) {
+        count_access(&mut self.stats, kind, hit);
     }
 }
 
 /// Canonical hash for model checking: every field that influences future
-/// protocol behaviour. `stats` (counters) is excluded; `mutation` is fixed
-/// per run and hashing it is harmless.
+/// protocol behaviour. `stats` (counters) is excluded; `table` is fixed per
+/// run.
 impl std::hash::Hash for MesiL1 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.id.hash(state);
@@ -1183,5 +1086,46 @@ mod tests {
         assert!(acts.contains(&Action::CoreDone { value: Some(66) }));
         assert!(acts.contains(&Action::StoresDone { count: 1 }));
         assert_eq!(l1.peek_word(Addr::new(0x100).word()), Some(5));
+    }
+
+    #[test]
+    fn transition_tables_are_well_formed() {
+        let lists = [ROWS, SKIP_INVALIDATE_ROWS, DROP_ACK_ROWS];
+        let mut ids: Vec<u16> = lists.iter().flat_map(|l| l.iter().map(|r| r.id)).collect();
+        let rows = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), rows, "row ids are unique");
+        for list in lists {
+            let mut cells = std::collections::HashSet::new();
+            for r in list {
+                for (&s, &e) in r.from.iter().flat_map(|s| r.on.iter().map(move |e| (s, e))) {
+                    assert!(cells.insert((s, e)), "two rows for ({s:?}, {e:?})");
+                }
+                if let Some(to) = r.to {
+                    let known = ROWS.iter().any(|o| o.from.contains(&to));
+                    assert!(known, "row {} leads to {to:?}, which has no rows", r.id);
+                }
+            }
+        }
+        let changed = |t: &Table| -> Vec<(usize, usize)> {
+            let id = |c: Option<&Row>| c.map(|r| r.id);
+            (0..STATES)
+                .flat_map(|s| (0..EVENTS).map(move |e| (s, e)))
+                .filter(|&(s, e)| id(t[s][e]) != id(STOCK[s][e]))
+                .collect()
+        };
+        let cell = |s: State, e: Event| (s as usize, e as usize);
+        let inv = [State::S, State::SM_AD, State::SM_A].map(|s| cell(s, Event::Inv));
+        assert_eq!(changed(&SKIP_INVALIDATE), inv);
+        let acks = [
+            cell(State::IM_AD, Event::InvAck),
+            cell(State::IM_A, Event::InvAck),
+            cell(State::IM_A, Event::LastInvAck),
+            cell(State::SM_AD, Event::InvAck),
+            cell(State::SM_A, Event::InvAck),
+            cell(State::SM_A, Event::LastInvAck),
+        ];
+        assert_eq!(changed(&DROP_ACK), acks);
     }
 }

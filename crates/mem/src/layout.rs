@@ -158,21 +158,12 @@ impl LayoutBuilder {
     }
 
     /// Finishes the layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MemoryLayout::from_parts`] rejects the segments.
     pub fn build(self) -> MemoryLayout {
-        let mut segments = self.segments;
-        segments.sort_by_key(|s| s.base.raw());
-        for pair in segments.windows(2) {
-            assert!(
-                pair[0].base.raw() + pair[0].bytes <= pair[1].base.raw(),
-                "overlapping segments {} and {}",
-                pair[0].name,
-                pair[1].name
-            );
-        }
-        MemoryLayout {
-            segments,
-            region_names: self.region_names,
-        }
+        MemoryLayout::from_parts(self.segments, self.region_names).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -184,37 +175,35 @@ pub struct MemoryLayout {
 }
 
 impl MemoryLayout {
-    /// Rebuilds a layout from raw parts (e.g. parsed back from a trace
-    /// file). Segments are sorted by base; region indices in segments must
-    /// refer into `region_names`.
+    /// Builds a layout from raw parts (a builder's, or parsed back from a
+    /// trace file). Segments are sorted by base; region indices in segments
+    /// must refer into `region_names`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on overlapping segments or a segment naming an undeclared
-    /// region, exactly like [`LayoutBuilder::build`].
-    pub fn from_parts(segments: Vec<Segment>, region_names: Vec<String>) -> Self {
-        let mut segments = segments;
+    /// Overlapping segments, or a segment naming an undeclared region.
+    pub fn from_parts(
+        mut segments: Vec<Segment>,
+        region_names: Vec<String>,
+    ) -> Result<Self, String> {
         segments.sort_by_key(|s| s.base.raw());
         for pair in segments.windows(2) {
-            assert!(
-                pair[0].base.raw() + pair[0].bytes <= pair[1].base.raw(),
-                "overlapping segments {} and {}",
-                pair[0].name,
-                pair[1].name
-            );
+            if pair[0].base.raw() + pair[0].bytes > pair[1].base.raw() {
+                let (a, b) = (&pair[0].name, &pair[1].name);
+                return Err(format!("overlapping segments {a} and {b}"));
+            }
         }
-        for s in &segments {
-            assert!(
-                (s.region.0 as usize) < region_names.len(),
-                "segment {} names undeclared region {}",
-                s.name,
-                s.region.0
-            );
+        if let Some(s) = segments
+            .iter()
+            .find(|s| s.region.0 as usize >= region_names.len())
+        {
+            let (name, region) = (&s.name, s.region.0);
+            return Err(format!("segment {name} names undeclared region {region}"));
         }
-        MemoryLayout {
+        Ok(MemoryLayout {
             segments,
             region_names,
-        }
+        })
     }
 
     /// The region containing `addr`, if any.

@@ -166,7 +166,7 @@ pub fn compose(name: &str, phases: &[&Trace]) -> Result<Trace, String> {
     Ok(Trace {
         name: name.to_owned(),
         recorded_on: format!("composed({})", phases.len()),
-        layout: Arc::new(MemoryLayout::from_parts(segments, region_names)),
+        layout: Arc::new(MemoryLayout::from_parts(segments, region_names)?),
         init,
         finals: finals.into_iter().collect(),
         ops: streams.into_iter().map(Arc::new).collect(),

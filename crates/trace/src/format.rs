@@ -264,7 +264,7 @@ impl Trace {
         Ok(Trace {
             name,
             recorded_on,
-            layout: Arc::new(MemoryLayout::from_parts(segments, region_names)),
+            layout: Arc::new(MemoryLayout::from_parts(segments, region_names)?),
             init,
             finals,
             ops: ops.into_iter().map(Arc::new).collect(),

@@ -120,6 +120,30 @@ fn corpus_fingerprint_is_pinned() {
     assert_eq!(trace.fingerprint(), 0x57fc_7dd7_383a_91d2);
 }
 
+/// Corpus mutants with malformed layouts: an overlapping segment and a
+/// segment naming an undeclared region are parse errors, not panics.
+#[test]
+fn parse_rejects_malformed_layouts() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/tatas-counter.dvst");
+    let text = std::fs::read_to_string(path).expect("read corpus trace");
+    for (from, to, want) in [
+        (
+            "seg 140 256 0 eb_arrive",
+            "seg 100 256 0 eb_arrive",
+            "overlapping segments",
+        ),
+        (
+            "seg 340 64 0 lock",
+            "seg 340 64 7 lock",
+            "undeclared region 7",
+        ),
+    ] {
+        assert!(text.contains(from), "corpus trace lost `{from}`");
+        let err = Trace::parse(&text.replace(from, to)).unwrap_err();
+        assert!(err.contains(want), "`{to}`: {err}");
+    }
+}
+
 /// Shrunk from a corpus mutant that set one `ex` to `u64::MAX`: replay's
 /// `now + cycles` wrapped and the scheduler panicked. The parser now
 /// rejects any `ex` above [`MAX_EXEC_CYCLES`] and names the bound.

@@ -56,7 +56,9 @@ stage_chaos() {
 
 stage_check() {
   echo "== model-checker smoke (bounded-depth, 2 litmus x 4 protocols + 2 mutations) =="
-  cargo run --release --offline -p dvs-check --example smoke
+  # The output is pinned byte-for-byte: state counts, catch depths and the
+  # counterexample forensics. A difference is a behaviour change.
+  cargo run -q --release --offline -p dvs-check --example smoke | diff -u tests/golden/check_smoke.txt -
 }
 
 stage_check_scale() {

@@ -106,3 +106,22 @@ fn trace_replay_rejects_an_overflowing_exec() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("2000000000-cycle bound"), "{stderr}");
 }
+
+/// A `.dvst` whose segments overlap is a usage error, not a layout panic
+/// (exit 101).
+#[test]
+fn trace_replay_rejects_overlapping_segments() {
+    let corpus = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/trace/corpus/tatas-counter.dvst"
+    );
+    let text = std::fs::read_to_string(corpus).expect("read corpus trace");
+    let mutant = text.replace("seg 140 256 0 eb_arrive", "seg 100 256 0 eb_arrive");
+    assert_ne!(mutant, text, "corpus trace lost its eb_arrive segment");
+    let path = std::env::temp_dir().join(format!("dvs-cli-seg-{}.dvst", std::process::id()));
+    std::fs::write(&path, mutant).expect("write mutant");
+    let file = path.to_string_lossy().into_owned();
+    let stderr = usage_error(&["trace", "replay", &file, "--proto", "DS"]);
+    std::fs::remove_file(&path).ok();
+    assert!(stderr.contains("overlapping segments"), "{stderr}");
+}
