@@ -5,9 +5,9 @@
 //! enum. Each variant holds one family's controllers together, so a MESI L1
 //! paired with a DeNovo bank cannot be represented. DeNovoSync0,
 //! DeNovoSync and GCS share the DeNovo variant: they differ only in the
-//! backoff unit and the sync-path policy their controllers are built with.
-//! The family modules ([`crate::mesi::family`], [`crate::denovo::family`])
-//! own the whole-machine checks.
+//! transition tables their controllers run. The family modules
+//! ([`crate::mesi::family`], [`crate::denovo::family`]) own the
+//! whole-machine checks.
 
 use crate::config::{Protocol, SystemConfig};
 use crate::denovo::{self, DnvL1, DnvRegistry};
@@ -32,7 +32,8 @@ pub(crate) enum Backend {
         l1s: Vec<MesiL1>,
         dirs: Vec<MesiDir>,
     },
-    /// DeNovoSync0, DeNovoSync, and GCS (DeNovo plus the sync path).
+    /// DeNovoSync0, DeNovoSync, and GCS (DeNovo plus the sync path): one
+    /// family, three tables.
     DeNovo {
         l1s: Vec<DnvL1>,
         regs: Vec<DnvRegistry>,
@@ -40,9 +41,10 @@ pub(crate) enum Backend {
 }
 
 impl Backend {
-    /// Builds one L1 and one L2 bank per core for `cfg.protocol`. Dense
-    /// per-line bank tables are sized from the layout span; out-of-layout
-    /// lines (thread pools) spill to a sparse tier.
+    /// Builds one L1 and one L2 bank per core, each running the table
+    /// `cfg.protocol` and `cfg.mutation` choose. Dense per-line bank tables
+    /// are sized from the layout span; out-of-layout lines (thread pools)
+    /// spill to a sparse tier.
     pub(crate) fn new(cfg: &SystemConfig, layout: &Arc<MemoryLayout>, mesh: &Mesh) -> Self {
         let n = cfg.cores;
         let mem = |b: usize| Endpoint::Mem(mesh.nearest_corner(b));
@@ -63,34 +65,18 @@ impl Backend {
                     })
                     .collect(),
             },
-            Protocol::DeNovoSync0 | Protocol::DeNovoSync | Protocol::Gcs => {
-                let backoff = cfg.protocol == Protocol::DeNovoSync;
-                let sync_path = cfg.protocol == Protocol::Gcs;
-                Backend::DeNovo {
-                    l1s: (0..n)
-                        .map(|i| {
-                            let l1 =
-                                DnvL1::new(i, cfg.l1, n, cfg.backoff, backoff, Arc::clone(layout));
-                            if sync_path {
-                                l1.with_sync_path()
-                            } else {
-                                l1
-                            }
-                        })
-                        .collect(),
-                    regs: (0..n)
-                        .map(|b| {
-                            let mut r = DnvRegistry::new(b, mem(b));
-                            if sync_path {
-                                r = r.with_sync_path();
-                            }
-                            r.configure_span(layout, n);
-                            r.set_mutation(cfg.mutation);
-                            r
-                        })
-                        .collect(),
-                }
-            }
+            protocol => Backend::DeNovo {
+                l1s: (0..n)
+                    .map(|i| DnvL1::new(i, cfg.l1, n, cfg.backoff, Arc::clone(layout), protocol))
+                    .collect(),
+                regs: (0..n)
+                    .map(|b| {
+                        let mut r = DnvRegistry::new(b, mem(b), protocol, cfg.mutation);
+                        r.configure_span(layout, n);
+                        r
+                    })
+                    .collect(),
+            },
         }
     }
 
@@ -174,9 +160,9 @@ impl Backend {
         }
     }
 
-    /// Arms core `i`'s remote watch on `word` if its sync-path policy
-    /// predicts the word is classified — the failed spin then parks in the
-    /// home bank's waiter set. Returns whether it did.
+    /// Arms core `i`'s remote watch on `word` if its L1 has learned the word
+    /// is classified (only GCS's table learns) — the failed spin then parks
+    /// in the home bank's waiter set. Returns whether it did.
     pub(crate) fn start_remote_watch(
         &mut self,
         i: CoreId,

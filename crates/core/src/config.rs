@@ -66,7 +66,7 @@ impl ProtocolMutation {
 
     /// The mutation's token (`"dnv-skip-repoint"`, ...) — the one spelling
     /// shared by CLI flags, campaign spec tokens and serve cell tokens.
-    pub fn token(self) -> &'static str {
+    pub const fn token(self) -> &'static str {
         match self {
             ProtocolMutation::DnvSkipRepoint => "dnv-skip-repoint",
             ProtocolMutation::DnvDropXfer => "dnv-drop-xfer",

@@ -10,6 +10,9 @@
 //! * The **increment counter** grows by the default increment on every
 //!   N-th incoming remote synchronization-read registration request
 //!   (N = core count in the paper) and resets to the default on a release.
+//!
+//! Every core has a unit; only DeNovoSync's L1 table bumps the counter and
+//! consults it, so under DeNovoSync0 and GCS it stays at zero.
 
 use crate::config::BackoffConfig;
 use dvs_engine::Cycle;
@@ -18,38 +21,26 @@ use dvs_engine::Cycle;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BackoffUnit {
     cfg: BackoffConfig,
-    enabled: bool,
     counter: u64,
     increment: u64,
     remote_seen: u64,
 }
 
 impl BackoffUnit {
-    /// Creates a unit; `enabled` is false for DeNovoSync0 (every query
-    /// returns zero delay and updates are ignored).
-    pub fn new(cfg: BackoffConfig, enabled: bool) -> Self {
+    /// Creates a unit with a zero counter and the default increment.
+    pub fn new(cfg: BackoffConfig) -> Self {
         BackoffUnit {
             cfg,
-            enabled,
             counter: 0,
             increment: cfg.default_increment,
             remote_seen: 0,
         }
     }
 
-    /// Whether the backoff mechanism is active (DeNovoSync).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Current delay applied to a synchronization read of a Valid-state
     /// word, in cycles.
     pub fn current(&self) -> Cycle {
-        if self.enabled {
-            self.counter
-        } else {
-            0
-        }
+        self.counter
     }
 
     /// The current increment value (visible for tests/ablation reporting).
@@ -61,9 +52,6 @@ impl BackoffUnit {
     /// this core had registered: bump the counter (and, every N-th request,
     /// the increment).
     pub fn on_remote_sync_read(&mut self) {
-        if !self.enabled {
-            return;
-        }
         self.remote_seen += 1;
         if self.remote_seen.is_multiple_of(self.cfg.increment_period) {
             self.increment += self.cfg.default_increment;
@@ -90,17 +78,7 @@ mod tests {
     use super::*;
 
     fn unit() -> BackoffUnit {
-        BackoffUnit::new(BackoffConfig::cores16(), true)
-    }
-
-    #[test]
-    fn disabled_unit_never_delays() {
-        let mut u = BackoffUnit::new(BackoffConfig::cores16(), false);
-        for _ in 0..100 {
-            u.on_remote_sync_read();
-        }
-        assert_eq!(u.current(), 0);
-        assert!(!u.is_enabled());
+        BackoffUnit::new(BackoffConfig::cores16())
     }
 
     #[test]
@@ -155,14 +133,11 @@ mod tests {
 
     #[test]
     fn counter_wraps_at_width() {
-        let mut u = BackoffUnit::new(
-            BackoffConfig {
-                counter_bits: 4, // max 15
-                default_increment: 6,
-                increment_period: 1000,
-            },
-            true,
-        );
+        let mut u = BackoffUnit::new(BackoffConfig {
+            counter_bits: 4, // max 15
+            default_increment: 6,
+            increment_period: 1000,
+        });
         u.on_remote_sync_read(); // 6
         u.on_remote_sync_read(); // 12
         u.on_remote_sync_read(); // 18 & 15 = 2
@@ -171,7 +146,7 @@ mod tests {
 
     #[test]
     fn paper_64_core_defaults() {
-        let mut u = BackoffUnit::new(BackoffConfig::cores64(), true);
+        let mut u = BackoffUnit::new(BackoffConfig::cores64());
         u.on_remote_sync_read();
         assert_eq!(u.current(), 64);
     }

@@ -172,10 +172,7 @@ pub(crate) fn verify_invariants(
             if live_lines.contains(&line) || regs[home_bank(line, regs.len())].line_busy(line) {
                 continue;
             }
-            let parked = l1s
-                .iter()
-                .any(|o| o.has_parked_xfer(word) || o.has_parked_recall(word));
-            if !parked {
+            if !l1s.iter().any(|o| o.has_parked(word)) {
                 return Err(format!(
                     "conservation: core {c} transaction on {word} ({state}) has no \
                      in-flight message, an idle bank line, and no parked transfer or recall"
@@ -232,15 +229,14 @@ pub(crate) fn read_word(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BackoffConfig;
+    use crate::config::{BackoffConfig, Protocol};
     use crate::msg::{DnvMsg, Endpoint, GcsMsg, GcsOpKind, XferClass};
     use dvs_mem::{AccessKind, Addr, CacheGeometry, LayoutBuilder};
     use dvs_vm::MemRequest;
     use std::sync::Arc;
 
-    /// A cold two-core machine with two banks, with the GCS sync path or
-    /// without it.
-    fn machine(sync_path: bool) -> (Vec<DnvL1>, Vec<DnvRegistry>) {
+    /// A cold two-core machine with two banks, running `protocol`'s tables.
+    fn machine(protocol: Protocol) -> (Vec<DnvL1>, Vec<DnvRegistry>) {
         let mut b = LayoutBuilder::new();
         let r = b.region("shared");
         b.segment("arena", 1 << 12, r);
@@ -249,23 +245,11 @@ mod tests {
             .map(|i| {
                 let geometry = CacheGeometry::new(1024, 2);
                 let backoff = BackoffConfig::cores16();
-                let l1 = DnvL1::new(i, geometry, 2, backoff, false, layout.clone());
-                if sync_path {
-                    l1.with_sync_path()
-                } else {
-                    l1
-                }
+                DnvL1::new(i, geometry, 2, backoff, layout.clone(), protocol)
             })
             .collect();
         let regs = (0..2)
-            .map(|b| {
-                let reg = DnvRegistry::new(b, Endpoint::Mem(0));
-                if sync_path {
-                    reg.with_sync_path()
-                } else {
-                    reg
-                }
-            })
+            .map(|b| DnvRegistry::new(b, Endpoint::Mem(0), protocol, None))
             .collect();
         (l1s, regs)
     }
@@ -273,7 +257,7 @@ mod tests {
     /// A settled two-core GCS machine whose word 0x100 (homed at bank 0) is
     /// sync-classified and Valid at the bank.
     fn classified_machine() -> (Vec<DnvL1>, Vec<DnvRegistry>, WordAddr) {
-        let (l1s, mut regs) = machine(true);
+        let (l1s, mut regs) = machine(Protocol::Gcs);
         let word = Addr::new(0x100).word();
         let mut acts = Vec::new();
         // A bank-side sync load classifies the word on demand once the cold
@@ -319,7 +303,7 @@ mod tests {
 
     #[test]
     fn registrant_the_registry_does_not_track_is_flagged() {
-        let (mut l1s, regs) = machine(false);
+        let (mut l1s, regs) = machine(Protocol::DeNovoSync0);
         let word = Addr::new(0x100).word();
         register_behind_the_bank(&mut l1s[0], word);
         let err = check_line(&l1s, &regs, word.line()).unwrap_err();

@@ -1,26 +1,30 @@
-//! The DeNovo private-cache (L1) controller.
+//! The DeNovo private-cache (L1) controller: one transition table per
+//! protocol, run by one interpreter.
 //!
-//! Per-word states Invalid / Valid / Registered; no transient states in the
-//! array — in-flight work lives in word-granularity MSHRs. Key behaviours
-//! from the paper:
+//! Per-word states Invalid / Valid / Registered live in the cache array;
+//! in-flight work lives in word-granularity MSHRs. A word's table state is
+//! derived from the two, never stored: I, V or R when nothing is pending,
+//! else what its MSHR entry waits for ([`State`]). Key behaviours from the
+//! paper, each a row:
 //!
 //! * data writes transition to Registered **immediately** (no stall) and
 //!   send a registration request;
 //! * synchronization reads to anything but Registered state always miss and
 //!   register (DeNovoSync0's single-reader rule);
-//! * a forwarded request arriving while the word's own registration is
-//!   pending parks in the MSHR — the distributed registration queue;
-//! * under DeNovoSync, a remote synchronization-read registration downgrades
-//!   Registered → Valid and bumps the backoff counter; a later local
-//!   synchronization read to Valid state stalls for the counter value
-//!   before issuing its miss;
+//! * a transfer forwarded while the word's own registration is pending parks
+//!   in the MSHR — the distributed registration queue — and fires its own
+//!   row once the registration completes;
 //! * evicting a Registered word uses a writeback *handshake* (`WbReq` /
 //!   `WbAck` / `WbNack`): the registry may have already re-pointed the word
 //!   at a new registrant, in which case the in-flight transfer must still be
 //!   served from the held value.
 //!
-//! GCS is this controller with backoff disabled (the DS0 path) plus the
-//! optional **sync-path policy** ([`DnvL1::with_sync_path`]):
+//! The three protocols are three tables. DeNovoSync0's is the base.
+//! DeNovoSync's overrides two cells: a remote synchronization-read transfer
+//! downgrades Registered → Valid and bumps the [`BackoffUnit`], and a local
+//! synchronization read to Valid state stalls for the counter value before
+//! issuing its miss. GCS's adds the sync-path rows to the base, in cells the
+//! base leaves empty:
 //!
 //! * when the home bank classifies a word as a synchronization variable it
 //!   answers registrations with `Classified`; the L1 converts the pending
@@ -33,8 +37,11 @@
 //!   lands in a one-entry notify buffer that the re-issued spin load hits;
 //! * `Recall` surrenders a just-classified word's registered copy back to
 //!   the bank (the value rides on [`GcsMsg::RecallAck`]).
+//!
+//! Without those rows the sync-path events reach the one unexpected-event
+//! path, and the predictor, watch and buffer stay empty.
 
-use crate::config::BackoffConfig;
+use crate::config::{BackoffConfig, Protocol, ProtocolMutation};
 use crate::denovo::backoff::BackoffUnit;
 use crate::denovo::predictor::SyncPredictor;
 use crate::msg::{CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
@@ -81,6 +88,13 @@ pub struct DnvWord {
     pub value: u64,
 }
 
+impl DnvWord {
+    const INVALID: DnvWord = DnvWord {
+        state: WState::Invalid,
+        value: 0,
+    };
+}
+
 /// A cached line: eight independently-tracked words.
 #[derive(Debug, Clone, Hash)]
 pub struct DnvLine {
@@ -91,10 +105,7 @@ pub struct DnvLine {
 impl DnvLine {
     pub(crate) fn empty() -> Self {
         DnvLine {
-            words: [DnvWord {
-                state: WState::Invalid,
-                value: 0,
-            }; WORDS_PER_LINE],
+            words: [DnvWord::INVALID; WORDS_PER_LINE],
         }
     }
 
@@ -127,6 +138,17 @@ enum PendKind {
 }
 
 impl PendKind {
+    /// The entry a core access that misses allocates.
+    fn of(kind: AccessKind) -> PendKind {
+        match kind {
+            AccessKind::DataLoad => PendKind::Read,
+            AccessKind::DataStore { .. } => PendKind::Write,
+            AccessKind::SyncLoad => PendKind::SyncRead,
+            AccessKind::SyncStore { value } => PendKind::SyncWrite { value },
+            AccessKind::SyncRmw(op) => PendKind::Rmw { op },
+        }
+    }
+
     /// The registration class this pending access requests.
     fn reg_class(self) -> XferClass {
         match self {
@@ -154,15 +176,33 @@ struct Pend {
     kind: PendKind,
     /// Forwarded data reads that arrived while we were pending.
     parked_reads: Vec<CoreId>,
-    /// A forwarded registration transfer that arrived while we were pending
-    /// (at most one: the registry serializes, and each registrant has
-    /// exactly one successor).
-    parked_xfer: Option<(CoreId, XferClass)>,
-    /// Sync path: a `Recall` that arrived while our own registration was
-    /// still in flight; served right after the operation completes.
-    /// Mutually exclusive with `parked_xfer` (the bank stops re-pointing a
-    /// word the moment it classifies it).
-    parked_recall: bool,
+    /// The successor that arrived while we were pending, fired once we are
+    /// done (at most one: the registry serializes, each registrant has
+    /// exactly one successor, and the bank stops re-pointing a word the
+    /// moment it classifies it).
+    parked: Option<Successor>,
+}
+
+/// A successor parked behind a pending registration: the next registrant's
+/// transfer, or — sync path — a bank recall.
+#[derive(Debug, Clone, Copy, Hash)]
+enum Successor {
+    Xfer(CoreId, XferClass),
+    Recall,
+}
+
+impl Successor {
+    /// The message it arrived as, for its own row.
+    fn input(self, word: WordAddr) -> Input {
+        match self {
+            Successor::Xfer(new_owner, class) => Input::Dnv(DnvMsg::Xfer {
+                word,
+                new_owner,
+                class,
+            }),
+            Successor::Recall => Input::Gcs(GcsMsg::Recall { word }),
+        }
+    }
 }
 
 impl Pend {
@@ -170,17 +210,13 @@ impl Pend {
         Pend {
             kind,
             parked_reads: Vec::new(),
-            parked_xfer: None,
-            parked_recall: false,
+            parked: None,
         }
-    }
-
-    fn has_parked_successor(&self) -> bool {
-        self.parked_xfer.is_some() || self.parked_recall
     }
 }
 
-/// The GCS sync-path state of one L1: what GCS has and DeNovo lacks.
+/// The GCS sync-path state of one L1. Only GCS's rows fill it; under
+/// DeNovoSync0 and DeNovoSync it stays empty.
 #[derive(Debug, Clone, Hash)]
 struct SyncPath {
     /// Words learned to be sync-classified at their home bank.
@@ -192,6 +228,218 @@ struct SyncPath {
     notify_buf: Option<(WordAddr, u64)>,
 }
 
+/// A word's state. I, V and R: the array's, with nothing pending. Else the
+/// MSHR entry's: `Read`, a data read; `RegW`, a data store's registration
+/// (the word is already R locally); `RegS`, a synchronization access's;
+/// `Wb`, the writeback handshake; `WbN`, a refused writeback awaiting its
+/// transfer; `SyncWait`, a sync-path operation at the bank. A `P` suffix: a
+/// successor — the next registrant's transfer, or a bank recall — is parked
+/// behind the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    I,
+    V,
+    R,
+    Read,
+    RegW,
+    RegWP,
+    RegS,
+    RegSP,
+    Wb,
+    WbP,
+    WbN,
+    SyncWait,
+}
+
+/// What fires a row. Core requests: `Load`, `Store` (data), `SyncLoad` and
+/// `SyncWrite` (a sync store or RMW). Registry messages: `FwdRead` (a
+/// forwarded data read), `Xfer` and `SyncReadXfer` (a transfer to a data or
+/// sync-write registrant, and to a sync reader), `ReadResp`, `RegAck`,
+/// `WbAck`, `WbNack`. GCS only: `Notified` (a spin load the notify buffer
+/// answers), `SyncOp` (an access to a word predicted classified),
+/// `Classified`, `SyncResp`, `SyncWatch` (arming a remote watch),
+/// `SyncNotify` (for the armed watch) and `Recall`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Load,
+    Store,
+    SyncLoad,
+    SyncWrite,
+    FwdRead,
+    Xfer,
+    SyncReadXfer,
+    ReadResp,
+    RegAck,
+    WbAck,
+    WbNack,
+    Notified,
+    SyncOp,
+    Classified,
+    SyncResp,
+    SyncWatch,
+    SyncNotify,
+    Recall,
+}
+
+/// One step of a row; see `DnvL1::act`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    Hit,
+    Write,
+    SyncHit,
+    Retry,
+    Allocate,
+    Claim,
+    Request,
+    Backoff,
+    ServeRead,
+    ParkRead,
+    Park,
+    Invalidate,
+    Demote,
+    PassOn,
+    Fill,
+    Complete,
+    Retire,
+    Refuse,
+    FinishWb,
+    NotifyHit,
+    Issue,
+    Learn,
+    Unwrite,
+    Convert,
+    SyncDone,
+    Touch,
+    AnswerRecall,
+    Arm,
+    Buffer,
+}
+
+transition_table!(State::SyncWait, Event::Recall);
+
+/// The base table: DeNovoSync0.
+#[rustfmt::skip]
+const ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const PENDING: &[State] = &[Read, RegW, RegWP, RegS, RegSP, Wb, WbP, WbN, SyncWait];
+    const BUSY: &[State] = &[Wb, WbP, WbN, SyncWait];
+    const OWNED: &[State] = &[R, RegW, RegWP];
+    const SYNC: &[Event] = &[SyncLoad, SyncWrite];
+    const XFERS: &[Event] = &[Xfer, SyncReadXfer];
+    &[
+        Row { id: 1, from: &[I], on: &[Load], acts: &[Request], to: Some(Read) },
+        Row { id: 2, from: &[V, R, RegW, RegWP], on: &[Load], acts: &[Hit], to: None },
+        Row { id: 3, from: BUSY, on: &[Load, Store], acts: &[Retry], to: None },
+        Row { id: 4, from: OWNED, on: &[Store], acts: &[Write], to: None },
+        Row { id: 5, from: &[I, V], on: &[Store], acts: &[Allocate, Claim, Request], to: Some(RegW) },
+        Row { id: 6, from: &[R], on: SYNC, acts: &[SyncHit], to: None },
+        Row { id: 7, from: &[I, V], on: SYNC, acts: &[Request], to: Some(RegS) },
+        Row { id: 8, from: PENDING, on: SYNC, acts: &[Retry], to: None },
+        Row { id: 9, from: OWNED, on: &[FwdRead], acts: &[ServeRead], to: None },
+        Row { id: 10, from: &[Read, RegS, RegSP, Wb, WbP, WbN, SyncWait], on: &[FwdRead], acts: &[ParkRead], to: None },
+        Row { id: 11, from: &[R], on: XFERS, acts: &[Invalidate, PassOn], to: Some(I) },
+        Row { id: 12, from: &[RegW], on: XFERS, acts: &[Park], to: Some(RegWP) },
+        Row { id: 13, from: &[RegS], on: XFERS, acts: &[Park], to: Some(RegSP) },
+        Row { id: 14, from: &[Wb], on: XFERS, acts: &[Park], to: Some(WbP) },
+        Row { id: 15, from: &[WbN], on: XFERS, acts: &[FinishWb], to: Some(I) },
+        Row { id: 16, from: &[Read], on: &[ReadResp], acts: &[Fill], to: Some(V) },
+        Row { id: 17, from: &[RegW, RegWP, RegS, RegSP], on: &[RegAck], acts: &[Complete], to: Some(R) },
+        Row { id: 18, from: &[Wb], on: &[WbAck], acts: &[Retire], to: Some(I) },
+        Row { id: 19, from: &[Wb], on: &[WbNack], acts: &[Refuse], to: Some(WbN) },
+        Row { id: 20, from: &[WbP], on: &[WbNack], acts: &[FinishWb], to: Some(I) },
+    ]
+};
+
+/// DeNovoSync's hardware backoff, as overrides of two base cells.
+#[rustfmt::skip]
+const DS_ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    &[
+        Row { id: 21, from: &[V], on: &[SyncLoad], acts: &[Backoff, Request], to: Some(RegS) },
+        Row { id: 22, from: &[R], on: &[SyncReadXfer], acts: &[Demote, PassOn], to: Some(V) },
+    ]
+};
+
+/// GCS's sync path, in cells the base leaves empty.
+#[rustfmt::skip]
+const GCS_ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const ANY: &[State] = &[I, V, R, Read, RegW, RegWP, RegS, RegSP, Wb, WbP, WbN, SyncWait];
+    &[
+        Row { id: 23, from: ANY, on: &[Notified], acts: &[NotifyHit], to: None },
+        Row { id: 24, from: &[I, V], on: &[SyncOp], acts: &[Issue], to: Some(SyncWait) },
+        Row { id: 25, from: &[RegS], on: &[Classified], acts: &[Learn, Convert], to: Some(SyncWait) },
+        Row { id: 26, from: &[RegW], on: &[Classified], acts: &[Learn, Unwrite, Convert], to: Some(SyncWait) },
+        Row { id: 27, from: &[SyncWait], on: &[SyncResp], acts: &[SyncDone], to: None },
+        Row { id: 28, from: &[R], on: &[Recall], acts: &[Learn, Invalidate, AnswerRecall], to: Some(I) },
+        Row { id: 29, from: &[I, V], on: &[Recall], acts: &[Learn, Touch, AnswerRecall], to: None },
+        Row { id: 30, from: &[RegW], on: &[Recall], acts: &[Learn, Park], to: Some(RegWP) },
+        Row { id: 31, from: &[RegS], on: &[Recall], acts: &[Learn, Park], to: Some(RegSP) },
+        Row { id: 32, from: &[Wb, WbP, WbN], on: &[Recall], acts: &[Learn], to: None },
+        Row { id: 33, from: ANY, on: &[SyncWatch], acts: &[Arm], to: None },
+        Row { id: 34, from: ANY, on: &[SyncNotify], acts: &[Learn, Buffer], to: None },
+    ]
+};
+
+/// One table per protocol.
+static SPECS: [Spec; 3] = {
+    use Protocol::{DeNovoSync, DeNovoSync0, Gcs};
+    const BASE: List = ("DeNovo", ROWS, false);
+    [
+        Spec::new(&[DeNovoSync0], None, &[BASE]),
+        Spec::new(&[DeNovoSync], None, &[BASE, ("DS override", DS_ROWS, true)]),
+        Spec::new(&[Gcs], None, &[BASE, ("GCS", GCS_ROWS, false)]),
+    ]
+};
+
+/// Appends the L1's table `protocol` runs to `out` (`dvs tables`).
+pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
+    Spec::markdown(&SPECS, "DeNovo L1", protocol, out);
+}
+
+/// What fired a row on a word: a core request (`after_backoff`: the
+/// re-issue of a synchronization read whose backoff expired), a registry
+/// or sync-path message, or arming a remote watch on the value `seen`.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    Core {
+        kind: AccessKind,
+        after_backoff: bool,
+    },
+    Dnv(DnvMsg),
+    Gcs(GcsMsg),
+    Watch {
+        seen: u64,
+    },
+}
+
+/// What classification found on the word, handed to every step of the row
+/// so none looks it up again to read it: the MSHR entry's kind and, when
+/// nothing is pending, the array's copy (Invalid when the line is absent).
+/// A pending word's state is its entry's, so its copy is read only by the
+/// step that needs it.
+#[derive(Debug, Clone, Copy)]
+struct Found {
+    word: DnvWord,
+    kind: Option<PendKind>,
+}
+
+impl Found {
+    /// A writeback's held value.
+    fn held(&self) -> u64 {
+        match self.kind {
+            Some(PendKind::Wb { value, .. }) => value,
+            other => unreachable!("no writeback value in {other:?}"),
+        }
+    }
+}
+
 /// The DeNovo L1 controller for one core.
 #[derive(Debug, Clone)]
 pub struct DnvL1 {
@@ -201,8 +449,9 @@ pub struct DnvL1 {
     mshr: Mshr<WordAddr, Pend>,
     backoff: BackoffUnit,
     watch: Option<WordAddr>,
-    /// The GCS sync-path policy (`None` for DeNovoSync0 / DeNovoSync).
-    sync: Option<SyncPath>,
+    sync: SyncPath,
+    /// The protocol's transition table.
+    table: &'static Table,
     layout: Arc<MemoryLayout>,
     stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
@@ -210,39 +459,37 @@ pub struct DnvL1 {
 }
 
 impl DnvL1 {
-    /// Creates an empty L1 for core `id`. `backoff_enabled` selects
-    /// DeNovoSync (true) vs DeNovoSync0 (false).
+    /// Creates an empty L1 for core `id` running `protocol`'s table.
+    ///
+    /// # Panics
+    ///
+    /// If `protocol` is MESI, which has no DeNovo L1.
     pub fn new(
         id: CoreId,
         geometry: CacheGeometry,
         banks: usize,
-        backoff_cfg: BackoffConfig,
-        backoff_enabled: bool,
+        backoff: BackoffConfig,
         layout: Arc<MemoryLayout>,
+        protocol: Protocol,
     ) -> Self {
+        let spec = Spec::find(&SPECS, protocol, None).expect("a DeNovo protocol");
         DnvL1 {
             id,
             banks,
             cache: CacheArray::new(geometry),
             mshr: Mshr::unbounded(),
-            backoff: BackoffUnit::new(backoff_cfg, backoff_enabled),
+            backoff: BackoffUnit::new(backoff),
             watch: None,
-            sync: None,
+            sync: SyncPath {
+                predictor: SyncPredictor::new(SyncPredictor::DEFAULT_SLOTS),
+                remote_watch: None,
+                notify_buf: None,
+            },
+            table: &spec.table,
             layout,
             stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
-    }
-
-    /// Enables the GCS sync-path policy: sync-classification handling, the
-    /// predictor, remote watches and the notify buffer.
-    pub fn with_sync_path(mut self) -> Self {
-        self.sync = Some(SyncPath {
-            predictor: SyncPredictor::new(SyncPredictor::DEFAULT_SLOTS),
-            remote_watch: None,
-            notify_buf: None,
-        });
-        self
     }
 
     /// Attaches a telemetry handle (word-state transitions, registrations,
@@ -274,11 +521,6 @@ impl DnvL1 {
         self.stats
     }
 
-    /// The backoff unit (diagnostics / ablation reporting).
-    pub fn backoff(&self) -> &BackoffUnit {
-        &self.backoff
-    }
-
     /// Sets the spin-watched word.
     pub fn set_watch(&mut self, word: WordAddr) {
         self.watch = Some(word);
@@ -289,49 +531,22 @@ impl DnvL1 {
         self.watch = None;
     }
 
-    /// Whether the sync-path policy predicts `word` is sync-classified at
-    /// its bank (always false without the policy).
+    /// Whether this L1 has learned that `word` is sync-classified at its
+    /// bank (never, outside GCS).
     pub fn predicts_sync(&self, word: WordAddr) -> bool {
-        self.sync
-            .as_ref()
-            .is_some_and(|s| s.predictor.contains(word))
+        self.sync.predictor.contains(word)
     }
 
-    /// Records `word` as sync-classified (idempotent) and emits the
-    /// data→sync classification transition the first time.
-    fn learn(&mut self, word: WordAddr, cause: &'static str) {
-        let Some(sync) = self.sync.as_mut() else {
-            return;
-        };
-        let known = sync.predictor.contains(word);
-        sync.predictor.insert(word);
-        if !known {
-            self.emit_transition(word, "data", "sync", cause);
-        }
-    }
-
-    /// Arms a level-triggered remote watch for a classified word and sends
-    /// the `SyncWatch` to the home bank. `seen` is the value the failed
-    /// spin observed — the bank notifies immediately if it already differs.
-    /// A no-op without the sync-path policy.
+    /// Arms a level-triggered remote watch for a classified word: the
+    /// `SyncWatch` to its home bank carries `seen`, the value the failed
+    /// spin observed, and the bank notifies at once if it already differs.
     pub fn start_remote_watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) {
-        let Some(sync) = self.sync.as_mut() else {
-            return;
-        };
-        sync.remote_watch = Some((word, seen));
-        actions.push(Action::Send {
-            to: self.home(word),
-            msg: Msg::Gcs(GcsMsg::SyncWatch {
-                word,
-                req: self.id,
-                seen,
-            }),
-        });
+        self.fire(word, Input::Watch { seen }, actions);
     }
 
     /// The word this L1 is remote-watching, if any (invariant checking).
     pub fn remote_watch_word(&self) -> Option<WordAddr> {
-        self.sync.as_ref()?.remote_watch.map(|(w, _)| w)
+        self.sync.remote_watch.map(|(w, _)| w)
     }
 
     /// Whether a synchronization read of `word` would hit right now (the
@@ -386,17 +601,11 @@ impl DnvL1 {
         self.mshr.contains(&word)
     }
 
-    /// Whether a forwarded registration transfer is parked on `word`'s MSHR
-    /// entry — the in-L1 link of the distributed registration queue.
-    pub fn has_parked_xfer(&self, word: WordAddr) -> bool {
-        self.mshr
-            .get(&word)
-            .is_some_and(|p| p.parked_xfer.is_some())
-    }
-
-    /// Whether a bank recall is parked on `word`'s MSHR entry.
-    pub fn has_parked_recall(&self, word: WordAddr) -> bool {
-        self.mshr.get(&word).is_some_and(|p| p.parked_recall)
+    /// Whether a forwarded registration transfer — the in-L1 link of the
+    /// distributed registration queue — or a bank recall is parked on
+    /// `word`'s MSHR entry.
+    pub fn has_parked(&self, word: WordAddr) -> bool {
+        self.mshr.get(&word).is_some_and(|p| p.parked.is_some())
     }
 
     /// One `(word, description)` pair per outstanding MSHR entry (stall
@@ -409,11 +618,12 @@ impl DnvL1 {
                 if !p.parked_reads.is_empty() {
                     desc.push_str(&format!(", {} parked read(s)", p.parked_reads.len()));
                 }
-                if let Some((c, class)) = p.parked_xfer {
-                    desc.push_str(&format!(", parked xfer to core {c} ({class:?})"));
-                }
-                if p.parked_recall {
-                    desc.push_str(", parked recall");
+                match p.parked {
+                    Some(Successor::Xfer(c, class)) => {
+                        desc.push_str(&format!(", parked xfer to core {c} ({class:?})"))
+                    }
+                    Some(Successor::Recall) => desc.push_str(", parked recall"),
+                    None => {}
                 }
                 (*w, desc)
             })
@@ -449,6 +659,494 @@ impl DnvL1 {
         }
     }
 
+    /// Presents a core memory request. `after_backoff` marks the re-issue of
+    /// a synchronization read whose hardware backoff has expired (it must
+    /// not be delayed again).
+    pub fn core_request(
+        &mut self,
+        req: &MemRequest,
+        after_backoff: bool,
+        actions: &mut Vec<Action>,
+    ) -> IssueResult {
+        let input = Input::Core {
+            kind: req.kind,
+            after_backoff,
+        };
+        self.fire(req.addr.word(), input, actions)
+    }
+
+    /// Handles an incoming data-path (DeNovo) message.
+    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
+        self.fire(msg.word(), Input::Dnv(msg), actions);
+    }
+
+    /// Handles an incoming sync-path (GCS) message.
+    pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
+        self.fire(msg.word(), Input::Gcs(msg), actions);
+    }
+
+    /// A word's state from its MSHR entry and its array state.
+    fn state(pend: Option<&Pend>, word: WState) -> State {
+        use PendKind::*;
+        let Some(p) = pend else {
+            return [State::I, State::V, State::R][word as usize];
+        };
+        match (p.kind, p.parked.is_some()) {
+            (Read, _) => State::Read,
+            (Write, false) => State::RegW,
+            (Write, true) => State::RegWP,
+            (SyncRead | SyncWrite { .. } | Rmw { .. }, false) => State::RegS,
+            (SyncRead | SyncWrite { .. } | Rmw { .. }, true) => State::RegSP,
+            (Wb { nacked: true, .. }, _) => State::WbN,
+            (Wb { .. }, false) => State::Wb,
+            (Wb { .. }, true) => State::WbP,
+            (SyncWait { .. }, _) => State::SyncWait,
+        }
+    }
+
+    /// The state `input` meets on `word`, the event it is there (`None`: a
+    /// message no L1 takes, or a notification for a word not watched), and
+    /// what the one MSHR and cache lookup found. An access to a stable
+    /// non-Registered word this L1 predicts classified is a `SyncOp`.
+    fn classify(&self, word: WordAddr, input: &Input) -> (State, Option<Event>, Found) {
+        let pend = self.mshr.get(&word);
+        let cached = || self.cache.get(word.line());
+        let w = match pend {
+            Some(_) => DnvWord::INVALID,
+            None => cached().map_or(DnvWord::INVALID, |l| l.words[word.index_in_line()]),
+        };
+        let state = Self::state(pend, w.state);
+        let found = Found {
+            word: w,
+            kind: pend.map(|p| p.kind),
+        };
+        let stable = matches!(state, State::I | State::V);
+        let is = |slot: Option<(WordAddr, u64)>| slot.is_some_and(|(w, _)| w == word);
+        let event = match *input {
+            Input::Core { kind, .. } => match kind {
+                AccessKind::SyncLoad if is(self.sync.notify_buf) => Event::Notified,
+                AccessKind::DataLoad => Event::Load,
+                _ if stable && self.sync.predictor.contains(word) => Event::SyncOp,
+                AccessKind::DataStore { .. } => Event::Store,
+                AccessKind::SyncLoad => Event::SyncLoad,
+                AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => Event::SyncWrite,
+            },
+            Input::Dnv(DnvMsg::ReadReq { .. }) => Event::FwdRead,
+            Input::Dnv(DnvMsg::Xfer {
+                class: XferClass::SyncRead,
+                ..
+            }) => Event::SyncReadXfer,
+            Input::Dnv(DnvMsg::Xfer { .. }) => Event::Xfer,
+            Input::Dnv(DnvMsg::ReadResp { .. }) => Event::ReadResp,
+            Input::Dnv(DnvMsg::RegAck { .. }) => Event::RegAck,
+            Input::Dnv(DnvMsg::WbAck { .. }) => Event::WbAck,
+            Input::Dnv(DnvMsg::WbNack { .. }) => Event::WbNack,
+            Input::Gcs(GcsMsg::Classified { .. }) => Event::Classified,
+            Input::Gcs(GcsMsg::SyncResp { .. }) => Event::SyncResp,
+            Input::Gcs(GcsMsg::SyncNotify { .. }) if is(self.sync.remote_watch) => {
+                Event::SyncNotify
+            }
+            Input::Gcs(GcsMsg::Recall { .. }) => Event::Recall,
+            Input::Watch { .. } => Event::SyncWatch,
+            Input::Dnv(_) | Input::Gcs(_) => return (state, None, found),
+        };
+        (state, Some(event), found)
+    }
+
+    /// Classifies `input` and runs its row, then fires the successor a
+    /// completed registration releases. A cell with no row is the one
+    /// unexpected-event path: a violation naming the word, state and event.
+    /// Returns a core request's outcome.
+    fn fire(&mut self, word: WordAddr, input: Input, actions: &mut Vec<Action>) -> IssueResult {
+        let (state, event, found) = self.classify(word, &input);
+        let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
+            let who = format_args!("DeNovo L1 {}", self.id);
+            actions.push(crate::table::unexpected(who, word, state, event, input));
+            return IssueResult::Blocked;
+        };
+        let mut step = (IssueResult::Blocked, None);
+        for &act in row.acts {
+            if !self.act(act, word, &input, &found, &mut step, actions) {
+                // No way for the line, or a backoff: the datapath decided.
+                return step.0;
+            }
+        }
+        if let Some(to) = row.to {
+            let now = || Self::state(self.mshr.get(&word), self.word_state(word));
+            debug_assert_eq!(now(), to, "L1 row {}", row.id);
+        }
+        if let Some(next) = step.1 {
+            self.fire(word, next.input(word), actions);
+        }
+        step.0
+    }
+
+    /// Runs one step of a fired row on what classification `found`, setting
+    /// `step`'s core-request outcome and the successor to fire after the
+    /// row. Returns false when the row stops early: no way could be freed
+    /// for the line, or the access backs off.
+    fn act(
+        &mut self,
+        act: Act,
+        word: WordAddr,
+        input: &Input,
+        found: &Found,
+        step: &mut (IssueResult, Option<Successor>),
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        let (req, from, banks) = (self.id, self.id, self.banks);
+        let home = || Endpoint::Bank(home_bank(word.line(), banks));
+        let mut send = |to, msg| actions.push(Action::Send { to, msg });
+        match (act, input) {
+            // Core requests.
+            (Act::Hit, &Input::Core { kind, .. }) => {
+                let value = Some(self.word_mut(word).expect("resident").value);
+                self.note(kind, true);
+                step.0 = IssueResult::Hit { value };
+            }
+            (Act::Write | Act::Claim, &Input::Core { kind, .. }) => {
+                let AccessKind::DataStore { value } = kind else {
+                    unreachable!("a store step for {kind:?}")
+                };
+                let w = self.word_mut(word).expect("line resident");
+                let was = w.state.label();
+                *w = DnvWord {
+                    state: WState::Registered,
+                    value,
+                };
+                if act == Act::Claim {
+                    // The paper's write path: Registered at once, no
+                    // transient state.
+                    self.emit_transition(word, was, "R", "store");
+                } else {
+                    self.note(kind, true);
+                    step.0 = IssueResult::StoreAccepted { completed: true };
+                }
+            }
+            (Act::SyncHit, &Input::Core { kind, .. }) => {
+                let w = self.word_mut(word).expect("registered word");
+                let old = w.value;
+                let (new, result) = match kind {
+                    AccessKind::SyncStore { value } => (value, None),
+                    AccessKind::SyncRmw(op) => (op.apply(old), Some(old)),
+                    _ => (old, Some(old)),
+                };
+                w.value = new;
+                match result {
+                    Some(_) => self.backoff.on_sync_hit(),
+                    None => self.backoff.on_release(),
+                }
+                self.note(kind, true);
+                step.0 = IssueResult::Hit { value: result };
+            }
+            (Act::Retry, _) => step.0 = IssueResult::Blocked,
+            (Act::Allocate, _) => return self.ensure_line(word.line(), actions),
+            (Act::Request, &Input::Core { kind, .. }) => {
+                self.note(kind, false);
+                let pend = PendKind::of(kind);
+                self.mshr
+                    .try_insert(word, Pend::new(pend))
+                    .expect("fresh mshr");
+                let class = pend.reg_class();
+                let msg = match pend {
+                    PendKind::Read => DnvMsg::ReadReq { word, req },
+                    _ => DnvMsg::RegReq { word, req, class },
+                };
+                send(home(), Msg::Dnv(msg));
+                step.0 = match pend {
+                    PendKind::Write => IssueResult::StoreAccepted { completed: false },
+                    _ => IssueResult::Miss,
+                };
+            }
+            (Act::Backoff, &Input::Core { after_backoff, .. }) => {
+                let cycles = self.backoff.current();
+                if !after_backoff && cycles > 0 {
+                    step.0 = IssueResult::Backoff { cycles };
+                    return false;
+                }
+            }
+            // Forwarded reads and transfers.
+            (Act::ServeRead, &Input::Dnv(DnvMsg::ReadReq { req, .. })) => {
+                // DeNovo transfers data at line granularity: piggy-back the
+                // line's other words registered here (they are equally
+                // current), cutting the forwarded-read count for data that
+                // was written together (original DeNovo [10]).
+                let line = self.cache.get(word.line()).expect("registered word");
+                let (idx, mut mask, mut data) = (word.index_in_line(), 0u8, [0; WORDS_PER_LINE]);
+                for (i, w) in line.words.iter().enumerate() {
+                    if i != idx && w.state == WState::Registered {
+                        mask |= 1 << i;
+                        data[i] = w.value;
+                    }
+                }
+                let (value, fill) = (line.words[idx].value, (mask != 0).then_some((mask, data)));
+                send(
+                    Endpoint::L1(req),
+                    Msg::Dnv(DnvMsg::ReadResp { word, value, fill }),
+                );
+            }
+            (Act::ParkRead, &Input::Dnv(DnvMsg::ReadReq { req, .. })) => {
+                self.pend_mut(word).parked_reads.push(req);
+            }
+            (Act::Park, _) => {
+                self.pend_mut(word).parked = Some(match *input {
+                    Input::Dnv(DnvMsg::Xfer {
+                        new_owner, class, ..
+                    }) => Successor::Xfer(new_owner, class),
+                    _ => Successor::Recall,
+                });
+            }
+            (Act::Invalidate | Act::Demote, _) => {
+                let (to, cause) = match (act, input) {
+                    (Act::Demote, _) => (WState::Valid, "Xfer"),
+                    (_, Input::Gcs(_)) => (WState::Invalid, "Recall"),
+                    _ => (WState::Invalid, "Xfer"),
+                };
+                if act == Act::Demote {
+                    self.backoff.on_remote_sync_read();
+                }
+                self.word_mut(word).expect("registered word").state = to;
+                self.emit_transition(word, "R", to.label(), cause);
+                if self.watch == Some(word) {
+                    actions.push(Action::SpinWake);
+                }
+            }
+            (
+                Act::PassOn,
+                &Input::Dnv(DnvMsg::Xfer {
+                    new_owner, class, ..
+                }),
+            ) => {
+                let value = found.word.value;
+                send(
+                    Endpoint::L1(new_owner),
+                    Msg::Dnv(DnvMsg::RegAck { word, value, class }),
+                );
+            }
+            // Responses.
+            (Act::Fill, &Input::Dnv(DnvMsg::ReadResp { value, fill, .. })) => {
+                self.mshr.remove(&word);
+                let cached = self.ensure_line(word.line(), actions);
+                if cached {
+                    let w = self.word_mut(word).expect("line ensured");
+                    if w.state == WState::Invalid {
+                        *w = DnvWord {
+                            state: WState::Valid,
+                            value,
+                        };
+                    }
+                    if let Some((mask, data)) = fill {
+                        self.fill_line(word.line(), mask, &data);
+                    }
+                }
+                // (If no way could be freed, deliver uncached — reads take
+                // no ownership, so nothing else is required.)
+                actions.push(Action::CoreDone { value: Some(value) });
+                return cached;
+            }
+            (Act::Complete, &Input::Dnv(DnvMsg::RegAck { value, .. })) => {
+                return self.complete(word, value, step, actions);
+            }
+            (Act::Retire, _) => {
+                let pend = self.mshr.remove(&word).expect("writeback pending");
+                self.serve_reads(word, found.held(), &pend.parked_reads, actions);
+            }
+            (Act::Refuse, _) => {
+                let value = found.held();
+                self.pend_mut(word).kind = PendKind::Wb {
+                    value,
+                    nacked: true,
+                };
+            }
+            // A refused writeback meets its transfer, arriving or parked:
+            // serve the parked reads and the new registrant from the held
+            // value, and drop the word.
+            (Act::FinishWb, _) => {
+                let pend = self.mshr.remove(&word).expect("writeback pending");
+                let (new_owner, class) = match (pend.parked, input) {
+                    (Some(Successor::Xfer(c, class)), _) => (c, class),
+                    (
+                        _,
+                        &Input::Dnv(DnvMsg::Xfer {
+                            new_owner, class, ..
+                        }),
+                    ) => (new_owner, class),
+                    other => unreachable!("a refused writeback finishing on {other:?}"),
+                };
+                let value = found.held();
+                self.serve_reads(word, value, &pend.parked_reads, actions);
+                let msg = Msg::Dnv(DnvMsg::RegAck { word, value, class });
+                actions.push(Action::Send {
+                    to: Endpoint::L1(new_owner),
+                    msg,
+                });
+            }
+            // The sync path.
+            (Act::NotifyHit, &Input::Core { kind, .. }) => {
+                let (_, value) = self.sync.notify_buf.take().expect("notified word");
+                self.note(kind, true);
+                step.0 = IssueResult::Hit { value: Some(value) };
+            }
+            (Act::Issue, &Input::Core { kind, .. }) => {
+                self.note(kind, false);
+                let (op, data_store) = match kind {
+                    AccessKind::DataStore { value } => (GcsOpKind::Store { value }, true),
+                    _ => (PendKind::of(kind).sync_op().expect("a sync access"), false),
+                };
+                let pend = Pend::new(PendKind::SyncWait { op, data_store });
+                self.mshr.try_insert(word, pend).expect("fresh mshr");
+                send(home(), Msg::Gcs(GcsMsg::SyncOp { word, req, op }));
+                step.0 = match data_store {
+                    true => IssueResult::StoreAccepted { completed: false },
+                    false => IssueResult::Miss,
+                };
+            }
+            (Act::Learn, &Input::Gcs(msg)) => self.learn(word, msg.kind_name()),
+            // The optimistic store set the word Registered locally; the bank
+            // owns classified words, so undo and re-execute there.
+            (Act::Unwrite, _) => {
+                self.word_mut(word).expect("write-registered word").state = WState::Invalid;
+                self.emit_transition(word, "R", "I", "Classified");
+            }
+            (Act::Convert, _) => {
+                let kind = found.kind.expect("a pending registration");
+                let value = self
+                    .cache
+                    .get(word.line())
+                    .map_or(0, |l| l.words[word.index_in_line()].value);
+                let (op, data_store) = match kind.sync_op() {
+                    Some(op) => (op, false),
+                    None => (GcsOpKind::Store { value }, true),
+                };
+                self.pend_mut(word).kind = PendKind::SyncWait { op, data_store };
+                send(home(), Msg::Gcs(GcsMsg::SyncOp { word, req, op }));
+            }
+            (Act::SyncDone, &Input::Gcs(GcsMsg::SyncResp { value, .. })) => {
+                let pend = self.mshr.remove(&word).expect("sync op pending");
+                let PendKind::SyncWait { op, data_store } = pend.kind else {
+                    unreachable!("a sync response for {:?}", pend.kind)
+                };
+                // `value` is the loaded value, the RMW's old value (the new
+                // one is recomputed locally for parked readers), or the
+                // stored value.
+                let (stored, done) = match op {
+                    GcsOpKind::Load => (value, Action::CoreDone { value: Some(value) }),
+                    GcsOpKind::Store { value } if data_store => {
+                        (value, Action::StoresDone { count: 1 })
+                    }
+                    GcsOpKind::Store { value } => (value, Action::CoreDone { value: None }),
+                    GcsOpKind::Rmw(op) => {
+                        (op.apply(value), Action::CoreDone { value: Some(value) })
+                    }
+                };
+                actions.push(done);
+                // Keep any stale Valid copy program-order consistent with our
+                // own completed operation.
+                if let Some(w) = self.word_mut(word).filter(|w| w.state == WState::Valid) {
+                    w.value = stored;
+                }
+                self.serve_reads(word, stored, &pend.parked_reads, actions);
+            }
+            (Act::Touch, _) => self.cache.touch(word.line()),
+            // Answered empty when ownership had already moved on (our
+            // writeback raced ahead); the bank ignores stale answers.
+            (Act::AnswerRecall, _) => {
+                let registered = found.word.state == WState::Registered;
+                let value = registered.then_some(found.word.value);
+                send(home(), Msg::Gcs(GcsMsg::RecallAck { word, from, value }));
+            }
+            (Act::Arm, &Input::Watch { seen }) => {
+                self.sync.remote_watch = Some((word, seen));
+                send(home(), Msg::Gcs(GcsMsg::SyncWatch { word, req, seen }));
+            }
+            (Act::Buffer, &Input::Gcs(GcsMsg::SyncNotify { value, .. })) => {
+                self.sync.remote_watch = None;
+                self.sync.notify_buf = Some((word, value));
+                actions.push(Action::SpinWake);
+            }
+            _ => unreachable!("L1 step {act:?} fired by {input:?}"),
+        }
+        true
+    }
+
+    /// Our own registration was acknowledged with the word's `ack` value:
+    /// perform the operation, serve the reads parked behind us, and hand a
+    /// parked successor (the next registrant's transfer, or a bank recall)
+    /// to the next row. Returns false when no way could be freed for the
+    /// line: the value then goes straight on — to the successor, or back to
+    /// the registry.
+    fn complete(
+        &mut self,
+        word: WordAddr,
+        ack: u64,
+        step: &mut (IssueResult, Option<Successor>),
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        let pend = self.mshr.remove(&word).expect("registration pending");
+        let cached = self.ensure_line(word.line(), actions);
+        // The value this core now owns, and how the access completes. A data
+        // store's word was already Registered locally with its value.
+        let (value, done) = match pend.kind {
+            PendKind::Write => {
+                let w = self.word_mut(word).expect("write-registered word");
+                (w.value, Action::StoresDone { count: 1 })
+            }
+            PendKind::SyncWrite { value } => {
+                self.backoff.on_release();
+                (value, Action::CoreDone { value: None })
+            }
+            PendKind::Rmw { op } => (op.apply(ack), Action::CoreDone { value: Some(ack) }),
+            _ => (ack, Action::CoreDone { value: Some(ack) }),
+        };
+        if cached && pend.kind != PendKind::Write {
+            let w = self.word_mut(word).expect("line ensured");
+            let was = w.state.label();
+            *w = DnvWord {
+                state: WState::Registered,
+                value,
+            };
+            self.emit_transition(word, was, "R", "RegAck");
+        }
+        actions.push(done);
+        // Parked forwarded reads see the post-operation value (they were
+        // serialized after our registration).
+        self.serve_reads(word, value, &pend.parked_reads, actions);
+        if cached {
+            step.1 = pend.parked;
+            return true;
+        }
+        let (to, msg) = match pend.parked {
+            None => {
+                self.start_writeback(word, value, actions);
+                return false;
+            }
+            Some(Successor::Xfer(new_owner, class)) => (
+                Endpoint::L1(new_owner),
+                Msg::Dnv(DnvMsg::RegAck { word, value, class }),
+            ),
+            Some(Successor::Recall) => {
+                self.learn(word, "Recall");
+                let (from, value) = (self.id, Some(value));
+                (
+                    self.home(word),
+                    Msg::Gcs(GcsMsg::RecallAck { word, from, value }),
+                )
+            }
+        };
+        actions.push(Action::Send { to, msg });
+        false
+    }
+
+    /// Records `word` as sync-classified (idempotent) and emits the
+    /// data→sync classification transition the first time.
+    fn learn(&mut self, word: WordAddr, cause: &'static str) {
+        let known = self.sync.predictor.contains(word);
+        self.sync.predictor.insert(word);
+        if !known {
+            self.emit_transition(word, "data", "sync", cause);
+        }
+    }
+
     fn home(&self, word: WordAddr) -> Endpoint {
         Endpoint::Bank(home_bank(word.line(), self.banks))
     }
@@ -459,630 +1157,8 @@ impl DnvL1 {
             .map(|l| &mut l.words[word.index_in_line()])
     }
 
-    /// Allocates the MSHR entry for a sync-path operation and sends it.
-    fn start_sync_op(
-        &mut self,
-        word: WordAddr,
-        op: GcsOpKind,
-        data_store: bool,
-        actions: &mut Vec<Action>,
-    ) {
-        let pend = Pend::new(PendKind::SyncWait { op, data_store });
-        self.mshr.try_insert(word, pend).expect("fresh mshr");
-        self.send_sync_op(word, op, actions);
-    }
-
-    fn send_sync_op(&self, word: WordAddr, op: GcsOpKind, actions: &mut Vec<Action>) {
-        actions.push(Action::Send {
-            to: self.home(word),
-            msg: Msg::Gcs(GcsMsg::SyncOp {
-                word,
-                req: self.id,
-                op,
-            }),
-        });
-    }
-
-    /// Allocates the MSHR entry for a registering miss and sends its
-    /// request: a `SyncOp` down the sync path when a synchronization access
-    /// targets a word predicted classified, otherwise a registration.
-    fn issue_registration(&mut self, word: WordAddr, kind: PendKind, actions: &mut Vec<Action>) {
-        match kind.sync_op().filter(|_| self.predicts_sync(word)) {
-            Some(op) => self.start_sync_op(word, op, false, actions),
-            None => {
-                self.mshr
-                    .try_insert(word, Pend::new(kind))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: kind.reg_class(),
-                    }),
-                });
-            }
-        }
-    }
-
-    /// Presents a core memory request. `after_backoff` marks the re-issue of
-    /// a synchronization read whose hardware backoff has expired (it must
-    /// not be delayed again).
-    pub fn core_request(
-        &mut self,
-        req: &MemRequest,
-        after_backoff: bool,
-        actions: &mut Vec<Action>,
-    ) -> IssueResult {
-        let word = req.addr.word();
-        match req.kind {
-            AccessKind::DataLoad => {
-                if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
-                    match kind {
-                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                            return IssueResult::Blocked
-                        }
-                        PendKind::Write => { /* word is Registered locally: falls through to hit */
-                        }
-                        other => unreachable!("data load with own {other:?} pending"),
-                    }
-                }
-                match self.word_state(word) {
-                    WState::Valid | WState::Registered => {
-                        let value = self.word_mut(word).expect("resident").value;
-                        self.note_hit(req.kind);
-                        IssueResult::Hit { value: Some(value) }
-                    }
-                    WState::Invalid => {
-                        self.note_miss(req.kind);
-                        self.mshr
-                            .try_insert(word, Pend::new(PendKind::Read))
-                            .expect("fresh mshr");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::ReadReq { word, req: self.id }),
-                        });
-                        IssueResult::Miss
-                    }
-                }
-            }
-            AccessKind::DataStore { value } => {
-                if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
-                    match kind {
-                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                            return IssueResult::Blocked
-                        }
-                        PendKind::Write => {
-                            // Previous store's registration still in flight;
-                            // the word is Registered locally — just update.
-                            self.word_mut(word).expect("registered word").value = value;
-                            self.note_hit(req.kind);
-                            return IssueResult::StoreAccepted { completed: true };
-                        }
-                        other => unreachable!("data store with own {other:?} pending"),
-                    }
-                }
-                if self.word_state(word) == WState::Registered {
-                    self.word_mut(word).expect("resident").value = value;
-                    self.note_hit(req.kind);
-                    return IssueResult::StoreAccepted { completed: true };
-                }
-                if self.predicts_sync(word) {
-                    // Classified words cannot be registered here: execute
-                    // the store at the bank.
-                    self.note_miss(req.kind);
-                    self.start_sync_op(word, GcsOpKind::Store { value }, true, actions);
-                    return IssueResult::StoreAccepted { completed: false };
-                }
-                // Immediate transition to Registered + registration request
-                // (no transient state — the paper's write path).
-                if !self.ensure_line(word.line(), actions) {
-                    return IssueResult::Blocked;
-                }
-                self.note_miss(req.kind);
-                let w = self.word_mut(word).expect("line just ensured");
-                let from = w.state.label();
-                w.state = WState::Registered;
-                w.value = value;
-                self.emit_transition(word, from, "R", "store");
-                self.issue_registration(word, PendKind::Write, actions);
-                IssueResult::StoreAccepted { completed: false }
-            }
-            // Synchronization accesses complete locally on a Registered
-            // word; otherwise they register (or, predicted classified,
-            // execute at the bank).
-            kind => {
-                let pend = match kind {
-                    AccessKind::SyncStore { value } => PendKind::SyncWrite { value },
-                    AccessKind::SyncRmw(op) => PendKind::Rmw { op },
-                    _ => PendKind::SyncRead,
-                };
-                // A targeted notification answers the re-issued spin load
-                // without touching the network.
-                let notified = self
-                    .sync
-                    .as_mut()
-                    .filter(|_| pend == PendKind::SyncRead)
-                    .and_then(|s| s.notify_buf.take_if(|&mut (w, _)| w == word));
-                if let Some((_, v)) = notified {
-                    self.note_hit(kind);
-                    return IssueResult::Hit { value: Some(v) };
-                }
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked; // writeback handshake in flight
-                }
-                let state = self.word_state(word);
-                if state == WState::Registered {
-                    let w = self.word_mut(word).expect("resident");
-                    let old = w.value;
-                    let (new, result) = match pend {
-                        PendKind::SyncWrite { value } => (value, None),
-                        PendKind::Rmw { op } => (op.apply(old), Some(old)),
-                        _ => (old, Some(old)),
-                    };
-                    w.value = new;
-                    if result.is_some() {
-                        self.backoff.on_sync_hit();
-                    } else {
-                        self.backoff.on_release();
-                    }
-                    self.note_hit(kind);
-                    return IssueResult::Hit { value: result };
-                }
-                // DeNovoSync: a sync read to Valid state triggers backoff.
-                let delay = self.backoff.current();
-                if pend == PendKind::SyncRead
-                    && state == WState::Valid
-                    && !after_backoff
-                    && delay > 0
-                {
-                    return IssueResult::Backoff { cycles: delay };
-                }
-                self.note_miss(kind);
-                self.issue_registration(word, pend, actions);
-                IssueResult::Miss
-            }
-        }
-    }
-
-    /// Handles an incoming data-path (DeNovo) message.
-    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        match msg {
-            DnvMsg::ReadReq { word, req } => {
-                // A data read forwarded by the registry: we are (or were
-                // about to become) the registrant.
-                if let Some(pend) = self.mshr.get_mut(&word) {
-                    if !matches!(pend.kind, PendKind::Write) {
-                        pend.parked_reads.push(req);
-                        return;
-                    }
-                }
-                if self.word_state(word) != WState::Registered {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: forwarded read for unregistered word {word}",
-                        self.id
-                    )));
-                    return;
-                }
-                // DeNovo transfers data at line granularity: piggy-back the
-                // line's other words registered here (they are equally
-                // current), cutting the forwarded-read count for data that
-                // was written together (original DeNovo [10]).
-                let line = self
-                    .cache
-                    .get(word.line())
-                    .expect("registered word resident");
-                let idx = word.index_in_line();
-                let value = line.words[idx].value;
-                let mut mask = 0u8;
-                let mut data = [0u64; WORDS_PER_LINE];
-                for (i, w) in line.words.iter().enumerate() {
-                    if i != idx && w.state == WState::Registered {
-                        mask |= 1 << i;
-                        data[i] = w.value;
-                    }
-                }
-                let fill = (mask != 0).then_some((mask, data));
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Dnv(DnvMsg::ReadResp { word, value, fill }),
-                });
-            }
-            DnvMsg::Xfer {
-                word,
-                new_owner,
-                class,
-            } => {
-                if let Some(pend) = self.mshr.get_mut(&word) {
-                    if matches!(pend.kind, PendKind::SyncWait { .. }) {
-                        // The bank never re-points a classified word.
-                        actions.push(Action::violation(format!(
-                            "L1 {}: transfer for classified word {word}",
-                            self.id
-                        )));
-                        return;
-                    }
-                    if let PendKind::Wb {
-                        value,
-                        nacked: true,
-                    } = pend.kind
-                    {
-                        // The registry refused our writeback because this
-                        // transfer was already on its way: serve and drop.
-                        self.finish_refused_writeback(word, value, new_owner, class, actions);
-                        return;
-                    }
-                    if pend.has_parked_successor() {
-                        actions.push(Action::violation(format!(
-                            "L1: second transfer parked on one registration for {word}"
-                        )));
-                        return;
-                    }
-                    pend.parked_xfer = Some((new_owner, class));
-                    return;
-                }
-                match self.downgrade(word, Some(class), actions) {
-                    Some(value) => Self::send_reg_ack(word, value, new_owner, class, actions),
-                    None => actions.push(Action::violation(format!(
-                        "L1 {}: transfer for unregistered word {word}",
-                        self.id
-                    ))),
-                }
-            }
-            DnvMsg::ReadResp { word, value, fill } => {
-                let Some(pend) = self.mshr.remove(&word) else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: ReadResp without pending read for {word}",
-                        self.id
-                    )));
-                    return;
-                };
-                if !matches!(pend.kind, PendKind::Read) {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: ReadResp for {word} with {:?} pending",
-                        self.id, pend.kind
-                    )));
-                    return;
-                }
-                if self.ensure_line(word.line(), actions) {
-                    let w = self.word_mut(word).expect("line ensured");
-                    if w.state == WState::Invalid {
-                        w.state = WState::Valid;
-                        w.value = value;
-                    }
-                    if let Some((mask, data)) = fill {
-                        self.fill_line(word.line(), mask, &data);
-                    }
-                }
-                // (If no way could be freed, deliver uncached — reads take
-                // no ownership, so nothing else is required.)
-                actions.push(Action::CoreDone { value: Some(value) });
-            }
-            DnvMsg::RegAck { word, value, .. } => self.on_reg_ack(word, value, actions),
-            DnvMsg::WbAck { word } => {
-                let Some(pend) = self.mshr.remove(&word) else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: WbAck without writeback for {word}",
-                        self.id
-                    )));
-                    return;
-                };
-                let PendKind::Wb { value, nacked } = pend.kind else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: WbAck for {word} with {:?} pending",
-                        self.id, pend.kind
-                    )));
-                    return;
-                };
-                if nacked {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: WbAck for {word} after WbNack",
-                        self.id
-                    )));
-                    return;
-                }
-                if pend.parked_xfer.is_some() {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: registry acked a writeback of {word} with a transfer outstanding",
-                        self.id
-                    )));
-                    return;
-                }
-                self.serve_reads(word, value, &pend.parked_reads, actions);
-            }
-            DnvMsg::WbNack { word } => {
-                let Some(pend) = self.mshr.get_mut(&word) else {
-                    actions.push(Action::violation(format!(
-                        "L1: WbNack without writeback for {word}"
-                    )));
-                    return;
-                };
-                let PendKind::Wb { value, .. } = pend.kind else {
-                    let kind = pend.kind;
-                    actions.push(Action::violation(format!(
-                        "L1: WbNack for {word} with {kind:?} pending"
-                    )));
-                    return;
-                };
-                if let Some((new_owner, class)) = pend.parked_xfer {
-                    self.finish_refused_writeback(word, value, new_owner, class, actions);
-                } else {
-                    pend.kind = PendKind::Wb {
-                        value,
-                        nacked: true,
-                    };
-                }
-            }
-            other => actions.push(Action::violation(format!(
-                "L1 {} cannot handle {other:?}",
-                self.id
-            ))),
-        }
-    }
-
-    /// Handles an incoming sync-path (GCS) message. Without the sync-path
-    /// policy every such message is a protocol violation.
-    pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
-        match msg {
-            GcsMsg::Classified { word } if self.sync.is_some() => self.on_classified(word, actions),
-            GcsMsg::SyncResp { word, value } if self.sync.is_some() => {
-                self.on_sync_resp(word, value, actions)
-            }
-            GcsMsg::SyncNotify { word, value } if self.sync.is_some() => {
-                self.learn(word, "SyncNotify");
-                let sync = self.sync.as_mut().expect("guarded above");
-                if sync.remote_watch.map(|(w, _)| w) == Some(word) {
-                    sync.remote_watch = None;
-                    sync.notify_buf = Some((word, value));
-                    actions.push(Action::SpinWake);
-                } else {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: SyncNotify for {word} without a remote watch",
-                        self.id
-                    )));
-                }
-            }
-            GcsMsg::Recall { word } if self.sync.is_some() => self.on_recall(word, actions),
-            other => actions.push(Action::violation(format!(
-                "L1 {} cannot handle {other:?}",
-                self.id
-            ))),
-        }
-    }
-
-    /// The bank rejected our optimistic registration: the word is
-    /// sync-classified. Convert the pending access to the sync path.
-    fn on_classified(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
-        self.learn(word, "Classified");
-        let Some(pend) = self.mshr.get(&word) else {
-            actions.push(Action::violation(format!(
-                "L1 {}: Classified without pending registration for {word}",
-                self.id
-            )));
-            return;
-        };
-        if pend.has_parked_successor() {
-            actions.push(Action::violation(format!(
-                "L1 {}: Classified for {word} with a parked transfer or recall",
-                self.id
-            )));
-            return;
-        }
-        let (op, data_store) = match (pend.kind, pend.kind.sync_op()) {
-            (_, Some(op)) => (op, false),
-            (PendKind::Write, None) => {
-                // The optimistic store set the word Registered locally; the
-                // bank owns classified words, so undo and re-execute there.
-                let value = self
-                    .word_mut(word)
-                    .filter(|w| w.state == WState::Registered)
-                    .map(|w| {
-                        w.state = WState::Invalid;
-                        w.value
-                    })
-                    .expect("write-registered word resident");
-                self.emit_transition(word, "R", "I", "Classified");
-                (GcsOpKind::Store { value }, true)
-            }
-            (other, None) => {
-                actions.push(Action::violation(format!(
-                    "L1 {}: Classified for {word} with {other:?} pending",
-                    self.id
-                )));
-                return;
-            }
-        };
-        let pend = self.mshr.get_mut(&word).expect("checked above");
-        pend.kind = PendKind::SyncWait { op, data_store };
-        self.send_sync_op(word, op, actions);
-    }
-
-    /// The bank executed our `SyncOp`.
-    fn on_sync_resp(&mut self, word: WordAddr, value: u64, actions: &mut Vec<Action>) {
-        let Some(pend) = self.mshr.remove(&word) else {
-            actions.push(Action::violation(format!(
-                "L1 {}: SyncResp without pending sync op for {word}",
-                self.id
-            )));
-            return;
-        };
-        let PendKind::SyncWait { op, data_store } = pend.kind else {
-            actions.push(Action::violation(format!(
-                "L1 {}: SyncResp for {word} with {:?} pending",
-                self.id, pend.kind
-            )));
-            return;
-        };
-        // (Nothing parks on a sync-path entry: transfers and recalls for it
-        // are violations, and conversion requires an empty successor slot.)
-        // `value` is the loaded value, the RMW's old value (the new one is
-        // recomputed locally for parked readers), or the stored value.
-        let (stored, done) = match op {
-            GcsOpKind::Load => (value, Action::CoreDone { value: Some(value) }),
-            GcsOpKind::Store { value: v } if data_store => (v, Action::StoresDone { count: 1 }),
-            GcsOpKind::Store { value: v } => (v, Action::CoreDone { value: None }),
-            GcsOpKind::Rmw(rmw) => (rmw.apply(value), Action::CoreDone { value: Some(value) }),
-        };
-        actions.push(done);
-        // Keep any stale Valid copy program-order consistent with our own
-        // completed operation.
-        if let Some(w) = self.word_mut(word) {
-            if w.state == WState::Valid {
-                w.value = stored;
-            }
-        }
-        self.serve_reads(word, stored, &pend.parked_reads, actions);
-    }
-
-    /// The bank reclaims a newly classified word we are registered for.
-    fn on_recall(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
-        self.learn(word, "Recall");
-        if let Some(pend) = self.mshr.get_mut(&word) {
-            match pend.kind {
-                // Our writeback is already in flight; the bank accepts it
-                // as the recall return.
-                PendKind::Wb { .. } => {}
-                PendKind::SyncRead
-                | PendKind::SyncWrite { .. }
-                | PendKind::Rmw { .. }
-                | PendKind::Write => {
-                    if pend.has_parked_successor() {
-                        actions.push(Action::violation(format!(
-                            "L1 {}: second recall/transfer parked for {word}",
-                            self.id
-                        )));
-                        return;
-                    }
-                    pend.parked_recall = true;
-                }
-                PendKind::Read | PendKind::SyncWait { .. } => {
-                    actions.push(Action::violation(format!(
-                        "L1 {}: Recall for {word} with {:?} pending",
-                        self.id, pend.kind
-                    )));
-                }
-            }
-            return;
-        }
-        // `None` when ownership had already moved on (our writeback raced
-        // ahead): answer empty; the bank ignores stale acks.
-        let value = self.downgrade(word, None, actions);
-        actions.push(Action::Send {
-            to: self.home(word),
-            msg: Msg::Gcs(GcsMsg::RecallAck {
-                word,
-                from: self.id,
-                value,
-            }),
-        });
-    }
-
-    /// Our own registration was acknowledged: perform the operation, then
-    /// serve anything that parked behind us in the distributed queue.
-    fn on_reg_ack(&mut self, word: WordAddr, ack_value: u64, actions: &mut Vec<Action>) {
-        let Some(pend) = self.mshr.remove(&word) else {
-            actions.push(Action::violation(format!(
-                "L1 {}: RegAck without registration for {word}",
-                self.id
-            )));
-            return;
-        };
-        let cached = self.ensure_line(word.line(), actions);
-        // The value this core now owns, and how the access completes.
-        let (owned_value, done) = match pend.kind {
-            // The word was already Registered locally with our value; the
-            // ack just retires the store.
-            PendKind::Write => (
-                self.word_mut(word)
-                    .map(|w| w.value)
-                    .expect("write-registered word resident"),
-                Action::StoresDone { count: 1 },
-            ),
-            PendKind::SyncRead => (
-                ack_value,
-                Action::CoreDone {
-                    value: Some(ack_value),
-                },
-            ),
-            PendKind::SyncWrite { value } => {
-                self.backoff.on_release();
-                (value, Action::CoreDone { value: None })
-            }
-            PendKind::Rmw { op } => (
-                op.apply(ack_value),
-                Action::CoreDone {
-                    value: Some(ack_value),
-                },
-            ),
-            PendKind::Read | PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                actions.push(Action::violation(format!(
-                    "L1 {}: RegAck for {word} with {:?} pending",
-                    self.id, pend.kind
-                )));
-                return;
-            }
-        };
-        if cached && pend.kind != PendKind::Write {
-            let w = self.word_mut(word).expect("line ensured");
-            let from = w.state.label();
-            *w = DnvWord {
-                state: WState::Registered,
-                value: owned_value,
-            };
-            self.emit_transition(word, from, "R", "RegAck");
-        }
-        actions.push(done);
-        // Serve parked forwarded reads with the post-operation value (they
-        // were serialized after our registration).
-        self.serve_reads(word, owned_value, &pend.parked_reads, actions);
-        if !pend.has_parked_successor() {
-            if !cached {
-                // We are the registrant but could not cache the word: hand
-                // the value straight back to the registry.
-                self.start_writeback(word, owned_value, actions);
-            }
-            return;
-        }
-        // Then the parked successor: ownership moves on to the next
-        // registrant, or — the word was classified while our registration
-        // was in flight — surrenders to the bank.
-        let xfer = pend.parked_xfer.filter(|_| !pend.parked_recall);
-        let value = if cached {
-            // The ack just (re-)registered the word here, so the downgrade
-            // cannot miss.
-            self.downgrade(word, xfer.map(|(_, class)| class), actions)
-                .expect("word registered by this ack")
-        } else {
-            owned_value
-        };
-        match xfer {
-            Some((new_owner, class)) => Self::send_reg_ack(word, value, new_owner, class, actions),
-            None => {
-                self.learn(word, "Recall");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Gcs(GcsMsg::RecallAck {
-                        word,
-                        from: self.id,
-                        value: Some(value),
-                    }),
-                });
-            }
-        }
-    }
-
-    /// Hands a registered word's value to the next registrant.
-    fn send_reg_ack(
-        word: WordAddr,
-        value: u64,
-        new_owner: CoreId,
-        class: XferClass,
-        actions: &mut Vec<Action>,
-    ) {
-        actions.push(Action::Send {
-            to: Endpoint::L1(new_owner),
-            msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-        });
+    fn pend_mut(&mut self, word: WordAddr) -> &mut Pend {
+        self.mshr.get_mut(&word).expect("pending word")
     }
 
     /// Starts the writeback handshake for a registered word this L1 is
@@ -1093,62 +1169,9 @@ impl DnvL1 {
             nacked: false,
         });
         self.mshr.try_insert(word, pend).expect("word unpinned");
-        actions.push(Action::Send {
-            to: self.home(word),
-            msg: Msg::Dnv(DnvMsg::WbReq {
-                word,
-                value,
-                from: self.id,
-            }),
-        });
-    }
-
-    /// A refused writeback met its in-flight transfer: serve the parked
-    /// reads and the new registrant from the held value, then drop the word.
-    fn finish_refused_writeback(
-        &mut self,
-        word: WordAddr,
-        value: u64,
-        new_owner: CoreId,
-        class: XferClass,
-        actions: &mut Vec<Action>,
-    ) {
-        let pend = self.mshr.remove(&word).expect("writeback pending");
-        self.serve_reads(word, value, &pend.parked_reads, actions);
-        Self::send_reg_ack(word, value, new_owner, class, actions);
-    }
-
-    /// Downgrades a Registered word for an outgoing transfer (`class`) or a
-    /// bank recall (`None`), returning its value (`None` if the word is not
-    /// actually Registered here). Synchronization reads under DeNovoSync
-    /// leave a Valid copy (the backoff trigger) and bump the counter;
-    /// everything else invalidates.
-    fn downgrade(
-        &mut self,
-        word: WordAddr,
-        class: Option<XferClass>,
-        actions: &mut Vec<Action>,
-    ) -> Option<u64> {
-        let sync_read = class == Some(XferClass::SyncRead);
-        let keep_valid = sync_read && self.backoff.is_enabled();
-        if sync_read {
-            self.backoff.on_remote_sync_read();
-        }
-        let w = self
-            .word_mut(word)
-            .filter(|w| w.state == WState::Registered)?;
-        let value = w.value;
-        w.state = if keep_valid {
-            WState::Valid
-        } else {
-            WState::Invalid
-        };
-        let cause = if class.is_some() { "Xfer" } else { "Recall" };
-        self.emit_transition(word, "R", if keep_valid { "V" } else { "I" }, cause);
-        if self.watch == Some(word) {
-            actions.push(Action::SpinWake);
-        }
-        Some(value)
+        let (to, from) = (self.home(word), self.id);
+        let msg = Msg::Dnv(DnvMsg::WbReq { word, value, from });
+        actions.push(Action::Send { to, msg });
     }
 
     fn serve_reads(
@@ -1159,14 +1182,9 @@ impl DnvL1 {
         actions: &mut Vec<Action>,
     ) {
         for &r in readers {
-            actions.push(Action::Send {
-                to: Endpoint::L1(r),
-                msg: Msg::Dnv(DnvMsg::ReadResp {
-                    word,
-                    value,
-                    fill: None,
-                }),
-            });
+            let (to, fill) = (Endpoint::L1(r), None);
+            let msg = Msg::Dnv(DnvMsg::ReadResp { word, value, fill });
+            actions.push(Action::Send { to, msg });
         }
     }
 
@@ -1231,18 +1249,14 @@ impl DnvL1 {
         }
     }
 
-    fn note_hit(&mut self, kind: AccessKind) {
-        count_access(&mut self.stats, kind, true);
-    }
-
-    fn note_miss(&mut self, kind: AccessKind) {
-        count_access(&mut self.stats, kind, false);
+    fn note(&mut self, kind: AccessKind, hit: bool) {
+        count_access(&mut self.stats, kind, hit);
     }
 }
 
 /// Canonical hash for model checking: every field that influences future
 /// protocol behaviour. `stats` (counters) and `layout` (immutable, shared)
-/// are excluded.
+/// are excluded; `table` is fixed per run.
 impl std::hash::Hash for DnvL1 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.id.hash(state);
@@ -1256,9 +1270,27 @@ impl std::hash::Hash for DnvL1 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dvs_mem::{Addr, LayoutBuilder};
+
+    pub(crate) fn view() -> crate::table::tests::View {
+        let specs = SPECS
+            .iter()
+            .map(|s| (s.protocols, s.mutation, s.lists, &s.table));
+        let index = |r: &Row| crate::table::tests::RowView {
+            id: r.id,
+            from: r.from.iter().map(|&s| s as usize).collect(),
+            on: r.on.iter().map(|&e| e as usize).collect(),
+            to: r.to.map(|s| s as usize),
+        };
+        use Event::*;
+        let gcs_only = [
+            Notified, SyncOp, Classified, SyncResp, SyncWatch, SyncNotify, Recall,
+        ];
+        let gcs_only = gcs_only.map(|e| e as usize).to_vec();
+        crate::table::tests::View::new("DeNovo L1", specs, index, gcs_only)
+    }
 
     fn layout() -> Arc<MemoryLayout> {
         let mut b = LayoutBuilder::new();
@@ -1267,15 +1299,17 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn l1(enabled: bool) -> DnvL1 {
-        DnvL1::new(
-            0,
-            CacheGeometry::new(1024, 2),
-            4,
-            BackoffConfig::cores16(),
-            enabled,
-            layout(),
-        )
+    fn with_table(protocol: Protocol) -> DnvL1 {
+        let geometry = CacheGeometry::new(1024, 2);
+        DnvL1::new(0, geometry, 4, BackoffConfig::cores16(), layout(), protocol)
+    }
+
+    /// A DeNovoSync L1 (`backoff`) or a DeNovoSync0 one.
+    fn l1(backoff: bool) -> DnvL1 {
+        with_table(match backoff {
+            true => Protocol::DeNovoSync,
+            false => Protocol::DeNovoSync0,
+        })
     }
 
     fn req(addr: u64, kind: AccessKind) -> MemRequest {
@@ -1292,7 +1326,7 @@ mod tests {
     }
 
     fn gcs_l1() -> DnvL1 {
-        l1(false).with_sync_path()
+        with_table(Protocol::Gcs)
     }
 
     #[test]
@@ -1399,9 +1433,8 @@ mod tests {
                 }
             )));
             assert_eq!(l1.word_state(word(0x100)), expect, "enabled={enabled}");
-            if enabled {
-                assert!(l1.backoff().current() > 0, "backoff must have grown");
-            }
+            // Only DeNovoSync's transfer row bumps the backoff counter.
+            assert_eq!(l1.backoff.current() > 0, enabled, "enabled={enabled}");
         }
     }
 
@@ -1741,7 +1774,7 @@ mod tests {
         assert!(acts.contains(&Action::SpinWake));
     }
 
-    // --- sync-path policy (GCS) ----------------------------------------
+    // --- the sync path (GCS) -------------------------------------------
 
     #[test]
     fn unclassified_sync_access_registers_optimistically() {
@@ -1922,7 +1955,7 @@ mod tests {
         acts.clear();
         l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
         assert!(acts.is_empty(), "recall must park: {acts:?}");
-        assert!(l1.has_parked_recall(word(0x100)));
+        assert!(l1.has_parked(word(0x100)));
         l1.on_msg(
             DnvMsg::RegAck {
                 word: word(0x100),

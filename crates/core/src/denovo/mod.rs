@@ -20,7 +20,7 @@
 //!   off under contention. The Valid state doubles as the "recently lost my
 //!   registration to a remote sync reader" marker.
 //! * **GCS** (generalized coherence, after the GCS/Soul design): the
-//!   DeNovoSync0 data path plus a *sync-path policy*. Words the home bank
+//!   DeNovoSync0 data path plus a *sync path*. Words the home bank
 //!   observes being fought over with synchronization accesses (RMW
 //!   targets, spin flags) are classified as sync variables — permanently —
 //!   and move onto a dedicated bank-mediated path: sync operations execute
@@ -30,9 +30,13 @@
 //!   costs one optimistic registration round trip, never correctness.
 //!
 //! [`l1`] is the private-cache controller and [`registry`] the L2-side word
-//! registry; both take the sync-path policy as an optional extension
-//! (`with_sync_path`). `family` holds the whole-machine invariant checks
-//! over all of a system's DeNovo controllers.
+//! registry. Each is one interpreter over transition tables
+//! ([`crate::table`]), one per protocol: DeNovoSync0's rows are the base,
+//! DeNovoSync overrides the cells its backoff changes, and GCS adds the
+//! sync-path rows (`dvs tables` prints them). Constructing a controller for
+//! a protocol picks its table; nothing else distinguishes the three.
+//! `family` holds the whole-machine invariant checks over all of a
+//! system's DeNovo controllers.
 
 pub mod backoff;
 pub(crate) mod family;

@@ -10,11 +10,14 @@
 
 use dvs_mem::WordAddr;
 
-/// Bounded FIFO set of sync-classified word addresses.
+/// Bounded FIFO set of sync-classified word addresses. Slots fill in
+/// order and are never freed, so an L1 that never learns a word (every
+/// L1 outside GCS) holds an empty table.
 #[derive(Debug, Clone, Hash)]
 pub struct SyncPredictor {
-    slots: Vec<Option<WordAddr>>,
-    /// Next slot to overwrite (round-robin replacement).
+    slots: Vec<WordAddr>,
+    capacity: usize,
+    /// Next slot to overwrite once full (round-robin replacement).
     next: usize,
 }
 
@@ -27,14 +30,15 @@ impl SyncPredictor {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "predictor needs at least one slot");
         SyncPredictor {
-            slots: vec![None; capacity],
+            slots: Vec::new(),
+            capacity,
             next: 0,
         }
     }
 
     /// Whether `word` is predicted sync-classified.
     pub fn contains(&self, word: WordAddr) -> bool {
-        self.slots.contains(&Some(word))
+        self.slots.contains(&word)
     }
 
     /// Learns `word` (idempotent; evicts round-robin when full).
@@ -42,22 +46,22 @@ impl SyncPredictor {
         if self.contains(word) {
             return;
         }
-        if let Some(free) = self.slots.iter().position(Option::is_none) {
-            self.slots[free] = Some(word);
+        if self.slots.len() < self.capacity {
+            self.slots.push(word);
             return;
         }
-        self.slots[self.next] = Some(word);
-        self.next = (self.next + 1) % self.slots.len();
+        self.slots[self.next] = word;
+        self.next = (self.next + 1) % self.capacity;
     }
 
     /// Number of learned entries.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 
     /// Whether nothing has been learned yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.is_empty()
     }
 }
 

@@ -1,4 +1,5 @@
-//! The DeNovo registry: the L2 bank's word-granularity ownership tracker.
+//! The DeNovo registry: the L2 bank's word-granularity ownership tracker,
+//! one transition table per protocol family, run by one interpreter.
 //!
 //! Each word is either `Valid(data)` — the L2 holds the up-to-date value —
 //! or `Registered(core)` — a pointer to the L1 holding it. There are no
@@ -9,28 +10,29 @@
 //! finish. Racing registrations therefore serialize through the L1s' MSHRs
 //! (the paper's distributed queue, §4.1 "Handling races").
 //!
-//! GCS adds a **sync-path directory** ([`DnvRegistry::with_sync_path`]):
-//! when two cores contend for a word with synchronization accesses (a
-//! sync-class registration hits a word registered elsewhere, or a
+//! DeNovoSync0 and DeNovoSync share the base table. GCS's adds a
+//! **sync-path directory**: when two cores contend for a word with
+//! synchronization accesses (a sync-class registration hits a word
+//! registered elsewhere — the one base cell GCS overrides — or a
 //! `SyncOp`/`SyncWatch` arrives), the bank *classifies* the word as a sync
-//! variable — permanently. Classified words always live at the bank
-//! (`Valid`); sync operations execute here atomically ([`GcsMsg::SyncOp`]),
-//! spinners park in a per-word waiter set ([`GcsMsg::SyncWatch`]), and every
-//! value change pushes targeted [`GcsMsg::SyncNotify`] wakeups — no
-//! writer-initiated invalidations, no broadcast. Unclassified words take the
-//! ordinary registry path.
+//! variable, permanently. Classified words always live at the bank
+//! (`Valid`) and refuse registrations; sync operations execute here
+//! atomically ([`GcsMsg::SyncOp`]), spinners park in a per-word waiter set
+//! ([`GcsMsg::SyncWatch`]), and every value change pushes targeted
+//! [`GcsMsg::SyncNotify`] wakeups — no writer-initiated invalidations, no
+//! broadcast. Unclassified words take the base rows.
 //!
 //! Classifying a currently-registered word runs a recall handshake: the
 //! bank sends [`GcsMsg::Recall`], parks everything that arrives for the
 //! word, and settles when the value comes back (via [`GcsMsg::RecallAck`]
-//! or a crossing writeback, whichever wins the race).
+//! or a crossing writeback, whichever wins the race). The seeded registry
+//! mutations are tables too, each replacing the cells it breaks.
 
-use crate::config::ProtocolMutation;
+use crate::config::{Protocol, ProtocolMutation};
 use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, LineData, Msg, XferClass};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
-use dvs_stats::TrafficClass;
 use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -64,7 +66,7 @@ impl RegLine {
 
 /// Sync-path directory state for one classified word. Presence in the
 /// bank's sync map *is* the classification — entries are never removed.
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Clone, Default, Hash)]
 struct SyncEntry {
     /// Cores to wake on the next value change.
     waiters: CoreSet,
@@ -74,61 +76,275 @@ struct SyncEntry {
     pending: VecDeque<Msg>,
 }
 
-impl SyncEntry {
-    fn new(recalling: bool) -> Self {
-        SyncEntry {
-            waiters: CoreSet::default(),
-            recalling,
-            pending: VecDeque::new(),
+/// A word's state. `Cold`: its line has no data yet (a request fetches
+/// memory first); `Fetching`. Unclassified: `Valid` or `Registered`. GCS's
+/// classified words: `Recalling` their registrant's value, then
+/// `Classified` (settled at the bank); `ClassifiedAway`, a classified word
+/// registered to an L1, has no rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    Cold,
+    Fetching,
+    Valid,
+    Registered,
+    Recalling,
+    Classified,
+    ClassifiedAway,
+}
+
+/// What fires a row. `Read`; `Reg` and `SyncReg` (a data-write and a
+/// sync-class registration); `Wb` (a writeback from the word's registrant)
+/// and `StaleWb` (from a core ownership already left); `MemData`. GCS only:
+/// `SyncOp` (a load or store) and `SyncRmw`; `SyncWatch` and `StaleWatch`
+/// (a watch on a value the settled word no longer holds); `RecallAck` (the
+/// registrant's value) and `StaleRecallAck` (an empty answer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Read,
+    Reg,
+    SyncReg,
+    Wb,
+    StaleWb,
+    MemData,
+    SyncOp,
+    SyncRmw,
+    SyncWatch,
+    StaleWatch,
+    RecallAck,
+    StaleRecallAck,
+}
+
+/// One step of a row; see `Port::act`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    Fetch,
+    Queue,
+    Fill,
+    ServeRead,
+    ForwardRead,
+    Point,
+    Grant,
+    SendXfer,
+    Registration,
+    AcceptWb,
+    Nack,
+    Classify,
+    Redispatch,
+    Recall,
+    Park,
+    Reject,
+    TakeRecall,
+    Settle,
+    Apply,
+    Respond,
+    Wake,
+    Forget,
+    Wait,
+    Notify,
+}
+
+transition_table!(State::ClassifiedAway, Event::StaleRecallAck);
+
+/// The base table: DeNovoSync0 and DeNovoSync.
+#[rustfmt::skip]
+const ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const REQUESTS: &[Event] = &[Read, Reg, SyncReg];
+    const REGS: &[Event] = &[Reg, SyncReg];
+    &[
+        Row { id: 1, from: &[Cold], on: REQUESTS, acts: &[Fetch], to: Some(Fetching) },
+        Row { id: 2, from: &[Fetching], on: REQUESTS, acts: &[Queue], to: None },
+        Row { id: 3, from: &[Fetching], on: &[MemData], acts: &[Fill], to: Some(Valid) },
+        Row { id: 4, from: &[Valid], on: &[Read], acts: &[ServeRead], to: None },
+        Row { id: 5, from: &[Registered], on: &[Read], acts: &[ForwardRead], to: None },
+        Row { id: 6, from: &[Valid], on: REGS, acts: &[Point, Grant, Registration], to: Some(Registered) },
+        Row { id: 7, from: &[Registered], on: REGS, acts: &[Point, SendXfer, Registration], to: Some(Registered) },
+        Row { id: 8, from: &[Registered], on: &[Wb], acts: &[AcceptWb], to: Some(Valid) },
+        Row { id: 9, from: &[Registered], on: &[StaleWb], acts: &[Nack], to: None },
+    ]
+};
+
+/// GCS's sync-path directory, in cells the base leaves empty.
+#[rustfmt::skip]
+const GCS_ROWS: &[Row] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    const SYNC: &[Event] = &[SyncOp, SyncRmw, SyncWatch];
+    &[
+        Row { id: 10, from: &[Cold], on: SYNC, acts: &[Fetch], to: Some(Fetching) },
+        Row { id: 11, from: &[Fetching], on: SYNC, acts: &[Queue], to: None },
+        Row { id: 12, from: &[Valid], on: SYNC, acts: &[Classify, Redispatch], to: Some(Classified) },
+        Row { id: 13, from: &[Registered], on: SYNC, acts: &[Recall, Park], to: Some(Recalling) },
+        Row { id: 14, from: &[Recalling], on: &[Read, SyncOp, SyncRmw, SyncWatch], acts: &[Park], to: None },
+        Row { id: 15, from: &[Recalling, Classified], on: &[Reg, SyncReg], acts: &[Reject], to: None },
+        Row { id: 16, from: &[Recalling], on: &[Wb], acts: &[AcceptWb, Settle], to: Some(Classified) },
+        Row { id: 17, from: &[Recalling], on: &[StaleWb], acts: &[Nack], to: None },
+        Row { id: 18, from: &[Recalling], on: &[RecallAck], acts: &[TakeRecall, Settle], to: Some(Classified) },
+        Row { id: 19, from: &[Classified], on: &[Read], acts: &[ServeRead], to: None },
+        Row { id: 20, from: &[Classified], on: &[SyncOp, SyncRmw], acts: &[Apply, Respond, Wake], to: None },
+        Row { id: 21, from: &[Classified], on: &[SyncWatch], acts: &[Wait], to: None },
+        Row { id: 22, from: &[Classified], on: &[StaleWatch], acts: &[Notify], to: None },
+        Row { id: 23, from: &[Classified], on: &[StaleRecallAck], acts: &[], to: None },
+    ]
+};
+
+/// GCS's one base-cell change — sync-on-sync contention for a registered
+/// word is what marks it a synchronization variable — and the seeded
+/// mutations, each replacing the cells it breaks.
+#[rustfmt::skip]
+const OVERRIDES: [&[Row]; 5] = {
+    use Act::*;
+    use Event::*;
+    use State::*;
+    [
+        &[Row { id: 24, from: &[Registered], on: &[SyncReg], acts: &[Recall, Reject], to: Some(Recalling) }],
+        // `dnv-skip-repoint`: the transfer goes out, the pointer stays.
+        &[Row { id: 25, from: &[Registered], on: &[Reg, SyncReg], acts: &[SendXfer, Registration], to: Some(Registered) }],
+        // `dnv-drop-xfer`: the pointer moves, the transfer is lost.
+        &[Row { id: 26, from: &[Registered], on: &[Reg, SyncReg], acts: &[Point, Registration], to: Some(Registered) }],
+        // `gcs-skip-update`: an RMW answers its old value and stores nothing.
+        &[Row { id: 27, from: &[Classified], on: &[SyncRmw], acts: &[Respond], to: None }],
+        // `gcs-drop-notify`: waiters are forgotten, never woken.
+        &[
+            Row { id: 28, from: &[Classified], on: &[SyncOp, SyncRmw], acts: &[Apply, Respond, Forget], to: None },
+            Row { id: 29, from: &[Classified], on: &[StaleWatch], acts: &[], to: None },
+        ],
+    ]
+};
+
+/// One family table for DeNovoSync0 and DeNovoSync and one for GCS, each
+/// stock and armed with the mutations that reach it. On GCS a mutation
+/// goes under GCS's override, so `dnv-*` leave the classifying cell alone.
+static SPECS: [Spec; 8] = {
+    use ProtocolMutation::{DnvDropXfer, DnvSkipRepoint, GcsDropNotify, GcsSkipUpdate};
+    const DNV: &[Protocol] = &[Protocol::DeNovoSync0, Protocol::DeNovoSync];
+    const GCS: &[Protocol] = &[Protocol::Gcs];
+    const BASE: List = ("DeNovo", ROWS, false);
+    const SYNC: List = ("GCS", GCS_ROWS, false);
+    const OVER: List = ("GCS override", OVERRIDES[0], true);
+    const fn armed(m: ProtocolMutation, i: usize) -> List {
+        (m.token(), OVERRIDES[i], true)
+    }
+    [
+        Spec::new(DNV, None, &[BASE]),
+        Spec::new(DNV, Some(DnvSkipRepoint), &[BASE, armed(DnvSkipRepoint, 1)]),
+        Spec::new(DNV, Some(DnvDropXfer), &[BASE, armed(DnvDropXfer, 2)]),
+        Spec::new(GCS, None, &[BASE, SYNC, OVER]),
+        Spec::new(
+            GCS,
+            Some(DnvSkipRepoint),
+            &[BASE, SYNC, armed(DnvSkipRepoint, 1), OVER],
+        ),
+        Spec::new(
+            GCS,
+            Some(DnvDropXfer),
+            &[BASE, SYNC, armed(DnvDropXfer, 2), OVER],
+        ),
+        Spec::new(
+            GCS,
+            Some(GcsSkipUpdate),
+            &[BASE, SYNC, OVER, armed(GcsSkipUpdate, 3)],
+        ),
+        Spec::new(
+            GCS,
+            Some(GcsDropNotify),
+            &[BASE, SYNC, OVER, armed(GcsDropNotify, 4)],
+        ),
+    ]
+};
+
+/// Appends the registry's tables `protocol` runs to `out` (`dvs tables`).
+pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
+    Spec::markdown(&SPECS, "DeNovo registry", protocol, out);
+}
+
+/// What fired a row: a message, or memory returning a line's data.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    Msg(Msg),
+    Mem(LineAddr, LineData),
+}
+
+impl Input {
+    /// The word the input is about (memory data: its line's first word).
+    fn word(&self) -> WordAddr {
+        match self {
+            Input::Msg(Msg::Dnv(m)) => m.word(),
+            Input::Msg(Msg::Gcs(m)) => m.word(),
+            Input::Msg(m) => m.line().word(0),
+            Input::Mem(line, _) => line.word(0),
         }
     }
 }
 
-/// One L2 bank's slice of the registry.
+/// One L2 bank's slice of the registry: its word lines, its protocol's
+/// table, and the rest of the bank its rows act through.
 #[derive(Debug, Clone)]
 pub struct DnvRegistry {
+    lines: SpanMap<RegLine>,
+    table: &'static Table,
+    port: Port,
+}
+
+/// What a row's steps act through besides the word's line.
+#[derive(Debug, Clone)]
+struct Port {
     bank: BankId,
     mem: Endpoint,
-    lines: SpanMap<RegLine>,
     /// The GCS sync-path directory: sync-classified words homed here
-    /// (sticky; sorted for the canonical hash). `None` for DeNovoSync0 /
-    /// DeNovoSync.
-    sync: Option<BTreeMap<WordAddr, SyncEntry>>,
-    mutation: Option<ProtocolMutation>,
+    /// (sticky; sorted for the canonical hash). Only GCS's rows fill it.
+    sync: BTreeMap<WordAddr, SyncEntry>,
     /// Targeted wakeup notifications sent (metric).
     notifies: u64,
     /// Recall handshakes started (metric).
     recalls: u64,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
+    /// What the running row hands on: an applied sync op's new value, and
+    /// the messages to dispatch once the row is done.
+    changed: Option<u64>,
+    then: Vec<Msg>,
 }
 
 impl DnvRegistry {
-    /// Creates an empty bank. `mem` is the memory-controller endpoint this
-    /// bank fetches lines through.
-    pub fn new(bank: BankId, mem: Endpoint) -> Self {
+    /// Creates an empty bank running `protocol`'s table armed with
+    /// `mutation` (one that breaks another controller leaves it stock).
+    /// `mem` is the memory-controller endpoint this bank fetches lines
+    /// through.
+    ///
+    /// # Panics
+    ///
+    /// If `protocol` is MESI, which has no DeNovo registry.
+    pub fn new(
+        bank: BankId,
+        mem: Endpoint,
+        protocol: Protocol,
+        mutation: Option<ProtocolMutation>,
+    ) -> Self {
+        let spec = Spec::find(&SPECS, protocol, mutation).expect("a DeNovo protocol");
+        let (sync, tel, then) = (BTreeMap::new(), Telemetry::off(), Vec::new());
         DnvRegistry {
-            bank,
-            mem,
             lines: SpanMap::sparse_only(),
-            sync: None,
-            mutation: None,
-            notifies: 0,
-            recalls: 0,
-            tel: Telemetry::off(),
+            table: &spec.table,
+            port: Port {
+                bank,
+                mem,
+                sync,
+                notifies: 0,
+                recalls: 0,
+                tel,
+                changed: None,
+                then,
+            },
         }
     }
 
-    /// Enables the GCS sync-path directory (classification, bank-side sync
-    /// operations, waiter sets and notification).
-    pub fn with_sync_path(mut self) -> Self {
-        self.sync = Some(BTreeMap::new());
-        self
-    }
-
-    /// Whether the sync-path directory is enabled (GCS).
+    /// Whether the bank's table has the sync-path directory (GCS).
     pub fn has_sync_path(&self) -> bool {
-        self.sync.is_some()
+        self.table[State::Classified as usize][Event::SyncOp as usize].is_some()
     }
 
     /// Sizes the dense line table from the workload layout. This bank homes
@@ -140,40 +356,22 @@ impl DnvRegistry {
         debug_assert!(self.lines.is_empty(), "span configured after traffic");
         let top_line = layout.top().div_ceil(LINE_BYTES);
         let slots = top_line.div_ceil(banks as u64) as usize;
-        self.lines = SpanMap::with_span(self.bank as u64, banks as u64, slots);
+        self.lines = SpanMap::with_span(self.port.bank as u64, banks as u64, slots);
     }
 
     /// Attaches a telemetry handle (registration re-points).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-    }
-
-    /// Emits a [`EventKind::Registration`]: the registry pointer for `word`
-    /// moved to `owner` (from `prev`, or `u32::MAX` when the registry itself
-    /// held the value).
-    fn emit_registration(&self, word: WordAddr, owner: CoreId, prev: Option<CoreId>) {
-        let kind = EventKind::Registration {
-            owner: owner as u32,
-            prev: prev.map_or(u32::MAX, |p| p as u32),
-        };
-        self.tel
-            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
-    }
-
-    /// Arms a seeded protocol bug (negative testing; see
-    /// [`ProtocolMutation`]).
-    pub fn set_mutation(&mut self, mutation: Option<ProtocolMutation>) {
-        self.mutation = mutation;
+        self.port.tel = tel;
     }
 
     /// Targeted wakeup notifications sent so far.
     pub fn notifies(&self) -> u64 {
-        self.notifies
+        self.port.notifies
     }
 
     /// Recall handshakes started so far.
     pub fn recalls(&self) -> u64 {
-        self.recalls
+        self.port.recalls
     }
 
     /// The registry state of a word, if its line has been touched.
@@ -182,51 +380,32 @@ impl DnvRegistry {
         line.has_data.then_some(line.words[word.index_in_line()])
     }
 
-    fn sync_entry(&self, word: WordAddr) -> Option<&SyncEntry> {
-        self.sync.as_ref()?.get(&word)
-    }
-
-    fn sync_entry_mut(&mut self, word: WordAddr) -> &mut SyncEntry {
-        self.sync
-            .as_mut()
-            .and_then(|s| s.get_mut(&word))
-            .expect("classified entry")
-    }
-
     /// Whether `word` is sync-classified at this bank.
     pub fn classified(&self, word: WordAddr) -> bool {
-        self.sync_entry(word).is_some()
+        self.port.sync.contains_key(&word)
     }
 
     /// Iterates every sync-classified word homed here.
     pub fn classified_words(&self) -> impl Iterator<Item = WordAddr> + '_ {
-        self.sync.iter().flat_map(|s| s.keys().copied())
+        self.port.sync.keys().copied()
     }
 
     /// Whether a recall handshake is in flight for `word`.
     pub fn recalling(&self, word: WordAddr) -> bool {
-        self.sync_entry(word).is_some_and(|e| e.recalling)
+        self.port.sync.get(&word).is_some_and(|e| e.recalling)
     }
 
     /// The cores currently parked in `word`'s waiter set.
     pub fn waiters_of(&self, word: WordAddr) -> Vec<CoreId> {
-        self.sync_entry(word)
+        self.port
+            .sync
+            .get(&word)
             .map_or_else(Vec::new, |e| e.waiters.iter().collect())
     }
 
     /// Total parked waiters across all classified words.
     pub fn waiter_count(&self) -> usize {
-        self.sync
-            .iter()
-            .flat_map(|s| s.values())
-            .map(|e| e.waiters.len())
-            .sum()
-    }
-
-    /// Number of words currently registered to some L1 (diagnostics; the
-    /// registry's entire "sharer state" is this one pointer per word).
-    pub fn registered_words(&self) -> usize {
-        self.registrations().count()
+        self.port.sync.values().map(|e| e.waiters.len()).sum()
     }
 
     /// Iterates every word currently registered to some core (for invariant
@@ -255,9 +434,9 @@ impl DnvRegistry {
     /// Whether any sync entry is mid-recall or holds parked messages (for
     /// quiescence checks).
     pub fn sync_busy(&self) -> bool {
-        self.sync
-            .iter()
-            .flat_map(|s| s.values())
+        self.port
+            .sync
+            .values()
             .any(|e| e.recalling || !e.pending.is_empty())
     }
 
@@ -269,7 +448,9 @@ impl DnvRegistry {
             .get(line.raw())
             .is_some_and(|l| l.fetching || !l.queue.is_empty() || !l.has_data)
             || line.words().any(|w| {
-                self.sync_entry(w)
+                self.port
+                    .sync
+                    .get(&w)
                     .is_some_and(|e| e.recalling || !e.pending.is_empty())
             })
     }
@@ -280,13 +461,13 @@ impl DnvRegistry {
         let e = self.lines.get(word.line().raw())?;
         let mut s = format!(
             "bank {}: {word} {:?} has_data={} fetching={} queued={}",
-            self.bank,
+            self.port.bank,
             e.words[word.index_in_line()],
             e.has_data,
             e.fetching,
             e.queue.len()
         );
-        if let Some(sync) = self.sync_entry(word) {
+        if let Some(sync) = self.port.sync.get(&word) {
             s.push_str(&format!(
                 " sync[recalling={} waiters={} parked={}]",
                 sync.recalling,
@@ -299,485 +480,366 @@ impl DnvRegistry {
 
     /// Handles one incoming data-path message.
     pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        self.arrive(Msg::Dnv(msg), msg.word(), msg.class(), actions);
+        self.fire(Input::Msg(Msg::Dnv(msg)), actions);
     }
 
-    /// Handles one incoming sync-path message. Without the sync-path
-    /// directory every such message is a protocol violation.
+    /// Handles one incoming sync-path message.
     pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
-        if self.sync.is_none() {
-            actions.push(Action::violation(format!(
-                "registry bank {} cannot handle {msg:?}",
-                self.bank
-            )));
-            return;
-        }
-        self.arrive(Msg::Gcs(msg), msg.word(), msg.class(), actions);
-    }
-
-    /// Queues `msg` behind a memory fetch of its line if the line has no
-    /// data yet, otherwise handles it now.
-    fn arrive(&mut self, msg: Msg, word: WordAddr, class: TrafficClass, actions: &mut Vec<Action>) {
-        let line = word.line();
-        let entry = self.lines.or_insert_with(line.raw(), RegLine::new);
-        if !entry.has_data {
-            entry.queue.push_back(msg);
-            if !entry.fetching {
-                entry.fetching = true;
-                actions.push(Action::Send {
-                    to: self.mem,
-                    msg: Msg::MemRead {
-                        line,
-                        bank: self.bank,
-                        class,
-                    },
-                });
-            }
-            return;
-        }
-        self.dispatch(msg, actions);
+        self.fire(Input::Msg(Msg::Gcs(msg)), actions);
     }
 
     /// Memory returned a line this bank was fetching.
     pub fn on_mem_data(&mut self, line: LineAddr, data: LineData, actions: &mut Vec<Action>) {
-        let Some(entry) = self.lines.get_mut(line.raw()) else {
-            actions.push(Action::violation(format!(
-                "registry bank {}: MemData for unknown line {line}",
-                self.bank
-            )));
-            return;
-        };
-        if !entry.fetching {
-            actions.push(Action::violation(format!(
-                "registry bank {}: MemData for {line} that was not being fetched",
-                self.bank
-            )));
-            return;
-        }
-        for (i, w) in entry.words.iter_mut().enumerate() {
-            *w = RegWord::Valid(data[i]);
-        }
-        entry.has_data = true;
-        entry.fetching = false;
-        // The registry is non-blocking: drain everything that queued.
-        let queued: Vec<Msg> = entry.queue.drain(..).collect();
-        for m in queued {
-            self.dispatch(m, actions);
-        }
-    }
-
-    /// Routes a message for a fetched line by its word's classification.
-    fn dispatch(&mut self, msg: Msg, actions: &mut Vec<Action>) {
-        let word = match msg {
-            Msg::Dnv(m) => m.word(),
-            Msg::Gcs(m) => m.word(),
-            other => {
-                actions.push(Action::violation(format!(
-                    "registry bank {} cannot handle {other:?}",
-                    self.bank
-                )));
-                return;
-            }
-        };
-        match (self.sync_entry(word).map(|e| e.recalling), msg) {
-            // The word is classified; any registration attempt converts.
-            (Some(_), Msg::Dnv(DnvMsg::RegReq { req, .. })) => actions.push(Action::Send {
-                to: Endpoint::L1(req),
-                msg: Msg::Gcs(GcsMsg::Classified { word }),
-            }),
-            (Some(true), msg) => self.on_recalling(word, msg, actions),
-            (Some(false), msg) => self.on_classified(word, msg, actions),
-            (None, msg) => self.on_unclassified(word, msg, actions),
-        }
+        self.fire(Input::Mem(line, data), actions);
     }
 
     /// Overwrites a word's registry state behind the protocol's back, so
     /// checker tests can corrupt a bank deliberately.
     #[cfg(test)]
     pub(crate) fn force_word(&mut self, word: WordAddr, state: RegWord) {
-        *self.word_slot(word) = state;
+        let line = self.lines.get_mut(word.line().raw()).expect("line fetched");
+        line.words[word.index_in_line()] = state;
     }
 
-    fn word_slot(&mut self, word: WordAddr) -> &mut RegWord {
-        let entry = self
-            .lines
-            .get_mut(word.line().raw())
-            .expect("line fetched before dispatch");
-        &mut entry.words[word.index_in_line()]
-    }
-
-    /// The ordinary registry path (every word under DeNovoSync0 /
-    /// DeNovoSync; not-yet-classified words under GCS, which classifies on
-    /// synchronization contention).
-    fn on_unclassified(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
-        match msg {
-            Msg::Dnv(DnvMsg::ReadReq { req, .. }) => match *self.word_slot(word) {
-                RegWord::Valid(value) => self.serve_read(word, req, value, actions),
-                RegWord::Registered(owner) => {
-                    if owner == req {
-                        actions.push(Action::violation(format!(
-                            "registry bank {}: registrant core {req} data-reading its own \
-                             word {word} remotely",
-                            self.bank
-                        )));
-                        return;
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(owner),
-                        msg: Msg::Dnv(DnvMsg::ReadReq { word, req }),
-                    });
-                }
-            },
-            Msg::Dnv(DnvMsg::RegReq { req, class, .. }) => match *self.word_slot(word) {
-                RegWord::Valid(value) => {
-                    *self.word_slot(word) = RegWord::Registered(req);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                    });
-                    self.emit_registration(word, req, None);
-                }
-                RegWord::Registered(prev) => {
-                    if prev == req {
-                        actions.push(Action::violation(format!(
-                            "registry bank {}: re-registration of {word} by current \
-                             registrant core {req}",
-                            self.bank
-                        )));
-                        return;
-                    }
-                    if self.sync.is_some()
-                        && matches!(class, XferClass::SyncRead | XferClass::SyncWrite)
-                    {
-                        // Sync-on-sync contention: this is what marks a
-                        // word as a synchronization variable.
-                        self.classify(word, prev, actions);
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(req),
-                            msg: Msg::Gcs(GcsMsg::Classified { word }),
-                        });
-                        return;
-                    }
-                    if self.mutation != Some(ProtocolMutation::DnvSkipRepoint) {
-                        *self.word_slot(word) = RegWord::Registered(req);
-                    }
-                    if self.mutation != Some(ProtocolMutation::DnvDropXfer) {
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(prev),
-                            msg: Msg::Dnv(DnvMsg::Xfer {
-                                word,
-                                new_owner: req,
-                                class,
-                            }),
-                        });
-                    }
-                    self.emit_registration(word, req, Some(prev));
-                }
-            },
-            Msg::Dnv(DnvMsg::WbReq { value, from, .. }) => {
-                self.writeback(word, value, from, actions);
-            }
-            // A sync op can only reach an unclassified word when the
-            // sender's predictor outlives knowledge this bank never had
-            // (fresh bank state in unit tests); classify on demand.
-            Msg::Gcs(GcsMsg::SyncOp { req, .. } | GcsMsg::SyncWatch { req, .. }) => {
-                match *self.word_slot(word) {
-                    RegWord::Registered(owner) => {
-                        if owner == req {
-                            actions.push(Action::violation(format!(
-                                "registry bank {}: sync op for {word} from its own \
-                                 registrant core {req}",
-                                self.bank
-                            )));
-                            return;
-                        }
-                        self.classify(word, owner, actions);
-                        self.sync_entry_mut(word).pending.push_back(msg);
-                    }
-                    RegWord::Valid(_) => {
-                        self.insert_classified(word, false);
-                        self.on_classified(word, msg, actions);
-                    }
-                }
-            }
-            other => actions.push(Action::violation(format!(
-                "registry bank {} cannot handle {other:?}",
-                self.bank
-            ))),
+    /// Classifies `input` and runs its row, then dispatches what the row
+    /// released — a fetched line's queue, a settled recall's parked
+    /// messages, or the input itself once it classified its word. A cell
+    /// with no row is the one unexpected-event path: a violation naming the
+    /// word, state and event. The word's line is looked up once (every
+    /// input tracks its line) and handed to each step.
+    fn fire(&mut self, input: Input, actions: &mut Vec<Action>) {
+        let (word, port) = (input.word(), &mut self.port);
+        let entry = self.lines.or_insert_with(word.line().raw(), RegLine::new);
+        let state = word_state(entry, port.sync.get(&word), word);
+        let event = classify(entry, state, word, &input);
+        let slot = entry.words[word.index_in_line()];
+        let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
+            let who = format_args!("registry bank {}", port.bank);
+            return actions.push(crate::table::unexpected(who, word, state, event, input));
+        };
+        for &act in row.acts {
+            port.act(act, entry, word, slot, &input, actions);
+        }
+        if let Some(to) = row.to {
+            let now = || word_state(entry, port.sync.get(&word), word);
+            debug_assert_eq!(now(), to, "registry row {}", row.id);
+        }
+        for msg in std::mem::take(&mut port.then) {
+            self.fire(Input::Msg(msg), actions);
         }
     }
+}
 
-    /// The writeback handshake: accepts the value (returning true) if `from`
-    /// is still the registrant; otherwise ownership already moved, a
-    /// transfer is on its way to `from`, and the writeback is refused.
-    fn writeback(
+/// A word's state from its line's `entry` and its sync entry.
+fn word_state(entry: &RegLine, sync: Option<&SyncEntry>, word: WordAddr) -> State {
+    let slot = entry.words[word.index_in_line()];
+    match (
+        entry.fetching,
+        entry.has_data,
+        sync.map(|e| e.recalling),
+        slot,
+    ) {
+        (true, ..) => State::Fetching,
+        (_, false, ..) => State::Cold,
+        (_, _, None, RegWord::Valid(_)) => State::Valid,
+        (_, _, None, RegWord::Registered(_)) => State::Registered,
+        (_, _, Some(true), _) => State::Recalling,
+        (_, _, Some(false), RegWord::Valid(_)) => State::Classified,
+        (_, _, Some(false), RegWord::Registered(_)) => State::ClassifiedAway,
+    }
+}
+
+/// The event `input` is on `word`, in `state`. `None`: a message no bank
+/// takes, a request from the registrant of an unclassified word
+/// (mid-recall, the registrant's next request may overtake its answer), or
+/// a recall answer carrying a value from any other core.
+fn classify(entry: &RegLine, state: State, word: WordAddr, input: &Input) -> Option<Event> {
+    let slot = entry.words[word.index_in_line()];
+    let registrant = |c| slot == RegWord::Registered(c);
+    let own = |c| state == State::Registered && registrant(c);
+    let Input::Msg(msg) = *input else {
+        return Some(Event::MemData);
+    };
+    Some(match msg {
+        Msg::Dnv(DnvMsg::ReadReq { req, .. } | DnvMsg::RegReq { req, .. }) if own(req) => {
+            return None
+        }
+        Msg::Dnv(DnvMsg::ReadReq { .. }) => Event::Read,
+        Msg::Dnv(DnvMsg::RegReq {
+            class: XferClass::Write,
+            ..
+        }) => Event::Reg,
+        Msg::Dnv(DnvMsg::RegReq { .. }) => Event::SyncReg,
+        Msg::Dnv(DnvMsg::WbReq { from, .. }) if registrant(from) => Event::Wb,
+        Msg::Dnv(DnvMsg::WbReq { .. }) => Event::StaleWb,
+        Msg::Gcs(GcsMsg::SyncOp { req, .. } | GcsMsg::SyncWatch { req, .. }) if own(req) => {
+            return None
+        }
+        Msg::Gcs(GcsMsg::SyncOp {
+            op: GcsOpKind::Rmw(_),
+            ..
+        }) => Event::SyncRmw,
+        Msg::Gcs(GcsMsg::SyncOp { .. }) => Event::SyncOp,
+        Msg::Gcs(GcsMsg::SyncWatch { seen, .. })
+            if state == State::Classified && slot != RegWord::Valid(seen) =>
+        {
+            Event::StaleWatch
+        }
+        Msg::Gcs(GcsMsg::SyncWatch { .. }) => Event::SyncWatch,
+        Msg::Gcs(GcsMsg::RecallAck { value: None, .. }) => Event::StaleRecallAck,
+        Msg::Gcs(GcsMsg::RecallAck { from, .. }) if registrant(from) => Event::RecallAck,
+        _ => return None,
+    })
+}
+
+impl Port {
+    /// Runs one step of a fired row on the word's line `entry`; `slot` is
+    /// the word as classification found it: bank-held, or registered.
+    fn act(
         &mut self,
+        act: Act,
+        entry: &mut RegLine,
         word: WordAddr,
-        value: u64,
-        from: CoreId,
+        slot: RegWord,
+        input: &Input,
         actions: &mut Vec<Action>,
-    ) -> bool {
-        let (reply, accepted) = match *self.word_slot(word) {
-            RegWord::Registered(owner) if owner == from => {
-                *self.word_slot(word) = RegWord::Valid(value);
-                (DnvMsg::WbAck { word }, true)
-            }
-            RegWord::Registered(_) => (DnvMsg::WbNack { word }, false),
-            RegWord::Valid(_) => {
-                actions.push(Action::violation(format!(
-                    "registry bank {}: writeback for {word}, which the registry already holds",
-                    self.bank
-                )));
-                return false;
+    ) {
+        let idx = word.index_in_line();
+        let (held, owner) = match slot {
+            RegWord::Valid(v) => (Some(v), None),
+            RegWord::Registered(c) => (None, Some(c)),
+        };
+        let msg = match input {
+            Input::Msg(msg) => msg,
+            // Memory data fires the fill alone. The registry is
+            // non-blocking: everything queued behind the fetch dispatches.
+            &Input::Mem(_, data) => {
+                debug_assert_eq!(act, Act::Fill);
+                for (w, &value) in entry.words.iter_mut().zip(&data) {
+                    *w = RegWord::Valid(value);
+                }
+                entry.has_data = true;
+                entry.fetching = false;
+                return self.then.extend(entry.queue.drain(..));
             }
         };
-        actions.push(Action::Send {
-            to: Endpoint::L1(from),
-            msg: Msg::Dnv(reply),
-        });
-        accepted
-    }
-
-    /// Serves a data read from the bank, piggy-backing the line's other
-    /// valid words (only valid parts travel — DeNovo's traffic advantage).
-    fn serve_read(&self, word: WordAddr, req: CoreId, value: u64, actions: &mut Vec<Action>) {
-        let entry = self
-            .lines
-            .get(word.line().raw())
-            .expect("line fetched before dispatch");
-        let idx = word.index_in_line();
-        let mut mask = 0u8;
-        let mut data = [0u64; WORDS_PER_LINE];
-        for (i, w) in entry.words.iter().enumerate() {
-            if i != idx {
-                if let RegWord::Valid(v) = *w {
-                    mask |= 1 << i;
-                    data[i] = v;
-                }
+        let mut send = |to: CoreId, msg| {
+            let to = Endpoint::L1(to);
+            actions.push(Action::Send { to, msg })
+        };
+        match (act, msg) {
+            (Act::Fetch, _) => {
+                entry.queue.push_back(*msg);
+                entry.fetching = true;
+                let (line, bank, class) = (word.line(), self.bank, msg.class());
+                let msg = Msg::MemRead { line, bank, class };
+                actions.push(Action::Send { to: self.mem, msg });
             }
+            (Act::Queue, _) => entry.queue.push_back(*msg),
+            // Only valid parts travel — DeNovo's traffic advantage.
+            (Act::ServeRead, &Msg::Dnv(DnvMsg::ReadReq { req, .. })) => {
+                let value = held.expect("a bank-held word");
+                let (mut mask, mut data) = (0u8, [0u64; WORDS_PER_LINE]);
+                for (i, w) in entry.words.iter().enumerate() {
+                    if let (true, RegWord::Valid(v)) = (i != idx, *w) {
+                        mask |= 1 << i;
+                        data[i] = v;
+                    }
+                }
+                let fill = Some((mask, data));
+                send(req, Msg::Dnv(DnvMsg::ReadResp { word, value, fill }));
+            }
+            (Act::ForwardRead, &Msg::Dnv(DnvMsg::ReadReq { req, .. })) => {
+                send(
+                    owner.expect("a registrant"),
+                    Msg::Dnv(DnvMsg::ReadReq { word, req }),
+                );
+            }
+            (Act::Point, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
+                entry.words[idx] = RegWord::Registered(req);
+            }
+            (Act::Grant, &Msg::Dnv(DnvMsg::RegReq { req, class, .. })) => {
+                let value = held.expect("a bank-held word");
+                send(req, Msg::Dnv(DnvMsg::RegAck { word, value, class }));
+            }
+            (Act::SendXfer, &Msg::Dnv(DnvMsg::RegReq { req, class, .. })) => {
+                let new_owner = req;
+                let xfer = DnvMsg::Xfer {
+                    word,
+                    new_owner,
+                    class,
+                };
+                send(owner.expect("a registrant"), Msg::Dnv(xfer));
+            }
+            // The registry pointer for `word` moved to `req` (from the
+            // previous registrant, or `u32::MAX` when the bank held it).
+            (Act::Registration, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
+                let prev = owner.map_or(u32::MAX, |p| p as u32);
+                let owner = req as u32;
+                self.emit(word, EventKind::Registration { owner, prev });
+            }
+            // The writeback handshake: accepted from the registrant;
+            // refused otherwise — ownership already moved, and a transfer is
+            // on its way to the writer.
+            (Act::AcceptWb, &Msg::Dnv(DnvMsg::WbReq { value, from, .. })) => {
+                entry.words[idx] = RegWord::Valid(value);
+                send(from, Msg::Dnv(DnvMsg::WbAck { word }));
+            }
+            (Act::Nack, &Msg::Dnv(DnvMsg::WbReq { from, .. })) => {
+                send(from, Msg::Dnv(DnvMsg::WbNack { word }));
+            }
+            // The sync path.
+            (Act::Classify, _) => self.mark_classified(word, false),
+            (Act::Redispatch, _) => self.then.push(*msg),
+            (Act::Recall, _) => {
+                self.mark_classified(word, true);
+                self.recalls += 1;
+                send(
+                    owner.expect("a registrant"),
+                    Msg::Gcs(GcsMsg::Recall { word }),
+                );
+            }
+            (Act::Park, _) => self.entry(word).pending.push_back(*msg),
+            (Act::Reject, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
+                send(req, Msg::Gcs(GcsMsg::Classified { word }));
+            }
+            (Act::TakeRecall, &Msg::Gcs(GcsMsg::RecallAck { value, .. })) => {
+                entry.words[idx] = RegWord::Valid(value.expect("a recalled value"));
+            }
+            (Act::Settle, _) => {
+                let e = self.entry(word);
+                e.recalling = false;
+                let parked: Vec<Msg> = e.pending.drain(..).collect();
+                self.then.extend(parked);
+            }
+            // Executes a sync operation atomically at the bank on the
+            // word's current value.
+            (Act::Apply, &Msg::Gcs(GcsMsg::SyncOp { op, .. })) => {
+                let old = held.expect("a settled word");
+                let stored = match op {
+                    GcsOpKind::Load => old,
+                    GcsOpKind::Store { value } => value,
+                    GcsOpKind::Rmw(rmw) => rmw.apply(old),
+                };
+                entry.words[idx] = RegWord::Valid(stored);
+                self.changed = (stored != old).then_some(stored);
+            }
+            (Act::Respond, &Msg::Gcs(GcsMsg::SyncOp { req, op, .. })) => {
+                let value = match op {
+                    GcsOpKind::Store { value } => value,
+                    GcsOpKind::Load | GcsOpKind::Rmw(_) => held.expect("a settled word"),
+                };
+                send(req, Msg::Gcs(GcsMsg::SyncResp { word, value }));
+            }
+            // Pushes the new value to every parked waiter. The waiter set
+            // always clears — a half-cleared set would desynchronize the
+            // directory even when the wakeups are forgotten.
+            (Act::Wake | Act::Forget, &Msg::Gcs(GcsMsg::SyncOp { req, .. })) => {
+                let Some(value) = self.changed else {
+                    return;
+                };
+                let waiters = std::mem::take(&mut self.entry(word).waiters);
+                if waiters.is_empty() {
+                    return;
+                }
+                if act == Act::Wake {
+                    for c in waiters.iter() {
+                        self.notifies += 1;
+                        send(c, Msg::Gcs(GcsMsg::SyncNotify { word, value }));
+                    }
+                }
+                let (writer, waiters) = (req as u32, waiters.len() as u32);
+                self.emit(word, EventKind::Notify { writer, waiters });
+            }
+            // A level-triggered watch: parked on the value the spinner saw,
+            // notified at once if the word has already moved past it.
+            (Act::Wait, &Msg::Gcs(GcsMsg::SyncWatch { req, .. })) => {
+                self.entry(word).waiters.insert(req);
+            }
+            (Act::Notify, &Msg::Gcs(GcsMsg::SyncWatch { req, .. })) => {
+                self.notifies += 1;
+                let value = held.expect("a settled word");
+                send(req, Msg::Gcs(GcsMsg::SyncNotify { word, value }));
+            }
+            _ => unreachable!("registry step {act:?} fired by {input:?}"),
         }
-        actions.push(Action::Send {
-            to: Endpoint::L1(req),
-            msg: Msg::Dnv(DnvMsg::ReadResp {
-                word,
-                value,
-                fill: Some((mask, data)),
-            }),
-        });
     }
 
     /// Adds `word` to the sync map and emits the data→sync transition.
-    fn insert_classified(&mut self, word: WordAddr, recalling: bool) {
-        self.sync
-            .as_mut()
-            .expect("sync path enabled")
-            .insert(word, SyncEntry::new(recalling));
-        let kind = EventKind::Transition {
-            from: "data",
-            to: "sync",
-            cause: "classify",
+    fn mark_classified(&mut self, word: WordAddr, recalling: bool) {
+        let entry = SyncEntry {
+            recalling,
+            ..SyncEntry::default()
         };
+        self.sync.insert(word, entry);
+        let (from, to, cause) = ("data", "sync", "classify");
+        self.emit(word, EventKind::Transition { from, to, cause });
+    }
+
+    fn emit(&self, word: WordAddr, kind: EventKind) {
+        let key = word.telemetry_key();
         self.tel
-            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
+            .emit_now(self.bank as u32, Component::Dir, key, kind);
     }
 
-    /// Classifies `word` and starts recalling it from its current
-    /// registrant.
-    fn classify(&mut self, word: WordAddr, registrant: CoreId, actions: &mut Vec<Action>) {
-        self.insert_classified(word, true);
-        self.recalls += 1;
-        actions.push(Action::Send {
-            to: Endpoint::L1(registrant),
-            msg: Msg::Gcs(GcsMsg::Recall { word }),
-        });
-    }
-
-    /// A recall handshake is in flight: accept the returning value (a
-    /// `RecallAck`, or the registrant's crossing writeback) and park sync
-    /// and read traffic. (Registrations are turned away in `dispatch`.)
-    fn on_recalling(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
-        match msg {
-            Msg::Dnv(DnvMsg::WbReq { value, from, .. }) => {
-                // The registrant's eviction writeback crossed our recall:
-                // accept it as the recall return (its L1 drops the recall).
-                if self.writeback(word, value, from, actions) {
-                    self.settle_recall(word, actions);
-                }
-            }
-            // Only the registrant's answer carrying the value settles it.
-            Msg::Gcs(GcsMsg::RecallAck { from, value, .. }) => match (*self.word_slot(word), value)
-            {
-                (RegWord::Registered(owner), Some(value)) if owner == from => {
-                    *self.word_slot(word) = RegWord::Valid(value);
-                    self.settle_recall(word, actions);
-                }
-                (state, value) => actions.push(Action::violation(format!(
-                    "registry bank {}: RecallAck {value:?} for {word} from core {from} while \
-                     the bank holds it {state:?}",
-                    self.bank
-                ))),
-            },
-            Msg::Dnv(DnvMsg::ReadReq { .. })
-            | Msg::Gcs(GcsMsg::SyncOp { .. })
-            | Msg::Gcs(GcsMsg::SyncWatch { .. }) => {
-                self.sync_entry_mut(word).pending.push_back(msg);
-            }
-            other => actions.push(Action::violation(format!(
-                "registry bank {} cannot handle {other:?} while recalling {word}",
-                self.bank
-            ))),
-        }
-    }
-
-    fn settle_recall(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
-        let entry = self.sync_entry_mut(word);
-        entry.recalling = false;
-        let pending: Vec<Msg> = entry.pending.drain(..).collect();
-        for m in pending {
-            self.dispatch(m, actions);
-        }
-    }
-
-    /// The word is classified and settled at the bank.
-    fn on_classified(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
-        let RegWord::Valid(value) = *self.word_slot(word) else {
-            actions.push(Action::violation(format!(
-                "registry bank {}: classified word {word} registered away",
-                self.bank
-            )));
-            return;
-        };
-        match msg {
-            Msg::Gcs(GcsMsg::SyncOp { req, op, .. }) => {
-                self.exec_sync(word, value, req, op, actions)
-            }
-            Msg::Gcs(GcsMsg::SyncWatch { req, seen, .. }) => {
-                self.watch(word, value, req, seen, actions)
-            }
-            Msg::Dnv(DnvMsg::ReadReq { req, .. }) => self.serve_read(word, req, value, actions),
-            // A stale recall answer from a registrant whose writeback had
-            // already returned the word; the handshake is long settled.
-            Msg::Gcs(GcsMsg::RecallAck { value: None, .. }) => {}
-            other => actions.push(Action::violation(format!(
-                "registry bank {} cannot handle {other:?} for classified word {word}",
-                self.bank
-            ))),
-        }
-    }
-
-    /// Executes a sync operation atomically at the bank on the word's
-    /// current value `old`, and notifies the waiter set if it changed.
-    fn exec_sync(
-        &mut self,
-        word: WordAddr,
-        old: u64,
-        req: CoreId,
-        op: GcsOpKind,
-        actions: &mut Vec<Action>,
-    ) {
-        let (stored, resp) = match op {
-            GcsOpKind::Load => (old, old),
-            GcsOpKind::Store { value } => (value, value),
-            GcsOpKind::Rmw(o) => {
-                let new = if self.mutation == Some(ProtocolMutation::GcsSkipUpdate) {
-                    old
-                } else {
-                    o.apply(old)
-                };
-                (new, old)
-            }
-        };
-        *self.word_slot(word) = RegWord::Valid(stored);
-        actions.push(Action::Send {
-            to: Endpoint::L1(req),
-            msg: Msg::Gcs(GcsMsg::SyncResp { word, value: resp }),
-        });
-        if stored != old {
-            self.notify_waiters(word, stored, req, actions);
-        }
-    }
-
-    /// Arms a level-triggered watch: notify immediately if the current
-    /// value `cur` has already moved past what the spinner saw, otherwise
-    /// park it.
-    fn watch(
-        &mut self,
-        word: WordAddr,
-        cur: u64,
-        req: CoreId,
-        seen: u64,
-        actions: &mut Vec<Action>,
-    ) {
-        if cur != seen {
-            if self.mutation != Some(ProtocolMutation::GcsDropNotify) {
-                self.notifies += 1;
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Gcs(GcsMsg::SyncNotify { word, value: cur }),
-                });
-            }
-            return;
-        }
-        self.sync_entry_mut(word).waiters.insert(req);
-    }
-
-    /// Pushes the new value to every parked waiter. The waiter set always
-    /// clears — a half-cleared set would desynchronize the directory even
-    /// under the drop-notify mutation.
-    fn notify_waiters(
-        &mut self,
-        word: WordAddr,
-        value: u64,
-        writer: CoreId,
-        actions: &mut Vec<Action>,
-    ) {
-        let waiters = std::mem::take(&mut self.sync_entry_mut(word).waiters);
-        if waiters.is_empty() {
-            return;
-        }
-        if self.mutation != Some(ProtocolMutation::GcsDropNotify) {
-            for c in waiters.iter() {
-                self.notifies += 1;
-                actions.push(Action::Send {
-                    to: Endpoint::L1(c),
-                    msg: Msg::Gcs(GcsMsg::SyncNotify { word, value }),
-                });
-            }
-        }
-        let kind = EventKind::Notify {
-            writer: writer as u32,
-            waiters: waiters.len() as u32,
-        };
-        self.tel
-            .emit_now(self.bank as u32, Component::Dir, word.telemetry_key(), kind);
+    fn entry(&mut self, word: WordAddr) -> &mut SyncEntry {
+        self.sync.get_mut(&word).expect("classified word")
     }
 }
 
 /// Canonical hash for model checking: lines and sync entries sorted by
 /// address; queued and parked messages hash in FIFO order — their order is
 /// architecturally visible. The notify and recall counters are metrics and
-/// excluded.
+/// excluded; `table` is fixed per run.
 impl std::hash::Hash for DnvRegistry {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.bank.hash(state);
-        self.mem.hash(state);
+        self.port.bank.hash(state);
+        self.port.mem.hash(state);
         // SpanMap hashes entries sorted by key, length-prefixed.
         self.lines.hash(state);
-        self.sync.hash(state);
+        self.port.sync.hash(state);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::msg::XferClass;
+
+    pub(crate) fn view() -> crate::table::tests::View {
+        let specs = SPECS
+            .iter()
+            .map(|s| (s.protocols, s.mutation, s.lists, &s.table));
+        let index = |r: &Row| crate::table::tests::RowView {
+            id: r.id,
+            from: r.from.iter().map(|&s| s as usize).collect(),
+            on: r.on.iter().map(|&e| e as usize).collect(),
+            to: r.to.map(|s| s as usize),
+        };
+        use Event::*;
+        let gcs_only = [
+            SyncOp,
+            SyncRmw,
+            SyncWatch,
+            StaleWatch,
+            RecallAck,
+            StaleRecallAck,
+        ];
+        let gcs_only = gcs_only.map(|e| e as usize).to_vec();
+        crate::table::tests::View::new("DeNovo registry", specs, index, gcs_only)
+    }
 
     fn word(i: u64) -> WordAddr {
         WordAddr::new(64 + i)
     }
 
+    /// A cold bank running `protocol`'s table, armed with `mutation`.
+    fn bank(protocol: Protocol, mutation: Option<ProtocolMutation>) -> DnvRegistry {
+        DnvRegistry::new(0, Endpoint::Mem(0), protocol, mutation)
+    }
+
     fn warmed() -> DnvRegistry {
-        let mut r = DnvRegistry::new(0, Endpoint::Mem(0));
+        let mut r = bank(Protocol::DeNovoSync0, None);
         let mut acts = Vec::new();
         r.on_msg(
             DnvMsg::ReadReq {
@@ -815,7 +877,7 @@ mod tests {
 
     #[test]
     fn cold_line_fetches_memory_once_and_drains_queue() {
-        let mut r = DnvRegistry::new(0, Endpoint::Mem(0));
+        let mut r = bank(Protocol::DeNovoSync0, None);
         let mut acts = Vec::new();
         r.on_msg(
             DnvMsg::ReadReq {
@@ -1017,7 +1079,7 @@ mod tests {
     #[test]
     fn registered_word_count_tracks_pointers() {
         let mut r = warmed();
-        assert_eq!(r.registered_words(), 0);
+        assert_eq!(r.registrations().count(), 0);
         let mut acts = Vec::new();
         r.on_msg(
             DnvMsg::RegReq {
@@ -1035,7 +1097,7 @@ mod tests {
             },
             &mut acts,
         );
-        assert_eq!(r.registered_words(), 2);
+        assert_eq!(r.registrations().count(), 2);
     }
 
     /// The sync-path directory (GCS).
@@ -1048,7 +1110,12 @@ mod tests {
         }
 
         fn warmed() -> DnvRegistry {
-            let mut b = DnvRegistry::new(0, Endpoint::Mem(0)).with_sync_path();
+            armed(None)
+        }
+
+        /// A GCS bank armed with `mutation`, its line of words 0..8 fetched.
+        fn armed(mutation: Option<ProtocolMutation>) -> DnvRegistry {
+            let mut b = super::bank(Protocol::Gcs, mutation);
             let mut acts = Vec::new();
             b.on_msg(
                 DnvMsg::ReadReq {
@@ -1314,8 +1381,7 @@ mod tests {
 
         #[test]
         fn skip_update_mutation_loses_the_rmw() {
-            let mut b = warmed();
-            b.set_mutation(Some(ProtocolMutation::GcsSkipUpdate));
+            let mut b = armed(Some(ProtocolMutation::GcsSkipUpdate));
             let mut acts = Vec::new();
             b.on_gcs(
                 GcsMsg::SyncOp {
@@ -1331,8 +1397,7 @@ mod tests {
 
         #[test]
         fn drop_notify_mutation_strands_waiters() {
-            let mut b = warmed();
-            b.set_mutation(Some(ProtocolMutation::GcsDropNotify));
+            let mut b = armed(Some(ProtocolMutation::GcsDropNotify));
             let mut acts = Vec::new();
             b.on_gcs(
                 GcsMsg::SyncOp {

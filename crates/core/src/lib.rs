@@ -11,9 +11,10 @@
 //!   serialization through a non-blocking registry with a distributed MSHR
 //!   queue), and **DeNovoSync** adds the adaptive hardware backoff
 //!   ([`denovo::backoff`]). **GCS** (generalized coherence) is the same
-//!   controllers with a sync-path policy: dynamic sync-variable
+//!   controllers running a table with a sync path: dynamic sync-variable
 //!   classification and a dedicated bank-mediated update/notify path for
-//!   classified words.
+//!   classified words. Every controller is a transition table
+//!   ([`table`]).
 //! * [`config`] — Table 1's system configurations (16 and 64 cores).
 //! * [`msg`] — the protocol message vocabulary, with per-message wire sizes
 //!   and traffic classes; [`coreset`] — the core sets banks track (MESI
@@ -62,6 +63,11 @@
 //! assert_eq!(sys.read_word(counter), 4);
 //! assert!(stats.cycles > 0);
 //! ```
+
+// First: the controllers use `transition_table!`, and a macro is in scope
+// only after its definition.
+#[macro_use]
+pub mod table;
 
 mod backend;
 pub mod chaos;

@@ -10,6 +10,7 @@
 //! below the 4–8 MB capacity of Table 1, so directory/L2 conflict evictions
 //! and their recalls would only add noise.
 
+use crate::config::{Protocol, ProtocolMutation};
 use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, Endpoint, LineData, MesiMsg, Msg};
 use crate::proto::Action;
@@ -177,7 +178,12 @@ const ROWS: &[Row] = {
     ]
 };
 
-static TABLE: Table = index(ROWS, &[]);
+static SPECS: [Spec; 1] = [Spec::new(&[Protocol::Mesi], None, &[("MESI", ROWS, false)])];
+
+/// Appends the directory's table `protocol` runs to `out` (`dvs tables`).
+pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
+    Spec::markdown(&SPECS, "MESI directory", protocol, out);
+}
 
 /// What fired a row: a message, or memory returning the line's data.
 #[derive(Debug, Clone, Copy)]
@@ -189,9 +195,16 @@ enum Input {
 /// One L2 bank with its slice of the directory.
 #[derive(Debug, Clone)]
 pub struct MesiDir {
+    lines: SpanMap<DirLine>,
+    port: Port,
+}
+
+/// What a row's steps act through besides the line's entry: the bank, its
+/// memory controller and its telemetry.
+#[derive(Debug, Clone)]
+struct Port {
     bank: BankId,
     mem: Endpoint,
-    lines: SpanMap<DirLine>,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
 }
@@ -200,11 +213,10 @@ impl MesiDir {
     /// Creates an empty bank. `mem` is the memory-controller endpoint this
     /// bank fetches lines through.
     pub fn new(bank: BankId, mem: Endpoint) -> Self {
+        let tel = Telemetry::off();
         MesiDir {
-            bank,
-            mem,
             lines: SpanMap::sparse_only(),
-            tel: Telemetry::off(),
+            port: Port { bank, mem, tel },
         }
     }
 
@@ -217,13 +229,13 @@ impl MesiDir {
         debug_assert!(self.lines.is_empty(), "span configured after traffic");
         let top_line = layout.top().div_ceil(LINE_BYTES);
         let slots = top_line.div_ceil(banks as u64) as usize;
-        self.lines = SpanMap::with_span(self.bank as u64, banks as u64, slots);
+        self.lines = SpanMap::with_span(self.port.bank as u64, banks as u64, slots);
     }
 
     /// Attaches a telemetry handle (directory state transitions and
     /// invalidation fan-outs).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
+        self.port.tel = tel;
     }
 
     /// The line's current data as known to the L2 (stale while owned).
@@ -277,7 +289,7 @@ impl MesiDir {
     /// A one-line human-readable description of the line's directory entry
     /// (stall diagnostics).
     pub fn describe_line(&self, line: LineAddr) -> String {
-        let bank = self.bank;
+        let bank = self.port.bank;
         let Some(e) = self.lines.get(line.raw()) else {
             return format!("bank {bank}: {line} untracked");
         };
@@ -310,63 +322,71 @@ impl MesiDir {
         }
     }
 
-    /// The state `input` meets on `line` and the event it is there (`None`:
-    /// a message no directory takes). Every input tracks its line.
-    fn classify(&mut self, line: LineAddr, input: Input) -> (State, Option<Event>) {
-        let entry = self.lines.or_insert_with(line.raw(), DirLine::default);
-        let (state, dir) = (State::of(entry), entry.state);
-        let (unblock_due, wb_due) = match entry.busy {
-            Some(Busy::Txn {
-                need_unblock: u,
-                need_owner_wb: w,
-            }) => (u, w),
-            _ => (false, false),
-        };
-        let owner = |req| dir == DirState::Owned(req);
-        let Input::Msg(msg) = input else {
-            return (state, Some(Event::MemData));
-        };
-        let event = match msg {
-            MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. } if owner(req) => Event::OwnerReq,
-            MesiMsg::GetS { .. } => Event::GetS,
-            MesiMsg::GetM { .. } => Event::GetM,
-            MesiMsg::PutS { req, .. } => match dir {
-                DirState::Shared(s) if s == CoreSet::of(req) => Event::LastPutS,
-                DirState::Shared(s) if s.difference(&CoreSet::of(req)) != s => Event::PutS,
-                _ => Event::StalePut,
-            },
-            MesiMsg::PutE { req, .. } if owner(req) => Event::PutE,
-            MesiMsg::PutM { req, .. } if owner(req) => Event::PutM,
-            MesiMsg::PutE { .. } | MesiMsg::PutM { .. } => Event::StalePut,
-            MesiMsg::Unblock { .. } if wb_due => Event::Unblock,
-            MesiMsg::Unblock { .. } => Event::LastUnblock,
-            MesiMsg::OwnerWb { .. } if unblock_due => Event::OwnerWb,
-            MesiMsg::OwnerWb { .. } => Event::LastOwnerWb,
-            _ => return (state, None),
-        };
-        (state, Some(event))
-    }
-
     /// Classifies `input` and runs its row. A cell with no row is the one
     /// unexpected-event path: a violation naming the line, state and event.
+    /// The line's entry is looked up once (every input tracks its line) and
+    /// handed to each step.
     fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) {
-        let (state, event) = self.classify(line, input);
-        let Some(row) = event.and_then(|e| TABLE[state as usize][e as usize]) else {
-            let what = event.map_or(format!("{input:?}"), |e| format!("{e:?}"));
-            let bank = self.bank;
-            let detail = format!("MESI dir bank {bank}: unexpected {what} for {line} in {state:?}");
-            return actions.push(Action::violation(detail));
+        let entry = self.lines.or_insert_with(line.raw(), DirLine::default);
+        let (state, event) = classify(entry, input);
+        let Some(row) = event.and_then(|e| SPECS[0].table[state as usize][e as usize]) else {
+            let who = format_args!("MESI dir bank {}", self.port.bank);
+            return actions.push(crate::table::unexpected(who, line, state, event, input));
         };
         for &act in row.acts {
-            self.act(act, line, input, actions);
+            self.port.act(act, entry, line, input, actions);
         }
-        let now = State::of(self.lines.get(line.raw()).expect("tracked line"));
-        debug_assert_eq!(now, row.to.unwrap_or(state), "dir row {} on {line}", row.id);
+        let to = row.to.unwrap_or(state);
+        debug_assert_eq!(State::of(entry), to, "dir row {} on {line}", row.id);
     }
+}
 
-    /// Runs one step of a fired row.
-    fn act(&mut self, act: Act, line: LineAddr, input: Input, actions: &mut Vec<Action>) {
-        let entry = self.lines.get_mut(line.raw()).expect("tracked line");
+/// The state `input` meets at the line's `entry` and the event it is there
+/// (`None`: a message no directory takes).
+fn classify(entry: &DirLine, input: Input) -> (State, Option<Event>) {
+    let (state, dir) = (State::of(entry), entry.state);
+    let (unblock_due, wb_due) = match entry.busy {
+        Some(Busy::Txn {
+            need_unblock: u,
+            need_owner_wb: w,
+        }) => (u, w),
+        _ => (false, false),
+    };
+    let owner = |req| dir == DirState::Owned(req);
+    let Input::Msg(msg) = input else {
+        return (state, Some(Event::MemData));
+    };
+    let event = match msg {
+        MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. } if owner(req) => Event::OwnerReq,
+        MesiMsg::GetS { .. } => Event::GetS,
+        MesiMsg::GetM { .. } => Event::GetM,
+        MesiMsg::PutS { req, .. } => match dir {
+            DirState::Shared(s) if s == CoreSet::of(req) => Event::LastPutS,
+            DirState::Shared(s) if s.difference(&CoreSet::of(req)) != s => Event::PutS,
+            _ => Event::StalePut,
+        },
+        MesiMsg::PutE { req, .. } if owner(req) => Event::PutE,
+        MesiMsg::PutM { req, .. } if owner(req) => Event::PutM,
+        MesiMsg::PutE { .. } | MesiMsg::PutM { .. } => Event::StalePut,
+        MesiMsg::Unblock { .. } if wb_due => Event::Unblock,
+        MesiMsg::Unblock { .. } => Event::LastUnblock,
+        MesiMsg::OwnerWb { .. } if unblock_due => Event::OwnerWb,
+        MesiMsg::OwnerWb { .. } => Event::LastOwnerWb,
+        _ => return (state, None),
+    };
+    (state, Some(event))
+}
+
+impl Port {
+    /// Runs one step of a fired row on the line's `entry`.
+    fn act(
+        &self,
+        act: Act,
+        entry: &mut DirLine,
+        line: LineAddr,
+        input: Input,
+        actions: &mut Vec<Action>,
+    ) {
         match (act, input) {
             (Act::FetchMem, Input::Msg(msg)) => {
                 entry.busy = Some(Busy::MemFetch);
@@ -411,7 +431,7 @@ impl MesiDir {
                 let msg = Msg::Mesi(MesiMsg::PutAck { line });
                 actions.push(Action::Send { to, msg });
             }
-            (_, Input::Msg(msg)) => self.serve(act, line, msg, actions),
+            (_, Input::Msg(msg)) => self.serve(act, entry, line, msg, actions),
             (_, Input::Mem(_)) => unreachable!("directory step {act:?} fired by memory data"),
         }
     }
@@ -420,7 +440,14 @@ impl MesiDir {
     /// data (or forwards it to the owner), moves the entry to its next
     /// state, and blocks the line until the requestor's `Unblock` — and,
     /// when an owner is downgraded to a sharer, until its data copy arrives.
-    fn serve(&mut self, act: Act, line: LineAddr, msg: MesiMsg, actions: &mut Vec<Action>) {
+    fn serve(
+        &self,
+        act: Act,
+        entry: &mut DirLine,
+        line: LineAddr,
+        msg: MesiMsg,
+        actions: &mut Vec<Action>,
+    ) {
         use DirState::{Owned, Shared};
         use TrafficClass::{Load, Store};
         let (cause, req) = match msg {
@@ -428,7 +455,6 @@ impl MesiDir {
             MesiMsg::GetM { req, .. } => ("GetM", req),
             _ => unreachable!("{act:?} for {msg:?}"),
         };
-        let entry = self.lines.get_mut(line.raw()).expect("tracked line");
         let (before, data) = (entry.state, entry.data);
         let grant = |acks, exclusive, class| {
             Msg::Mesi(MesiMsg::Data {
@@ -491,8 +517,8 @@ impl MesiDir {
 /// messages hash in FIFO order — their order is architecturally visible.
 impl std::hash::Hash for MesiDir {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.bank.hash(state);
-        self.mem.hash(state);
+        self.port.bank.hash(state);
+        self.port.mem.hash(state);
         // SpanMap hashes entries sorted by key, length-prefixed; `LineAddr`
         // hashes as its raw `u64`, so the stream is unchanged from the
         // HashMap-backed version of this bank.
@@ -501,8 +527,22 @@ impl std::hash::Hash for MesiDir {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    pub(crate) fn view() -> crate::table::tests::View {
+        let specs = SPECS
+            .iter()
+            .map(|s| (s.protocols, s.mutation, s.lists, &s.table));
+        let index = |r: &Row| crate::table::tests::RowView {
+            id: r.id,
+            from: r.from.iter().map(|&s| s as usize).collect(),
+            on: r.on.iter().map(|&e| e as usize).collect(),
+            to: r.to.map(|s| s as usize),
+        };
+        let gcs_only = Vec::new();
+        crate::table::tests::View::new("MESI directory", specs, index, gcs_only)
+    }
 
     fn dir() -> MesiDir {
         MesiDir::new(0, Endpoint::Mem(0))
@@ -799,23 +839,5 @@ mod tests {
                 msg: Msg::Mesi(MesiMsg::FwdGetS { req: 3, .. })
             }
         )));
-    }
-
-    #[test]
-    fn transition_table_is_well_formed() {
-        let mut ids: Vec<u16> = ROWS.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), ROWS.len(), "row ids are unique");
-        let mut cells = std::collections::HashSet::new();
-        for r in ROWS {
-            for (&s, &e) in r.from.iter().flat_map(|s| r.on.iter().map(move |e| (s, e))) {
-                assert!(cells.insert((s, e)), "two rows for ({s:?}, {e:?})");
-            }
-            if let Some(to) = r.to {
-                let known = ROWS.iter().any(|o| o.from.contains(&to));
-                assert!(known, "row {} leads to {to:?}, which has no rows", r.id);
-            }
-        }
     }
 }

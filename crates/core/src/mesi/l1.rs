@@ -6,7 +6,7 @@
 //! modification): data stores merge into the line's ownership transaction,
 //! [`Action::StoresDone`] reports them, and fences drain them.
 
-use crate::config::ProtocolMutation;
+use crate::config::{Protocol, ProtocolMutation};
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
 use crate::proto::{count_access, home_bank, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
@@ -287,9 +287,24 @@ const DROP_ACK_ROWS: &[Row] = {
     ]
 };
 
-static STOCK: Table = index(ROWS, &[]);
-static SKIP_INVALIDATE: Table = index(ROWS, SKIP_INVALIDATE_ROWS);
-static DROP_ACK: Table = index(ROWS, DROP_ACK_ROWS);
+/// The stock table and the two seeded mutations' tables.
+static SPECS: [Spec; 3] = {
+    use ProtocolMutation::{MesiDropAck, MesiSkipInvalidate};
+    const M: &[Protocol] = &[Protocol::Mesi];
+    const STOCK: List = ("MESI", ROWS, false);
+    const SKIP: List = (MesiSkipInvalidate.token(), SKIP_INVALIDATE_ROWS, true);
+    const DROP: List = (MesiDropAck.token(), DROP_ACK_ROWS, true);
+    [
+        Spec::new(M, None, &[STOCK]),
+        Spec::new(M, Some(MesiSkipInvalidate), &[STOCK, SKIP]),
+        Spec::new(M, Some(MesiDropAck), &[STOCK, DROP]),
+    ]
+};
+
+/// Appends the L1's tables `protocol` runs to `out` (`dvs tables`).
+pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
+    Spec::markdown(&SPECS, "MESI L1", protocol, out);
+}
 
 /// What fired a row: a core request on word `w`, a message, or the payload
 /// an install just evicted.
@@ -298,6 +313,25 @@ enum Input {
     Core { w: usize, kind: AccessKind },
     Msg(MesiMsg),
     Victim(MesiLine),
+}
+
+/// What classification found on the line, handed to every step of the row
+/// so none looks the line up again to read it: the resident copy, an
+/// eviction's retained data, and the newest merged store to a core
+/// request's word.
+#[derive(Debug, Clone, Copy, Default)]
+struct Found {
+    resident: Option<MesiLine>,
+    retained: Option<LineData>,
+    forward: Option<u64>,
+}
+
+impl Found {
+    /// The data an owner holds: the resident copy, else the eviction's.
+    fn held(&self) -> LineData {
+        let resident = self.resident.map(|l| l.data);
+        resident.or(self.retained).expect("held data")
+    }
 }
 
 /// The MESI L1 controller for one core.
@@ -324,7 +358,7 @@ impl MesiL1 {
             cache: CacheArray::new(geometry),
             mshr: Mshr::unbounded(),
             watch: None,
-            table: &STOCK,
+            table: &SPECS[0].table,
             stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
@@ -333,11 +367,8 @@ impl MesiL1 {
     /// Arms a seeded protocol bug (negative testing; see
     /// [`ProtocolMutation`]) by swapping in its transition table.
     pub fn set_mutation(&mut self, mutation: Option<ProtocolMutation>) {
-        self.table = match mutation {
-            Some(ProtocolMutation::MesiSkipInvalidate) => &SKIP_INVALIDATE,
-            Some(ProtocolMutation::MesiDropAck) => &DROP_ACK,
-            _ => &STOCK,
-        };
+        let spec = Spec::find(&SPECS, Protocol::Mesi, mutation);
+        self.table = &spec.expect("MESI's stock table").table;
     }
 
     /// Attaches a telemetry handle (state transitions, invalidations, MSHR
@@ -424,20 +455,18 @@ impl MesiL1 {
         self.fire(msg.line(), Input::Msg(msg), actions);
     }
 
-    /// The line's primer state: its stable state (absence is I), refined by
-    /// its MSHR transaction `txn`. The cache array is consulted only where
-    /// the transaction leaves the state open.
-    fn state(&self, line: LineAddr, txn: Option<&Txn>) -> State {
-        let resident = || self.cache.get(line).map(|l| l.state);
+    /// A line's primer state: its stable state (absence is I), refined by
+    /// its MSHR transaction `txn`.
+    fn state(txn: Option<&Txn>, resident: Option<&MesiLine>) -> State {
         let Some(t) = txn else {
-            return resident().map_or(State::I, Stable::state);
+            return resident.map_or(State::I, |l| l.state.state());
         };
         match (t.goal, t.have_data) {
             (Goal::Fetch, _) if t.deliver_only => State::IS_D_I,
             (Goal::Fetch, _) => State::IS_D,
             (Goal::Evict, _) if t.evict_data.is_some() => State::MI_A,
             (Goal::Evict, _) => State::SI_A,
-            (Goal::Own, have) => match (resident().is_some(), have) {
+            (Goal::Own, have) => match (resident.is_some(), have) {
                 (false, false) => State::IM_AD,
                 (false, true) => State::IM_A,
                 (true, false) => State::SM_AD,
@@ -446,14 +475,23 @@ impl MesiL1 {
         }
     }
 
-    /// The state `input` meets on `line` and the event it is there (`None`:
-    /// a message no L1 takes).
-    fn classify(&self, line: LineAddr, input: &Input) -> (State, Option<Event>) {
+    /// The state `input` meets on `line`, the event it is there (`None`: a
+    /// message no L1 takes), and what the one MSHR and cache lookup found.
+    fn classify(&self, line: LineAddr, input: &Input) -> (State, Option<Event>, Found) {
         if let Input::Victim(old) = *input {
-            return (old.state.state(), Some(Event::Replacement));
+            let found = Found::default();
+            return (old.state.state(), Some(Event::Replacement), found);
         }
-        let txn = self.mshr.get(&line);
-        let state = self.state(line, txn);
+        let (txn, resident) = (self.mshr.get(&line), self.cache.get(line));
+        let state = Self::state(txn, resident);
+        let found = Found {
+            resident: resident.copied(),
+            retained: txn.and_then(|t| t.evict_data),
+            forward: match *input {
+                Input::Core { w, .. } => txn.and_then(|t| t.forward(w)),
+                _ => None,
+            },
+        };
         let own = txn.filter(|t| t.goal == Goal::Own);
         let event = match *input {
             Input::Core { kind, .. } if !kind.may_write() => Event::Load,
@@ -474,47 +512,46 @@ impl MesiL1 {
             Input::Msg(MesiMsg::FwdGetS { .. }) => Event::FwdGetS,
             Input::Msg(MesiMsg::FwdGetM { .. }) => Event::FwdGetM,
             Input::Msg(MesiMsg::PutAck { .. }) => Event::PutAck,
-            Input::Msg(_) | Input::Victim(_) => return (state, None),
+            Input::Msg(_) | Input::Victim(_) => return (state, None, found),
         };
-        (state, Some(event))
+        (state, Some(event), found)
     }
 
     /// Classifies `input` and runs its row. A cell with no row is the one
     /// unexpected-event path: a violation naming the line, state and event.
     /// Returns a core request's outcome.
     fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) -> IssueResult {
-        let (state, event) = self.classify(line, &input);
+        let (state, event, found) = self.classify(line, &input);
         let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
-            let what = event.map_or(format!("{input:?}"), |e| format!("{e:?}"));
-            let id = self.id;
-            let detail = format!("MESI L1 {id}: unexpected {what} for {line} in {state:?}");
-            actions.push(Action::violation(detail));
+            let who = format_args!("MESI L1 {}", self.id);
+            actions.push(crate::table::unexpected(who, line, state, event, input));
             return IssueResult::Blocked;
         };
         let mut result = IssueResult::Blocked;
         for &act in row.acts {
-            if !self.act(act, line, &input, &mut result, actions) {
+            if !self.act(act, line, &input, &found, &mut result, actions) {
                 // An install retry is scheduled; the transaction stays open.
                 return result;
             }
         }
-        let to = row.to.unwrap_or(state);
         debug_assert_eq!(
-            self.state(line, self.mshr.get(&line)),
-            to,
+            Self::state(self.mshr.get(&line), self.cache.get(line)),
+            row.to.unwrap_or(state),
             "L1 row {}",
             row.id
         );
         result
     }
 
-    /// Runs one step of a fired row. Returns false when an install found no
-    /// victim: its retry is scheduled and the row stops.
+    /// Runs one step of a fired row on what classification `found`. Returns
+    /// false when an install found no victim: its retry is scheduled and the
+    /// row stops.
     fn act(
         &mut self,
         act: Act,
         line: LineAddr,
         input: &Input,
+        found: &Found,
         result: &mut IssueResult,
         actions: &mut Vec<Action>,
     ) -> bool {
@@ -528,9 +565,11 @@ impl MesiL1 {
         match (act, input) {
             // Core requests.
             (Act::Hit, &Input::Core { w, kind }) => {
-                let forwarded = self.mshr.get(&line).and_then(|t| t.forward(w));
-                let value = forwarded
-                    .unwrap_or_else(|| self.cache.get_mut(line).expect("resident").data[w]);
+                // A forwarded value leaves the line's recency alone.
+                let value = found.forward.unwrap_or_else(|| {
+                    self.cache.touch(line);
+                    found.resident.expect("resident").data[w]
+                });
                 self.note(kind, true);
                 *result = IssueResult::Hit { value: Some(value) };
             }
@@ -550,12 +589,12 @@ impl MesiL1 {
                 self.note(kind, true);
             }
             (Act::Stage, &Input::Core { w, kind }) => {
-                let txn = self.mshr.get_mut(&line).expect("open transaction");
-                if let Some(value) = txn.forward(w).filter(|_| !kind.may_write()) {
+                if let Some(value) = found.forward.filter(|_| !kind.may_write()) {
                     self.note(kind, true);
                     *result = IssueResult::Hit { value: Some(value) };
                     return true;
                 }
+                let txn = self.mshr.get_mut(&line).expect("open transaction");
                 *result = txn.stage(w, kind);
                 self.cache.touch(line);
                 self.note(kind, false);
@@ -597,7 +636,7 @@ impl MesiL1 {
                 txn.acks_balance += i64::from(acks);
             }
             (Act::CountAck, _) => self.mshr.get_mut(&line).expect("own txn").acks_balance -= 1,
-            (Act::Finish, _) => return self.finish_own(line, actions),
+            (Act::Finish, _) => return self.finish_own(line, found, actions),
             (Act::Unblock, _) => {
                 let class = match input {
                     &Input::Msg(MesiMsg::Data { class, .. }) => class,
@@ -624,9 +663,8 @@ impl MesiL1 {
                 }
             }
             (Act::Downgrade, _) => {
-                let l = self.cache.get_mut(line).expect("owned line");
-                let was = l.state.label();
-                l.state = Stable::S;
+                self.cache.get_mut(line).expect("owned line").state = Stable::S;
+                let was = found.resident.expect("owned line").state.label();
                 self.emit(line, was, "S", "FwdGetS");
             }
             (Act::SendData, &Input::Msg(msg)) => {
@@ -634,7 +672,7 @@ impl MesiL1 {
                     unreachable!("data for {msg:?}")
                 };
                 // A forwarded GetS is answered as a load, a GetM as a store.
-                let (data, class) = (self.held(line), msg.class());
+                let (data, class) = (found.held(), msg.class());
                 let reply = MesiMsg::Data {
                     line,
                     data,
@@ -645,7 +683,7 @@ impl MesiL1 {
                 send(Endpoint::L1(req), reply);
             }
             (Act::OwnerWb, _) => {
-                let data = self.held(line);
+                let data = found.held();
                 send(home(), MesiMsg::OwnerWb { line, data, from });
             }
             (Act::Surrender, _) => {
@@ -673,49 +711,37 @@ impl MesiL1 {
         true
     }
 
-    /// The data an owner holds for `line`: the resident copy, else the
-    /// eviction's retained data.
-    fn held(&self, line: LineAddr) -> LineData {
-        let retained = self.mshr.get(&line).and_then(|t| t.evict_data);
-        let resident = self.cache.get(line).map(|l| l.data);
-        resident.or(retained).expect("held data")
-    }
-
     /// Completes an Own transaction: installs M, applies the merged stores
     /// and runs the blocking op. Returns false if the install must retry.
-    fn finish_own(&mut self, line: LineAddr, actions: &mut Vec<Action>) -> bool {
+    fn finish_own(&mut self, line: LineAddr, found: &Found, actions: &mut Vec<Action>) -> bool {
         let txn = self.mshr.get_mut(&line).expect("own transaction");
-        let mut data = txn.data.expect("own transaction completed without data");
         // If the line was resident (upgrade from S that raced no Inv), the
         // directory's data is equally fresh; either copy works.
-        let pending = std::mem::take(&mut txn.pending_stores);
-        let blocking = txn.blocking.take();
-        for (w, v) in &pending {
-            data[*w] = *v;
+        let fetched = txn.data.expect("own transaction completed without data");
+        let mut data = fetched;
+        for &(w, v) in &txn.pending_stores {
+            data[w] = v;
         }
-        let core_done = blocking.map(|op| op.apply(&mut data));
-        let was = self.cache.get(line).map_or("I", |l| l.state.label());
-        self.emit(line, was, "M", "Data");
+        let core_done = txn.blocking.map(|op| op.apply(&mut data));
+        // The retry carries the line as fetched: the stores and the blocking
+        // op stay in the transaction and are applied once, when it installs.
         let retry = MesiMsg::Data {
             line,
-            data,
+            data: fetched,
             acks: 0,
             exclusive: false,
             class: TrafficClass::Store,
         };
         let state = Stable::M;
         if !self.try_install(line, MesiLine { state, data }, retry, actions) {
-            // Could not make room: put the work back; the retried data is
-            // counted again on arrival.
-            let txn = self.mshr.get_mut(&line).expect("own transaction");
-            txn.pending_stores = pending;
-            txn.blocking = blocking;
-            txn.data = Some(data);
-            txn.have_data = false;
+            // The retried data is counted again on arrival.
+            self.mshr.get_mut(&line).expect("own transaction").have_data = false;
             return false;
         }
-        self.mshr.remove(&line);
-        let count = pending.len();
+        let was = found.resident.map_or("I", |l| l.state.label());
+        self.emit(line, was, "M", "Data");
+        let txn = self.mshr.remove(&line).expect("own transaction");
+        let count = txn.pending_stores.len();
         if count > 0 {
             actions.push(Action::StoresDone { count });
         }
@@ -781,9 +807,23 @@ impl std::hash::Hash for MesiL1 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dvs_mem::Addr;
+
+    pub(crate) fn view() -> crate::table::tests::View {
+        let specs = SPECS
+            .iter()
+            .map(|s| (s.protocols, s.mutation, s.lists, &s.table));
+        let index = |r: &Row| crate::table::tests::RowView {
+            id: r.id,
+            from: r.from.iter().map(|&s| s as usize).collect(),
+            on: r.on.iter().map(|&e| e as usize).collect(),
+            to: r.to.map(|s| s as usize),
+        };
+        let gcs_only = Vec::new();
+        crate::table::tests::View::new("MESI L1", specs, index, gcs_only)
+    }
 
     fn l1() -> MesiL1 {
         MesiL1::new(0, CacheGeometry::new(1024, 2), 4)
@@ -1088,44 +1128,52 @@ mod tests {
         assert_eq!(l1.peek_word(Addr::new(0x100).word()), Some(5));
     }
 
+    /// A no-victim install retry applies the blocking RMW once. Two S-line
+    /// upgrades pin both ways of a 2-way set; a FAI to a third line of the
+    /// set completes with nowhere to go and retries after 8 cycles. Once an
+    /// upgrade completes and frees a way, the retried install returns the
+    /// fetched value and leaves it incremented once.
     #[test]
-    fn transition_tables_are_well_formed() {
-        let lists = [ROWS, SKIP_INVALIDATE_ROWS, DROP_ACK_ROWS];
-        let mut ids: Vec<u16> = lists.iter().flat_map(|l| l.iter().map(|r| r.id)).collect();
-        let rows = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), rows, "row ids are unique");
-        for list in lists {
-            let mut cells = std::collections::HashSet::new();
-            for r in list {
-                for (&s, &e) in r.from.iter().flat_map(|s| r.on.iter().map(move |e| (s, e))) {
-                    assert!(cells.insert((s, e)), "two rows for ({s:?}, {e:?})");
-                }
-                if let Some(to) = r.to {
-                    let known = ROWS.iter().any(|o| o.from.contains(&to));
-                    assert!(known, "row {} leads to {to:?}, which has no rows", r.id);
-                }
-            }
+    fn rmw_install_retry_applies_the_rmw_once() {
+        let mut l1 = l1();
+        let mut acts = Vec::new();
+        let (a, b, c) = (0x100, 0x300, 0x500);
+        for addr in [a, b] {
+            let line = Addr::new(addr).line();
+            l1.core_request(&load(addr), &mut acts);
+            l1.on_msg(data_msg(line, [0; 8], 0, false), &mut acts);
+            l1.core_request(&store(addr, 1), &mut acts);
+            assert_eq!(l1.line_state(line), Some(Stable::S), "{line} upgrading");
         }
-        let changed = |t: &Table| -> Vec<(usize, usize)> {
-            let id = |c: Option<&Row>| c.map(|r| r.id);
-            (0..STATES)
-                .flat_map(|s| (0..EVENTS).map(move |e| (s, e)))
-                .filter(|&(s, e)| id(t[s][e]) != id(STOCK[s][e]))
-                .collect()
+        let fai = MemRequest {
+            addr: Addr::new(c),
+            kind: AccessKind::SyncRmw(RmwOp::Fai { delta: 1 }),
+            dst: None,
+            spin: None,
         };
-        let cell = |s: State, e: Event| (s as usize, e as usize);
-        let inv = [State::S, State::SM_AD, State::SM_A].map(|s| cell(s, Event::Inv));
-        assert_eq!(changed(&SKIP_INVALIDATE), inv);
-        let acks = [
-            cell(State::IM_AD, Event::InvAck),
-            cell(State::IM_A, Event::InvAck),
-            cell(State::IM_A, Event::LastInvAck),
-            cell(State::SM_AD, Event::InvAck),
-            cell(State::SM_A, Event::InvAck),
-            cell(State::SM_A, Event::LastInvAck),
-        ];
-        assert_eq!(changed(&DROP_ACK), acks);
+        acts.clear();
+        assert_eq!(l1.core_request(&fai, &mut acts), IssueResult::Miss);
+        let mut fetched = [0u64; 8];
+        fetched[0] = 10;
+        acts.clear();
+        l1.on_msg(data_msg(Addr::new(c).line(), fetched, 0, false), &mut acts);
+        let retry = acts.iter().find_map(|act| match act {
+            Action::Local {
+                delay: 8,
+                msg: Msg::Mesi(m),
+            } => Some(*m),
+            _ => None,
+        });
+        let retry = retry.expect("no victim: the install retries");
+        assert!(!acts.iter().any(|a| matches!(a, Action::CoreDone { .. })));
+        // Completing one upgrade leaves its line M and evictable.
+        l1.on_msg(data_msg(Addr::new(a).line(), [0; 8], 0, false), &mut acts);
+        acts.clear();
+        l1.on_msg(retry, &mut acts);
+        assert!(
+            acts.contains(&Action::CoreDone { value: Some(10) }),
+            "{acts:?}"
+        );
+        assert_eq!(l1.peek_word(Addr::new(c).word()), Some(11));
     }
 }

@@ -1,7 +1,7 @@
 //! The controller ↔ system interface.
 //!
 //! Protocol controllers (MESI L1/directory, DeNovo L1/registry — GCS being
-//! the DeNovo pair with the sync-path policy enabled) are written as
+//! the DeNovo pair running GCS's tables) are written as
 //! message-in / actions-out state machines: they never touch the network or
 //! the scheduler directly. Each entry point returns a list of [`Action`]s
 //! the surrounding [`System`](crate::system::System) applies — this keeps the

@@ -7,7 +7,7 @@
 //!
 //! The system holds no protocol-specific logic: the L1s and banks live in
 //! one backend enum (the MESI family, or the DeNovo family — DeNovoSync0,
-//! DeNovoSync, and GCS, which is DeNovo plus a sync-path policy), and each
+//! DeNovoSync, and GCS, which is DeNovo plus a sync path), and each
 //! family's module owns its invariant checks, stall forensics and
 //! architectural reads. The system routes core requests and message
 //! deliveries to the backend and applies the [`Action`]s that come back.

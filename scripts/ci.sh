@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="fmt lint tier1 chaos check check-scale campaign gcs step telemetry fuzz serve trace"
+STAGES="fmt lint tier1 chaos check check-scale campaign gcs step telemetry fuzz serve trace tables"
 
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -232,6 +232,20 @@ stage_trace() {
   "${DVST[@]}" replay "$TDIR/t.dvst" --oracle --seed 9
   # Replay-vs-VM throughput artifact; quick mode gates the speedup at >= 2x.
   DVS_QUICK=1 cargo bench --offline -p dvs-bench --bench trace_matrix
+}
+
+stage_tables() {
+  echo "== dvs tables (DESIGN.md's transition tables match the code) =="
+  cargo build --release --offline --bin dvs
+  # Each embedded block sits between `<!-- dvs tables --proto P -->` and
+  # `<!-- end dvs tables -->` and must be that command's output verbatim.
+  protos=$(sed -n 's/^<!-- dvs tables --proto \([a-z0-9]*\) -->$/\1/p' DESIGN.md)
+  [ -n "$protos" ] || { echo "DESIGN.md embeds no dvs tables blocks"; exit 1; }
+  for p in $protos; do
+    sed -n "/^<!-- dvs tables --proto $p -->\$/,/^<!-- end dvs tables -->\$/p" DESIGN.md | sed '1d;$d' |
+      diff -u - <(./target/release/dvs tables --proto "$p") ||
+      { echo "DESIGN.md's --proto $p tables differ from dvs tables"; exit 1; }
+  done
 }
 
 if [ -n "$ONLY" ]; then

@@ -5,6 +5,7 @@
 //! dvs fuzz  gen|run|shrink|hunt ...           differential fuzzing (dvs-fuzz)
 //! dvs trace record|replay|compose|mix|show    workload traces (dvs-trace)
 //! dvs serve submit|resume|status|verify-store|gc   job service (dvs-serve)
+//! dvs tables [--proto m|ds0|ds|gcs]           controller transition tables
 //! ```
 //!
 //! Every subcommand parses its arguments with the same [`Args`]: it takes
@@ -18,10 +19,12 @@ mod fuzz;
 mod serve;
 mod trace;
 
+use dvs_core::Protocol;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-const USAGE: &str = "usage: dvs <check|fuzz|trace|serve> <command> [args]";
+const USAGE: &str =
+    "usage: dvs <check|fuzz|trace|serve> <command> [args] | dvs tables [--proto m|ds0|ds|gcs]";
 
 /// The arguments after `dvs <tool> <command>`, consumed by taking: each
 /// flag a subcommand knows is removed as it is read, and [`Args::finish`]
@@ -105,17 +108,40 @@ pub fn exit_code(clean: bool) -> ExitCode {
     }
 }
 
+/// `dvs tables [--proto P]`: prints each controller's transition table as
+/// Markdown — every protocol's, or P's (`m`, `ds0`, `ds`, `gcs`).
+fn tables(mut args: Args) -> Result<ExitCode, String> {
+    let proto = args.value("--proto")?;
+    args.finish::<0>("usage: dvs tables [--proto m|ds0|ds|gcs]")?;
+    let protocols = match proto {
+        Some(p) => vec![Protocol::from_label(&p.to_uppercase())?],
+        None => Protocol::EXTENDED.to_vec(),
+    };
+    for p in protocols {
+        print!("{}", dvs_core::table::markdown(p));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
-    let (tool, cmd) = (argv.next(), argv.next().unwrap_or_default());
+    let tool = argv.next();
+    if tool.as_deref() == Some("tables") {
+        return run(tables(Args(argv.collect())));
+    }
+    let cmd = argv.next().unwrap_or_default();
     let args = Args(argv.collect());
-    let result = match tool.as_deref() {
+    run(match tool.as_deref() {
         Some("check") => check::run(&cmd, args),
         Some("fuzz") => fuzz::run(&cmd, args),
         Some("trace") => trace::run(&cmd, args),
         Some("serve") => serve::run(&cmd, args),
         _ => Err(USAGE.to_owned()),
-    };
+    })
+}
+
+/// A tool's exit code, or exit 2 with `dvs: <why>` for a usage error.
+fn run(result: Result<ExitCode, String>) -> ExitCode {
     result.unwrap_or_else(|e| {
         eprintln!("dvs: {e}");
         ExitCode::from(2)

@@ -125,3 +125,28 @@ fn trace_replay_rejects_overlapping_segments() {
     std::fs::remove_file(&path).ok();
     assert!(stderr.contains("overlapping segments"), "{stderr}");
 }
+
+#[test]
+fn tables_rejects_an_unknown_protocol_or_argument() {
+    let err = usage_error(&["tables", "--proto", "mosi"]);
+    assert!(err.contains("unknown protocol"), "{err}");
+    let err = usage_error(&["tables", "extra"]);
+    assert!(err.contains("usage: dvs tables"), "{err}");
+}
+
+#[test]
+fn tables_prints_one_protocols_controllers() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dvs"))
+        .args(["tables", "--proto", "ds0"])
+        .output()
+        .expect("spawn dvs");
+    assert!(out.status.success());
+    let md = String::from_utf8_lossy(&out.stdout);
+    assert!(md.contains("#### DeNovo L1 (DS0)") && md.contains("#### DeNovo registry (DS0)"));
+    // DeNovoSync0 runs the base rows only: no backoff override, no sync path.
+    assert!(
+        !md.contains("DS override") && !md.contains("| GCS |"),
+        "{md}"
+    );
+    assert!(md.contains("mutation `dnv-drop-xfer`"), "{md}");
+}
