@@ -140,30 +140,11 @@ impl Backend {
         true
     }
 
-    /// Sets core `i`'s local spin watch on `word` if its L1 holds a copy a
-    /// failed spin can sleep on (MESI: readable; DeNovo: registered),
-    /// returning whether it did.
-    pub(crate) fn watch_local_copy(&mut self, i: CoreId, word: WordAddr) -> bool {
-        match self {
-            Backend::Mesi { l1s, .. } if l1s[i].word_readable(word) => l1s[i].set_watch(word),
-            Backend::DeNovo { l1s, .. } if l1s[i].word_registered(word) => l1s[i].set_watch(word),
-            _ => return false,
-        }
-        true
-    }
-
-    /// Clears core `i`'s local spin watch.
-    pub(crate) fn clear_watch(&mut self, i: CoreId) {
-        match self {
-            Backend::Mesi { l1s, .. } => l1s[i].clear_watch(),
-            Backend::DeNovo { l1s, .. } => l1s[i].clear_watch(),
-        }
-    }
-
-    /// Arms core `i`'s remote watch on `word` if its L1 has learned the word
-    /// is classified (only GCS's table learns) — the failed spin then parks
-    /// in the home bank's waiter set. Returns whether it did.
-    pub(crate) fn start_remote_watch(
+    /// Parks core `i`'s failed spin on `word`, which just read `seen`, if
+    /// its L1 can watch it: in place on a usable local copy, or (GCS, on a
+    /// word the L1 knows is classified) in the home bank's waiter set.
+    /// Returns whether it did.
+    pub(crate) fn watch(
         &mut self,
         i: CoreId,
         word: WordAddr,
@@ -171,11 +152,16 @@ impl Backend {
         actions: &mut Vec<Action>,
     ) -> bool {
         match self {
-            Backend::DeNovo { l1s, .. } if l1s[i].predicts_sync(word) => {
-                l1s[i].start_remote_watch(word, seen, actions);
-                true
-            }
-            _ => false,
+            Backend::Mesi { l1s, .. } => l1s[i].watch(word),
+            Backend::DeNovo { l1s, .. } => l1s[i].watch(word, seen, actions),
+        }
+    }
+
+    /// Clears core `i`'s local spin watch.
+    pub(crate) fn clear_watch(&mut self, i: CoreId) {
+        match self {
+            Backend::Mesi { l1s, .. } => l1s[i].clear_watch(),
+            Backend::DeNovo { l1s, .. } => l1s[i].clear_watch(),
         }
     }
 

@@ -338,8 +338,11 @@ mod tests {
         assert!(err.contains("waiter bit for core 0"), "{err}");
         let err = verify(&l1s, &regs).unwrap_err();
         assert!(err.contains("1 waiter bits set at quiescence"), "{err}");
-        // The matching remote watch makes the waiter bit legitimate.
-        l1s[0].start_remote_watch(word, 0, &mut acts);
+        // The matching remote watch makes the waiter bit legitimate (a
+        // recall that finds the word Invalid teaches core 0 it is
+        // classified, so its spin watches remotely).
+        l1s[0].on_gcs(GcsMsg::Recall { word }, &mut acts);
+        assert!(l1s[0].watch(word, 0, &mut acts));
         check_line(&l1s, &regs, word.line()).expect("watch matches the waiter bit");
     }
 }

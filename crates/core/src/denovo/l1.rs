@@ -521,27 +521,26 @@ impl DnvL1 {
         self.stats
     }
 
-    /// Sets the spin-watched word.
-    pub fn set_watch(&mut self, word: WordAddr) {
-        self.watch = Some(word);
+    /// Parks a failed spin on `word`, which just read `seen`. A Registered
+    /// word is watched in place: losing the registration wakes the core. A
+    /// word this L1 has learned is sync-classified (only GCS's table
+    /// learns) gets a level-triggered remote watch: the `SyncWatch` to its
+    /// home bank carries `seen`, and the bank notifies at once if the word
+    /// already differs. Returns whether either was armed.
+    pub fn watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) -> bool {
+        if self.word_registered(word) {
+            self.watch = Some(word);
+        } else if self.sync.predictor.contains(word) {
+            self.fire(word, Input::Watch { seen }, actions);
+        } else {
+            return false;
+        }
+        true
     }
 
     /// Clears the spin watch.
     pub fn clear_watch(&mut self) {
         self.watch = None;
-    }
-
-    /// Whether this L1 has learned that `word` is sync-classified at its
-    /// bank (never, outside GCS).
-    pub fn predicts_sync(&self, word: WordAddr) -> bool {
-        self.sync.predictor.contains(word)
-    }
-
-    /// Arms a level-triggered remote watch for a classified word: the
-    /// `SyncWatch` to its home bank carries `seen`, the value the failed
-    /// spin observed, and the bank notifies at once if it already differs.
-    pub fn start_remote_watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) {
-        self.fire(word, Input::Watch { seen }, actions);
     }
 
     /// The word this L1 is remote-watching, if any (invariant checking).
@@ -550,8 +549,7 @@ impl DnvL1 {
     }
 
     /// Whether a synchronization read of `word` would hit right now (the
-    /// word is Registered with no writeback pending) — used by the system to
-    /// decide between watching and re-issuing a failed spin.
+    /// word is Registered with no writeback pending).
     pub fn word_registered(&self, word: WordAddr) -> bool {
         !self.mshr.contains(&word) && self.word_state(word) == WState::Registered
     }
@@ -1761,7 +1759,7 @@ pub(crate) mod tests {
             },
             &mut acts,
         );
-        l1.set_watch(word(0x100));
+        assert!(l1.watch(word(0x100), 0, &mut acts));
         acts.clear();
         l1.on_msg(
             DnvMsg::Xfer {
@@ -1818,7 +1816,7 @@ pub(crate) mod tests {
         );
         acts.clear();
         l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
-        assert!(l1.predicts_sync(word(0x100)));
+        assert!(l1.sync.predictor.contains(word(0x100)));
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -1928,7 +1926,7 @@ pub(crate) mod tests {
             },
             &mut acts,
         );
-        l1.set_watch(word(0x100));
+        assert!(l1.watch(word(0x100), 0, &mut acts));
         acts.clear();
         l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
         assert!(acts.contains(&Action::SpinWake));
@@ -1940,7 +1938,7 @@ pub(crate) mod tests {
             }
         )));
         assert_eq!(l1.word_state(word(0x100)), WState::Invalid);
-        assert!(l1.predicts_sync(word(0x100)));
+        assert!(l1.sync.predictor.contains(word(0x100)));
     }
 
     #[test]
@@ -1984,7 +1982,11 @@ pub(crate) mod tests {
     fn notify_buffer_serves_the_reissued_spin_load() {
         let mut l1 = gcs_l1();
         let mut acts = Vec::new();
-        l1.start_remote_watch(word(0x100), 0, &mut acts);
+        // A recall that finds the word Invalid teaches the L1 it is
+        // classified, so a failed spin on it watches remotely.
+        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        acts.clear();
+        assert!(l1.watch(word(0x100), 0, &mut acts));
         assert!(matches!(
             acts[0],
             Action::Send {

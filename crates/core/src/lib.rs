@@ -19,10 +19,10 @@
 //! * [`msg`] — the protocol message vocabulary, with per-message wire sizes
 //!   and traffic classes; [`coreset`] — the core sets banks track (MESI
 //!   sharers, sync-path waiters).
-//! * [`system`] — the full simulated machine: VM threads on in-order cores,
-//!   private L1s, a banked shared L2 (registry/directory), memory
-//!   controllers, and the 2D-mesh interconnect, driven by a deterministic
-//!   event loop. The protocol-specific half lives behind one backend enum
+//! * [`system`] — the full simulated machine: in-order cores (run by VM
+//!   threads or trace-replay cores), private L1s, a banked shared L2
+//!   (registry/directory), memory controllers, and the 2D-mesh
+//!   interconnect, driven by a deterministic event loop. The protocol-specific half lives behind one backend enum
 //!   (MESI or DeNovo family), so the machine itself holds no protocol
 //!   logic. Attach a [`dvs_telemetry::Telemetry`] sink via
 //!   [`System::set_telemetry`](system::System::set_telemetry) to observe
@@ -74,6 +74,7 @@ pub mod chaos;
 pub mod config;
 pub mod coreset;
 pub mod denovo;
+mod front;
 pub mod mesi;
 pub mod msg;
 mod observe;

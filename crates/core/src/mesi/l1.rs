@@ -388,19 +388,20 @@ impl MesiL1 {
         self.stats
     }
 
-    /// Sets the spin-watched word (at most one; the core is blocking).
-    pub fn set_watch(&mut self, word: WordAddr) {
-        self.watch = Some(word);
+    /// Watches `word` for a failed spin if its line is resident (readable):
+    /// losing the line wakes the core. Returns whether it did. At most one
+    /// word is watched; the core is blocking.
+    pub fn watch(&mut self, word: WordAddr) -> bool {
+        let readable = self.cache.get(word.line()).is_some();
+        if readable {
+            self.watch = Some(word);
+        }
+        readable
     }
 
     /// Clears the spin watch.
     pub fn clear_watch(&mut self) {
         self.watch = None;
-    }
-
-    /// Whether the line holding `word` is resident in a readable state.
-    pub fn word_readable(&self, word: WordAddr) -> bool {
-        self.cache.get(word.line()).is_some()
     }
 
     /// Number of data stores currently outstanding (for fence draining this
@@ -1047,11 +1048,11 @@ pub(crate) mod tests {
         let line = Addr::new(0x100).line();
         acts.clear();
         l1.on_msg(data_msg(line, [0; 8], 0, false), &mut acts);
-        l1.set_watch(Addr::new(0x100).word());
+        assert!(l1.watch(Addr::new(0x100).word()));
         acts.clear();
         l1.on_msg(MesiMsg::FwdGetM { line, req: 3 }, &mut acts);
         assert!(acts.contains(&Action::SpinWake));
-        assert!(!l1.word_readable(Addr::new(0x100).word()));
+        assert!(l1.peek_word(Addr::new(0x100).word()).is_none());
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! A [`TraceRecorder`], driven by the system's observer (its `effect`,
 //! `issue` and `complete` hooks), captures each core's stream
 //! of *completed* memory/sync operations — plus per-word ordering
-//! information — while a normal VM-driven run executes. Replay swaps the
-//! per-core [`Thread`](dvs_vm::Thread) front-ends for [`TraceCore`]s that
-//! feed the recorded operations straight into the L1s, bypassing
-//! instruction decode, register files, and stall tracking entirely on the
-//! hot path. The protocol layers (MESI / DS0 / DS, timed or oracle) are
-//! untouched and cannot tell the difference.
+//! information — while a normal VM-driven run executes. Replay builds the
+//! system's per-core front ends (`front.rs`) from [`TraceCore`]s instead of
+//! [`Thread`](dvs_vm::Thread)s: they feed the recorded operations straight
+//! into the L1s, bypassing instruction decode and register files. The
+//! system and the protocol layers (MESI / DS0 / DS / GCS, timed or oracle)
+//! are untouched and cannot tell the difference.
 //!
 //! # Ordering model (per-word CREW replay)
 //!
@@ -39,7 +39,7 @@
 use dvs_engine::Cycle;
 use dvs_mem::{AccessKind, Addr, Region, WordAddr};
 use dvs_stats::TimeComponent;
-use dvs_vm::{Effect, MemRequest, Thread};
+use dvs_vm::{Effect, MemRequest};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -116,18 +116,12 @@ impl ReplayBoard {
     }
 }
 
-/// What a [`TraceCore`] wants to do next.
-pub(crate) enum TraceStep {
-    /// Drive this effect through the normal step machinery.
-    Run(Effect),
-    /// The next op is sync-order-gated; park until the board advances.
-    DepWait,
-}
-
 /// Replay front-end for one core: serves recorded ops in order, gated by
 /// the [`ReplayBoard`]. Implements the same driving contract as
 /// [`Thread`](dvs_vm::Thread): `step` yields effects, blocking accesses
-/// stay current until `complete` is called with the loaded value.
+/// stay current until `complete` is called with the loaded value. A `None`
+/// step means the next op is sync-order-gated: park until the board
+/// advances.
 #[derive(Debug, Clone)]
 pub struct TraceCore {
     ops: Arc<Vec<TraceOp>>,
@@ -140,21 +134,21 @@ impl TraceCore {
         Self { ops, cursor: 0 }
     }
 
-    /// Index of the next op to issue (for diagnostics).
+    /// Index of the next op to issue (diagnostics and state fingerprints).
     pub fn position(&self) -> usize {
         self.cursor
     }
 
-    pub(crate) fn step(&mut self, board: &ReplayBoard) -> TraceStep {
+    pub(crate) fn step(&mut self, board: &ReplayBoard) -> Option<Effect> {
         let Some(op) = self.ops.get(self.cursor) else {
-            return TraceStep::Run(Effect::Halted);
+            return Some(Effect::Halted);
         };
         match *op {
             TraceOp::Exec { cycles } => {
                 self.cursor += 1;
                 // Delay consumes `cycles + 1` core cycles; the recorder
                 // accounts for the +1 when coalescing.
-                TraceStep::Run(Effect::Delay {
+                Some(Effect::Delay {
                     cycles: cycles.saturating_sub(1),
                     comp: TimeComponent::Compute,
                 })
@@ -167,7 +161,7 @@ impl TraceCore {
                     if at.writes_done > dep
                         || (at.writes_done == dep && req.kind.may_write() && at.reads_done > rwait)
                     {
-                        return TraceStep::Run(Effect::Failed {
+                        return Some(Effect::Failed {
                             pc: self.cursor,
                             msg: "trace replay overshot the recorded per-word sync order",
                         });
@@ -178,25 +172,25 @@ impl TraceCore {
                         at.writes_done == dep
                     };
                     if !ready {
-                        return TraceStep::DepWait;
+                        return None;
                     }
                 }
                 if !req.kind.blocks_core() {
                     self.cursor += 1;
                 }
-                TraceStep::Run(Effect::Mem(req))
+                Some(Effect::Mem(req))
             }
             TraceOp::Fence => {
                 self.cursor += 1;
-                TraceStep::Run(Effect::Fence)
+                Some(Effect::Fence)
             }
             TraceOp::SelfInv(region) => {
                 self.cursor += 1;
-                TraceStep::Run(Effect::SelfInvalidate(region))
+                Some(Effect::SelfInvalidate(region))
             }
             TraceOp::Halt => {
                 self.cursor += 1;
-                TraceStep::Run(Effect::Halted)
+                Some(Effect::Halted)
             }
         }
     }
@@ -229,21 +223,6 @@ impl TraceCore {
         }
         Ok(false)
     }
-
-    pub(crate) fn hash_into<H: Hasher>(&self, h: &mut H) {
-        self.cursor.hash(h);
-    }
-}
-
-/// The per-core front-ends of a [`System`](crate::System): either real VM
-/// threads or trace-replay cores sharing one ordering board.
-#[derive(Debug, Clone)]
-pub(crate) enum Fronts {
-    Vm(Vec<Thread>),
-    Trace {
-        cores: Vec<TraceCore>,
-        board: ReplayBoard,
-    },
 }
 
 /// Live recording state, attached to a VM-driven [`System`](crate::System)

@@ -1,16 +1,18 @@
 //! The simulated multicore machine.
 //!
-//! A [`System`] wires VM threads (one per core) to private L1s, a banked
-//! shared L2 (MESI directory or DeNovo registry, one bank per tile), four
-//! corner memory controllers, and the 2D-mesh network, and drives everything
-//! from a deterministic event loop.
+//! A [`System`] wires one front end per core (a VM thread or a trace-replay
+//! core, behind the one seam in `front.rs`) to private L1s, a banked shared
+//! L2 (MESI directory or DeNovo registry, one bank per tile), four corner
+//! memory controllers, and the 2D-mesh network, and drives everything from
+//! a deterministic event loop.
 //!
-//! The system holds no protocol-specific logic: the L1s and banks live in
-//! one backend enum (the MESI family, or the DeNovo family — DeNovoSync0,
-//! DeNovoSync, and GCS, which is DeNovo plus a sync path), and each
-//! family's module owns its invariant checks, stall forensics and
-//! architectural reads. The system routes core requests and message
-//! deliveries to the backend and applies the [`Action`]s that come back.
+//! The system holds no protocol-specific logic and does not know which
+//! kind of front end it drives: the L1s and banks live in one backend enum
+//! (the MESI family, or the DeNovo family — DeNovoSync0, DeNovoSync, and
+//! GCS, which is DeNovo plus a sync path), and each family's module owns
+//! its invariant checks, stall forensics, spin watches and architectural
+//! reads. The system routes core effects to the backend and applies the
+//! [`Action`]s that come back.
 //!
 //! # Core execution model
 //!
@@ -21,7 +23,8 @@
 //! word and re-issues when the copy is invalidated or stolen — this models
 //! MESI's spin-on-cached-copy and DeNovo's spin-on-registered-word without
 //! simulating each poll iteration (spinning time is attributed to compute,
-//! as in the paper's breakdowns).
+//! as in the paper's breakdowns). Under GCS a spin on a classified word
+//! parks at its home bank instead; the backend decides which.
 //!
 //! # Cycle attribution
 //!
@@ -34,11 +37,12 @@
 use crate::backend::Backend;
 use crate::chaos::{FaultInjector, FaultPlan};
 use crate::config::{DataInvalidation, SystemConfig};
+use crate::front::Fronts;
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::observe::Observer;
 use crate::oracle::{ChannelKey, OracleState};
 use crate::proto::{Action, IssueResult};
-use crate::replay::{Fronts, Recording, ReplayBoard, TraceCore, TraceOp, TraceStep};
+use crate::replay::{Recording, TraceCore, TraceOp};
 use dvs_engine::{Cycle, DetRng, Scheduler};
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{Addr, MainMemory, WordAddr};
@@ -274,8 +278,8 @@ pub struct System {
     /// shallow, so steady state allocates nothing per event.
     action_scratch: Vec<Vec<Action>>,
     net: Network,
-    /// Per-core front-ends: VM threads, or trace-replay cores sharing a
-    /// sync-ordering board (see [`crate::replay`]).
+    /// Per-core front ends: VM threads, or trace-replay cores sharing a
+    /// sync-ordering board. The only code that knows which.
     fronts: Fronts,
     cores: Vec<CoreState>,
     /// Every L1 and L2 bank, by protocol family.
@@ -364,7 +368,7 @@ impl System {
                 t
             })
             .collect();
-        Self::assemble(cfg, layout.into(), Fronts::Vm(threads))
+        Self::assemble(cfg, layout.into(), threads.into())
     }
 
     /// Builds a system whose cores replay recorded op streams instead of
@@ -386,15 +390,8 @@ impl System {
             cfg.cores,
             "need exactly one trace stream per core"
         );
-        let cores = streams.into_iter().map(TraceCore::new).collect();
-        Self::assemble(
-            cfg,
-            layout.into(),
-            Fronts::Trace {
-                cores,
-                board: ReplayBoard::default(),
-            },
-        )
+        let cores: Vec<TraceCore> = streams.into_iter().map(TraceCore::new).collect();
+        Self::assemble(cfg, layout.into(), cores.into())
     }
 
     fn assemble(cfg: SystemConfig, layout: Arc<MemoryLayout>, fronts: Fronts) -> Self {
@@ -474,15 +471,9 @@ impl System {
     /// Overrides a thread's private bump-allocation pool (by default each
     /// thread gets a pool far above any layout; workloads that want nodes to
     /// participate in region self-invalidation place pools inside the
-    /// layout).
+    /// layout). A no-op for trace replay.
     pub fn set_thread_pool(&mut self, core: CoreId, base: Addr, bytes: u64) {
-        match &mut self.fronts {
-            Fronts::Vm(ts) => ts[core].set_alloc_pool(base, bytes),
-            // Replay cores carry no allocator: recorded `alloc` results are
-            // baked into the op stream's addresses. Accepting (and
-            // ignoring) the call lets one workload driver serve both modes.
-            Fronts::Trace { .. } => {}
-        }
+        self.fronts.set_alloc_pool(core, base, bytes);
     }
 
     /// Attaches a trace recorder capturing this run's per-core op streams
@@ -494,7 +485,7 @@ impl System {
     /// Panics on a trace-replay system (recording a replay is meaningless).
     pub fn start_recording(&mut self) {
         assert!(
-            matches!(self.fronts, Fronts::Vm(_)),
+            self.fronts.threads().is_some(),
             "recording requires a VM-driven system"
         );
         self.obs.start_recording(self.cfg.cores);
@@ -548,10 +539,10 @@ impl System {
     ///
     /// Panics on a trace-replay system (replay cores have no registers).
     pub fn thread(&self, i: CoreId) -> &Thread {
-        match &self.fronts {
-            Fronts::Vm(ts) => &ts[i],
-            Fronts::Trace { .. } => panic!("trace-replay systems have no VM threads"),
-        }
+        &self
+            .fronts
+            .threads()
+            .expect("trace-replay systems have no VM threads")[i]
     }
 
     /// Runs the simulation to completion.
@@ -737,16 +728,11 @@ impl System {
                     core.outstanding_stores
                 ),
                 Status::Dead => format!("core {i}: dead (failed assertion)"),
-                Status::DepWait { woken } => {
-                    let at = match &self.fronts {
-                        Fronts::Trace { cores, .. } => cores[i].position(),
-                        Fronts::Vm(_) => 0,
-                    };
-                    format!(
-                        "core {i}: trace replay parked on recorded sync order \
-                         (op {at}, woken={woken})"
-                    )
-                }
+                Status::DepWait { woken } => format!(
+                    "core {i}: trace replay parked on recorded sync order \
+                     (op {}, woken={woken})",
+                    self.fronts.position(i)
+                ),
             };
             report.cores.push(line);
         }
@@ -946,25 +932,17 @@ impl System {
     }
 
     fn exec_comp(&self, i: CoreId) -> TimeComponent {
-        match &self.fronts {
-            Fronts::Vm(ts) => match ts[i].phase() {
-                PhaseChange::Normal => TimeComponent::Compute,
-                PhaseChange::NonSynch => TimeComponent::NonSynch,
-                PhaseChange::BarrierWait => TimeComponent::BarrierStall,
-            },
-            // Replay carries no phase annotations; everything local is
-            // compute (per-component breakdowns belong to the recording).
-            Fronts::Trace { .. } => TimeComponent::Compute,
+        match self.fronts.phase(i) {
+            PhaseChange::Normal => TimeComponent::Compute,
+            PhaseChange::NonSynch => TimeComponent::NonSynch,
+            PhaseChange::BarrierWait => TimeComponent::BarrierStall,
         }
     }
 
     fn stall_comp(&self, i: CoreId) -> TimeComponent {
-        match &self.fronts {
-            Fronts::Vm(ts) => match ts[i].phase() {
-                PhaseChange::BarrierWait => TimeComponent::BarrierStall,
-                _ => TimeComponent::MemoryStall,
-            },
-            Fronts::Trace { .. } => TimeComponent::MemoryStall,
+        match self.fronts.phase(i) {
+            PhaseChange::BarrierWait => TimeComponent::BarrierStall,
+            _ => TimeComponent::MemoryStall,
         }
     }
 
@@ -972,22 +950,15 @@ impl System {
         debug_assert!(matches!(self.cores[i].status, Status::Ready));
         let mut local: Cycle = 0;
         loop {
-            let step = match &mut self.fronts {
-                Fronts::Vm(ts) => TraceStep::Run(ts[i].step()),
-                Fronts::Trace { cores, board } => cores[i].step(board),
-            };
-            let eff = match step {
-                TraceStep::Run(eff) => eff,
-                TraceStep::DepWait => {
-                    // Replay: the next op is gated on the recorded sync
-                    // order. Park; a sync completion on the gating word
-                    // wakes every parked core (wake-on-increment, so the
-                    // oracle drain terminates without polling).
-                    let comp = self.exec_comp(i);
-                    self.attr(i, comp, local);
-                    self.cores[i].status = Status::DepWait { woken: false };
-                    return;
-                }
+            let Some(eff) = self.fronts.step(i) else {
+                // Replay: the next op is gated on the recorded sync order.
+                // Park; a sync completion on the gating word wakes every
+                // parked core (wake-on-increment, so the oracle drain
+                // terminates without polling).
+                let comp = self.exec_comp(i);
+                self.attr(i, comp, local);
+                self.cores[i].status = Status::DepWait { woken: false };
+                return;
             };
             self.obs.effect(i, &eff, self.sched.now() + local);
             match eff {
@@ -1011,10 +982,7 @@ impl System {
                         self.sched.schedule_in(local, Ev::Resume(i));
                         return;
                     }
-                    if self.issue_mem(i, req, false) {
-                        // Hit or accepted store: keep executing from +1.
-                        return;
-                    }
+                    self.issue_mem(i, req, false);
                     return;
                 }
                 Effect::Delay { cycles, comp } => {
@@ -1023,12 +991,9 @@ impl System {
                     // Inside an attribution phase the whole delay belongs to
                     // the phase (dummy compute, barrier wait); otherwise to
                     // the delay's own component (sw backoff, modelled work).
-                    let delay_comp = match &self.fronts {
-                        Fronts::Vm(ts) => match ts[i].phase() {
-                            PhaseChange::Normal => comp,
-                            _ => exec,
-                        },
-                        Fronts::Trace { .. } => comp,
+                    let delay_comp = match self.fronts.phase(i) {
+                        PhaseChange::Normal => comp,
+                        _ => exec,
                     };
                     self.attr(i, delay_comp, cycles);
                     self.cores[i].status = Status::DelaySleep;
@@ -1081,15 +1046,10 @@ impl System {
     fn resume_core(&mut self, i: CoreId) {
         let status = std::mem::replace(&mut self.cores[i].status, Status::Ready);
         match status {
-            Status::Reissue { req, after_backoff } => {
-                if self.issue_mem(i, req, after_backoff) {
-                    // done; issue_mem scheduled the continuation
-                }
-            }
-            Status::DelaySleep => self.step_core(i),
-            // Replay: re-examine the gated op; if the board still blocks
-            // it the core simply re-parks.
-            Status::DepWait { .. } => self.step_core(i),
+            Status::Reissue { req, after_backoff } => self.issue_mem(i, req, after_backoff),
+            // Replay: a parked core re-examines its gated op and re-parks
+            // if the board still blocks it.
+            Status::DelaySleep | Status::DepWait { .. } => self.step_core(i),
             Status::PendingFence => {
                 if self.cores[i].outstanding_stores == 0 {
                     self.step_core(i);
@@ -1111,43 +1071,6 @@ impl System {
         self.cfg.data_inv == DataInvalidation::Signatures && self.cfg.protocol.is_denovo()
     }
 
-    /// Signature-mode bookkeeping at synchronization-access completion:
-    /// releases (sync stores and RMWs — an RMW is both acquire and release)
-    /// publish the core's accumulated writes to the global log, making them
-    /// visible to every later acquire-side invalidation.
-    fn note_sync_completion(&mut self, i: CoreId, req: &MemRequest) {
-        if !self.signatures() {
-            return;
-        }
-        match req.kind {
-            dvs_mem::AccessKind::SyncStore { .. } | dvs_mem::AccessKind::SyncRmw(_) => {
-                let writes = std::mem::take(&mut self.cores[i].cs_writes);
-                self.sig_log.extend(writes);
-            }
-            _ => {}
-        }
-    }
-
-    /// Routes a blocking-access completion to the core's front-end: VM
-    /// threads take the loaded value into a register; replay cores
-    /// validate it against the recording and advance the sync-ordering
-    /// board, waking parked cores when it moves.
-    fn complete_front(&mut self, i: CoreId, req: &MemRequest, value: u64) {
-        self.obs.complete(i, req, value);
-        let advanced = match &mut self.fronts {
-            Fronts::Vm(ts) => {
-                ts[i].complete_load(req.dst, value);
-                Ok(false)
-            }
-            Fronts::Trace { cores, board } => cores[i].complete(value, board),
-        };
-        match advanced {
-            Ok(true) => self.wake_dep_waiters(),
-            Ok(false) => {}
-            Err(msg) => self.violation(format!("core {i}: {msg}")),
-        }
-    }
-
     /// Replay: schedule a re-examination of every core parked on the
     /// sync-ordering board. Parked cores that are still gated re-park, so
     /// spurious wakes are harmless; `woken` dedups the scheduling.
@@ -1162,10 +1085,9 @@ impl System {
         }
     }
 
-    /// Issues a memory request to the core's L1. Returns true if the core
-    /// was put back on the ready path (hit / accepted store), false if it
-    /// blocked.
-    fn issue_mem(&mut self, i: CoreId, req: MemRequest, after_backoff: bool) -> bool {
+    /// Issues a memory request to the core's L1 and schedules whatever the
+    /// core does next.
+    fn issue_mem(&mut self, i: CoreId, req: MemRequest, after_backoff: bool) {
         let mut actions = self.take_actions();
         let res = self
             .backend
@@ -1180,25 +1102,15 @@ impl System {
         }
         match res {
             IssueResult::Hit { value } => {
-                if let Some(spin) = req.spin {
-                    let v = value.expect("spin loads return values");
-                    if !spin.satisfied(v) {
-                        self.start_watch(i, req, v);
-                        return true;
-                    }
+                let hit = self.cfg.latency.l1_hit;
+                if self.finish_access(i, req, value, hit) {
+                    let comp = self.exec_comp(i);
+                    self.attr(i, comp, hit);
                 }
-                self.note_sync_completion(i, &req);
-                self.complete_front(i, &req, value.unwrap_or(0));
-                let comp = self.exec_comp(i);
-                self.attr(i, comp, self.cfg.latency.l1_hit);
-                self.cores[i].status = Status::Ready;
-                self.sched.schedule_in(self.cfg.latency.l1_hit, Ev::Step(i));
-                true
             }
             IssueResult::Miss => {
                 let issued = self.sched.now();
                 self.cores[i].status = Status::BlockedMem { req, issued };
-                false
             }
             IssueResult::StoreAccepted { completed } => {
                 if !completed {
@@ -1208,7 +1120,6 @@ impl System {
                 self.attr(i, comp, self.cfg.latency.l1_hit);
                 self.cores[i].status = Status::Ready;
                 self.sched.schedule_in(self.cfg.latency.l1_hit, Ev::Step(i));
-                true
             }
             IssueResult::Backoff { cycles } => {
                 self.attr(i, TimeComponent::HwBackoff, cycles);
@@ -1217,7 +1128,6 @@ impl System {
                     after_backoff: true,
                 };
                 self.sched.schedule_in(cycles.max(1), Ev::Resume(i));
-                false
             }
             IssueResult::Blocked => {
                 self.cores[i].status = Status::Reissue { req, after_backoff };
@@ -1226,28 +1136,59 @@ impl System {
                     // unblock after some delivery, so the checker re-issues
                     // parked cores after each one.
                     o.parked.push(i);
-                    return false;
+                    return;
                 }
                 let comp = self.stall_comp(i);
                 self.attr(i, comp, RETRY_CYCLES);
                 self.sched.schedule_in(RETRY_CYCLES, Ev::Resume(i));
-                false
             }
         }
     }
 
-    /// Parks a failed spin. `seen` is the value the spin just observed —
-    /// GCS forwards it to the home bank so a level-triggered remote watch
-    /// can fire immediately if the variable already moved on.
+    /// The tail of a blocking access that returned `value` (an L1 hit, or a
+    /// miss's completion). A spin that saw an unsatisfying value starts a
+    /// watch and this returns false. Otherwise the completion reaches the
+    /// signature log and the front end (a replay core's board advancing
+    /// wakes the cores parked on it), and the core steps again after
+    /// `delay`.
+    fn finish_access(
+        &mut self,
+        i: CoreId,
+        req: MemRequest,
+        value: Option<u64>,
+        delay: Cycle,
+    ) -> bool {
+        if let Some(spin) = req.spin {
+            let v = value.expect("spin loads return values");
+            if !spin.satisfied(v) {
+                self.start_watch(i, req, v);
+                return false;
+            }
+        }
+        // Signature mode: a release (sync store or RMW — an RMW is both
+        // acquire and release) publishes the core's accumulated writes to
+        // the global log, visible to every later acquire-side invalidation.
+        if self.signatures() && req.kind.is_sync() && req.kind.may_write() {
+            let writes = std::mem::take(&mut self.cores[i].cs_writes);
+            self.sig_log.extend(writes);
+        }
+        let value = value.unwrap_or(0);
+        self.obs.complete(i, &req, value);
+        match self.fronts.complete(i, &req, value) {
+            Ok(true) => self.wake_dep_waiters(),
+            Ok(false) => {}
+            Err(msg) => self.violation(format!("core {i}: {msg}")),
+        }
+        self.cores[i].status = Status::Ready;
+        self.sched.schedule_in(delay, Ev::Step(i));
+        true
+    }
+
+    /// Parks a failed spin on a watch if the backend takes one. `seen` is
+    /// the value the spin just observed.
     fn start_watch(&mut self, i: CoreId, req: MemRequest, seen: u64) {
-        let word = req.addr.word();
-        // A usable local copy is watched in place. GCS: a spin on a
-        // classified word instead parks in the home bank's waiter set — the
-        // bank wakes this core with a targeted SyncNotify carrying the new
-        // value.
         let mut actions = self.take_actions();
-        let watching = self.backend.watch_local_copy(i, word)
-            || self.backend.start_remote_watch(i, word, seen, &mut actions);
+        let watching = self.backend.watch(i, req.addr.word(), seen, &mut actions);
         self.apply_actions(Endpoint::L1(i), 0, actions);
         if watching {
             let now = self.sched.now();
@@ -1255,8 +1196,12 @@ impl System {
             self.cores[i].status = Status::Watching { req, since: now };
             return;
         }
-        // The copy is already gone (or was never installed): re-issue
-        // after the spin-loop overhead.
+        // The copy is already gone (or was never installed).
+        self.recheck_spin(i, req);
+    }
+
+    /// Re-issues a spin load after the spin-loop overhead.
+    fn recheck_spin(&mut self, i: CoreId, req: MemRequest) {
         let comp = self.exec_comp(i);
         self.attr(i, comp, self.cfg.latency.spin_recheck);
         self.cores[i].status = Status::Reissue {
@@ -1278,17 +1223,7 @@ impl System {
         let now = self.sched.now();
         self.obs.stall_end(i, StallClass::Memory, issued, now);
         self.attr(i, comp, now - issued);
-        if let Some(spin) = req.spin {
-            let v = value.expect("spin loads return values");
-            if !spin.satisfied(v) {
-                self.start_watch(i, req, v);
-                return;
-            }
-        }
-        self.note_sync_completion(i, &req);
-        self.complete_front(i, &req, value.unwrap_or(0));
-        self.cores[i].status = Status::Ready;
-        self.sched.schedule_in(1, Ev::Step(i));
+        self.finish_access(i, req, value, 1);
     }
 
     fn stores_done(&mut self, i: CoreId, count: usize) {
@@ -1327,13 +1262,7 @@ impl System {
         let now = self.sched.now();
         self.obs.stall_end(i, StallClass::Spin, since, now);
         self.attr(i, comp, now - since);
-        self.attr(i, comp, self.cfg.latency.spin_recheck);
-        self.cores[i].status = Status::Reissue {
-            req,
-            after_backoff: false,
-        };
-        self.sched
-            .schedule_in(self.cfg.latency.spin_recheck, Ev::Resume(i));
+        self.recheck_spin(i, req);
     }
 
     // --- oracle (model-checking) mode ---------------------------------------
@@ -1499,19 +1428,7 @@ impl System {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
-        match &self.fronts {
-            Fronts::Vm(ts) => {
-                for t in ts {
-                    t.hash(&mut h);
-                }
-            }
-            Fronts::Trace { cores, board } => {
-                for c in cores {
-                    c.hash_into(&mut h);
-                }
-                board.hash_into(&mut h);
-            }
-        }
+        self.fronts.hash_into(&mut h);
         for c in &self.cores {
             match &c.status {
                 Status::Ready => h.write_u8(0),
@@ -1761,6 +1678,39 @@ mod tests {
                     !report.recent_messages.is_empty(),
                     "report must include recent message history"
                 );
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_parked_on_the_sync_order_is_reported() {
+        // Core 0's sync load waits for a first write to its word that no
+        // stream ever makes.
+        let mut lb = LayoutBuilder::new();
+        let r = lb.region("sync");
+        let flag = lb.sync_var("flag", r, true);
+        let load = TraceOp::Mem {
+            req: MemRequest {
+                addr: flag,
+                kind: dvs_mem::AccessKind::SyncLoad,
+                dst: None,
+                spin: None,
+            },
+            dep: 1,
+            rwait: 0,
+            result: None,
+        };
+        let mut sys = System::new_replay(
+            SystemConfig::small(1, Protocol::DeNovoSync),
+            lb.build(),
+            vec![Arc::new(vec![load, TraceOp::Halt])],
+        );
+        match sys.run() {
+            Err(SimError::Deadlock { stuck, report }) => {
+                assert_eq!(stuck, vec![0]);
+                let want = "core 0: trace replay parked on recorded sync order (op 0, woken=false)";
+                assert!(report.cores.iter().any(|l| l == want), "{report}");
             }
             other => panic!("expected deadlock, got {other:?}"),
         }

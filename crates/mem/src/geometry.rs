@@ -68,9 +68,10 @@ impl CacheGeometry {
         self.sets * self.assoc
     }
 
-    /// The set a line maps to.
+    /// The set a line maps to: the line number modulo the set count, taken
+    /// with a mask (`new` guarantees a power of two).
     pub fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets as u64) as usize
+        (line.raw() & (self.sets as u64 - 1)) as usize
     }
 }
 
@@ -94,6 +95,24 @@ mod tests {
         let s1 = g.set_index(LineAddr::new(1));
         assert_ne!(s0, s1);
         assert_eq!(g.set_index(LineAddr::new(g.sets() as u64)), s0);
+        // The mask is the modulo, down to a single-set cache.
+        for (bytes, assoc) in [(32 * 1024, 4), (8 * 1024, 2), (1024, 2), (256, 4), (64, 1)] {
+            let g = CacheGeometry::new(bytes, assoc);
+            let sets = g.sets() as u64;
+            for raw in [
+                0,
+                1,
+                sets - 1,
+                sets,
+                sets + 1,
+                0x1234,
+                0xdead_beef_1234,
+                1 << 40,
+            ] {
+                let line = LineAddr::new(raw);
+                assert_eq!(g.set_index(line) as u64, raw % sets, "{bytes}B {assoc}-way");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Integration tests: record/replay round trips across all three
-//! protocols (timed and oracle), `.dvst` format round trips, composition,
-//! mix determinism, and replay of the committed corpus.
+//! protocols (timed and oracle), replay timing pinned on all four,
+//! `.dvst` format round trips, composition, mix determinism, and replay of
+//! the committed corpus.
 
 use dvs_core::replay::TraceOp;
 use dvs_core::{Protocol, RunError, SystemConfig};
 use dvs_kernels::{build, BarrierKind, KernelId, KernelParams, LockKind, LockedStruct};
+use dvs_stats::RunStats;
 use dvs_trace::{
     build_mix, compose, composite, record, replay_oracle, replay_timed, MixSpec, ReplayMode, Trace,
     MAX_EXEC_CYCLES, ORACLE_DELIVERY_BUDGET,
@@ -51,6 +53,62 @@ fn tatas_counter_round_trip() {
     let trace = record_kernel(KernelId::Locked(LockedStruct::Counter, LockKind::Tatas));
     assert!(trace.total_ops() > 0);
     replay_everywhere(&trace);
+}
+
+/// One replay's timing: cycles, each core's time breakdown (stacking
+/// order), flit crossings per traffic class (reporting order) with the
+/// message count, and the L1 access counters.
+fn timing(proto: Protocol, mode: ReplayMode, s: &RunStats) -> String {
+    let time: Vec<Vec<u64>> = s
+        .per_core
+        .iter()
+        .map(|b| b.iter().map(|(_, c)| c).collect())
+        .collect();
+    let flits: Vec<u64> = s.traffic.iter().map(|(_, f)| f).collect();
+    let c = s.cache;
+    let cache = [
+        c.data_read_hits,
+        c.data_read_misses,
+        c.data_write_hits,
+        c.data_write_misses,
+        c.sync_read_hits,
+        c.sync_read_misses,
+        c.sync_write_hits,
+        c.sync_write_misses,
+    ];
+    format!(
+        "{proto} {mode:?}: {} cycles, time {time:?}, flits {flits:?} in {} msgs, cache {cache:?}",
+        s.cycles,
+        s.traffic.messages()
+    )
+}
+
+/// Replay timing is pinned, not just the final image: the cycles and the
+/// time, traffic and cache accounting of a recorded `tatas:counter` on
+/// every protocol, faithful and compressed.
+#[test]
+fn replay_timing_is_pinned() {
+    const PINNED: [&str; 8] = [
+        "M Faithful: 8568 cycles, time [[0, 472, 3352, 0, 0, 0], [0, 724, 3071, 0, 0, 0], [0, 2281, 2717, 0, 0, 0], [0, 1210, 3635, 0, 0, 0]], flits [332, 1260, 0, 2644, 2404] in 465 msgs, cache [2, 14, 3, 29, 2, 30, 13, 35]",
+        "M Compressed: 8508 cycles, time [[0, 95, 3305, 0, 0, 0], [0, 105, 3072, 0, 0, 0], [0, 126, 2717, 0, 0, 0], [0, 111, 3681, 0, 0, 0]], flits [332, 1260, 0, 2644, 2404] in 465 msgs, cache [2, 14, 3, 29, 2, 30, 13, 35]",
+        "DS0 Faithful: 5241 cycles, time [[0, 474, 2161, 0, 0, 0], [0, 727, 2210, 0, 0, 0], [0, 2283, 1626, 0, 0, 0], [0, 1214, 1986, 0, 0, 0]], flits [0, 0, 940, 560, 328] in 293 msgs, cache [2, 14, 2, 30, 2, 30, 24, 24]",
+        "DS0 Compressed: 5043 cycles, time [[0, 97, 2161, 0, 0, 0], [0, 108, 2210, 0, 0, 0], [0, 128, 1601, 0, 0, 0], [0, 115, 2019, 0, 0, 0]], flits [0, 0, 940, 560, 328] in 293 msgs, cache [2, 14, 2, 30, 2, 30, 24, 24]",
+        "DS Faithful: 5250 cycles, time [[0, 474, 2180, 0, 10, 0], [0, 727, 2210, 0, 5, 0], [0, 2283, 1612, 0, 1, 0], [0, 1214, 1991, 0, 3, 0]], flits [0, 0, 956, 560, 328] in 293 msgs, cache [2, 14, 2, 30, 2, 30, 24, 24]",
+        "DS Compressed: 5062 cycles, time [[0, 97, 2180, 0, 10, 0], [0, 108, 2210, 0, 5, 0], [0, 128, 1586, 0, 1, 0], [0, 115, 2026, 0, 3, 0]], flits [0, 0, 956, 560, 328] in 293 msgs, cache [2, 14, 2, 30, 2, 30, 24, 24]",
+        "GCS Faithful: 5988 cycles, time [[0, 471, 2312, 0, 0, 0], [0, 721, 2243, 0, 0, 0], [0, 2273, 2095, 0, 0, 0], [0, 1207, 2180, 0, 0, 0]], flits [0, 108, 1360, 560, 328] in 330 msgs, cache [2, 14, 2, 30, 0, 32, 0, 48]",
+        "GCS Compressed: 5818 cycles, time [[0, 94, 2312, 0, 0, 0], [0, 102, 2246, 0, 0, 0], [0, 118, 2074, 0, 0, 0], [0, 108, 2202, 0, 0, 0]], flits [0, 108, 1360, 560, 328] in 330 msgs, cache [2, 14, 2, 30, 0, 32, 0, 48]",
+    ];
+    let trace = record_kernel(KernelId::Locked(LockedStruct::Counter, LockKind::Tatas));
+    assert_eq!(trace.fingerprint(), 0x57fc_7dd7_383a_91d2);
+    let mut got = Vec::new();
+    for proto in Protocol::EXTENDED {
+        for mode in [ReplayMode::Faithful, ReplayMode::Compressed] {
+            let stats = replay_timed(&trace, cfg(proto), mode)
+                .unwrap_or_else(|e| panic!("{proto} {mode:?}: {e}"));
+            got.push(timing(proto, mode, &stats));
+        }
+    }
+    assert_eq!(got, PINNED, "replay timing moved:\n{}", got.join("\n"));
 }
 
 #[test]

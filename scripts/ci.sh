@@ -210,26 +210,27 @@ stage_serve() {
 stage_trace() {
   echo "== trace smoke (record/replay across protocols + committed corpus) =="
   # Committed .dvst corpus: parse, replay on MESI/DS0/DS timed + the oracle,
-  # validate every pinned final; plus format/compose/mix round-trip tests.
+  # validate every pinned final; plus format/compose/mix round-trip tests and
+  # the pinned replay timing on all four protocols.
   cargo test -q --offline -p dvs-trace --test trace
   # Record a kernel with `dvs trace`, replay it on all four protocols, both
   # faithful and compressed, and demand the pinned fingerprint is reproduced
-  # identically everywhere.
+  # everywhere; the seeded oracle replay must also take its pinned number
+  # of deliveries.
   cargo build --release --offline --bin dvs
   DVST=(./target/release/dvs trace)
   TDIR=$(mktemp -d)
   CLEANUP="$CLEANUP $TDIR"
+  fp=57fc7dd7383a91d2
   "${DVST[@]}" record tatas:counter --threads 4 --iters 4 -o "$TDIR/t.dvst"
-  fp=""
   for proto in M DS0 DS GCS; do
     for mode in "" --compressed; do
       out=$("${DVST[@]}" replay "$TDIR/t.dvst" --proto "$proto" ${mode:+"$mode"}); echo "$out"
-      this=${out##*fingerprint }
-      [ -z "$fp" ] && fp=$this
-      [ "$this" = "$fp" ] || { echo "fingerprint differs on $proto $mode"; exit 1; }
+      [ "${out##*fingerprint }" = "$fp" ] || { echo "fingerprint differs from $fp on $proto $mode"; exit 1; }
     done
   done
-  "${DVST[@]}" replay "$TDIR/t.dvst" --oracle --seed 9
+  out=$("${DVST[@]}" replay "$TDIR/t.dvst" --oracle --seed 9); echo "$out"
+  [ "$out" = "oracle replay ok: 293 deliveries, fingerprint $fp" ] || { echo "oracle replay differs from 293 deliveries, $fp"; exit 1; }
   # Replay-vs-VM throughput artifact; quick mode gates the speedup at >= 2x.
   DVS_QUICK=1 cargo bench --offline -p dvs-bench --bench trace_matrix
 }
