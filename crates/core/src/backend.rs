@@ -5,7 +5,10 @@
 //! enum. Each variant holds one family's controllers together, so a MESI L1
 //! paired with a DeNovo bank cannot be represented. DeNovoSync0,
 //! DeNovoSync and GCS share the DeNovo variant: they differ only in the
-//! transition tables their controllers run. The family modules
+//! transition tables their controllers run, and GCS's sync-path messages are
+//! DeNovo messages. Every controller has one message entry, so delivery is
+//! one arm per controller kind: an L1 takes its family's message, a bank
+//! the whole `Msg` (memory's `MemData` included). The family modules
 //! ([`crate::mesi::family`], [`crate::denovo::family`]) own the
 //! whole-machine checks.
 
@@ -18,7 +21,6 @@ use crate::system::StallReport;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{LineAddr, MainMemory, Region, WordAddr};
 use dvs_noc::Mesh;
-use dvs_stats::CacheStats;
 use dvs_telemetry::{MetricsRegistry, Telemetry};
 use dvs_vm::MemRequest;
 use std::collections::{BTreeSet, HashSet};
@@ -114,27 +116,19 @@ impl Backend {
     pub(crate) fn deliver(&mut self, ep: Endpoint, msg: Msg, actions: &mut Vec<Action>) -> bool {
         match (self, ep, msg) {
             (Backend::Mesi { l1s, .. }, Endpoint::L1(i), Msg::Mesi(m)) => l1s[i].on_msg(m, actions),
-            (Backend::Mesi { dirs, .. }, Endpoint::Bank(b), Msg::Mesi(m)) => {
-                dirs[b].on_msg(m, actions)
-            }
-            (Backend::Mesi { dirs, .. }, Endpoint::Bank(b), Msg::MemData { line, data, .. }) => {
-                dirs[b].on_mem_data(line, data, actions)
-            }
+            (
+                Backend::Mesi { dirs, .. },
+                Endpoint::Bank(b),
+                m @ (Msg::Mesi(_) | Msg::MemData { .. }),
+            ) => dirs[b].on_msg(m, actions),
             (Backend::DeNovo { l1s, .. }, Endpoint::L1(i), Msg::Dnv(m)) => {
                 l1s[i].on_msg(m, actions)
             }
-            (Backend::DeNovo { l1s, .. }, Endpoint::L1(i), Msg::Gcs(m)) => {
-                l1s[i].on_gcs(m, actions)
-            }
-            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::Dnv(m)) => {
-                regs[b].on_msg(m, actions)
-            }
-            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::Gcs(m)) => {
-                regs[b].on_gcs(m, actions)
-            }
-            (Backend::DeNovo { regs, .. }, Endpoint::Bank(b), Msg::MemData { line, data, .. }) => {
-                regs[b].on_mem_data(line, data, actions)
-            }
+            (
+                Backend::DeNovo { regs, .. },
+                Endpoint::Bank(b),
+                m @ (Msg::Dnv(_) | Msg::MemData { .. }),
+            ) => regs[b].on_msg(m, actions),
             _ => return false,
         }
         true
@@ -180,37 +174,15 @@ impl Backend {
         }
     }
 
-    /// Each core's L1 access statistics and MSHR high-water mark.
-    fn l1_stats(&self) -> Vec<(CacheStats, usize)> {
-        match self {
-            Backend::Mesi { l1s, .. } => l1s
-                .iter()
-                .map(|l| (l.stats(), l.mshr_high_water()))
-                .collect(),
-            Backend::DeNovo { l1s, .. } => l1s
-                .iter()
-                .map(|l| (l.stats(), l.mshr_high_water()))
-                .collect(),
-        }
-    }
-
-    /// Cache-access statistics summed over every L1.
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::new();
-        for (stats, _) in self.l1_stats() {
-            total += stats;
-        }
-        total
-    }
-
-    /// Per-core L1 hit/miss counters and MSHR high-water marks, plus the
-    /// sync-path banks' notify and recall counts.
+    /// Per-core MSHR high-water marks, plus the sync-path banks' notify and
+    /// recall counts.
     pub(crate) fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        for (i, (stats, high_water)) in self.l1_stats().into_iter().enumerate() {
-            let node = format!("core{i}");
-            reg.add(&node, "l1", "hits", stats.hits());
-            reg.add(&node, "l1", "misses", stats.misses());
-            reg.add(&node, "mshr", "high_water", high_water as u64);
+        let high_water: Vec<usize> = match self {
+            Backend::Mesi { l1s, .. } => l1s.iter().map(MesiL1::mshr_high_water).collect(),
+            Backend::DeNovo { l1s, .. } => l1s.iter().map(DnvL1::mshr_high_water).collect(),
+        };
+        for (i, high_water) in high_water.into_iter().enumerate() {
+            reg.add(&format!("core{i}"), "mshr", "high_water", high_water as u64);
         }
         if let Backend::DeNovo { regs, .. } = self {
             for (b, r) in regs.iter().enumerate().filter(|(_, r)| r.has_sync_path()) {

@@ -230,7 +230,8 @@ pub(crate) fn read_word(
 mod tests {
     use super::*;
     use crate::config::{BackoffConfig, Protocol};
-    use crate::msg::{DnvMsg, Endpoint, GcsMsg, GcsOpKind, XferClass};
+    use crate::denovo::registry::tests::mem_data;
+    use crate::msg::{DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
     use dvs_mem::{AccessKind, Addr, CacheGeometry, LayoutBuilder};
     use dvs_vm::MemRequest;
     use std::sync::Arc;
@@ -263,8 +264,8 @@ mod tests {
         // A bank-side sync load classifies the word on demand once the cold
         // line arrives.
         let op = GcsOpKind::Load;
-        regs[0].on_gcs(GcsMsg::SyncOp { word, req: 1, op }, &mut acts);
-        regs[0].on_mem_data(word.line(), [0; 8], &mut acts);
+        regs[0].on_msg(Msg::Dnv(DnvMsg::SyncOp { word, req: 1, op }), &mut acts);
+        regs[0].on_msg(mem_data(word.line(), [0; 8]), &mut acts);
         assert!(regs[0].classified(word) && !regs[0].recalling(word));
         check_line(&l1s, &regs, word.line()).expect("clean classified word");
         verify(&l1s, &regs).expect("clean classified word");
@@ -327,12 +328,12 @@ mod tests {
         let (mut l1s, mut regs, word) = classified_machine();
         // Core 0 parks in the waiter set without arming its remote watch.
         let mut acts = Vec::new();
-        let watch = GcsMsg::SyncWatch {
+        let watch = DnvMsg::SyncWatch {
             word,
             req: 0,
             seen: 0,
         };
-        regs[0].on_gcs(watch, &mut acts);
+        regs[0].on_msg(Msg::Dnv(watch), &mut acts);
         assert_eq!(regs[0].waiters_of(word), vec![0]);
         let err = check_line(&l1s, &regs, word.line()).unwrap_err();
         assert!(err.contains("waiter bit for core 0"), "{err}");
@@ -341,7 +342,7 @@ mod tests {
         // The matching remote watch makes the waiter bit legitimate (a
         // recall that finds the word Invalid teaches core 0 it is
         // classified, so its spin watches remotely).
-        l1s[0].on_gcs(GcsMsg::Recall { word }, &mut acts);
+        l1s[0].on_msg(DnvMsg::Recall { word }, &mut acts);
         assert!(l1s[0].watch(word, 0, &mut acts));
         check_line(&l1s, &regs, word.line()).expect("watch matches the waiter bit");
     }

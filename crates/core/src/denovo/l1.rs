@@ -28,15 +28,15 @@
 //!
 //! * when the home bank classifies a word as a synchronization variable it
 //!   answers registrations with `Classified`; the L1 converts the pending
-//!   access into a [`GcsMsg::SyncOp`] executed *at the bank* and records
+//!   access into a [`DnvMsg::SyncOp`] executed *at the bank* and records
 //!   the word in its bounded [`SyncPredictor`];
 //! * predicted-sync accesses skip the optimistic registration and go
 //!   straight down the sync path;
 //! * a failed spin on a classified word arms a level-triggered remote
-//!   watch ([`GcsMsg::SyncWatch`]); the bank's targeted [`GcsMsg::SyncNotify`]
+//!   watch ([`DnvMsg::SyncWatch`]); the bank's targeted [`DnvMsg::SyncNotify`]
 //!   lands in a one-entry notify buffer that the re-issued spin load hits;
 //! * `Recall` surrenders a just-classified word's registered copy back to
-//!   the bank (the value rides on [`GcsMsg::RecallAck`]).
+//!   the bank (the value rides on [`DnvMsg::RecallAck`]).
 //!
 //! Without those rows the sync-path events reach the one unexpected-event
 //! path, and the predictor, watch and buffer stay empty.
@@ -44,14 +44,13 @@
 use crate::config::{BackoffConfig, Protocol, ProtocolMutation};
 use crate::denovo::backoff::BackoffUnit;
 use crate::denovo::predictor::SyncPredictor;
-use crate::msg::{CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
-use crate::proto::{count_access, home_bank, Action, IssueResult};
+use crate::msg::{CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
+use crate::proto::{home_bank, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{
     AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, Region, RmwOp, WordAddr, WORDS_PER_LINE,
 };
-use dvs_stats::CacheStats;
 use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
 use std::sync::Arc;
@@ -195,12 +194,12 @@ impl Successor {
     /// The message it arrived as, for its own row.
     fn input(self, word: WordAddr) -> Input {
         match self {
-            Successor::Xfer(new_owner, class) => Input::Dnv(DnvMsg::Xfer {
+            Successor::Xfer(new_owner, class) => Input::Msg(DnvMsg::Xfer {
                 word,
                 new_owner,
                 class,
             }),
-            Successor::Recall => Input::Gcs(GcsMsg::Recall { word }),
+            Successor::Recall => Input::Msg(DnvMsg::Recall { word }),
         }
     }
 }
@@ -412,8 +411,7 @@ enum Input {
         kind: AccessKind,
         after_backoff: bool,
     },
-    Dnv(DnvMsg),
-    Gcs(GcsMsg),
+    Msg(DnvMsg),
     Watch {
         seen: u64,
     },
@@ -453,7 +451,6 @@ pub struct DnvL1 {
     /// The protocol's transition table.
     table: &'static Table,
     layout: Arc<MemoryLayout>,
-    stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
 }
@@ -487,7 +484,6 @@ impl DnvL1 {
             },
             table: &spec.table,
             layout,
-            stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
     }
@@ -514,11 +510,6 @@ impl DnvL1 {
         let kind = EventKind::Transition { from, to, cause };
         self.tel
             .emit_now(self.id as u32, Component::L1, word.telemetry_key(), kind);
-    }
-
-    /// Cache-access statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Parks a failed spin on `word`, which just read `seen`. A Registered
@@ -673,14 +664,9 @@ impl DnvL1 {
         self.fire(req.addr.word(), input, actions)
     }
 
-    /// Handles an incoming data-path (DeNovo) message.
+    /// Handles an incoming message, data path or sync path alike.
     pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        self.fire(msg.word(), Input::Dnv(msg), actions);
-    }
-
-    /// Handles an incoming sync-path (GCS) message.
-    pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
-        self.fire(msg.word(), Input::Gcs(msg), actions);
+        self.fire(msg.word(), Input::Msg(msg), actions);
     }
 
     /// A word's state from its MSHR entry and its array state.
@@ -729,24 +715,24 @@ impl DnvL1 {
                 AccessKind::SyncLoad => Event::SyncLoad,
                 AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => Event::SyncWrite,
             },
-            Input::Dnv(DnvMsg::ReadReq { .. }) => Event::FwdRead,
-            Input::Dnv(DnvMsg::Xfer {
+            Input::Msg(DnvMsg::ReadReq { .. }) => Event::FwdRead,
+            Input::Msg(DnvMsg::Xfer {
                 class: XferClass::SyncRead,
                 ..
             }) => Event::SyncReadXfer,
-            Input::Dnv(DnvMsg::Xfer { .. }) => Event::Xfer,
-            Input::Dnv(DnvMsg::ReadResp { .. }) => Event::ReadResp,
-            Input::Dnv(DnvMsg::RegAck { .. }) => Event::RegAck,
-            Input::Dnv(DnvMsg::WbAck { .. }) => Event::WbAck,
-            Input::Dnv(DnvMsg::WbNack { .. }) => Event::WbNack,
-            Input::Gcs(GcsMsg::Classified { .. }) => Event::Classified,
-            Input::Gcs(GcsMsg::SyncResp { .. }) => Event::SyncResp,
-            Input::Gcs(GcsMsg::SyncNotify { .. }) if is(self.sync.remote_watch) => {
+            Input::Msg(DnvMsg::Xfer { .. }) => Event::Xfer,
+            Input::Msg(DnvMsg::ReadResp { .. }) => Event::ReadResp,
+            Input::Msg(DnvMsg::RegAck { .. }) => Event::RegAck,
+            Input::Msg(DnvMsg::WbAck { .. }) => Event::WbAck,
+            Input::Msg(DnvMsg::WbNack { .. }) => Event::WbNack,
+            Input::Msg(DnvMsg::Classified { .. }) => Event::Classified,
+            Input::Msg(DnvMsg::SyncResp { .. }) => Event::SyncResp,
+            Input::Msg(DnvMsg::SyncNotify { .. }) if is(self.sync.remote_watch) => {
                 Event::SyncNotify
             }
-            Input::Gcs(GcsMsg::Recall { .. }) => Event::Recall,
+            Input::Msg(DnvMsg::Recall { .. }) => Event::Recall,
             Input::Watch { .. } => Event::SyncWatch,
-            Input::Dnv(_) | Input::Gcs(_) => return (state, None, found),
+            Input::Msg(_) => return (state, None, found),
         };
         (state, Some(event), found)
     }
@@ -794,12 +780,14 @@ impl DnvL1 {
     ) -> bool {
         let (req, from, banks) = (self.id, self.id, self.banks);
         let home = || Endpoint::Bank(home_bank(word.line(), banks));
-        let mut send = |to, msg| actions.push(Action::Send { to, msg });
+        let mut send = |to, msg| {
+            let msg = Msg::Dnv(msg);
+            actions.push(Action::Send { to, msg });
+        };
         match (act, input) {
             // Core requests.
-            (Act::Hit, &Input::Core { kind, .. }) => {
+            (Act::Hit, &Input::Core { .. }) => {
                 let value = Some(self.word_mut(word).expect("resident").value);
-                self.note(kind, true);
                 step.0 = IssueResult::Hit { value };
             }
             (Act::Write | Act::Claim, &Input::Core { kind, .. }) => {
@@ -817,7 +805,6 @@ impl DnvL1 {
                     // transient state.
                     self.emit_transition(word, was, "R", "store");
                 } else {
-                    self.note(kind, true);
                     step.0 = IssueResult::StoreAccepted { completed: true };
                 }
             }
@@ -834,13 +821,11 @@ impl DnvL1 {
                     Some(_) => self.backoff.on_sync_hit(),
                     None => self.backoff.on_release(),
                 }
-                self.note(kind, true);
                 step.0 = IssueResult::Hit { value: result };
             }
             (Act::Retry, _) => step.0 = IssueResult::Blocked,
             (Act::Allocate, _) => return self.ensure_line(word.line(), actions),
             (Act::Request, &Input::Core { kind, .. }) => {
-                self.note(kind, false);
                 let pend = PendKind::of(kind);
                 self.mshr
                     .try_insert(word, Pend::new(pend))
@@ -850,7 +835,7 @@ impl DnvL1 {
                     PendKind::Read => DnvMsg::ReadReq { word, req },
                     _ => DnvMsg::RegReq { word, req, class },
                 };
-                send(home(), Msg::Dnv(msg));
+                send(home(), msg);
                 step.0 = match pend {
                     PendKind::Write => IssueResult::StoreAccepted { completed: false },
                     _ => IssueResult::Miss,
@@ -864,7 +849,7 @@ impl DnvL1 {
                 }
             }
             // Forwarded reads and transfers.
-            (Act::ServeRead, &Input::Dnv(DnvMsg::ReadReq { req, .. })) => {
+            (Act::ServeRead, &Input::Msg(DnvMsg::ReadReq { req, .. })) => {
                 // DeNovo transfers data at line granularity: piggy-back the
                 // line's other words registered here (they are equally
                 // current), cutting the forwarded-read count for data that
@@ -878,17 +863,14 @@ impl DnvL1 {
                     }
                 }
                 let (value, fill) = (line.words[idx].value, (mask != 0).then_some((mask, data)));
-                send(
-                    Endpoint::L1(req),
-                    Msg::Dnv(DnvMsg::ReadResp { word, value, fill }),
-                );
+                send(Endpoint::L1(req), DnvMsg::ReadResp { word, value, fill });
             }
-            (Act::ParkRead, &Input::Dnv(DnvMsg::ReadReq { req, .. })) => {
+            (Act::ParkRead, &Input::Msg(DnvMsg::ReadReq { req, .. })) => {
                 self.pend_mut(word).parked_reads.push(req);
             }
             (Act::Park, _) => {
                 self.pend_mut(word).parked = Some(match *input {
-                    Input::Dnv(DnvMsg::Xfer {
+                    Input::Msg(DnvMsg::Xfer {
                         new_owner, class, ..
                     }) => Successor::Xfer(new_owner, class),
                     _ => Successor::Recall,
@@ -897,7 +879,7 @@ impl DnvL1 {
             (Act::Invalidate | Act::Demote, _) => {
                 let (to, cause) = match (act, input) {
                     (Act::Demote, _) => (WState::Valid, "Xfer"),
-                    (_, Input::Gcs(_)) => (WState::Invalid, "Recall"),
+                    (_, Input::Msg(DnvMsg::Recall { .. })) => (WState::Invalid, "Recall"),
                     _ => (WState::Invalid, "Xfer"),
                 };
                 if act == Act::Demote {
@@ -911,18 +893,18 @@ impl DnvL1 {
             }
             (
                 Act::PassOn,
-                &Input::Dnv(DnvMsg::Xfer {
+                &Input::Msg(DnvMsg::Xfer {
                     new_owner, class, ..
                 }),
             ) => {
                 let value = found.word.value;
                 send(
                     Endpoint::L1(new_owner),
-                    Msg::Dnv(DnvMsg::RegAck { word, value, class }),
+                    DnvMsg::RegAck { word, value, class },
                 );
             }
             // Responses.
-            (Act::Fill, &Input::Dnv(DnvMsg::ReadResp { value, fill, .. })) => {
+            (Act::Fill, &Input::Msg(DnvMsg::ReadResp { value, fill, .. })) => {
                 self.mshr.remove(&word);
                 let cached = self.ensure_line(word.line(), actions);
                 if cached {
@@ -942,7 +924,7 @@ impl DnvL1 {
                 actions.push(Action::CoreDone { value: Some(value) });
                 return cached;
             }
-            (Act::Complete, &Input::Dnv(DnvMsg::RegAck { value, .. })) => {
+            (Act::Complete, &Input::Msg(DnvMsg::RegAck { value, .. })) => {
                 return self.complete(word, value, step, actions);
             }
             (Act::Retire, _) => {
@@ -965,7 +947,7 @@ impl DnvL1 {
                     (Some(Successor::Xfer(c, class)), _) => (c, class),
                     (
                         _,
-                        &Input::Dnv(DnvMsg::Xfer {
+                        &Input::Msg(DnvMsg::Xfer {
                             new_owner, class, ..
                         }),
                     ) => (new_owner, class),
@@ -980,26 +962,24 @@ impl DnvL1 {
                 });
             }
             // The sync path.
-            (Act::NotifyHit, &Input::Core { kind, .. }) => {
+            (Act::NotifyHit, &Input::Core { .. }) => {
                 let (_, value) = self.sync.notify_buf.take().expect("notified word");
-                self.note(kind, true);
                 step.0 = IssueResult::Hit { value: Some(value) };
             }
             (Act::Issue, &Input::Core { kind, .. }) => {
-                self.note(kind, false);
                 let (op, data_store) = match kind {
                     AccessKind::DataStore { value } => (GcsOpKind::Store { value }, true),
                     _ => (PendKind::of(kind).sync_op().expect("a sync access"), false),
                 };
                 let pend = Pend::new(PendKind::SyncWait { op, data_store });
                 self.mshr.try_insert(word, pend).expect("fresh mshr");
-                send(home(), Msg::Gcs(GcsMsg::SyncOp { word, req, op }));
+                send(home(), DnvMsg::SyncOp { word, req, op });
                 step.0 = match data_store {
                     true => IssueResult::StoreAccepted { completed: false },
                     false => IssueResult::Miss,
                 };
             }
-            (Act::Learn, &Input::Gcs(msg)) => self.learn(word, msg.kind_name()),
+            (Act::Learn, &Input::Msg(msg)) => self.learn(word, msg.kind_name()),
             // The optimistic store set the word Registered locally; the bank
             // owns classified words, so undo and re-execute there.
             (Act::Unwrite, _) => {
@@ -1017,9 +997,9 @@ impl DnvL1 {
                     None => (GcsOpKind::Store { value }, true),
                 };
                 self.pend_mut(word).kind = PendKind::SyncWait { op, data_store };
-                send(home(), Msg::Gcs(GcsMsg::SyncOp { word, req, op }));
+                send(home(), DnvMsg::SyncOp { word, req, op });
             }
-            (Act::SyncDone, &Input::Gcs(GcsMsg::SyncResp { value, .. })) => {
+            (Act::SyncDone, &Input::Msg(DnvMsg::SyncResp { value, .. })) => {
                 let pend = self.mshr.remove(&word).expect("sync op pending");
                 let PendKind::SyncWait { op, data_store } = pend.kind else {
                     unreachable!("a sync response for {:?}", pend.kind)
@@ -1051,13 +1031,13 @@ impl DnvL1 {
             (Act::AnswerRecall, _) => {
                 let registered = found.word.state == WState::Registered;
                 let value = registered.then_some(found.word.value);
-                send(home(), Msg::Gcs(GcsMsg::RecallAck { word, from, value }));
+                send(home(), DnvMsg::RecallAck { word, from, value });
             }
             (Act::Arm, &Input::Watch { seen }) => {
                 self.sync.remote_watch = Some((word, seen));
-                send(home(), Msg::Gcs(GcsMsg::SyncWatch { word, req, seen }));
+                send(home(), DnvMsg::SyncWatch { word, req, seen });
             }
-            (Act::Buffer, &Input::Gcs(GcsMsg::SyncNotify { value, .. })) => {
+            (Act::Buffer, &Input::Msg(DnvMsg::SyncNotify { value, .. })) => {
                 self.sync.remote_watch = None;
                 self.sync.notify_buf = Some((word, value));
                 actions.push(Action::SpinWake);
@@ -1127,7 +1107,7 @@ impl DnvL1 {
                 let (from, value) = (self.id, Some(value));
                 (
                     self.home(word),
-                    Msg::Gcs(GcsMsg::RecallAck { word, from, value }),
+                    Msg::Dnv(DnvMsg::RecallAck { word, from, value }),
                 )
             }
         };
@@ -1246,15 +1226,11 @@ impl DnvL1 {
             InsertOutcome::NoVictim(_) => false,
         }
     }
-
-    fn note(&mut self, kind: AccessKind, hit: bool) {
-        count_access(&mut self.stats, kind, hit);
-    }
 }
 
 /// Canonical hash for model checking: every field that influences future
-/// protocol behaviour. `stats` (counters) and `layout` (immutable, shared)
-/// are excluded; `table` is fixed per run.
+/// protocol behaviour. `layout` (immutable, shared) is excluded; `table` is
+/// fixed per run.
 impl std::hash::Hash for DnvL1 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.id.hash(state);
@@ -1815,12 +1791,12 @@ pub(crate) mod tests {
             &mut acts,
         );
         acts.clear();
-        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
+        l1.on_msg(DnvMsg::Classified { word: word(0x100) }, &mut acts);
         assert!(l1.sync.predictor.contains(word(0x100)));
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::SyncOp {
+                msg: Msg::Dnv(DnvMsg::SyncOp {
                     op: GcsOpKind::Rmw(RmwOp::Fai { delta: 1 }),
                     ..
                 }),
@@ -1829,8 +1805,8 @@ pub(crate) mod tests {
         )));
         acts.clear();
         // The bank executed the RMW on old value 10: core sees 10.
-        l1.on_gcs(
-            GcsMsg::SyncResp {
+        l1.on_msg(
+            DnvMsg::SyncResp {
                 word: word(0x100),
                 value: 10,
             },
@@ -1846,9 +1822,9 @@ pub(crate) mod tests {
         let mut acts = Vec::new();
         l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         acts.clear();
-        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
-        l1.on_gcs(
-            GcsMsg::SyncResp {
+        l1.on_msg(DnvMsg::Classified { word: word(0x100) }, &mut acts);
+        l1.on_msg(
+            DnvMsg::SyncResp {
                 word: word(0x100),
                 value: 1,
             },
@@ -1867,7 +1843,7 @@ pub(crate) mod tests {
         assert!(matches!(
             acts[0],
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::SyncOp {
+                msg: Msg::Dnv(DnvMsg::SyncOp {
                     op: GcsOpKind::Store { value: 9 },
                     ..
                 }),
@@ -1890,12 +1866,12 @@ pub(crate) mod tests {
         );
         assert_eq!(l1.word_state(word(0x100)), WState::Registered);
         acts.clear();
-        l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
+        l1.on_msg(DnvMsg::Classified { word: word(0x100) }, &mut acts);
         assert_eq!(l1.word_state(word(0x100)), WState::Invalid);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::SyncOp {
+                msg: Msg::Dnv(DnvMsg::SyncOp {
                     op: GcsOpKind::Store { value: 5 },
                     ..
                 }),
@@ -1903,8 +1879,8 @@ pub(crate) mod tests {
             }
         )));
         acts.clear();
-        l1.on_gcs(
-            GcsMsg::SyncResp {
+        l1.on_msg(
+            DnvMsg::SyncResp {
                 word: word(0x100),
                 value: 5,
             },
@@ -1928,12 +1904,12 @@ pub(crate) mod tests {
         );
         assert!(l1.watch(word(0x100), 0, &mut acts));
         acts.clear();
-        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        l1.on_msg(DnvMsg::Recall { word: word(0x100) }, &mut acts);
         assert!(acts.contains(&Action::SpinWake));
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::RecallAck { value: Some(3), .. }),
+                msg: Msg::Dnv(DnvMsg::RecallAck { value: Some(3), .. }),
                 ..
             }
         )));
@@ -1951,7 +1927,7 @@ pub(crate) mod tests {
             &mut acts,
         );
         acts.clear();
-        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        l1.on_msg(DnvMsg::Recall { word: word(0x100) }, &mut acts);
         assert!(acts.is_empty(), "recall must park: {acts:?}");
         assert!(l1.has_parked(word(0x100)));
         l1.on_msg(
@@ -1967,7 +1943,7 @@ pub(crate) mod tests {
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::RecallAck {
+                msg: Msg::Dnv(DnvMsg::RecallAck {
                     value: Some(11),
                     ..
                 }),
@@ -1984,19 +1960,19 @@ pub(crate) mod tests {
         let mut acts = Vec::new();
         // A recall that finds the word Invalid teaches the L1 it is
         // classified, so a failed spin on it watches remotely.
-        l1.on_gcs(GcsMsg::Recall { word: word(0x100) }, &mut acts);
+        l1.on_msg(DnvMsg::Recall { word: word(0x100) }, &mut acts);
         acts.clear();
         assert!(l1.watch(word(0x100), 0, &mut acts));
         assert!(matches!(
             acts[0],
             Action::Send {
-                msg: Msg::Gcs(GcsMsg::SyncWatch { seen: 0, .. }),
+                msg: Msg::Dnv(DnvMsg::SyncWatch { seen: 0, .. }),
                 ..
             }
         ));
         acts.clear();
-        l1.on_gcs(
-            GcsMsg::SyncNotify {
+        l1.on_msg(
+            DnvMsg::SyncNotify {
                 word: word(0x100),
                 value: 42,
             },
@@ -2045,9 +2021,21 @@ pub(crate) mod tests {
         acts.clear();
         // The recall crosses our in-flight WbReq: the bank will accept the
         // writeback as the recall return, so the L1 stays silent.
-        l1.on_gcs(GcsMsg::Recall { word: word(0x200) }, &mut acts);
+        l1.on_msg(DnvMsg::Recall { word: word(0x200) }, &mut acts);
         assert!(acts.is_empty(), "{acts:?}");
         l1.on_msg(DnvMsg::WbAck { word: word(0x200) }, &mut acts);
         assert_eq!(l1.peek_registered(word(0x200)), None);
+    }
+
+    /// A bank-bound message is the L1's one unexpected event: a single
+    /// violation naming the L1, the word, its state and the message.
+    #[test]
+    fn a_bank_bound_message_is_a_violation() {
+        let mut l1 = gcs_l1();
+        let mut acts = Vec::new();
+        let (word, op) = (word(0x100), GcsOpKind::Load);
+        l1.on_msg(DnvMsg::SyncOp { word, req: 1, op }, &mut acts);
+        let detail = "DeNovo L1 0: unexpected Msg(SyncOp { word: WordAddr(32), req: 1, op: Load }) for w0x100 in I";
+        assert_eq!(acts, [Action::violation(detail)]);
     }
 }

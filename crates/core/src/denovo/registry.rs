@@ -17,20 +17,20 @@
 //! `SyncOp`/`SyncWatch` arrives), the bank *classifies* the word as a sync
 //! variable, permanently. Classified words always live at the bank
 //! (`Valid`) and refuse registrations; sync operations execute here
-//! atomically ([`GcsMsg::SyncOp`]), spinners park in a per-word waiter set
-//! ([`GcsMsg::SyncWatch`]), and every value change pushes targeted
-//! [`GcsMsg::SyncNotify`] wakeups — no writer-initiated invalidations, no
+//! atomically ([`DnvMsg::SyncOp`]), spinners park in a per-word waiter set
+//! ([`DnvMsg::SyncWatch`]), and every value change pushes targeted
+//! [`DnvMsg::SyncNotify`] wakeups — no writer-initiated invalidations, no
 //! broadcast. Unclassified words take the base rows.
 //!
 //! Classifying a currently-registered word runs a recall handshake: the
-//! bank sends [`GcsMsg::Recall`], parks everything that arrives for the
-//! word, and settles when the value comes back (via [`GcsMsg::RecallAck`]
+//! bank sends [`DnvMsg::Recall`], parks everything that arrives for the
+//! word, and settles when the value comes back (via [`DnvMsg::RecallAck`]
 //! or a crossing writeback, whichever wins the race). The seeded registry
 //! mutations are tables too, each replacing the cells it breaks.
 
 use crate::config::{Protocol, ProtocolMutation};
 use crate::coreset::CoreSet;
-use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, LineData, Msg, XferClass};
+use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
 use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
@@ -261,25 +261,6 @@ pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
     Spec::markdown(&SPECS, "DeNovo registry", protocol, out);
 }
 
-/// What fired a row: a message, or memory returning a line's data.
-#[derive(Debug, Clone, Copy)]
-enum Input {
-    Msg(Msg),
-    Mem(LineAddr, LineData),
-}
-
-impl Input {
-    /// The word the input is about (memory data: its line's first word).
-    fn word(&self) -> WordAddr {
-        match self {
-            Input::Msg(Msg::Dnv(m)) => m.word(),
-            Input::Msg(Msg::Gcs(m)) => m.word(),
-            Input::Msg(m) => m.line().word(0),
-            Input::Mem(line, _) => line.word(0),
-        }
-    }
-}
-
 /// One L2 bank's slice of the registry: its word lines, its protocol's
 /// table, and the rest of the bank its rows act through.
 #[derive(Debug, Clone)]
@@ -478,19 +459,11 @@ impl DnvRegistry {
         Some(s)
     }
 
-    /// Handles one incoming data-path message.
-    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        self.fire(Input::Msg(Msg::Dnv(msg)), actions);
-    }
-
-    /// Handles one incoming sync-path message.
-    pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
-        self.fire(Input::Msg(Msg::Gcs(msg)), actions);
-    }
-
-    /// Memory returned a line this bank was fetching.
-    pub fn on_mem_data(&mut self, line: LineAddr, data: LineData, actions: &mut Vec<Action>) {
-        self.fire(Input::Mem(line, data), actions);
+    /// Handles one incoming message: a request or answer from an L1, data
+    /// path or sync path alike, or memory returning a line this bank was
+    /// fetching.
+    pub fn on_msg(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+        self.fire(msg, actions);
     }
 
     /// Overwrites a word's registry state behind the protocol's back, so
@@ -501,31 +474,36 @@ impl DnvRegistry {
         line.words[word.index_in_line()] = state;
     }
 
-    /// Classifies `input` and runs its row, then dispatches what the row
+    /// Classifies `msg` and runs its row, then dispatches what the row
     /// released — a fetched line's queue, a settled recall's parked
-    /// messages, or the input itself once it classified its word. A cell
+    /// messages, or the message itself once it classified its word. A cell
     /// with no row is the one unexpected-event path: a violation naming the
     /// word, state and event. The word's line is looked up once (every
-    /// input tracks its line) and handed to each step.
-    fn fire(&mut self, input: Input, actions: &mut Vec<Action>) {
-        let (word, port) = (input.word(), &mut self.port);
+    /// message tracks its line; memory data is about its first word) and
+    /// handed to each step.
+    fn fire(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+        let word = match msg {
+            Msg::Dnv(m) => m.word(),
+            m => m.line().word(0),
+        };
+        let port = &mut self.port;
         let entry = self.lines.or_insert_with(word.line().raw(), RegLine::new);
         let state = word_state(entry, port.sync.get(&word), word);
-        let event = classify(entry, state, word, &input);
+        let event = classify(entry, state, word, &msg);
         let slot = entry.words[word.index_in_line()];
         let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
             let who = format_args!("registry bank {}", port.bank);
-            return actions.push(crate::table::unexpected(who, word, state, event, input));
+            return actions.push(crate::table::unexpected(who, word, state, event, msg));
         };
         for &act in row.acts {
-            port.act(act, entry, word, slot, &input, actions);
+            port.act(act, entry, word, slot, &msg, actions);
         }
         if let Some(to) = row.to {
             let now = || word_state(entry, port.sync.get(&word), word);
             debug_assert_eq!(now(), to, "registry row {}", row.id);
         }
         for msg in std::mem::take(&mut port.then) {
-            self.fire(Input::Msg(msg), actions);
+            self.fire(msg, actions);
         }
     }
 }
@@ -549,45 +527,41 @@ fn word_state(entry: &RegLine, sync: Option<&SyncEntry>, word: WordAddr) -> Stat
     }
 }
 
-/// The event `input` is on `word`, in `state`. `None`: a message no bank
+/// The event `msg` is on `word`, in `state`. `None`: a message no bank
 /// takes, a request from the registrant of an unclassified word
 /// (mid-recall, the registrant's next request may overtake its answer), or
 /// a recall answer carrying a value from any other core.
-fn classify(entry: &RegLine, state: State, word: WordAddr, input: &Input) -> Option<Event> {
+fn classify(entry: &RegLine, state: State, word: WordAddr, msg: &Msg) -> Option<Event> {
     let slot = entry.words[word.index_in_line()];
     let registrant = |c| slot == RegWord::Registered(c);
     let own = |c| state == State::Registered && registrant(c);
-    let Input::Msg(msg) = *input else {
-        return Some(Event::MemData);
+    let Msg::Dnv(msg) = *msg else {
+        return matches!(msg, Msg::MemData { .. }).then_some(Event::MemData);
     };
     Some(match msg {
-        Msg::Dnv(DnvMsg::ReadReq { req, .. } | DnvMsg::RegReq { req, .. }) if own(req) => {
-            return None
-        }
-        Msg::Dnv(DnvMsg::ReadReq { .. }) => Event::Read,
-        Msg::Dnv(DnvMsg::RegReq {
+        DnvMsg::ReadReq { req, .. } | DnvMsg::RegReq { req, .. } if own(req) => return None,
+        DnvMsg::ReadReq { .. } => Event::Read,
+        DnvMsg::RegReq {
             class: XferClass::Write,
             ..
-        }) => Event::Reg,
-        Msg::Dnv(DnvMsg::RegReq { .. }) => Event::SyncReg,
-        Msg::Dnv(DnvMsg::WbReq { from, .. }) if registrant(from) => Event::Wb,
-        Msg::Dnv(DnvMsg::WbReq { .. }) => Event::StaleWb,
-        Msg::Gcs(GcsMsg::SyncOp { req, .. } | GcsMsg::SyncWatch { req, .. }) if own(req) => {
-            return None
-        }
-        Msg::Gcs(GcsMsg::SyncOp {
+        } => Event::Reg,
+        DnvMsg::RegReq { .. } => Event::SyncReg,
+        DnvMsg::WbReq { from, .. } if registrant(from) => Event::Wb,
+        DnvMsg::WbReq { .. } => Event::StaleWb,
+        DnvMsg::SyncOp { req, .. } | DnvMsg::SyncWatch { req, .. } if own(req) => return None,
+        DnvMsg::SyncOp {
             op: GcsOpKind::Rmw(_),
             ..
-        }) => Event::SyncRmw,
-        Msg::Gcs(GcsMsg::SyncOp { .. }) => Event::SyncOp,
-        Msg::Gcs(GcsMsg::SyncWatch { seen, .. })
+        } => Event::SyncRmw,
+        DnvMsg::SyncOp { .. } => Event::SyncOp,
+        DnvMsg::SyncWatch { seen, .. }
             if state == State::Classified && slot != RegWord::Valid(seen) =>
         {
             Event::StaleWatch
         }
-        Msg::Gcs(GcsMsg::SyncWatch { .. }) => Event::SyncWatch,
-        Msg::Gcs(GcsMsg::RecallAck { value: None, .. }) => Event::StaleRecallAck,
-        Msg::Gcs(GcsMsg::RecallAck { from, .. }) if registrant(from) => Event::RecallAck,
+        DnvMsg::SyncWatch { .. } => Event::SyncWatch,
+        DnvMsg::RecallAck { value: None, .. } => Event::StaleRecallAck,
+        DnvMsg::RecallAck { from, .. } if registrant(from) => Event::RecallAck,
         _ => return None,
     })
 }
@@ -601,7 +575,7 @@ impl Port {
         entry: &mut RegLine,
         word: WordAddr,
         slot: RegWord,
-        input: &Input,
+        msg: &Msg,
         actions: &mut Vec<Action>,
     ) {
         let idx = word.index_in_line();
@@ -609,22 +583,8 @@ impl Port {
             RegWord::Valid(v) => (Some(v), None),
             RegWord::Registered(c) => (None, Some(c)),
         };
-        let msg = match input {
-            Input::Msg(msg) => msg,
-            // Memory data fires the fill alone. The registry is
-            // non-blocking: everything queued behind the fetch dispatches.
-            &Input::Mem(_, data) => {
-                debug_assert_eq!(act, Act::Fill);
-                for (w, &value) in entry.words.iter_mut().zip(&data) {
-                    *w = RegWord::Valid(value);
-                }
-                entry.has_data = true;
-                entry.fetching = false;
-                return self.then.extend(entry.queue.drain(..));
-            }
-        };
         let mut send = |to: CoreId, msg| {
-            let to = Endpoint::L1(to);
+            let (to, msg) = (Endpoint::L1(to), Msg::Dnv(msg));
             actions.push(Action::Send { to, msg })
         };
         match (act, msg) {
@@ -636,6 +596,16 @@ impl Port {
                 actions.push(Action::Send { to: self.mem, msg });
             }
             (Act::Queue, _) => entry.queue.push_back(*msg),
+            // Memory data fills the line. The registry is non-blocking:
+            // everything queued behind the fetch dispatches.
+            (Act::Fill, &Msg::MemData { data, .. }) => {
+                for (w, &value) in entry.words.iter_mut().zip(&data) {
+                    *w = RegWord::Valid(value);
+                }
+                entry.has_data = true;
+                entry.fetching = false;
+                self.then.extend(entry.queue.drain(..));
+            }
             // Only valid parts travel — DeNovo's traffic advantage.
             (Act::ServeRead, &Msg::Dnv(DnvMsg::ReadReq { req, .. })) => {
                 let value = held.expect("a bank-held word");
@@ -647,20 +617,17 @@ impl Port {
                     }
                 }
                 let fill = Some((mask, data));
-                send(req, Msg::Dnv(DnvMsg::ReadResp { word, value, fill }));
+                send(req, DnvMsg::ReadResp { word, value, fill });
             }
             (Act::ForwardRead, &Msg::Dnv(DnvMsg::ReadReq { req, .. })) => {
-                send(
-                    owner.expect("a registrant"),
-                    Msg::Dnv(DnvMsg::ReadReq { word, req }),
-                );
+                send(owner.expect("a registrant"), DnvMsg::ReadReq { word, req });
             }
             (Act::Point, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
                 entry.words[idx] = RegWord::Registered(req);
             }
             (Act::Grant, &Msg::Dnv(DnvMsg::RegReq { req, class, .. })) => {
                 let value = held.expect("a bank-held word");
-                send(req, Msg::Dnv(DnvMsg::RegAck { word, value, class }));
+                send(req, DnvMsg::RegAck { word, value, class });
             }
             (Act::SendXfer, &Msg::Dnv(DnvMsg::RegReq { req, class, .. })) => {
                 let new_owner = req;
@@ -669,7 +636,7 @@ impl Port {
                     new_owner,
                     class,
                 };
-                send(owner.expect("a registrant"), Msg::Dnv(xfer));
+                send(owner.expect("a registrant"), xfer);
             }
             // The registry pointer for `word` moved to `req` (from the
             // previous registrant, or `u32::MAX` when the bank held it).
@@ -683,10 +650,10 @@ impl Port {
             // on its way to the writer.
             (Act::AcceptWb, &Msg::Dnv(DnvMsg::WbReq { value, from, .. })) => {
                 entry.words[idx] = RegWord::Valid(value);
-                send(from, Msg::Dnv(DnvMsg::WbAck { word }));
+                send(from, DnvMsg::WbAck { word });
             }
             (Act::Nack, &Msg::Dnv(DnvMsg::WbReq { from, .. })) => {
-                send(from, Msg::Dnv(DnvMsg::WbNack { word }));
+                send(from, DnvMsg::WbNack { word });
             }
             // The sync path.
             (Act::Classify, _) => self.mark_classified(word, false),
@@ -694,16 +661,13 @@ impl Port {
             (Act::Recall, _) => {
                 self.mark_classified(word, true);
                 self.recalls += 1;
-                send(
-                    owner.expect("a registrant"),
-                    Msg::Gcs(GcsMsg::Recall { word }),
-                );
+                send(owner.expect("a registrant"), DnvMsg::Recall { word });
             }
             (Act::Park, _) => self.entry(word).pending.push_back(*msg),
             (Act::Reject, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
-                send(req, Msg::Gcs(GcsMsg::Classified { word }));
+                send(req, DnvMsg::Classified { word });
             }
-            (Act::TakeRecall, &Msg::Gcs(GcsMsg::RecallAck { value, .. })) => {
+            (Act::TakeRecall, &Msg::Dnv(DnvMsg::RecallAck { value, .. })) => {
                 entry.words[idx] = RegWord::Valid(value.expect("a recalled value"));
             }
             (Act::Settle, _) => {
@@ -714,7 +678,7 @@ impl Port {
             }
             // Executes a sync operation atomically at the bank on the
             // word's current value.
-            (Act::Apply, &Msg::Gcs(GcsMsg::SyncOp { op, .. })) => {
+            (Act::Apply, &Msg::Dnv(DnvMsg::SyncOp { op, .. })) => {
                 let old = held.expect("a settled word");
                 let stored = match op {
                     GcsOpKind::Load => old,
@@ -724,17 +688,17 @@ impl Port {
                 entry.words[idx] = RegWord::Valid(stored);
                 self.changed = (stored != old).then_some(stored);
             }
-            (Act::Respond, &Msg::Gcs(GcsMsg::SyncOp { req, op, .. })) => {
+            (Act::Respond, &Msg::Dnv(DnvMsg::SyncOp { req, op, .. })) => {
                 let value = match op {
                     GcsOpKind::Store { value } => value,
                     GcsOpKind::Load | GcsOpKind::Rmw(_) => held.expect("a settled word"),
                 };
-                send(req, Msg::Gcs(GcsMsg::SyncResp { word, value }));
+                send(req, DnvMsg::SyncResp { word, value });
             }
             // Pushes the new value to every parked waiter. The waiter set
             // always clears — a half-cleared set would desynchronize the
             // directory even when the wakeups are forgotten.
-            (Act::Wake | Act::Forget, &Msg::Gcs(GcsMsg::SyncOp { req, .. })) => {
+            (Act::Wake | Act::Forget, &Msg::Dnv(DnvMsg::SyncOp { req, .. })) => {
                 let Some(value) = self.changed else {
                     return;
                 };
@@ -745,7 +709,7 @@ impl Port {
                 if act == Act::Wake {
                     for c in waiters.iter() {
                         self.notifies += 1;
-                        send(c, Msg::Gcs(GcsMsg::SyncNotify { word, value }));
+                        send(c, DnvMsg::SyncNotify { word, value });
                     }
                 }
                 let (writer, waiters) = (req as u32, waiters.len() as u32);
@@ -753,15 +717,15 @@ impl Port {
             }
             // A level-triggered watch: parked on the value the spinner saw,
             // notified at once if the word has already moved past it.
-            (Act::Wait, &Msg::Gcs(GcsMsg::SyncWatch { req, .. })) => {
+            (Act::Wait, &Msg::Dnv(DnvMsg::SyncWatch { req, .. })) => {
                 self.entry(word).waiters.insert(req);
             }
-            (Act::Notify, &Msg::Gcs(GcsMsg::SyncWatch { req, .. })) => {
+            (Act::Notify, &Msg::Dnv(DnvMsg::SyncWatch { req, .. })) => {
                 self.notifies += 1;
                 let value = held.expect("a settled word");
-                send(req, Msg::Gcs(GcsMsg::SyncNotify { word, value }));
+                send(req, DnvMsg::SyncNotify { word, value });
             }
-            _ => unreachable!("registry step {act:?} fired by {input:?}"),
+            _ => unreachable!("registry step {act:?} fired by {msg:?}"),
         }
     }
 
@@ -804,7 +768,7 @@ impl std::hash::Hash for DnvRegistry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::msg::XferClass;
+    use crate::msg::{LineData, XferClass};
 
     pub(crate) fn view() -> crate::table::tests::View {
         let specs = SPECS
@@ -833,6 +797,12 @@ pub(crate) mod tests {
         WordAddr::new(64 + i)
     }
 
+    /// Memory's answer to a bank's fetch of `line`.
+    pub(crate) fn mem_data(line: LineAddr, data: LineData) -> Msg {
+        let class = dvs_stats::TrafficClass::Load;
+        Msg::MemData { line, data, class }
+    }
+
     /// A cold bank running `protocol`'s table, armed with `mutation`.
     fn bank(protocol: Protocol, mutation: Option<ProtocolMutation>) -> DnvRegistry {
         DnvRegistry::new(0, Endpoint::Mem(0), protocol, mutation)
@@ -842,10 +812,10 @@ pub(crate) mod tests {
         let mut r = bank(Protocol::DeNovoSync0, None);
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::ReadReq {
+            Msg::Dnv(DnvMsg::ReadReq {
                 word: word(0),
                 req: 9,
-            },
+            }),
             &mut acts,
         );
         assert!(matches!(
@@ -859,7 +829,7 @@ pub(crate) mod tests {
         let mut data = [0u64; 8];
         data[0] = 100;
         data[1] = 101;
-        r.on_mem_data(word(0).line(), data, &mut acts);
+        r.on_msg(mem_data(word(0).line(), data), &mut acts);
         // The queued read is now served with a fill of the other words.
         assert!(acts.iter().any(|a| matches!(
             a,
@@ -880,18 +850,18 @@ pub(crate) mod tests {
         let mut r = bank(Protocol::DeNovoSync0, None);
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::ReadReq {
+            Msg::Dnv(DnvMsg::ReadReq {
                 word: word(0),
                 req: 1,
-            },
+            }),
             &mut acts,
         );
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(1),
                 req: 2,
                 class: XferClass::SyncRead,
-            },
+            }),
             &mut acts,
         );
         // Only one memory fetch despite two queued requests.
@@ -909,7 +879,7 @@ pub(crate) mod tests {
             .count();
         assert_eq!(fetches, 1);
         acts.clear();
-        r.on_mem_data(word(0).line(), [7; 8], &mut acts);
+        r.on_msg(mem_data(word(0).line(), [7; 8]), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -932,11 +902,11 @@ pub(crate) mod tests {
         let mut r = warmed();
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(1),
                 req: 3,
                 class: XferClass::Write,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -961,11 +931,11 @@ pub(crate) mod tests {
         let mut acts = Vec::new();
         for core in [4usize, 5, 6] {
             r.on_msg(
-                DnvMsg::RegReq {
+                Msg::Dnv(DnvMsg::RegReq {
                     word: word(2),
                     req: core,
                     class: XferClass::SyncRead,
-                },
+                }),
                 &mut acts,
             );
         }
@@ -992,19 +962,19 @@ pub(crate) mod tests {
         let mut r = warmed();
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(3),
                 req: 2,
                 class: XferClass::Write,
-            },
+            }),
             &mut acts,
         );
         acts.clear();
         r.on_msg(
-            DnvMsg::ReadReq {
+            Msg::Dnv(DnvMsg::ReadReq {
                 word: word(3),
                 req: 7,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1023,21 +993,21 @@ pub(crate) mod tests {
         let mut r = warmed();
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(4),
                 req: 2,
                 class: XferClass::Write,
-            },
+            }),
             &mut acts,
         );
         acts.clear();
         // Owner writes back: accepted, value stored.
         r.on_msg(
-            DnvMsg::WbReq {
+            Msg::Dnv(DnvMsg::WbReq {
                 word: word(4),
                 value: 77,
                 from: 2,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1051,19 +1021,19 @@ pub(crate) mod tests {
         // Now 3 registers; a stale writeback from 2 is nacked.
         acts.clear();
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(4),
                 req: 3,
                 class: XferClass::SyncWrite,
-            },
+            }),
             &mut acts,
         );
         r.on_msg(
-            DnvMsg::WbReq {
+            Msg::Dnv(DnvMsg::WbReq {
                 word: word(4),
                 value: 1,
                 from: 2,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1082,19 +1052,19 @@ pub(crate) mod tests {
         assert_eq!(r.registrations().count(), 0);
         let mut acts = Vec::new();
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(1),
                 req: 1,
                 class: XferClass::Write,
-            },
+            }),
             &mut acts,
         );
         r.on_msg(
-            DnvMsg::RegReq {
+            Msg::Dnv(DnvMsg::RegReq {
                 word: word(2),
                 req: 1,
                 class: XferClass::Write,
-            },
+            }),
             &mut acts,
         );
         assert_eq!(r.registrations().count(), 2);
@@ -1103,6 +1073,7 @@ pub(crate) mod tests {
     /// The sync-path directory (GCS).
     mod sync_path {
         use super::super::*;
+        use super::mem_data;
         use dvs_mem::RmwOp;
 
         fn word(i: u64) -> WordAddr {
@@ -1118,27 +1089,27 @@ pub(crate) mod tests {
             let mut b = super::bank(Protocol::Gcs, mutation);
             let mut acts = Vec::new();
             b.on_msg(
-                DnvMsg::ReadReq {
+                Msg::Dnv(DnvMsg::ReadReq {
                     word: word(0),
                     req: 9,
-                },
+                }),
                 &mut acts,
             );
             let mut data = [0u64; 8];
             data[0] = 100;
             data[1] = 101;
-            b.on_mem_data(word(0).line(), data, &mut acts);
+            b.on_msg(mem_data(word(0).line(), data), &mut acts);
             b
         }
 
         fn reg(b: &mut DnvRegistry, w: WordAddr, core: CoreId, class: XferClass) {
             let mut acts = Vec::new();
             b.on_msg(
-                DnvMsg::RegReq {
+                Msg::Dnv(DnvMsg::RegReq {
                     word: w,
                     req: core,
                     class,
-                },
+                }),
                 &mut acts,
             );
             assert_eq!(b.word(w), Some(RegWord::Registered(core)));
@@ -1151,40 +1122,40 @@ pub(crate) mod tests {
             let mut acts = Vec::new();
             // Core 4's sync read contends: the word becomes a sync variable.
             b.on_msg(
-                DnvMsg::RegReq {
+                Msg::Dnv(DnvMsg::RegReq {
                     word: word(2),
                     req: 4,
                     class: XferClass::SyncRead,
-                },
+                }),
                 &mut acts,
             );
             assert!(b.classified(word(2)) && b.recalling(word(2)));
             assert_eq!(b.recalls(), 1);
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(1),
-                msg: Msg::Gcs(GcsMsg::Recall { word: word(2) }),
+                msg: Msg::Dnv(DnvMsg::Recall { word: word(2) }),
             }));
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(4),
-                msg: Msg::Gcs(GcsMsg::Classified { word: word(2) }),
+                msg: Msg::Dnv(DnvMsg::Classified { word: word(2) }),
             }));
             acts.clear();
             // A read parks behind the recall.
             b.on_msg(
-                DnvMsg::ReadReq {
+                Msg::Dnv(DnvMsg::ReadReq {
                     word: word(2),
                     req: 6,
-                },
+                }),
                 &mut acts,
             );
             assert!(acts.is_empty());
             // The registrant returns the value; parked traffic drains.
-            b.on_gcs(
-                GcsMsg::RecallAck {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::RecallAck {
                     word: word(2),
                     from: 1,
                     value: Some(55),
-                },
+                }),
                 &mut acts,
             );
             assert!(!b.recalling(word(2)));
@@ -1204,11 +1175,11 @@ pub(crate) mod tests {
             reg(&mut b, word(3), 1, XferClass::Write);
             let mut acts = Vec::new();
             b.on_msg(
-                DnvMsg::RegReq {
+                Msg::Dnv(DnvMsg::RegReq {
                     word: word(3),
                     req: 2,
                     class: XferClass::Write,
-                },
+                }),
                 &mut acts,
             );
             assert!(!b.classified(word(3)));
@@ -1227,18 +1198,18 @@ pub(crate) mod tests {
             let mut b = warmed();
             let mut acts = Vec::new();
             // RMW on a bank-held word classifies on demand and executes.
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 2,
                     op: GcsOpKind::Rmw(RmwOp::Fai { delta: 1 }),
-                },
+                }),
                 &mut acts,
             );
             assert!(b.classified(word(1)));
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(2),
-                msg: Msg::Gcs(GcsMsg::SyncResp {
+                msg: Msg::Dnv(DnvMsg::SyncResp {
                     word: word(1),
                     value: 101,
                 }),
@@ -1246,28 +1217,28 @@ pub(crate) mod tests {
             assert_eq!(b.word(word(1)), Some(RegWord::Valid(102)));
             acts.clear();
             // Core 5 watches the value it just saw: parked, no notify yet.
-            b.on_gcs(
-                GcsMsg::SyncWatch {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncWatch {
                     word: word(1),
                     req: 5,
                     seen: 102,
-                },
+                }),
                 &mut acts,
             );
             assert!(acts.is_empty());
             assert_eq!(b.waiters_of(word(1)), vec![5]);
             // A store changes the value: targeted notify, set cleared.
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 3,
                     op: GcsOpKind::Store { value: 7 },
-                },
+                }),
                 &mut acts,
             );
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(5),
-                msg: Msg::Gcs(GcsMsg::SyncNotify {
+                msg: Msg::Dnv(DnvMsg::SyncNotify {
                     word: word(1),
                     value: 7,
                 }),
@@ -1280,27 +1251,27 @@ pub(crate) mod tests {
         fn stale_watch_notifies_immediately() {
             let mut b = warmed();
             let mut acts = Vec::new();
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 2,
                     op: GcsOpKind::Load,
-                },
+                }),
                 &mut acts,
             );
             acts.clear();
             // The spinner saw 0 but the word is 101: immediate wakeup, no bit.
-            b.on_gcs(
-                GcsMsg::SyncWatch {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncWatch {
                     word: word(1),
                     req: 5,
                     seen: 0,
-                },
+                }),
                 &mut acts,
             );
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(5),
-                msg: Msg::Gcs(GcsMsg::SyncNotify {
+                msg: Msg::Dnv(DnvMsg::SyncNotify {
                     word: word(1),
                     value: 101,
                 }),
@@ -1314,12 +1285,12 @@ pub(crate) mod tests {
             reg(&mut b, word(2), 1, XferClass::Write);
             let mut acts = Vec::new();
             // A sync op from core 3 starts the recall of core 1's registration.
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(2),
                     req: 3,
                     op: GcsOpKind::Load,
-                },
+                }),
                 &mut acts,
             );
             assert!(b.recalling(word(2)));
@@ -1327,11 +1298,11 @@ pub(crate) mod tests {
             // Core 1's eviction writeback crossed the recall in flight: the
             // bank accepts it as the recall return and serves the parked op.
             b.on_msg(
-                DnvMsg::WbReq {
+                Msg::Dnv(DnvMsg::WbReq {
                     word: word(2),
                     value: 88,
                     from: 1,
-                },
+                }),
                 &mut acts,
             );
             assert!(!b.recalling(word(2)));
@@ -1341,7 +1312,7 @@ pub(crate) mod tests {
             }));
             assert!(acts.contains(&Action::Send {
                 to: Endpoint::L1(3),
-                msg: Msg::Gcs(GcsMsg::SyncResp {
+                msg: Msg::Dnv(DnvMsg::SyncResp {
                     word: word(2),
                     value: 88,
                 }),
@@ -1352,28 +1323,28 @@ pub(crate) mod tests {
         fn registration_of_classified_word_is_rejected() {
             let mut b = warmed();
             let mut acts = Vec::new();
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 2,
                     op: GcsOpKind::Load,
-                },
+                }),
                 &mut acts,
             );
             acts.clear();
             b.on_msg(
-                DnvMsg::RegReq {
+                Msg::Dnv(DnvMsg::RegReq {
                     word: word(1),
                     req: 7,
                     class: XferClass::Write,
-                },
+                }),
                 &mut acts,
             );
             assert_eq!(
                 acts,
                 vec![Action::Send {
                     to: Endpoint::L1(7),
-                    msg: Msg::Gcs(GcsMsg::Classified { word: word(1) }),
+                    msg: Msg::Dnv(DnvMsg::Classified { word: word(1) }),
                 }]
             );
             assert_eq!(b.word(word(1)), Some(RegWord::Valid(101)));
@@ -1383,12 +1354,12 @@ pub(crate) mod tests {
         fn skip_update_mutation_loses_the_rmw() {
             let mut b = armed(Some(ProtocolMutation::GcsSkipUpdate));
             let mut acts = Vec::new();
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 2,
                     op: GcsOpKind::Rmw(RmwOp::Fai { delta: 1 }),
-                },
+                }),
                 &mut acts,
             );
             // The old value comes back but the increment is lost.
@@ -1399,41 +1370,53 @@ pub(crate) mod tests {
         fn drop_notify_mutation_strands_waiters() {
             let mut b = armed(Some(ProtocolMutation::GcsDropNotify));
             let mut acts = Vec::new();
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 2,
                     op: GcsOpKind::Load,
-                },
+                }),
                 &mut acts,
             );
-            b.on_gcs(
-                GcsMsg::SyncWatch {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncWatch {
                     word: word(1),
                     req: 5,
                     seen: 101,
-                },
+                }),
                 &mut acts,
             );
             acts.clear();
-            b.on_gcs(
-                GcsMsg::SyncOp {
+            b.on_msg(
+                Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
                     req: 3,
                     op: GcsOpKind::Store { value: 9 },
-                },
+                }),
                 &mut acts,
             );
             // The store completes but the wakeup never leaves the bank.
             assert!(!acts.iter().any(|a| matches!(
                 a,
                 Action::Send {
-                    msg: Msg::Gcs(GcsMsg::SyncNotify { .. }),
+                    msg: Msg::Dnv(DnvMsg::SyncNotify { .. }),
                     ..
                 }
             )));
             assert_eq!(b.notifies(), 0);
             assert!(b.waiters_of(word(1)).is_empty());
+        }
+
+        /// An L1-bound message is the bank's one unexpected event: a single
+        /// violation naming the bank, the word, its state and the message.
+        #[test]
+        fn an_l1_bound_message_is_a_violation() {
+            let mut b = warmed();
+            let mut acts = Vec::new();
+            let (word, value) = (word(0), 5);
+            b.on_msg(Msg::Dnv(DnvMsg::SyncResp { word, value }), &mut acts);
+            let detail = "registry bank 0: unexpected Dnv(SyncResp { word: WordAddr(64), value: 5 }) for w0x200 in Valid";
+            assert_eq!(acts, [Action::violation(detail)]);
         }
     }
 }

@@ -185,13 +185,6 @@ pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
     Spec::markdown(&SPECS, "MESI directory", protocol, out);
 }
 
-/// What fired a row: a message, or memory returning the line's data.
-#[derive(Debug, Clone, Copy)]
-enum Input {
-    Msg(MesiMsg),
-    Mem(LineData),
-}
-
 /// One L2 bank with its slice of the directory.
 #[derive(Debug, Clone)]
 pub struct MesiDir {
@@ -297,16 +290,11 @@ impl MesiDir {
         format!("bank {bank}: {line} {state:?} busy={busy:?} queued={queued} has_data={has_data}")
     }
 
-    /// Handles one incoming message.
-    pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
-        self.fire(msg.line(), Input::Msg(msg), actions);
+    /// Handles one incoming message: a request or answer from an L1, or
+    /// memory returning a line this bank was fetching.
+    pub fn on_msg(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+        self.fire(msg.line(), msg, actions);
         self.drain(msg.line(), actions);
-    }
-
-    /// Memory returned a line this bank was fetching.
-    pub fn on_mem_data(&mut self, line: LineAddr, data: LineData, actions: &mut Vec<Action>) {
-        self.fire(line, Input::Mem(data), actions);
-        self.drain(line, actions);
     }
 
     /// Serves queued requests while the line is idle.
@@ -318,32 +306,32 @@ impl MesiDir {
             let Some(next) = entry.queue.pop_front() else {
                 return;
             };
-            self.fire(line, Input::Msg(next), actions);
+            self.fire(line, Msg::Mesi(next), actions);
         }
     }
 
-    /// Classifies `input` and runs its row. A cell with no row is the one
+    /// Classifies `msg` and runs its row. A cell with no row is the one
     /// unexpected-event path: a violation naming the line, state and event.
-    /// The line's entry is looked up once (every input tracks its line) and
-    /// handed to each step.
-    fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) {
+    /// The line's entry is looked up once (every message tracks its line)
+    /// and handed to each step.
+    fn fire(&mut self, line: LineAddr, msg: Msg, actions: &mut Vec<Action>) {
         let entry = self.lines.or_insert_with(line.raw(), DirLine::default);
-        let (state, event) = classify(entry, input);
+        let (state, event) = classify(entry, msg);
         let Some(row) = event.and_then(|e| SPECS[0].table[state as usize][e as usize]) else {
             let who = format_args!("MESI dir bank {}", self.port.bank);
-            return actions.push(crate::table::unexpected(who, line, state, event, input));
+            return actions.push(crate::table::unexpected(who, line, state, event, msg));
         };
         for &act in row.acts {
-            self.port.act(act, entry, line, input, actions);
+            self.port.act(act, entry, line, msg, actions);
         }
         let to = row.to.unwrap_or(state);
         debug_assert_eq!(State::of(entry), to, "dir row {} on {line}", row.id);
     }
 }
 
-/// The state `input` meets at the line's `entry` and the event it is there
+/// The state `msg` meets at the line's `entry` and the event it is there
 /// (`None`: a message no directory takes).
-fn classify(entry: &DirLine, input: Input) -> (State, Option<Event>) {
+fn classify(entry: &DirLine, msg: Msg) -> (State, Option<Event>) {
     let (state, dir) = (State::of(entry), entry.state);
     let (unblock_due, wb_due) = match entry.busy {
         Some(Busy::Txn {
@@ -353,8 +341,9 @@ fn classify(entry: &DirLine, input: Input) -> (State, Option<Event>) {
         _ => (false, false),
     };
     let owner = |req| dir == DirState::Owned(req);
-    let Input::Msg(msg) = input else {
-        return (state, Some(Event::MemData));
+    let Msg::Mesi(msg) = msg else {
+        let event = matches!(msg, Msg::MemData { .. }).then_some(Event::MemData);
+        return (state, event);
     };
     let event = match msg {
         MesiMsg::GetS { req, .. } | MesiMsg::GetM { req, .. } if owner(req) => Event::OwnerReq,
@@ -384,19 +373,19 @@ impl Port {
         act: Act,
         entry: &mut DirLine,
         line: LineAddr,
-        input: Input,
+        msg: Msg,
         actions: &mut Vec<Action>,
     ) {
-        match (act, input) {
-            (Act::FetchMem, Input::Msg(msg)) => {
+        match (act, msg) {
+            (Act::FetchMem, Msg::Mesi(msg)) => {
                 entry.busy = Some(Busy::MemFetch);
                 entry.queue.push_front(msg);
                 let (bank, to, class) = (self.bank, self.mem, msg.class());
                 let msg = Msg::MemRead { line, bank, class };
                 actions.push(Action::Send { to, msg });
             }
-            (Act::Queue, Input::Msg(msg)) => entry.queue.push_back(msg),
-            (Act::DropSharer, Input::Msg(MesiMsg::PutS { req, .. })) => {
+            (Act::Queue, Msg::Mesi(msg)) => entry.queue.push_back(msg),
+            (Act::DropSharer, Msg::Mesi(MesiMsg::PutS { req, .. })) => {
                 if let DirState::Shared(mut sharers) = entry.state {
                     sharers.remove(req);
                     entry.state = DirState::Shared(sharers);
@@ -404,10 +393,10 @@ impl Port {
             }
             (Act::Uncache, _) => entry.state = DirState::Uncached,
             (Act::Absorb, _) => {
-                entry.data = match input {
-                    Input::Msg(MesiMsg::PutM { data, .. } | MesiMsg::OwnerWb { data, .. }) => data,
-                    Input::Mem(data) => data,
-                    Input::Msg(msg) => unreachable!("no data in {msg:?}"),
+                entry.data = match msg {
+                    Msg::Mesi(MesiMsg::PutM { data, .. } | MesiMsg::OwnerWb { data, .. })
+                    | Msg::MemData { data, .. } => data,
+                    _ => unreachable!("no data in {msg:?}"),
                 };
                 entry.has_data = true;
             }
@@ -422,7 +411,7 @@ impl Port {
                 }
             }
             (Act::Retire, _) => entry.busy = None,
-            (Act::PutAck, Input::Msg(msg)) => {
+            (Act::PutAck, Msg::Mesi(msg)) => {
                 let to = match msg {
                     MesiMsg::PutS { req, .. } | MesiMsg::PutE { req, .. } => Endpoint::L1(req),
                     MesiMsg::PutM { req, .. } => Endpoint::L1(req),
@@ -431,8 +420,8 @@ impl Port {
                 let msg = Msg::Mesi(MesiMsg::PutAck { line });
                 actions.push(Action::Send { to, msg });
             }
-            (_, Input::Msg(msg)) => self.serve(act, entry, line, msg, actions),
-            (_, Input::Mem(_)) => unreachable!("directory step {act:?} fired by memory data"),
+            (_, Msg::Mesi(msg)) => self.serve(act, entry, line, msg, actions),
+            _ => unreachable!("directory step {act:?} fired by {msg:?}"),
         }
     }
 
@@ -555,7 +544,7 @@ pub(crate) mod tests {
     fn warm(d: &mut MesiDir, l: LineAddr) {
         // First touch triggers a memory fetch; complete it with known data.
         let mut acts = Vec::new();
-        d.on_msg(MesiMsg::GetS { line: l, req: 0 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 0 }), &mut acts);
         assert!(matches!(
             acts[0],
             Action::Send {
@@ -566,7 +555,8 @@ pub(crate) mod tests {
         acts.clear();
         let mut data = [0u64; 8];
         data[0] = 11;
-        d.on_mem_data(l, data, &mut acts);
+        let (line, class) = (l, TrafficClass::Load);
+        d.on_msg(Msg::MemData { line, data, class }, &mut acts);
         // GetS is now serviced exclusively.
         assert!(acts.iter().any(|a| matches!(
             a,
@@ -581,11 +571,11 @@ pub(crate) mod tests {
         )));
         acts.clear();
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: l,
                 from: 0,
                 class: TrafficClass::Load,
-            },
+            }),
             &mut acts,
         );
     }
@@ -603,10 +593,10 @@ pub(crate) mod tests {
         warm(&mut d, line());
         let mut acts = Vec::new();
         d.on_msg(
-            MesiMsg::GetS {
+            Msg::Mesi(MesiMsg::GetS {
                 line: line(),
                 req: 1,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -619,31 +609,31 @@ pub(crate) mod tests {
         // A third GetS queues while busy.
         acts.clear();
         d.on_msg(
-            MesiMsg::GetS {
+            Msg::Mesi(MesiMsg::GetS {
                 line: line(),
                 req: 2,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.is_empty());
         // Unblock alone is not enough: the owner's data is still due.
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: line(),
                 from: 1,
                 class: TrafficClass::Load,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.is_empty());
         let mut data = [0u64; 8];
         data[0] = 99;
         d.on_msg(
-            MesiMsg::OwnerWb {
+            Msg::Mesi(MesiMsg::OwnerWb {
                 line: line(),
                 data,
                 from: 0,
-            },
+            }),
             &mut acts,
         );
         // Queue drains: core 2 gets fresh data.
@@ -660,27 +650,27 @@ pub(crate) mod tests {
         warm(&mut d, l);
         // Downgrade to shared by a second reader.
         let mut acts = Vec::new();
-        d.on_msg(MesiMsg::GetS { line: l, req: 1 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 1 }), &mut acts);
         acts.clear();
         d.on_msg(
-            MesiMsg::OwnerWb {
+            Msg::Mesi(MesiMsg::OwnerWb {
                 line: l,
                 data: [0; 8],
                 from: 0,
-            },
+            }),
             &mut acts,
         );
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: l,
                 from: 1,
                 class: TrafficClass::Load,
-            },
+            }),
             &mut acts,
         );
         acts.clear();
         // Core 2 wants M: cores 0 and 1 must be invalidated, 2 acks expected.
-        d.on_msg(MesiMsg::GetM { line: l, req: 2 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 2 }), &mut acts);
         let invs: Vec<usize> = acts
             .iter()
             .filter_map(|a| match a {
@@ -708,7 +698,7 @@ pub(crate) mod tests {
         let l = line();
         warm(&mut d, l);
         let mut acts = Vec::new();
-        d.on_msg(MesiMsg::GetM { line: l, req: 3 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 3 }), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -726,25 +716,25 @@ pub(crate) mod tests {
         warm(&mut d, l);
         let mut acts = Vec::new();
         // Make shared {0,1}.
-        d.on_msg(MesiMsg::GetS { line: l, req: 1 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 1 }), &mut acts);
         d.on_msg(
-            MesiMsg::OwnerWb {
+            Msg::Mesi(MesiMsg::OwnerWb {
                 line: l,
                 data: [0; 8],
                 from: 0,
-            },
+            }),
             &mut acts,
         );
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: l,
                 from: 1,
                 class: TrafficClass::Load,
-            },
+            }),
             &mut acts,
         );
         acts.clear();
-        d.on_msg(MesiMsg::PutS { line: l, req: 0 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::PutS { line: l, req: 0 }), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -754,7 +744,7 @@ pub(crate) mod tests {
         )));
         // Core 1 remains the only sharer; a GetM from 1 needs 0 acks.
         acts.clear();
-        d.on_msg(MesiMsg::GetM { line: l, req: 1 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 1 }), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -771,15 +761,15 @@ pub(crate) mod tests {
         warm(&mut d, l);
         // Ownership moves 0 → 3 via FwdGetM.
         let mut acts = Vec::new();
-        d.on_msg(MesiMsg::GetM { line: l, req: 3 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 3 }), &mut acts);
         acts.clear();
         // Core 0's racing PutM arrives afterwards: stale.
         d.on_msg(
-            MesiMsg::PutM {
+            Msg::Mesi(MesiMsg::PutM {
                 line: l,
                 req: 0,
                 data: [5; 8],
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -799,19 +789,19 @@ pub(crate) mod tests {
         warm(&mut d, l);
         let mut acts = Vec::new();
         // Owner is 0. Three queued requests while busy.
-        d.on_msg(MesiMsg::GetM { line: l, req: 1 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 1 }), &mut acts);
         acts.clear();
-        d.on_msg(MesiMsg::GetM { line: l, req: 2 }, &mut acts);
-        d.on_msg(MesiMsg::GetS { line: l, req: 3 }, &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 2 }), &mut acts);
+        d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 3 }), &mut acts);
         assert!(acts.is_empty());
         // Unblock from 1: queue head (GetM from 2) is serviced — forwarded
         // to owner 1.
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: l,
                 from: 1,
                 class: TrafficClass::Store,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -825,11 +815,11 @@ pub(crate) mod tests {
         // The GetS from 3 is still queued.
         acts.clear();
         d.on_msg(
-            MesiMsg::Unblock {
+            Msg::Mesi(MesiMsg::Unblock {
                 line: l,
                 from: 2,
                 class: TrafficClass::Store,
-            },
+            }),
             &mut acts,
         );
         assert!(acts.iter().any(|a| matches!(
@@ -839,5 +829,22 @@ pub(crate) mod tests {
                 msg: Msg::Mesi(MesiMsg::FwdGetS { req: 3, .. })
             }
         )));
+    }
+
+    /// An L1-bound message is the directory's one unexpected event: a single
+    /// violation naming the bank, the line, its state and the message.
+    #[test]
+    fn an_l1_bound_message_is_a_violation() {
+        let mut d = dir();
+        let mut acts = Vec::new();
+        d.on_msg(
+            Msg::Mesi(MesiMsg::Inv {
+                line: line(),
+                req: 1,
+            }),
+            &mut acts,
+        );
+        let detail = "MESI dir bank 0: unexpected Mesi(Inv { line: LineAddr(16), req: 1 }) for l0x400 in Cold";
+        assert_eq!(acts, [Action::violation(detail)]);
     }
 }

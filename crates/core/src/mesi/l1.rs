@@ -8,10 +8,10 @@
 
 use crate::config::{Protocol, ProtocolMutation};
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::{count_access, home_bank, Action, IssueResult};
+use crate::proto::{home_bank, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
-use dvs_stats::{CacheStats, TrafficClass};
+use dvs_stats::TrafficClass;
 use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
 
@@ -344,7 +344,6 @@ pub struct MesiL1 {
     watch: Option<WordAddr>,
     /// The transition table: stock, or a seeded mutation's.
     table: &'static Table,
-    stats: CacheStats,
     /// Observability only — excluded from `Hash`, never affects behaviour.
     tel: Telemetry,
 }
@@ -359,7 +358,6 @@ impl MesiL1 {
             mshr: Mshr::unbounded(),
             watch: None,
             table: &SPECS[0].table,
-            stats: CacheStats::new(),
             tel: Telemetry::off(),
         }
     }
@@ -381,11 +379,6 @@ impl MesiL1 {
     /// Peak simultaneous MSHR occupancy observed.
     pub fn mshr_high_water(&self) -> usize {
         self.mshr.high_water()
-    }
-
-    /// Cache-access statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Watches `word` for a failed spin if its line is resident (readable):
@@ -565,13 +558,12 @@ impl MesiL1 {
         };
         match (act, input) {
             // Core requests.
-            (Act::Hit, &Input::Core { w, kind }) => {
+            (Act::Hit, &Input::Core { w, .. }) => {
                 // A forwarded value leaves the line's recency alone.
                 let value = found.forward.unwrap_or_else(|| {
                     self.cache.touch(line);
                     found.resident.expect("resident").data[w]
                 });
-                self.note(kind, true);
                 *result = IssueResult::Hit { value: Some(value) };
             }
             (Act::Modify, &Input::Core { w, kind }) => {
@@ -587,18 +579,15 @@ impl MesiL1 {
                         IssueResult::Hit { value }
                     }
                 };
-                self.note(kind, true);
             }
             (Act::Stage, &Input::Core { w, kind }) => {
                 if let Some(value) = found.forward.filter(|_| !kind.may_write()) {
-                    self.note(kind, true);
                     *result = IssueResult::Hit { value: Some(value) };
                     return true;
                 }
                 let txn = self.mshr.get_mut(&line).expect("open transaction");
                 *result = txn.stage(w, kind);
                 self.cache.touch(line);
-                self.note(kind, false);
             }
             (Act::GetS | Act::GetM | Act::Upgrade, &Input::Core { w, kind }) => {
                 let (goal, msg) = match act {
@@ -610,7 +599,6 @@ impl MesiL1 {
                 if act == Act::Upgrade {
                     self.cache.touch(line);
                 }
-                self.note(kind, false);
                 self.mshr.try_insert(line, txn).expect("fresh mshr");
                 send(home(), msg);
             }
@@ -788,15 +776,10 @@ impl MesiL1 {
         let key = line.telemetry_key();
         self.tel.emit_now(self.id as u32, Component::L1, key, kind);
     }
-
-    fn note(&mut self, kind: AccessKind, hit: bool) {
-        count_access(&mut self.stats, kind, hit);
-    }
 }
 
 /// Canonical hash for model checking: every field that influences future
-/// protocol behaviour. `stats` (counters) is excluded; `table` is fixed per
-/// run.
+/// protocol behaviour. `table` is fixed per run.
 impl std::hash::Hash for MesiL1 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.id.hash(state);
@@ -889,8 +872,6 @@ pub(crate) mod tests {
             l1.core_request(&load(0x100), &mut acts),
             IssueResult::Hit { value: Some(42) }
         );
-        assert_eq!(l1.stats().data_read_hits, 1);
-        assert_eq!(l1.stats().data_read_misses, 1);
     }
 
     #[test]
@@ -1176,5 +1157,18 @@ pub(crate) mod tests {
             "{acts:?}"
         );
         assert_eq!(l1.peek_word(Addr::new(c).word()), Some(11));
+    }
+
+    /// A directory-bound message is the L1's one unexpected event: a single
+    /// violation naming the L1, the line, its state and the message.
+    #[test]
+    fn a_directory_bound_message_is_a_violation() {
+        let mut l1 = l1();
+        let mut acts = Vec::new();
+        let line = Addr::new(0x100).line();
+        l1.on_msg(MesiMsg::GetS { line, req: 1 }, &mut acts);
+        let detail =
+            "MESI L1 0: unexpected Msg(GetS { line: LineAddr(4), req: 1 }) for l0x100 in I";
+        assert_eq!(acts, [Action::violation(detail)]);
     }
 }

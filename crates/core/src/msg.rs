@@ -233,7 +233,10 @@ impl MesiMsg {
     }
 }
 
-/// DeNovo protocol messages (word granularity).
+/// DeNovo protocol messages (word granularity). The variants from
+/// `SyncOp` on are GCS's sync path: only GCS's tables send them, for words
+/// a home bank classified as synchronization variables, the classification
+/// handshake, and spin-wakeup notifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DnvMsg {
     /// Non-ownership data-read request to the registry.
@@ -304,100 +307,6 @@ pub enum DnvMsg {
         /// The word.
         word: WordAddr,
     },
-}
-
-impl DnvMsg {
-    /// Total wire size in bytes (header + payload; only valid words travel).
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            DnvMsg::ReadReq { .. }
-            | DnvMsg::RegReq { .. }
-            | DnvMsg::Xfer { .. }
-            | DnvMsg::WbAck { .. }
-            | DnvMsg::WbNack { .. } => HEADER_BYTES,
-            DnvMsg::RegAck { .. } | DnvMsg::WbReq { .. } => HEADER_BYTES + WORD_BYTES,
-            DnvMsg::ReadResp { fill, .. } => {
-                let extra = fill.map_or(0, |(mask, _)| u64::from(mask.count_ones()));
-                HEADER_BYTES + WORD_BYTES * (1 + extra)
-            }
-        }
-    }
-
-    /// Traffic class for the paper's breakdown (LD / ST / WB / SYNCH).
-    pub fn class(&self) -> TrafficClass {
-        match self {
-            DnvMsg::ReadReq { .. } | DnvMsg::ReadResp { .. } => TrafficClass::Load,
-            DnvMsg::RegReq { class, .. }
-            | DnvMsg::RegAck { class, .. }
-            | DnvMsg::Xfer { class, .. } => class.traffic(),
-            DnvMsg::WbReq { .. } | DnvMsg::WbAck { .. } | DnvMsg::WbNack { .. } => {
-                TrafficClass::Writeback
-            }
-        }
-    }
-
-    /// The word this message concerns.
-    pub fn word(&self) -> WordAddr {
-        match *self {
-            DnvMsg::ReadReq { word, .. }
-            | DnvMsg::RegReq { word, .. }
-            | DnvMsg::ReadResp { word, .. }
-            | DnvMsg::RegAck { word, .. }
-            | DnvMsg::Xfer { word, .. }
-            | DnvMsg::WbReq { word, .. }
-            | DnvMsg::WbAck { word }
-            | DnvMsg::WbNack { word } => word,
-        }
-    }
-
-    /// The message type's name (telemetry / forensics labels).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            DnvMsg::ReadReq { .. } => "ReadReq",
-            DnvMsg::RegReq { .. } => "RegReq",
-            DnvMsg::ReadResp { .. } => "ReadResp",
-            DnvMsg::RegAck { .. } => "RegAck",
-            DnvMsg::Xfer { .. } => "Xfer",
-            DnvMsg::WbReq { .. } => "WbReq",
-            DnvMsg::WbAck { .. } => "WbAck",
-            DnvMsg::WbNack { .. } => "WbNack",
-        }
-    }
-}
-
-/// The operation a GCS sync message asks the home bank to perform on a
-/// sync-classified word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GcsOpKind {
-    /// Read the current value.
-    Load,
-    /// Store a new value (release write executed at the directory).
-    Store {
-        /// Value stored.
-        value: u64,
-    },
-    /// Atomic read-modify-write executed at the directory.
-    Rmw(RmwOp),
-}
-
-impl GcsOpKind {
-    /// Payload words beyond the header (CAS ships both compare and swap
-    /// values; other ops at most one operand).
-    pub fn payload_words(self) -> u64 {
-        match self {
-            GcsOpKind::Load => 0,
-            GcsOpKind::Rmw(RmwOp::Cas { .. }) => 2,
-            GcsOpKind::Store { .. } | GcsOpKind::Rmw(_) => 1,
-        }
-    }
-}
-
-/// GCS sync-path messages (the generalized-coherence dedicated path for
-/// words classified as synchronization variables). Ordinary GCS data
-/// traffic reuses [`DnvMsg`]; these messages exist only for classified
-/// words, the classification handshake, and spin-wakeup notifications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GcsMsg {
     /// Execute a sync operation at the word's home bank.
     SyncOp {
         /// The classified word.
@@ -456,52 +365,121 @@ pub enum GcsMsg {
     },
 }
 
-impl GcsMsg {
-    /// Total wire size in bytes (header + operand/value payload).
+impl DnvMsg {
+    /// Total wire size in bytes (header + payload; only valid words travel).
     pub fn wire_bytes(&self) -> u64 {
         match self {
-            GcsMsg::SyncOp { op, .. } => HEADER_BYTES + WORD_BYTES * op.payload_words(),
-            GcsMsg::SyncResp { .. } | GcsMsg::SyncWatch { .. } | GcsMsg::SyncNotify { .. } => {
-                HEADER_BYTES + WORD_BYTES
+            DnvMsg::ReadReq { .. }
+            | DnvMsg::RegReq { .. }
+            | DnvMsg::Xfer { .. }
+            | DnvMsg::WbAck { .. }
+            | DnvMsg::WbNack { .. }
+            | DnvMsg::Recall { .. }
+            | DnvMsg::Classified { .. } => HEADER_BYTES,
+            DnvMsg::RegAck { .. }
+            | DnvMsg::WbReq { .. }
+            | DnvMsg::SyncResp { .. }
+            | DnvMsg::SyncWatch { .. }
+            | DnvMsg::SyncNotify { .. } => HEADER_BYTES + WORD_BYTES,
+            DnvMsg::ReadResp { fill, .. } => {
+                let extra = fill.map_or(0, |(mask, _)| u64::from(mask.count_ones()));
+                HEADER_BYTES + WORD_BYTES * (1 + extra)
             }
-            GcsMsg::Recall { .. } | GcsMsg::Classified { .. } => HEADER_BYTES,
-            GcsMsg::RecallAck { value, .. } => {
+            DnvMsg::SyncOp { op, .. } => HEADER_BYTES + WORD_BYTES * op.payload_words(),
+            DnvMsg::RecallAck { value, .. } => {
                 HEADER_BYTES + WORD_BYTES * u64::from(value.is_some())
             }
         }
     }
 
-    /// Traffic class: the whole dedicated path is synchronization traffic.
+    /// Traffic class for the paper's breakdown (LD / ST / WB / SYNCH). The
+    /// GCS sync path is synchronization traffic, except that a recall is a
+    /// forced writeback.
     pub fn class(&self) -> TrafficClass {
         match self {
-            GcsMsg::Recall { .. } | GcsMsg::RecallAck { .. } => TrafficClass::Writeback,
-            _ => TrafficClass::Sync,
+            DnvMsg::ReadReq { .. } | DnvMsg::ReadResp { .. } => TrafficClass::Load,
+            DnvMsg::RegReq { class, .. }
+            | DnvMsg::RegAck { class, .. }
+            | DnvMsg::Xfer { class, .. } => class.traffic(),
+            DnvMsg::WbReq { .. }
+            | DnvMsg::WbAck { .. }
+            | DnvMsg::WbNack { .. }
+            | DnvMsg::Recall { .. }
+            | DnvMsg::RecallAck { .. } => TrafficClass::Writeback,
+            DnvMsg::SyncOp { .. }
+            | DnvMsg::SyncResp { .. }
+            | DnvMsg::SyncWatch { .. }
+            | DnvMsg::SyncNotify { .. }
+            | DnvMsg::Classified { .. } => TrafficClass::Sync,
         }
     }
 
     /// The word this message concerns.
     pub fn word(&self) -> WordAddr {
         match *self {
-            GcsMsg::SyncOp { word, .. }
-            | GcsMsg::SyncResp { word, .. }
-            | GcsMsg::SyncWatch { word, .. }
-            | GcsMsg::SyncNotify { word, .. }
-            | GcsMsg::Recall { word }
-            | GcsMsg::RecallAck { word, .. }
-            | GcsMsg::Classified { word } => word,
+            DnvMsg::ReadReq { word, .. }
+            | DnvMsg::RegReq { word, .. }
+            | DnvMsg::ReadResp { word, .. }
+            | DnvMsg::RegAck { word, .. }
+            | DnvMsg::Xfer { word, .. }
+            | DnvMsg::WbReq { word, .. }
+            | DnvMsg::WbAck { word }
+            | DnvMsg::WbNack { word }
+            | DnvMsg::SyncOp { word, .. }
+            | DnvMsg::SyncResp { word, .. }
+            | DnvMsg::SyncWatch { word, .. }
+            | DnvMsg::SyncNotify { word, .. }
+            | DnvMsg::Recall { word }
+            | DnvMsg::RecallAck { word, .. }
+            | DnvMsg::Classified { word } => word,
         }
     }
 
     /// The message type's name (telemetry / forensics labels).
     pub fn kind_name(&self) -> &'static str {
         match self {
-            GcsMsg::SyncOp { .. } => "SyncOp",
-            GcsMsg::SyncResp { .. } => "SyncResp",
-            GcsMsg::SyncWatch { .. } => "SyncWatch",
-            GcsMsg::SyncNotify { .. } => "SyncNotify",
-            GcsMsg::Recall { .. } => "Recall",
-            GcsMsg::RecallAck { .. } => "RecallAck",
-            GcsMsg::Classified { .. } => "Classified",
+            DnvMsg::ReadReq { .. } => "ReadReq",
+            DnvMsg::RegReq { .. } => "RegReq",
+            DnvMsg::ReadResp { .. } => "ReadResp",
+            DnvMsg::RegAck { .. } => "RegAck",
+            DnvMsg::Xfer { .. } => "Xfer",
+            DnvMsg::WbReq { .. } => "WbReq",
+            DnvMsg::WbAck { .. } => "WbAck",
+            DnvMsg::WbNack { .. } => "WbNack",
+            DnvMsg::SyncOp { .. } => "SyncOp",
+            DnvMsg::SyncResp { .. } => "SyncResp",
+            DnvMsg::SyncWatch { .. } => "SyncWatch",
+            DnvMsg::SyncNotify { .. } => "SyncNotify",
+            DnvMsg::Recall { .. } => "Recall",
+            DnvMsg::RecallAck { .. } => "RecallAck",
+            DnvMsg::Classified { .. } => "Classified",
+        }
+    }
+}
+
+/// The operation a [`DnvMsg::SyncOp`] asks the home bank to perform on a
+/// sync-classified word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GcsOpKind {
+    /// Read the current value.
+    Load,
+    /// Store a new value (release write executed at the directory).
+    Store {
+        /// Value stored.
+        value: u64,
+    },
+    /// Atomic read-modify-write executed at the directory.
+    Rmw(RmwOp),
+}
+
+impl GcsOpKind {
+    /// Payload words beyond the header (CAS ships both compare and swap
+    /// values; other ops at most one operand).
+    pub fn payload_words(self) -> u64 {
+        match self {
+            GcsOpKind::Load => 0,
+            GcsOpKind::Rmw(RmwOp::Cas { .. }) => 2,
+            GcsOpKind::Store { .. } | GcsOpKind::Rmw(_) => 1,
         }
     }
 }
@@ -511,10 +489,8 @@ impl GcsMsg {
 pub enum Msg {
     /// A MESI protocol message.
     Mesi(MesiMsg),
-    /// A DeNovo protocol message.
+    /// A DeNovo protocol message (GCS's sync path included).
     Dnv(DnvMsg),
-    /// A GCS sync-path message (GCS data traffic travels as [`Msg::Dnv`]).
-    Gcs(GcsMsg),
     /// L2 bank asks a memory controller for a line.
     MemRead {
         /// The line.
@@ -550,7 +526,6 @@ impl Msg {
         match self {
             Msg::Mesi(m) => m.line(),
             Msg::Dnv(m) => m.word().line(),
-            Msg::Gcs(m) => m.word().line(),
             Msg::MemRead { line, .. } | Msg::MemData { line, .. } | Msg::MemWrite { line, .. } => {
                 *line
             }
@@ -562,7 +537,6 @@ impl Msg {
         match self {
             Msg::Mesi(m) => m.wire_bytes(),
             Msg::Dnv(m) => m.wire_bytes(),
-            Msg::Gcs(m) => m.wire_bytes(),
             Msg::MemRead { .. } => HEADER_BYTES,
             Msg::MemData { .. } => HEADER_BYTES + WORDS_PER_LINE as u64 * WORD_BYTES,
             Msg::MemWrite { mask, .. } => HEADER_BYTES + WORD_BYTES * u64::from(mask.count_ones()),
@@ -579,7 +553,6 @@ impl Msg {
         match self {
             Msg::Mesi(m) => m.class(),
             Msg::Dnv(m) => m.class(),
-            Msg::Gcs(m) => m.class(),
             Msg::MemRead { class, .. } | Msg::MemData { class, .. } => *class,
             Msg::MemWrite { .. } => TrafficClass::Writeback,
         }
@@ -590,7 +563,6 @@ impl Msg {
         match self {
             Msg::Mesi(m) => m.kind_name(),
             Msg::Dnv(m) => m.kind_name(),
-            Msg::Gcs(m) => m.kind_name(),
             Msg::MemRead { .. } => "MemRead",
             Msg::MemData { .. } => "MemData",
             Msg::MemWrite { .. } => "MemWrite",
@@ -741,19 +713,19 @@ mod tests {
     fn accessors_return_the_address() {
         assert_eq!(MesiMsg::PutAck { line: line() }.line(), line());
         assert_eq!(DnvMsg::WbAck { word: word() }.word(), word());
-        assert_eq!(GcsMsg::Recall { word: word() }.word(), word());
+        assert_eq!(DnvMsg::Recall { word: word() }.word(), word());
     }
 
     #[test]
     fn gcs_sync_path_sizes_and_classes() {
-        let load = Msg::Gcs(GcsMsg::SyncOp {
+        let load = Msg::Dnv(DnvMsg::SyncOp {
             word: word(),
             req: 0,
             op: GcsOpKind::Load,
         });
         assert_eq!(load.wire_bytes(), HEADER_BYTES);
         assert_eq!(load.class(), TrafficClass::Sync);
-        let cas = Msg::Gcs(GcsMsg::SyncOp {
+        let cas = Msg::Dnv(DnvMsg::SyncOp {
             word: word(),
             req: 0,
             op: GcsOpKind::Rmw(RmwOp::Cas {
@@ -762,36 +734,36 @@ mod tests {
             }),
         });
         assert_eq!(cas.wire_bytes(), HEADER_BYTES + 2 * WORD_BYTES);
-        let fai = Msg::Gcs(GcsMsg::SyncOp {
+        let fai = Msg::Dnv(DnvMsg::SyncOp {
             word: word(),
             req: 0,
             op: GcsOpKind::Rmw(RmwOp::Fai { delta: 1 }),
         });
         assert_eq!(fai.wire_bytes(), HEADER_BYTES + WORD_BYTES);
-        let notify = Msg::Gcs(GcsMsg::SyncNotify {
+        let notify = Msg::Dnv(DnvMsg::SyncNotify {
             word: word(),
             value: 7,
         });
         assert_eq!(notify.wire_bytes(), HEADER_BYTES + WORD_BYTES);
         assert_eq!(notify.class(), TrafficClass::Sync);
         // Recall is a forced writeback: account it with the WB traffic.
-        let recall = Msg::Gcs(GcsMsg::Recall { word: word() });
+        let recall = Msg::Dnv(DnvMsg::Recall { word: word() });
         assert_eq!(recall.wire_bytes(), HEADER_BYTES);
         assert_eq!(recall.class(), TrafficClass::Writeback);
-        let ack_some = Msg::Gcs(GcsMsg::RecallAck {
+        let ack_some = Msg::Dnv(DnvMsg::RecallAck {
             word: word(),
             from: 3,
             value: Some(9),
         });
         assert_eq!(ack_some.wire_bytes(), HEADER_BYTES + WORD_BYTES);
-        let ack_none = Msg::Gcs(GcsMsg::RecallAck {
+        let ack_none = Msg::Dnv(DnvMsg::RecallAck {
             word: word(),
             from: 3,
             value: None,
         });
         assert_eq!(ack_none.wire_bytes(), HEADER_BYTES);
         assert_eq!(
-            Msg::Gcs(GcsMsg::Classified { word: word() }).wire_bytes(),
+            Msg::Dnv(DnvMsg::Classified { word: word() }).wire_bytes(),
             HEADER_BYTES
         );
     }

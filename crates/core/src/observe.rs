@@ -9,7 +9,8 @@
 //! [`stall_begin`](Observer::stall_begin)/[`stall_end`](Observer::stall_end)
 //! per stall interval. The observer never feeds back into simulated
 //! behaviour; results the run digests (`RunStats`, traffic, time
-//! attribution) stay in the system.
+//! attribution) stay in the system. An access event's hit or miss is
+//! [`IssueResult::hit`], the rule the system counts `RunStats.cache` with.
 //!
 //! It is one concrete struct, not a trait: every channel is present in
 //! every run, switched at runtime with one branch (the telemetry handle's
@@ -109,12 +110,7 @@ impl Observer {
     /// accepted store.
     pub(crate) fn issue(&mut self, core: CoreId, req: &MemRequest, res: &IssueResult, at: Cycle) {
         let addr = req.addr.telemetry_key();
-        let hit = match *res {
-            IssueResult::Hit { .. } | IssueResult::StoreAccepted { completed: true } => Some(true),
-            IssueResult::Miss | IssueResult::StoreAccepted { completed: false } => Some(false),
-            IssueResult::Backoff { .. } | IssueResult::Blocked => None,
-        };
-        if let Some(hit) = hit {
+        if let Some(hit) = res.hit() {
             let (sync, write) = (req.kind.is_sync(), req.kind.may_write());
             self.core_event(core, at, addr, EventKind::Access { hit, sync, write });
         }

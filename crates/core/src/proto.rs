@@ -9,7 +9,10 @@
 //! exploits when it argues DeNovo's three-state protocol is easy to verify.
 //! The system reaches the controllers only through one backend enum with a
 //! MESI and a DeNovo variant, which dispatches core requests, deliveries,
-//! spin watches, invariant checks, fingerprint hashing and metrics.
+//! spin watches, invariant checks, fingerprint hashing and metrics. Every
+//! controller takes its messages through one `on_msg`, and a core request's
+//! [`IssueResult`] is the L1's whole answer: the controllers count no
+//! accesses, the system does ([`IssueResult::hit`]).
 
 use crate::msg::{Endpoint, Msg};
 use dvs_engine::Cycle;
@@ -99,6 +102,21 @@ pub enum IssueResult {
     Blocked,
 }
 
+impl IssueResult {
+    /// The access in the paper's hit/miss breakdown: a hit when the cache
+    /// completed it, a miss when it went to the network, `None` when it was
+    /// not performed (a backoff or a blocked access is re-issued and
+    /// counted then). The one hit/miss rule: the system's counters and the
+    /// observer's access events both read it.
+    pub fn hit(&self) -> Option<bool> {
+        match *self {
+            IssueResult::Hit { .. } | IssueResult::StoreAccepted { completed: true } => Some(true),
+            IssueResult::Miss | IssueResult::StoreAccepted { completed: false } => Some(false),
+            IssueResult::Backoff { .. } | IssueResult::Blocked => None,
+        }
+    }
+}
+
 /// The L2 bank homing `line` among `banks` banks: lines interleave across
 /// banks by line address. Every controller routes requests by this rule,
 /// the whole-machine checks find a line's directory entry by it, and each
@@ -107,8 +125,7 @@ pub(crate) fn home_bank(line: LineAddr, banks: usize) -> usize {
     (line.raw() % banks as u64) as usize
 }
 
-/// Counts one L1 access in the paper's hit/miss breakdown (shared by every
-/// L1 controller).
+/// Counts one L1 access, by kind, in the paper's hit/miss breakdown.
 pub(crate) fn count_access(stats: &mut CacheStats, kind: AccessKind, hit: bool) {
     let (hits, misses) = match kind {
         AccessKind::DataLoad => (&mut stats.data_read_hits, &mut stats.data_read_misses),

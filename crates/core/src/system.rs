@@ -41,13 +41,13 @@ use crate::front::Fronts;
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::observe::Observer;
 use crate::oracle::{ChannelKey, OracleState};
-use crate::proto::{Action, IssueResult};
+use crate::proto::{count_access, Action, IssueResult};
 use crate::replay::{Recording, TraceCore, TraceOp};
 use dvs_engine::{Cycle, DetRng, Scheduler};
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{Addr, MainMemory, WordAddr};
 use dvs_noc::{Mesh, Network, NodeId};
-use dvs_stats::{RunStats, TimeComponent, TrafficClass, TrafficStats};
+use dvs_stats::{CacheStats, RunStats, TimeComponent, TrafficClass, TrafficStats};
 use dvs_telemetry::{MetricsRegistry, StallClass, Telemetry};
 use dvs_vm::isa::PhaseChange;
 use dvs_vm::reference::{pool_base, DEFAULT_POOL_BYTES};
@@ -246,6 +246,8 @@ pub(crate) struct CoreState {
     pub(crate) status: Status,
     outstanding_stores: usize,
     breakdown: dvs_stats::TimeBreakdown,
+    /// L1 hits and misses by access kind.
+    cache: CacheStats,
     /// Signature mode: data words written since this core's last release.
     cs_writes: Vec<WordAddr>,
     /// Signature mode: how much of the global publication log this core has
@@ -431,6 +433,7 @@ impl System {
                     status: Status::Ready,
                     outstanding_stores: 0,
                     breakdown: dvs_stats::TimeBreakdown::new(),
+                    cache: CacheStats::new(),
                     cs_writes: Vec::new(),
                     sig_cursor: 0,
                 })
@@ -524,6 +527,11 @@ impl System {
         let mut reg = MetricsRegistry::new();
         self.obs.export(&mut reg);
         self.backend.export_metrics(&mut reg);
+        for (i, c) in self.cores.iter().enumerate() {
+            let node = format!("core{i}");
+            reg.add(&node, "l1", "hits", c.cache.hits());
+            reg.add(&node, "l1", "misses", c.cache.misses());
+        }
         reg.add("sys", "sched", "deliveries", self.deliveries);
         reg.add("sys", "sched", "finish_cycle", self.finish_time);
         for class in TrafficClass::ALL {
@@ -602,11 +610,13 @@ impl System {
     }
 
     fn collect_stats(&self) -> RunStats {
+        let mut cache = CacheStats::new();
+        self.cores.iter().for_each(|c| cache += c.cache);
         RunStats {
             cycles: self.finish_time,
             per_core: self.cores.iter().map(|c| c.breakdown).collect(),
             traffic: self.traffic,
-            cache: self.backend.cache_stats(),
+            cache,
             events: self.sched.scheduled_events(),
         }
     }
@@ -1094,6 +1104,9 @@ impl System {
             .core_request(i, &req, after_backoff, &mut actions);
         self.apply_actions(Endpoint::L1(i), 0, actions);
         self.obs.issue(i, &req, &res, self.sched.now());
+        if let Some(hit) = res.hit() {
+            count_access(&mut self.cores[i].cache, req.kind, hit);
+        }
         if self.signatures()
             && matches!(req.kind, dvs_mem::AccessKind::DataStore { .. })
             && !matches!(res, IssueResult::Blocked)
@@ -1817,11 +1830,11 @@ mod tests {
         };
         let thief = (current + 1) % 4;
         reg.on_msg(
-            crate::msg::DnvMsg::RegReq {
+            crate::msg::Msg::Dnv(crate::msg::DnvMsg::RegReq {
                 word,
                 req: thief,
                 class: crate::msg::XferClass::SyncRead,
-            },
+            }),
             &mut scratch,
         );
         assert!(
@@ -1862,11 +1875,11 @@ mod tests {
         let thief = (current + 1) % 4;
         let mut scratch = Vec::new();
         reg.on_msg(
-            crate::msg::DnvMsg::RegReq {
+            crate::msg::Msg::Dnv(crate::msg::DnvMsg::RegReq {
                 word,
                 req: thief,
                 class: crate::msg::XferClass::SyncRead,
-            },
+            }),
             &mut scratch,
         );
         let err = sys
@@ -1902,7 +1915,7 @@ mod tests {
             panic!("not a MESI system");
         };
         let put = crate::msg::MesiMsg::PutS { line, req: 0 };
-        dirs[crate::proto::home_bank(line, 4)].on_msg(put, &mut Vec::new());
+        dirs[crate::proto::home_bank(line, 4)].on_msg(Msg::Mesi(put), &mut Vec::new());
         let err = sys
             .verify_invariants()
             .expect_err("checker must flag an S copy outside the sharer set");
@@ -2142,8 +2155,8 @@ mod tests {
         // Corrupt through the public interface: park a watch for core 2
         // with a stale `seen`, without core 2's L1 arming a remote watch.
         let mut scratch = Vec::new();
-        g.on_gcs(
-            crate::msg::GcsMsg::SyncWatch { word, req: 2, seen },
+        g.on_msg(
+            crate::msg::Msg::Dnv(crate::msg::DnvMsg::SyncWatch { word, req: 2, seen }),
             &mut scratch,
         );
         let err = sys

@@ -31,7 +31,7 @@ fn record_kernel(id: KernelId) -> Trace {
 /// Replays `trace` on every protocol, timed and oracle, and checks the
 /// final image validates everywhere (validation happens inside replay).
 fn replay_everywhere(trace: &Trace) {
-    for proto in Protocol::ALL {
+    for proto in Protocol::EXTENDED {
         for mode in [ReplayMode::Faithful, ReplayMode::Compressed] {
             replay_timed(trace, cfg(proto), mode)
                 .unwrap_or_else(|e| panic!("{} timed replay on {proto}: {e}", trace.name));
@@ -356,7 +356,7 @@ fn mix_rejects_bad_specs() {
 
 /// Every committed corpus trace must parse, match its pinned fingerprint
 /// (encoded in a `# fingerprint` comment would be nicer, but the finals
-/// ARE the pin), and replay cleanly on all three protocols.
+/// ARE the pin), and replay cleanly on all four protocols.
 #[test]
 fn corpus_replays_on_all_protocols() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
@@ -371,7 +371,7 @@ fn corpus_replays_on_all_protocols() {
         let text = std::fs::read_to_string(&path).expect("read corpus trace");
         let trace = Trace::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let n = trace.cores();
-        for proto in Protocol::ALL {
+        for proto in Protocol::EXTENDED {
             replay_timed(
                 &trace,
                 SystemConfig::small(n, proto),

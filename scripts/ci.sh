@@ -26,8 +26,15 @@ done
 
 # Temp dirs registered by stages, cleaned on exit (paths are space-free).
 CLEANUP=""
+# The benches rewrite the committed BENCH_*.json artifacts with this host's
+# measurements. Keep a copy and put it back after every stage and on any
+# exit, so a CI run leaves the tree as it found it.
+SAVED=$(mktemp -d)
+CLEANUP="$SAVED"
+cp BENCH_*.json "$SAVED/"
+restore() { cp "$SAVED"/BENCH_*.json .; }
 # shellcheck disable=SC2064
-trap 'rm -rf $CLEANUP' EXIT
+trap 'restore; rm -rf $CLEANUP' EXIT
 
 stage_fmt() {
   echo "== cargo fmt --check =="
@@ -259,6 +266,6 @@ if [ -n "$ONLY" ]; then
   esac
   echo "stage $ONLY OK"
 else
-  for s in $STAGES; do "stage_${s//-/_}"; done
+  for s in $STAGES; do "stage_${s//-/_}"; restore; done
   echo "CI OK"
 fi

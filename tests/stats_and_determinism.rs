@@ -183,3 +183,39 @@ fn ds0_sync_reads_register() {
         mesi.cache.sync_read_misses
     );
 }
+
+/// `RunStats.cache` per access kind, as hits/misses, for one small kernel
+/// on every protocol. `System` counts each L1 answer with the one
+/// hit/miss rule it shares with the observer, so these move only when an
+/// L1 answers an access differently.
+#[test]
+fn cache_stats_are_pinned_per_access_kind() {
+    let kernel = KernelId::Locked(LockedStruct::SingleQueue, LockKind::Tatas);
+    let got: Vec<String> = Protocol::EXTENDED
+        .into_iter()
+        .map(|proto| {
+            let c = smoke_run(kernel, proto).cache;
+            format!(
+                "{}: data read {}/{}, data write {}/{}, sync read {}/{}, sync write {}/{}",
+                proto.label(),
+                c.data_read_hits,
+                c.data_read_misses,
+                c.data_write_hits,
+                c.data_write_misses,
+                c.sync_read_hits,
+                c.sync_read_misses,
+                c.sync_write_hits,
+                c.sync_write_misses,
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "M: data read 78/18, data write 47/89, sync read 43/61, sync write 59/62",
+            "DS0: data read 42/54, data write 15/121, sync read 19/164, sync write 56/74",
+            "DS: data read 30/66, data write 11/125, sync read 19/202, sync write 49/89",
+            "GCS: data read 48/48, data write 0/136, sync read 46/87, sync write 0/130",
+        ]
+    );
+}
