@@ -40,7 +40,8 @@ fn main() {
     for proto in Protocol::EXTENDED {
         let cfg = SystemConfig::small(THREADS, proto);
 
-        // Baseline: telemetry fully off (the compile-time-erased no-op path).
+        // Baseline: telemetry off (each emit site is one untaken branch, and
+        // controllers' observation actions are skipped unread).
         let (base_stats, base_metrics) = run_workload_with(cfg, &workload, Telemetry::off())
             .unwrap_or_else(|e| panic!("{proto} baseline run: {e}"));
 

@@ -33,7 +33,7 @@ fn record(proto: Protocol, workload: &Workload) -> Vec<Event> {
 #[test]
 fn event_stream_is_deterministic_on_every_protocol() {
     let workload = counter_workload();
-    for proto in Protocol::ALL {
+    for proto in Protocol::EXTENDED {
         let first = record(proto, &workload);
         let second = record(proto, &workload);
         assert!(!first.is_empty(), "{proto}: run emits events");
@@ -49,7 +49,7 @@ fn event_stream_is_deterministic_on_every_protocol() {
 #[test]
 fn attaching_a_sink_never_perturbs_results() {
     let workload = counter_workload();
-    for proto in Protocol::ALL {
+    for proto in Protocol::EXTENDED {
         let cfg = SystemConfig::small(THREADS, proto);
         let (off_stats, off_metrics) =
             run_workload_with(cfg, &workload, Telemetry::off()).expect("off run");

@@ -21,7 +21,7 @@ use crate::system::StallReport;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{LineAddr, MainMemory, Region, WordAddr};
 use dvs_noc::Mesh;
-use dvs_telemetry::{MetricsRegistry, Telemetry};
+use dvs_telemetry::MetricsRegistry;
 use dvs_vm::MemRequest;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -79,20 +79,6 @@ impl Backend {
                     })
                     .collect(),
             },
-        }
-    }
-
-    /// Clones the telemetry handle into every L1 (and its MSHR) and bank.
-    pub(crate) fn set_telemetry(&mut self, tel: &Telemetry) {
-        match self {
-            Backend::Mesi { l1s, dirs } => {
-                l1s.iter_mut().for_each(|l| l.set_telemetry(tel.clone()));
-                dirs.iter_mut().for_each(|d| d.set_telemetry(tel.clone()));
-            }
-            Backend::DeNovo { l1s, regs } => {
-                l1s.iter_mut().for_each(|l| l.set_telemetry(tel.clone()));
-                regs.iter_mut().for_each(|r| r.set_telemetry(tel.clone()));
-            }
         }
     }
 

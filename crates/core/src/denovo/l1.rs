@@ -45,13 +45,12 @@ use crate::config::{BackoffConfig, Protocol, ProtocolMutation};
 use crate::denovo::backoff::BackoffUnit;
 use crate::denovo::predictor::SyncPredictor;
 use crate::msg::{CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
-use crate::proto::{home_bank, Action, IssueResult};
+use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{
     AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, Region, RmwOp, WordAddr, WORDS_PER_LINE,
 };
-use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
 use std::sync::Arc;
 
@@ -451,8 +450,6 @@ pub struct DnvL1 {
     /// The protocol's transition table.
     table: &'static Table,
     layout: Arc<MemoryLayout>,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
 }
 
 impl DnvL1 {
@@ -484,32 +481,12 @@ impl DnvL1 {
             },
             table: &spec.table,
             layout,
-            tel: Telemetry::off(),
         }
-    }
-
-    /// Attaches a telemetry handle (word-state transitions, registrations,
-    /// MSHR occupancy).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.mshr.set_telemetry(tel.clone(), self.id as u32);
-        self.tel = tel;
     }
 
     /// Peak simultaneous MSHR occupancy observed.
     pub fn mshr_high_water(&self) -> usize {
         self.mshr.high_water()
-    }
-
-    fn emit_transition(
-        &self,
-        word: WordAddr,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        let kind = EventKind::Transition { from, to, cause };
-        self.tel
-            .emit_now(self.id as u32, Component::L1, word.telemetry_key(), kind);
     }
 
     /// Parks a failed spin on `word`, which just read `seen`. A Registered
@@ -778,7 +755,7 @@ impl DnvL1 {
         step: &mut (IssueResult, Option<Successor>),
         actions: &mut Vec<Action>,
     ) -> bool {
-        let (req, from, banks) = (self.id, self.id, self.banks);
+        let (req, from, banks, key) = (self.id, self.id, self.banks, word.base().raw());
         let home = || Endpoint::Bank(home_bank(word.line(), banks));
         let mut send = |to, msg| {
             let msg = Msg::Dnv(msg);
@@ -803,7 +780,7 @@ impl DnvL1 {
                 if act == Act::Claim {
                     // The paper's write path: Registered at once, no
                     // transient state.
-                    self.emit_transition(word, was, "R", "store");
+                    actions.push(Action::transition(key, was, "R", "store"));
                 } else {
                     step.0 = IssueResult::StoreAccepted { completed: true };
                 }
@@ -827,15 +804,13 @@ impl DnvL1 {
             (Act::Allocate, _) => return self.ensure_line(word.line(), actions),
             (Act::Request, &Input::Core { kind, .. }) => {
                 let pend = PendKind::of(kind);
-                self.mshr
-                    .try_insert(word, Pend::new(pend))
-                    .expect("fresh mshr");
                 let class = pend.reg_class();
                 let msg = match pend {
                     PendKind::Read => DnvMsg::ReadReq { word, req },
                     _ => DnvMsg::RegReq { word, req, class },
                 };
                 send(home(), msg);
+                mshr_alloc(&mut self.mshr, word, Pend::new(pend), key, actions);
                 step.0 = match pend {
                     PendKind::Write => IssueResult::StoreAccepted { completed: false },
                     _ => IssueResult::Miss,
@@ -886,7 +861,7 @@ impl DnvL1 {
                     self.backoff.on_remote_sync_read();
                 }
                 self.word_mut(word).expect("registered word").state = to;
-                self.emit_transition(word, "R", to.label(), cause);
+                actions.push(Action::transition(key, "R", to.label(), cause));
                 if self.watch == Some(word) {
                     actions.push(Action::SpinWake);
                 }
@@ -905,7 +880,7 @@ impl DnvL1 {
             }
             // Responses.
             (Act::Fill, &Input::Msg(DnvMsg::ReadResp { value, fill, .. })) => {
-                self.mshr.remove(&word);
+                mshr_free(&mut self.mshr, &word, key, actions);
                 let cached = self.ensure_line(word.line(), actions);
                 if cached {
                     let w = self.word_mut(word).expect("line ensured");
@@ -928,7 +903,8 @@ impl DnvL1 {
                 return self.complete(word, value, step, actions);
             }
             (Act::Retire, _) => {
-                let pend = self.mshr.remove(&word).expect("writeback pending");
+                let pend =
+                    mshr_free(&mut self.mshr, &word, key, actions).expect("writeback pending");
                 self.serve_reads(word, found.held(), &pend.parked_reads, actions);
             }
             (Act::Refuse, _) => {
@@ -942,7 +918,8 @@ impl DnvL1 {
             // serve the parked reads and the new registrant from the held
             // value, and drop the word.
             (Act::FinishWb, _) => {
-                let pend = self.mshr.remove(&word).expect("writeback pending");
+                let pend =
+                    mshr_free(&mut self.mshr, &word, key, actions).expect("writeback pending");
                 let (new_owner, class) = match (pend.parked, input) {
                     (Some(Successor::Xfer(c, class)), _) => (c, class),
                     (
@@ -971,20 +948,20 @@ impl DnvL1 {
                     AccessKind::DataStore { value } => (GcsOpKind::Store { value }, true),
                     _ => (PendKind::of(kind).sync_op().expect("a sync access"), false),
                 };
-                let pend = Pend::new(PendKind::SyncWait { op, data_store });
-                self.mshr.try_insert(word, pend).expect("fresh mshr");
                 send(home(), DnvMsg::SyncOp { word, req, op });
+                let pend = Pend::new(PendKind::SyncWait { op, data_store });
+                mshr_alloc(&mut self.mshr, word, pend, key, actions);
                 step.0 = match data_store {
                     true => IssueResult::StoreAccepted { completed: false },
                     false => IssueResult::Miss,
                 };
             }
-            (Act::Learn, &Input::Msg(msg)) => self.learn(word, msg.kind_name()),
+            (Act::Learn, &Input::Msg(msg)) => self.learn(word, msg.kind_name(), actions),
             // The optimistic store set the word Registered locally; the bank
             // owns classified words, so undo and re-execute there.
             (Act::Unwrite, _) => {
                 self.word_mut(word).expect("write-registered word").state = WState::Invalid;
-                self.emit_transition(word, "R", "I", "Classified");
+                actions.push(Action::transition(key, "R", "I", "Classified"));
             }
             (Act::Convert, _) => {
                 let kind = found.kind.expect("a pending registration");
@@ -1000,7 +977,7 @@ impl DnvL1 {
                 send(home(), DnvMsg::SyncOp { word, req, op });
             }
             (Act::SyncDone, &Input::Msg(DnvMsg::SyncResp { value, .. })) => {
-                let pend = self.mshr.remove(&word).expect("sync op pending");
+                let pend = mshr_free(&mut self.mshr, &word, key, actions).expect("sync op pending");
                 let PendKind::SyncWait { op, data_store } = pend.kind else {
                     unreachable!("a sync response for {:?}", pend.kind)
                 };
@@ -1060,7 +1037,8 @@ impl DnvL1 {
         step: &mut (IssueResult, Option<Successor>),
         actions: &mut Vec<Action>,
     ) -> bool {
-        let pend = self.mshr.remove(&word).expect("registration pending");
+        let key = word.base().raw();
+        let pend = mshr_free(&mut self.mshr, &word, key, actions).expect("registration pending");
         let cached = self.ensure_line(word.line(), actions);
         // The value this core now owns, and how the access completes. A data
         // store's word was already Registered locally with its value.
@@ -1083,7 +1061,7 @@ impl DnvL1 {
                 state: WState::Registered,
                 value,
             };
-            self.emit_transition(word, was, "R", "RegAck");
+            actions.push(Action::transition(key, was, "R", "RegAck"));
         }
         actions.push(done);
         // Parked forwarded reads see the post-operation value (they were
@@ -1103,7 +1081,7 @@ impl DnvL1 {
                 Msg::Dnv(DnvMsg::RegAck { word, value, class }),
             ),
             Some(Successor::Recall) => {
-                self.learn(word, "Recall");
+                self.learn(word, "Recall", actions);
                 let (from, value) = (self.id, Some(value));
                 (
                     self.home(word),
@@ -1117,11 +1095,11 @@ impl DnvL1 {
 
     /// Records `word` as sync-classified (idempotent) and emits the
     /// data→sync classification transition the first time.
-    fn learn(&mut self, word: WordAddr, cause: &'static str) {
+    fn learn(&mut self, word: WordAddr, cause: &'static str, actions: &mut Vec<Action>) {
         let known = self.sync.predictor.contains(word);
         self.sync.predictor.insert(word);
         if !known {
-            self.emit_transition(word, "data", "sync", cause);
+            actions.push(Action::transition(word.base().raw(), "data", "sync", cause));
         }
     }
 
@@ -1146,7 +1124,7 @@ impl DnvL1 {
             value,
             nacked: false,
         });
-        self.mshr.try_insert(word, pend).expect("word unpinned");
+        mshr_alloc(&mut self.mshr, word, pend, word.base().raw(), actions);
         let (to, from) = (self.home(word), self.id);
         let msg = Msg::Dnv(DnvMsg::WbReq { word, value, from });
         actions.push(Action::Send { to, msg });
@@ -1928,7 +1906,8 @@ pub(crate) mod tests {
         );
         acts.clear();
         l1.on_msg(DnvMsg::Recall { word: word(0x100) }, &mut acts);
-        assert!(acts.is_empty(), "recall must park: {acts:?}");
+        let observed = |a: &Action| matches!(a, Action::Observe { .. });
+        assert!(acts.iter().all(observed), "recall must park: {acts:?}");
         assert!(l1.has_parked(word(0x100)));
         l1.on_msg(
             DnvMsg::RegAck {
@@ -2022,7 +2001,8 @@ pub(crate) mod tests {
         // The recall crosses our in-flight WbReq: the bank will accept the
         // writeback as the recall return, so the L1 stays silent.
         l1.on_msg(DnvMsg::Recall { word: word(0x200) }, &mut acts);
-        assert!(acts.is_empty(), "{acts:?}");
+        let observed = |a: &Action| matches!(a, Action::Observe { .. });
+        assert!(acts.iter().all(observed), "{acts:?}");
         l1.on_msg(DnvMsg::WbAck { word: word(0x200) }, &mut acts);
         assert_eq!(l1.peek_registered(word(0x200)), None);
     }

@@ -33,7 +33,7 @@ use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
-use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::EventKind;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One word's registry state.
@@ -282,8 +282,6 @@ struct Port {
     notifies: u64,
     /// Recall handshakes started (metric).
     recalls: u64,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
     /// What the running row hands on: an applied sync op's new value, and
     /// the messages to dispatch once the row is done.
     changed: Option<u64>,
@@ -306,7 +304,7 @@ impl DnvRegistry {
         mutation: Option<ProtocolMutation>,
     ) -> Self {
         let spec = Spec::find(&SPECS, protocol, mutation).expect("a DeNovo protocol");
-        let (sync, tel, then) = (BTreeMap::new(), Telemetry::off(), Vec::new());
+        let (sync, then) = (BTreeMap::new(), Vec::new());
         DnvRegistry {
             lines: SpanMap::sparse_only(),
             table: &spec.table,
@@ -316,7 +314,6 @@ impl DnvRegistry {
                 sync,
                 notifies: 0,
                 recalls: 0,
-                tel,
                 changed: None,
                 then,
             },
@@ -338,11 +335,6 @@ impl DnvRegistry {
         let top_line = layout.top().div_ceil(LINE_BYTES);
         let slots = top_line.div_ceil(banks as u64) as usize;
         self.lines = SpanMap::with_span(self.port.bank as u64, banks as u64, slots);
-    }
-
-    /// Attaches a telemetry handle (registration re-points).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.port.tel = tel;
     }
 
     /// Targeted wakeup notifications sent so far.
@@ -578,7 +570,7 @@ impl Port {
         msg: &Msg,
         actions: &mut Vec<Action>,
     ) {
-        let idx = word.index_in_line();
+        let (idx, addr) = (word.index_in_line(), word.base().raw());
         let (held, owner) = match slot {
             RegWord::Valid(v) => (Some(v), None),
             RegWord::Registered(c) => (None, Some(c)),
@@ -642,8 +634,11 @@ impl Port {
             // previous registrant, or `u32::MAX` when the bank held it).
             (Act::Registration, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
                 let prev = owner.map_or(u32::MAX, |p| p as u32);
-                let owner = req as u32;
-                self.emit(word, EventKind::Registration { owner, prev });
+                let kind = EventKind::Registration {
+                    owner: req as u32,
+                    prev,
+                };
+                actions.push(Action::Observe { addr, kind });
             }
             // The writeback handshake: accepted from the registrant;
             // refused otherwise — ownership already moved, and a transfer is
@@ -656,12 +651,12 @@ impl Port {
                 send(from, DnvMsg::WbNack { word });
             }
             // The sync path.
-            (Act::Classify, _) => self.mark_classified(word, false),
+            (Act::Classify, _) => self.mark_classified(word, false, actions),
             (Act::Redispatch, _) => self.then.push(*msg),
             (Act::Recall, _) => {
-                self.mark_classified(word, true);
                 self.recalls += 1;
                 send(owner.expect("a registrant"), DnvMsg::Recall { word });
+                self.mark_classified(word, true, actions);
             }
             (Act::Park, _) => self.entry(word).pending.push_back(*msg),
             (Act::Reject, &Msg::Dnv(DnvMsg::RegReq { req, .. })) => {
@@ -713,7 +708,8 @@ impl Port {
                     }
                 }
                 let (writer, waiters) = (req as u32, waiters.len() as u32);
-                self.emit(word, EventKind::Notify { writer, waiters });
+                let kind = EventKind::Notify { writer, waiters };
+                actions.push(Action::Observe { addr, kind });
             }
             // A level-triggered watch: parked on the value the spinner saw,
             // notified at once if the word has already moved past it.
@@ -729,21 +725,15 @@ impl Port {
         }
     }
 
-    /// Adds `word` to the sync map and emits the data→sync transition.
-    fn mark_classified(&mut self, word: WordAddr, recalling: bool) {
+    /// Adds `word` to the sync map and observes the data→sync transition.
+    fn mark_classified(&mut self, word: WordAddr, recalling: bool, actions: &mut Vec<Action>) {
         let entry = SyncEntry {
             recalling,
             ..SyncEntry::default()
         };
         self.sync.insert(word, entry);
-        let (from, to, cause) = ("data", "sync", "classify");
-        self.emit(word, EventKind::Transition { from, to, cause });
-    }
-
-    fn emit(&self, word: WordAddr, kind: EventKind) {
-        let key = word.telemetry_key();
-        self.tel
-            .emit_now(self.bank as u32, Component::Dir, key, kind);
+        let addr = word.base().raw();
+        actions.push(Action::transition(addr, "data", "sync", "classify"));
     }
 
     fn entry(&mut self, word: WordAddr) -> &mut SyncEntry {

@@ -26,7 +26,8 @@
 //!   (MESI or DeNovo family), so the machine itself holds no protocol
 //!   logic. Attach a [`dvs_telemetry::Telemetry`] sink via
 //!   [`System::set_telemetry`](system::System::set_telemetry) to observe
-//!   per-access outcomes, protocol transitions, and stalls. Every engine
+//!   per-access outcomes, protocol transitions, and stalls; the
+//!   controllers report theirs as actions, stamped by the system. Every engine
 //!   builds the machine one way — `System::new` (which idles cores beyond
 //!   the programs given) or `System::new_replay`, then optional preloads —
 //!   and either runs it timed (`System::run`) or calls

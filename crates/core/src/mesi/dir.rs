@@ -16,7 +16,7 @@ use crate::msg::{BankId, CoreId, Endpoint, LineData, MesiMsg, Msg};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, LINE_BYTES};
 use dvs_stats::TrafficClass;
-use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::EventKind;
 use std::collections::VecDeque;
 
 /// Directory state for one line.
@@ -192,24 +192,21 @@ pub struct MesiDir {
     port: Port,
 }
 
-/// What a row's steps act through besides the line's entry: the bank, its
-/// memory controller and its telemetry.
+/// What a row's steps act through besides the line's entry: the bank and
+/// its memory controller.
 #[derive(Debug, Clone)]
 struct Port {
     bank: BankId,
     mem: Endpoint,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
 }
 
 impl MesiDir {
     /// Creates an empty bank. `mem` is the memory-controller endpoint this
     /// bank fetches lines through.
     pub fn new(bank: BankId, mem: Endpoint) -> Self {
-        let tel = Telemetry::off();
         MesiDir {
             lines: SpanMap::sparse_only(),
-            port: Port { bank, mem, tel },
+            port: Port { bank, mem },
         }
     }
 
@@ -223,12 +220,6 @@ impl MesiDir {
         let top_line = layout.top().div_ceil(LINE_BYTES);
         let slots = top_line.div_ceil(banks as u64) as usize;
         self.lines = SpanMap::with_span(self.port.bank as u64, banks as u64, slots);
-    }
-
-    /// Attaches a telemetry handle (directory state transitions and
-    /// invalidation fan-outs).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.port.tel = tel;
     }
 
     /// The line's current data as known to the L2 (stale while owned).
@@ -488,16 +479,15 @@ impl Port {
             need_unblock: true,
             need_owner_wb,
         });
-        let (node, key) = (self.bank as u32, line.telemetry_key());
+        let addr = line.base().raw();
         if state != before {
             let (from, to) = (before.label(), state.label());
-            let kind = EventKind::Transition { from, to, cause };
-            self.tel.emit_now(node, Component::Dir, key, kind);
+            actions.push(Action::transition(addr, from, to, cause));
         }
         if !invalidate.is_empty() {
             let (requester, sharers) = (req as u32, invalidate.len() as u32);
             let kind = EventKind::Invalidation { requester, sharers };
-            self.tel.emit_now(node, Component::Dir, key, kind);
+            actions.push(Action::Observe { addr, kind });
         }
     }
 }

@@ -8,11 +8,11 @@
 
 use crate::config::{Protocol, ProtocolMutation};
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::{home_bank, Action, IssueResult};
+use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
 use dvs_stats::TrafficClass;
-use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
+use dvs_telemetry::EventKind;
 use dvs_vm::MemRequest;
 
 /// A resident line's stable state.
@@ -344,8 +344,6 @@ pub struct MesiL1 {
     watch: Option<WordAddr>,
     /// The transition table: stock, or a seeded mutation's.
     table: &'static Table,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
 }
 
 impl MesiL1 {
@@ -358,7 +356,6 @@ impl MesiL1 {
             mshr: Mshr::unbounded(),
             watch: None,
             table: &SPECS[0].table,
-            tel: Telemetry::off(),
         }
     }
 
@@ -367,13 +364,6 @@ impl MesiL1 {
     pub fn set_mutation(&mut self, mutation: Option<ProtocolMutation>) {
         let spec = Spec::find(&SPECS, Protocol::Mesi, mutation);
         self.table = &spec.expect("MESI's stock table").table;
-    }
-
-    /// Attaches a telemetry handle (state transitions, invalidations, MSHR
-    /// occupancy).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.mshr.set_telemetry(tel.clone(), self.id as u32);
-        self.tel = tel;
     }
 
     /// Peak simultaneous MSHR occupancy observed.
@@ -549,8 +539,10 @@ impl MesiL1 {
         result: &mut IssueResult,
         actions: &mut Vec<Action>,
     ) -> bool {
-        // This L1 as a request's `req` and a reply's `from`, and its bank.
+        // This L1 as a request's `req` and a reply's `from`, its bank, and
+        // the line's address as observed.
         let (req, from, banks) = (self.id, self.id, self.banks);
+        let key = line.base().raw();
         let home = || Endpoint::Bank(home_bank(line, banks));
         let mut send = |to, msg| {
             let msg = Msg::Mesi(msg);
@@ -599,8 +591,8 @@ impl MesiL1 {
                 if act == Act::Upgrade {
                     self.cache.touch(line);
                 }
-                self.mshr.try_insert(line, txn).expect("fresh mshr");
                 send(home(), msg);
+                mshr_alloc(&mut self.mshr, line, txn, key, actions);
             }
             (Act::Retry, &Input::Core { .. }) => *result = IssueResult::Blocked,
             // Responses.
@@ -610,11 +602,11 @@ impl MesiL1 {
                 } else {
                     Stable::S
                 };
-                self.emit(line, "I", state.label(), "Data");
+                actions.push(Action::transition(key, "I", state.label(), "Data"));
                 return self.try_install(line, MesiLine { state, data }, msg, actions);
             }
             (Act::Deliver, &Input::Msg(MesiMsg::Data { mut data, .. })) => {
-                let load = self.mshr.remove(&line).and_then(|t| t.blocking);
+                let load = mshr_free(&mut self.mshr, &line, key, actions).and_then(|t| t.blocking);
                 let value = load.expect("a fetch carries its load").apply(&mut data);
                 actions.push(Action::CoreDone { value });
             }
@@ -636,11 +628,10 @@ impl MesiL1 {
             // Invalidations and forwarded requests.
             (Act::Invalidate, &Input::Msg(MesiMsg::Inv { req, .. })) => {
                 self.cache.remove(line);
-                self.emit(line, "S", "I", "Inv");
+                actions.push(Action::transition(key, "S", "I", "Inv"));
                 let (requester, sharers) = (req as u32, 1);
                 let kind = EventKind::Invalidation { requester, sharers };
-                let key = line.telemetry_key();
-                self.tel.emit_now(from as u32, Component::L1, key, kind);
+                actions.push(Action::Observe { addr: key, kind });
             }
             (Act::DeliverOnce, _) => self.mshr.get_mut(&line).expect("fetch").deliver_only = true,
             (Act::AckInv, &Input::Msg(MesiMsg::Inv { req, .. })) => {
@@ -654,7 +645,7 @@ impl MesiL1 {
             (Act::Downgrade, _) => {
                 self.cache.get_mut(line).expect("owned line").state = Stable::S;
                 let was = found.resident.expect("owned line").state.label();
-                self.emit(line, was, "S", "FwdGetS");
+                actions.push(Action::transition(key, was, "S", "FwdGetS"));
             }
             (Act::SendData, &Input::Msg(msg)) => {
                 let (MesiMsg::FwdGetS { req, .. } | MesiMsg::FwdGetM { req, .. }) = msg else {
@@ -677,10 +668,10 @@ impl MesiL1 {
             }
             (Act::Surrender, _) => {
                 let l = self.cache.remove(line).expect("owned line");
-                self.emit(line, l.state.label(), "I", "FwdGetM");
+                actions.push(Action::transition(key, l.state.label(), "I", "FwdGetM"));
             }
             (Act::Release, _) => self.mshr.get_mut(&line).expect("eviction").evict_data = None,
-            (Act::Retire, _) => drop(self.mshr.remove(&line)),
+            (Act::Retire, _) => drop(mshr_free(&mut self.mshr, &line, key, actions)),
             // A victim's replacement.
             (Act::PutS | Act::PutE | Act::PutM, &Input::Victim(old)) => {
                 let data = old.data;
@@ -689,11 +680,11 @@ impl MesiL1 {
                     Act::PutE => MesiMsg::PutE { line, req },
                     _ => MesiMsg::PutM { line, req, data },
                 };
-                self.emit(line, old.state.label(), "I", "evict");
+                send(home(), msg);
+                actions.push(Action::transition(key, old.state.label(), "I", "evict"));
                 let mut txn = Txn::new(Goal::Evict);
                 txn.evict_data = (act != Act::PutS).then_some(data);
-                self.mshr.try_insert(line, txn).expect("victim had no mshr");
-                send(home(), msg);
+                mshr_alloc(&mut self.mshr, line, txn, key, actions);
             }
             _ => unreachable!("L1 step {act:?} fired by {input:?}"),
         }
@@ -728,8 +719,9 @@ impl MesiL1 {
             return false;
         }
         let was = found.resident.map_or("I", |l| l.state.label());
-        self.emit(line, was, "M", "Data");
-        let txn = self.mshr.remove(&line).expect("own transaction");
+        let key = line.base().raw();
+        actions.push(Action::transition(key, was, "M", "Data"));
+        let txn = mshr_free(&mut self.mshr, &line, key, actions).expect("own transaction");
         let count = txn.pending_stores.len();
         if count > 0 {
             actions.push(Action::StoresDone { count });
@@ -769,12 +761,6 @@ impl MesiL1 {
                 false
             }
         }
-    }
-
-    fn emit(&self, line: LineAddr, from: &'static str, to: &'static str, cause: &'static str) {
-        let kind = EventKind::Transition { from, to, cause };
-        let key = line.telemetry_key();
-        self.tel.emit_now(self.id as u32, Component::L1, key, kind);
     }
 }
 

@@ -5,24 +5,29 @@
 //! optional trace recorder — goes through [`Observer`]'s handful of hooks:
 //! [`effect`](Observer::effect) per core effect, [`issue`](Observer::issue)
 //! and [`complete`](Observer::complete) per memory access,
-//! [`deliver`](Observer::deliver) per message, and
+//! [`deliver`](Observer::deliver) per message,
+//! [`controller`](Observer::controller) per buffer of controller actions
+//! (its [`Action::Observe`]s), and
 //! [`stall_begin`](Observer::stall_begin)/[`stall_end`](Observer::stall_end)
-//! per stall interval. The observer never feeds back into simulated
-//! behaviour; results the run digests (`RunStats`, traffic, time
-//! attribution) stay in the system. An access event's hit or miss is
-//! [`IssueResult::hit`], the rule the system counts `RunStats.cache` with.
+//! per stall interval. The observer holds the machine's telemetry handle
+//! (the network a clone, for its per-hop events), and every event carries
+//! the scheduler's cycle the system passes in. The observer never feeds
+//! back into simulated behaviour; results the run digests (`RunStats`,
+//! traffic, time attribution) stay in the system. An access event's hit
+//! or miss is [`IssueResult::hit`], the rule the system counts
+//! `RunStats.cache` with.
 //!
 //! It is one concrete struct, not a trait: every channel is present in
 //! every run, switched at runtime with one branch (the telemetry handle's
 //! `Option`, the recorder's `Option`).
 
 use crate::msg::{CoreId, Endpoint, Msg};
-use crate::proto::IssueResult;
+use crate::proto::{Action, IssueResult};
 use crate::replay::{Recording, TraceRecorder};
 use dvs_engine::Cycle;
 use dvs_mem::Addr;
 use dvs_telemetry::{
-    Component, Event, EventKind, MetricsRegistry, RingSink, StallClass, Telemetry, TelemetryKey,
+    Component, Event, EventKind, MetricsRegistry, RingSink, StallClass, Telemetry,
 };
 use dvs_vm::{Effect, MemRequest, StallTracker};
 
@@ -59,10 +64,6 @@ impl Observer {
 
     pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.tel
     }
 
     pub(crate) fn start_recording(&mut self, cores: usize) {
@@ -109,7 +110,7 @@ impl Observer {
     /// stall a miss opens, a backoff penalty's whole stall, and a recorded
     /// accepted store.
     pub(crate) fn issue(&mut self, core: CoreId, req: &MemRequest, res: &IssueResult, at: Cycle) {
-        let addr = req.addr.telemetry_key();
+        let addr = req.addr.raw();
         if let Some(hit) = res.hit() {
             let (sync, write) = (req.kind.is_sync(), req.kind.may_write());
             self.core_event(core, at, addr, EventKind::Access { hit, sync, write });
@@ -140,16 +141,12 @@ impl Observer {
 
     /// Message number `ordinal` was delivered to `ep` at `at`.
     pub(crate) fn deliver(&mut self, at: Cycle, ep: Endpoint, msg: &Msg, ordinal: u64) {
-        let (component, node) = match ep {
-            Endpoint::L1(i) => (Component::L1, i as u32),
-            Endpoint::Bank(b) => (Component::Dir, b as u32),
-            Endpoint::Mem(n) => (Component::Sys, n as u32),
-        };
+        let (component, node) = placed(ep);
         let ev = Event {
             cycle: at,
             node,
             component,
-            addr: msg.line().telemetry_key(),
+            addr: msg.line().base().raw(),
             kind: EventKind::Delivery {
                 msg: msg.kind_name(),
                 ordinal,
@@ -157,6 +154,32 @@ impl Observer {
         };
         self.ring.push(&ev);
         self.tel.emit(|| ev);
+    }
+
+    /// What `from`'s controller observed while filling `actions`, stamped
+    /// `at`: every [`Action::Observe`], in order, attributed to the
+    /// endpoint's node and component (the MSHR for MSHR events).
+    #[inline]
+    pub(crate) fn controller(&self, from: Endpoint, at: Cycle, actions: &[Action]) {
+        if !self.tel.enabled() {
+            return;
+        }
+        let (component, node) = placed(from);
+        for a in actions {
+            if let Action::Observe { addr, kind } = *a {
+                let component = match kind {
+                    EventKind::MshrAlloc { .. } | EventKind::MshrFree { .. } => Component::Mshr,
+                    _ => component,
+                };
+                self.tel.emit(|| Event {
+                    cycle: at,
+                    node,
+                    component,
+                    addr,
+                    kind,
+                });
+            }
+        }
     }
 
     /// `core` stopped retiring at `at` (a miss, a spin watch, a fence).
@@ -196,6 +219,15 @@ impl Observer {
                 )
             })
             .collect()
+    }
+}
+
+/// The node and component an endpoint's events are attributed to.
+fn placed(ep: Endpoint) -> (Component, u32) {
+    match ep {
+        Endpoint::L1(i) => (Component::L1, i as u32),
+        Endpoint::Bank(b) => (Component::Dir, b as u32),
+        Endpoint::Mem(n) => (Component::Sys, n as u32),
     }
 }
 

@@ -2,11 +2,14 @@
 //!
 //! Protocol controllers (MESI L1/directory, DeNovo L1/registry — GCS being
 //! the DeNovo pair running GCS's tables) are written as
-//! message-in / actions-out state machines: they never touch the network or
-//! the scheduler directly. Each entry point returns a list of [`Action`]s
-//! the surrounding [`System`](crate::system::System) applies — this keeps the
-//! controllers independently unit-testable, exactly the property the paper
-//! exploits when it argues DeNovo's three-state protocol is easy to verify.
+//! message-in / actions-out state machines: they never touch the network,
+//! the scheduler or the telemetry sink. Each entry point returns a list of
+//! [`Action`]s the surrounding [`System`](crate::system::System) applies —
+//! this keeps the controllers independently unit-testable, exactly the
+//! property the paper exploits when it argues DeNovo's three-state protocol
+//! is easy to verify. What a controller observes (a state transition, an
+//! MSHR allocation) is an action too, [`Action::Observe`]: the system stamps
+//! it with the cycle and the controller's node and hands it to its observer.
 //! The system reaches the controllers only through one backend enum with a
 //! MESI and a DeNovo variant, which dispatches core requests, deliveries,
 //! spin watches, invariant checks, fingerprint hashing and metrics. Every
@@ -16,8 +19,9 @@
 
 use crate::msg::{Endpoint, Msg};
 use dvs_engine::Cycle;
-use dvs_mem::{AccessKind, LineAddr};
+use dvs_mem::{AccessKind, LineAddr, Mshr};
 use dvs_stats::CacheStats;
+use dvs_telemetry::EventKind;
 
 /// A side effect requested by a protocol controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +66,17 @@ pub enum Action {
         /// Human-readable description of the illegal state/message pair.
         detail: String,
     },
+    /// Something the controller saw, for telemetry only: never read back
+    /// into simulated behaviour. The system reports every observation in a
+    /// buffer before applying the buffer's other actions, so a controller's
+    /// events precede the network events of the messages it sends.
+    Observe {
+        /// Byte address the observation concerns (a word's or line's
+        /// first byte).
+        addr: u64,
+        /// What was observed.
+        kind: EventKind,
+    },
 }
 
 impl Action {
@@ -70,6 +85,17 @@ impl Action {
         Action::Violation {
             detail: detail.into(),
         }
+    }
+
+    /// Shorthand for an [`Action::Observe`] of a state transition at `addr`.
+    pub fn transition(
+        addr: u64,
+        from: &'static str,
+        to: &'static str,
+        cause: &'static str,
+    ) -> Action {
+        let kind = EventKind::Transition { from, to, cause };
+        Action::Observe { addr, kind }
     }
 }
 
@@ -123,6 +149,37 @@ impl IssueResult {
 /// bank's dense line table (`configure_span`) is laid out at its stride.
 pub(crate) fn home_bank(line: LineAddr, banks: usize) -> usize {
     (line.raw() % banks as u64) as usize
+}
+
+/// Opens `key`'s entry in an L1's MSHR file and observes the allocation at
+/// `addr`, the key's first byte.
+pub(crate) fn mshr_alloc<K: Ord, V>(
+    mshr: &mut Mshr<K, V>,
+    key: K,
+    value: V,
+    addr: u64,
+    actions: &mut Vec<Action>,
+) {
+    mshr.try_insert(key, value)
+        .expect("one MSHR entry per address");
+    let occupancy = mshr.len() as u32;
+    let kind = EventKind::MshrAlloc { occupancy };
+    actions.push(Action::Observe { addr, kind });
+}
+
+/// Closes `key`'s MSHR entry, if one is open, and observes the release at
+/// `addr`.
+pub(crate) fn mshr_free<K: Ord, V>(
+    mshr: &mut Mshr<K, V>,
+    key: &K,
+    addr: u64,
+    actions: &mut Vec<Action>,
+) -> Option<V> {
+    let value = mshr.remove(key)?;
+    let occupancy = mshr.len() as u32;
+    let kind = EventKind::MshrFree { occupancy };
+    actions.push(Action::Observe { addr, kind });
+    Some(value)
 }
 
 /// Counts one L1 access, by kind, in the paper's hit/miss breakdown.

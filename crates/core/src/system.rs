@@ -501,21 +501,15 @@ impl System {
         self.obs.take_recording(init)
     }
 
-    /// Attaches a telemetry sink, cloning the shared handle into every
-    /// instrumented component: the network, each L1 (and its MSHR), each L2
-    /// bank, and the system's observer. The default handle is
-    /// [`Telemetry::off`], under which every instrumentation site costs one
-    /// branch and builds no event.
+    /// Attaches a telemetry sink. The observer holds the handle and the
+    /// network a clone; the controllers and MSHRs hold none — what they
+    /// observe comes back as [`Action::Observe`]s, which the system stamps
+    /// with the scheduler's cycle and the controller's node and hands to
+    /// the observer. The default handle is [`Telemetry::off`], under which
+    /// every instrumentation site costs one branch and builds no event.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.net.set_telemetry(tel.clone());
-        self.backend.set_telemetry(&tel);
         self.obs.set_telemetry(tel);
-    }
-
-    /// The attached telemetry handle (the off handle unless
-    /// [`System::set_telemetry`] was called).
-    pub fn telemetry(&self) -> &Telemetry {
-        self.obs.telemetry()
     }
 
     /// Builds the hierarchical metrics tree for this system: per-core stall
@@ -561,15 +555,12 @@ impl System {
     /// [`SimError::Deadlock`] if the event queue drains with threads still
     /// running, [`SimError::CycleLimit`] if the configured limit is hit.
     pub fn run(&mut self) -> Result<RunStats, SimError> {
-        // The event loop is monomorphized over the two per-event policies —
-        // telemetry clock publication and invariant checking — so the common
-        // configuration (both off) dispatches events with no per-event
-        // branching on either.
-        let result = match (self.telemetry().enabled(), self.cfg.check_invariants) {
-            (false, false) => self.run_loop::<false, false>(),
-            (false, true) => self.run_loop::<false, true>(),
-            (true, false) => self.run_loop::<true, false>(),
-            (true, true) => self.run_loop::<true, true>(),
+        // The event loop is monomorphized over invariant checking, so the
+        // common configuration (off) dispatches events with no per-event
+        // branch on it.
+        let result = match self.cfg.check_invariants {
+            false => self.run_loop::<false>(),
+            true => self.run_loop::<true>(),
         };
         result?;
         if !self.all_halted() {
@@ -579,19 +570,15 @@ impl System {
         Ok(self.collect_stats())
     }
 
-    /// The monomorphized event loop behind [`System::run`]. `TEL` publishes
-    /// the simulated clock to the telemetry handle per event; `INV` runs the
+    /// The monomorphized event loop behind [`System::run`]. `INV` runs the
     /// delivery-boundary invariant checkers.
-    fn run_loop<const TEL: bool, const INV: bool>(&mut self) -> Result<(), SimError> {
+    fn run_loop<const INV: bool>(&mut self) -> Result<(), SimError> {
         while let Some((now, ev)) = self.sched.pop() {
             if now > self.cfg.max_cycles {
                 return Err(SimError::CycleLimit {
                     limit: self.cfg.max_cycles,
                     report: self.stall_report(),
                 });
-            }
-            if TEL {
-                self.telemetry().set_now(now);
             }
             match ev {
                 Ev::Step(i) => self.step_core(i),
@@ -833,10 +820,15 @@ impl System {
         self.action_scratch.pop().unwrap_or_default()
     }
 
+    /// Applies a controller's actions in order, after reporting its
+    /// observations: they happened during the controller's call, before any
+    /// of its messages reach the network.
     fn apply_actions(&mut self, from: Endpoint, send_delay: Cycle, mut actions: Vec<Action>) {
+        self.obs.controller(from, self.sched.now(), &actions);
         let src = self.node_of(from);
         'apply: for a in actions.drain(..) {
             match a {
+                Action::Observe { .. } => {}
                 Action::Send { to, msg } => self.send_msg(src, to, msg, send_delay),
                 Action::Local { delay, msg } => {
                     if let Some(o) = &mut self.oracle {
@@ -1353,9 +1345,7 @@ impl System {
             }
             msg
         };
-        let now = self.sched.now();
-        self.telemetry().set_now(now);
-        self.deliver(now, key.dst(), msg, self.cfg.check_invariants);
+        self.deliver(self.sched.now(), key.dst(), msg, self.cfg.check_invariants);
         // A delivery is the only thing that can unblock a parked core:
         // re-issue them all (a still-blocked one just re-parks).
         let parked = std::mem::take(&mut self.oracle.as_mut().expect("oracle mode").parked);
@@ -1495,6 +1485,7 @@ mod tests {
     use crate::denovo::DnvRegistry;
     use dvs_mem::LayoutBuilder;
     use dvs_stats::TrafficClass;
+    use dvs_telemetry::{Component, EventKind};
     use dvs_vm::isa::{Cond, Reg};
     use dvs_vm::Asm;
 
@@ -2299,6 +2290,48 @@ mod tests {
             // least one protocol state (overwhelmingly likely here), but
             // both must converge to the same final answer — checked above.
             let _ = walk(43);
+        }
+    }
+
+    #[test]
+    fn oracle_walk_stamps_controller_events_with_the_scheduler_cycle() {
+        // An oracle walk advances the scheduler only through core events:
+        // each MSHR allocation a miss makes must carry the cycle of the
+        // access event the system reports right after it.
+        let (_, counter) = counter_layout();
+        let make = || {
+            let mut a = Asm::new("inc");
+            a.movi(Reg(1), counter.raw()).movi(Reg(2), 1);
+            a.fai(Reg(3), Reg(1), 0, Reg(2)).halt();
+            a.build()
+        };
+        for proto in Protocol::EXTENDED {
+            let (layout, _) = counter_layout();
+            let programs = (0..4).map(|_| make()).collect::<Vec<_>>();
+            let mut sys = System::new(SystemConfig::small(4, proto), layout, programs);
+            let tel = Telemetry::recorder();
+            sys.set_telemetry(tel.clone());
+            sys.start_oracle();
+            sys.oracle_walk(7, 10_000).expect("walk quiesces");
+            let events: Vec<_> = tel
+                .take_events()
+                .expect("recorder")
+                .into_iter()
+                .filter(|e| e.component != Component::Noc)
+                .collect();
+            let mut allocs = 0;
+            for pair in events.windows(2) {
+                if let EventKind::MshrAlloc { .. } = pair[0].kind {
+                    allocs += 1;
+                    let access = pair[1];
+                    assert!(
+                        matches!(access.kind, EventKind::Access { .. }),
+                        "{proto:?}: {access:?} follows an allocation"
+                    );
+                    assert_eq!(pair[0].cycle, access.cycle, "{proto:?}: {pair:?}");
+                }
+            }
+            assert!(allocs >= 4, "{proto:?}: every core misses at least once");
         }
     }
 }

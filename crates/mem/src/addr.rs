@@ -74,26 +74,6 @@ impl fmt::Display for Addr {
     }
 }
 
-/// Telemetry subjects are byte addresses; each address type renders as the
-/// first byte it covers.
-impl dvs_telemetry::TelemetryKey for Addr {
-    fn telemetry_key(&self) -> u64 {
-        self.raw()
-    }
-}
-
-impl dvs_telemetry::TelemetryKey for WordAddr {
-    fn telemetry_key(&self) -> u64 {
-        self.base().raw()
-    }
-}
-
-impl dvs_telemetry::TelemetryKey for LineAddr {
-    fn telemetry_key(&self) -> u64 {
-        self.base().raw()
-    }
-}
-
 impl From<u64> for Addr {
     fn from(raw: u64) -> Self {
         Addr(raw)

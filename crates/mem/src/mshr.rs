@@ -2,16 +2,15 @@
 //!
 //! An MSHR file tracks outstanding misses keyed by address (line address for
 //! MESI, word address for DeNovo). The paper does not evaluate MSHR-capacity
-//! pressure, so the file is unbounded by default, but it records a high-water
-//! mark so experiments can confirm realistic occupancies; a bound can be set
-//! to model a finite file.
+//! pressure, so the file is unbounded, but it records a high-water mark so
+//! experiments can confirm realistic occupancies. The file reports nothing
+//! itself: its owner observes each allocation and release.
 //!
 //! Occupancy is a handful of entries (bounded by each core's outstanding
 //! misses), so the file is a flat key-sorted vector: binary-search lookups
 //! with no hashing, and the canonical fingerprint hash falls out of plain
 //! in-order iteration.
 
-use dvs_telemetry::{Component, EventKind, Telemetry, TelemetryKey};
 use std::hash::Hash;
 
 /// A file of miss-status holding registers keyed by `K`.
@@ -30,18 +29,12 @@ use std::hash::Hash;
 pub struct Mshr<K, V> {
     /// Outstanding entries, sorted by key.
     entries: Vec<(K, V)>,
-    capacity: Option<usize>,
     high_water: usize,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
-    node: u32,
 }
 
-/// Error returned when inserting into a full or conflicting MSHR file.
+/// Error returned when inserting a key the file already tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrError {
-    /// The file is at capacity.
-    Full,
     /// An entry for this key already exists.
     Occupied,
 }
@@ -49,7 +42,6 @@ pub enum MshrError {
 impl std::fmt::Display for MshrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MshrError::Full => f.write_str("mshr file full"),
             MshrError::Occupied => f.write_str("mshr entry already exists for key"),
         }
     }
@@ -58,35 +50,12 @@ impl std::fmt::Display for MshrError {
 impl std::error::Error for MshrError {}
 
 impl<K, V> Mshr<K, V> {
-    /// Creates an unbounded file.
+    /// Creates an empty, unbounded file.
     pub fn unbounded() -> Self {
         Mshr {
             entries: Vec::new(),
-            capacity: None,
             high_water: 0,
-            tel: Telemetry::off(),
-            node: 0,
         }
-    }
-
-    /// Creates a file bounded to `capacity` entries.
-    pub fn bounded(capacity: usize) -> Self {
-        Mshr {
-            entries: Vec::new(),
-            capacity: Some(capacity),
-            high_water: 0,
-            tel: Telemetry::off(),
-            node: 0,
-        }
-    }
-
-    /// Attaches a telemetry handle; allocations and releases then emit
-    /// [`EventKind::MshrAlloc`]/[`EventKind::MshrFree`] events attributed to
-    /// `node`, stamped from the handle's shared clock
-    /// ([`Telemetry::now`]).
-    pub fn set_telemetry(&mut self, tel: Telemetry, node: u32) {
-        self.tel = tel;
-        self.node = node;
     }
 }
 
@@ -95,43 +64,26 @@ impl<K: Ord, V> Mshr<K, V> {
     fn search(&self, key: &K) -> Result<usize, usize> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key))
     }
-}
 
-impl<K: Ord + TelemetryKey, V> Mshr<K, V> {
     /// Inserts a new entry.
     ///
     /// # Errors
     ///
-    /// Returns [`MshrError::Occupied`] if the key is already tracked and
-    /// [`MshrError::Full`] if a bounded file is at capacity.
+    /// Returns [`MshrError::Occupied`] if the key is already tracked.
     pub fn try_insert(&mut self, key: K, value: V) -> Result<(), MshrError> {
         let slot = match self.search(&key) {
             Ok(_) => return Err(MshrError::Occupied),
             Err(slot) => slot,
         };
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                return Err(MshrError::Full);
-            }
-        }
-        let addr = key.telemetry_key();
         self.entries.insert(slot, (key, value));
         self.high_water = self.high_water.max(self.entries.len());
-        let occupancy = self.entries.len() as u32;
-        let kind = EventKind::MshrAlloc { occupancy };
-        self.tel.emit_now(self.node, Component::Mshr, addr, kind);
         Ok(())
     }
 
     /// Removes and returns an entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let slot = self.search(key).ok()?;
-        let (_, value) = self.entries.remove(slot);
-        let occupancy = self.entries.len() as u32;
-        let kind = EventKind::MshrFree { occupancy };
-        self.tel
-            .emit_now(self.node, Component::Mshr, key.telemetry_key(), kind);
-        Some(value)
+        Some(self.entries.remove(slot).1)
     }
 
     /// Looks up an entry.
@@ -172,9 +124,8 @@ impl<K: Ord + TelemetryKey, V> Mshr<K, V> {
     }
 }
 
-/// Canonical hash: entries sorted by key (their storage order), plus the
-/// capacity bound. The `high_water` statistic is excluded — it never affects
-/// future behaviour.
+/// Canonical hash: entries sorted by key (their storage order). The
+/// `high_water` statistic is excluded — it never affects future behaviour.
 impl<K: Ord + Hash, V: Hash> Hash for Mshr<K, V> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_usize(self.entries.len());
@@ -182,7 +133,6 @@ impl<K: Ord + Hash, V: Hash> Hash for Mshr<K, V> {
             k.hash(state);
             v.hash(state);
         }
-        self.capacity.hash(state);
     }
 }
 
@@ -205,16 +155,6 @@ mod tests {
         let mut m: Mshr<u32, ()> = Mshr::unbounded();
         m.try_insert(1, ()).unwrap();
         assert_eq!(m.try_insert(1, ()), Err(MshrError::Occupied));
-    }
-
-    #[test]
-    fn bounded_capacity_enforced() {
-        let mut m: Mshr<u32, ()> = Mshr::bounded(2);
-        m.try_insert(1, ()).unwrap();
-        m.try_insert(2, ()).unwrap();
-        assert_eq!(m.try_insert(3, ()), Err(MshrError::Full));
-        m.remove(&1);
-        assert!(m.try_insert(3, ()).is_ok());
     }
 
     #[test]

@@ -337,7 +337,8 @@ impl Network {
     }
 
     /// Attaches a telemetry handle: every message then emits enqueue,
-    /// per-link hop, and dequeue events ([`dvs_telemetry::EventKind`]).
+    /// per-link hop, and dequeue events ([`dvs_telemetry::EventKind`]),
+    /// stamped from the `now` its send is given.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
     }

@@ -57,7 +57,6 @@ pub mod sink;
 pub use metrics::{Log2Histogram, MetricsRegistry};
 pub use sink::{EventSink, JsonlSink, RecorderSink, RingSink};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Which simulated component emitted an event.
@@ -286,57 +285,24 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Anything that can serve as an event's subject address.
-///
-/// Implemented here for plain integers; `dvs-mem` implements it for its
-/// typed byte/word/line addresses so instrumentation sites can pass whatever
-/// they have.
-pub trait TelemetryKey {
-    /// The subject as a raw byte address (or plain number).
-    fn telemetry_key(&self) -> u64;
-}
-
-impl TelemetryKey for u64 {
-    fn telemetry_key(&self) -> u64 {
-        *self
-    }
-}
-
-impl TelemetryKey for u32 {
-    fn telemetry_key(&self) -> u64 {
-        u64::from(*self)
-    }
-}
-
-impl TelemetryKey for usize {
-    fn telemetry_key(&self) -> u64 {
-        *self as u64
-    }
-}
-
 /// A cheap, cloneable handle to an event sink — or to nothing.
 ///
 /// `Telemetry::default()` is the *off* handle: no allocation, no lock, and
 /// [`Telemetry::emit`]'s closure is never called, so instrumentation sites
 /// cost one `Option` branch when observability is disabled. Clones share the
-/// underlying sink, which is how one sink collects events from every
-/// component of a [`System`](../dvs_core/system/struct.System.html).
+/// underlying sink. Inside a
+/// [`System`](../dvs_core/system/struct.System.html) the observer holds the
+/// handle (the network a clone, for its per-hop events); the protocol
+/// controllers and MSHRs hold none and report what they see as actions.
 ///
-/// Handles are deliberately invisible to simulated state: they carry no
-/// `Hash`/`PartialEq`, and every architectural container that stores one
-/// excludes it from its own `Hash`.
+/// A handle keeps no clock: every event arrives stamped by its emitter,
+/// from the cycle of the event loop it runs in. Handles are deliberately
+/// invisible to simulated state: they carry no `Hash`/`PartialEq`, and
+/// every architectural container that stores one excludes it from its own
+/// `Hash`.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Shared>>,
-}
-
-/// The state clones of one handle share: the sink, plus a clock the event
-/// loop advances so components deep in the stack (MSHRs, controllers) can
-/// timestamp events without threading `now` through every call.
-#[derive(Debug)]
-struct Shared {
-    sink: Mutex<Box<dyn EventSink>>,
-    clock: AtomicU64,
+    sink: Option<Arc<Mutex<Box<dyn EventSink>>>>,
 }
 
 impl Telemetry {
@@ -348,10 +314,7 @@ impl Telemetry {
     /// Wraps `sink` in a shareable handle.
     pub fn new(sink: impl EventSink + 'static) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Shared {
-                sink: Mutex::new(Box::new(sink)),
-                clock: AtomicU64::new(0),
-            })),
+            sink: Some(Arc::new(Mutex::new(Box::new(sink)))),
         }
     }
 
@@ -368,67 +331,30 @@ impl Telemetry {
     /// Whether a sink is attached. Instrumentation that must loop to build
     /// several events (e.g. per-hop NoC records) guards on this first.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// Records the event built by `f` — or does nothing, without calling
     /// `f`, when the handle is off.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> Event) {
-        if let Some(shared) = &self.inner {
-            shared
-                .sink
-                .lock()
-                .expect("telemetry sink lock")
-                .record(&f());
+        if let Some(sink) = &self.sink {
+            sink.lock().expect("telemetry sink lock").record(&f());
         }
-    }
-
-    /// Records an event stamped with [`Telemetry::now`] — the form every
-    /// component that does not see the event loop's clock directly uses.
-    #[inline]
-    pub fn emit_now(&self, node: u32, component: Component, addr: u64, kind: EventKind) {
-        self.emit(|| Event {
-            cycle: self.now(),
-            node,
-            component,
-            addr,
-            kind,
-        });
-    }
-
-    /// Publishes the current simulated cycle for [`Telemetry::now`]. The
-    /// event loop calls this when a handle is enabled; components that
-    /// don't see `now` directly stamp their events from it.
-    pub fn set_now(&self, cycle: u64) {
-        if let Some(shared) = &self.inner {
-            shared.clock.store(cycle, Ordering::Relaxed);
-        }
-    }
-
-    /// The last cycle published with [`Telemetry::set_now`] (0 when off).
-    pub fn now(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |shared| shared.clock.load(Ordering::Relaxed))
     }
 
     /// Drains recorded events from sinks that keep them in memory
     /// ([`RecorderSink`], [`RingSink`]); `None` for streaming sinks or the
     /// off handle.
     pub fn take_events(&self) -> Option<Vec<Event>> {
-        let shared = self.inner.as_ref()?;
-        shared
-            .sink
-            .lock()
-            .expect("telemetry sink lock")
-            .take_events()
+        let sink = self.sink.as_ref()?;
+        sink.lock().expect("telemetry sink lock").take_events()
     }
 
     /// Flushes streaming sinks (no-op otherwise).
     pub fn flush(&self) {
-        if let Some(shared) = &self.inner {
-            shared.sink.lock().expect("telemetry sink lock").flush();
+        if let Some(sink) = &self.sink {
+            sink.lock().expect("telemetry sink lock").flush();
         }
     }
 }
@@ -468,16 +394,6 @@ mod tests {
         let events = tel.take_events().expect("recorder");
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].cycle, events[1].cycle), (1, 2));
-    }
-
-    #[test]
-    fn emit_now_stamps_the_published_clock() {
-        let tel = Telemetry::recorder();
-        tel.set_now(42);
-        let e = ev(0, 3);
-        tel.emit_now(e.node, e.component, e.addr, e.kind);
-        assert_eq!(tel.take_events().expect("recorder"), [ev(42, 3)]);
-        Telemetry::off().emit_now(0, Component::Core, 0, e.kind);
     }
 
     #[test]

@@ -44,6 +44,13 @@ stage_fmt() {
 stage_lint() {
   echo "== cargo clippy (deny warnings) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings
+  # The system's observer owns the telemetry handle: controllers and MSHRs
+  # report what they observe as actions and must never hold one.
+  echo "== no telemetry handle in a controller or MSHR =="
+  if grep -rnw Telemetry crates/core/src/mesi crates/core/src/denovo crates/mem/src; then
+    echo "a controller or MSHR names Telemetry; report through Action::Observe" >&2
+    exit 1
+  fi
 }
 
 stage_tier1() {
