@@ -8,9 +8,10 @@
 //! The whole matrix runs as one campaign twice, at one worker and at the
 //! environment's worker count, and asserts the results digest is
 //! byte-identical — the comparison is scheduling-independent — and equal to
-//! the committed contract value.
+//! the committed contract value, as are the per-protocol notify and recall
+//! totals.
 
-use dvs_campaign::{workers_from_env, Campaign, CampaignReport, ExperimentSpec, TelemetryPolicy};
+use dvs_campaign::{workers_from_env, Campaign, CampaignReport, ExperimentSpec};
 use dvs_core::config::Protocol;
 use dvs_kernels::{KernelId, KernelParams};
 use dvs_stats::report::{BenchArtifact, JsonObject, ParamTable};
@@ -22,17 +23,20 @@ const THREADS: usize = 4;
 /// behavioural contract: a change that moves it changed simulated results.
 const DIGEST: &str = "93aa24a924a743e6";
 
-/// The comparison matrix: protocol-major, kernel-minor, with the ring
-/// telemetry policy so each record carries its metrics tree (where the GCS
-/// banks count notifies and recalls).
+/// The committed `(sync_notifies, registration_recalls)` totals per
+/// protocol, in `Protocol::EXTENDED` order. They come from the runs'
+/// metrics trees, which the digest does not cover, so they are pinned here.
+const WAKEUPS: [(u64, u64); 4] = [(0, 0), (0, 0), (0, 0), (697, 253)];
+
+/// The comparison matrix: protocol-major, kernel-minor. Each record
+/// carries its metrics tree, where the GCS banks count notifies and
+/// recalls.
 fn matrix_specs() -> Vec<ExperimentSpec> {
     let params = KernelParams::smoke(THREADS);
     let mut specs = Vec::new();
     for proto in Protocol::EXTENDED {
         for kernel in KernelId::all() {
-            let mut spec = ExperimentSpec::kernel(kernel, params, proto);
-            spec.overrides.telemetry = TelemetryPolicy::Ring;
-            specs.push(spec);
+            specs.push(ExperimentSpec::kernel(kernel, params, proto));
         }
     }
     specs
@@ -52,7 +56,7 @@ fn protocol_json(report: &CampaignReport) -> (Vec<JsonObject>, Vec<JsonObject>) 
         })
         .collect();
     let mut chunks = report.records.chunks(kernels.len());
-    for proto in Protocol::EXTENDED {
+    for (proto, pinned) in Protocol::EXTENDED.into_iter().zip(WAKEUPS) {
         let records = chunks.next().expect("protocol records");
         let mut cycles = 0u64;
         let mut traffic = [0u64; TrafficClass::ALL.len()];
@@ -65,10 +69,15 @@ fn protocol_json(report: &CampaignReport) -> (Vec<JsonObject>, Vec<JsonObject>) 
             for (slot, &class) in traffic.iter_mut().zip(TrafficClass::ALL.iter()) {
                 *slot += stats.traffic.get(class);
             }
-            let metrics = r.metrics.as_ref().expect("ring policy keeps metrics");
+            let metrics = r.metrics.as_ref().expect("successful runs keep metrics");
             notifies += metrics.counter_total("notifies");
             recalls += metrics.counter_total("recalls");
         }
+        assert_eq!(
+            (notifies, recalls),
+            pinned,
+            "{proto}: (sync_notifies, registration_recalls) drifted from the committed contract"
+        );
         let mut obj = JsonObject::new();
         obj.str("protocol", proto.label())
             .u64("runs", records.len() as u64)

@@ -35,7 +35,7 @@ pub mod spec;
 
 pub use grids::{figure_core_counts, kernel_grid, quick_mode, workers_from_env};
 pub use runner::{run_recorded, Campaign, CampaignError, CampaignReport, RunRecord};
-pub use spec::{ConfigOverrides, ExperimentSpec, TelemetryPolicy, WorkloadSpec};
+pub use spec::{ConfigOverrides, ExperimentSpec, WorkloadSpec};
 
 use dvs_core::config::SystemConfig;
 use dvs_core::{RunError, System};
@@ -58,9 +58,9 @@ pub fn run_workload(cfg: SystemConfig, workload: &Workload) -> Result<RunStats, 
     run_workload_with(cfg, workload, Telemetry::off()).map(|(stats, _)| stats)
 }
 
-/// [`run_workload`] with an explicit telemetry handle: the handle's sink
-/// observes the whole run, and the system's hierarchical metrics tree is
-/// returned alongside the statistics. Passing [`Telemetry::off`] makes this
+/// [`run_workload`] with an explicit telemetry handle: a recorder observes
+/// the whole run, and the system's hierarchical metrics tree is returned
+/// alongside the statistics. Passing [`Telemetry::off`] makes this
 /// identical to [`run_workload`] (the metrics tree — stall accounting, cache
 /// and traffic counters — is collected either way; it is built from
 /// simulated quantities, not from the event stream).

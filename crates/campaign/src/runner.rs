@@ -11,7 +11,7 @@ use dvs_core::system::{RunError, SimError};
 use dvs_engine::{fnv1a, parallel_indexed, FNV_OFFSET};
 use dvs_stats::report::JsonObject;
 use dvs_stats::{RunStats, TimeComponent, TrafficClass};
-use dvs_telemetry::MetricsRegistry;
+use dvs_telemetry::{MetricsRegistry, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -66,9 +66,9 @@ pub struct RunRecord {
     pub outcome: Result<RunStats, CampaignError>,
     /// Host wall-clock time of this run, in nanoseconds.
     pub wall_nanos: u64,
-    /// The run's hierarchical metrics tree, kept when the spec's
-    /// [`TelemetryPolicy`](crate::TelemetryPolicy) attached a sink. Excluded
-    /// from the results digest.
+    /// The run's hierarchical metrics tree: present for every successful
+    /// VM run, absent for failures and trace-mix replays. Excluded from the
+    /// results digest.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -184,8 +184,7 @@ pub fn run_recorded(spec: &ExperimentSpec, index: usize) -> RunRecord {
 }
 
 /// Runs one spec with panic isolation. The metrics tree comes back next to
-/// the outcome (kept only when the spec's telemetry policy attached a sink)
-/// so it can never contaminate the digest-bearing result.
+/// the outcome so it can never contaminate the digest-bearing result.
 fn run_isolated(
     spec: &ExperimentSpec,
 ) -> (Result<RunStats, CampaignError>, Option<MetricsRegistry>) {
@@ -198,10 +197,9 @@ fn run_isolated(
             return Ok((stats, None));
         }
         let workload = spec.build().map_err(CampaignError::Build)?;
-        let policy = spec.overrides.telemetry;
         let (stats, metrics) =
-            crate::run_workload_with(spec.config(), &workload, policy.telemetry())?;
-        Ok((stats, policy.enabled().then_some(metrics)))
+            crate::run_workload_with(spec.config(), &workload, Telemetry::off())?;
+        Ok((stats, Some(metrics)))
     }));
     match attempt {
         Ok(Ok((stats, metrics))) => (Ok(stats), metrics),

@@ -7,7 +7,6 @@
 use dvs_core::chaos::FaultPlan;
 use dvs_core::config::{DataInvalidation, MeshShape, Protocol, ProtocolMutation, SystemConfig};
 use dvs_kernels::{KernelId, KernelParams, Workload};
-use dvs_telemetry::{JsonlSink, Telemetry};
 use dvs_trace::MixSpec;
 
 /// Which workload a spec runs, addressed by serializable id.
@@ -56,43 +55,6 @@ impl WorkloadSpec {
     }
 }
 
-/// How much telemetry a campaign run captures. The policy only chooses the
-/// event sink — telemetry feeds nothing back into simulated state, so run
-/// results (and the campaign digest) are byte-identical under every policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TelemetryPolicy {
-    /// No sink attached: every instrumentation site is one no-op branch.
-    #[default]
-    Off,
-    /// A bounded per-node ring buffer (cheap always-on capture; the run's
-    /// metrics tree is kept on the [`RunRecord`](crate::RunRecord)).
-    Ring,
-    /// Stream every event as a JSON line into a null writer. Exercises the
-    /// full serialization path; drivers that want the lines on disk call
-    /// [`run_workload_with`](crate::run_workload_with) with their own sink.
-    Jsonl,
-}
-
-impl TelemetryPolicy {
-    /// Ring capacity (events per `(component, node)`) used by
-    /// [`TelemetryPolicy::Ring`].
-    pub const RING_PER_NODE: usize = 64;
-
-    /// Builds the telemetry handle this policy prescribes.
-    pub fn telemetry(self) -> Telemetry {
-        match self {
-            TelemetryPolicy::Off => Telemetry::off(),
-            TelemetryPolicy::Ring => Telemetry::ring(Self::RING_PER_NODE),
-            TelemetryPolicy::Jsonl => Telemetry::new(JsonlSink::new(std::io::sink())),
-        }
-    }
-
-    /// Whether this policy attaches a sink at all.
-    pub fn enabled(self) -> bool {
-        self != TelemetryPolicy::Off
-    }
-}
-
 /// Pure-data overrides applied on top of the base [`SystemConfig`] for a
 /// spec. `Default` leaves the base configuration untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -114,8 +76,6 @@ pub struct ConfigOverrides {
     /// Mesh topology override (`rows x cols`; tiles must equal the core
     /// count). `None` keeps the default square mesh.
     pub mesh: Option<MeshShape>,
-    /// Telemetry capture policy (observability only; never changes results).
-    pub telemetry: TelemetryPolicy,
 }
 
 impl ConfigOverrides {
@@ -282,11 +242,6 @@ impl ExperimentSpec {
         if let Some(shape) = o.mesh {
             out.push_str(&format!(";mesh={}", shape.token()));
         }
-        match o.telemetry {
-            TelemetryPolicy::Off => {}
-            TelemetryPolicy::Ring => out.push_str(";tel=ring"),
-            TelemetryPolicy::Jsonl => out.push_str(";tel=jsonl"),
-        }
         out
     }
 
@@ -294,13 +249,17 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Explains which field is missing, malformed, or unknown.
+    /// Explains which field is missing, malformed, repeated, or unknown to
+    /// the token's workload kind.
     pub fn from_token(token: &str) -> Result<ExperimentSpec, String> {
-        let mut fields = Vec::new();
+        let mut fields: Vec<(&str, &str)> = Vec::new();
         for part in token.split(';') {
             let (k, v) = part
                 .split_once('=')
                 .ok_or_else(|| format!("field {part:?} is not key=value"))?;
+            if fields.iter().any(|&(seen, _)| seen == k) {
+                return Err(format!("field {k}= appears more than once"));
+            }
             fields.push((k, v));
         }
         let get = |key: &str| fields.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
@@ -376,6 +335,23 @@ impl ExperimentSpec {
             }
             _ => return Err("token must name exactly one of kernel=, app=, or trace=".to_owned()),
         };
+        let workload_keys: &[&str] = match workload {
+            WorkloadSpec::Kernel { .. } => &["kernel", "iters", "ns", "swb", "pad", "rc"],
+            WorkloadSpec::App { .. } => &["app"],
+            WorkloadSpec::Trace { .. } => &["trace"],
+        };
+        const SHARED_KEYS: [&str; 10] = [
+            "threads", "proto", "di", "bb", "bi", "inv", "seed", "mut", "maxc", "mesh",
+        ];
+        if let Some((k, _)) = fields
+            .iter()
+            .find(|(k, _)| !workload_keys.contains(k) && !SHARED_KEYS.contains(k))
+        {
+            return Err(format!(
+                "unknown field {k}= in a {} token",
+                workload_keys[0]
+            ));
+        }
 
         let proto = get("proto").ok_or("missing proto")?;
         let protocol = Protocol::from_label(proto)?;
@@ -386,19 +362,18 @@ impl ExperimentSpec {
                 Some("sig") => Some(DataInvalidation::Signatures),
                 Some(v) => return Err(format!("di={v:?} is not static/sig")),
             },
-            backoff_bits: parse_u64("bb")?.map(|v| v as u32),
+            backoff_bits: parse_u64("bb")?
+                .map(|v| match v {
+                    1..=63 => Ok(v as u32),
+                    _ => Err(format!("bb={v} is outside 1..=63")),
+                })
+                .transpose()?,
             backoff_increment: parse_u64("bi")?,
             check_invariants: parse_bool("inv")?,
             fault_seed: parse_u64("seed")?,
             mutation: get("mut").map(ProtocolMutation::from_token).transpose()?,
             max_cycles: parse_u64("maxc")?,
             mesh: get("mesh").map(MeshShape::from_token).transpose()?,
-            telemetry: match get("tel") {
-                None => TelemetryPolicy::Off,
-                Some("ring") => TelemetryPolicy::Ring,
-                Some("jsonl") => TelemetryPolicy::Jsonl,
-                Some(v) => return Err(format!("tel={v:?} is not ring/jsonl")),
-            },
         };
         Ok(ExperimentSpec {
             workload,
@@ -474,7 +449,6 @@ mod tests {
             mutation: Some(ProtocolMutation::DnvDropXfer),
             max_cycles: Some(1_000),
             mesh: None,
-            telemetry: TelemetryPolicy::Ring,
         };
         assert_eq!(ExperimentSpec::from_token(&spec.token()), Ok(spec));
 

@@ -1,8 +1,10 @@
 //! Property test: `ExperimentSpec::token()` / `from_token()` are inverses
 //! over the full spec space — every workload variant (kernels, apps,
-//! traces), every protocol, and randomized override combinations.
+//! traces), every protocol, and randomized override combinations — and
+//! `from_token()` rejects, by name, fields a spec cannot mean: unknown,
+//! repeated, or out of range.
 
-use dvs_campaign::{ConfigOverrides, ExperimentSpec, TelemetryPolicy, WorkloadSpec};
+use dvs_campaign::{ConfigOverrides, ExperimentSpec, WorkloadSpec};
 use dvs_core::config::{DataInvalidation, MeshShape, Protocol, ProtocolMutation};
 use dvs_engine::DetRng;
 use dvs_kernels::{KernelId, KernelParams};
@@ -49,7 +51,7 @@ fn random_overrides(rng: &mut DetRng) -> ConfigOverrides {
             1 => Some(DataInvalidation::StaticRegions),
             _ => Some(DataInvalidation::Signatures),
         },
-        backoff_bits: rng.chance(1, 2).then(|| rng.range(1, 16) as u32),
+        backoff_bits: rng.chance(1, 2).then(|| rng.range(1, 64) as u32),
         backoff_increment: rng.chance(1, 2).then(|| rng.range(1, 4096)),
         check_invariants: rng.chance(1, 2),
         fault_seed: rng.chance(1, 2).then(|| rng.next_u64()),
@@ -67,11 +69,6 @@ fn random_overrides(rng: &mut DetRng) -> ConfigOverrides {
             rows: rng.range(1, 16) as u32,
             cols: rng.range(1, 16) as u32,
         }),
-        telemetry: match rng.below(3) {
-            0 => TelemetryPolicy::Off,
-            1 => TelemetryPolicy::Ring,
-            _ => TelemetryPolicy::Jsonl,
-        },
     }
 }
 
@@ -169,4 +166,44 @@ fn trace_tokens_look_right_and_keep_seed_fields_apart() {
     spec.overrides.fault_seed = Some(99);
     assert_eq!(spec.token(), "trace=mix:7:3;threads=16;proto=DS;seed=99");
     assert_eq!(ExperimentSpec::from_token(&spec.token()), Ok(spec));
+}
+
+/// A valid kernel token; the rejection tests append one field to it.
+const BASE: &str = "kernel=tatas:counter;threads=4;iters=6;ns=40-80;swb=1;pad=1;rc=0;proto=DS";
+
+fn rejection(suffix: &str) -> String {
+    let token = format!("{BASE}{suffix}");
+    ExperimentSpec::from_token(&token).expect_err(&token)
+}
+
+#[test]
+fn unknown_fields_are_rejected_by_name() {
+    assert!(ExperimentSpec::from_token(BASE).is_ok());
+    let err = rejection(";zzz=1");
+    assert!(err.contains("zzz"), "{err}");
+    // A key only another workload kind reads is unknown here too.
+    let err = ExperimentSpec::from_token("app=FFT;threads=4;iters=6;proto=M").expect_err("iters");
+    assert!(err.contains("iters"), "{err}");
+}
+
+#[test]
+fn repeated_fields_are_rejected_by_name() {
+    let err = rejection(";proto=M");
+    assert!(err.contains("proto"), "{err}");
+}
+
+#[test]
+fn backoff_bits_beyond_u32_are_rejected_not_truncated() {
+    let err = rejection(";bb=4294967297");
+    assert!(err.contains("bb"), "{err}");
+}
+
+#[test]
+fn backoff_bits_must_fit_the_counter() {
+    for bad in [";bb=0", ";bb=64"] {
+        let err = rejection(bad);
+        assert!(err.contains("bb"), "{bad}: {err}");
+    }
+    let spec = ExperimentSpec::from_token(&format!("{BASE};bb=63")).expect("bb=63");
+    assert_eq!(spec.config().backoff.counter_max(), u64::MAX >> 1);
 }

@@ -4,14 +4,13 @@
 //! * The recorded event stream of a run is a pure function of the spec:
 //!   re-running the same workload reproduces the stream event-for-event, on
 //!   every protocol.
-//! * Attaching a sink never perturbs simulated results: statistics and the
-//!   metrics tree are identical with telemetry off and on.
-//! * A campaign's results digest is byte-identical under every
-//!   [`TelemetryPolicy`] at every worker count, and per-run metrics are kept
-//!   exactly when the policy attaches a sink.
+//! * Attaching a recorder never perturbs simulated results: statistics and
+//!   the metrics tree are identical with telemetry off and on.
+//! * A campaign's results digest is byte-identical at every worker count,
+//!   and every successful run keeps its metrics tree.
 //! * The Perfetto export of a real run's stream validates structurally.
 
-use dvs_campaign::{run_workload_with, Campaign, ExperimentSpec, TelemetryPolicy};
+use dvs_campaign::{run_workload_with, Campaign, ExperimentSpec};
 use dvs_core::config::{Protocol, SystemConfig};
 use dvs_kernels::{KernelId, KernelParams, LockKind, LockedStruct, Workload};
 use dvs_telemetry::{perfetto, Event, Telemetry};
@@ -74,41 +73,31 @@ fn perfetto_export_of_a_real_run_validates() {
 }
 
 #[test]
-fn campaign_digest_is_policy_and_worker_invariant() {
+fn campaign_digest_is_worker_invariant_and_runs_keep_metrics() {
     let counter = KernelId::Locked(LockedStruct::Counter, LockKind::Tatas);
-    let base: Vec<ExperimentSpec> = Protocol::ALL
+    let specs: Vec<ExperimentSpec> = Protocol::ALL
         .iter()
         .map(|&p| ExperimentSpec::kernel(counter, KernelParams::smoke(THREADS), p))
         .collect();
 
     let mut digests = Vec::new();
-    for policy in [
-        TelemetryPolicy::Off,
-        TelemetryPolicy::Ring,
-        TelemetryPolicy::Jsonl,
-    ] {
-        let mut specs = base.clone();
-        for spec in &mut specs {
-            spec.overrides.telemetry = policy;
+    for workers in [1usize, 2, 4] {
+        let report = Campaign::from_specs(specs.clone()).run(workers);
+        report.expect_all_ok("worker grid");
+        for record in &report.records {
+            assert!(
+                record.metrics.is_some(),
+                "{}: a successful run keeps its metrics tree",
+                record.spec.label()
+            );
         }
-        for workers in [1usize, 2, 4] {
-            let report = Campaign::from_specs(specs.clone()).run(workers);
-            report.expect_all_ok("telemetry policy grid");
-            for record in &report.records {
-                assert_eq!(
-                    record.metrics.is_some(),
-                    policy.enabled(),
-                    "metrics kept iff the policy attaches a sink ({policy:?})"
-                );
-            }
-            digests.push((policy, workers, report.results_digest()));
-        }
+        digests.push((workers, report.results_digest()));
     }
-    let reference = &digests[0].2;
-    for (policy, workers, digest) in &digests {
+    let reference = &digests[0].1;
+    for (workers, digest) in &digests {
         assert_eq!(
             digest, reference,
-            "digest must not depend on telemetry policy ({policy:?}) or workers ({workers})"
+            "digest must not depend on workers ({workers})"
         );
     }
 }

@@ -49,10 +49,10 @@ use crate::explore::{
 use dvs_core::msg::Endpoint;
 use dvs_core::oracle::ChannelKey;
 use dvs_core::system::System;
-use dvs_engine::{fnv1a, FNV_OFFSET};
+use dvs_engine::{fnv1a, write_durable, FNV_OFFSET};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -187,17 +187,10 @@ impl Checkpoint {
         buf
     }
 
-    /// Writes the checkpoint atomically: a temp file in the same directory,
-    /// fsynced, then renamed over `path`. A crash mid-save leaves either
-    /// the old checkpoint or the new one, never a torn mix.
+    /// Writes the checkpoint with [`write_durable`]: a crash mid-save
+    /// leaves either the old checkpoint or the new one, never a torn mix.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&self.encode())?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_durable(path, &self.encode())
     }
 
     /// Loads and verifies a checkpoint. Any structural problem — bad magic,

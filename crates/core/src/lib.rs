@@ -24,7 +24,7 @@
 //!   (registry/directory), memory controllers, and the 2D-mesh
 //!   interconnect, driven by a deterministic event loop. The protocol-specific half lives behind one backend enum
 //!   (MESI or DeNovo family), so the machine itself holds no protocol
-//!   logic. Attach a [`dvs_telemetry::Telemetry`] sink via
+//!   logic. Attach a [`dvs_telemetry::Telemetry`] recorder via
 //!   [`System::set_telemetry`](system::System::set_telemetry) to observe
 //!   per-access outcomes, protocol transitions, and stalls; the
 //!   controllers report theirs as actions, stamped by the system. Every engine

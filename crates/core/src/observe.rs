@@ -79,11 +79,6 @@ impl Observer {
         self.stalls.export(reg);
     }
 
-    /// Flushes a streaming telemetry sink at the end of a run.
-    pub(crate) fn flush(&self) {
-        self.tel.flush();
-    }
-
     /// Emits a core-level event stamped `cycle`.
     fn core_event(&self, core: CoreId, cycle: Cycle, addr: u64, kind: EventKind) {
         self.tel.emit(|| Event {

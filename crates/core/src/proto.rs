@@ -3,7 +3,7 @@
 //! Protocol controllers (MESI L1/directory, DeNovo L1/registry — GCS being
 //! the DeNovo pair running GCS's tables) are written as
 //! message-in / actions-out state machines: they never touch the network,
-//! the scheduler or the telemetry sink. Each entry point returns a list of
+//! the scheduler or the telemetry handle. Each entry point returns a list of
 //! [`Action`]s the surrounding [`System`](crate::system::System) applies —
 //! this keeps the controllers independently unit-testable, exactly the
 //! property the paper exploits when it argues DeNovo's three-state protocol

@@ -501,7 +501,7 @@ impl System {
         self.obs.take_recording(init)
     }
 
-    /// Attaches a telemetry sink. The observer holds the handle and the
+    /// Attaches a telemetry handle. The observer holds the handle and the
     /// network a clone; the controllers and MSHRs hold none — what they
     /// observe comes back as [`Action::Observe`]s, which the system stamps
     /// with the scheduler's cycle and the controller's node and hands to
@@ -516,7 +516,7 @@ impl System {
     /// counts and duration histograms, L1 hit/miss counters, MSHR high-water
     /// marks, and system-level delivery/traffic totals. Every value is a
     /// simulated quantity, so the tree is identical across hosts, worker
-    /// counts, and telemetry sinks.
+    /// counts, and telemetry handles.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         self.obs.export(&mut reg);
@@ -566,7 +566,6 @@ impl System {
         if !self.all_halted() {
             return Err(self.deadlock_error());
         }
-        self.obs.flush();
         Ok(self.collect_stats())
     }
 

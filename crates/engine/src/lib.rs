@@ -1,7 +1,7 @@
 //! Discrete-event simulation kernel for the DeNovoSync reproduction.
 //!
 //! This crate is the lowest layer of the simulator stack. It knows nothing
-//! about caches, protocols, or networks; it provides exactly four things:
+//! about caches, protocols, or networks; it provides exactly five things:
 //!
 //! * [`Cycle`] — the simulated time base (one cycle of the 2 GHz clock in the
 //!   paper's Table 1),
@@ -14,7 +14,10 @@
 //! * [`parallel_indexed`] — the deterministic worker pool every batch
 //!   engine above the simulator (campaigns, fuzz batches, the job service,
 //!   swarm verification) runs on: results come back in index order at any
-//!   worker count.
+//!   worker count,
+//! * [`write_durable`] — the one crash-safe file replacement (temp file,
+//!   fsync, rename, directory fsync) behind every file those engines
+//!   persist.
 //!
 //! # Examples
 //!
@@ -29,9 +32,11 @@
 //! assert_eq!(sched.now(), 5);
 //! ```
 
+pub mod durable;
 pub mod pool;
 pub mod rng;
 
+pub use durable::write_durable;
 pub use pool::parallel_indexed;
 pub use rng::DetRng;
 

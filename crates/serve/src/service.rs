@@ -28,13 +28,12 @@ use crate::job::{CellSpec, FailureClass, JobSpec};
 use crate::journal::{CellOutcome, Journal, JournalEvent, RecoveredJob};
 use crate::retry::RetryPolicy;
 use crate::store::{self, GcReport, Lookup, PutOutcome, Store, VerifyReport};
-use dvs_engine::parallel_indexed;
-use dvs_engine::{fnv1a, fnv1a_str, FNV_OFFSET};
+use dvs_engine::{fnv1a, fnv1a_str, parallel_indexed, write_durable, FNV_OFFSET};
 use dvs_telemetry::MetricsRegistry;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -287,7 +286,7 @@ impl Serve {
         }
         let id = self.jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
         let body: String = cells.iter().map(|c| c.token() + "\n").collect();
-        write_durable(&self.cells_path(id), &body)
+        write_durable(&self.cells_path(id), body.as_bytes())
             .map_err(|e| AdmissionError::Io(e.to_string()))?;
         let kind = job.kind().to_owned();
         self.journal
@@ -604,16 +603,4 @@ fn fold_digest(outcomes: &[Option<CellOutcome>]) -> u64 {
         }
     }
     h
-}
-
-/// Writes `body` to `path` durably: temp file, flush, fsync, rename.
-fn write_durable(path: &Path, body: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.flush()?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, path)
 }

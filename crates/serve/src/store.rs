@@ -22,9 +22,8 @@
 //! unavailable directory or an exhausted size budget sheds the write and
 //! the service keeps serving compute.
 
-use dvs_engine::{fnv1a, fnv1a_str, FNV_OFFSET};
+use dvs_engine::{fnv1a, fnv1a_str, write_durable, FNV_OFFSET};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Magic first line of every entry file.
@@ -204,9 +203,9 @@ impl Store {
         Lookup::Quarantined(reason)
     }
 
-    /// Writes `payload` for `token`, durably (temp file + fsync + rename).
-    /// Sheds instead of erroring when degraded, over budget, or on I/O
-    /// failure.
+    /// Writes `payload` for `token` with [`write_durable`]. Sheds instead
+    /// of erroring when degraded, over budget, or on I/O failure (the temp
+    /// file is removed).
     pub fn put(&mut self, token: &str, payload: &str) -> PutOutcome {
         if !self.enabled {
             return PutOutcome::Shed("store-unavailable");
@@ -218,22 +217,12 @@ impl Store {
         if self.budget.is_some_and(|b| new_bytes > b) {
             return PutOutcome::Shed("size-budget");
         }
-        let tmp = path.with_extension("tmp");
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(entry.as_bytes())?;
-            f.sync_data()?;
-            fs::rename(&tmp, &path)
-        };
-        match write() {
+        match write_durable(&path, entry.as_bytes()) {
             Ok(()) => {
                 self.bytes = new_bytes;
                 PutOutcome::Stored
             }
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-                PutOutcome::Shed("io-error")
-            }
+            Err(_) => PutOutcome::Shed("io-error"),
         }
     }
 

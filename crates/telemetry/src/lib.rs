@@ -8,8 +8,8 @@
 //!   MSHR alloc/free, per-core stall begin/end, access outcomes, and
 //!   delivered protocol messages, all stamped with the simulated cycle and
 //!   the emitting `(node, component)`. Events flow through a [`Telemetry`]
-//!   handle into a pluggable [`EventSink`]: a growable [`RecorderSink`], a
-//!   bounded per-node [`RingSink`], or a streaming [`JsonlSink`].
+//!   handle, which is either off or an in-memory recorder. A bounded
+//!   per-node [`RingSink`] keeps a system's recent deliveries for forensics.
 //! * **A hierarchical metrics registry** ([`MetricsRegistry`]): counters and
 //!   log2 histograms keyed by `node/component/name` paths, stored in ordered
 //!   maps so aggregation (and JSON rendering) is deterministic regardless of
@@ -20,7 +20,7 @@
 //!
 //! # The zero-cost guarantee
 //!
-//! A default [`Telemetry`] handle is *off*: it holds no sink, and
+//! A default [`Telemetry`] handle is *off*: it holds no recorder, and
 //! [`Telemetry::emit`] takes a closure, so when telemetry is disabled the
 //! cost at every instrumentation site is one branch on an `Option` — the
 //! event value is never even constructed. Nothing in this crate feeds back
@@ -55,7 +55,7 @@ pub mod perfetto;
 pub mod sink;
 
 pub use metrics::{Log2Histogram, MetricsRegistry};
-pub use sink::{EventSink, JsonlSink, RecorderSink, RingSink};
+pub use sink::RingSink;
 
 use std::sync::{Arc, Mutex};
 
@@ -77,17 +77,7 @@ pub enum Component {
 }
 
 impl Component {
-    /// Every component, in reporting order (the enum's discriminant order).
-    pub const ALL: [Component; 6] = [
-        Component::Core,
-        Component::L1,
-        Component::Dir,
-        Component::Noc,
-        Component::Mshr,
-        Component::Sys,
-    ];
-
-    /// Stable lowercase label used in JSONL output and metric paths.
+    /// Stable lowercase label used in stall reports' recent-message lines.
     pub fn label(self) -> &'static str {
         match self {
             Component::Core => "core",
@@ -123,7 +113,7 @@ impl StallClass {
         StallClass::Fence,
     ];
 
-    /// Stable lowercase label used in JSONL output and metric paths.
+    /// Stable lowercase label used in metric paths and trace exports.
     pub fn label(self) -> &'static str {
         match self {
             StallClass::Memory => "memory",
@@ -247,29 +237,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Stable lowercase tag for JSONL output.
-    pub fn tag(self) -> &'static str {
-        match self {
-            EventKind::Access { .. } => "access",
-            EventKind::Backoff { .. } => "backoff",
-            EventKind::Mark(_) => "mark",
-            EventKind::Transition { .. } => "transition",
-            EventKind::Registration { .. } => "registration",
-            EventKind::Invalidation { .. } => "invalidation",
-            EventKind::Notify { .. } => "notify",
-            EventKind::NocEnqueue { .. } => "noc_enqueue",
-            EventKind::NocHop { .. } => "noc_hop",
-            EventKind::NocDequeue { .. } => "noc_dequeue",
-            EventKind::MshrAlloc { .. } => "mshr_alloc",
-            EventKind::MshrFree { .. } => "mshr_free",
-            EventKind::StallBegin { .. } => "stall_begin",
-            EventKind::StallEnd { .. } => "stall_end",
-            EventKind::Delivery { .. } => "delivery",
-        }
-    }
-}
-
 /// One observation: *when*, *where*, *about which address*, *what*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event {
@@ -285,12 +252,13 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A cheap, cloneable handle to an event sink — or to nothing.
+/// A cheap, cloneable handle to an in-memory event recorder — or to
+/// nothing.
 ///
 /// `Telemetry::default()` is the *off* handle: no allocation, no lock, and
 /// [`Telemetry::emit`]'s closure is never called, so instrumentation sites
-/// cost one `Option` branch when observability is disabled. Clones share the
-/// underlying sink. Inside a
+/// cost one `Option` branch when observability is disabled. Clones share
+/// one recording. Inside a
 /// [`System`](../dvs_core/system/struct.System.html) the observer holds the
 /// handle (the network a clone, for its per-hop events); the protocol
 /// controllers and MSHRs hold none and report what they see as actions.
@@ -302,7 +270,7 @@ pub struct Event {
 /// `Hash`.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    sink: Option<Arc<Mutex<Box<dyn EventSink>>>>,
+    events: Option<Arc<Mutex<Vec<Event>>>>,
 }
 
 impl Telemetry {
@@ -311,52 +279,43 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Wraps `sink` in a shareable handle.
-    pub fn new(sink: impl EventSink + 'static) -> Self {
+    /// A handle that records every event in memory, in emission order.
+    pub fn recorder() -> Self {
         Telemetry {
-            sink: Some(Arc::new(Mutex::new(Box::new(sink)))),
+            events: Some(Arc::default()),
         }
     }
 
-    /// A handle backed by a growable in-memory [`RecorderSink`].
-    pub fn recorder() -> Self {
-        Telemetry::new(RecorderSink::new())
-    }
-
-    /// A handle backed by a bounded per-node [`RingSink`].
-    pub fn ring(per_node: usize) -> Self {
-        Telemetry::new(RingSink::new(per_node))
-    }
-
-    /// Whether a sink is attached. Instrumentation that must loop to build
+    /// Whether the handle records. Instrumentation that must loop to build
     /// several events (e.g. per-hop NoC records) guards on this first.
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.events.is_some()
     }
 
     /// Records the event built by `f` — or does nothing, without calling
     /// `f`, when the handle is off.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> Event) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("telemetry sink lock").record(&f());
+        if let Some(events) = &self.events {
+            record(events, f());
         }
     }
 
-    /// Drains recorded events from sinks that keep them in memory
-    /// ([`RecorderSink`], [`RingSink`]); `None` for streaming sinks or the
-    /// off handle.
+    /// Drains the events recorded so far, oldest first; `None` for the off
+    /// handle.
     pub fn take_events(&self) -> Option<Vec<Event>> {
-        let sink = self.sink.as_ref()?;
-        sink.lock().expect("telemetry sink lock").take_events()
+        let events = self.events.as_ref()?;
+        Some(std::mem::take(
+            &mut *events.lock().expect("telemetry recorder lock"),
+        ))
     }
+}
 
-    /// Flushes streaming sinks (no-op otherwise).
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("telemetry sink lock").flush();
-        }
-    }
+/// The recording half of [`Telemetry::emit`], kept out of line so an
+/// instrumentation site inlines only its `Option` branch and the call.
+#[inline(never)]
+fn record(events: &Mutex<Vec<Event>>, event: Event) {
+    events.lock().expect("telemetry recorder lock").push(event);
 }
 
 #[cfg(test)]

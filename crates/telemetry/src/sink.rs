@@ -1,74 +1,22 @@
-//! Event sinks: where an emitted [`Event`] goes.
+//! The forensic ring: a bounded per-node history of recent events.
 //!
-//! Three concrete sinks cover the use cases in the stack:
-//!
-//! * [`RecorderSink`] — growable in-memory recording, for traces that get
-//!   post-processed (Figure 2 replay, Perfetto export, golden tests).
-//! * [`RingSink`] — a bounded ring per `(component, node)`, for always-on
-//!   forensics: deadlock reports show the last few events of every node
-//!   without unbounded memory growth.
-//! * [`JsonlSink`] — streaming JSON Lines to any `Write`, for campaign runs
-//!   that want capture without keeping events resident.
+//! A [`RingSink`] sits beside a system's telemetry handle, not behind it:
+//! the system pushes every delivered message into it whether or not
+//! telemetry records, and a deadlock or cycle-limit report reads it back
+//! with [`RingSink::snapshot`] to show the last few events of every node
+//! without unbounded memory growth.
 
-use crate::{Event, EventKind};
+use crate::Event;
 use std::collections::VecDeque;
-use std::io::Write;
-
-/// A destination for emitted events.
-///
-/// Sinks are driven behind a mutex by [`Telemetry`](crate::Telemetry)
-/// handles, so implementations are plain single-threaded state machines;
-/// they only need to be `Send` so a whole system (and its handle) can move
-/// across threads.
-pub trait EventSink: Send + std::fmt::Debug {
-    /// Accepts one event.
-    fn record(&mut self, event: &Event);
-
-    /// Drains buffered events, oldest first, if this sink keeps any.
-    fn take_events(&mut self) -> Option<Vec<Event>> {
-        None
-    }
-
-    /// Flushes any underlying writer. Default: nothing to flush.
-    fn flush(&mut self) {}
-}
-
-/// Records every event into a growable vector.
-#[derive(Debug, Clone, Default)]
-pub struct RecorderSink {
-    events: Vec<Event>,
-}
-
-impl RecorderSink {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        RecorderSink::default()
-    }
-
-    /// The events recorded so far, in emission order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-}
-
-impl EventSink for RecorderSink {
-    fn record(&mut self, event: &Event) {
-        self.events.push(*event);
-    }
-
-    fn take_events(&mut self) -> Option<Vec<Event>> {
-        Some(std::mem::take(&mut self.events))
-    }
-}
 
 /// Keeps the last `per_node` events of every `(component, node)` pair.
 ///
-/// This is the forensics sink: bounded, allocation-light after warm-up, and
-/// organized so a stall report can show each node's recent history rather
-/// than one interleaved tail dominated by the busiest node. It also sits on
-/// the simulator's always-hot delivery path, so [`RingSink::push`] is two
-/// array indexes — per-node rings live in dense component-indexed tables
-/// (grown on first sight of a node), not in a search tree.
+/// Bounded, allocation-light after warm-up, and organized so a stall
+/// report can show each node's recent history rather than one interleaved
+/// tail dominated by the busiest node. It also sits on the simulator's
+/// always-hot delivery path, so [`RingSink::push`] is two array indexes —
+/// per-node rings live in dense component-indexed tables (grown on first
+/// sight of a node), not in a search tree.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     per_node: usize,
@@ -77,8 +25,8 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A ring sink keeping at most `per_node` events per `(component,
-    /// node)`; a capacity of zero keeps one.
+    /// A ring keeping at most `per_node` events per `(component, node)`;
+    /// a capacity of zero keeps one.
     pub fn new(per_node: usize) -> Self {
         RingSink {
             per_node: per_node.max(1),
@@ -86,8 +34,7 @@ impl RingSink {
         }
     }
 
-    /// Accepts one event (inherent twin of [`EventSink::record`] so the
-    /// system can use a ring directly, without a handle or lock).
+    /// Accepts one event.
     pub fn push(&mut self, event: &Event) {
         let nodes = &mut self.rings[event.component as usize];
         let node = event.node as usize;
@@ -101,158 +48,17 @@ impl RingSink {
         ring.push_back(*event);
     }
 
-    /// Every non-empty ring, ordered by `(component, node)`, each
-    /// oldest-first.
-    pub fn per_node(&self) -> impl Iterator<Item = (crate::Component, u32, &VecDeque<Event>)> {
-        crate::Component::ALL.into_iter().flat_map(move |c| {
-            self.rings[c as usize]
-                .iter()
-                .enumerate()
-                .filter(|(_, ring)| !ring.is_empty())
-                .map(move |(n, ring)| (c, n as u32, ring))
-        })
-    }
-
     /// All buffered events in one list: per-node rings concatenated in
     /// `(component, node)` order, oldest-first within each ring.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.per_node()
-            .flat_map(|(_, _, ring)| ring.iter().copied())
-            .collect()
+        self.rings.iter().flatten().flatten().copied().collect()
     }
-
-    /// Total buffered events across all rings.
-    pub fn len(&self) -> usize {
-        self.rings
-            .iter()
-            .flat_map(|nodes| nodes.iter().map(VecDeque::len))
-            .sum()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, event: &Event) {
-        self.push(event);
-    }
-
-    fn take_events(&mut self) -> Option<Vec<Event>> {
-        let events = self.snapshot();
-        self.rings = Default::default();
-        Some(events)
-    }
-}
-
-/// Streams each event as one JSON line to a writer.
-pub struct JsonlSink {
-    out: Box<dyn Write + Send>,
-    lines: u64,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("lines", &self.lines)
-            .finish_non_exhaustive()
-    }
-}
-
-impl JsonlSink {
-    /// A sink writing to `out`.
-    pub fn new(out: impl Write + Send + 'static) -> Self {
-        JsonlSink {
-            out: Box::new(out),
-            lines: 0,
-        }
-    }
-
-    /// How many lines have been written.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn record(&mut self, event: &Event) {
-        let line = jsonl_line(event);
-        // Telemetry must never abort a simulation: I/O errors drop the line.
-        let _ = writeln!(self.out, "{line}");
-        self.lines += 1;
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Renders one event as a single JSON object line (no trailing newline).
-pub fn jsonl_line(event: &Event) -> String {
-    let mut s = format!(
-        "{{\"cycle\":{},\"node\":{},\"component\":\"{}\",\"addr\":{},\"kind\":\"{}\"",
-        event.cycle,
-        event.node,
-        event.component.label(),
-        event.addr,
-        event.kind.tag()
-    );
-    match event.kind {
-        EventKind::Access { hit, sync, write } => {
-            s.push_str(&format!(",\"hit\":{hit},\"sync\":{sync},\"write\":{write}"));
-        }
-        EventKind::Backoff { cycles } => s.push_str(&format!(",\"cycles\":{cycles}")),
-        EventKind::Mark(m) => s.push_str(&format!(",\"mark\":{m}")),
-        EventKind::Transition { from, to, cause } => {
-            s.push_str(&format!(
-                ",\"from\":\"{from}\",\"to\":\"{to}\",\"cause\":\"{cause}\""
-            ));
-        }
-        EventKind::Registration { owner, prev } => {
-            s.push_str(&format!(",\"owner\":{owner},\"prev\":{prev}"));
-        }
-        EventKind::Invalidation { requester, sharers } => {
-            s.push_str(&format!(",\"requester\":{requester},\"sharers\":{sharers}"));
-        }
-        EventKind::Notify { writer, waiters } => {
-            s.push_str(&format!(",\"writer\":{writer},\"waiters\":{waiters}"));
-        }
-        EventKind::NocEnqueue { dst, flits } => {
-            s.push_str(&format!(",\"dst\":{dst},\"flits\":{flits}"));
-        }
-        EventKind::NocHop { link, busy_until } => {
-            s.push_str(&format!(",\"link\":{link},\"busy_until\":{busy_until}"));
-        }
-        EventKind::NocDequeue { src, latency } => {
-            s.push_str(&format!(",\"src\":{src},\"latency\":{latency}"));
-        }
-        EventKind::MshrAlloc { occupancy } | EventKind::MshrFree { occupancy } => {
-            s.push_str(&format!(",\"occupancy\":{occupancy}"));
-        }
-        EventKind::StallBegin { class } => {
-            s.push_str(&format!(",\"class\":\"{}\"", class.label()));
-        }
-        EventKind::StallEnd { class, cycles } => {
-            s.push_str(&format!(
-                ",\"class\":\"{}\",\"cycles\":{cycles}",
-                class.label()
-            ));
-        }
-        EventKind::Delivery { msg, ordinal } => {
-            s.push_str(&format!(",\"msg\":\"{msg}\",\"ordinal\":{ordinal}"));
-        }
-    }
-    s.push('}');
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Component, StallClass};
-    use std::sync::{Arc, Mutex};
+    use crate::{Component, EventKind};
 
     fn ev(cycle: u64, node: u32, component: Component, kind: EventKind) -> Event {
         Event {
@@ -271,53 +77,11 @@ mod tests {
             ring.push(&ev(cycle, 0, Component::L1, EventKind::Mark(0)));
         }
         ring.push(&ev(99, 1, Component::Dir, EventKind::Mark(1)));
-        assert_eq!(ring.len(), 3);
         let all = ring.snapshot();
+        assert_eq!(all.len(), 3);
         // L1 sorts before Dir in the component order; within the L1 ring
         // the two newest survive, oldest first.
         assert_eq!((all[0].cycle, all[1].cycle), (3, 4));
         assert_eq!(all[2].cycle, 99);
-    }
-
-    #[test]
-    fn jsonl_streams_one_line_per_event() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonlSink::new(Shared(buf.clone()));
-        sink.record(&ev(
-            7,
-            2,
-            Component::Core,
-            EventKind::StallEnd {
-                class: StallClass::Spin,
-                cycles: 12,
-            },
-        ));
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert_eq!(
-            text,
-            "{\"cycle\":7,\"node\":2,\"component\":\"core\",\"addr\":128,\
-             \"kind\":\"stall_end\",\"class\":\"spin\",\"cycles\":12}\n"
-        );
-    }
-
-    #[test]
-    fn recorder_drains() {
-        let mut rec = RecorderSink::new();
-        rec.record(&ev(1, 0, Component::Sys, EventKind::Mark(3)));
-        assert_eq!(rec.events().len(), 1);
-        let drained = rec.take_events().unwrap();
-        assert_eq!(drained.len(), 1);
-        assert!(rec.events().is_empty());
     }
 }

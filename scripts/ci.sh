@@ -147,7 +147,9 @@ stage_gcs() {
   cargo test -q --offline -p dvs-fuzz --test corpus -- controls
   # The 24-kernel x 4-protocol comparison grid; the bench itself asserts
   # the results digest matches a single-worker run and the committed
-  # contract value (93aa24a924a743e6) before writing BENCH_gcs.json.
+  # contract value (93aa24a924a743e6), and that the per-protocol
+  # sync_notifies/registration_recalls totals (GCS 697/253, M/DS0/DS 0/0)
+  # match theirs, before writing BENCH_gcs.json.
   DVS_WORKERS=2 cargo bench --offline -p dvs-bench --bench gcs_compare
 }
 
