@@ -117,6 +117,7 @@ fn main() {
     let mut summary = ParamTable::new("Record/replay");
     summary
         .row("trace ops", trace.total_ops())
+        .row("trace op bytes", trace.op_bytes())
         .row("fingerprint", format!("{fingerprint:016x}"))
         .row("record overhead", format!("{record_overhead:.2}x VM run"))
         .row("replay speedup", format!("{speedup:.1}x (gate {gate}x)"))
@@ -136,6 +137,7 @@ fn main() {
         .bool("quick", quick)
         .u64("threads", threads as u64)
         .u64("trace_ops", trace.total_ops() as u64)
+        .u64("trace_op_bytes", trace.op_bytes() as u64)
         .str("fingerprint", &format!("{fingerprint:016x}"))
         .u64("record_wall_nanos", record_nanos)
         .u64("vm_wall_nanos", vm_nanos)

@@ -385,7 +385,7 @@ impl System {
     pub fn new_replay(
         cfg: SystemConfig,
         layout: impl Into<Arc<MemoryLayout>>,
-        streams: Vec<Arc<Vec<TraceOp>>>,
+        streams: Vec<Arc<[TraceOp]>>,
     ) -> Self {
         assert_eq!(
             streams.len(),
@@ -1693,21 +1693,16 @@ mod tests {
         let mut lb = LayoutBuilder::new();
         let r = lb.region("sync");
         let flag = lb.sync_var("flag", r, true);
-        let load = TraceOp::Mem {
-            req: MemRequest {
-                addr: flag,
-                kind: dvs_mem::AccessKind::SyncLoad,
-                dst: None,
-                spin: None,
-            },
+        let load = TraceOp::SyncLoad {
+            addr: flag,
             dep: 1,
-            rwait: 0,
-            result: None,
+            result: 0,
+            has_result: false,
         };
         let mut sys = System::new_replay(
             SystemConfig::small(1, Protocol::DeNovoSync),
             lb.build(),
-            vec![Arc::new(vec![load, TraceOp::Halt])],
+            vec![Arc::from([load, TraceOp::Halt])],
         );
         match sys.run() {
             Err(SimError::Deadlock { stuck, report }) => {

@@ -17,11 +17,10 @@
 //! ones.
 
 use crate::format::Trace;
-use dvs_core::replay::TraceOp;
+use dvs_core::replay::{RmwKind, TraceOp};
 use dvs_mem::layout::Region;
 use dvs_mem::{Addr, MemoryLayout, Segment, WordAddr, LINE_BYTES};
 use dvs_vm::isa::Cond;
-use dvs_vm::{MemRequest, SpinCond};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,25 +28,13 @@ fn shift_addr(a: Addr, delta: u64) -> Addr {
     Addr::new(a.raw() + delta)
 }
 
-fn shift_op(op: &TraceOp, delta: u64, region_off: u16) -> TraceOp {
-    match *op {
-        TraceOp::Mem {
-            req,
-            dep,
-            rwait,
-            result,
-        } => TraceOp::Mem {
-            req: MemRequest {
-                addr: shift_addr(req.addr, delta),
-                ..req
-            },
-            dep,
-            rwait,
-            result,
-        },
-        TraceOp::SelfInv(r) => TraceOp::SelfInv(Region(region_off + r.0)),
-        other => other,
+fn shift_op(mut op: TraceOp, delta: u64, region_off: u16) -> TraceOp {
+    if let TraceOp::SelfInv(r) = &mut op {
+        r.0 += region_off;
+    } else if let Some(a) = op.addr_mut() {
+        *a = shift_addr(*a, delta);
     }
+    op
 }
 
 /// Composes `phases` (in order) into one trace named `name`.
@@ -116,34 +103,27 @@ pub fn compose(name: &str, phases: &[&Trace]) -> Result<Trace, String> {
                 Some(TraceOp::Halt) => &ops[..ops.len() - 1],
                 _ => &ops[..],
             };
-            stream.extend(body.iter().map(|op| shift_op(op, delta, region_off)));
+            stream.extend(body.iter().map(|&op| shift_op(op, delta, region_off)));
             if k < joins {
-                let j = join_word(k);
+                let addr = join_word(k);
                 stream.push(TraceOp::Fence);
-                stream.push(TraceOp::Mem {
-                    req: MemRequest {
-                        addr: j,
-                        kind: dvs_mem::AccessKind::SyncRmw(dvs_mem::RmwOp::Fai { delta: 1 }),
-                        dst: None,
-                        spin: None,
-                    },
+                stream.push(TraceOp::Rmw {
+                    addr,
+                    kind: RmwKind::Fai,
+                    a: 1,
+                    b: 0,
                     dep: i as u32,
                     rwait: 0,
-                    result: Some(i as u64),
+                    result: i as u64,
+                    has_result: true,
                 });
-                stream.push(TraceOp::Mem {
-                    req: MemRequest {
-                        addr: j,
-                        kind: dvs_mem::AccessKind::SyncLoad,
-                        dst: None,
-                        spin: Some(SpinCond {
-                            cond: Cond::Eq,
-                            rhs: n as u64,
-                        }),
-                    },
+                stream.push(TraceOp::Spin {
+                    addr,
+                    cond: Cond::Eq,
+                    rhs: n as u64,
                     dep: n as u32,
-                    rwait: 0,
-                    result: Some(n as u64),
+                    result: n as u64,
+                    has_result: true,
                 });
             } else {
                 stream.push(TraceOp::Halt);
@@ -169,6 +149,6 @@ pub fn compose(name: &str, phases: &[&Trace]) -> Result<Trace, String> {
         layout: Arc::new(MemoryLayout::from_parts(segments, region_names)?),
         init,
         finals: finals.into_iter().collect(),
-        ops: streams.into_iter().map(Arc::new).collect(),
+        ops: streams.into_iter().map(Arc::from).collect(),
     })
 }

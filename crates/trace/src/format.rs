@@ -30,22 +30,16 @@
 //! decimal. Segment and region names come last on their lines so they may
 //! contain spaces.
 
-use dvs_core::replay::TraceOp;
+use dvs_core::replay::{RmwKind, TraceOp, MAX_EXEC_CYCLES};
 use dvs_engine::FNV_OFFSET;
-use dvs_mem::{AccessKind, Addr, MemoryLayout, Region, RmwOp, Segment, WordAddr};
+use dvs_mem::{Addr, MemoryLayout, Region, Segment, WordAddr};
 use dvs_vm::isa::Cond;
-use dvs_vm::{MemRequest, SpinCond};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Format version emitted and accepted by this build.
 pub const DVST_VERSION: u32 = 1;
-
-/// Largest `ex` cycle count a trace may carry. An `Exec` is one core's
-/// local time between two memory ops, so no completed recording exceeds a
-/// run's whole cycle budget — the paper configuration's `max_cycles`,
-/// 2·10⁹. Bounding it keeps replay's `now + cycles` far from overflow.
-pub const MAX_EXEC_CYCLES: u64 = 2_000_000_000;
 
 /// The fingerprint's multiplier. It is not the FNV prime
 /// (`0x100_0000_01b3`, [`dvs_engine::fnv1a`]'s) but one hex digit longer;
@@ -77,8 +71,8 @@ pub struct Trace {
     /// `(word, value)` for every word the recorded run touched, sorted by
     /// address — the pinned stable state replay must reproduce.
     pub finals: Vec<(WordAddr, u64)>,
-    /// One ordered op stream per core.
-    pub ops: Vec<Arc<Vec<TraceOp>>>,
+    /// One ordered op stream per core, exactly as long as its ops.
+    pub ops: Vec<Arc<[TraceOp]>>,
 }
 
 impl Trace {
@@ -90,6 +84,12 @@ impl Trace {
     /// Total recorded ops across all cores.
     pub fn total_ops(&self) -> usize {
         self.ops.iter().map(|s| s.len()).sum()
+    }
+
+    /// Bytes the op streams hold in memory: every stream is exactly as
+    /// long as its ops, so this is ops × `size_of::<TraceOp>()`.
+    pub fn op_bytes(&self) -> usize {
+        self.total_ops() * std::mem::size_of::<TraceOp>()
     }
 
     /// The pinned stable-state fingerprint: an FNV-1a-style hash (see
@@ -145,7 +145,9 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// A message naming the first offending line.
+    /// A message naming the first offending line: a malformed record, an
+    /// `ex` above [`MAX_EXEC_CYCLES`], or an `inv` of a region the layout
+    /// does not declare.
     pub fn parse(text: &str) -> Result<Trace, String> {
         let mut lines = text.lines().enumerate();
         let (_, first) = lines.next().ok_or("empty trace")?;
@@ -165,6 +167,7 @@ impl Trace {
         let mut finals = Vec::new();
         let mut ops: Vec<Vec<TraceOp>> = Vec::new();
         let mut current: Option<(usize, usize)> = None; // (core, remaining)
+        let mut inv_lines: BTreeMap<u16, usize> = BTreeMap::new(); // region -> first `inv` line
         for (ln, line) in lines {
             let ln = ln + 1; // 1-based
             let line = line.trim_end();
@@ -175,6 +178,9 @@ impl Trace {
             if let Some((core, left)) = &mut current {
                 if *left > 0 {
                     let op = parse_op(line).map_err(&err)?;
+                    if let TraceOp::SelfInv(r) = op {
+                        inv_lines.entry(r.0).or_insert(ln);
+                    }
                     ops[*core].push(op);
                     *left -= 1;
                     continue;
@@ -261,13 +267,20 @@ impl Trace {
         if ops.len() != cores {
             return Err(format!("declared {cores} cores, found {}", ops.len()));
         }
+        let undeclared = inv_lines
+            .into_iter()
+            .filter(|&(r, _)| usize::from(r) >= region_names.len())
+            .min_by_key(|&(_, ln)| ln);
+        if let Some((r, ln)) = undeclared {
+            return Err(format!("line {ln}: `inv {r}` names undeclared region {r}"));
+        }
         Ok(Trace {
             name,
             recorded_on,
             layout: Arc::new(MemoryLayout::from_parts(segments, region_names)?),
             init,
             finals,
-            ops: ops.into_iter().map(Arc::new).collect(),
+            ops: ops.into_iter().map(Arc::from).collect(),
         })
     }
 }
@@ -292,60 +305,54 @@ fn parse_cond(s: &str) -> Result<Cond, String> {
 }
 
 fn render_op(s: &mut String, op: &TraceOp) {
-    match *op {
-        TraceOp::Exec { cycles } => {
-            let _ = writeln!(s, "ex {cycles}");
+    let _ = match *op {
+        TraceOp::Exec { cycles } => writeln!(s, "ex {cycles}"),
+        TraceOp::Load { addr } => writeln!(s, "ld {:x}", addr.raw()),
+        TraceOp::Store { addr, value } => writeln!(s, "st {:x} {value:x}", addr.raw()),
+        TraceOp::SyncLoad { addr, dep, .. } => {
+            writeln!(s, "lds {:x} {dep} {}", addr.raw(), hex_opt(op.result()))
         }
-        TraceOp::Fence => {
-            let _ = writeln!(s, "fence");
-        }
-        TraceOp::SelfInv(r) => {
-            let _ = writeln!(s, "inv {}", r.0);
-        }
-        TraceOp::Halt => {
-            let _ = writeln!(s, "halt");
-        }
-        TraceOp::Mem {
-            req,
+        TraceOp::Spin {
+            addr,
+            cond,
+            rhs,
+            dep,
+            ..
+        } => writeln!(
+            s,
+            "sp {:x} {} {rhs:x} {dep} {}",
+            addr.raw(),
+            cond_token(cond),
+            hex_opt(op.result())
+        ),
+        TraceOp::SyncStore {
+            addr,
+            value,
             dep,
             rwait,
-            result,
+        } => writeln!(s, "sts {:x} {value:x} {dep} {rwait}", addr.raw()),
+        TraceOp::Rmw {
+            addr,
+            kind,
+            a,
+            b,
+            dep,
+            rwait,
+            ..
         } => {
-            let a = req.addr.raw();
-            match (req.kind, req.spin) {
-                (AccessKind::DataLoad, _) => {
-                    let _ = writeln!(s, "ld {a:x}");
-                }
-                (AccessKind::DataStore { value }, _) => {
-                    let _ = writeln!(s, "st {a:x} {value:x}");
-                }
-                (AccessKind::SyncLoad, None) => {
-                    let _ = writeln!(s, "lds {a:x} {dep} {}", hex_opt(result));
-                }
-                (AccessKind::SyncLoad, Some(spin)) => {
-                    let _ = writeln!(
-                        s,
-                        "sp {a:x} {} {:x} {dep} {}",
-                        cond_token(spin.cond),
-                        spin.rhs,
-                        hex_opt(result)
-                    );
-                }
-                (AccessKind::SyncStore { value }, _) => {
-                    let _ = writeln!(s, "sts {a:x} {value:x} {dep} {rwait}");
-                }
-                (AccessKind::SyncRmw(op), _) => {
-                    let body = match op {
-                        RmwOp::Cas { expected, new } => format!("cas {expected:x} {new:x}"),
-                        RmwOp::Fai { delta } => format!("fai {delta:x}"),
-                        RmwOp::Swap { new } => format!("swap {new:x}"),
-                        RmwOp::Tas => "tas".to_owned(),
-                    };
-                    let _ = writeln!(s, "rmw {a:x} {body} {dep} {rwait} {}", hex_opt(result));
-                }
-            }
+            let body = match kind {
+                RmwKind::Cas => format!("cas {a:x} {b:x}"),
+                RmwKind::Fai => format!("fai {a:x}"),
+                RmwKind::Swap => format!("swap {a:x}"),
+                RmwKind::Tas => "tas".to_owned(),
+            };
+            let result = hex_opt(op.result());
+            writeln!(s, "rmw {:x} {body} {dep} {rwait} {result}", addr.raw())
         }
-    }
+        TraceOp::Fence => writeln!(s, "fence"),
+        TraceOp::SelfInv(r) => writeln!(s, "inv {}", r.0),
+        TraceOp::Halt => writeln!(s, "halt"),
+    };
 }
 
 fn hex_opt(v: Option<u64>) -> String {
@@ -374,15 +381,6 @@ fn parse_pair_hex(rest: &str) -> Result<(u64, u64), String> {
     Ok((parse_hex(a)?, parse_hex(v)?))
 }
 
-fn mem(addr: u64, kind: AccessKind, spin: Option<SpinCond>) -> MemRequest {
-    MemRequest {
-        addr: Addr::new(addr),
-        kind,
-        dst: None,
-        spin,
-    }
-}
-
 fn parse_op(line: &str) -> Result<TraceOp, String> {
     let mut it = line.split(' ');
     let key = it.next().unwrap_or("");
@@ -391,6 +389,7 @@ fn parse_op(line: &str) -> Result<TraceOp, String> {
             .ok_or_else(|| format!("`{key}`: missing {what}"))
             .map(|s| s.to_owned())
     };
+    let mut addr = || parse_hex(&next("address")?).map(Addr::new);
     let op = match key {
         "ex" => {
             let cycles: u64 = next("cycle count")?
@@ -410,82 +409,68 @@ fn parse_op(line: &str) -> Result<TraceOp, String> {
                 .map_err(|_| "bad region index".to_owned())?,
         )),
         "halt" => TraceOp::Halt,
-        "ld" => TraceOp::Mem {
-            req: mem(parse_hex(&next("address")?)?, AccessKind::DataLoad, None),
-            dep: 0,
-            rwait: 0,
-            result: None,
+        "ld" => TraceOp::Load { addr: addr()? },
+        "st" => TraceOp::Store {
+            addr: addr()?,
+            value: parse_hex(&next("value")?)?,
         },
-        "st" => {
-            let a = parse_hex(&next("address")?)?;
-            let value = parse_hex(&next("value")?)?;
-            TraceOp::Mem {
-                req: mem(a, AccessKind::DataStore { value }, None),
-                dep: 0,
-                rwait: 0,
-                result: None,
-            }
-        }
         "lds" => {
-            let a = parse_hex(&next("address")?)?;
+            let addr = addr()?;
             let dep = next("dep")?.parse().map_err(|_| "bad dep".to_owned())?;
             let result = parse_hex_opt(&next("result")?)?;
-            TraceOp::Mem {
-                req: mem(a, AccessKind::SyncLoad, None),
+            TraceOp::SyncLoad {
+                addr,
                 dep,
-                rwait: 0,
-                result,
+                result: result.unwrap_or(0),
+                has_result: result.is_some(),
             }
         }
         "sp" => {
-            let a = parse_hex(&next("address")?)?;
+            let addr = addr()?;
             let cond = parse_cond(&next("condition")?)?;
             let rhs = parse_hex(&next("rhs")?)?;
             let dep = next("dep")?.parse().map_err(|_| "bad dep".to_owned())?;
             let result = parse_hex_opt(&next("result")?)?;
-            TraceOp::Mem {
-                req: mem(a, AccessKind::SyncLoad, Some(SpinCond { cond, rhs })),
+            TraceOp::Spin {
+                addr,
+                cond,
+                rhs,
                 dep,
-                rwait: 0,
-                result,
+                result: result.unwrap_or(0),
+                has_result: result.is_some(),
             }
         }
-        "sts" => {
-            let a = parse_hex(&next("address")?)?;
-            let value = parse_hex(&next("value")?)?;
-            let dep = next("dep")?.parse().map_err(|_| "bad dep".to_owned())?;
-            let rwait = next("rwait")?.parse().map_err(|_| "bad rwait".to_owned())?;
-            TraceOp::Mem {
-                req: mem(a, AccessKind::SyncStore { value }, None),
-                dep,
-                rwait,
-                result: None,
-            }
-        }
+        "sts" => TraceOp::SyncStore {
+            addr: addr()?,
+            value: parse_hex(&next("value")?)?,
+            dep: next("dep")?.parse().map_err(|_| "bad dep".to_owned())?,
+            rwait: next("rwait")?.parse().map_err(|_| "bad rwait".to_owned())?,
+        },
         "rmw" => {
-            let a = parse_hex(&next("address")?)?;
-            let op = match next("rmw kind")?.as_str() {
-                "cas" => RmwOp::Cas {
-                    expected: parse_hex(&next("expected")?)?,
-                    new: parse_hex(&next("new")?)?,
-                },
-                "fai" => RmwOp::Fai {
-                    delta: parse_hex(&next("delta")?)?,
-                },
-                "swap" => RmwOp::Swap {
-                    new: parse_hex(&next("new")?)?,
-                },
-                "tas" => RmwOp::Tas,
+            let addr = addr()?;
+            let (kind, a, b) = match next("rmw kind")?.as_str() {
+                "cas" => (
+                    RmwKind::Cas,
+                    parse_hex(&next("expected")?)?,
+                    parse_hex(&next("new")?)?,
+                ),
+                "fai" => (RmwKind::Fai, parse_hex(&next("delta")?)?, 0),
+                "swap" => (RmwKind::Swap, parse_hex(&next("new")?)?, 0),
+                "tas" => (RmwKind::Tas, 0, 0),
                 other => return Err(format!("unknown rmw kind `{other}`")),
             };
             let dep = next("dep")?.parse().map_err(|_| "bad dep".to_owned())?;
             let rwait = next("rwait")?.parse().map_err(|_| "bad rwait".to_owned())?;
             let result = parse_hex_opt(&next("result")?)?;
-            TraceOp::Mem {
-                req: mem(a, AccessKind::SyncRmw(op), None),
+            TraceOp::Rmw {
+                addr,
+                kind,
+                a,
+                b,
                 dep,
                 rwait,
-                result,
+                result: result.unwrap_or(0),
+                has_result: result.is_some(),
             }
         }
         other => return Err(format!("unknown op `{other}`")),

@@ -33,7 +33,8 @@ pub mod replay;
 
 pub use compose::compose;
 pub use composite::composite;
-pub use format::{Trace, DVST_VERSION, MAX_EXEC_CYCLES};
+pub use dvs_core::replay::MAX_EXEC_CYCLES;
+pub use format::{Trace, DVST_VERSION};
 pub use mix::{build_mix, MixSpec};
 pub use record::record;
 pub use replay::{replay_oracle, replay_timed, ReplayMode, COMPRESS_CAP, ORACLE_DELIVERY_BUDGET};

@@ -43,7 +43,7 @@ pub fn record(
         layout: Arc::clone(&workload.layout),
         init: workload.init.clone(),
         finals: rec.finals,
-        ops: rec.ops.into_iter().map(Arc::new).collect(),
+        ops: rec.ops,
     };
     Ok((trace, stats))
 }

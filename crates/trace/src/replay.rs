@@ -25,13 +25,13 @@ pub const COMPRESS_CAP: u64 = 8;
 /// Default delivery budget for oracle-mode replay walks.
 pub const ORACLE_DELIVERY_BUDGET: u64 = 2_000_000;
 
-fn streams(trace: &Trace, mode: ReplayMode) -> Vec<Arc<Vec<TraceOp>>> {
+fn streams(trace: &Trace, mode: ReplayMode) -> Vec<Arc<[TraceOp]>> {
     match mode {
         ReplayMode::Faithful => trace.ops.clone(),
         ReplayMode::Compressed => trace
             .ops
             .iter()
-            .map(|s| Arc::new(compress_ops(s, COMPRESS_CAP)))
+            .map(|s| compress_ops(s, COMPRESS_CAP))
             .collect(),
     }
 }

@@ -11,7 +11,6 @@ use dvs_trace::{
     build_mix, compose, composite, record, replay_oracle, replay_timed, MixSpec, ReplayMode, Trace,
     MAX_EXEC_CYCLES, ORACLE_DELIVERY_BUDGET,
 };
-use std::sync::Arc;
 
 const THREADS: usize = 4;
 
@@ -151,9 +150,7 @@ fn format_round_trip_is_identity() {
     assert_eq!(parsed.cores(), trace.cores());
     assert_eq!(parsed.init, trace.init);
     assert_eq!(parsed.finals, trace.finals);
-    for (a, b) in parsed.ops.iter().zip(trace.ops.iter()) {
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
+    assert_eq!(parsed.ops, trace.ops);
     // The parsed trace is replayable (layout survived the round trip).
     replay_timed(&parsed, cfg(Protocol::DeNovoSync), ReplayMode::Compressed).expect("replay");
 }
@@ -178,27 +175,36 @@ fn corpus_fingerprint_is_pinned() {
     assert_eq!(trace.fingerprint(), 0x57fc_7dd7_383a_91d2);
 }
 
-/// Corpus mutants with malformed layouts: an overlapping segment and a
-/// segment naming an undeclared region are parse errors, not panics.
+/// Corpus mutants with malformed layouts: an overlapping segment, a
+/// segment naming an undeclared region and an `inv` of an undeclared
+/// region are parse errors, not panics or silent no-op invalidations.
 #[test]
 fn parse_rejects_malformed_layouts() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/tatas-counter.dvst");
     let text = std::fs::read_to_string(path).expect("read corpus trace");
-    for (from, to, want) in [
+    let first_inv = text.replacen("\ninv 1\n", "\ninv 65535\n", 1);
+    let inv_line = 1 + text
+        .lines()
+        .position(|l| l == "inv 1")
+        .expect("an `inv 1` line");
+    let cases = [
         (
-            "seg 140 256 0 eb_arrive",
-            "seg 100 256 0 eb_arrive",
-            "overlapping segments",
+            text.replace("seg 140 256 0 eb_arrive", "seg 100 256 0 eb_arrive"),
+            "overlapping segments".to_owned(),
         ),
         (
-            "seg 340 64 0 lock",
-            "seg 340 64 7 lock",
-            "undeclared region 7",
+            text.replace("seg 340 64 0 lock", "seg 340 64 7 lock"),
+            "undeclared region 7".to_owned(),
         ),
-    ] {
-        assert!(text.contains(from), "corpus trace lost `{from}`");
-        let err = Trace::parse(&text.replace(from, to)).unwrap_err();
-        assert!(err.contains(want), "`{to}`: {err}");
+        (
+            first_inv,
+            format!("line {inv_line}: `inv 65535` names undeclared region 65535"),
+        ),
+    ];
+    for (mutant, want) in cases {
+        assert_ne!(mutant, text, "corpus trace lost the line `{want}` mutates");
+        let err = Trace::parse(&mutant).unwrap_err();
+        assert!(err.contains(&want), "want `{want}`: {err}");
     }
 }
 
@@ -222,20 +228,68 @@ fn parse_bounds_exec_cycles() {
     replay_timed(&trace, one_core, ReplayMode::Faithful).expect("replay");
 }
 
+/// A think-time gap longer than [`MAX_EXEC_CYCLES`] records as several
+/// `ex` ops, so the trace reads back, and replays in the recorded time.
+#[test]
+fn long_delays_record_as_readable_exec_runs() {
+    const DELAY: u64 = 3_000_000_000;
+    let mut lb = dvs_mem::LayoutBuilder::new();
+    lb.region("data");
+    let mut program = dvs_vm::Asm::new("sleeper");
+    program
+        .delay(DELAY, dvs_stats::TimeComponent::Compute)
+        .halt();
+    let workload = dvs_kernels::Workload::new(
+        lb.build(),
+        vec![program.build()],
+        Vec::new(),
+        Vec::new(),
+        Box::new(|_| Ok(())),
+    );
+    let mut one_core = SystemConfig::small(1, Protocol::DeNovoSync);
+    one_core.max_cycles = 10_000_000_000;
+    let (trace, recorded) = record("sleeper", &workload, one_core).expect("record");
+    let exec: Vec<u64> = trace.ops[0]
+        .iter()
+        .filter_map(|op| match *op {
+            TraceOp::Exec { cycles } => Some(cycles),
+            _ => None,
+        })
+        .collect();
+    assert!(exec.len() > 1, "{exec:?}");
+    assert!(exec.iter().all(|&c| c <= MAX_EXEC_CYCLES), "{exec:?}");
+    assert!(exec.iter().sum::<u64>() > DELAY, "{exec:?}");
+    let parsed = Trace::parse(&trace.render()).expect("a recorded trace reads back");
+    let replayed = replay_timed(&parsed, one_core, ReplayMode::Faithful).expect("replay");
+    assert_eq!(replayed.cycles, recorded.cycles);
+}
+
 #[test]
 fn tampered_result_is_caught_in_flight() {
     let trace = record_kernel(KernelId::Locked(LockedStruct::Counter, LockKind::Tatas));
     let mut tampered = trace.clone();
     // Flip the recorded result of the first validated sync op we find.
     'outer: for stream in &mut tampered.ops {
-        let mut ops = stream.as_ref().clone();
+        let mut ops = stream.to_vec();
         for op in &mut ops {
-            if let TraceOp::Mem {
-                result: Some(v), ..
+            if let TraceOp::SyncLoad {
+                result,
+                has_result: true,
+                ..
+            }
+            | TraceOp::Spin {
+                result,
+                has_result: true,
+                ..
+            }
+            | TraceOp::Rmw {
+                result,
+                has_result: true,
+                ..
             } = op
             {
-                *v ^= 0x1;
-                *stream = Arc::new(ops);
+                *result ^= 0x1;
+                *stream = ops.into();
                 break 'outer;
             }
         }
@@ -354,9 +408,10 @@ fn mix_rejects_bad_specs() {
     .is_err());
 }
 
-/// Every committed corpus trace must parse, match its pinned fingerprint
-/// (encoded in a `# fingerprint` comment would be nicer, but the finals
-/// ARE the pin), and replay cleanly on all four protocols.
+/// Every committed corpus trace must parse, render back to its exact
+/// text, match its pinned fingerprint (encoded in a `# fingerprint`
+/// comment would be nicer, but the finals ARE the pin), and replay
+/// cleanly on all four protocols.
 #[test]
 fn corpus_replays_on_all_protocols() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
@@ -370,6 +425,11 @@ fn corpus_replays_on_all_protocols() {
     for path in entries {
         let text = std::fs::read_to_string(&path).expect("read corpus trace");
         let trace = Trace::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            trace.render() == text,
+            "{}: parse then render changed the text",
+            path.display()
+        );
         let n = trace.cores();
         for proto in Protocol::EXTENDED {
             replay_timed(

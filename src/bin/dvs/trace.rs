@@ -193,6 +193,7 @@ pub fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
             println!("recorded on {}", trace.recorded_on);
             println!("cores       {}", trace.cores());
             println!("ops         {}", trace.total_ops());
+            println!("op bytes    {}", trace.op_bytes());
             println!("init words  {}", trace.init.len());
             println!("final words {}", trace.finals.len());
             println!("fingerprint {:016x}", trace.fingerprint());

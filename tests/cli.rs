@@ -126,6 +126,31 @@ fn trace_replay_rejects_overlapping_segments() {
     assert!(stderr.contains("overlapping segments"), "{stderr}");
 }
 
+/// Composing a `.dvst` whose `inv` names an undeclared region is a usage
+/// error naming the region, not an overflow panic in the region shift.
+#[test]
+fn trace_compose_rejects_an_undeclared_inv_region() {
+    let corpus = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/trace/corpus/tatas-counter.dvst"
+    );
+    let text = std::fs::read_to_string(corpus).expect("read corpus trace");
+    let mutant = text.replacen("\ninv 1\n", "\ninv 65535\n", 1);
+    assert_ne!(mutant, text, "corpus trace lost its `inv 1`");
+    let tmp = std::env::temp_dir();
+    let path = tmp.join(format!("dvs-cli-inv-{}.dvst", std::process::id()));
+    let out = tmp.join(format!("dvs-cli-inv-out-{}.dvst", std::process::id()));
+    std::fs::write(&path, mutant).expect("write mutant");
+    let (file, out_file) = (path.to_string_lossy(), out.to_string_lossy());
+    let stderr = usage_error(&["trace", "compose", &out_file, corpus, &file]);
+    std::fs::remove_file(&path).ok();
+    assert!(!out.exists(), "a rejected compose must write nothing");
+    assert!(
+        stderr.contains("`inv 65535` names undeclared region 65535"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn tables_rejects_an_unknown_protocol_or_argument() {
     let err = usage_error(&["tables", "--proto", "mosi"]);
