@@ -16,7 +16,7 @@ use crate::config::{Protocol, SystemConfig};
 use crate::denovo::{self, DnvL1, DnvRegistry};
 use crate::mesi::{self, MesiDir, MesiL1};
 use crate::msg::{CoreId, Endpoint, Msg};
-use crate::proto::{Action, IssueResult};
+use crate::proto::{Actions, IssueResult};
 use crate::system::StallReport;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{LineAddr, MainMemory, Region, WordAddr};
@@ -88,7 +88,7 @@ impl Backend {
         i: CoreId,
         req: &MemRequest,
         after_backoff: bool,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> IssueResult {
         match self {
             Backend::Mesi { l1s, .. } => l1s[i].core_request(req, actions),
@@ -99,7 +99,7 @@ impl Backend {
     /// Delivers a message to an L1 or L2 bank. Returns false (touching
     /// nothing) if the endpoint's controller does not speak the message's
     /// protocol.
-    pub(crate) fn deliver(&mut self, ep: Endpoint, msg: Msg, actions: &mut Vec<Action>) -> bool {
+    pub(crate) fn deliver(&mut self, ep: Endpoint, msg: Msg, actions: &mut Actions) -> bool {
         match (self, ep, msg) {
             (Backend::Mesi { l1s, .. }, Endpoint::L1(i), Msg::Mesi(m)) => l1s[i].on_msg(m, actions),
             (
@@ -129,7 +129,7 @@ impl Backend {
         i: CoreId,
         word: WordAddr,
         seen: u64,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> bool {
         match self {
             Backend::Mesi { l1s, .. } => l1s[i].watch(word),
@@ -160,22 +160,22 @@ impl Backend {
         }
     }
 
-    /// Per-core MSHR high-water marks, plus the sync-path banks' notify and
-    /// recall counts.
+    /// The sync-path banks' notify and recall counts.
     pub(crate) fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let high_water: Vec<usize> = match self {
-            Backend::Mesi { l1s, .. } => l1s.iter().map(MesiL1::mshr_high_water).collect(),
-            Backend::DeNovo { l1s, .. } => l1s.iter().map(DnvL1::mshr_high_water).collect(),
-        };
-        for (i, high_water) in high_water.into_iter().enumerate() {
-            reg.add(&format!("core{i}"), "mshr", "high_water", high_water as u64);
-        }
         if let Backend::DeNovo { regs, .. } = self {
             for (b, r) in regs.iter().enumerate().filter(|(_, r)| r.has_sync_path()) {
                 let node = format!("bank{b}");
                 reg.add(&node, "gcs", "notifies", r.notifies());
                 reg.add(&node, "gcs", "recalls", r.recalls());
             }
+        }
+    }
+
+    /// Core `i`'s L1's peak simultaneous MSHR occupancy.
+    pub(crate) fn mshr_high_water(&self, i: CoreId) -> usize {
+        match self {
+            Backend::Mesi { l1s, .. } => l1s[i].mshr_high_water(),
+            Backend::DeNovo { l1s, .. } => l1s[i].mshr_high_water(),
         }
     }
 

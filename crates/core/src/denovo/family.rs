@@ -232,6 +232,7 @@ mod tests {
     use crate::config::{BackoffConfig, Protocol};
     use crate::denovo::registry::tests::mem_data;
     use crate::msg::{DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
+    use crate::proto::Actions;
     use dvs_mem::{AccessKind, Addr, CacheGeometry, LayoutBuilder};
     use dvs_vm::MemRequest;
     use std::sync::Arc;
@@ -260,7 +261,7 @@ mod tests {
     fn classified_machine() -> (Vec<DnvL1>, Vec<DnvRegistry>, WordAddr) {
         let (l1s, mut regs) = machine(Protocol::Gcs);
         let word = Addr::new(0x100).word();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // A bank-side sync load classifies the word on demand once the cold
         // line arrives.
         let op = GcsOpKind::Load;
@@ -275,7 +276,7 @@ mod tests {
     /// `l1` stores to `word` and registers it on an ack its home bank never
     /// sent.
     fn register_behind_the_bank(l1: &mut DnvL1, word: WordAddr) {
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let store = MemRequest {
             addr: word.base(),
             kind: AccessKind::DataStore { value: 5 },
@@ -327,7 +328,7 @@ mod tests {
     fn waiter_bit_without_a_remote_watch_is_flagged() {
         let (mut l1s, mut regs, word) = classified_machine();
         // Core 0 parks in the waiter set without arming its remote watch.
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let watch = DnvMsg::SyncWatch {
             word,
             req: 0,

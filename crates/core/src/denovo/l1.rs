@@ -45,7 +45,7 @@ use crate::config::{BackoffConfig, Protocol, ProtocolMutation};
 use crate::denovo::backoff::BackoffUnit;
 use crate::denovo::predictor::SyncPredictor;
 use crate::msg::{CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
-use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, IssueResult};
+use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, Actions, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::layout::MemoryLayout;
 use dvs_mem::{
@@ -385,6 +385,9 @@ const GCS_ROWS: &[Row] = {
     ]
 };
 
+/// Every row by id, for the compiled dispatch.
+const BY_ID: [Option<&Row>; crate::table::MAX_ROW_ID + 1] = rows_by_id(&[ROWS, DS_ROWS, GCS_ROWS]);
+
 /// One table per protocol.
 static SPECS: [Spec; 3] = {
     use Protocol::{DeNovoSync, DeNovoSync0, Gcs};
@@ -495,7 +498,7 @@ impl DnvL1 {
     /// learns) gets a level-triggered remote watch: the `SyncWatch` to its
     /// home bank carries `seen`, and the bank notifies at once if the word
     /// already differs. Returns whether either was armed.
-    pub fn watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) -> bool {
+    pub fn watch(&mut self, word: WordAddr, seen: u64, actions: &mut Actions) -> bool {
         if self.word_registered(word) {
             self.watch = Some(word);
         } else if self.sync.predictor.contains(word) {
@@ -632,7 +635,7 @@ impl DnvL1 {
         &mut self,
         req: &MemRequest,
         after_backoff: bool,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> IssueResult {
         let input = Input::Core {
             kind: req.kind,
@@ -642,7 +645,7 @@ impl DnvL1 {
     }
 
     /// Handles an incoming message, data path or sync path alike.
-    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
+    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Actions) {
         self.fire(msg.word(), Input::Msg(msg), actions);
     }
 
@@ -718,7 +721,7 @@ impl DnvL1 {
     /// completed registration releases. A cell with no row is the one
     /// unexpected-event path: a violation naming the word, state and event.
     /// Returns a core request's outcome.
-    fn fire(&mut self, word: WordAddr, input: Input, actions: &mut Vec<Action>) -> IssueResult {
+    fn fire(&mut self, word: WordAddr, input: Input, actions: &mut Actions) -> IssueResult {
         let (state, event, found) = self.classify(word, &input);
         let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
             let who = format_args!("DeNovo L1 {}", self.id);
@@ -726,11 +729,9 @@ impl DnvL1 {
             return IssueResult::Blocked;
         };
         let mut step = (IssueResult::Blocked, None);
-        for &act in row.acts {
-            if !self.act(act, word, &input, &found, &mut step, actions) {
-                // No way for the line, or a backoff: the datapath decided.
-                return step.0;
-            }
+        if !dispatch_row!(row.id, self.run(word, &input, &found, &mut step, actions)) {
+            // No way for the line, or a backoff: the datapath decided.
+            return step.0;
         }
         if let Some(to) = row.to {
             let now = || Self::state(self.mshr.get(&word), self.word_state(word));
@@ -742,10 +743,29 @@ impl DnvL1 {
         step.0
     }
 
+    /// Runs row `ID`'s steps in order (see [`dispatch_row!`]). Returns
+    /// false when a step stops the row early.
+    fn run<const ID: usize>(
+        &mut self,
+        word: WordAddr,
+        input: &Input,
+        found: &Found,
+        step: &mut (IssueResult, Option<Successor>),
+        actions: &mut Actions,
+    ) -> bool {
+        for &act in Compiled::<ID>::ACTS {
+            if !self.act(act, word, input, found, step, actions) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Runs one step of a fired row on what classification `found`, setting
     /// `step`'s core-request outcome and the successor to fire after the
     /// row. Returns false when the row stops early: no way could be freed
     /// for the line, or the access backs off.
+    #[inline(always)]
     fn act(
         &mut self,
         act: Act,
@@ -753,7 +773,7 @@ impl DnvL1 {
         input: &Input,
         found: &Found,
         step: &mut (IssueResult, Option<Successor>),
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> bool {
         let (req, from, banks, key) = (self.id, self.id, self.banks, word.base().raw());
         let home = || Endpoint::Bank(home_bank(word.line(), banks));
@@ -780,7 +800,7 @@ impl DnvL1 {
                 if act == Act::Claim {
                     // The paper's write path: Registered at once, no
                     // transient state.
-                    actions.push(Action::transition(key, was, "R", "store"));
+                    actions.transition(key, was, "R", "store");
                 } else {
                     step.0 = IssueResult::StoreAccepted { completed: true };
                 }
@@ -861,7 +881,7 @@ impl DnvL1 {
                     self.backoff.on_remote_sync_read();
                 }
                 self.word_mut(word).expect("registered word").state = to;
-                actions.push(Action::transition(key, "R", to.label(), cause));
+                actions.transition(key, "R", to.label(), cause);
                 if self.watch == Some(word) {
                     actions.push(Action::SpinWake);
                 }
@@ -961,7 +981,7 @@ impl DnvL1 {
             // owns classified words, so undo and re-execute there.
             (Act::Unwrite, _) => {
                 self.word_mut(word).expect("write-registered word").state = WState::Invalid;
-                actions.push(Action::transition(key, "R", "I", "Classified"));
+                actions.transition(key, "R", "I", "Classified");
             }
             (Act::Convert, _) => {
                 let kind = found.kind.expect("a pending registration");
@@ -1035,7 +1055,7 @@ impl DnvL1 {
         word: WordAddr,
         ack: u64,
         step: &mut (IssueResult, Option<Successor>),
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> bool {
         let key = word.base().raw();
         let pend = mshr_free(&mut self.mshr, &word, key, actions).expect("registration pending");
@@ -1061,7 +1081,7 @@ impl DnvL1 {
                 state: WState::Registered,
                 value,
             };
-            actions.push(Action::transition(key, was, "R", "RegAck"));
+            actions.transition(key, was, "R", "RegAck");
         }
         actions.push(done);
         // Parked forwarded reads see the post-operation value (they were
@@ -1095,11 +1115,11 @@ impl DnvL1 {
 
     /// Records `word` as sync-classified (idempotent) and emits the
     /// data→sync classification transition the first time.
-    fn learn(&mut self, word: WordAddr, cause: &'static str, actions: &mut Vec<Action>) {
+    fn learn(&mut self, word: WordAddr, cause: &'static str, actions: &mut Actions) {
         let known = self.sync.predictor.contains(word);
         self.sync.predictor.insert(word);
         if !known {
-            actions.push(Action::transition(word.base().raw(), "data", "sync", cause));
+            actions.transition(word.base().raw(), "data", "sync", cause);
         }
     }
 
@@ -1119,7 +1139,7 @@ impl DnvL1 {
 
     /// Starts the writeback handshake for a registered word this L1 is
     /// giving up, holding its value until the registry answers.
-    fn start_writeback(&mut self, word: WordAddr, value: u64, actions: &mut Vec<Action>) {
+    fn start_writeback(&mut self, word: WordAddr, value: u64, actions: &mut Actions) {
         let pend = Pend::new(PendKind::Wb {
             value,
             nacked: false,
@@ -1130,13 +1150,7 @@ impl DnvL1 {
         actions.push(Action::Send { to, msg });
     }
 
-    fn serve_reads(
-        &self,
-        word: WordAddr,
-        value: u64,
-        readers: &[CoreId],
-        actions: &mut Vec<Action>,
-    ) {
+    fn serve_reads(&self, word: WordAddr, value: u64, readers: &[CoreId], actions: &mut Actions) {
         for &r in readers {
             let (to, fill) = (Endpoint::L1(r), None);
             let msg = Msg::Dnv(DnvMsg::ReadResp { word, value, fill });
@@ -1163,7 +1177,7 @@ impl DnvL1 {
 
     /// Makes `line` resident, evicting if necessary. Returns false if no way
     /// could be freed.
-    fn ensure_line(&mut self, line: LineAddr, actions: &mut Vec<Action>) -> bool {
+    fn ensure_line(&mut self, line: LineAddr, actions: &mut Actions) -> bool {
         if self.cache.contains(line) {
             self.cache.touch(line);
             return true;
@@ -1284,7 +1298,7 @@ pub(crate) mod tests {
     #[test]
     fn sync_read_always_misses_unless_registered() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(
             l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
             IssueResult::Miss
@@ -1321,7 +1335,7 @@ pub(crate) mod tests {
     #[test]
     fn data_write_registers_immediately_without_stalling() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(
             l1.core_request(
                 &req(0x100, AccessKind::DataStore { value: 5 }),
@@ -1353,7 +1367,7 @@ pub(crate) mod tests {
     fn transfer_downgrades_to_invalid_on_ds0_and_valid_on_ds() {
         for (enabled, expect) in [(false, WState::Invalid), (true, WState::Valid)] {
             let mut l1 = l1(enabled);
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             l1.core_request(
                 &req(0x100, AccessKind::DataStore { value: 9 }),
                 false,
@@ -1393,7 +1407,7 @@ pub(crate) mod tests {
     #[test]
     fn sync_read_to_valid_backs_off_then_misses() {
         let mut l1 = l1(true);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Register then lose to a remote sync read → Valid + backoff > 0.
         l1.core_request(
             &req(0x100, AccessKind::DataStore { value: 1 }),
@@ -1434,7 +1448,7 @@ pub(crate) mod tests {
         // The distributed queue: our sync read is pending; the next
         // registrant's transfer arrives first and must wait for our ack.
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         acts.clear();
         l1.on_msg(
@@ -1469,7 +1483,7 @@ pub(crate) mod tests {
     #[test]
     fn rmw_applies_at_ownership_and_serves_parked_reads_with_new_value() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(
             &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
             false,
@@ -1508,7 +1522,7 @@ pub(crate) mod tests {
     #[test]
     fn self_invalidation_clears_valid_but_not_registered() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Valid word via data read.
         l1.core_request(&req(0x100, AccessKind::DataLoad), false, &mut acts);
         l1.on_msg(
@@ -1536,7 +1550,7 @@ pub(crate) mod tests {
     #[test]
     fn read_resp_fill_installs_only_invalid_words() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Make word 1 of the line Registered first.
         l1.core_request(
             &req(0x108, AccessKind::DataStore { value: 99 }),
@@ -1564,7 +1578,7 @@ pub(crate) mod tests {
     #[test]
     fn writeback_handshake_ack_path() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Fill both ways of set 0 with registered words, then force a third
         // line into the set (2-way, 8 sets ⇒ stride 8 lines = 0x200).
         for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
@@ -1609,7 +1623,7 @@ pub(crate) mod tests {
     #[test]
     fn writeback_nack_then_transfer_serves_from_held_value() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
             l1.core_request(
                 &req(a, AccessKind::DataStore { value: v }),
@@ -1657,7 +1671,7 @@ pub(crate) mod tests {
     #[test]
     fn transfer_before_nack_also_resolves() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
             l1.core_request(
                 &req(a, AccessKind::DataStore { value: v }),
@@ -1703,7 +1717,7 @@ pub(crate) mod tests {
     #[test]
     fn spin_watch_wakes_on_transfer() {
         let mut l1 = l1(false);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         l1.on_msg(
             DnvMsg::RegAck {
@@ -1731,7 +1745,7 @@ pub(crate) mod tests {
     #[test]
     fn unclassified_sync_access_registers_optimistically() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(
             l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
             IssueResult::Miss
@@ -1762,7 +1776,7 @@ pub(crate) mod tests {
     #[test]
     fn classified_rejection_converts_to_sync_op() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(
             &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
             false,
@@ -1797,7 +1811,7 @@ pub(crate) mod tests {
     #[test]
     fn predicted_sync_access_skips_registration() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         acts.clear();
         l1.on_msg(DnvMsg::Classified { word: word(0x100) }, &mut acts);
@@ -1833,7 +1847,7 @@ pub(crate) mod tests {
     #[test]
     fn converted_data_store_invalidates_local_copy_and_retires() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(
             l1.core_request(
                 &req(0x100, AccessKind::DataStore { value: 5 }),
@@ -1870,7 +1884,7 @@ pub(crate) mod tests {
     #[test]
     fn recall_of_settled_word_returns_value_and_wakes_spinner() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         l1.on_msg(
             DnvMsg::RegAck {
@@ -1898,7 +1912,7 @@ pub(crate) mod tests {
     #[test]
     fn recall_parks_on_inflight_registration_and_serves_after_ack() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(
             &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
             false,
@@ -1936,7 +1950,7 @@ pub(crate) mod tests {
     #[test]
     fn notify_buffer_serves_the_reissued_spin_load() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // A recall that finds the word Invalid teaches the L1 it is
         // classified, so a failed spin on it watches remotely.
         l1.on_msg(DnvMsg::Recall { word: word(0x100) }, &mut acts);
@@ -1975,7 +1989,7 @@ pub(crate) mod tests {
     #[test]
     fn recall_with_writeback_in_flight_defers_to_the_writeback() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
             l1.core_request(
                 &req(a, AccessKind::DataStore { value: v }),
@@ -2012,10 +2026,10 @@ pub(crate) mod tests {
     #[test]
     fn a_bank_bound_message_is_a_violation() {
         let mut l1 = gcs_l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let (word, op) = (word(0x100), GcsOpKind::Load);
         l1.on_msg(DnvMsg::SyncOp { word, req: 1, op }, &mut acts);
         let detail = "DeNovo L1 0: unexpected Msg(SyncOp { word: WordAddr(32), req: 1, op: Load }) for w0x100 in I";
-        assert_eq!(acts, [Action::violation(detail)]);
+        assert_eq!(*acts, [Action::violation(detail)]);
     }
 }

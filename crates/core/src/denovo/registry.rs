@@ -31,7 +31,7 @@
 use crate::config::{Protocol, ProtocolMutation};
 use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsOpKind, Msg, XferClass};
-use crate::proto::Action;
+use crate::proto::{Action, Actions};
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
 use dvs_telemetry::EventKind;
 use std::collections::{BTreeMap, VecDeque};
@@ -214,6 +214,17 @@ const OVERRIDES: [&[Row]; 5] = {
         ],
     ]
 };
+
+/// Every row by id, for the compiled dispatch.
+const BY_ID: [Option<&Row>; crate::table::MAX_ROW_ID + 1] = rows_by_id(&[
+    ROWS,
+    GCS_ROWS,
+    OVERRIDES[0],
+    OVERRIDES[1],
+    OVERRIDES[2],
+    OVERRIDES[3],
+    OVERRIDES[4],
+]);
 
 /// One family table for DeNovoSync0 and DeNovoSync and one for GCS, each
 /// stock and armed with the mutations that reach it. On GCS a mutation
@@ -454,7 +465,7 @@ impl DnvRegistry {
     /// Handles one incoming message: a request or answer from an L1, data
     /// path or sync path alike, or memory returning a line this bank was
     /// fetching.
-    pub fn on_msg(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+    pub fn on_msg(&mut self, msg: Msg, actions: &mut Actions) {
         self.fire(msg, actions);
     }
 
@@ -473,7 +484,7 @@ impl DnvRegistry {
     /// word, state and event. The word's line is looked up once (every
     /// message tracks its line; memory data is about its first word) and
     /// handed to each step.
-    fn fire(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+    fn fire(&mut self, msg: Msg, actions: &mut Actions) {
         let word = match msg {
             Msg::Dnv(m) => m.word(),
             m => m.line().word(0),
@@ -487,9 +498,7 @@ impl DnvRegistry {
             let who = format_args!("registry bank {}", port.bank);
             return actions.push(crate::table::unexpected(who, word, state, event, msg));
         };
-        for &act in row.acts {
-            port.act(act, entry, word, slot, &msg, actions);
-        }
+        dispatch_row!(row.id, port.run(entry, word, slot, &msg, actions));
         if let Some(to) = row.to {
             let now = || word_state(entry, port.sync.get(&word), word);
             debug_assert_eq!(now(), to, "registry row {}", row.id);
@@ -559,8 +568,23 @@ fn classify(entry: &RegLine, state: State, word: WordAddr, msg: &Msg) -> Option<
 }
 
 impl Port {
+    /// Runs row `ID`'s steps in order (see [`dispatch_row!`]).
+    fn run<const ID: usize>(
+        &mut self,
+        entry: &mut RegLine,
+        word: WordAddr,
+        slot: RegWord,
+        msg: &Msg,
+        actions: &mut Actions,
+    ) {
+        for &act in Compiled::<ID>::ACTS {
+            self.act(act, entry, word, slot, msg, actions);
+        }
+    }
+
     /// Runs one step of a fired row on the word's line `entry`; `slot` is
     /// the word as classification found it: bank-held, or registered.
+    #[inline(always)]
     fn act(
         &mut self,
         act: Act,
@@ -568,7 +592,7 @@ impl Port {
         word: WordAddr,
         slot: RegWord,
         msg: &Msg,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) {
         let (idx, addr) = (word.index_in_line(), word.base().raw());
         let (held, owner) = match slot {
@@ -638,7 +662,7 @@ impl Port {
                     owner: req as u32,
                     prev,
                 };
-                actions.push(Action::Observe { addr, kind });
+                actions.observe(addr, kind);
             }
             // The writeback handshake: accepted from the registrant;
             // refused otherwise — ownership already moved, and a transfer is
@@ -709,7 +733,7 @@ impl Port {
                 }
                 let (writer, waiters) = (req as u32, waiters.len() as u32);
                 let kind = EventKind::Notify { writer, waiters };
-                actions.push(Action::Observe { addr, kind });
+                actions.observe(addr, kind);
             }
             // A level-triggered watch: parked on the value the spinner saw,
             // notified at once if the word has already moved past it.
@@ -726,14 +750,14 @@ impl Port {
     }
 
     /// Adds `word` to the sync map and observes the data→sync transition.
-    fn mark_classified(&mut self, word: WordAddr, recalling: bool, actions: &mut Vec<Action>) {
+    fn mark_classified(&mut self, word: WordAddr, recalling: bool, actions: &mut Actions) {
         let entry = SyncEntry {
             recalling,
             ..SyncEntry::default()
         };
         self.sync.insert(word, entry);
         let addr = word.base().raw();
-        actions.push(Action::transition(addr, "data", "sync", "classify"));
+        actions.transition(addr, "data", "sync", "classify");
     }
 
     fn entry(&mut self, word: WordAddr) -> &mut SyncEntry {
@@ -800,7 +824,7 @@ pub(crate) mod tests {
 
     fn warmed() -> DnvRegistry {
         let mut r = bank(Protocol::DeNovoSync0, None);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::ReadReq {
                 word: word(0),
@@ -838,7 +862,7 @@ pub(crate) mod tests {
     #[test]
     fn cold_line_fetches_memory_once_and_drains_queue() {
         let mut r = bank(Protocol::DeNovoSync0, None);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::ReadReq {
                 word: word(0),
@@ -890,7 +914,7 @@ pub(crate) mod tests {
     #[test]
     fn registration_of_valid_word_acks_with_value() {
         let mut r = warmed();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::RegReq {
                 word: word(1),
@@ -918,7 +942,7 @@ pub(crate) mod tests {
         // The non-blocking registry: A registers, then B and C race; the
         // registry re-points on each request without waiting.
         let mut r = warmed();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         for core in [4usize, 5, 6] {
             r.on_msg(
                 Msg::Dnv(DnvMsg::RegReq {
@@ -950,7 +974,7 @@ pub(crate) mod tests {
     #[test]
     fn forwarded_data_read_goes_to_registrant() {
         let mut r = warmed();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::RegReq {
                 word: word(3),
@@ -981,7 +1005,7 @@ pub(crate) mod tests {
     #[test]
     fn writeback_ack_and_nack() {
         let mut r = warmed();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::RegReq {
                 word: word(4),
@@ -1040,7 +1064,7 @@ pub(crate) mod tests {
     fn registered_word_count_tracks_pointers() {
         let mut r = warmed();
         assert_eq!(r.registrations().count(), 0);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         r.on_msg(
             Msg::Dnv(DnvMsg::RegReq {
                 word: word(1),
@@ -1077,7 +1101,7 @@ pub(crate) mod tests {
         /// A GCS bank armed with `mutation`, its line of words 0..8 fetched.
         fn armed(mutation: Option<ProtocolMutation>) -> DnvRegistry {
             let mut b = super::bank(Protocol::Gcs, mutation);
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::ReadReq {
                     word: word(0),
@@ -1093,7 +1117,7 @@ pub(crate) mod tests {
         }
 
         fn reg(b: &mut DnvRegistry, w: WordAddr, core: CoreId, class: XferClass) {
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::RegReq {
                     word: w,
@@ -1109,7 +1133,7 @@ pub(crate) mod tests {
         fn sync_contention_classifies_and_recalls() {
             let mut b = warmed();
             reg(&mut b, word(2), 1, XferClass::SyncWrite);
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             // Core 4's sync read contends: the word becomes a sync variable.
             b.on_msg(
                 Msg::Dnv(DnvMsg::RegReq {
@@ -1163,7 +1187,7 @@ pub(crate) mod tests {
         fn data_write_contention_repoints_without_classifying() {
             let mut b = warmed();
             reg(&mut b, word(3), 1, XferClass::Write);
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::RegReq {
                     word: word(3),
@@ -1186,7 +1210,7 @@ pub(crate) mod tests {
         #[test]
         fn sync_op_executes_at_bank_and_notifies_waiters() {
             let mut b = warmed();
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             // RMW on a bank-held word classifies on demand and executes.
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
@@ -1240,7 +1264,7 @@ pub(crate) mod tests {
         #[test]
         fn stale_watch_notifies_immediately() {
             let mut b = warmed();
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
@@ -1273,7 +1297,7 @@ pub(crate) mod tests {
         fn crossing_writeback_settles_the_recall() {
             let mut b = warmed();
             reg(&mut b, word(2), 1, XferClass::Write);
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             // A sync op from core 3 starts the recall of core 1's registration.
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
@@ -1312,7 +1336,7 @@ pub(crate) mod tests {
         #[test]
         fn registration_of_classified_word_is_rejected() {
             let mut b = warmed();
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
@@ -1331,7 +1355,7 @@ pub(crate) mod tests {
                 &mut acts,
             );
             assert_eq!(
-                acts,
+                *acts,
                 vec![Action::Send {
                     to: Endpoint::L1(7),
                     msg: Msg::Dnv(DnvMsg::Classified { word: word(1) }),
@@ -1343,7 +1367,7 @@ pub(crate) mod tests {
         #[test]
         fn skip_update_mutation_loses_the_rmw() {
             let mut b = armed(Some(ProtocolMutation::GcsSkipUpdate));
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
@@ -1359,7 +1383,7 @@ pub(crate) mod tests {
         #[test]
         fn drop_notify_mutation_strands_waiters() {
             let mut b = armed(Some(ProtocolMutation::GcsDropNotify));
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             b.on_msg(
                 Msg::Dnv(DnvMsg::SyncOp {
                     word: word(1),
@@ -1402,11 +1426,11 @@ pub(crate) mod tests {
         #[test]
         fn an_l1_bound_message_is_a_violation() {
             let mut b = warmed();
-            let mut acts = Vec::new();
+            let mut acts = Actions::new(true);
             let (word, value) = (word(0), 5);
             b.on_msg(Msg::Dnv(DnvMsg::SyncResp { word, value }), &mut acts);
             let detail = "registry bank 0: unexpected Dnv(SyncResp { word: WordAddr(64), value: 5 }) for w0x200 in Valid";
-            assert_eq!(acts, [Action::violation(detail)]);
+            assert_eq!(*acts, [Action::violation(detail)]);
         }
     }
 }

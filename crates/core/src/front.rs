@@ -1,8 +1,9 @@
 //! The functional core model, kept apart from memory timing as in the
 //! paper. A core runs a VM [`Thread`] or replays a recorded stream through a
 //! [`TraceCore`] ([`crate::replay`]); [`Fronts`] is the only code that knows
-//! which. The system asks it for each core's next effect and attribution
-//! phase, and hands it every completed blocking access.
+//! which. The system asks it for each core's next effect (after a run of
+//! retired instructions) and attribution phase, and hands it every
+//! completed blocking access.
 
 use crate::msg::CoreId;
 use crate::replay::{ReplayBoard, TraceCore};
@@ -10,6 +11,17 @@ use dvs_mem::Addr;
 use dvs_vm::isa::PhaseChange;
 use dvs_vm::{Effect, MemRequest, Thread};
 use std::hash::{Hash, Hasher};
+
+/// Where a core's run of retired instructions ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// An instruction the system must act on.
+    Effect(Effect),
+    /// The run retired its whole budget.
+    Budget,
+    /// A replay core's next op is parked on the recorded sync order.
+    Parked,
+}
 
 /// The per-core front ends of a [`System`](crate::System): VM threads, or
 /// trace-replay cores sharing one ordering board.
@@ -38,12 +50,20 @@ impl From<Vec<TraceCore>> for Fronts {
 }
 
 impl Fronts {
-    /// Core `i`'s next effect, or `None` while a replay core's next op is
-    /// parked on the recorded sync order.
-    pub(crate) fn step(&mut self, i: CoreId) -> Option<Effect> {
+    /// Runs core `i` until it needs the system or `budget` instructions
+    /// have retired: how many retired, and where it stopped. A replay
+    /// core's recorded compute is an `Exec` delay, so it retires none.
+    #[inline]
+    pub(crate) fn step(&mut self, i: CoreId, budget: u64) -> (u64, Stop) {
         match self {
-            Fronts::Vm(ts) => Some(ts[i].step()),
-            Fronts::Trace { cores, board } => cores[i].step(board),
+            Fronts::Vm(ts) => match ts[i].run(budget) {
+                (retired, Some(eff)) => (retired, Stop::Effect(eff)),
+                (retired, None) => (retired, Stop::Budget),
+            },
+            Fronts::Trace { cores, board } => match cores[i].step(board) {
+                Some(eff) => (0, Stop::Effect(eff)),
+                None => (0, Stop::Parked),
+            },
         }
     }
 

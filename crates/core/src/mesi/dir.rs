@@ -13,7 +13,7 @@
 use crate::config::{Protocol, ProtocolMutation};
 use crate::coreset::CoreSet;
 use crate::msg::{BankId, CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::Action;
+use crate::proto::{Action, Actions};
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, LINE_BYTES};
 use dvs_stats::TrafficClass;
 use dvs_telemetry::EventKind;
@@ -180,6 +180,9 @@ const ROWS: &[Row] = {
 
 static SPECS: [Spec; 1] = [Spec::new(&[Protocol::Mesi], None, &[("MESI", ROWS, false)])];
 
+/// Every row by id, for the compiled dispatch.
+const BY_ID: [Option<&Row>; crate::table::MAX_ROW_ID + 1] = rows_by_id(&[ROWS]);
+
 /// Appends the directory's table `protocol` runs to `out` (`dvs tables`).
 pub(crate) fn markdown(protocol: Protocol, out: &mut String) {
     Spec::markdown(&SPECS, "MESI directory", protocol, out);
@@ -283,13 +286,13 @@ impl MesiDir {
 
     /// Handles one incoming message: a request or answer from an L1, or
     /// memory returning a line this bank was fetching.
-    pub fn on_msg(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+    pub fn on_msg(&mut self, msg: Msg, actions: &mut Actions) {
         self.fire(msg.line(), msg, actions);
         self.drain(msg.line(), actions);
     }
 
     /// Serves queued requests while the line is idle.
-    fn drain(&mut self, line: LineAddr, actions: &mut Vec<Action>) {
+    fn drain(&mut self, line: LineAddr, actions: &mut Actions) {
         while let Some(entry) = self.lines.get_mut(line.raw()) {
             if entry.busy.is_some() {
                 return;
@@ -305,16 +308,15 @@ impl MesiDir {
     /// unexpected-event path: a violation naming the line, state and event.
     /// The line's entry is looked up once (every message tracks its line)
     /// and handed to each step.
-    fn fire(&mut self, line: LineAddr, msg: Msg, actions: &mut Vec<Action>) {
+    fn fire(&mut self, line: LineAddr, msg: Msg, actions: &mut Actions) {
         let entry = self.lines.or_insert_with(line.raw(), DirLine::default);
         let (state, event) = classify(entry, msg);
         let Some(row) = event.and_then(|e| SPECS[0].table[state as usize][e as usize]) else {
             let who = format_args!("MESI dir bank {}", self.port.bank);
             return actions.push(crate::table::unexpected(who, line, state, event, msg));
         };
-        for &act in row.acts {
-            self.port.act(act, entry, line, msg, actions);
-        }
+        let port = &self.port;
+        dispatch_row!(row.id, port.run(entry, line, msg, actions));
         let to = row.to.unwrap_or(state);
         debug_assert_eq!(State::of(entry), to, "dir row {} on {line}", row.id);
     }
@@ -358,15 +360,22 @@ fn classify(entry: &DirLine, msg: Msg) -> (State, Option<Event>) {
 }
 
 impl Port {
-    /// Runs one step of a fired row on the line's `entry`.
-    fn act(
+    /// Runs row `ID`'s steps in order (see [`dispatch_row!`]).
+    fn run<const ID: usize>(
         &self,
-        act: Act,
         entry: &mut DirLine,
         line: LineAddr,
         msg: Msg,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) {
+        for &act in Compiled::<ID>::ACTS {
+            self.act(act, entry, line, msg, actions);
+        }
+    }
+
+    /// Runs one step of a fired row on the line's `entry`.
+    #[inline(always)]
+    fn act(&self, act: Act, entry: &mut DirLine, line: LineAddr, msg: Msg, actions: &mut Actions) {
         match (act, msg) {
             (Act::FetchMem, Msg::Mesi(msg)) => {
                 entry.busy = Some(Busy::MemFetch);
@@ -426,7 +435,7 @@ impl Port {
         entry: &mut DirLine,
         line: LineAddr,
         msg: MesiMsg,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) {
         use DirState::{Owned, Shared};
         use TrafficClass::{Load, Store};
@@ -482,12 +491,12 @@ impl Port {
         let addr = line.base().raw();
         if state != before {
             let (from, to) = (before.label(), state.label());
-            actions.push(Action::transition(addr, from, to, cause));
+            actions.transition(addr, from, to, cause);
         }
         if !invalidate.is_empty() {
             let (requester, sharers) = (req as u32, invalidate.len() as u32);
             let kind = EventKind::Invalidation { requester, sharers };
-            actions.push(Action::Observe { addr, kind });
+            actions.observe(addr, kind);
         }
     }
 }
@@ -533,7 +542,7 @@ pub(crate) mod tests {
 
     fn warm(d: &mut MesiDir, l: LineAddr) {
         // First touch triggers a memory fetch; complete it with known data.
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 0 }), &mut acts);
         assert!(matches!(
             acts[0],
@@ -581,7 +590,7 @@ pub(crate) mod tests {
     fn second_gets_forwards_to_owner_and_needs_both_completions() {
         let mut d = dir();
         warm(&mut d, line());
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(
             Msg::Mesi(MesiMsg::GetS {
                 line: line(),
@@ -639,7 +648,7 @@ pub(crate) mod tests {
         let l = line();
         warm(&mut d, l);
         // Downgrade to shared by a second reader.
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 1 }), &mut acts);
         acts.clear();
         d.on_msg(
@@ -687,7 +696,7 @@ pub(crate) mod tests {
         let mut d = dir();
         let l = line();
         warm(&mut d, l);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 3 }), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
@@ -704,7 +713,7 @@ pub(crate) mod tests {
         let mut d = dir();
         let l = line();
         warm(&mut d, l);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Make shared {0,1}.
         d.on_msg(Msg::Mesi(MesiMsg::GetS { line: l, req: 1 }), &mut acts);
         d.on_msg(
@@ -750,7 +759,7 @@ pub(crate) mod tests {
         let l = line();
         warm(&mut d, l);
         // Ownership moves 0 → 3 via FwdGetM.
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 3 }), &mut acts);
         acts.clear();
         // Core 0's racing PutM arrives afterwards: stale.
@@ -777,7 +786,7 @@ pub(crate) mod tests {
         let mut d = dir();
         let l = line();
         warm(&mut d, l);
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Owner is 0. Three queued requests while busy.
         d.on_msg(Msg::Mesi(MesiMsg::GetM { line: l, req: 1 }), &mut acts);
         acts.clear();
@@ -826,7 +835,7 @@ pub(crate) mod tests {
     #[test]
     fn an_l1_bound_message_is_a_violation() {
         let mut d = dir();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         d.on_msg(
             Msg::Mesi(MesiMsg::Inv {
                 line: line(),
@@ -835,6 +844,6 @@ pub(crate) mod tests {
             &mut acts,
         );
         let detail = "MESI dir bank 0: unexpected Mesi(Inv { line: LineAddr(16), req: 1 }) for l0x400 in Cold";
-        assert_eq!(acts, [Action::violation(detail)]);
+        assert_eq!(*acts, [Action::violation(detail)]);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::config::{Protocol, ProtocolMutation};
 use crate::msg::{CoreId, Endpoint, LineData, MesiMsg, Msg};
-use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, IssueResult};
+use crate::proto::{home_bank, mshr_alloc, mshr_free, Action, Actions, IssueResult};
 use dvs_mem::array::InsertOutcome;
 use dvs_mem::{AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, RmwOp, WordAddr};
 use dvs_stats::TrafficClass;
@@ -287,6 +287,10 @@ const DROP_ACK_ROWS: &[Row] = {
     ]
 };
 
+/// Every row by id, for the compiled dispatch.
+const BY_ID: [Option<&Row>; crate::table::MAX_ROW_ID + 1] =
+    rows_by_id(&[ROWS, SKIP_INVALIDATE_ROWS, DROP_ACK_ROWS]);
+
 /// The stock table and the two seeded mutations' tables.
 static SPECS: [Spec; 3] = {
     use ProtocolMutation::{MesiDropAck, MesiSkipInvalidate};
@@ -429,13 +433,13 @@ impl MesiL1 {
     }
 
     /// Presents a core memory request.
-    pub fn core_request(&mut self, req: &MemRequest, actions: &mut Vec<Action>) -> IssueResult {
+    pub fn core_request(&mut self, req: &MemRequest, actions: &mut Actions) -> IssueResult {
         let (line, w) = (req.addr.word().line(), req.addr.word().index_in_line());
         self.fire(line, Input::Core { w, kind: req.kind }, actions)
     }
 
     /// Handles an incoming protocol message.
-    pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Vec<Action>) {
+    pub fn on_msg(&mut self, msg: MesiMsg, actions: &mut Actions) {
         self.fire(msg.line(), Input::Msg(msg), actions);
     }
 
@@ -504,7 +508,7 @@ impl MesiL1 {
     /// Classifies `input` and runs its row. A cell with no row is the one
     /// unexpected-event path: a violation naming the line, state and event.
     /// Returns a core request's outcome.
-    fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Vec<Action>) -> IssueResult {
+    fn fire(&mut self, line: LineAddr, input: Input, actions: &mut Actions) -> IssueResult {
         let (state, event, found) = self.classify(line, &input);
         let Some(row) = event.and_then(|e| self.table[state as usize][e as usize]) else {
             let who = format_args!("MESI L1 {}", self.id);
@@ -512,11 +516,9 @@ impl MesiL1 {
             return IssueResult::Blocked;
         };
         let mut result = IssueResult::Blocked;
-        for &act in row.acts {
-            if !self.act(act, line, &input, &found, &mut result, actions) {
-                // An install retry is scheduled; the transaction stays open.
-                return result;
-            }
+        if !dispatch_row!(row.id, self.run(line, &input, &found, &mut result, actions)) {
+            // An install retry is scheduled; the transaction stays open.
+            return result;
         }
         debug_assert_eq!(
             Self::state(self.mshr.get(&line), self.cache.get(line)),
@@ -527,9 +529,28 @@ impl MesiL1 {
         result
     }
 
+    /// Runs row `ID`'s steps in order (see [`dispatch_row!`]). Returns
+    /// false when a step stops the row.
+    fn run<const ID: usize>(
+        &mut self,
+        line: LineAddr,
+        input: &Input,
+        found: &Found,
+        result: &mut IssueResult,
+        actions: &mut Actions,
+    ) -> bool {
+        for &act in Compiled::<ID>::ACTS {
+            if !self.act(act, line, input, found, result, actions) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Runs one step of a fired row on what classification `found`. Returns
     /// false when an install found no victim: its retry is scheduled and the
     /// row stops.
+    #[inline(always)]
     fn act(
         &mut self,
         act: Act,
@@ -537,7 +558,7 @@ impl MesiL1 {
         input: &Input,
         found: &Found,
         result: &mut IssueResult,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> bool {
         // This L1 as a request's `req` and a reply's `from`, its bank, and
         // the line's address as observed.
@@ -602,7 +623,7 @@ impl MesiL1 {
                 } else {
                     Stable::S
                 };
-                actions.push(Action::transition(key, "I", state.label(), "Data"));
+                actions.transition(key, "I", state.label(), "Data");
                 return self.try_install(line, MesiLine { state, data }, msg, actions);
             }
             (Act::Deliver, &Input::Msg(MesiMsg::Data { mut data, .. })) => {
@@ -628,10 +649,10 @@ impl MesiL1 {
             // Invalidations and forwarded requests.
             (Act::Invalidate, &Input::Msg(MesiMsg::Inv { req, .. })) => {
                 self.cache.remove(line);
-                actions.push(Action::transition(key, "S", "I", "Inv"));
+                actions.transition(key, "S", "I", "Inv");
                 let (requester, sharers) = (req as u32, 1);
                 let kind = EventKind::Invalidation { requester, sharers };
-                actions.push(Action::Observe { addr: key, kind });
+                actions.observe(key, kind);
             }
             (Act::DeliverOnce, _) => self.mshr.get_mut(&line).expect("fetch").deliver_only = true,
             (Act::AckInv, &Input::Msg(MesiMsg::Inv { req, .. })) => {
@@ -645,7 +666,7 @@ impl MesiL1 {
             (Act::Downgrade, _) => {
                 self.cache.get_mut(line).expect("owned line").state = Stable::S;
                 let was = found.resident.expect("owned line").state.label();
-                actions.push(Action::transition(key, was, "S", "FwdGetS"));
+                actions.transition(key, was, "S", "FwdGetS");
             }
             (Act::SendData, &Input::Msg(msg)) => {
                 let (MesiMsg::FwdGetS { req, .. } | MesiMsg::FwdGetM { req, .. }) = msg else {
@@ -668,7 +689,7 @@ impl MesiL1 {
             }
             (Act::Surrender, _) => {
                 let l = self.cache.remove(line).expect("owned line");
-                actions.push(Action::transition(key, l.state.label(), "I", "FwdGetM"));
+                actions.transition(key, l.state.label(), "I", "FwdGetM");
             }
             (Act::Release, _) => self.mshr.get_mut(&line).expect("eviction").evict_data = None,
             (Act::Retire, _) => drop(mshr_free(&mut self.mshr, &line, key, actions)),
@@ -681,7 +702,7 @@ impl MesiL1 {
                     _ => MesiMsg::PutM { line, req, data },
                 };
                 send(home(), msg);
-                actions.push(Action::transition(key, old.state.label(), "I", "evict"));
+                actions.transition(key, old.state.label(), "I", "evict");
                 let mut txn = Txn::new(Goal::Evict);
                 txn.evict_data = (act != Act::PutS).then_some(data);
                 mshr_alloc(&mut self.mshr, line, txn, key, actions);
@@ -693,7 +714,7 @@ impl MesiL1 {
 
     /// Completes an Own transaction: installs M, applies the merged stores
     /// and runs the blocking op. Returns false if the install must retry.
-    fn finish_own(&mut self, line: LineAddr, found: &Found, actions: &mut Vec<Action>) -> bool {
+    fn finish_own(&mut self, line: LineAddr, found: &Found, actions: &mut Actions) -> bool {
         let txn = self.mshr.get_mut(&line).expect("own transaction");
         // If the line was resident (upgrade from S that raced no Inv), the
         // directory's data is equally fresh; either copy works.
@@ -720,7 +741,7 @@ impl MesiL1 {
         }
         let was = found.resident.map_or("I", |l| l.state.label());
         let key = line.base().raw();
-        actions.push(Action::transition(key, was, "M", "Data"));
+        actions.transition(key, was, "M", "Data");
         let txn = mshr_free(&mut self.mshr, &line, key, actions).expect("own transaction");
         let count = txn.pending_stores.len();
         if count > 0 {
@@ -740,7 +761,7 @@ impl MesiL1 {
         line: LineAddr,
         payload: MesiLine,
         retry: MesiMsg,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> bool {
         let watch_line = self.watch.map(WordAddr::line);
         let mshr = &self.mshr;
@@ -830,7 +851,7 @@ pub(crate) mod tests {
     #[test]
     fn cold_load_misses_then_hits() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(l1.core_request(&load(0x100), &mut acts), IssueResult::Miss);
         assert!(matches!(
             acts[0],
@@ -863,7 +884,7 @@ pub(crate) mod tests {
     #[test]
     fn exclusive_grant_makes_store_hit_silently() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&load(0x100), &mut acts);
         acts.clear();
         l1.on_msg(
@@ -883,7 +904,7 @@ pub(crate) mod tests {
     #[test]
     fn store_miss_gathers_acks_before_completing() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         assert_eq!(
             l1.core_request(&store(0x100, 5), &mut acts),
             IssueResult::StoreAccepted { completed: false }
@@ -902,7 +923,7 @@ pub(crate) mod tests {
     #[test]
     fn acks_arriving_before_data_still_complete() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&store(0x100, 5), &mut acts);
         let line = Addr::new(0x100).line();
         acts.clear();
@@ -915,7 +936,7 @@ pub(crate) mod tests {
     #[test]
     fn rmw_executes_at_ownership() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let req = MemRequest {
             addr: Addr::new(0x100),
             kind: AccessKind::SyncRmw(RmwOp::Tas),
@@ -939,7 +960,7 @@ pub(crate) mod tests {
     #[test]
     fn inv_on_shared_line_invalidates_and_acks() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&load(0x100), &mut acts);
         let line = Addr::new(0x100).line();
         acts.clear();
@@ -960,7 +981,7 @@ pub(crate) mod tests {
     #[test]
     fn inv_during_fetch_delivers_once_without_installing() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&load(0x100), &mut acts);
         let line = Addr::new(0x100).line();
         acts.clear();
@@ -978,7 +999,7 @@ pub(crate) mod tests {
     #[test]
     fn fwd_gets_downgrades_owner_and_copies_to_dir() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         // Become M via a store.
         l1.core_request(&store(0x100, 5), &mut acts);
         let line = Addr::new(0x100).line();
@@ -1010,7 +1031,7 @@ pub(crate) mod tests {
     #[test]
     fn fwd_getm_removes_line_and_wakes_watcher() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&store(0x100, 5), &mut acts);
         let line = Addr::new(0x100).line();
         acts.clear();
@@ -1027,7 +1048,7 @@ pub(crate) mod tests {
         // 2-way cache: lines 0x100, 0x300, 0x500 map to the same set
         // (sets = 8 for 1KB 2-way; stride 8 lines = 0x200 bytes).
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         for (a, v) in [(0x100, 1), (0x300, 2)] {
             l1.core_request(&store(a, v), &mut acts);
             acts.clear();
@@ -1076,7 +1097,7 @@ pub(crate) mod tests {
     #[test]
     fn load_parks_behind_pending_store_txn_and_forwards_value() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         l1.core_request(&store(0x100, 5), &mut acts);
         acts.clear();
         // Load to the same word forwards the merged store value.
@@ -1104,7 +1125,7 @@ pub(crate) mod tests {
     #[test]
     fn rmw_install_retry_applies_the_rmw_once() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let (a, b, c) = (0x100, 0x300, 0x500);
         for addr in [a, b] {
             let line = Addr::new(addr).line();
@@ -1150,11 +1171,11 @@ pub(crate) mod tests {
     #[test]
     fn a_directory_bound_message_is_a_violation() {
         let mut l1 = l1();
-        let mut acts = Vec::new();
+        let mut acts = Actions::new(true);
         let line = Addr::new(0x100).line();
         l1.on_msg(MesiMsg::GetS { line, req: 1 }, &mut acts);
         let detail =
             "MESI L1 0: unexpected Msg(GetS { line: LineAddr(4), req: 1 }) for l0x100 in I";
-        assert_eq!(acts, [Action::violation(detail)]);
+        assert_eq!(*acts, [Action::violation(detail)]);
     }
 }

@@ -3,6 +3,7 @@
 //! Every observation the machine makes — the telemetry stream, the
 //! always-on forensic message ring, per-core stall accounting and the
 //! optional trace recorder — goes through [`Observer`]'s handful of hooks:
+//! [`retired`](Observer::retired) per run of retired instructions,
 //! [`effect`](Observer::effect) per core effect, [`issue`](Observer::issue)
 //! and [`complete`](Observer::complete) per memory access,
 //! [`deliver`](Observer::deliver) per message,
@@ -26,14 +27,86 @@ use crate::proto::{Action, IssueResult};
 use crate::replay::{Recording, TraceRecorder};
 use dvs_engine::Cycle;
 use dvs_mem::Addr;
-use dvs_telemetry::{
-    Component, Event, EventKind, MetricsRegistry, RingSink, StallClass, Telemetry,
-};
+use dvs_telemetry::{Component, Event, EventKind, MetricsRegistry, StallClass, Telemetry};
 use dvs_vm::{Effect, MemRequest, StallTracker};
 
-/// How many delivery events the forensic ring remembers per destination
-/// node.
+/// How many deliveries the forensic ring remembers per destination
+/// `(component, node)`.
 const FORENSICS_PER_NODE: usize = 16;
+
+/// One remembered delivery: what a stall report's line shows of it.
+#[derive(Debug, Clone, Copy)]
+struct Delivered {
+    cycle: Cycle,
+    ordinal: u64,
+    line: u64,
+    msg: &'static str,
+}
+
+/// The always-on forensic ring: every destination's last
+/// [`FORENSICS_PER_NODE`] deliveries in fixed arrays, sized when the system
+/// is built, so recording a delivery is one index and one store. A
+/// destination's `n`-th delivery (0-based) lands in slot
+/// `n % FORENSICS_PER_NODE` of its array.
+#[derive(Debug, Clone)]
+struct MessageRing {
+    nodes: usize,
+    /// `recs[c * nodes + node]` for destination component `c` (L1, bank,
+    /// memory controller) of [`PLACES`].
+    recs: Vec<[Delivered; FORENSICS_PER_NODE]>,
+    /// Deliveries so far to each destination, indexed like `recs`; kept
+    /// apart so the counters stay in a few hot cache lines.
+    pushed: Vec<u64>,
+}
+
+/// The components messages are delivered to, in ring order.
+const PLACES: [Component; 3] = [Component::L1, Component::Dir, Component::Sys];
+
+impl MessageRing {
+    fn new(nodes: usize) -> Self {
+        let empty = Delivered {
+            cycle: 0,
+            ordinal: 0,
+            line: 0,
+            msg: "",
+        };
+        MessageRing {
+            nodes,
+            recs: vec![[empty; FORENSICS_PER_NODE]; PLACES.len() * nodes],
+            pushed: vec![0; PLACES.len() * nodes],
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, ep: Endpoint, rec: Delivered) {
+        let (place, node) = match ep {
+            Endpoint::L1(i) => (0, i),
+            Endpoint::Bank(b) => (1, b),
+            Endpoint::Mem(n) => (2, n),
+        };
+        let at = place * self.nodes + node;
+        let n = self.pushed[at];
+        self.recs[at][(n % FORENSICS_PER_NODE as u64) as usize] = rec;
+        self.pushed[at] = n + 1;
+    }
+
+    /// Every remembered delivery with its destination, in delivery order.
+    fn snapshot(&self) -> Vec<(Component, usize, Delivered)> {
+        let mut all: Vec<_> = self
+            .recs
+            .iter()
+            .zip(&self.pushed)
+            .enumerate()
+            .flat_map(|(i, (recs, &pushed))| {
+                let kept = pushed.min(FORENSICS_PER_NODE as u64) as usize;
+                let place = (PLACES[i / self.nodes], i % self.nodes);
+                recs[..kept].iter().map(move |&r| (place.0, place.1, r))
+            })
+            .collect();
+        all.sort_by_key(|&(.., r)| r.ordinal);
+        all
+    }
+}
 
 /// Telemetry, forensic ring, stall accounting and trace recording for one
 /// system.
@@ -43,7 +116,7 @@ pub(crate) struct Observer {
     tel: Telemetry,
     /// Always-on per-node ring of recent deliveries, for stall reports.
     /// Fed directly (no handle) so it works with telemetry off.
-    ring: RingSink,
+    ring: MessageRing,
     /// Always-on stall duration accounting, exported into the metrics
     /// tree after a run.
     stalls: StallTracker,
@@ -56,7 +129,7 @@ impl Observer {
     pub(crate) fn new(cores: usize) -> Self {
         Observer {
             tel: Telemetry::off(),
-            ring: RingSink::new(FORENSICS_PER_NODE),
+            ring: MessageRing::new(cores),
             stalls: StallTracker::new(cores),
             recorder: None,
         }
@@ -64,6 +137,11 @@ impl Observer {
 
     pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
+    }
+
+    /// Whether telemetry records (controllers' observations are kept).
+    pub(crate) fn recording(&self) -> bool {
+        self.tel.enabled()
     }
 
     pub(crate) fn start_recording(&mut self, cores: usize) {
@@ -74,9 +152,10 @@ impl Observer {
         self.recorder.take().map(|r| r.finish(init))
     }
 
-    /// Exports the stall counts and duration histograms into `reg`.
-    pub(crate) fn export(&self, reg: &mut MetricsRegistry) {
-        self.stalls.export(reg);
+    /// Exports core `core`'s stall counts and duration histograms into
+    /// `reg` under `node`.
+    pub(crate) fn export_core(&self, core: CoreId, node: &str, reg: &mut MetricsRegistry) {
+        self.stalls.export_core(core, node, reg);
     }
 
     /// Emits a core-level event stamped `cycle`.
@@ -88,6 +167,14 @@ impl Observer {
             addr,
             kind,
         });
+    }
+
+    /// `core` retired `n` instructions that had no effect (ALU, branch).
+    #[inline]
+    pub(crate) fn retired(&mut self, core: CoreId, n: u64) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.retired(core, n);
+        }
     }
 
     /// One effect of a core step, `at` the core-local cycle it happens.
@@ -135,20 +222,29 @@ impl Observer {
     }
 
     /// Message number `ordinal` was delivered to `ep` at `at`.
+    #[inline]
     pub(crate) fn deliver(&mut self, at: Cycle, ep: Endpoint, msg: &Msg, ordinal: u64) {
-        let (component, node) = placed(ep);
-        let ev = Event {
-            cycle: at,
-            node,
-            component,
-            addr: msg.line().base().raw(),
-            kind: EventKind::Delivery {
-                msg: msg.kind_name(),
+        let line = msg.line().base().raw();
+        let name = msg.kind_name();
+        self.ring.push(
+            ep,
+            Delivered {
+                cycle: at,
                 ordinal,
+                line,
+                msg: name,
             },
-        };
-        self.ring.push(&ev);
-        self.tel.emit(|| ev);
+        );
+        if self.tel.enabled() {
+            let (component, node) = placed(ep);
+            self.tel.emit(|| Event {
+                cycle: at,
+                node,
+                component,
+                addr: line,
+                kind: EventKind::Delivery { msg: name, ordinal },
+            });
+        }
     }
 
     /// What `from`'s controller observed while filling `actions`, stamped
@@ -191,26 +287,17 @@ impl Observer {
 
     /// The forensic ring's deliveries, oldest first, one line each.
     pub(crate) fn recent_messages(&self) -> Vec<String> {
-        let mut deliveries: Vec<(u64, &'static str, Event)> = self
-            .ring
+        self.ring
             .snapshot()
             .into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Delivery { msg, ordinal } => Some((ordinal, msg, e)),
-                _ => None,
-            })
-            .collect();
-        deliveries.sort_by_key(|&(ordinal, ..)| ordinal);
-        deliveries
-            .into_iter()
-            .map(|(ordinal, msg, e)| {
+            .map(|(component, node, r)| {
                 format!(
-                    "cycle {}: to {}[{}]: {} on line {:#x} (delivery #{ordinal})",
-                    e.cycle,
-                    e.component.label(),
-                    e.node,
-                    msg,
-                    e.addr
+                    "cycle {}: to {}[{node}]: {} on line {:#x} (delivery #{})",
+                    r.cycle,
+                    component.label(),
+                    r.msg,
+                    r.line,
+                    r.ordinal
                 )
             })
             .collect()
@@ -295,6 +382,43 @@ mod tests {
         );
         assert_eq!(obs.stalls.count(0, memory), 1);
         assert_eq!(obs.stalls.count(1, backoff), 1);
+    }
+
+    #[test]
+    fn ring_keeps_each_nodes_last_sixteen_in_delivery_order() {
+        let mut obs = Observer::new(4);
+        let read = |line| Msg::MemRead {
+            line: dvs_mem::LineAddr::new(line),
+            bank: 0,
+            class: TrafficClass::Load,
+        };
+        for n in 1..=40u64 {
+            obs.deliver(100 + n, Endpoint::Bank(2), &read(n), 2 * n);
+        }
+        obs.deliver(7, Endpoint::L1(3), &read(99), 3);
+        let lines = obs.recent_messages();
+        assert_eq!(lines.len(), FORENSICS_PER_NODE + 1, "{lines:#?}");
+        // The L1's one delivery sorts by ordinal among the bank's.
+        assert_eq!(
+            lines[0],
+            "cycle 7: to l1[3]: MemRead on line 0x18c0 (delivery #3)"
+        );
+        let bank: Vec<u64> = lines[1..]
+            .iter()
+            .map(|l| {
+                l.rsplit('#')
+                    .next()
+                    .unwrap()
+                    .trim_end_matches(')')
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        let want: Vec<u64> = (25..=40).map(|n| 2 * n).collect();
+        assert_eq!(bank, want);
+        assert!(lines[1..].iter().all(|l| l.contains("to dir[2]")));
+        // Nodes that received nothing show nothing.
+        assert!(Observer::new(4).recent_messages().is_empty());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! this keeps the controllers independently unit-testable, exactly the
 //! property the paper exploits when it argues DeNovo's three-state protocol
 //! is easy to verify. What a controller observes (a state transition, an
-//! MSHR allocation) is an action too, [`Action::Observe`]: the system stamps
-//! it with the cycle and the controller's node and hands it to its observer.
+//! MSHR allocation) is an action too, [`Action::Observe`], pushed through
+//! its [`Actions`] buffer, which keeps it only while telemetry records: the
+//! system stamps it with the cycle and the controller's node and hands it
+//! to its observer.
 //! The system reaches the controllers only through one backend enum with a
 //! MESI and a DeNovo variant, which dispatches core requests, deliveries,
 //! spin watches, invariant checks, fingerprint hashing and metrics. Every
@@ -86,16 +88,64 @@ impl Action {
             detail: detail.into(),
         }
     }
+}
 
-    /// Shorthand for an [`Action::Observe`] of a state transition at `addr`.
+/// A controller's output: the actions one call asks for, in order. Its
+/// observations ([`Action::Observe`]) are kept only when the buffer
+/// observes: the system's buffers observe exactly while telemetry records,
+/// so a run without telemetry never builds one. Reads and pushes go
+/// straight to the list (`Deref` to `Vec<Action>`).
+#[derive(Debug, Clone, Default)]
+pub struct Actions {
+    list: Vec<Action>,
+    observing: bool,
+}
+
+impl Actions {
+    /// An empty buffer that keeps observations iff `observing`.
+    pub fn new(observing: bool) -> Self {
+        Actions {
+            list: Vec::new(),
+            observing,
+        }
+    }
+
+    /// Whether observations are kept (see [`Actions::new`]).
+    pub(crate) fn set_observing(&mut self, observing: bool) {
+        self.observing = observing;
+    }
+
+    /// Observes `kind` at `addr` (dropped unless the buffer observes).
+    #[inline]
+    pub fn observe(&mut self, addr: u64, kind: EventKind) {
+        if self.observing {
+            self.list.push(Action::Observe { addr, kind });
+        }
+    }
+
+    /// Observes a state transition at `addr`.
+    #[inline]
     pub fn transition(
+        &mut self,
         addr: u64,
         from: &'static str,
         to: &'static str,
         cause: &'static str,
-    ) -> Action {
-        let kind = EventKind::Transition { from, to, cause };
-        Action::Observe { addr, kind }
+    ) {
+        self.observe(addr, EventKind::Transition { from, to, cause });
+    }
+}
+
+impl std::ops::Deref for Actions {
+    type Target = Vec<Action>;
+    fn deref(&self) -> &Vec<Action> {
+        &self.list
+    }
+}
+
+impl std::ops::DerefMut for Actions {
+    fn deref_mut(&mut self) -> &mut Vec<Action> {
+        &mut self.list
     }
 }
 
@@ -158,13 +208,12 @@ pub(crate) fn mshr_alloc<K: Ord, V>(
     key: K,
     value: V,
     addr: u64,
-    actions: &mut Vec<Action>,
+    actions: &mut Actions,
 ) {
     mshr.try_insert(key, value)
         .expect("one MSHR entry per address");
     let occupancy = mshr.len() as u32;
-    let kind = EventKind::MshrAlloc { occupancy };
-    actions.push(Action::Observe { addr, kind });
+    actions.observe(addr, EventKind::MshrAlloc { occupancy });
 }
 
 /// Closes `key`'s MSHR entry, if one is open, and observes the release at
@@ -173,12 +222,11 @@ pub(crate) fn mshr_free<K: Ord, V>(
     mshr: &mut Mshr<K, V>,
     key: &K,
     addr: u64,
-    actions: &mut Vec<Action>,
+    actions: &mut Actions,
 ) -> Option<V> {
     let value = mshr.remove(key)?;
     let occupancy = mshr.len() as u32;
-    let kind = EventKind::MshrFree { occupancy };
-    actions.push(Action::Observe { addr, kind });
+    actions.observe(addr, EventKind::MshrFree { occupancy });
     Some(value)
 }
 

@@ -538,11 +538,15 @@ impl TraceRecorder {
         self.per_core[i].push(op);
     }
 
+    /// Core `i` retired `n` instructions with no effect: `n` compute cycles.
+    pub(crate) fn retired(&mut self, i: usize, n: u64) {
+        self.pending_exec[i] += n;
+    }
+
     /// One effect of a core step. Memory effects are recorded when they
     /// are accepted or complete, not when they issue.
     pub(crate) fn effect(&mut self, i: usize, eff: &Effect) {
         match *eff {
-            Effect::Retired => self.pending_exec[i] += 1,
             // A Delay effect consumes `cycles + 1` core cycles (issue + sleep).
             Effect::Delay { cycles, .. } => self.pending_exec[i] += cycles + 1,
             Effect::Fence => self.push(i, TraceOp::Fence),

@@ -17,13 +17,14 @@
 //! # Core execution model
 //!
 //! The paper's core: in-order, 1 CPI, blocking loads, non-blocking stores.
-//! ALU/branch runs execute as a batch (they cannot interact with other
-//! cores); every memory access is issued at its exact cycle. Spin loops use
-//! the VM's `SpinLoad`: a failed spin on a locally-usable copy *watches* the
-//! word and re-issues when the copy is invalidated or stolen — this models
-//! MESI's spin-on-cached-copy and DeNovo's spin-on-registered-word without
-//! simulating each poll iteration (spinning time is attributed to compute,
-//! as in the paper's breakdowns). Under GCS a spin on a classified word
+//! ALU/branch runs execute as a batch inside the front end (they cannot
+//! interact with other cores), which reports how many retired with the
+//! effect that ended the run; every memory access is issued at its exact
+//! cycle. Spin loops use the VM's `SpinLoad`: a failed spin on a
+//! locally-usable copy *watches* the word and re-issues when the copy is
+//! invalidated or stolen — this models MESI's spin-on-cached-copy and
+//! DeNovo's spin-on-registered-word without simulating each poll iteration
+//! (spinning time is attributed to compute, as in the paper's breakdowns). Under GCS a spin on a classified word
 //! parks at its home bank instead; the backend decides which.
 //!
 //! # Cycle attribution
@@ -37,11 +38,11 @@
 use crate::backend::Backend;
 use crate::chaos::{FaultInjector, FaultPlan};
 use crate::config::{DataInvalidation, SystemConfig};
-use crate::front::Fronts;
+use crate::front::{Fronts, Stop};
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::observe::Observer;
 use crate::oracle::{ChannelKey, OracleState};
-use crate::proto::{count_access, Action, IssueResult};
+use crate::proto::{count_access, Action, Actions, IssueResult};
 use crate::replay::{Recording, TraceCore, TraceOp};
 use dvs_engine::{Cycle, DetRng, Scheduler};
 use dvs_mem::layout::MemoryLayout;
@@ -278,7 +279,7 @@ pub struct System {
     /// (not a single buffer) because `apply_actions` can re-enter through
     /// `core_done → issue_mem`; depth tracks the re-entrancy, which is
     /// shallow, so steady state allocates nothing per event.
-    action_scratch: Vec<Vec<Action>>,
+    action_scratch: Vec<Actions>,
     net: Network,
     /// Per-core front ends: VM threads, or trace-replay cores sharing a
     /// sync-ordering board. The only code that knows which.
@@ -519,18 +520,19 @@ impl System {
     /// counts, and telemetry handles.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        self.obs.export(&mut reg);
-        self.backend.export_metrics(&mut reg);
         for (i, c) in self.cores.iter().enumerate() {
             let node = format!("core{i}");
+            self.obs.export_core(i, &node, &mut reg);
+            let high_water = self.backend.mshr_high_water(i) as u64;
+            reg.add(&node, "mshr", "high_water", high_water);
             reg.add(&node, "l1", "hits", c.cache.hits());
             reg.add(&node, "l1", "misses", c.cache.misses());
         }
+        self.backend.export_metrics(&mut reg);
         reg.add("sys", "sched", "deliveries", self.deliveries);
         reg.add("sys", "sched", "finish_cycle", self.finish_time);
         for class in TrafficClass::ALL {
-            let name = format!("flits_{}", class.label().to_ascii_lowercase());
-            reg.add("sys", "noc", &name, self.traffic.get(class));
+            reg.add("sys", "noc", class.flits_metric(), self.traffic.get(class));
         }
         reg
     }
@@ -814,15 +816,18 @@ impl System {
         }
     }
 
-    /// Pops a recycled action buffer (or allocates the pool's next one).
-    fn take_actions(&mut self) -> Vec<Action> {
-        self.action_scratch.pop().unwrap_or_default()
+    /// Pops a recycled action buffer (or allocates the pool's next one),
+    /// keeping observations only while telemetry records.
+    fn take_actions(&mut self) -> Actions {
+        let mut actions = self.action_scratch.pop().unwrap_or_default();
+        actions.set_observing(self.obs.recording());
+        actions
     }
 
     /// Applies a controller's actions in order, after reporting its
     /// observations: they happened during the controller's call, before any
     /// of its messages reach the network.
-    fn apply_actions(&mut self, from: Endpoint, send_delay: Cycle, mut actions: Vec<Action>) {
+    fn apply_actions(&mut self, from: Endpoint, send_delay: Cycle, mut actions: Actions) {
         self.obs.controller(from, self.sched.now(), &actions);
         let src = self.node_of(from);
         'apply: for a in actions.drain(..) {
@@ -951,27 +956,33 @@ impl System {
         debug_assert!(matches!(self.cores[i].status, Status::Ready));
         let mut local: Cycle = 0;
         loop {
-            let Some(eff) = self.fronts.step(i) else {
-                // Replay: the next op is gated on the recorded sync order.
-                // Park; a sync completion on the gating word wakes every
-                // parked core (wake-on-increment, so the oracle drain
-                // terminates without polling).
-                let comp = self.exec_comp(i);
-                self.attr(i, comp, local);
-                self.cores[i].status = Status::DepWait { woken: false };
-                return;
+            // A batch ends once it has retired `MAX_BATCH` cycles' worth;
+            // one more instruction may always retire.
+            let budget = MAX_BATCH.saturating_sub(local).max(1);
+            let (retired, stop) = self.fronts.step(i, budget);
+            local += retired;
+            self.obs.retired(i, retired);
+            let eff = match stop {
+                Stop::Effect(eff) => eff,
+                Stop::Budget => {
+                    let comp = self.exec_comp(i);
+                    self.attr(i, comp, local);
+                    self.sched.schedule_in(local, Ev::Step(i));
+                    return;
+                }
+                Stop::Parked => {
+                    // Replay: the next op is gated on the recorded sync
+                    // order. Park; a sync completion on the gating word
+                    // wakes every parked core (wake-on-increment, so the
+                    // oracle drain terminates without polling).
+                    let comp = self.exec_comp(i);
+                    self.attr(i, comp, local);
+                    self.cores[i].status = Status::DepWait { woken: false };
+                    return;
+                }
             };
             self.obs.effect(i, &eff, self.sched.now() + local);
             match eff {
-                Effect::Retired => {
-                    local += 1;
-                    if local >= MAX_BATCH {
-                        let comp = self.exec_comp(i);
-                        self.attr(i, comp, local);
-                        self.sched.schedule_in(local, Ev::Step(i));
-                        return;
-                    }
-                }
                 Effect::Mem(req) => {
                     if local > 0 {
                         let comp = self.exec_comp(i);
@@ -1802,7 +1813,7 @@ mod tests {
         let word = counter.word();
         let bank = crate::proto::home_bank(word.line(), 4);
         let reg = &mut regs(&mut sys)[bank];
-        let mut scratch = Vec::new();
+        let mut scratch = Actions::new(true);
         // Whoever is registered, re-register to a different core without
         // telling any L1.
         let current = match reg.word(word) {
@@ -1858,7 +1869,7 @@ mod tests {
             _ => 3,
         };
         let thief = (current + 1) % 4;
-        let mut scratch = Vec::new();
+        let mut scratch = Actions::new(true);
         reg.on_msg(
             crate::msg::Msg::Dnv(crate::msg::DnvMsg::RegReq {
                 word,
@@ -1900,7 +1911,7 @@ mod tests {
             panic!("not a MESI system");
         };
         let put = crate::msg::MesiMsg::PutS { line, req: 0 };
-        dirs[crate::proto::home_bank(line, 4)].on_msg(Msg::Mesi(put), &mut Vec::new());
+        dirs[crate::proto::home_bank(line, 4)].on_msg(Msg::Mesi(put), &mut Actions::new(true));
         let err = sys
             .verify_invariants()
             .expect_err("checker must flag an S copy outside the sharer set");
@@ -2139,7 +2150,7 @@ mod tests {
         assert!(g.classified(word), "contended RMW target classifies");
         // Corrupt through the public interface: park a watch for core 2
         // with a stale `seen`, without core 2's L1 arming a remote watch.
-        let mut scratch = Vec::new();
+        let mut scratch = Actions::new(true);
         g.on_msg(
             crate::msg::Msg::Dnv(crate::msg::DnvMsg::SyncWatch { word, req: 2, seen }),
             &mut scratch,

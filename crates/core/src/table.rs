@@ -2,14 +2,21 @@
 //!
 //! A controller is const lists of rows `(states, events) → (actions, next)`
 //! with stable ids, indexed at compile time into dense `[[row; EVENTS];
-//! STATES]` tables ([`transition_table!`]), plus one interpreter: classify
-//! the input into `(state, event)`, run the row's actions in order, and in
-//! debug builds check the state the row names. A cell with no row is the
-//! controller's one unexpected-event path. Protocol variants and seeded
-//! mutations are tables too: each table is its row lists in order, and an
-//! *override* list replaces cells the lists before it fill, so no action
-//! knows which variant runs it. `dvs tables` prints every table as Markdown
-//! ([`markdown`]) and one test checks them all.
+//! STATES]` tables ([`transition_table!`]), plus one way to fire them:
+//! classify the input into `(state, event)`, look the cell's row up, run
+//! the row's actions in order, and in debug builds check the state the row
+//! names. A cell with no row is the controller's one unexpected-event path.
+//! Protocol variants and seeded mutations are tables too: each table is its
+//! row lists in order, and an *override* list replaces cells the lists
+//! before it fill, so no action knows which variant runs it. `dvs tables`
+//! prints every table as Markdown ([`markdown`]) and one test checks them
+//! all.
+//!
+//! The rows run compiled ([`dispatch_row!`]): each controller's
+//! `run::<ID>` is monomorphized per row id over `Compiled::<ID>::ACTS`, the
+//! row's actions as a compile-time constant, and its `act` is inlined into
+//! each, so a row's actions become straight-line code and a fired row
+//! costs one jump on its id instead of a dispatch per action.
 
 use crate::config::Protocol;
 use crate::proto::Action;
@@ -37,6 +44,43 @@ macro_rules! transition_table {
         }
 
         type Table = [[Option<&'static Row>; EVENTS]; STATES];
+
+        /// Every row of `lists`, by id: the index [`Compiled`] reads. A
+        /// row id outside `1..=`[`MAX_ROW_ID`](crate::table::MAX_ROW_ID),
+        /// or two rows with one id, fails the build.
+        const fn rows_by_id(
+            lists: &[&'static [Row]],
+        ) -> [Option<&'static Row>; crate::table::MAX_ROW_ID + 1] {
+            let (mut by_id, mut l) = ([None; crate::table::MAX_ROW_ID + 1], 0);
+            while l < lists.len() {
+                let mut i = 0;
+                while i < lists[l].len() {
+                    let row = &lists[l][i];
+                    let id = row.id as usize;
+                    assert!(
+                        id >= 1 && id <= crate::table::MAX_ROW_ID,
+                        "row id outside 1..=MAX_ROW_ID"
+                    );
+                    assert!(by_id[id].is_none(), "two rows with one id");
+                    by_id[id] = Some(row);
+                    i += 1;
+                }
+                l += 1;
+            }
+            by_id
+        }
+
+        /// Row `ID`'s actions as a compile-time constant (none for an id no
+        /// row takes), read from the controller's `BY_ID` index of its row
+        /// lists.
+        struct Compiled<const ID: usize>;
+
+        impl<const ID: usize> Compiled<ID> {
+            const ACTS: &'static [Act] = match BY_ID[ID] {
+                Some(row) => row.acts,
+                None => &[],
+            };
+        }
 
         /// A labelled row list; an override (`true`) replaces cells the
         /// lists before it fill.
@@ -136,6 +180,32 @@ macro_rules! transition_table {
                 out.push('\n');
             }
         }
+    };
+}
+
+/// The highest row id any controller may use: [`dispatch_row!`] has one
+/// arm per id up to it.
+pub(crate) const MAX_ROW_ID: usize = 40;
+
+/// Runs a fired row compiled: `dispatch_row!(row.id, ctl.run(args...))`
+/// calls `ctl.run::<ID>(args...)` for the row's id, one arm per id up to
+/// [`MAX_ROW_ID`], so each row's actions run from their own
+/// monomorphized, straight-line copy of the controller's steps.
+macro_rules! dispatch_row {
+    ($id:expr, $ctl:ident.$run:ident($($arg:expr),* $(,)?)) => {
+        dispatch_row!(@ids $id, $ctl, $run, ($($arg),*);
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20
+            21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40)
+    };
+    (@ids $id:expr, $ctl:ident, $run:ident, $args:tt; $($n:literal)*) => {{
+        const _: () = assert!([$($n),*].len() == crate::table::MAX_ROW_ID);
+        match $id as usize {
+            $($n => dispatch_row!(@call $ctl, $run, $n, $args),)*
+            id => unreachable!("row id {id} beyond MAX_ROW_ID"),
+        }
+    }};
+    (@call $ctl:ident, $run:ident, $n:literal, ($($arg:expr),*)) => {
+        $ctl.$run::<$n>($($arg),*)
     };
 }
 

@@ -41,7 +41,7 @@ pub use pool::parallel_indexed;
 pub use rng::DetRng;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Simulated time, in core clock cycles.
 pub type Cycle = u64;
@@ -63,11 +63,15 @@ pub fn fnv1a_str(hash: u64, s: &str) -> u64 {
 }
 
 /// Width of the calendar ring: events within this many cycles of `now` live
-/// in O(1) per-cycle buckets; everything further out sits in the overflow
+/// in O(1) per-cycle lists; everything further out sits in the overflow
 /// heap. 256 covers every single-hop latency in the simulated machine
 /// (DRAM at 150 cycles is the largest — see `dvs-core`'s `LatencyConfig`),
 /// so the heap only sees pathological far-future events.
 const RING: usize = 256;
+/// Words in the ring's occupancy bitmap.
+const WORDS: usize = RING / 64;
+/// The end of a node list.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic discrete-event scheduler.
 ///
@@ -79,16 +83,19 @@ const RING: usize = 256;
 /// # Implementation
 ///
 /// A two-tier calendar queue. Near-future events (within [`RING`] cycles of
-/// `now`) go into a ring of per-cycle FIFO buckets — scheduling and popping
-/// are O(1) plus a scan over empty cycles, with no comparisons and no
-/// per-event reordering. Far-future events go into a conventional
-/// `(cycle, seq)` binary heap and are popped from there directly. The pop
-/// order is identical to a single global `(cycle, seq)` priority queue
+/// `now`) live in one node slab, threaded into a FIFO list per ring slot
+/// (head and tail index per slot, plus a free list), and a 256-bit
+/// occupancy bitmap marks the non-empty slots, so a pop finds the next
+/// non-empty cycle with `trailing_zeros` instead of probing cycle by cycle.
+/// Scheduling and popping allocate nothing once the slab has grown to the
+/// run's peak. Far-future events go into a conventional `(cycle, seq)`
+/// binary heap and are popped from there directly. The pop order is
+/// identical to a single global `(cycle, seq)` priority queue
 /// (property-tested against the retired binary-heap scheduler in
-/// `tests/differential.rs`): within a cycle,
-/// overflow events always precede ring events because an event can only
-/// have entered the overflow tier at a strictly earlier scheduling time —
-/// `now` is monotone, so its sequence number is strictly smaller.
+/// `tests/differential.rs`): within a cycle, overflow events always
+/// precede ring events because an event can only have entered the
+/// overflow tier at a strictly earlier scheduling time — `now` is
+/// monotone, so its sequence number is strictly smaller.
 ///
 /// # Examples
 ///
@@ -103,12 +110,20 @@ const RING: usize = 256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
-    /// `ring[c % RING]` is the FIFO bucket for absolute cycle `c`, valid for
-    /// `c` in `[now, now + RING)`. Buckets below `now` are always empty (a
-    /// cycle is fully drained before `now` moves past it), so each slot is
-    /// unambiguous.
-    ring: Vec<VecDeque<E>>,
-    /// Number of events currently in the ring (so pops skip the scan
+    /// Ring events and recycled nodes. A live node holds its event and the
+    /// index of the next node in its slot's list; a free node holds `None`
+    /// and the next free node.
+    nodes: Vec<Node<E>>,
+    /// `slots[c % RING]` is the `(head, tail)` of the FIFO list for
+    /// absolute cycle `c`, valid for `c` in `[now, now + RING)`. Slots
+    /// below `now` are always empty (a cycle is fully drained before `now`
+    /// moves past it), so each slot is unambiguous.
+    slots: Vec<(u32, u32)>,
+    /// Bit `s` is set ⇔ `slots[s]` is non-empty.
+    occupied: [u64; WORDS],
+    /// Head of the free-node list.
+    free: u32,
+    /// Number of events currently in the ring (so pops skip the bitmap
     /// entirely when only the overflow tier is populated).
     ring_len: usize,
     /// Far-future events, ordered by `(cycle, seq)`.
@@ -116,6 +131,12 @@ pub struct Scheduler<E> {
     now: Cycle,
     seq: u64,
     scheduled: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -151,7 +172,10 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler at cycle 0.
     pub fn new() -> Self {
         Scheduler {
-            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            slots: vec![(NIL, NIL); RING],
+            occupied: [0; WORDS],
+            free: NIL,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             now: 0,
@@ -175,8 +199,8 @@ impl<E> Scheduler<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past (`at < self.now()`); simulated time only
-    /// moves forward.
+    /// Panics if `at` is in the past (`at < self.now()`).
+    #[inline]
     pub fn schedule_at(&mut self, at: Cycle, event: E) {
         assert!(
             at >= self.now,
@@ -186,48 +210,97 @@ impl<E> Scheduler<E> {
         );
         self.seq += 1;
         self.scheduled += 1;
-        if at - self.now < RING as Cycle {
-            self.ring[(at % RING as Cycle) as usize].push_back(event);
-            self.ring_len += 1;
-        } else {
+        if at - self.now >= RING as Cycle {
             self.overflow.push(Entry {
                 key: Reverse((at, self.seq)),
                 event,
             });
+            return;
         }
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        let n = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            n => {
+                let slot = &mut self.nodes[n as usize];
+                self.free = slot.next;
+                *slot = node;
+                n
+            }
+        };
+        let s = (at % RING as Cycle) as usize;
+        match self.slots[s] {
+            (NIL, _) => {
+                self.slots[s] = (n, n);
+                self.occupied[s / 64] |= 1 << (s % 64);
+            }
+            (_, tail) => {
+                self.nodes[tail as usize].next = n;
+                self.slots[s].1 = n;
+            }
+        }
+        self.ring_len += 1;
     }
 
     /// Schedules `event` `delay` cycles from now.
+    #[inline]
     pub fn schedule_in(&mut self, delay: Cycle, event: E) {
         self.schedule_at(self.now + delay, event);
     }
 
+    /// The earliest non-empty ring cycle and its slot, if the ring holds
+    /// any event: the first set bit of the occupancy bitmap at or after
+    /// `now`'s slot, wrapping once around the ring.
+    #[inline]
+    fn next_ring(&self) -> Option<(Cycle, usize)> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        let from = (self.now % RING as Cycle) as usize;
+        let (w0, bit) = (from / 64, from % 64);
+        let mut s = match self.occupied[w0] & (!0u64 << bit) {
+            0 => (1..=WORDS)
+                .map(|k| (w0 + k) % WORDS)
+                .find_map(|w| match self.occupied[w] {
+                    0 => None,
+                    bits => Some(w * 64 + bits.trailing_zeros() as usize),
+                })
+                .expect("a non-empty ring has an occupied slot"),
+            bits => w0 * 64 + bits.trailing_zeros() as usize,
+        };
+        if s < from {
+            s += RING;
+        }
+        Some((self.now + (s - from) as Cycle, s % RING))
+    }
+
     /// Removes and returns the next event, advancing [`Scheduler::now`] to
     /// its cycle. Returns `None` when the queue is empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.ring_len > 0 {
+        if let Some((cycle, s)) = self.next_ring() {
             // The overflow tier can undercut the ring (its events may have
             // fallen inside the window as `now` advanced), and at an equal
             // cycle it wins: overflow entries always carry smaller seqs.
-            let horizon = match self.overflow.peek() {
-                Some(e) => e.key.0 .0,
-                None => Cycle::MAX,
-            };
-            let mut c = self.now;
-            loop {
-                if c >= horizon {
-                    break; // overflow event is due first (or ties).
+            if self.overflow.peek().is_none_or(|e| e.key.0 .0 > cycle) {
+                let n = self.slots[s].0;
+                let node = &mut self.nodes[n as usize];
+                let event = node.event.take().expect("a live node holds its event");
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = n;
+                self.slots[s].0 = next;
+                if next == NIL {
+                    self.slots[s].1 = NIL;
+                    self.occupied[s / 64] &= !(1 << (s % 64));
                 }
-                let slot = &mut self.ring[(c % RING as Cycle) as usize];
-                if let Some(event) = slot.pop_front() {
-                    self.ring_len -= 1;
-                    self.now = c;
-                    return Some((c, event));
-                }
-                c += 1;
-                // The ring is non-empty, so this terminates within RING
-                // steps; horizon only cuts the scan short.
-                debug_assert!(c < self.now + RING as Cycle + 1);
+                self.ring_len -= 1;
+                self.now = cycle;
+                return Some((cycle, event));
             }
         }
         let entry = self.overflow.pop()?;
@@ -240,17 +313,10 @@ impl<E> Scheduler<E> {
     /// The cycle of the next pending event, if any.
     pub fn peek_cycle(&self) -> Option<Cycle> {
         let horizon = self.overflow.peek().map(|e| e.key.0 .0);
-        if self.ring_len > 0 {
-            let limit = horizon.unwrap_or(Cycle::MAX);
-            let mut c = self.now;
-            while c < limit {
-                if !self.ring[(c % RING as Cycle) as usize].is_empty() {
-                    return Some(c);
-                }
-                c += 1;
-            }
+        match (self.next_ring(), horizon) {
+            (Some((ring, _)), Some(h)) => Some(ring.min(h)),
+            (ring, h) => ring.map(|r| r.0).or(h),
         }
-        horizon
     }
 
     /// Number of pending events.

@@ -132,6 +132,69 @@ fn overflow_events_precede_ring_events_on_the_same_cycle() {
     assert_eq!(old.pop(), Some((1000, "late-scheduled")));
 }
 
+#[test]
+fn bitmap_word_and_ring_edges_match_heap() {
+    // Delays on each side of a 64-slot bitmap word and of the ring width,
+    // scheduled from `now` values on and off a word boundary, so the
+    // next-slot search starts mid-word, on a word's first bit, and wraps.
+    let mut new: Scheduler<u64> = Scheduler::new();
+    let mut old: HeapScheduler<u64> = HeapScheduler::new();
+    let mut tag = 0;
+    for residue in [0, 1, 63, 64, 191, 255, 0, 128] {
+        // Step `now` to the next cycle in slot `residue`.
+        let start = new.now() + (residue + 256 - new.now() % 256) % 256;
+        new.schedule_at(start, tag);
+        old.schedule_at(start, tag);
+        tag += 1;
+        assert_eq!(new.pop(), old.pop(), "residue {residue}");
+        assert_eq!(new.now() % 256, residue);
+        for delay in [0, 63, 64, 65, 127, 128, 255, 256, 257, 1] {
+            new.schedule_in(delay, tag);
+            old.schedule_in(delay, tag);
+            tag += 1;
+        }
+        assert_eq!(new.peek_cycle(), old.peek_cycle());
+        while !old.is_empty() {
+            assert_eq!(new.pop(), old.pop(), "residue {residue}");
+            assert_eq!(new.peek_cycle(), old.peek_cycle());
+        }
+        assert_eq!(new.pop(), None);
+    }
+}
+
+#[test]
+fn ring_wraps_as_now_crosses_multiples_of_the_width() {
+    // A self-rescheduling chain of events that steps `now` past many
+    // multiples of 256, with every event scheduling one more at a delay
+    // that lands it in the slot just behind `now`'s (a full wrap) or a few
+    // slots ahead, so slots are reused round after round.
+    let mut new: Scheduler<u64> = Scheduler::new();
+    let mut old: HeapScheduler<u64> = HeapScheduler::new();
+    for i in 0..4 {
+        new.schedule_at(i, i);
+        old.schedule_at(i, i);
+    }
+    for round in 0..20_000u64 {
+        let a = new.pop();
+        assert_eq!(a, old.pop(), "round {round}");
+        let (_, tag) = a.expect("the chain never drains");
+        let delay = [255, 3, 250, 64, 0, 129][(tag % 6) as usize];
+        new.schedule_in(delay, tag + 7);
+        old.schedule_in(delay, tag + 7);
+        assert_eq!(new.len(), old.len());
+        assert_eq!(new.peek_cycle(), old.peek_cycle());
+    }
+    assert!(new.now() > 100 * 256, "now only reached {}", new.now());
+}
+
+#[test]
+fn long_seeded_mix_of_ring_and_overflow_traffic() {
+    // One long interleaving whose delays mix ring-width and overflow
+    // distances, so overflow entries fall into the window while ring
+    // slots are being reused.
+    differential_run(0x5eed, 60_000, 1_000, 8);
+}
+
 /// Object-safe shim so the tie-break test can drive both schedulers through
 /// one loop despite their distinct types.
 trait FnSched {

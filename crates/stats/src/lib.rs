@@ -180,6 +180,18 @@ impl TrafficClass {
         }
     }
 
+    /// The class's flit counter in a metrics tree: `flits_` and the
+    /// lowercase label.
+    pub fn flits_metric(self) -> &'static str {
+        match self {
+            TrafficClass::Load => "flits_ld",
+            TrafficClass::Store => "flits_st",
+            TrafficClass::Writeback => "flits_wb",
+            TrafficClass::Invalidation => "flits_inv",
+            TrafficClass::Sync => "flits_synch",
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             TrafficClass::Invalidation => 0,
@@ -344,6 +356,14 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flit_metric_names_are_the_lowercase_labels() {
+        for class in TrafficClass::ALL {
+            let want = format!("flits_{}", class.label().to_ascii_lowercase());
+            assert_eq!(class.flits_metric(), want);
+        }
+    }
 
     #[test]
     fn breakdown_accumulates() {

@@ -8,8 +8,7 @@
 //!   MSHR alloc/free, per-core stall begin/end, access outcomes, and
 //!   delivered protocol messages, all stamped with the simulated cycle and
 //!   the emitting `(node, component)`. Events flow through a [`Telemetry`]
-//!   handle, which is either off or an in-memory recorder. A bounded
-//!   per-node [`RingSink`] keeps a system's recent deliveries for forensics.
+//!   handle, which is either off or an in-memory recorder.
 //! * **A hierarchical metrics registry** ([`MetricsRegistry`]): counters and
 //!   log2 histograms keyed by `node/component/name` paths, stored in ordered
 //!   maps so aggregation (and JSON rendering) is deterministic regardless of
@@ -52,10 +51,8 @@
 
 pub mod metrics;
 pub mod perfetto;
-pub mod sink;
 
 pub use metrics::{Log2Histogram, MetricsRegistry};
-pub use sink::RingSink;
 
 use std::sync::{Arc, Mutex};
 
@@ -123,6 +120,17 @@ impl StallClass {
         }
     }
 
+    /// The metric names of this class's stall count and duration
+    /// histogram: `stall_<label>_count` and `stall_<label>_cycles`.
+    pub fn metric_names(self) -> (&'static str, &'static str) {
+        match self {
+            StallClass::Memory => ("stall_memory_count", "stall_memory_cycles"),
+            StallClass::Spin => ("stall_spin_count", "stall_spin_cycles"),
+            StallClass::Backoff => ("stall_backoff_count", "stall_backoff_cycles"),
+            StallClass::Fence => ("stall_fence_count", "stall_fence_cycles"),
+        }
+    }
+
     /// Dense index into per-class arrays.
     pub fn index(self) -> usize {
         match self {
@@ -135,7 +143,7 @@ impl StallClass {
 }
 
 /// What happened. Variants carry only plain numbers and `&'static str`
-/// labels so an [`Event`] is `Copy` and ring-buffer pushes never allocate.
+/// labels so an [`Event`] is `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A core access completed at the L1 with this outcome.
@@ -321,6 +329,19 @@ fn record(events: &Mutex<Vec<Event>>, event: Event) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stall_metric_names_carry_the_label() {
+        for class in StallClass::ALL {
+            let label = class.label();
+            let want = (
+                format!("stall_{label}_count"),
+                format!("stall_{label}_cycles"),
+            );
+            let (count, cycles) = class.metric_names();
+            assert_eq!((count.to_owned(), cycles.to_owned()), want);
+        }
+    }
 
     fn ev(cycle: u64, node: u32) -> Event {
         Event {

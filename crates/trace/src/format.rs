@@ -160,12 +160,13 @@ impl Trace {
         }
         let mut name = String::new();
         let mut recorded_on = String::new();
-        let mut cores: Option<usize> = None;
+        let mut cores: Option<(usize, usize)> = None; // (count, line)
         let mut region_names: Vec<String> = Vec::new();
         let mut segments: Vec<Segment> = Vec::new();
         let mut init = Vec::new();
         let mut finals = Vec::new();
         let mut ops: Vec<Vec<TraceOp>> = Vec::new();
+        let mut blocks: Vec<Option<usize>> = Vec::new(); // core -> its block's line
         let mut current: Option<(usize, usize)> = None; // (core, remaining)
         let mut inv_lines: BTreeMap<u16, usize> = BTreeMap::new(); // region -> first `inv` line
         for (ln, line) in lines {
@@ -192,11 +193,17 @@ impl Trace {
                 "name" => name = rest.to_owned(),
                 "on" => recorded_on = rest.to_owned(),
                 "cores" => {
+                    if let Some((_, first)) = cores {
+                        return Err(err(format!(
+                            "second `cores` record (first on line {first})"
+                        )));
+                    }
                     let n: usize = rest
                         .parse()
                         .map_err(|_| err(format!("bad core count `{rest}`")))?;
-                    cores = Some(n);
+                    cores = Some((n, ln));
                     ops = vec![Vec::new(); n];
+                    blocks = vec![None; n];
                 }
                 "region" => {
                     let (idx, rname) = rest
@@ -253,6 +260,11 @@ impl Trace {
                     if idx >= ops.len() {
                         return Err(err(format!("core {idx} beyond declared count")));
                     }
+                    if let Some(first) = blocks[idx].replace(ln) {
+                        return Err(err(format!(
+                            "second block for core {idx} (first on line {first})"
+                        )));
+                    }
                     current = Some((idx, n));
                 }
                 other => return Err(err(format!("unknown record `{other}`"))),
@@ -263,9 +275,11 @@ impl Trace {
                 return Err(format!("core {core}: {left} ops missing at end of file"));
             }
         }
-        let cores = cores.ok_or("missing `cores` record")?;
-        if ops.len() != cores {
-            return Err(format!("declared {cores} cores, found {}", ops.len()));
+        let (_, cores_ln) = cores.ok_or("missing `cores` record")?;
+        if let Some(core) = blocks.iter().position(Option::is_none) {
+            return Err(format!(
+                "line {cores_ln}: core {core} is declared but has no `core` block"
+            ));
         }
         let undeclared = inv_lines
             .into_iter()

@@ -201,7 +201,25 @@ fn parse_rejects_malformed_layouts() {
             format!("line {inv_line}: `inv 65535` names undeclared region 65535"),
         ),
     ];
-    for (mutant, want) in cases {
+    // The stream records: a second `cores` record used to drop every op
+    // parsed before it, a repeated core block appended to the first, and a
+    // declared core with no block replayed as an immediate halt.
+    let streams = [
+        (
+            "dvst 1\ncores 1\ncore 0 2\nex 5\nhalt\ncores 1\n",
+            "line 6: second `cores` record (first on line 2)",
+        ),
+        (
+            "dvst 1\ncores 1\ncore 0 1\nex 5\ncore 0 1\nhalt\n",
+            "line 5: second block for core 0 (first on line 3)",
+        ),
+        (
+            "dvst 1\ncores 2\ncore 0 1\nhalt\n",
+            "line 2: core 1 is declared but has no `core` block",
+        ),
+    ];
+    let streams = streams.map(|(t, want)| (t.to_owned(), want.to_owned()));
+    for (mutant, want) in cases.into_iter().chain(streams) {
         assert_ne!(mutant, text, "corpus trace lost the line `{want}` mutates");
         let err = Trace::parse(&mutant).unwrap_err();
         assert!(err.contains(&want), "want `{want}`: {err}");

@@ -180,14 +180,13 @@ impl RefMachine {
                 progressed = true;
                 steps += 1;
                 match self.threads[i].step() {
-                    Effect::Retired | Effect::Delay { .. } | Effect::Fence => {}
-                    Effect::SelfInvalidate(_) => {}
-                    Effect::Mark(m) => self.marks[i].push(m),
-                    Effect::Halted => {}
-                    Effect::Failed { pc, msg } => {
+                    None | Some(Effect::Delay { .. } | Effect::Fence) => {}
+                    Some(Effect::SelfInvalidate(_) | Effect::Halted) => {}
+                    Some(Effect::Mark(m)) => self.marks[i].push(m),
+                    Some(Effect::Failed { pc, msg }) => {
                         return Err(RefError::AssertFailed { thread: i, pc, msg })
                     }
-                    Effect::Mem(req) => {
+                    Some(Effect::Mem(req)) => {
                         if let Some(spin) = req.spin {
                             let v = self.memory.read_word(req.addr.word());
                             if spin.satisfied(v) {

@@ -51,29 +51,18 @@ impl StallTracker {
         self.counts[core][class.index()]
     }
 
-    /// Exports per-core stall counts and duration histograms into `reg`
-    /// under `core<i>/core/stall_*` paths.
-    pub fn export(&self, reg: &mut MetricsRegistry) {
-        for (core, (hists, counts)) in self.durations.iter().zip(&self.counts).enumerate() {
-            let node = format!("core{core}");
-            for class in StallClass::ALL {
-                let i = class.index();
-                if counts[i] == 0 {
-                    continue;
-                }
-                reg.add(
-                    &node,
-                    "core",
-                    &format!("stall_{}_count", class.label()),
-                    counts[i],
-                );
-                reg.merge_histogram(
-                    &node,
-                    "core",
-                    &format!("stall_{}_cycles", class.label()),
-                    &hists[i],
-                );
+    /// Exports core `core`'s stall counts and duration histograms into
+    /// `reg` under `<node>/core/stall_*` paths.
+    pub fn export_core(&self, core: usize, node: &str, reg: &mut MetricsRegistry) {
+        let (hists, counts) = (&self.durations[core], &self.counts[core]);
+        for class in StallClass::ALL {
+            let i = class.index();
+            if counts[i] == 0 {
+                continue;
             }
+            let (count, cycles) = class.metric_names();
+            reg.add(node, "core", count, counts[i]);
+            reg.merge_histogram(node, "core", cycles, &hists[i]);
         }
     }
 }
@@ -93,7 +82,8 @@ mod tests {
         assert_eq!(t.count(1, StallClass::Backoff), 2);
 
         let mut reg = MetricsRegistry::new();
-        t.export(&mut reg);
+        t.export_core(0, "core0", &mut reg);
+        t.export_core(1, "core1", &mut reg);
         assert_eq!(reg.counter("core0", "core", "stall_memory_count"), 1);
         assert_eq!(reg.counter("core1", "core", "stall_backoff_count"), 2);
         assert_eq!(

@@ -1,9 +1,10 @@
 //! Per-thread architectural state and the stepping interpreter.
 //!
 //! A [`Thread`] executes one instruction per [`Thread::step`] call (the
-//! paper's 1-CPI in-order core). Each step yields an [`Effect`] describing
-//! what the surrounding system must do: nothing (ALU/branch retired), issue
-//! a memory request, stall for a delay, fence, self-invalidate, or stop.
+//! paper's 1-CPI in-order core), or a run of them per [`Thread::run`]
+//! call. An instruction either just retires (ALU, branch) or yields an
+//! [`Effect`] describing what the surrounding system must do: issue a
+//! memory request, stall for a delay, fence, self-invalidate, or stop.
 //! Timing is entirely the system's concern; the thread only sequences
 //! architectural state.
 
@@ -47,11 +48,10 @@ pub struct MemRequest {
     pub spin: Option<SpinCond>,
 }
 
-/// What the system must do after one instruction step.
+/// What the system must do for an instruction that does more than retire
+/// (see [`Thread::run`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
-    /// The instruction retired; charge one cycle and continue.
-    Retired,
     /// Issue a memory request. The thread blocks if
     /// [`AccessKind::blocks_core`]; completion is reported via
     /// [`Thread::complete_load`] for value-returning requests.
@@ -176,17 +176,37 @@ impl Thread {
         a
     }
 
-    /// Executes the instruction at the current pc.
+    /// Runs instructions until one needs the system, or until `budget`
+    /// instructions have retired: returns how many retired and the effect
+    /// it stopped on (`None` when the budget ran out). ALU, branch and
+    /// bookkeeping instructions retire here without leaving the thread;
+    /// they cannot interact with other cores, so the system charges the
+    /// whole run at once.
+    #[inline]
+    pub fn run(&mut self, budget: u64) -> (u64, Option<Effect>) {
+        let mut retired = 0;
+        while retired < budget {
+            match self.step() {
+                None => retired += 1,
+                eff => return (retired, eff),
+            }
+        }
+        (retired, None)
+    }
+
+    /// Executes the instruction at the current pc: `None` if it retired
+    /// with nothing for the system to do, else its effect.
     ///
     /// The pc advances *before* the effect is returned (branches set it to
     /// their target), so a blocking memory request resumes at the right
     /// place once [`Thread::complete_load`] is called.
-    pub fn step(&mut self) -> Effect {
+    #[inline]
+    pub fn step(&mut self) -> Option<Effect> {
         if self.halted {
-            return Effect::Halted;
+            return Some(Effect::Halted);
         }
         if let Some((pc, msg)) = self.failed {
-            return Effect::Failed { pc, msg };
+            return Some(Effect::Failed { pc, msg });
         }
         let instr = *self.program.fetch(self.pc).unwrap_or_else(|| {
             panic!(
@@ -197,48 +217,48 @@ impl Thread {
         });
         let at = self.pc;
         self.pc += 1;
-        match instr {
+        let eff = match instr {
             Instr::Movi(d, imm) => {
                 self.regs[d.index()] = imm;
-                Effect::Retired
+                return None;
             }
             Instr::Mov(d, s) => {
                 self.regs[d.index()] = self.regs[s.index()];
-                Effect::Retired
+                return None;
             }
-            Instr::Add(d, a, b) => self.alu(d, a, b, u64::wrapping_add),
-            Instr::Sub(d, a, b) => self.alu(d, a, b, u64::wrapping_sub),
-            Instr::Mul(d, a, b) => self.alu(d, a, b, u64::wrapping_mul),
-            Instr::Div(d, a, b) => self.alu(d, a, b, |x, y| x.checked_div(y).unwrap_or(0)),
-            Instr::Rem(d, a, b) => self.alu(d, a, b, |x, y| x.checked_rem(y).unwrap_or(0)),
-            Instr::And(d, a, b) => self.alu(d, a, b, |x, y| x & y),
-            Instr::Or(d, a, b) => self.alu(d, a, b, |x, y| x | y),
-            Instr::Xor(d, a, b) => self.alu(d, a, b, |x, y| x ^ y),
+            Instr::Add(d, a, b) => return self.alu(d, a, b, u64::wrapping_add),
+            Instr::Sub(d, a, b) => return self.alu(d, a, b, u64::wrapping_sub),
+            Instr::Mul(d, a, b) => return self.alu(d, a, b, u64::wrapping_mul),
+            Instr::Div(d, a, b) => return self.alu(d, a, b, |x, y| x.checked_div(y).unwrap_or(0)),
+            Instr::Rem(d, a, b) => return self.alu(d, a, b, |x, y| x.checked_rem(y).unwrap_or(0)),
+            Instr::And(d, a, b) => return self.alu(d, a, b, |x, y| x & y),
+            Instr::Or(d, a, b) => return self.alu(d, a, b, |x, y| x | y),
+            Instr::Xor(d, a, b) => return self.alu(d, a, b, |x, y| x ^ y),
             Instr::Addi(d, a, imm) => {
                 self.regs[d.index()] = self.regs[a.index()].wrapping_add(imm as u64);
-                Effect::Retired
+                return None;
             }
             Instr::Shl(d, a, sh) => {
                 self.regs[d.index()] = self.regs[a.index()] << (sh & 63);
-                Effect::Retired
+                return None;
             }
             Instr::Shr(d, a, sh) => {
                 self.regs[d.index()] = self.regs[a.index()] >> (sh & 63);
-                Effect::Retired
+                return None;
             }
             Instr::Set(c, d, a, b) => {
                 self.regs[d.index()] = c.eval(self.regs[a.index()], self.regs[b.index()]) as u64;
-                Effect::Retired
+                return None;
             }
             Instr::Branch(c, a, b, target) => {
                 if c.eval(self.regs[a.index()], self.regs[b.index()]) {
                     self.pc = target;
                 }
-                Effect::Retired
+                return None;
             }
             Instr::Jmp(target) => {
                 self.pc = target;
-                Effect::Retired
+                return None;
             }
             Instr::Load {
                 dst,
@@ -352,15 +372,15 @@ impl Thread {
             }
             Instr::Phase(p) => {
                 self.phase = p;
-                Effect::Retired
+                return None;
             }
             Instr::Tid(d) => {
                 self.regs[d.index()] = self.id as u64;
-                Effect::Retired
+                return None;
             }
             Instr::NThreads(d) => {
                 self.regs[d.index()] = self.nthreads as u64;
-                Effect::Retired
+                return None;
             }
             Instr::Alloc { dst, words } => {
                 // Allocations are padded to whole cache lines (as concurrent
@@ -371,19 +391,19 @@ impl Thread {
                     * dvs_mem::LINE_BYTES;
                 if self.alloc_cursor + bytes > self.alloc_limit {
                     self.failed = Some((at, "allocation pool exhausted"));
-                    return Effect::Failed {
+                    return Some(Effect::Failed {
                         pc: at,
                         msg: "allocation pool exhausted",
-                    };
+                    });
                 }
                 self.regs[dst.index()] = self.alloc_cursor;
                 self.alloc_cursor += bytes;
-                Effect::Retired
+                return None;
             }
             Instr::Mark(id) => Effect::Mark(id),
             Instr::Assert(c, a, b, msg) => {
                 if c.eval(self.regs[a.index()], self.regs[b.index()]) {
-                    Effect::Retired
+                    return None;
                 } else {
                     self.failed = Some((at, msg));
                     Effect::Failed { pc: at, msg }
@@ -393,13 +413,14 @@ impl Thread {
                 self.halted = true;
                 Effect::Halted
             }
-            Instr::Nop => Effect::Retired,
-        }
+            Instr::Nop => return None,
+        };
+        Some(eff)
     }
 
-    fn alu(&mut self, d: Reg, a: Reg, b: Reg, f: impl Fn(u64, u64) -> u64) -> Effect {
+    fn alu(&mut self, d: Reg, a: Reg, b: Reg, f: impl Fn(u64, u64) -> u64) -> Option<Effect> {
         self.regs[d.index()] = f(self.regs[a.index()], self.regs[b.index()]);
-        Effect::Retired
+        None
     }
 }
 
@@ -485,12 +506,34 @@ mod tests {
     }
 
     #[test]
+    fn run_retires_up_to_its_budget_then_stops_on_an_effect() {
+        let mut a = Asm::new("run");
+        a.movi(Reg(1), 0x40)
+            .addi(Reg(2), Reg(1), 1)
+            .addi(Reg(2), Reg(2), 1)
+            .addi(Reg(2), Reg(2), 1)
+            .load(Reg(3), Reg(1), 0)
+            .halt();
+        let mut t = thread_for(a);
+        // The budget cuts the run short, and the next run resumes it.
+        assert_eq!(t.run(3), (3, None));
+        assert_eq!(t.reg(Reg(2)), 0x42);
+        let (retired, eff) = t.run(100);
+        assert_eq!(retired, 1);
+        assert!(matches!(eff, Some(Effect::Mem(r)) if r.addr.raw() == 0x40));
+        // An effect with nothing retired before it, and a halt that sticks.
+        assert_eq!(t.run(100), (0, Some(Effect::Halted)));
+        assert_eq!(t.run(100), (0, Some(Effect::Halted)));
+        assert_eq!(t.reg(Reg(2)), 0x43);
+    }
+
+    #[test]
     fn load_issues_request_and_completion_writes_reg() {
         let mut a = Asm::new("ld");
         a.movi(Reg(1), 0x200).load(Reg(2), Reg(1), 8).halt();
         let mut t = thread_for(a);
         t.step();
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Mem(req) => {
                 assert_eq!(req.addr, Addr::new(0x208));
                 assert_eq!(req.kind, AccessKind::DataLoad);
@@ -512,7 +555,7 @@ mod tests {
         let mut t = thread_for(a);
         t.step();
         t.step();
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Mem(req) => {
                 assert_eq!(req.kind, AccessKind::SyncStore { value: 55 });
                 assert!(req.kind.is_sync());
@@ -533,7 +576,7 @@ mod tests {
         for _ in 0..3 {
             t.step();
         }
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Mem(req) => {
                 assert_eq!(
                     req.kind,
@@ -557,7 +600,7 @@ mod tests {
         let mut t = thread_for(a);
         t.step();
         t.step();
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Mem(req) => {
                 let spin = req.spin.expect("spin condition");
                 assert!(!spin.satisfied(0));
@@ -575,7 +618,7 @@ mod tests {
             thread_for(a)
         };
         let (mut t1, mut t2) = (mk(), mk());
-        match (t1.step(), t2.step()) {
+        match (t1.step().expect("a delay"), t2.step().expect("a delay")) {
             (Effect::Delay { cycles: c1, comp }, Effect::Delay { cycles: c2, .. }) => {
                 assert!((128..2048).contains(&c1));
                 assert_eq!(c1, c2);
@@ -595,7 +638,7 @@ mod tests {
         t.step();
         assert_eq!(t.reg(Reg(1)), 0x1000);
         assert_eq!(t.reg(Reg(2)), 0x1040, "allocations are line-padded");
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Failed { msg, .. } => assert_eq!(msg, "allocation pool exhausted"),
             other => panic!("unexpected {other:?}"),
         }
@@ -611,8 +654,8 @@ mod tests {
         let mut t = thread_for(a);
         t.step();
         t.step();
-        assert!(matches!(t.step(), Effect::Failed { msg: "boom", .. }));
-        assert!(matches!(t.step(), Effect::Failed { msg: "boom", .. }));
+        assert!(matches!(t.step(), Some(Effect::Failed { msg: "boom", .. })));
+        assert!(matches!(t.step(), Some(Effect::Failed { msg: "boom", .. })));
         assert_eq!(t.failure(), Some((2, "boom")));
     }
 
@@ -621,8 +664,8 @@ mod tests {
         let mut a = Asm::new("halt");
         a.halt();
         let mut t = thread_for(a);
-        assert_eq!(t.step(), Effect::Halted);
-        assert_eq!(t.step(), Effect::Halted);
+        assert_eq!(t.step(), Some(Effect::Halted));
+        assert_eq!(t.step(), Some(Effect::Halted));
         assert!(t.is_halted());
     }
 
@@ -673,7 +716,7 @@ mod tests {
         let mut t = thread_for(a);
         t.step();
         t.step();
-        match t.step() {
+        match t.step().expect("an effect") {
             Effect::Mem(req) => {
                 assert_eq!(req.kind, AccessKind::SyncRmw(RmwOp::Swap { new: 77 }));
                 t.complete_load(req.dst, 11);

@@ -151,6 +151,22 @@ fn trace_compose_rejects_an_undeclared_inv_region() {
     );
 }
 
+/// A `.dvst` with a second `cores` record is a usage error naming both
+/// lines: it used to drop every op parsed before it, so `trace show`
+/// printed `ops 0` and a replay "passed" in 0 cycles.
+#[test]
+fn trace_show_rejects_a_second_cores_record() {
+    let path = std::env::temp_dir().join(format!("dvs-cli-cores-{}.dvst", std::process::id()));
+    std::fs::write(&path, "dvst 1\ncores 1\ncore 0 2\nex 5\nhalt\ncores 1\n")
+        .expect("write mutant");
+    let stderr = usage_error(&["trace", "show", &path.to_string_lossy()]);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        stderr.contains("line 6: second `cores` record (first on line 2)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn tables_rejects_an_unknown_protocol_or_argument() {
     let err = usage_error(&["tables", "--proto", "mosi"]);
